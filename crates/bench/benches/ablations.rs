@@ -11,6 +11,7 @@
 use bolt::detector::DetectorConfig;
 use bolt::experiment::{run_experiment, ExperimentConfig};
 use bolt::report::{pct, Table};
+use bolt::{FitCache, RunCtx};
 use bolt_bench::{emit, full_scale};
 use bolt_recommender::RecommenderConfig;
 use bolt_sim::LeastLoaded;
@@ -36,7 +37,9 @@ fn main() {
 
     let run = |name: &str, config: &ExperimentConfig, table: &mut Table| {
         eprintln!("running ablation: {name}...");
-        let results = run_experiment(config, &LeastLoaded).expect("experiment runs");
+        let results = run_experiment(config, &LeastLoaded, &RunCtx::new(&FitCache::new(), false))
+            .expect("experiment runs")
+            .0;
         table.row(vec![
             name.to_string(),
             pct(results.label_accuracy()),

@@ -10,10 +10,11 @@
 //! one fingerprint pass plus a map lookup; a miss is that plus the full
 //! SVD + SGD training.
 
+use bolt::RunCtx;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use bolt::experiment::{run_experiment_cache, ExperimentConfig};
+use bolt::experiment::{run_experiment, ExperimentConfig};
 use bolt::FitCache;
 use bolt_recommender::{fingerprint, RecommenderConfig, TrainingData};
 use bolt_sim::LeastLoaded;
@@ -37,7 +38,9 @@ fn sweep(cache: &FitCache) -> usize {
     let mut total = 0;
     for seed in 1u64..=8 {
         let config = ExperimentConfig { seed, ..base() };
-        let r = run_experiment_cache(&config, &LeastLoaded, cache).expect("experiment runs");
+        let r = run_experiment(&config, &LeastLoaded, &RunCtx::new(cache, false))
+            .expect("experiment runs")
+            .0;
         total += r.records.len();
     }
     total

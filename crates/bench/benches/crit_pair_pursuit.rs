@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use bolt_recommender::{HybridRecommender, RecommenderConfig, TrainingData};
+use bolt_recommender::{HybridRecommender, RecommenderConfig, RecommenderStats, TrainingData};
 use bolt_workloads::{training::training_set, Resource};
 
 /// A two-tenant mixed observation over all ten dimensions, summed from two
@@ -42,37 +42,29 @@ fn bench_pair_pursuit(c: &mut Criterion) {
     let uncore_obs: Vec<(Resource, f64)> =
         obs.iter().copied().filter(|&(r, _)| !r.is_core()).collect();
 
+    // Both shapes run cold: no MRC curve, no warm shortlist.
+    let mixture = |rec: &HybridRecommender| {
+        let mut stats = RecommenderStats::default();
+        let d = rec.decompose_mixture(black_box(&obs), 2, None, None, &mut stats);
+        d.expect("decompose").len()
+    };
+    let joint = |rec: &HybridRecommender| {
+        let mut stats = RecommenderStats::default();
+        let (core, uncore) = (black_box(&core_obs), &uncore_obs);
+        let d = rec.decompose_with_core(core, uncore, 0.35, 2, None, None, &mut stats);
+        d.expect("decompose").len()
+    };
     c.bench_function("pair_pursuit_mixture_default", |b| {
-        b.iter(|| {
-            let d = pruned
-                .decompose_mixture(black_box(&obs), &[], 2)
-                .expect("decompose");
-            black_box(d.len())
-        })
+        b.iter(|| black_box(mixture(&pruned)))
     });
     c.bench_function("pair_pursuit_mixture_exhaustive", |b| {
-        b.iter(|| {
-            let d = exact
-                .decompose_mixture(black_box(&obs), &[], 2)
-                .expect("decompose");
-            black_box(d.len())
-        })
+        b.iter(|| black_box(mixture(&exact)))
     });
     c.bench_function("pair_pursuit_core_default", |b| {
-        b.iter(|| {
-            let d = pruned
-                .decompose_with_core(black_box(&core_obs), &uncore_obs, 0.35, 2)
-                .expect("decompose");
-            black_box(d.len())
-        })
+        b.iter(|| black_box(joint(&pruned)))
     });
     c.bench_function("pair_pursuit_core_exhaustive", |b| {
-        b.iter(|| {
-            let d = exact
-                .decompose_with_core(black_box(&core_obs), &uncore_obs, 0.35, 2)
-                .expect("decompose");
-            black_box(d.len())
-        })
+        b.iter(|| black_box(joint(&exact)))
     });
 }
 

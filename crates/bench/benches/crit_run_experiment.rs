@@ -5,16 +5,15 @@
 //! `crates/core/tests/parallel_determinism.rs`), so any wall-clock gap is
 //! pure scheduling win.
 //!
-//! The `run_experiment_serial_telemetry_off` case runs the telemetry-
-//! aware entry point with recording disabled; comparing it against
-//! `run_experiment_serial` measures the overhead of the disabled
-//! telemetry path (required: within 2%). `_telemetry_on` bounds the cost
-//! of full recording.
+//! `run_experiment_serial` runs with telemetry off — the recorder is a
+//! `None` branch per call site — and `run_experiment_serial_telemetry_on`
+//! bounds the cost of full recording on the same configuration.
 
+use bolt::{FitCache, RunCtx};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use bolt::experiment::{run_experiment, run_experiment_telemetry, ExperimentConfig};
+use bolt::experiment::{run_experiment, ExperimentConfig};
 use bolt::parallel::Parallelism;
 use bolt_sim::LeastLoaded;
 
@@ -27,39 +26,27 @@ fn config(parallelism: Parallelism) -> ExperimentConfig {
     }
 }
 
+/// One cold run (fresh fit cache) of the bench configuration.
+fn run(cfg: &ExperimentConfig, telemetry: bool) -> usize {
+    let cache = FitCache::new();
+    let ctx = RunCtx::new(&cache, telemetry);
+    let (r, log) = run_experiment(black_box(cfg), &LeastLoaded, &ctx).expect("experiment runs");
+    r.records.len() + log.len()
+}
+
 fn bench_run_experiment(c: &mut Criterion) {
     c.sample_size(10);
     c.bench_function("run_experiment_serial", |b| {
         let cfg = config(Parallelism::Serial);
-        b.iter(|| {
-            let r = run_experiment(black_box(&cfg), &LeastLoaded).expect("experiment runs");
-            black_box(r.records.len())
-        })
+        b.iter(|| black_box(run(&cfg, false)))
     });
     c.bench_function("run_experiment_auto", |b| {
         let cfg = config(Parallelism::Auto);
-        b.iter(|| {
-            let r = run_experiment(black_box(&cfg), &LeastLoaded).expect("experiment runs");
-            black_box(r.records.len())
-        })
-    });
-    c.bench_function("run_experiment_serial_telemetry_off", |b| {
-        // `run_experiment` IS the disabled-telemetry path (it delegates
-        // with recording off); benched under its own name so the disabled
-        // overhead is visible as serial-vs-this in the same report.
-        let cfg = config(Parallelism::Serial);
-        b.iter(|| {
-            let r = run_experiment(black_box(&cfg), &LeastLoaded).expect("experiment runs");
-            black_box(r.records.len())
-        })
+        b.iter(|| black_box(run(&cfg, false)))
     });
     c.bench_function("run_experiment_serial_telemetry_on", |b| {
         let cfg = config(Parallelism::Serial);
-        b.iter(|| {
-            let (r, log) =
-                run_experiment_telemetry(black_box(&cfg), &LeastLoaded).expect("experiment runs");
-            black_box((r.records.len(), log.len()))
-        })
+        b.iter(|| black_box(run(&cfg, true)))
     });
 }
 

@@ -4,10 +4,10 @@
 //! Paper: very high L1-i plus high LLC pressure → memcached with high
 //! probability; any disk traffic rules it out.
 
-use bolt::fingerprint::{family_heatmap, family_heatmap_telemetry, population, FIG2_PAIRS};
+use bolt::fingerprint::{family_heatmap, population, FIG2_PAIRS};
 use bolt::report::Table;
 use bolt::telemetry::{telemetry_path_from_args, Telemetry, TelemetryLog};
-use bolt_bench::{emit, full_scale};
+use bolt_bench::{emit, full_scale, write_telemetry};
 
 fn main() {
     let telemetry_path = telemetry_path_from_args(std::env::args().skip(1));
@@ -18,14 +18,9 @@ fn main() {
     let grid = 5;
 
     for (unit, (x, y)) in FIG2_PAIRS.into_iter().enumerate() {
-        let map = if telemetry_path.is_some() {
-            let mut telemetry = Telemetry::for_unit(unit);
-            let map = family_heatmap_telemetry(&pop, "memcached", x, y, grid, &mut telemetry);
-            log.merge(telemetry);
-            map
-        } else {
-            family_heatmap(&pop, "memcached", x, y, grid)
-        };
+        let mut telemetry = Telemetry::for_unit_if(telemetry_path.is_some(), unit);
+        let map = family_heatmap(&pop, "memcached", x, y, grid, &mut telemetry);
+        log.merge(telemetry);
         let mut table = Table::new(vec![
             format!("{y} \\ {x}"),
             format!("{:.0}", map.center(0)),
@@ -51,7 +46,8 @@ fn main() {
     // Headline checks: the high-L1i half of the map carries the memcached
     // mass (the LLC coordinate spreads with value size and load level, so
     // quadrants are compared in aggregate rather than single cells).
-    let l1i_llc = family_heatmap(&pop, "memcached", FIG2_PAIRS[0].0, FIG2_PAIRS[0].1, grid);
+    let untraced = |x, y| family_heatmap(&pop, "memcached", x, y, grid, &mut Telemetry::disabled());
+    let l1i_llc = untraced(FIG2_PAIRS[0].0, FIG2_PAIRS[0].1);
     let half = |lo: bool| -> f64 {
         let cols: Vec<usize> = if lo {
             (0..grid / 2).collect()
@@ -77,12 +73,9 @@ fn main() {
         half(true),
         if half(false) > half(true) + 0.1 { "shape holds" } else { "MISMATCH" }
     );
-    let disk = family_heatmap(
-        &pop,
-        "memcached",
+    let disk = untraced(
         bolt_workloads::Resource::DiskBw,
         bolt_workloads::Resource::L2,
-        grid,
     );
     println!(
         "P(memcached | zero disk)={:.2} vs P(memcached | heavy disk)={:.2} — {}",
@@ -95,10 +88,5 @@ fn main() {
         }
     );
 
-    if let Some(path) = telemetry_path {
-        match log.write_jsonl(&path) {
-            Ok(()) => println!("telemetry: {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
-    }
+    write_telemetry(telemetry_path, &log);
 }

@@ -7,6 +7,7 @@
 
 use bolt::experiment::{run_experiment, ExperimentConfig};
 use bolt::report::{pct, Table};
+use bolt::{FitCache, RunCtx};
 use bolt_bench::{emit, full_scale};
 use bolt_sim::LeastLoaded;
 
@@ -29,7 +30,9 @@ fn main() {
         "running the controlled experiment ({} victims)...",
         config.victims
     );
-    let results = run_experiment(&config, &LeastLoaded).expect("experiment runs");
+    let results = run_experiment(&config, &LeastLoaded, &RunCtx::new(&FitCache::new(), false))
+        .expect("experiment runs")
+        .0;
 
     // (a) accuracy vs number of co-residents. The x-axis counts victim
     // VMs on the server *including the hunted victim* ("VMs on server",

@@ -6,6 +6,7 @@
 use bolt::detector::{Detector, DetectorConfig};
 use bolt::experiment::observed_training;
 use bolt::report::Table;
+use bolt::Telemetry;
 use bolt_bench::emit;
 use bolt_recommender::{HybridRecommender, RecommenderConfig, TrainingData};
 use bolt_sim::vm::VmRole;
@@ -69,8 +70,9 @@ fn main() {
         cluster
             .swap_profile(victim, jobs[phase].clone())
             .expect("swap works");
+        let mut off = Telemetry::disabled();
         let d = detector
-            .detect(&cluster, adversary, t, &mut rng)
+            .detect(&cluster, adversary, t, None, &mut rng, &mut off)
             .expect("detect");
         let hit = d
             .label()

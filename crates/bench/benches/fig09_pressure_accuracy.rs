@@ -7,6 +7,7 @@
 
 use bolt::experiment::{run_experiment, ExperimentConfig};
 use bolt::report::Table;
+use bolt::{FitCache, RunCtx};
 use bolt_bench::{emit, full_scale};
 use bolt_sim::LeastLoaded;
 use bolt_workloads::Resource;
@@ -29,7 +30,9 @@ fn main() {
         "running the controlled experiment ({} victims)...",
         config.victims
     );
-    let results = run_experiment(&config, &LeastLoaded).expect("experiment runs");
+    let results = run_experiment(&config, &LeastLoaded, &RunCtx::new(&FitCache::new(), false))
+        .expect("experiment runs")
+        .0;
 
     let resources = [
         Resource::L1i,

@@ -10,13 +10,10 @@
 use bolt::experiment::ExperimentConfig;
 use bolt::parallel::Parallelism;
 use bolt::report::{pct, Table};
-use bolt::sensitivity::{
-    adversary_size_sweep_cache_telemetry, benchmark_count_sweep_cache_telemetry,
-    profiling_interval_sweep_cache_telemetry,
-};
+use bolt::sensitivity::{adversary_size_sweep, benchmark_count_sweep, profiling_interval_sweep};
 use bolt::telemetry::{telemetry_path_from_args, TelemetryLog};
-use bolt::FitCache;
-use bolt_bench::{emit, full_scale};
+use bolt::{FitCache, RunCtx};
+use bolt_bench::{emit, full_scale, write_telemetry};
 
 fn main() {
     let telemetry_path = telemetry_path_from_args(std::env::args().skip(1));
@@ -42,13 +39,13 @@ fn main() {
     // (a) profiling interval, against a victim switching jobs (~60 s).
     eprintln!("sweeping profiling intervals...");
     let intervals = [5.0, 20.0, 60.0, 120.0, 300.0];
-    let (points, interval_log) = profiling_interval_sweep_cache_telemetry(
+    let (points, interval_log) = profiling_interval_sweep(
         &intervals,
         60.0,
         900.0,
         0xF16A,
         Parallelism::Auto,
-        &cache,
+        &RunCtx::new(&cache, true),
     )
     .expect("interval sweep runs");
     log.extend(interval_log.into_events());
@@ -85,7 +82,7 @@ fn main() {
     eprintln!("sweeping adversarial VM sizes...");
     let sizes = [1u32, 2, 4, 8];
     let (points, size_log) =
-        adversary_size_sweep_cache_telemetry(&base, &sizes, &cache).expect("size sweep runs");
+        adversary_size_sweep(&base, &sizes, &RunCtx::new(&cache, true)).expect("size sweep runs");
     log.extend(size_log.into_events());
     let mut b = Table::new(vec!["adversary vCPUs", "paper", "measured accuracy"]);
     let paper_b = ["~35%", "~60%", "~87%", "~90%"];
@@ -105,8 +102,8 @@ fn main() {
     // (c) number of profiling benchmarks.
     eprintln!("sweeping benchmark counts...");
     let counts = [1usize, 2, 3, 5, 8];
-    let (points, count_log) =
-        benchmark_count_sweep_cache_telemetry(&base, &counts, &cache).expect("count sweep runs");
+    let (points, count_log) = benchmark_count_sweep(&base, &counts, &RunCtx::new(&cache, true))
+        .expect("count sweep runs");
     log.extend(count_log.into_events());
     let mut c = Table::new(vec!["benchmarks", "paper", "measured accuracy"]);
     let paper_c = ["~55%", "~87%", "~89%", "~90%", "~90%"];
@@ -133,10 +130,5 @@ fn main() {
         stats.data_misses,
     );
 
-    if let Some(path) = telemetry_path {
-        match log.write_jsonl(&path) {
-            Ok(()) => println!("telemetry: {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
-    }
+    write_telemetry(telemetry_path, &log);
 }

@@ -5,6 +5,7 @@
 
 use bolt::report::{pct, Table};
 use bolt::user_study::{run_user_study, UserStudyConfig};
+use bolt::{FitCache, RunCtx};
 use bolt_bench::{emit, full_scale};
 
 fn main() {
@@ -22,7 +23,9 @@ fn main() {
         "running the user study ({} jobs on {} instances)...",
         config.jobs, config.instances
     );
-    let results = run_user_study(&config).expect("study runs");
+    let results = run_user_study(&config, &RunCtx::new(&FitCache::new(), false))
+        .expect("study runs")
+        .0;
     let n = results.records.len();
 
     let mut table = Table::new(vec!["metric", "paper", "measured"]);

@@ -9,6 +9,7 @@
 
 use bolt::attacks::dos::{craft_attack_from_profile, naive_attack, run_dos, DosRunConfig};
 use bolt::report::Table;
+use bolt::Telemetry;
 use bolt_bench::emit;
 use bolt_sim::vm::VmRole;
 use bolt_sim::{Cluster, IsolationConfig, ServerSpec, VmId};
@@ -47,6 +48,7 @@ fn main() {
 
     let (mut c1, a1, v1, baseline) = scene(&mut rng);
     let victim_pressure = *c1.vm(v1).expect("victim exists").profile.base_pressure();
+    let mut off = Telemetry::disabled();
     let bolt = run_dos(
         &mut c1,
         a1,
@@ -54,12 +56,21 @@ fn main() {
         craft_attack_from_profile(&victim_pressure),
         &defense,
         &mut rng,
+        &mut off,
     )
     .expect("bolt attack runs");
 
     let (mut c2, a2, v2, _) = scene(&mut rng);
-    let naive =
-        run_dos(&mut c2, a2, v2, naive_attack(), &defense, &mut rng).expect("naive attack runs");
+    let naive = run_dos(
+        &mut c2,
+        a2,
+        v2,
+        naive_attack(),
+        &defense,
+        &mut rng,
+        &mut off,
+    )
+    .expect("naive attack runs");
 
     let mut table = Table::new(vec![
         "t (s)",

@@ -10,6 +10,7 @@
 use bolt::experiment::ExperimentConfig;
 use bolt::isolation_study::run_isolation_study;
 use bolt::report::{pct, Table};
+use bolt::{FitCache, RunCtx};
 use bolt_bench::{emit, full_scale};
 use bolt_sim::OsSetting;
 
@@ -28,7 +29,9 @@ fn main() {
         }
     };
     eprintln!("running 21 detection experiments (3 settings x 7 stacks)...");
-    let study = run_isolation_study(&base).expect("study runs");
+    let study = run_isolation_study(&base, &RunCtx::new(&FitCache::new(), false))
+        .expect("study runs")
+        .0;
 
     let stacks = [
         "none",

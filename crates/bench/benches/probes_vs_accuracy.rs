@@ -10,10 +10,10 @@
 //! stay byte-identical to the shipped Table 1 numbers — the anytime
 //! flag off means the fixed pipeline runs untouched.
 
-use bolt::experiment::{run_experiment_cache_telemetry, ExperimentConfig};
+use bolt::experiment::{run_experiment, ExperimentConfig};
 use bolt::report::{pct, Table};
 use bolt::telemetry::{Counter, TelemetryEvent, TelemetryLog};
-use bolt::FitCache;
+use bolt::{FitCache, RunCtx};
 use bolt_bench::{emit, full_scale};
 use bolt_sim::LeastLoaded;
 
@@ -67,7 +67,7 @@ fn main() {
     let mut run = |name: &str, config: &ExperimentConfig| {
         eprintln!("running probes-vs-accuracy variant: {name}...");
         let (results, log) =
-            run_experiment_cache_telemetry(config, &LeastLoaded, &cache).expect("runs");
+            run_experiment(config, &LeastLoaded, &RunCtx::new(&cache, true)).expect("runs");
         let counts = probes_per_hunt(&log);
         let median = counts.get(counts.len() / 2).copied().unwrap_or(0);
         let mean = counts.iter().sum::<u64>() as f64 / counts.len().max(1) as f64;

@@ -10,10 +10,11 @@
 //! confidently mislabeling through the noise.
 
 use bolt::report::{pct, Table};
-use bolt::robustness::churn_sweep_cache_telemetry;
+use bolt::robustness::churn_sweep;
 use bolt::telemetry::telemetry_path_from_args;
+use bolt::RunCtx;
 use bolt::{ExperimentConfig, FitCache};
-use bolt_bench::{emit, full_scale};
+use bolt_bench::{emit, full_scale, write_telemetry};
 use bolt_sim::LeastLoaded;
 
 fn main() {
@@ -44,9 +45,13 @@ fn main() {
     );
     // Churn never perturbs the training inputs, so one cache turns the
     // five-intensity sweep into a single recommender fit.
-    let (points, log) =
-        churn_sweep_cache_telemetry(&base, &LeastLoaded, &intensities, &FitCache::new())
-            .expect("sweep runs");
+    let (points, log) = churn_sweep(
+        &base,
+        &LeastLoaded,
+        &intensities,
+        &RunCtx::new(&FitCache::new(), true),
+    )
+    .expect("sweep runs");
 
     let mut table = Table::new(vec![
         "intensity",
@@ -101,10 +106,5 @@ fn main() {
         }
     );
 
-    if let Some(path) = telemetry_path {
-        match log.write_jsonl(&path) {
-            Ok(()) => println!("telemetry: {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
-    }
+    write_telemetry(telemetry_path, &log);
 }

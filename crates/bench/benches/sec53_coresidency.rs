@@ -9,6 +9,7 @@ use bolt::attacks::coresidency::{hunt, placement_probability, CoResidencyConfig}
 use bolt::detector::{Detector, DetectorConfig};
 use bolt::experiment::observed_training;
 use bolt::report::Table;
+use bolt::Telemetry;
 use bolt_bench::emit;
 use bolt_recommender::{HybridRecommender, RecommenderConfig, TrainingData};
 use bolt_sim::vm::VmRole;
@@ -73,6 +74,7 @@ fn main() {
             &config,
             round as f64 * 120.0,
             &mut rng,
+            &mut Telemetry::disabled(),
         )
         .expect("hunt runs");
         total_vms += outcome.vms_used;

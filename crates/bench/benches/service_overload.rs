@@ -12,8 +12,9 @@
 
 use bolt::report::{pct, Table};
 use bolt::telemetry::telemetry_path_from_args;
-use bolt::{run_service_cache_telemetry, FitCache, ServiceConfig, TelemetryLog};
-use bolt_bench::{emit, full_scale};
+use bolt::RunCtx;
+use bolt::{run_service, FitCache, ServiceConfig, TelemetryLog};
+use bolt_bench::{emit, full_scale, write_telemetry};
 use bolt_sim::{ChaosConfig, StormConfig};
 
 fn main() {
@@ -77,8 +78,8 @@ fn main() {
             ..stormy
         };
         let (report, point_log) =
-            run_service_cache_telemetry(&stormy, &cache).expect("service runs");
-        let calm_report = run_service_cache_telemetry(&calm, &cache)
+            run_service(&stormy, &RunCtx::new(&cache, true)).expect("service runs");
+        let calm_report = run_service(&calm, &RunCtx::new(&cache, true))
             .expect("calm twin runs")
             .0;
         assert!(report.balanced(), "count identity violated at rate {rate}");
@@ -144,10 +145,5 @@ fn main() {
         }
     );
 
-    if let Some(path) = telemetry_path {
-        match log.write_jsonl(&path) {
-            Ok(()) => println!("telemetry: {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
-    }
+    write_telemetry(telemetry_path, &log);
 }

@@ -11,11 +11,11 @@
 
 use bolt::report::Table;
 use bolt::telemetry::telemetry_path_from_args;
+use bolt::RunCtx;
 use bolt::{
-    run_service_cache_telemetry, Counter, FitCache, Parallelism, RegionConfig, ServiceConfig,
-    TelemetryLog,
+    run_service, Counter, FitCache, Parallelism, RegionConfig, ServiceConfig, TelemetryLog,
 };
-use bolt_bench::{emit, full_scale};
+use bolt_bench::{emit, full_scale, write_telemetry};
 use bolt_sim::StormConfig;
 
 fn main() {
@@ -59,7 +59,7 @@ fn main() {
         };
         let started = std::time::Instant::now();
         let (report, point_log) =
-            run_service_cache_telemetry(&config, &cache).expect("region service runs");
+            run_service(&config, &RunCtx::new(&cache, true)).expect("region service runs");
         let wall = started.elapsed();
         assert!(report.balanced(), "count identity violated at {servers}");
 
@@ -70,7 +70,7 @@ fn main() {
             ..config
         };
         let (plain_report, _) =
-            run_service_cache_telemetry(&unbatched, &cache).expect("unbatched twin runs");
+            run_service(&unbatched, &RunCtx::new(&cache, true)).expect("unbatched twin runs");
         assert_eq!(
             report, plain_report,
             "sweep sharing changed bytes at {servers} servers"
@@ -82,13 +82,13 @@ fn main() {
         // sweeps-shared counter. The serial twin re-runs against the now
         // warm fit cache so both logs carry the same fit-cache events.
         let (report_s, log_s) =
-            run_service_cache_telemetry(&config, &cache).expect("warm serial twin runs");
+            run_service(&config, &RunCtx::new(&cache, true)).expect("warm serial twin runs");
         let threaded = ServiceConfig {
             parallelism: Parallelism::Threads(3),
             ..config
         };
         let (report_t, log_t) =
-            run_service_cache_telemetry(&threaded, &cache).expect("threaded twin runs");
+            run_service(&threaded, &RunCtx::new(&cache, true)).expect("threaded twin runs");
         assert_eq!(report, report_s);
         assert_eq!(report, report_t, "threading changed bytes at {servers}");
         assert_eq!(
@@ -126,10 +126,5 @@ fn main() {
         &table,
     );
 
-    if let Some(path) = telemetry_path {
-        match log.write_jsonl(&path) {
-            Ok(()) => println!("telemetry: {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
-    }
+    write_telemetry(telemetry_path, &log);
 }

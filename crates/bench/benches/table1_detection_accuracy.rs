@@ -5,9 +5,9 @@
 //! 92/92, Spark 85/86, Cassandra 90/89, SPEC CPU2006 84/85. The scheduler
 //! barely matters — Quasar's cleaner colocations even help slightly.
 
-use bolt::experiment::{run_experiment_cache, ExperimentConfig};
+use bolt::experiment::{run_experiment, ExperimentConfig};
 use bolt::report::{pct, Table};
-use bolt::FitCache;
+use bolt::{FitCache, RunCtx};
 use bolt_bench::{emit, full_scale};
 use bolt_sim::{LeastLoaded, Quasar};
 
@@ -29,8 +29,12 @@ fn main() {
     // Scheduler choice never touches the training inputs: one cache means
     // the Quasar run reuses the least-loaded run's trained recommender.
     let cache = FitCache::new();
-    let ll = run_experiment_cache(&config, &LeastLoaded, &cache).expect("experiment runs");
-    let quasar = run_experiment_cache(&config, &Quasar, &cache).expect("experiment runs");
+    let ll = run_experiment(&config, &LeastLoaded, &RunCtx::new(&cache, false))
+        .expect("experiment runs")
+        .0;
+    let quasar = run_experiment(&config, &Quasar, &RunCtx::new(&cache, false))
+        .expect("experiment runs")
+        .0;
 
     let mut table = Table::new(vec![
         "class",

@@ -9,10 +9,10 @@
 //! accuracy — while the channel-off run stays byte-identical to the
 //! shipped Table 1 baseline.
 
-use bolt::experiment::{run_experiment_cache_telemetry, ExperimentConfig};
+use bolt::experiment::{run_experiment, ExperimentConfig};
 use bolt::report::{pct, Table};
 use bolt::telemetry::Counter;
-use bolt::FitCache;
+use bolt::{FitCache, RunCtx};
 use bolt_bench::{emit, full_scale};
 use bolt_sim::LeastLoaded;
 
@@ -42,7 +42,7 @@ fn main() {
     let run = |name: &str, config: &ExperimentConfig, table: &mut Table| {
         eprintln!("running Table 1 variant: {name}...");
         let (results, log) =
-            run_experiment_cache_telemetry(config, &LeastLoaded, &cache).expect("runs");
+            run_experiment(config, &LeastLoaded, &RunCtx::new(&cache, true)).expect("runs");
         let multi = results.multi_tenant_label_accuracy();
         table.row(vec![
             name.to_string(),

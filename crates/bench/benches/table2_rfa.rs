@@ -7,6 +7,7 @@
 
 use bolt::attacks::rfa::run_rfa;
 use bolt::report::Table;
+use bolt::Telemetry;
 use bolt_bench::emit;
 use bolt_sim::{Cluster, IsolationConfig, ServerSpec};
 use bolt_workloads::{catalog, DatasetScale};
@@ -61,7 +62,9 @@ fn main() {
         let mut cluster =
             Cluster::new(1, ServerSpec::xeon(), IsolationConfig::cloud_default()).expect("cluster");
         let beneficiary = catalog::speccpu::profile(&catalog::speccpu::Benchmark::Mcf, &mut rng);
-        let outcome = run_rfa(&mut cluster, 0, profile, beneficiary, &mut rng).expect("rfa runs");
+        let mut off = Telemetry::disabled();
+        let outcome =
+            run_rfa(&mut cluster, 0, profile, beneficiary, &mut rng, &mut off).expect("rfa runs");
         all_hold &= outcome.victim_delta < -0.1 && outcome.beneficiary_delta > 0.0;
         table.row(vec![
             name.to_string(),

@@ -10,6 +10,7 @@
 use std::path::PathBuf;
 
 use bolt::report::Table;
+use bolt::telemetry::TelemetryLog;
 
 /// Directory where benches drop their CSVs (workspace-root relative).
 pub fn results_dir() -> PathBuf {
@@ -28,6 +29,15 @@ pub fn emit(experiment: &str, paper_claim: &str, table: &Table) {
     let path = results_dir().join(format!("{experiment}.csv"));
     match table.write_csv(&path) {
         Ok(()) => println!("csv: {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    }
+}
+
+/// Writes the bench's `--telemetry` trace, when one was requested.
+pub fn write_telemetry(path: Option<PathBuf>, log: &TelemetryLog) {
+    let Some(path) = path else { return };
+    match log.write_jsonl(&path) {
+        Ok(()) => println!("telemetry: {}", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
 }

@@ -32,18 +32,18 @@
 //!   [`DetectorConfig::anytime`](crate::detector::DetectorConfig::anytime)
 //!   is set; the fixed-shape window and every legacy output stay
 //!   byte-identical (pinned against all recorded bench CSVs).
+//!
+//! [`HybridRecommender::information_weights`]: bolt_recommender::HybridRecommender::information_weights
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use bolt_probes::Microbenchmark;
 use bolt_recommender::{Recommendation, RecommenderStats, WarmShortlist};
 use bolt_sim::{ProbeFaultKind, TraceEvent, VmId};
-use bolt_workloads::{Resource, ResourceCharacteristics, RESOURCE_COUNT};
+use bolt_workloads::{Resource, RESOURCE_COUNT};
 
 use crate::detector::{core_signal_usable, DegradedReason, Detection, Detector};
 use crate::detector::{orient_difference, ProbeWorld};
-use crate::fingerprint::MrcFingerprint;
 use crate::telemetry::{Counter, Phase, Telemetry};
 use crate::BoltError;
 
@@ -54,7 +54,7 @@ pub const FIXED_WINDOW_NOMINAL_PROBES: usize = 2 * RESOURCE_COUNT;
 
 /// Deepening statistics attached to a [`Detection`] produced by the
 /// anytime window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnytimeInfo {
     /// Refinement rounds the deepening loop ran (each round is one
     /// decomposition attempt over the signal so far).
@@ -130,17 +130,8 @@ impl Detector {
                 Counter::ProbesSaved,
                 FIXED_WINDOW_NOMINAL_PROBES.saturating_sub(probes_used) as u64,
             );
-            return Ok(Detection {
-                duration_s: snapshot.duration_s,
-                used_shutter: false,
-                verdicts: Vec::new(),
-                sweep: Vec::new(),
-                confidence: 1.0,
-                degraded: None,
-                mrc: None,
-                anytime: Some(AnytimeInfo::new(0, probes_used, true)),
-                snapshot,
-            });
+            let info = Some(AnytimeInfo::new(0, probes_used, true));
+            return Ok(Detection::empty(snapshot, Vec::new(), 1.0, None, info));
         }
 
         // Probe-level fault for this window (live worlds only): the same
@@ -159,17 +150,9 @@ impl Detector {
                         Counter::ProbesSaved,
                         FIXED_WINDOW_NOMINAL_PROBES.saturating_sub(probes_used) as u64,
                     );
-                    return Ok(Detection {
-                        duration_s: snapshot.duration_s,
-                        used_shutter: false,
-                        verdicts: Vec::new(),
-                        sweep: Vec::new(),
-                        confidence: 0.0,
-                        degraded: Some(DegradedReason::InsufficientSamples),
-                        mrc: None,
-                        anytime: Some(AnytimeInfo::new(0, probes_used, false)),
-                        snapshot,
-                    });
+                    let degraded = Some(DegradedReason::InsufficientSamples);
+                    let info = Some(AnytimeInfo::new(0, probes_used, false));
+                    return Ok(Detection::empty(snapshot, Vec::new(), 0.0, degraded, info));
                 }
                 ProbeFaultKind::DroppedSample => {
                     snapshot.readings.pop();
@@ -185,42 +168,13 @@ impl Detector {
         // The miss-rate-curve channel rides along unchanged: one
         // cache-allocation sweep, taken up front so every refinement
         // round can use its curve as a decomposition tie-breaker.
-        let mut mrc_fp: Option<MrcFingerprint> = None;
-        if self.config.mrc_channel {
-            let mrc_t = t + snapshot.duration_s;
-            let mrc_clock = telemetry.begin();
-            let mut reading = bolt_probes::measure_mrc_sweep(
-                world.cluster(),
-                adversary,
-                mrc_t,
-                self.config.mrc_points,
-                &self.config.profiler.ramp,
-                rng,
-            )?;
-            if let Some(kind) = world.probe_fault() {
-                match kind {
-                    ProbeFaultKind::Blackout => {}
-                    ProbeFaultKind::DroppedSample => {
-                        if reading.response.len() >= 2 {
-                            let held = reading.response[reading.response.len() - 2];
-                            *reading.response.last_mut().expect("non-empty sweep") = held;
-                        }
-                    }
-                    ProbeFaultKind::TruncatedSample => {
-                        if let Some(last) = reading.response.last_mut() {
-                            *last *= 0.5;
-                        }
-                    }
-                }
-            }
-            snapshot.duration_s += reading.duration_s;
-            telemetry.count(Counter::MrcProbePoints, reading.response.len() as u64);
-            telemetry.span(Phase::MrcSweep, mrc_t, reading.duration_s, mrc_clock);
-            mrc_fp = Some(MrcFingerprint {
-                points: reading.response,
-                duration_s: reading.duration_s,
-            });
-        }
+        let mrc_fp = if self.config.mrc_channel {
+            let fp = self.mrc_sweep(world, adversary, t + snapshot.duration_s, rng, telemetry)?;
+            snapshot.duration_s += fp.duration_s;
+            Some(fp)
+        } else {
+            None
+        };
         let mrc_observed = mrc_fp.as_ref().map(|f| f.points.as_slice());
 
         // The deepening loop: evaluate → (maybe) stop → probe a batch →
@@ -338,87 +292,31 @@ impl Detector {
                 // sweep2; cross-iteration drift against a previous
                 // iteration's baseline rides along as in the fixed path.
                 if self.config.enable_differencing {
-                    let mut candidates: Vec<Vec<(Resource, f64)>> = Vec::new();
+                    let mut candidates = Vec::new();
                     if let Some((first, latest)) = repeat_split(&snapshot) {
                         candidates.push(orient_difference(&first, &latest));
                     }
                     if let Some(base) = baseline {
                         candidates.push(orient_difference(base, &obs));
                     }
-                    let best_diff = candidates.into_iter().max_by(|a, b| {
-                        let ma: f64 = a.iter().map(|&(_, v)| v).sum();
-                        let mb: f64 = b.iter().map(|&(_, v)| v).sum();
-                        ma.partial_cmp(&mb).expect("finite magnitudes")
-                    });
-                    if let Some(diff) = best_diff {
-                        let magnitude: f64 = diff.iter().map(|&(_, v)| v).sum();
-                        if magnitude > 18.0 && diff.len() >= 2 {
-                            let match_clock = telemetry.begin();
-                            let scores = self.recommender.match_subspace(&diff)?;
-                            telemetry.span(
-                                Phase::ContentMatch,
-                                t + snapshot.duration_s,
-                                0.0,
-                                match_clock,
-                            );
-                            if let Some(top) = scores.first() {
-                                if top.correlation > 0.6 {
-                                    let ex = self.recommender.training_data().example(top.index);
-                                    verdicts.push(Recommendation {
-                                        characteristics: ResourceCharacteristics::from_pressure(
-                                            &ex.reference,
-                                        ),
-                                        completed: ex.pressure,
-                                        scores,
-                                    });
-                                }
-                            }
-                        }
-                    }
+                    let at = t + snapshot.duration_s;
+                    verdicts.extend(self.difference_verdict(candidates, at, telemetry)?);
                 }
 
                 // Warm-started mixture decomposition over the signal so
                 // far. The shortlist carried in `warm` restricts each
                 // round's single-fit ranking to the previous round's
                 // survivors — re-decomposing per batch stays affordable.
-                let core_obs: Vec<(Resource, f64)> =
-                    obs.iter().filter(|(r, _)| r.is_core()).copied().collect();
-                let uncore_obs: Vec<(Resource, f64)> =
-                    obs.iter().filter(|(r, _)| r.is_uncore()).copied().collect();
-                let max_components = if self.config.enable_decomposition {
-                    3
-                } else {
-                    1
-                };
-                let decomp_clock = telemetry.begin();
-                components = if core_usable && core_obs.len() >= 2 {
-                    let float = world.cluster().isolation().float_visibility();
-                    self.recommender.decompose_with_core_warm(
-                        &core_obs,
-                        &uncore_obs,
-                        float,
-                        max_components,
-                        mrc_observed,
-                        &mut warm,
-                        &mut stats,
-                    )?
-                } else if uncore_obs.len() >= 2 {
-                    self.recommender.decompose_mixture_warm(
-                        &uncore_obs,
-                        max_components,
-                        mrc_observed,
-                        &mut warm,
-                        &mut stats,
-                    )?
-                } else {
-                    Vec::new()
-                };
-                telemetry.span(
-                    Phase::Decomposition,
+                components = self.decompose(
+                    world.cluster(),
+                    &obs,
+                    core_usable,
+                    mrc_observed,
+                    Some(&mut warm),
+                    &mut stats,
                     t + snapshot.duration_s,
-                    0.0,
-                    decomp_clock,
-                );
+                    telemetry,
+                )?;
                 for &(idx, _, explained) in &components {
                     verdicts.push(self.recommender.component_recommendation(idx, explained));
                 }
@@ -507,60 +405,19 @@ impl Detector {
             && last_obs.iter().filter(|&&(_, v)| v > 8.0).count() >= 2
         {
             used_shutter = true;
-            let shutter_t = t + snapshot.duration_s;
-            let shutter_clock = telemetry.begin();
-            let capture = bolt_probes::shutter_capture(
-                world.cluster(),
-                adversary,
-                shutter_t,
-                &self.config.shutter,
-                rng,
-            )?;
-            snapshot.duration_s += capture.duration_s;
-            telemetry.count(Counter::ProbeSamples, capture.frames.len() as u64);
-            telemetry.span(
-                Phase::ShutterCapture,
-                shutter_t,
-                capture.duration_s,
-                shutter_clock,
-            );
-            if capture.swing() > 0.2 {
-                let match_clock = telemetry.begin();
-                let low_scores = self.recommender.score_profile(&capture.low_frame)?;
-                telemetry.span(
-                    Phase::ContentMatch,
-                    t + snapshot.duration_s,
-                    0.0,
-                    match_clock,
-                );
-                if !low_scores.is_empty() {
-                    let residual = capture.residual();
-                    best.verdicts.insert(
-                        0,
-                        Recommendation {
-                            characteristics: ResourceCharacteristics::from_pressure(
-                                &capture.low_frame,
-                            ),
-                            completed: capture.low_frame,
-                            scores: low_scores,
-                        },
-                    );
-                    let residual_scores = self.recommender.score_profile(&residual)?;
-                    if !residual_scores.is_empty() {
-                        best.verdicts.push(Recommendation {
-                            characteristics: ResourceCharacteristics::from_pressure(&residual),
-                            completed: residual,
-                            scores: residual_scores,
-                        });
-                    }
-                    best.verdicts.truncate(4);
-                    best.confidence = best
-                        .verdicts
-                        .first()
-                        .and_then(|v| v.best())
-                        .map(|s| s.correlation.clamp(0.0, 1.0))
-                        .unwrap_or(best.confidence);
-                }
+            let cluster = world.cluster();
+            if let Some((low, rest)) =
+                self.shutter_verdicts(cluster, adversary, t, &mut snapshot, rng, telemetry)?
+            {
+                best.verdicts.insert(0, low);
+                best.verdicts.extend(rest);
+                best.verdicts.truncate(4);
+                best.confidence = best
+                    .verdicts
+                    .first()
+                    .and_then(|v| v.best())
+                    .map(|s| s.correlation.clamp(0.0, 1.0))
+                    .unwrap_or(best.confidence);
             }
         }
 
@@ -568,18 +425,8 @@ impl Detector {
         // verdict — the plain full-signal recommendation (a single
         // co-resident at steady load is exactly this case).
         if best.verdicts.is_empty() && last_obs.iter().filter(|&&(_, v)| v > 8.0).count() >= 2 {
-            let mut plain_stats = RecommenderStats::default();
-            let completion_clock = telemetry.begin();
-            let plain = self
-                .recommender
-                .recommend_with_stats(&last_obs, rng, &mut plain_stats)?;
-            telemetry.span(
-                Phase::MatrixCompletion,
-                t + snapshot.duration_s,
-                0.0,
-                completion_clock,
-            );
-            telemetry.count(Counter::SgdIterations, plain_stats.sgd_iterations);
+            let at = t + snapshot.duration_s;
+            let plain = self.plain_recommendation(&last_obs, at, rng, telemetry)?;
             if let Some(top) = plain.best() {
                 best.confidence = top.correlation.clamp(0.0, 1.0);
                 best.sweep = last_obs.clone();

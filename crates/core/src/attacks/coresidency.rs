@@ -14,7 +14,6 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use bolt_sim::vm::VmRole;
 use bolt_sim::{Cluster, VmId};
@@ -36,7 +35,7 @@ pub fn placement_probability(servers: usize, victim_vms: usize, probes: usize) -
 }
 
 /// Outcome of one co-residency hunt.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoResidencyOutcome {
     /// Probe VMs launched.
     pub probes_launched: usize,
@@ -69,7 +68,7 @@ impl CoResidencyOutcome {
 }
 
 /// Configuration of the co-residency hunt.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoResidencyConfig {
     /// Probe VMs to launch simultaneously (paper: 10).
     pub probes: usize,
@@ -104,42 +103,17 @@ impl Default for CoResidencyConfig {
 /// — used only to read the receiver-visible latency, as the external ping
 /// would).
 ///
-/// # Errors
-///
-/// Returns [`BoltError::InvalidExperiment`] if more probes than servers
-/// are requested; propagates simulator errors.
-pub fn hunt<R: Rng>(
-    cluster: &mut Cluster,
-    detector: &Detector,
-    target_vm: VmId,
-    target_family: &str,
-    config: &CoResidencyConfig,
-    start_t: f64,
-    rng: &mut R,
-) -> Result<CoResidencyOutcome, BoltError> {
-    hunt_telemetry(
-        cluster,
-        detector,
-        target_vm,
-        target_family,
-        config,
-        start_t,
-        rng,
-        &mut Telemetry::disabled(),
-    )
-}
-
-/// Same as [`hunt`], recording into `telemetry`: the detection pipeline
-/// events of every probe's profiling pass, an [`Phase::AttackExecution`]
-/// span over the whole hunt, and the probe fleet's launch/terminate
-/// events (drained only when telemetry is enabled).
+/// Records into `telemetry` the detection pipeline events of every
+/// probe's profiling pass, an [`Phase::AttackExecution`] span over the
+/// whole hunt, and the probe fleet's launch/terminate events (drained
+/// only when telemetry is enabled).
 ///
 /// # Errors
 ///
 /// Returns [`BoltError::InvalidExperiment`] if more probes than servers
 /// are requested; propagates simulator errors.
 #[allow(clippy::too_many_arguments)]
-pub fn hunt_telemetry<R: Rng>(
+pub fn hunt<R: Rng>(
     cluster: &mut Cluster,
     detector: &Detector,
     target_vm: VmId,
@@ -187,7 +161,7 @@ pub fn hunt_telemetry<R: Rng>(
     let mut candidates = Vec::new();
     let mut slowest = 0.0f64;
     for &(server, probe) in &probes {
-        let detection = detector.detect_telemetry(cluster, probe, elapsed, rng, telemetry)?;
+        let detection = detector.detect(cluster, probe, elapsed, None, rng, telemetry)?;
         slowest = slowest.max(detection.duration_s);
         // Degraded or shaky fingerprints are not worth a confirmation
         // round; the host stays unconfirmed and a later fleet retries it.
@@ -323,6 +297,21 @@ mod tests {
         (cluster, victim)
     }
 
+    /// Hunts the scene's SQL victim from `start_t`, recording nothing.
+    fn hunt_sql(
+        cluster: &mut Cluster,
+        det: &Detector,
+        victim: VmId,
+        config: &CoResidencyConfig,
+        start_t: f64,
+        rng: &mut StdRng,
+    ) -> Result<CoResidencyOutcome, BoltError> {
+        let mut off = Telemetry::disabled();
+        hunt(
+            cluster, det, victim, "mysql", config, start_t, rng, &mut off,
+        )
+    }
+
     #[test]
     fn hunt_confirms_the_victims_host_within_a_few_fleets() {
         let mut rng = StdRng::seed_from_u64(0xC0DE);
@@ -337,11 +326,10 @@ mod tests {
         };
         let mut confirmed = None;
         for round in 0..6 {
-            let outcome = hunt(
+            let outcome = hunt_sql(
                 &mut cluster,
                 &det,
                 victim,
-                "mysql",
                 &config,
                 round as f64 * 150.0,
                 &mut rng,
@@ -371,7 +359,7 @@ mod tests {
             min_confidence: 1.1, // confidence is clamped to [0, 1]
             ..CoResidencyConfig::default()
         };
-        let outcome = hunt(&mut cluster, &det, victim, "mysql", &config, 0.0, &mut rng).unwrap();
+        let outcome = hunt_sql(&mut cluster, &det, victim, &config, 0.0, &mut rng).unwrap();
         assert!(outcome.candidate_servers.is_empty());
         assert!(outcome.confirmed_server.is_none());
         assert_eq!(outcome.latency_ratio(), 1.0);
@@ -387,7 +375,7 @@ mod tests {
             ..CoResidencyConfig::default()
         };
         assert!(matches!(
-            hunt(&mut cluster, &det, victim, "mysql", &config, 0.0, &mut rng),
+            hunt_sql(&mut cluster, &det, victim, &config, 0.0, &mut rng),
             Err(BoltError::InvalidExperiment { .. })
         ));
     }
@@ -401,7 +389,7 @@ mod tests {
             probes: 12,
             ..CoResidencyConfig::default()
         };
-        let outcome = hunt(&mut cluster, &det, victim, "mysql", &config, 0.0, &mut rng).unwrap();
+        let outcome = hunt_sql(&mut cluster, &det, victim, &config, 0.0, &mut rng).unwrap();
         assert_eq!(outcome.probes_launched, 12);
         assert_eq!(outcome.vms_used, 13);
         assert!(outcome.elapsed_s > 0.0);

@@ -9,7 +9,6 @@
 //! naive DoS that saturates compute and gets its victim migrated away.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use bolt_recommender::Recommendation;
 use bolt_sim::{Cluster, VmId};
@@ -117,7 +116,7 @@ pub fn naive_attack() -> PressureVector {
 }
 
 /// One sample of the Fig. 13 timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DosSample {
     /// Simulated time (seconds since attack start).
     pub time_s: f64,
@@ -130,7 +129,7 @@ pub struct DosSample {
 }
 
 /// The result of a DoS timeline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DosTimeline {
     /// Per-second samples.
     pub samples: Vec<DosSample>,
@@ -161,7 +160,7 @@ impl DosTimeline {
 }
 
 /// Configuration of the Fig. 13 DoS-vs-defense run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DosRunConfig {
     /// Attack duration in seconds (Fig. 13 shows 120 s).
     pub horizon_s: f64,
@@ -193,42 +192,18 @@ impl Default for DosRunConfig {
 /// loaded host (performance degrades further during the move, then
 /// recovers).
 ///
-/// # Errors
-///
-/// Propagates [`BoltError`] for unknown VMs; a failed migration (full
-/// cluster) leaves the victim in place, as in a real operator's retry loop.
-pub fn run_dos<R: Rng>(
-    cluster: &mut Cluster,
-    attacker: VmId,
-    victim: VmId,
-    attack: PressureVector,
-    config: &DosRunConfig,
-    rng: &mut R,
-) -> Result<DosTimeline, BoltError> {
-    run_dos_telemetry(
-        cluster,
-        attacker,
-        victim,
-        attack,
-        config,
-        rng,
-        &mut Telemetry::disabled(),
-    )
-}
-
-/// Same as [`run_dos`], recording into `telemetry`: an
-/// [`Phase::AttackExecution`] span over the whole run, one
-/// [`Counter::MigrationsTriggered`] tick whenever the defense moves the
-/// victim, a [`Counter::ProbeSamples`] total for the per-second
-/// utilization samples, and the cluster's migration events (drained only
-/// when telemetry is enabled).
+/// Records into `telemetry` an [`Phase::AttackExecution`] span over the
+/// whole run, one [`Counter::MigrationsTriggered`] tick whenever the
+/// defense moves the victim, a [`Counter::ProbeSamples`] total for the
+/// per-second utilization samples, and the cluster's migration events
+/// (drained only when telemetry is enabled).
 ///
 /// # Errors
 ///
 /// Propagates [`BoltError`] for unknown VMs; a failed migration (full
 /// cluster) leaves the victim in place, as in a real operator's retry loop.
 #[allow(clippy::too_many_arguments)]
-pub fn run_dos_telemetry<R: Rng>(
+pub fn run_dos<R: Rng>(
     cluster: &mut Cluster,
     attacker: VmId,
     victim: VmId,
@@ -432,6 +407,7 @@ mod tests {
             attack,
             &DosRunConfig::default(),
             &mut r,
+            &mut Telemetry::disabled(),
         )
         .unwrap();
         assert!(
@@ -453,6 +429,7 @@ mod tests {
             naive_attack(),
             &DosRunConfig::default(),
             &mut r,
+            &mut Telemetry::disabled(),
         )
         .unwrap();
         assert!(
@@ -487,6 +464,7 @@ mod tests {
             craft_attack_from_profile(&victim_pressure),
             &DosRunConfig::default(),
             &mut r,
+            &mut Telemetry::disabled(),
         )
         .unwrap();
         let (mut c2, a2, v2, _) = setup();
@@ -497,6 +475,7 @@ mod tests {
             naive_attack(),
             &DosRunConfig::default(),
             &mut r,
+            &mut Telemetry::disabled(),
         )
         .unwrap();
         assert!(bolt.final_amplification(baseline) > naive.final_amplification(baseline) * 2.0);
@@ -517,6 +496,7 @@ mod tests {
             naive_attack(),
             &config,
             &mut r,
+            &mut Telemetry::disabled(),
         )
         .unwrap();
         assert_eq!(timeline.samples.len(), 30);

@@ -12,7 +12,6 @@
 //! resource automatically; the helper then saturates exactly that.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use bolt_sim::vm::VmRole;
 use bolt_sim::Cluster;
@@ -65,7 +64,7 @@ pub fn plan_helper_target(
 }
 
 /// The measured impact of one RFA run (one Table 2 row).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RfaOutcome {
     /// The victim's family label.
     pub victim: String,
@@ -85,35 +84,15 @@ pub struct RfaOutcome {
 /// host, measures the beneficiary's slowdown with the helper off and on,
 /// and the victim's degradation.
 ///
+/// Records into `telemetry` an [`Phase::AttackExecution`] span over the
+/// run, a gauge of the helper's pressure on the victim's dominant
+/// resource, and the cluster's launch/terminate events (drained only when
+/// telemetry is enabled).
+///
 /// # Errors
 ///
 /// Propagates [`BoltError`] from the simulator.
 pub fn run_rfa<R: Rng>(
-    cluster: &mut Cluster,
-    server: usize,
-    victim_profile: WorkloadProfile,
-    beneficiary_profile: WorkloadProfile,
-    rng: &mut R,
-) -> Result<RfaOutcome, BoltError> {
-    run_rfa_telemetry(
-        cluster,
-        server,
-        victim_profile,
-        beneficiary_profile,
-        rng,
-        &mut Telemetry::disabled(),
-    )
-}
-
-/// Same as [`run_rfa`], recording into `telemetry`: an
-/// [`Phase::AttackExecution`] span over the run, a gauge of the helper's
-/// pressure on the victim's dominant resource, and the cluster's
-/// launch/terminate events (drained only when telemetry is enabled).
-///
-/// # Errors
-///
-/// Propagates [`BoltError`] from the simulator.
-pub fn run_rfa_telemetry<R: Rng>(
     cluster: &mut Cluster,
     server: usize,
     victim_profile: WorkloadProfile,
@@ -295,7 +274,8 @@ mod tests {
             &mut r,
         )
         .with_vcpus(8);
-        let outcome = run_rfa(&mut c, 0, victim, mcf(&mut r), &mut r).unwrap();
+        let mut off = Telemetry::disabled();
+        let outcome = run_rfa(&mut c, 0, victim, mcf(&mut r), &mut r, &mut off).unwrap();
         assert_eq!(outcome.target_resource, Resource::MemBw);
         assert!(
             outcome.victim_delta < -0.15,
@@ -315,7 +295,8 @@ mod tests {
         let mut c = cluster();
         let victim = catalog::webserver::profile(&catalog::webserver::Variant::Dynamic, &mut r)
             .with_vcpus(8);
-        let outcome = run_rfa(&mut c, 0, victim, mcf(&mut r), &mut r).unwrap();
+        let mut off = Telemetry::disabled();
+        let outcome = run_rfa(&mut c, 0, victim, mcf(&mut r), &mut r, &mut off).unwrap();
         assert!(
             outcome.victim_delta < -0.1,
             "webserver QPS should fall, got {}",
@@ -333,7 +314,8 @@ mod tests {
             bolt_workloads::DatasetScale::Medium,
             &mut r,
         );
-        run_rfa(&mut c, 0, victim, mcf(&mut r), &mut r).unwrap();
+        let mut off = Telemetry::disabled();
+        run_rfa(&mut c, 0, victim, mcf(&mut r), &mut r, &mut off).unwrap();
         assert_eq!(c.vm_ids().count(), before);
     }
 }

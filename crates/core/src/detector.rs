@@ -25,10 +25,9 @@
 use std::sync::Arc;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use bolt_probes::{Profiler, ProfilerConfig, ShutterConfig, Snapshot};
-use bolt_recommender::{HybridRecommender, Recommendation, RecommenderStats};
+use bolt_recommender::{HybridRecommender, Recommendation, RecommenderStats, WarmShortlist};
 use bolt_sim::{Cluster, FaultPlan, ProbeFaultKind, TraceEvent, VmId};
 use bolt_workloads::{AppLabel, ResourceCharacteristics};
 
@@ -39,7 +38,7 @@ use crate::BoltError;
 /// Why a detection's verdict should not be trusted at face value. Graceful
 /// degradation under churn: the detector says *why* it is unsure instead of
 /// returning a confident wrong label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradedReason {
     /// The sample-validity screen saw a pressure discontinuity between the
     /// two sweeps of the window: the co-resident set (or a server's
@@ -73,7 +72,7 @@ impl std::fmt::Display for DegradedReason {
 /// Bounded re-probe policy for churn-robust detection: contaminated or
 /// blacked-out windows are retried after a growing backoff, with all probe
 /// time charged against an explicit budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Extra windows allowed beyond the regular iteration schedule.
     pub max_retries: usize,
@@ -102,7 +101,7 @@ impl Default for RetryPolicy {
 }
 
 /// Detection-engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
     /// Seconds between detection iterations (paper default: 20 s).
     pub interval_s: f64,
@@ -172,7 +171,7 @@ impl Default for DetectorConfig {
 
 /// The outcome of one detection iteration: one verdict per co-resident
 /// Bolt believes it disentangled, strongest first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Detection {
     /// Per-co-resident verdicts, primary first. Empty means "idle host".
     pub verdicts: Vec<Recommendation>,
@@ -200,11 +199,32 @@ pub struct Detection {
     pub mrc: Option<MrcFingerprint>,
     /// Deepening statistics when the anytime engine produced this
     /// detection; `None` on the fixed-shape window.
-    #[serde(default)]
     pub anytime: Option<crate::anytime::AnytimeInfo>,
 }
 
 impl Detection {
+    /// A detection that reached no verdict: an idle host, a blacked-out
+    /// window, or a signal too weak to match.
+    pub(crate) fn empty(
+        snapshot: Snapshot,
+        sweep: Vec<(bolt_workloads::Resource, f64)>,
+        confidence: f64,
+        degraded: Option<DegradedReason>,
+        anytime: Option<crate::anytime::AnytimeInfo>,
+    ) -> Detection {
+        Detection {
+            duration_s: snapshot.duration_s,
+            used_shutter: false,
+            verdicts: Vec::new(),
+            sweep,
+            snapshot,
+            confidence,
+            degraded,
+            mrc: None,
+            anytime,
+        }
+    }
+
     /// The primary verdict, if any co-resident was detected.
     pub fn primary(&self) -> Option<&Recommendation> {
         self.verdicts.first()
@@ -246,7 +266,7 @@ impl Detection {
 }
 
 /// A label observation over time, for phase tracking (Fig. 8).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSample {
     /// Simulated time of the detection.
     pub time_s: f64,
@@ -427,74 +447,24 @@ impl Detector {
     /// `t`, applying the §3.3 disentangling moves when the first
     /// recommendation fails to match.
     ///
+    /// `baseline` is an optional observation sweep from a *previous*
+    /// iteration. Differencing against a minutes-old baseline sees slow
+    /// load drift (diurnal services) that the within-iteration gap cannot,
+    /// which is what breaks stable mixture ambiguities over the iterative
+    /// detection loop.
+    ///
+    /// Phase spans, probe-sample counts and per-resource pressure gauges
+    /// record into `telemetry` (pass [`Telemetry::disabled`] to record
+    /// nothing). The instrumentation points are the pipeline phases: the
+    /// probe sweep (snapshot + widening + second sweep), content matching,
+    /// mixture decomposition, the shutter fallback, and the
+    /// plain-recommendation (SGD completion) fallback.
+    ///
     /// # Errors
     ///
     /// Returns [`BoltError`] if the adversary VM is unknown or the
     /// numerical pipeline rejects the signal.
     pub fn detect<R: Rng>(
-        &self,
-        cluster: &Cluster,
-        adversary: VmId,
-        t: f64,
-        rng: &mut R,
-    ) -> Result<Detection, BoltError> {
-        self.detect_with_baseline(cluster, adversary, t, None, rng)
-    }
-
-    /// [`Detector::detect`], recording phase spans, probe-sample counts,
-    /// and per-resource pressure gauges into `telemetry`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Detector::detect`].
-    pub fn detect_telemetry<R: Rng>(
-        &self,
-        cluster: &Cluster,
-        adversary: VmId,
-        t: f64,
-        rng: &mut R,
-        telemetry: &mut Telemetry,
-    ) -> Result<Detection, BoltError> {
-        self.detect_with_baseline_telemetry(cluster, adversary, t, None, rng, telemetry)
-    }
-
-    /// Like [`Detector::detect`], with an optional observation sweep from a
-    /// *previous* iteration. Differencing against a minutes-old baseline
-    /// sees slow load drift (diurnal services) that the within-iteration
-    /// gap cannot, which is what breaks stable mixture ambiguities over
-    /// the iterative detection loop.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Detector::detect`].
-    pub fn detect_with_baseline<R: Rng>(
-        &self,
-        cluster: &Cluster,
-        adversary: VmId,
-        t: f64,
-        baseline: Option<&[(bolt_workloads::Resource, f64)]>,
-        rng: &mut R,
-    ) -> Result<Detection, BoltError> {
-        self.detect_with_baseline_telemetry(
-            cluster,
-            adversary,
-            t,
-            baseline,
-            rng,
-            &mut Telemetry::disabled(),
-        )
-    }
-
-    /// [`Detector::detect_with_baseline`] with telemetry recording. The
-    /// instrumentation points are the pipeline phases: the probe sweep
-    /// (snapshot + widening + second sweep), content matching, mixture
-    /// decomposition, the shutter fallback, and the plain-recommendation
-    /// (SGD completion) fallback.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Detector::detect`].
-    pub fn detect_with_baseline_telemetry<R: Rng>(
         &self,
         cluster: &Cluster,
         adversary: VmId,
@@ -583,17 +553,7 @@ impl Detector {
         if snapshot.readings.iter().all(|r| r.pressure <= 6.0) {
             telemetry.count(Counter::ProbeSamples, snapshot.readings.len() as u64);
             telemetry.span(Phase::ProbeSweep, t, snapshot.duration_s, sweep_clock);
-            return Ok(Detection {
-                duration_s: snapshot.duration_s,
-                used_shutter: false,
-                verdicts: Vec::new(),
-                sweep: Vec::new(),
-                snapshot,
-                confidence: 1.0,
-                degraded: None,
-                mrc: None,
-                anytime: None,
-            });
+            return Ok(Detection::empty(snapshot, Vec::new(), 1.0, None, None));
         }
 
         // Something is here: widen the snapshot to the full resource set
@@ -640,17 +600,8 @@ impl Detector {
                     telemetry.count(Counter::ProbeSamples, snapshot.readings.len() as u64);
                     snapshot.duration_s += gap_s;
                     telemetry.span(Phase::ProbeSweep, t, snapshot.duration_s, sweep_clock);
-                    return Ok(Detection {
-                        duration_s: snapshot.duration_s,
-                        used_shutter: false,
-                        verdicts: Vec::new(),
-                        sweep: Vec::new(),
-                        snapshot,
-                        confidence: 0.0,
-                        degraded: Some(DegradedReason::InsufficientSamples),
-                        mrc: None,
-                        anytime: None,
-                    });
+                    let degraded = Some(DegradedReason::InsufficientSamples);
+                    return Ok(Detection::empty(snapshot, Vec::new(), 0.0, degraded, None));
                 }
                 ProbeFaultKind::DroppedSample => {
                     sweep1.pop();
@@ -701,160 +652,48 @@ impl Detector {
         // a fully-isolated co-resident leaks a lone residual at best, and
         // must stay undetected.
         if averaged.iter().filter(|&&(_, v)| v > 8.0).count() < 2 {
-            return Ok(Detection {
-                duration_s: snapshot.duration_s,
-                used_shutter: false,
-                verdicts: Vec::new(),
-                sweep: averaged,
-                snapshot,
-                confidence: 0.0,
-                degraded: None,
-                mrc: None,
-                anytime: None,
-            });
+            return Ok(Detection::empty(snapshot, averaged, 0.0, None, None));
         }
 
         // The miss-rate-curve channel: a cache-allocation sweep taken
-        // after the pressure probes. Its curve rides into the
-        // decomposition as a tie-breaker over near-degenerate candidate
-        // mixtures. With the channel off this block is skipped whole —
-        // no RNG draw, no telemetry — so the baseline stays bit-identical.
-        let mut mrc_fp: Option<MrcFingerprint> = None;
-        if self.config.mrc_channel {
-            let mrc_t = t + snapshot.duration_s;
-            let mrc_clock = telemetry.begin();
-            let mut reading = bolt_probes::measure_mrc_sweep(
-                world.cluster(),
-                adversary,
-                mrc_t,
-                self.config.mrc_points,
-                &self.config.profiler.ramp,
-                rng,
-            )?;
-            // The per-window probe fault is a stateless draw, so the
-            // sweep suffers the same fault the pressure probes did.
-            if let Some(kind) = world.probe_fault() {
-                match kind {
-                    // A blackout window already returned above.
-                    ProbeFaultKind::Blackout => {}
-                    ProbeFaultKind::DroppedSample => {
-                        // The last level is lost; hold the previous one
-                        // so the curve keeps its length.
-                        if reading.response.len() >= 2 {
-                            let held = reading.response[reading.response.len() - 2];
-                            *reading.response.last_mut().expect("non-empty sweep") = held;
-                        }
-                    }
-                    ProbeFaultKind::TruncatedSample => {
-                        if let Some(last) = reading.response.last_mut() {
-                            *last *= 0.5;
-                        }
-                    }
-                }
-            }
-            snapshot.duration_s += reading.duration_s;
-            telemetry.count(Counter::MrcProbePoints, reading.response.len() as u64);
-            telemetry.span(Phase::MrcSweep, mrc_t, reading.duration_s, mrc_clock);
-            mrc_fp = Some(MrcFingerprint {
-                points: reading.response,
-                duration_s: reading.duration_s,
-            });
-        }
+        // after the pressure probes. With the channel off it is skipped
+        // whole — no RNG draw, no telemetry — so the baseline stays
+        // bit-identical.
+        let mrc_fp = if self.config.mrc_channel {
+            let fp = self.mrc_sweep(world, adversary, t + snapshot.duration_s, rng, telemetry)?;
+            snapshot.duration_s += fp.duration_s;
+            Some(fp)
+        } else {
+            None
+        };
         let mrc_observed = mrc_fp.as_ref().map(|f| f.points.as_slice());
 
         let mut verdicts: Vec<Recommendation> = Vec::new();
         let mut used_shutter = false;
 
-        // Temporal-differencing verdict first: it saw one application's
-        // load change alone, so it is the highest-confidence evidence. Two
-        // windows are tried — the within-iteration gap, and the drift
-        // since a previous iteration's baseline sweep (diurnal services
-        // barely move in 25 s but clearly in minutes).
+        // Temporal-differencing verdict first: the highest-confidence
+        // evidence a window has.
         if self.config.enable_differencing {
-            let mut candidates: Vec<Vec<(bolt_workloads::Resource, f64)>> = Vec::new();
-            candidates.push(orient_difference(&sweep1, &sweep2));
+            let mut candidates = vec![orient_difference(&sweep1, &sweep2)];
             if let Some(base) = baseline {
                 candidates.push(orient_difference(base, &averaged));
             }
-            let best_diff = candidates
-                .into_iter()
-                .max_by(|a, b| {
-                    let ma: f64 = a.iter().map(|&(_, v)| v).sum();
-                    let mb: f64 = b.iter().map(|&(_, v)| v).sum();
-                    ma.partial_cmp(&mb).expect("finite magnitudes")
-                })
-                .expect("at least one candidate");
-            let magnitude: f64 = best_diff.iter().map(|&(_, v)| v).sum();
-            if magnitude > 18.0 && best_diff.len() >= 2 {
-                let match_clock = telemetry.begin();
-                let scores = self.recommender.match_subspace(&best_diff)?;
-                telemetry.span(
-                    Phase::ContentMatch,
-                    t + snapshot.duration_s,
-                    0.0,
-                    match_clock,
-                );
-                if let Some(best) = scores.first() {
-                    if best.correlation > 0.6 {
-                        let ex = self.recommender.training_data().example(best.index);
-                        verdicts.push(Recommendation {
-                            characteristics: ResourceCharacteristics::from_pressure(&ex.reference),
-                            completed: ex.pressure,
-                            scores,
-                        });
-                    }
-                }
-            }
+            let at = t + snapshot.duration_s;
+            verdicts.extend(self.difference_verdict(candidates, at, telemetry)?);
         }
 
-        // Mixture decomposition on the noise-averaged observations. With a
-        // usable core channel, every candidate is tried under each
-        // visibility hypothesis (core-sharer / unshared / scheduler-float);
-        // otherwise decomposition runs on the uncore dimensions alone.
-        let core_obs: Vec<(bolt_workloads::Resource, f64)> = averaged
-            .iter()
-            .filter(|(r, _)| r.is_core())
-            .copied()
-            .collect();
-        let uncore_obs: Vec<(bolt_workloads::Resource, f64)> = averaged
-            .iter()
-            .filter(|(r, _)| r.is_uncore())
-            .copied()
-            .collect();
-        let max_components = if self.config.enable_decomposition {
-            3
-        } else {
-            1
-        };
+        // Mixture decomposition on the noise-averaged observations.
         let mut rec_stats = RecommenderStats::default();
-        let decomp_clock = telemetry.begin();
-        let components = if core_usable && core_obs.len() >= 2 {
-            let float = world.cluster().isolation().float_visibility();
-            self.recommender.decompose_with_core_mrc(
-                &core_obs,
-                &uncore_obs,
-                float,
-                max_components,
-                mrc_observed,
-                &mut rec_stats,
-            )?
-        } else if uncore_obs.len() >= 2 {
-            self.recommender.decompose_mixture_mrc(
-                &uncore_obs,
-                &[],
-                max_components,
-                mrc_observed,
-                &mut rec_stats,
-            )?
-        } else {
-            Vec::new()
-        };
-        telemetry.span(
-            Phase::Decomposition,
+        let components = self.decompose(
+            world.cluster(),
+            &averaged,
+            core_usable,
+            mrc_observed,
+            None,
+            &mut rec_stats,
             t + snapshot.duration_s,
-            0.0,
-            decomp_clock,
-        );
+            telemetry,
+        )?;
         telemetry.count(Counter::ShortlistPairHits, rec_stats.shortlist_hits);
         telemetry.count(Counter::ExactPairSearches, rec_stats.exact_searches);
         telemetry.count(Counter::MrcTieBreaks, rec_stats.mrc_tie_breaks);
@@ -871,55 +710,12 @@ impl Detector {
             .unwrap_or(true);
         if weak && !core_usable && self.config.enable_shutter {
             used_shutter = true;
-            let shutter_t = t + snapshot.duration_s;
-            let shutter_clock = telemetry.begin();
-            let capture = bolt_probes::shutter_capture(
-                world.cluster(),
-                adversary,
-                shutter_t,
-                &self.config.shutter,
-                rng,
-            )?;
-            snapshot.duration_s += capture.duration_s;
-            telemetry.count(Counter::ProbeSamples, capture.frames.len() as u64);
-            telemetry.span(
-                Phase::ShutterCapture,
-                shutter_t,
-                capture.duration_s,
-                shutter_clock,
-            );
-            if capture.swing() > 0.2 {
-                // The low frame is (approximately) one co-resident; the
-                // residual is the rest.
-                let match_clock = telemetry.begin();
-                let low_scores = self.recommender.score_profile(&capture.low_frame)?;
-                telemetry.span(
-                    Phase::ContentMatch,
-                    t + snapshot.duration_s,
-                    0.0,
-                    match_clock,
-                );
-                if !low_scores.is_empty() {
-                    let residual = capture.residual();
-                    verdicts.insert(
-                        0,
-                        Recommendation {
-                            characteristics: ResourceCharacteristics::from_pressure(
-                                &capture.low_frame,
-                            ),
-                            completed: capture.low_frame,
-                            scores: low_scores,
-                        },
-                    );
-                    let residual_scores = self.recommender.score_profile(&residual)?;
-                    if !residual_scores.is_empty() {
-                        verdicts.push(Recommendation {
-                            characteristics: ResourceCharacteristics::from_pressure(&residual),
-                            completed: residual,
-                            scores: residual_scores,
-                        });
-                    }
-                }
+            let cluster = world.cluster();
+            if let Some((low, rest)) =
+                self.shutter_verdicts(cluster, adversary, t, &mut snapshot, rng, telemetry)?
+            {
+                verdicts.insert(0, low);
+                verdicts.extend(rest);
             }
         }
 
@@ -927,18 +723,8 @@ impl Detector {
         // plain full-signal recommendation (single co-resident at steady
         // load is exactly this case).
         if verdicts.is_empty() {
-            let mut plain_stats = RecommenderStats::default();
-            let completion_clock = telemetry.begin();
-            let plain = self
-                .recommender
-                .recommend_with_stats(&averaged, rng, &mut plain_stats)?;
-            telemetry.span(
-                Phase::MatrixCompletion,
-                t + snapshot.duration_s,
-                0.0,
-                completion_clock,
-            );
-            telemetry.count(Counter::SgdIterations, plain_stats.sgd_iterations);
+            let at = t + snapshot.duration_s;
+            let plain = self.plain_recommendation(&averaged, at, rng, telemetry)?;
             if plain.best().is_some() {
                 verdicts.push(plain);
             }
@@ -976,6 +762,211 @@ impl Detector {
         })
     }
 
+    /// The miss-rate-curve channel: one cache-allocation sweep at `t`.
+    /// Its curve rides into the decomposition as a tie-breaker over
+    /// near-degenerate candidate mixtures. The per-window probe fault is a
+    /// stateless draw, so the sweep suffers the same fault the pressure
+    /// probes did.
+    pub(crate) fn mrc_sweep<R: Rng>(
+        &self,
+        world: &ProbeWorld<'_>,
+        adversary: VmId,
+        t: f64,
+        rng: &mut R,
+        telemetry: &mut Telemetry,
+    ) -> Result<MrcFingerprint, BoltError> {
+        let mrc_clock = telemetry.begin();
+        let mut reading = bolt_probes::measure_mrc_sweep(
+            world.cluster(),
+            adversary,
+            t,
+            self.config.mrc_points,
+            &self.config.profiler.ramp,
+            rng,
+        )?;
+        match world.probe_fault() {
+            // A blacked-out window never reaches the sweep.
+            None | Some(ProbeFaultKind::Blackout) => {}
+            Some(ProbeFaultKind::DroppedSample) => {
+                // The last level is lost; hold the previous one so the
+                // curve keeps its length.
+                if reading.response.len() >= 2 {
+                    let held = reading.response[reading.response.len() - 2];
+                    *reading.response.last_mut().expect("non-empty sweep") = held;
+                }
+            }
+            Some(ProbeFaultKind::TruncatedSample) => {
+                if let Some(last) = reading.response.last_mut() {
+                    *last *= 0.5;
+                }
+            }
+        }
+        telemetry.count(Counter::MrcProbePoints, reading.response.len() as u64);
+        telemetry.span(Phase::MrcSweep, t, reading.duration_s, mrc_clock);
+        Ok(MrcFingerprint {
+            points: reading.response,
+            duration_s: reading.duration_s,
+        })
+    }
+
+    /// The temporal-differencing verdict: the loudest candidate difference
+    /// signal, matched against the training subspace. It saw one
+    /// application's load change alone, so it is the highest-confidence
+    /// evidence a window has. Candidates are the within-window gap and
+    /// the drift since a previous iteration's baseline sweep (diurnal
+    /// services barely move in 25 s but clearly in minutes).
+    pub(crate) fn difference_verdict(
+        &self,
+        candidates: Vec<Vec<(bolt_workloads::Resource, f64)>>,
+        at: f64,
+        telemetry: &mut Telemetry,
+    ) -> Result<Option<Recommendation>, BoltError> {
+        let loudest = candidates.into_iter().max_by(|a, b| {
+            let ma: f64 = a.iter().map(|&(_, v)| v).sum();
+            let mb: f64 = b.iter().map(|&(_, v)| v).sum();
+            ma.partial_cmp(&mb).expect("finite magnitudes")
+        });
+        let Some(diff) = loudest else {
+            return Ok(None);
+        };
+        let magnitude: f64 = diff.iter().map(|&(_, v)| v).sum();
+        if magnitude > 18.0 && diff.len() >= 2 {
+            let match_clock = telemetry.begin();
+            let scores = self.recommender.match_subspace(&diff)?;
+            telemetry.span(Phase::ContentMatch, at, 0.0, match_clock);
+            if let Some(top) = scores.first().filter(|top| top.correlation > 0.6) {
+                let ex = self.recommender.training_data().example(top.index);
+                return Ok(Some(Recommendation {
+                    characteristics: ResourceCharacteristics::from_pressure(&ex.reference),
+                    completed: ex.pressure,
+                    scores,
+                }));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Mixture decomposition of `obs`, recording a
+    /// [`Phase::Decomposition`] span at `at`. With a usable core channel,
+    /// every candidate is tried under each visibility hypothesis
+    /// (core-sharer / unshared / scheduler-float); otherwise decomposition
+    /// runs on the uncore dimensions alone.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn decompose(
+        &self,
+        cluster: &Cluster,
+        obs: &[(bolt_workloads::Resource, f64)],
+        core_usable: bool,
+        mrc_observed: Option<&[f64]>,
+        warm: Option<&mut WarmShortlist>,
+        stats: &mut RecommenderStats,
+        at: f64,
+        telemetry: &mut Telemetry,
+    ) -> Result<Vec<(usize, f64, f64)>, BoltError> {
+        let core_obs: Vec<_> = obs.iter().filter(|(r, _)| r.is_core()).copied().collect();
+        let uncore_obs: Vec<_> = obs.iter().filter(|(r, _)| r.is_uncore()).copied().collect();
+        let max_components = if self.config.enable_decomposition {
+            3
+        } else {
+            1
+        };
+        let decomp_clock = telemetry.begin();
+        let components = if core_usable && core_obs.len() >= 2 {
+            let float = cluster.isolation().float_visibility();
+            self.recommender.decompose_with_core(
+                &core_obs,
+                &uncore_obs,
+                float,
+                max_components,
+                mrc_observed,
+                warm,
+                stats,
+            )?
+        } else if uncore_obs.len() >= 2 {
+            let rec = &self.recommender;
+            rec.decompose_mixture(&uncore_obs, max_components, mrc_observed, warm, stats)?
+        } else {
+            Vec::new()
+        };
+        telemetry.span(Phase::Decomposition, at, 0.0, decomp_clock);
+        Ok(components)
+    }
+
+    /// Shutter mode (§3.3, Fig. 3): hunts for a low-load frame exposing a
+    /// single co-resident, charging the capture to `snapshot`. Returns the
+    /// low frame's verdict (one co-resident alone) and, when it scores,
+    /// the residual's (the rest); `None` when the capture shows no usable
+    /// swing or the low frame matches nothing.
+    pub(crate) fn shutter_verdicts<R: Rng>(
+        &self,
+        cluster: &Cluster,
+        adversary: VmId,
+        t: f64,
+        snapshot: &mut Snapshot,
+        rng: &mut R,
+        telemetry: &mut Telemetry,
+    ) -> Result<Option<(Recommendation, Option<Recommendation>)>, BoltError> {
+        let shutter_t = t + snapshot.duration_s;
+        let shutter_clock = telemetry.begin();
+        let capture =
+            bolt_probes::shutter_capture(cluster, adversary, shutter_t, &self.config.shutter, rng)?;
+        snapshot.duration_s += capture.duration_s;
+        telemetry.count(Counter::ProbeSamples, capture.frames.len() as u64);
+        let sim_duration_s = capture.duration_s;
+        telemetry.span(
+            Phase::ShutterCapture,
+            shutter_t,
+            sim_duration_s,
+            shutter_clock,
+        );
+        if capture.swing() > 0.2 {
+            let match_clock = telemetry.begin();
+            let low_scores = self.recommender.score_profile(&capture.low_frame)?;
+            telemetry.span(
+                Phase::ContentMatch,
+                t + snapshot.duration_s,
+                0.0,
+                match_clock,
+            );
+            if !low_scores.is_empty() {
+                let residual = capture.residual();
+                let low = Recommendation {
+                    characteristics: ResourceCharacteristics::from_pressure(&capture.low_frame),
+                    completed: capture.low_frame,
+                    scores: low_scores,
+                };
+                let residual_scores = self.recommender.score_profile(&residual)?;
+                let rest = (!residual_scores.is_empty()).then(|| Recommendation {
+                    characteristics: ResourceCharacteristics::from_pressure(&residual),
+                    completed: residual,
+                    scores: residual_scores,
+                });
+                return Ok(Some((low, rest)));
+            }
+        }
+        Ok(None)
+    }
+
+    /// The plain full-signal recommendation (SGD completion + content
+    /// match), recording its span at `at`: the fallback when no
+    /// structural move produced a verdict.
+    pub(crate) fn plain_recommendation<R: Rng>(
+        &self,
+        obs: &[(bolt_workloads::Resource, f64)],
+        at: f64,
+        rng: &mut R,
+        telemetry: &mut Telemetry,
+    ) -> Result<Recommendation, BoltError> {
+        let mut stats = RecommenderStats::default();
+        let completion_clock = telemetry.begin();
+        let plain = self
+            .recommender
+            .recommend_with_stats(obs, rng, &mut stats)?;
+        telemetry.span(Phase::MatrixCompletion, at, 0.0, completion_clock);
+        telemetry.count(Counter::SgdIterations, stats.sgd_iterations);
+        Ok(plain)
+    }
+
     /// Probes every uncore resource the snapshot has not measured yet, so
     /// residual disentangling sees the full uncore picture.
     fn probe_missing_uncore<R: Rng>(
@@ -1008,36 +999,9 @@ impl Detector {
     /// Runs detection iterations every `interval_s` until `accept` returns
     /// true or the iteration budget is exhausted. Returns the accepted (or
     /// last) detection and the number of iterations used — the quantity
-    /// Fig. 7 histograms.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BoltError`] from [`Detector::detect`].
-    pub fn detect_until<R, F>(
-        &self,
-        cluster: &Cluster,
-        adversary: VmId,
-        start_t: f64,
-        accept: F,
-        rng: &mut R,
-    ) -> Result<(Detection, usize), BoltError>
-    where
-        R: Rng,
-        F: FnMut(&Detection) -> bool,
-    {
-        self.detect_until_telemetry(
-            cluster,
-            adversary,
-            start_t,
-            accept,
-            rng,
-            &mut Telemetry::disabled(),
-        )
-    }
-
-    /// [`Detector::detect_until`] with telemetry recording: every
-    /// iteration contributes its inner phase spans plus one
-    /// [`Phase::DetectionIteration`] span covering the whole iteration.
+    /// Fig. 7 histograms. Every iteration records its inner phase spans
+    /// plus one [`Phase::DetectionIteration`] span covering the whole
+    /// iteration.
     ///
     /// # Errors
     ///
@@ -1060,14 +1024,7 @@ impl Detector {
         for i in 0..self.config.max_iterations.max(1) {
             let t = start_t + i as f64 * self.config.interval_s;
             let iteration_clock = telemetry.begin();
-            let d = self.detect_with_baseline_telemetry(
-                cluster,
-                adversary,
-                t,
-                baseline.as_deref(),
-                rng,
-                telemetry,
-            )?;
+            let d = self.detect(cluster, adversary, t, baseline.as_deref(), rng, telemetry)?;
             telemetry.span(Phase::DetectionIteration, t, d.duration_s, iteration_clock);
             let done = accept(&d);
             if !d.sweep.is_empty() {
@@ -1081,56 +1038,25 @@ impl Detector {
         Ok(last.expect("at least one iteration ran"))
     }
 
-    /// [`Detector::detect_until`] against a churning cluster: the
-    /// [`FaultPlan`] keeps injecting faults while the hunt runs, and
+    /// [`Detector::detect_until_telemetry`] against a churning cluster:
+    /// the [`FaultPlan`] keeps injecting faults while the hunt runs, and
     /// windows the validity screen flags (churn mid-window, blacked-out
     /// probes) are discarded and re-probed after a backoff instead of
     /// being trusted. Retries do not consume Fig. 7 iterations; they are
     /// bounded by `policy.max_retries` and by `policy.probe_budget_s` of
     /// total probe-plus-backoff time.
     ///
+    /// On top of the per-window phase spans, every discarded window
+    /// increments [`Counter::WindowsDiscarded`], every re-probe increments
+    /// [`Counter::DetectionRetries`], and the chaos engine's cluster events
+    /// (arrivals, departures, migrations, degradations) are drained into
+    /// the trace after each window.
+    ///
     /// # Errors
     ///
     /// Propagates [`BoltError`] from [`Detector::detect`], plus
     /// [`BoltError::DetectionAborted`] when the retry budget runs out
     /// with `policy.abort_on_exhaustion` set.
-    #[allow(clippy::too_many_arguments)]
-    pub fn detect_until_churn<R, F>(
-        &self,
-        cluster: &mut Cluster,
-        plan: &mut FaultPlan,
-        policy: &RetryPolicy,
-        adversary: VmId,
-        start_t: f64,
-        accept: F,
-        rng: &mut R,
-    ) -> Result<(Detection, usize), BoltError>
-    where
-        R: Rng,
-        F: FnMut(&Detection) -> bool,
-    {
-        self.detect_until_churn_telemetry(
-            cluster,
-            plan,
-            policy,
-            adversary,
-            start_t,
-            accept,
-            rng,
-            &mut Telemetry::disabled(),
-        )
-    }
-
-    /// [`Detector::detect_until_churn`] with telemetry recording. On top
-    /// of the per-window phase spans, every discarded window increments
-    /// [`Counter::WindowsDiscarded`], every re-probe increments
-    /// [`Counter::DetectionRetries`], and the chaos engine's cluster
-    /// events (arrivals, departures, migrations, degradations) are
-    /// drained into the trace after each window.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Detector::detect_until_churn`].
     #[allow(clippy::too_many_arguments)]
     pub fn detect_until_churn_telemetry<R, F>(
         &self,
@@ -1162,7 +1088,7 @@ impl Detector {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Detector::detect_until_churn`].
+    /// Same conditions as [`Detector::detect_until_churn_telemetry`].
     #[allow(clippy::too_many_arguments)]
     pub fn detect_until_churn_elapsed_telemetry<R, F>(
         &self,
@@ -1313,7 +1239,7 @@ impl Detector {
         let mut out = Vec::new();
         let mut t = start_t;
         while t < start_t + horizon_s {
-            let d = self.detect(cluster, adversary, t, rng)?;
+            let d = self.detect(cluster, adversary, t, None, rng, &mut Telemetry::disabled())?;
             out.push(PhaseSample {
                 time_s: t,
                 label: d.label().cloned(),
@@ -1377,8 +1303,9 @@ mod tests {
         let (cluster, adv) = cluster_with_victims(vec![victim], &mut r);
         let det = detector();
         let accept = |d: &Detection| d.matches_family(&truth);
+        let mut off = Telemetry::disabled();
         let (d, iters) = det
-            .detect_until(&cluster, adv, 0.0, accept, &mut r)
+            .detect_until_telemetry(&cluster, adv, 0.0, accept, &mut r, &mut off)
             .unwrap();
         assert!(iters <= 6);
         assert!(
@@ -1406,7 +1333,10 @@ mod tests {
             ),
         );
         let (cluster, adv) = cluster_with_victims(vec![victim], &mut r);
-        let d = detector().detect(&cluster, adv, 30.0, &mut r).unwrap();
+        let mut off = Telemetry::disabled();
+        let d = detector()
+            .detect(&cluster, adv, 30.0, None, &mut r, &mut off)
+            .unwrap();
         assert!(
             d.matches_characteristics(&truth),
             "no verdict matched truth {truth}; primary: {:?}",
@@ -1418,7 +1348,9 @@ mod tests {
     fn empty_host_yields_no_confident_label() {
         let mut r = rng();
         let (cluster, adv) = cluster_with_victims(vec![], &mut r);
-        let d = detector().detect(&cluster, adv, 0.0, &mut r).unwrap();
+        let d = detector()
+            .detect(&cluster, adv, 0.0, None, &mut r, &mut Telemetry::disabled())
+            .unwrap();
         // Nothing co-scheduled: no verdicts at all.
         assert!(
             d.verdicts.is_empty(),
@@ -1437,13 +1369,15 @@ mod tests {
         );
         let (cluster, adv) = cluster_with_victims(vec![victim], &mut r);
         // Never accept: must exhaust the budget.
+        let mut off = Telemetry::disabled();
         let (_, iters) = detector()
-            .detect_until(&cluster, adv, 0.0, |_| false, &mut r)
+            .detect_until_telemetry(&cluster, adv, 0.0, |_| false, &mut r, &mut off)
             .unwrap();
         assert_eq!(iters, 6);
         // Always accept: one iteration.
+        let mut off = Telemetry::disabled();
         let (_, iters) = detector()
-            .detect_until(&cluster, adv, 0.0, |_| true, &mut r)
+            .detect_until_telemetry(&cluster, adv, 0.0, |_| true, &mut r, &mut off)
             .unwrap();
         assert_eq!(iters, 1);
     }
@@ -1467,7 +1401,9 @@ mod tests {
         let mut r = rng();
         let victim = catalog::cassandra::profile(&catalog::cassandra::Variant::Mixed, &mut r);
         let (cluster, adv) = cluster_with_victims(vec![victim], &mut r);
-        let d = detector().detect(&cluster, adv, 0.0, &mut r).unwrap();
+        let d = detector()
+            .detect(&cluster, adv, 0.0, None, &mut r, &mut Telemetry::disabled())
+            .unwrap();
         // One full sweep plus the temporal-differencing sweep and gap.
         assert!(d.duration_s > 0.0 && d.duration_s < 120.0);
     }

@@ -10,7 +10,6 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use bolt_recommender::{
     ContentHasher, FitCache, HybridRecommender, RecommenderConfig, TrainingData, TrainingExample,
@@ -23,13 +22,14 @@ use bolt_workloads::{
     AppLabel, DatasetScale, PressureVector, Resource, ResourceCharacteristics, WorkloadProfile,
 };
 
+use crate::ctx::RunCtx;
 use crate::detector::{DegradedReason, Detector, DetectorConfig, RetryPolicy};
 use crate::parallel::{split_seed, sweep, Parallelism};
 use crate::telemetry::{Counter, Phase, Telemetry, TelemetryLog};
 use crate::BoltError;
 
 /// Controlled-experiment configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
     /// Number of servers (paper: 40).
     pub servers: usize,
@@ -50,26 +50,21 @@ pub struct ExperimentConfig {
     pub training_seed: u64,
     /// Thread fan-out for the per-victim detection sweep. Results are
     /// byte-identical for every setting (see [`crate::parallel`]).
-    #[serde(default)]
     pub parallelism: Parallelism,
     /// Chaos-engine configuration. [`ChaosConfig::none`] (the default)
     /// keeps every hunt on the legacy fixed-cluster path, byte-identical
     /// to runs predating the chaos engine.
-    #[serde(default)]
     pub chaos: ChaosConfig,
     /// Retry/backoff policy for hunts under churn. Ignored when `chaos`
     /// is [`ChaosConfig::none`].
-    #[serde(default)]
     pub retry: RetryPolicy,
     /// Enables the miss-rate-curve detection channel on every hunt
     /// (equivalent to setting [`DetectorConfig::mrc_channel`]); off by
     /// default so pre-existing runs stay byte-identical.
-    #[serde(default)]
     pub mrc_channel: bool,
     /// Enables the anytime iterative-deepening window on every hunt
     /// (equivalent to setting [`DetectorConfig::anytime`]); off by
     /// default so pre-existing runs stay byte-identical.
-    #[serde(default)]
     pub anytime: bool,
 }
 
@@ -94,7 +89,7 @@ impl Default for ExperimentConfig {
 }
 
 /// One victim's detection outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentRecord {
     /// Ground-truth label.
     pub truth: AppLabel,
@@ -128,7 +123,7 @@ pub struct ExperimentRecord {
 }
 
 /// Aggregate results of one controlled-experiment run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentResults {
     /// Per-victim records.
     pub records: Vec<ExperimentRecord>,
@@ -460,36 +455,19 @@ pub struct Testbed {
 /// Builds the §3.4 testbed: `servers` hosts, one quiet adversarial VM
 /// each, `victims` workloads placed by `scheduler`.
 ///
+/// The recommender fits through `cache`: sweeps that build many testbeds
+/// over the same `(training_seed, isolation, recommender)` train exactly
+/// once. Cache hits are byte-identical to refits
+/// ([`HybridRecommender::fit`] is pure), so results never depend on the
+/// cache; [`FitCache::disabled`] restores the train-every-time path
+/// exactly. The fit's telemetry (see [`shared_recommender`]) records into
+/// `telemetry`; the launches stay in the cluster's event log.
+///
 /// # Errors
 ///
 /// Returns [`BoltError::InvalidExperiment`] if the victims cannot all be
 /// placed, and propagates simulator/numerical errors.
 pub fn build_testbed<S: Scheduler>(
-    config: &ExperimentConfig,
-    scheduler: &S,
-) -> Result<Testbed, BoltError> {
-    build_testbed_cache(config, scheduler, &FitCache::new())
-}
-
-/// [`build_testbed`] fitting the recommender through a shared
-/// [`FitCache`]: sweeps that build many testbeds over the same
-/// `(training_seed, isolation, recommender)` train exactly once. Cache
-/// hits are byte-identical to refits ([`HybridRecommender::fit`] is
-/// pure), so results never depend on the cache;
-/// [`FitCache::disabled`] restores the train-every-time path exactly.
-///
-/// # Errors
-///
-/// Same conditions as [`build_testbed`].
-pub fn build_testbed_cache<S: Scheduler>(
-    config: &ExperimentConfig,
-    scheduler: &S,
-    cache: &FitCache,
-) -> Result<Testbed, BoltError> {
-    build_testbed_inner(config, scheduler, cache, &mut Telemetry::disabled())
-}
-
-fn build_testbed_inner<S: Scheduler>(
     config: &ExperimentConfig,
     scheduler: &S,
     cache: &FitCache,
@@ -548,6 +526,18 @@ fn build_testbed_inner<S: Scheduler>(
     })
 }
 
+/// [`build_testbed`] without telemetry.
+///
+/// Kept with this exact signature because the bolt-perf benchmark calls
+/// it; delete it when that benchmark is next revised.
+pub fn build_testbed_cache<S: Scheduler>(
+    config: &ExperimentConfig,
+    scheduler: &S,
+    cache: &FitCache,
+) -> Result<Testbed, BoltError> {
+    build_testbed(config, scheduler, cache, &mut Telemetry::disabled())
+}
+
 /// Runs the full controlled experiment: every victim is hunted by the
 /// adversary on its host until correctly labeled or the iteration budget
 /// runs out.
@@ -563,81 +553,26 @@ fn build_testbed_inner<S: Scheduler>(
 /// `config.parallelism` worker threads. Results are byte-identical for
 /// every thread count, including [`Parallelism::Serial`].
 ///
+/// Telemetry (when `ctx.telemetry` is set): the testbed construction
+/// records as unit 0 — the recommender fit as a [`Phase::RecommenderFit`]
+/// span + [`Counter::FitCacheMiss`], or a [`Counter::FitCacheHit`] when
+/// `ctx.fit_cache` recalled it, followed by the launch events; victim
+/// `i`'s hunt records as unit `i + 1`. Unit buffers merge in unit order,
+/// so the stream is identical for every [`Parallelism`] setting
+/// (wall-clock span durations aside — see [`TelemetryLog::normalized`]).
+///
 /// # Errors
 ///
 /// Propagates [`BoltError`] from testbed construction or detection.
 pub fn run_experiment<S: Scheduler>(
     config: &ExperimentConfig,
     scheduler: &S,
-) -> Result<ExperimentResults, BoltError> {
-    run_experiment_cache(config, scheduler, &FitCache::new())
-}
-
-/// [`run_experiment`] fitting through a shared [`FitCache`] — the entry
-/// point sweeps use so every point past the first reuses the trained
-/// recommender. Output is byte-identical to the uncached path.
-///
-/// # Errors
-///
-/// Same conditions as [`run_experiment`].
-pub fn run_experiment_cache<S: Scheduler>(
-    config: &ExperimentConfig,
-    scheduler: &S,
-    cache: &FitCache,
-) -> Result<ExperimentResults, BoltError> {
-    run_experiment_inner(config, scheduler, cache, false).map(|(results, _)| results)
-}
-
-/// [`run_experiment`] with telemetry: returns the merged event stream of
-/// the run alongside the results. The testbed construction's cluster
-/// events record as unit 0; victim `i`'s hunt records as unit `i + 1`.
-/// Unit buffers merge in unit order, so the stream is identical for every
-/// [`Parallelism`] setting (wall-clock span durations aside — see
-/// [`TelemetryLog::normalized`]).
-///
-/// # Errors
-///
-/// Same conditions as [`run_experiment`].
-pub fn run_experiment_telemetry<S: Scheduler>(
-    config: &ExperimentConfig,
-    scheduler: &S,
+    ctx: &RunCtx,
 ) -> Result<(ExperimentResults, TelemetryLog), BoltError> {
-    run_experiment_inner(config, scheduler, &FitCache::new(), true)
-}
-
-/// [`run_experiment_telemetry`] fitting through a shared [`FitCache`].
-/// Unit 0 additionally carries the fit-cache events: a
-/// [`Phase::RecommenderFit`] span + [`Counter::FitCacheMiss`] when the
-/// recommender trained, a [`Counter::FitCacheHit`] when it was recalled.
-///
-/// # Errors
-///
-/// Same conditions as [`run_experiment`].
-pub fn run_experiment_cache_telemetry<S: Scheduler>(
-    config: &ExperimentConfig,
-    scheduler: &S,
-    cache: &FitCache,
-) -> Result<(ExperimentResults, TelemetryLog), BoltError> {
-    run_experiment_inner(config, scheduler, cache, true)
-}
-
-fn run_experiment_inner<S: Scheduler>(
-    config: &ExperimentConfig,
-    scheduler: &S,
-    cache: &FitCache,
-    telemetry_enabled: bool,
-) -> Result<(ExperimentResults, TelemetryLog), BoltError> {
-    let unit = |u: usize| {
-        if telemetry_enabled {
-            Telemetry::for_unit(u)
-        } else {
-            Telemetry::disabled()
-        }
-    };
     // Unit 0 carries the shared setup: the recommender fit (or cache
     // recall) and every launch the testbed performed.
-    let mut unit0 = unit(0);
-    let mut testbed = build_testbed_inner(config, scheduler, cache, &mut unit0)?;
+    let mut unit0 = ctx.unit(0);
+    let mut testbed = build_testbed(config, scheduler, ctx.fit_cache, &mut unit0)?;
     if unit0.is_enabled() {
         unit0.cluster_events(testbed.cluster.take_events());
     }
@@ -657,7 +592,7 @@ fn run_experiment_inner<S: Scheduler>(
     }
 
     let outcomes = sweep(&victims, config.parallelism, |idx, &victim_id| {
-        let mut telemetry = unit(idx + 1);
+        let mut telemetry = ctx.unit(idx + 1);
         let record = hunt_victim(
             config,
             &cluster,
@@ -687,6 +622,18 @@ fn run_experiment_inner<S: Scheduler>(
         },
         log,
     ))
+}
+
+/// [`run_experiment`] without telemetry.
+///
+/// Kept with this exact signature because the bolt-perf benchmark calls
+/// it; delete it when that benchmark is next revised.
+pub fn run_experiment_cache<S: Scheduler>(
+    config: &ExperimentConfig,
+    scheduler: &S,
+    cache: &FitCache,
+) -> Result<ExperimentResults, BoltError> {
+    run_experiment(config, scheduler, &RunCtx::new(cache, false)).map(|(results, _)| results)
 }
 
 /// Hunts one victim with an RNG stream derived from the victim index —
@@ -794,6 +741,13 @@ mod tests {
         }
     }
 
+    fn small_results() -> ExperimentResults {
+        let cache = FitCache::new();
+        run_experiment(&small_config(), &LeastLoaded, &RunCtx::new(&cache, false))
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn victim_set_draws_requested_count_and_diversity() {
         let mut rng = StdRng::seed_from_u64(3);
@@ -810,7 +764,8 @@ mod tests {
     #[test]
     fn testbed_places_one_adversary_per_server() {
         let config = small_config();
-        let testbed = build_testbed(&config, &LeastLoaded).unwrap();
+        let mut off = Telemetry::disabled();
+        let testbed = build_testbed(&config, &LeastLoaded, &FitCache::new(), &mut off).unwrap();
         assert_eq!(testbed.adversaries.len(), 8);
         assert_eq!(testbed.victims.len(), 16);
         for (s, &adv) in testbed.adversaries.iter().enumerate() {
@@ -825,15 +780,16 @@ mod tests {
             victims: 50,
             ..ExperimentConfig::default()
         };
+        let mut off = Telemetry::disabled();
         assert!(matches!(
-            build_testbed(&config, &LeastLoaded),
+            build_testbed(&config, &LeastLoaded, &FitCache::new(), &mut off),
             Err(BoltError::InvalidExperiment { .. })
         ));
     }
 
     #[test]
     fn small_experiment_reaches_reasonable_accuracy() {
-        let results = run_experiment(&small_config(), &LeastLoaded).unwrap();
+        let results = small_results();
         assert_eq!(results.records.len(), 16);
         let acc = results.label_accuracy();
         assert!(
@@ -849,7 +805,7 @@ mod tests {
 
     #[test]
     fn aggregations_are_consistent() {
-        let results = run_experiment(&small_config(), &LeastLoaded).unwrap();
+        let results = small_results();
         // accuracy_by_co_residents sample counts sum to the record count.
         let total: usize = results
             .accuracy_by_co_residents()
@@ -882,8 +838,12 @@ mod tests {
             parallelism: Parallelism::Threads(3),
             ..small_config()
         };
-        let (r1, log1) = run_experiment_telemetry(&serial, &LeastLoaded).unwrap();
-        let (r2, log2) = run_experiment_telemetry(&threaded, &LeastLoaded).unwrap();
+        let traced = |config| {
+            let cache = FitCache::new();
+            run_experiment(config, &LeastLoaded, &RunCtx::new(&cache, true)).unwrap()
+        };
+        let (r1, log1) = traced(&serial);
+        let (r2, log2) = traced(&threaded);
         assert_eq!(r1, r2);
         assert!(!log1.is_empty());
         // The event sequence is identical at any thread count once the
@@ -893,9 +853,6 @@ mod tests {
         // The JSONL encoding round-trips to the same event sequence.
         let back = TelemetryLog::from_jsonl(&log1.to_jsonl()).unwrap();
         assert_eq!(back, log1);
-        // A telemetry-off run computes the same results.
-        let plain = run_experiment(&serial, &LeastLoaded).unwrap();
-        assert_eq!(plain, r1);
     }
 
     #[test]
@@ -927,17 +884,21 @@ mod tests {
             }
             (spans, hits, misses)
         };
-        let (_, cold) = run_experiment_cache_telemetry(&config, &LeastLoaded, &cache).unwrap();
+        let (_, cold) = run_experiment(&config, &LeastLoaded, &RunCtx::new(&cache, true)).unwrap();
         assert_eq!(fit_events(&cold), (1, 0, 1), "cold run: one trained fit");
-        let (_, warm) = run_experiment_cache_telemetry(&config, &LeastLoaded, &cache).unwrap();
+        let (_, warm) = run_experiment(&config, &LeastLoaded, &RunCtx::new(&cache, true)).unwrap();
         assert_eq!(
             fit_events(&warm),
             (0, 1, 0),
             "warm run: a hit counter and no fit span"
         );
         // A disabled cache always trains, and says so.
-        let (_, honest) =
-            run_experiment_cache_telemetry(&config, &LeastLoaded, &FitCache::disabled()).unwrap();
+        let (_, honest) = run_experiment(
+            &config,
+            &LeastLoaded,
+            &RunCtx::new(&FitCache::disabled(), true),
+        )
+        .unwrap();
         assert_eq!(fit_events(&honest), (1, 0, 1));
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
@@ -945,7 +906,7 @@ mod tests {
 
     #[test]
     fn pressure_buckets_cover_all_records() {
-        let results = run_experiment(&small_config(), &LeastLoaded).unwrap();
+        let results = small_results();
         let rows = results.accuracy_by_pressure(Resource::Cpu, 20.0);
         let total: usize = rows.iter().map(|&(_, _, n)| n).sum();
         assert_eq!(total, results.records.len());

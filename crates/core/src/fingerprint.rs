@@ -13,7 +13,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use bolt_workloads::{Resource, WorkloadProfile};
 
@@ -23,7 +22,7 @@ use crate::telemetry::{Counter, Phase, Telemetry};
 /// The miss-rate-curve channel's contribution to a detection
 /// fingerprint: the observed cache-allocation sweep, one co-resident
 /// response per allocation level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MrcFingerprint {
     /// Response at level `k`, measured while the probe occupied
     /// `(k + 1) / points` of the LLC. Each value is in `[0, 100]`.
@@ -50,7 +49,7 @@ impl MrcFingerprint {
 }
 
 /// A `grid × grid` probability map over one resource pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Heatmap {
     /// Resource on the x axis.
     pub x: Resource,
@@ -140,6 +139,12 @@ pub fn population(instances: usize, seed: u64) -> Vec<WorkloadProfile> {
 /// Laplace smoothing (`α = 1` pseudo-instance spread across families)
 /// keeps empty cells near the base rate instead of hard zero.
 ///
+/// The estimation pass records into `telemetry`: a [`Phase::ContentMatch`]
+/// span covering the grid build (heatmap estimation is content matching
+/// against a population rather than a training set) and one
+/// [`Counter::ProbeSamples`] tick per instance observation dropped into
+/// the grid.
+///
 /// # Panics
 ///
 /// Panics if `grid` is zero or `profiles` is empty.
@@ -149,7 +154,9 @@ pub fn family_heatmap(
     x: Resource,
     y: Resource,
     grid: usize,
+    telemetry: &mut Telemetry,
 ) -> Heatmap {
+    let clock = telemetry.begin();
     assert!(grid > 0, "grid must be nonzero");
     assert!(!profiles.is_empty(), "population must be nonempty");
     let mut hits = vec![0u32; grid * grid];
@@ -174,6 +181,8 @@ pub fn family_heatmap(
         .zip(&totals)
         .map(|(&h, &n)| (h as f64 + base_rate) / (n as f64 + 1.0))
         .collect();
+    telemetry.count(Counter::ProbeSamples, profiles.len() as u64);
+    telemetry.span(Phase::ContentMatch, 0.0, 0.0, clock);
     Heatmap {
         x,
         y,
@@ -181,30 +190,6 @@ pub fn family_heatmap(
         cells,
         counts: totals,
     }
-}
-
-/// [`family_heatmap`] recording the estimation pass into `telemetry`: a
-/// [`Phase::ContentMatch`] span covering the grid build (heatmap
-/// estimation is content matching against a population rather than a
-/// training set) and one [`Counter::ProbeSamples`] tick per instance
-/// observation dropped into the grid.
-///
-/// # Panics
-///
-/// Same conditions as [`family_heatmap`].
-pub fn family_heatmap_telemetry(
-    profiles: &[WorkloadProfile],
-    family: &str,
-    x: Resource,
-    y: Resource,
-    grid: usize,
-    telemetry: &mut Telemetry,
-) -> Heatmap {
-    let clock = telemetry.begin();
-    let map = family_heatmap(profiles, family, x, y, grid);
-    telemetry.count(Counter::ProbeSamples, profiles.len() as u64);
-    telemetry.span(Phase::ContentMatch, 0.0, 0.0, clock);
-    map
 }
 
 #[cfg(test)]
@@ -215,9 +200,14 @@ mod tests {
         population(600, 0xF162)
     }
 
+    /// The heatmap over [`pop`], recording nothing.
+    fn heatmap(family: &str, x: Resource, y: Resource, grid: usize) -> Heatmap {
+        family_heatmap(&pop(), family, x, y, grid, &mut Telemetry::disabled())
+    }
+
     #[test]
     fn memcached_hot_at_high_l1i_high_llc() {
-        let map = family_heatmap(&pop(), "memcached", Resource::L1i, Resource::Llc, 4);
+        let map = heatmap("memcached", Resource::L1i, Resource::Llc, 4);
         // The Fig. 2 signature: the high-L1i/high-LLC corner is far hotter
         // than the low-low corner.
         let high = map.at(3, 3).max(map.at(2, 3)).max(map.at(3, 2));
@@ -231,7 +221,8 @@ mod tests {
     #[test]
     fn disk_traffic_rules_out_memcached() {
         let p = pop();
-        let map = family_heatmap(&p, "memcached", Resource::DiskBw, Resource::L2, 4);
+        let mut off = Telemetry::disabled();
+        let map = family_heatmap(&p, "memcached", Resource::DiskBw, Resource::L2, 4, &mut off);
         // memcached does zero disk I/O: any disk traffic above the first
         // column's range rules it out, so those columns sit at or below
         // the smoothed base rate while the zero-disk column rises above.
@@ -254,7 +245,7 @@ mod tests {
 
     #[test]
     fn hadoop_hot_at_high_disk() {
-        let map = family_heatmap(&pop(), "hadoop", Resource::DiskBw, Resource::Cpu, 4);
+        let map = heatmap("hadoop", Resource::DiskBw, Resource::Cpu, 4);
         assert!(
             map.column_mean(2).max(map.column_mean(3)) > map.column_mean(0),
             "hadoop should occupy the disk-heavy columns"
@@ -264,7 +255,8 @@ mod tests {
     #[test]
     fn probabilities_are_probabilities_and_counts_cover_population() {
         let p = pop();
-        let map = family_heatmap(&p, "spark", Resource::MemBw, Resource::Llc, 5);
+        let mut off = Telemetry::disabled();
+        let map = family_heatmap(&p, "spark", Resource::MemBw, Resource::Llc, 5, &mut off);
         for &c in &map.cells {
             assert!((0.0..=1.0).contains(&c));
         }
@@ -274,30 +266,11 @@ mod tests {
 
     #[test]
     fn heatmap_accessors() {
-        let map = family_heatmap(&pop(), "hadoop", Resource::DiskBw, Resource::Cpu, 3);
+        let map = heatmap("hadoop", Resource::DiskBw, Resource::Cpu, 3);
         assert_eq!(map.cells.len(), 9);
         assert!((map.center(0) - 16.666).abs() < 0.01);
         let (_, _, hp) = map.hottest();
         assert!((0.0..=1.0).contains(&hp));
-    }
-
-    #[test]
-    fn heatmap_telemetry_matches_the_plain_map_and_records() {
-        let p = population(100, 7);
-        let plain = family_heatmap(&p, "memcached", Resource::L1i, Resource::Llc, 4);
-        let mut telemetry = Telemetry::for_unit(0);
-        let recorded = family_heatmap_telemetry(
-            &p,
-            "memcached",
-            Resource::L1i,
-            Resource::Llc,
-            4,
-            &mut telemetry,
-        );
-        assert_eq!(plain, recorded);
-        let log = crate::telemetry::TelemetryLog::from_events(telemetry.into_events());
-        assert_eq!(log.counter_total(Counter::ProbeSamples), 100);
-        assert!(log.to_jsonl().contains("content-match"));
     }
 
     #[test]

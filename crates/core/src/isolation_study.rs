@@ -15,20 +15,16 @@
 //! * the residual accuracy under core isolation is disk-heavy workloads —
 //!   no mechanism isolates disk.
 
-use serde::{Deserialize, Serialize};
-
-use bolt_recommender::FitCache;
 use bolt_sim::{IsolationConfig, LeastLoaded, Mechanisms, OsSetting};
 
-use crate::experiment::{
-    run_experiment_cache, run_experiment_cache_telemetry, shared_recommender, ExperimentConfig,
-};
+use crate::ctx::RunCtx;
+use crate::experiment::{run_experiment, shared_recommender, ExperimentConfig};
 use crate::parallel::{sweep, Parallelism};
-use crate::telemetry::{Counter, Phase, Telemetry, TelemetryLog};
+use crate::telemetry::{Counter, Phase, TelemetryLog};
 use crate::BoltError;
 
 /// One cell of the Fig. 14 matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IsolationCell {
     /// The OS-level setting.
     pub setting: OsSetting,
@@ -43,7 +39,7 @@ pub struct IsolationCell {
 }
 
 /// Full results of the isolation study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IsolationStudy {
     /// All setting × stack cells, settings outermost, stacks in cumulative
     /// order.
@@ -74,65 +70,25 @@ impl IsolationStudy {
 /// rather than nesting thread pools. Every cell derives its randomness
 /// from the configuration alone, so results match a serial run exactly.
 ///
-/// # Errors
+/// Cells whose isolation stacks leave the same observation channel (e.g.
+/// "+ thread pinning" only changes measurement noise, not attenuation)
+/// share one trained recommender through `ctx.fit_cache`; the distinct
+/// channels are pre-warmed on the calling thread so parallel cells hit
+/// deterministically.
 ///
-/// Propagates [`BoltError`] from the underlying experiments.
-pub fn run_isolation_study(base: &ExperimentConfig) -> Result<IsolationStudy, BoltError> {
-    run_isolation_study_cache(base, &FitCache::new())
-}
-
-/// [`run_isolation_study`] fitting through a shared [`FitCache`]. Cells
-/// whose isolation stacks leave the same observation channel (e.g. "+
-/// thread pinning" only changes measurement noise, not attenuation)
-/// share one trained recommender; the distinct channels are pre-warmed
-/// on the calling thread so parallel cells hit deterministically.
-///
-/// # Errors
-///
-/// Same conditions as [`run_isolation_study`].
-pub fn run_isolation_study_cache(
-    base: &ExperimentConfig,
-    cache: &FitCache,
-) -> Result<IsolationStudy, BoltError> {
-    run_isolation_study_inner(base, cache, false).map(|(study, _)| study)
-}
-
-/// Runs the Fig. 14 sweep with telemetry enabled.
-///
-/// Each cell records into its own unit (cells in sweep order: 18
-/// cumulative stacks, then the 3 core-isolation-only runs): one
-/// [`Phase::DetectionIteration`] span timing the whole cell plus a rollup
-/// of the inner experiment's counter totals. The inner experiments run
-/// serially, so the merged stream is identical for every
+/// Telemetry: the pre-warm fits record as unit 0, then each cell records
+/// into its own unit (cells in sweep order: 18 cumulative stacks, then
+/// the 3 core-isolation-only runs): one [`Phase::DetectionIteration`]
+/// span timing the whole cell plus a rollup of the inner experiment's
+/// counter totals. The merged stream is identical for every
 /// [`Parallelism`] setting of `base`.
 ///
 /// # Errors
 ///
 /// Propagates [`BoltError`] from the underlying experiments.
-pub fn run_isolation_study_telemetry(
+pub fn run_isolation_study(
     base: &ExperimentConfig,
-) -> Result<(IsolationStudy, TelemetryLog), BoltError> {
-    run_isolation_study_inner(base, &FitCache::new(), true)
-}
-
-/// [`run_isolation_study_telemetry`] fitting through a shared
-/// [`FitCache`]; the pre-warm fits record ahead of the per-cell streams
-/// as unit 0.
-///
-/// # Errors
-///
-/// Same conditions as [`run_isolation_study`].
-pub fn run_isolation_study_cache_telemetry(
-    base: &ExperimentConfig,
-    cache: &FitCache,
-) -> Result<(IsolationStudy, TelemetryLog), BoltError> {
-    run_isolation_study_inner(base, cache, true)
-}
-
-fn run_isolation_study_inner(
-    base: &ExperimentConfig,
-    cache: &FitCache,
-    telemetry_enabled: bool,
+    ctx: &RunCtx,
 ) -> Result<(IsolationStudy, TelemetryLog), BoltError> {
     let mut stack_cells: Vec<IsolationConfig> = Vec::new();
     for setting in OsSetting::ALL {
@@ -161,18 +117,14 @@ fn run_isolation_study_inner(
     // then hit the cache deterministically however they are scheduled
     // (racing two parallel cells on a cold shared fingerprint would make
     // the per-cell hit/miss telemetry thread-count dependent).
-    let mut prelude = if telemetry_enabled {
-        Telemetry::for_unit(0)
-    } else {
-        Telemetry::disabled()
-    };
-    if cache.is_enabled() {
+    let mut prelude = ctx.unit(0);
+    if ctx.fit_cache.is_enabled() {
         for isolation in &tasks {
             shared_recommender(
                 base.training_seed,
                 isolation,
                 base.recommender,
-                cache,
+                ctx.fit_cache,
                 &mut prelude,
             )?;
         }
@@ -184,21 +136,16 @@ fn run_isolation_study_inner(
             parallelism: Parallelism::Serial,
             ..*base
         };
-        if telemetry_enabled {
-            // One unit per cell: a span timing the whole cell plus the
-            // inner experiment's counter totals rolled up into it.
-            let mut telemetry = Telemetry::for_unit(idx);
-            let cell_clock = telemetry.begin();
-            let (results, inner) = run_experiment_cache_telemetry(&config, &LeastLoaded, cache)?;
-            telemetry.span(Phase::DetectionIteration, 0.0, 0.0, cell_clock);
-            for counter in Counter::ALL {
-                telemetry.count(counter, inner.counter_total(counter));
-            }
-            Ok((results.label_accuracy(), telemetry.into_events()))
-        } else {
-            run_experiment_cache(&config, &LeastLoaded, cache)
-                .map(|r| (r.label_accuracy(), Vec::new()))
+        // One unit per cell: a span timing the whole cell plus the inner
+        // experiment's counter totals rolled up into it.
+        let mut telemetry = ctx.unit(idx);
+        let cell_clock = telemetry.begin();
+        let (results, inner) = run_experiment(&config, &LeastLoaded, ctx)?;
+        telemetry.span(Phase::DetectionIteration, 0.0, 0.0, cell_clock);
+        for counter in Counter::ALL {
+            telemetry.count(counter, inner.counter_total(counter));
         }
+        Ok::<_, BoltError>((results.label_accuracy(), telemetry.into_events()))
     });
     let mut accuracies = Vec::with_capacity(tasks.len());
     let mut log = TelemetryLog::new();
@@ -238,6 +185,13 @@ fn run_isolation_study_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bolt_recommender::FitCache;
+
+    fn run_study(base: &ExperimentConfig) -> IsolationStudy {
+        run_isolation_study(base, &RunCtx::new(&FitCache::new(), false))
+            .unwrap()
+            .0
+    }
 
     fn tiny() -> ExperimentConfig {
         ExperimentConfig {
@@ -249,7 +203,7 @@ mod tests {
 
     #[test]
     fn study_produces_full_matrix() {
-        let study = run_isolation_study(&tiny()).unwrap();
+        let study = run_study(&tiny());
         assert_eq!(study.cells.len(), 18); // 3 settings × 6 stacks
         assert_eq!(study.core_isolation_only.len(), 3);
     }
@@ -261,7 +215,7 @@ mod tests {
         // stack never beats no isolation, and core isolation collapses
         // accuracy for virtualized settings. Per-step monotonicity is
         // checked by the full-scale `fig14_isolation` bench.
-        let study = run_isolation_study(&tiny()).unwrap();
+        let study = run_study(&tiny());
         let mean = |idx: usize| -> f64 {
             OsSetting::ALL
                 .iter()
@@ -291,8 +245,6 @@ mod tests {
 
     #[test]
     fn core_isolation_residual_is_disk_borne() {
-        use crate::run_experiment;
-        use bolt_sim::LeastLoaded;
         let config = ExperimentConfig {
             isolation: IsolationConfig {
                 setting: OsSetting::VirtualMachines,
@@ -300,7 +252,8 @@ mod tests {
             },
             ..tiny()
         };
-        let results = run_experiment(&config, &LeastLoaded).unwrap();
+        let (results, _) =
+            run_experiment(&config, &LeastLoaded, &RunCtx::new(&FitCache::new(), false)).unwrap();
         for r in &results.records {
             if r.label_correct {
                 let disk_visible = r.truth_pressure[bolt_workloads::Resource::DiskBw] > 5.0
@@ -316,7 +269,7 @@ mod tests {
 
     #[test]
     fn core_isolation_cells_carry_penalties() {
-        let study = run_isolation_study(&tiny()).unwrap();
+        let study = run_study(&tiny());
         for cell in &study.cells {
             if cell.stack == "+core isolation" {
                 assert!((cell.performance_penalty - 1.34).abs() < 1e-9);

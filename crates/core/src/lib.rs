@@ -34,6 +34,7 @@
 //!
 //! ```
 //! use bolt::detector::{Detector, DetectorConfig};
+//! use bolt::Telemetry;
 //! use bolt_recommender::{HybridRecommender, RecommenderConfig, TrainingData};
 //! use bolt_sim::{Cluster, IsolationConfig, ServerSpec};
 //! use bolt_sim::vm::VmRole;
@@ -63,7 +64,8 @@
 //! let data = TrainingData::from_profiles(&training_set(7))?;
 //! let recommender = HybridRecommender::fit(data, RecommenderConfig::default())?;
 //! let detector = Detector::new(recommender, DetectorConfig::default());
-//! let detection = detector.detect(&cluster, adv, 60.0, &mut rng)?;
+//! // No baseline sweep from an earlier iteration; no telemetry recorded.
+//! let detection = detector.detect(&cluster, adv, 60.0, None, &mut rng, &mut Telemetry::disabled())?;
 //! println!("co-resident looks like: {:?}", detection.label());
 //! # Ok(())
 //! # }
@@ -73,6 +75,7 @@
 
 pub mod anytime;
 pub mod attacks;
+mod ctx;
 pub mod detector;
 mod error;
 pub mod events;
@@ -90,20 +93,21 @@ pub mod user_study;
 
 pub use anytime::AnytimeInfo;
 pub use bolt_recommender::{FitCache, FitCacheStats};
+pub use ctx::RunCtx;
 pub use detector::{DegradedReason, Detection, Detector, DetectorConfig, RetryPolicy};
 pub use error::BoltError;
 pub use experiment::{
     run_experiment, run_experiment_cache, ExperimentConfig, ExperimentRecord, ExperimentResults,
 };
-pub use isolation_study::{run_isolation_study, run_isolation_study_cache, IsolationStudy};
+pub use isolation_study::{run_isolation_study, IsolationStudy};
 pub use parallel::Parallelism;
 pub use region::{run_region, run_region_telemetry, RegionConfig, RegionReport, ScalePoint};
-pub use robustness::{churn_sweep, churn_sweep_cache, churn_sweep_telemetry, RobustnessPoint};
+pub use robustness::{churn_sweep, RobustnessPoint};
 pub use service::{
-    compile_trace, run_service, run_service_cache_telemetry, run_service_telemetry, BreakerConfig,
-    Request, RequestOutcome, RequestRecord, ServiceConfig, ServiceReport, ShedPolicy, ShedReason,
+    compile_trace, run_service, run_service_cache_telemetry, BreakerConfig, Request,
+    RequestOutcome, RequestRecord, ServiceConfig, ServiceReport, ShedPolicy, ShedReason,
 };
 pub use telemetry::{
     Counter, LatencySummary, Phase, ServiceMetric, Telemetry, TelemetryEvent, TelemetryLog,
 };
-pub use user_study::{run_user_study, run_user_study_cache, UserStudyConfig, UserStudyResults};
+pub use user_study::{run_user_study, UserStudyConfig, UserStudyResults};

@@ -16,14 +16,13 @@
 //! `Threads(8)` run the exact same per-item RNG streams and assemble the
 //! exact same output vector; threading changes wall-clock time only.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// How a harness fans its independent work items out over threads.
 ///
 /// The choice never affects results (see the module docs), only speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// Run every item on the calling thread.
     Serial,

@@ -177,7 +177,10 @@ fn build_region(config: &RegionConfig, rng: &mut StdRng) -> Result<Cluster, Bolt
     Ok(cluster)
 }
 
-/// Runs the region scenario without telemetry.
+/// [`run_region_telemetry`] without telemetry.
+///
+/// Kept with this exact signature because the bolt-perf benchmark calls
+/// it; delete it when that benchmark is next revised.
 pub fn run_region(config: &RegionConfig) -> Result<RegionReport, BoltError> {
     run_region_telemetry(config, &mut Telemetry::disabled())
 }
@@ -326,7 +329,8 @@ mod tests {
             churn_per_step: 2,
             seed: 7,
         };
-        let report = run_region(&config).expect("region runs");
+        let report =
+            run_region_telemetry(&config, &mut Telemetry::disabled()).expect("region runs");
         assert_eq!(report.servers, 8);
         assert!(report.vms >= 8, "tenants landed");
         assert!(report.probes > 0);
@@ -383,8 +387,9 @@ mod tests {
             churn_per_step: 2,
             seed: 21,
         };
-        let a = run_region(&config).expect("first run");
-        let b = run_region(&config).expect("second run");
+        let mut off = Telemetry::disabled();
+        let a = run_region_telemetry(&config, &mut off).expect("first run");
+        let b = run_region_telemetry(&config, &mut off).expect("second run");
         assert_eq!(a.vms, b.vms);
         assert_eq!(a.probes, b.probes);
         assert_eq!(a.storage.slots_reused, b.storage.slots_reused);

@@ -8,18 +8,16 @@
 //! mislabels). A robust detector degrades loudly: as intensity grows, the
 //! silent-mislabel rate should stay below the degraded-detection rate.
 
-use serde::{Deserialize, Serialize};
-
-use bolt_recommender::FitCache;
 use bolt_sim::{ChaosConfig, Scheduler};
 
-use crate::experiment::{run_experiment_cache_telemetry, ExperimentConfig, ExperimentResults};
+use crate::ctx::RunCtx;
+use crate::experiment::{run_experiment, ExperimentConfig, ExperimentResults};
 use crate::telemetry::{Counter, TelemetryLog};
 use crate::BoltError;
 
 /// One row of the robustness sweep: the §3.4 experiment at one churn
 /// intensity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessPoint {
     /// Chaos intensity in `[0, 1]` (0 = the frozen legacy cluster).
     pub intensity: f64,
@@ -66,63 +64,25 @@ impl RobustnessPoint {
 /// [`ChaosConfig::with_intensity`] (intensity `0.0` maps to
 /// [`ChaosConfig::none`], i.e. the exact legacy experiment). The
 /// per-point fault plans derive from `base.seed`, so the sweep is fully
-/// deterministic and thread-count invariant.
+/// deterministic and thread-count invariant. Churn perturbs the cluster,
+/// never the training inputs, so with a shared `ctx.fit_cache` every
+/// intensity past the first reuses the first point's trained recommender.
+///
+/// The per-point fault/retry tallies are read off the experiments'
+/// counters, so every point records telemetry internally whatever
+/// `ctx.telemetry` says; the returned log (when asked for) is the
+/// point-by-point concatenation in intensity order.
 ///
 /// # Errors
 ///
-/// Propagates [`BoltError`] from [`crate::experiment::run_experiment`].
+/// Propagates [`BoltError`] from [`run_experiment`].
 pub fn churn_sweep<S: Scheduler>(
     base: &ExperimentConfig,
     scheduler: &S,
     intensities: &[f64],
-) -> Result<Vec<RobustnessPoint>, BoltError> {
-    churn_sweep_telemetry(base, scheduler, intensities).map(|(points, _)| points)
-}
-
-/// [`churn_sweep`] fitting through a shared [`FitCache`]: churn perturbs
-/// the cluster, never the training inputs, so every intensity past the
-/// first reuses the first point's trained recommender. Byte-identical
-/// rows either way.
-///
-/// # Errors
-///
-/// Same conditions as [`churn_sweep`].
-pub fn churn_sweep_cache<S: Scheduler>(
-    base: &ExperimentConfig,
-    scheduler: &S,
-    intensities: &[f64],
-    cache: &FitCache,
-) -> Result<Vec<RobustnessPoint>, BoltError> {
-    churn_sweep_cache_telemetry(base, scheduler, intensities, cache).map(|(points, _)| points)
-}
-
-/// [`churn_sweep`] returning the concatenated telemetry of every point
-/// alongside the rows. Counters are always collected internally (they feed
-/// the per-point fault/retry tallies); the returned log is the point-by-
-/// point concatenation in intensity order.
-///
-/// # Errors
-///
-/// Same conditions as [`churn_sweep`].
-pub fn churn_sweep_telemetry<S: Scheduler>(
-    base: &ExperimentConfig,
-    scheduler: &S,
-    intensities: &[f64],
+    ctx: &RunCtx,
 ) -> Result<(Vec<RobustnessPoint>, TelemetryLog), BoltError> {
-    churn_sweep_cache_telemetry(base, scheduler, intensities, &FitCache::new())
-}
-
-/// [`churn_sweep_telemetry`] fitting through a shared [`FitCache`].
-///
-/// # Errors
-///
-/// Same conditions as [`churn_sweep`].
-pub fn churn_sweep_cache_telemetry<S: Scheduler>(
-    base: &ExperimentConfig,
-    scheduler: &S,
-    intensities: &[f64],
-    cache: &FitCache,
-) -> Result<(Vec<RobustnessPoint>, TelemetryLog), BoltError> {
+    let recording = RunCtx::new(ctx.fit_cache, true);
     let mut points = Vec::with_capacity(intensities.len());
     let mut log = TelemetryLog::new();
     for &intensity in intensities {
@@ -130,11 +90,13 @@ pub fn churn_sweep_cache_telemetry<S: Scheduler>(
             chaos: ChaosConfig::with_intensity(intensity),
             ..*base
         };
-        let (results, point_log) = run_experiment_cache_telemetry(&config, scheduler, cache)?;
+        let (results, point_log) = run_experiment(&config, scheduler, &recording)?;
         points.push(RobustnessPoint::from_results(
             intensity, &results, &point_log,
         ));
-        log.extend(point_log.into_events());
+        if ctx.telemetry {
+            log.extend(point_log.into_events());
+        }
     }
     Ok((points, log))
 }
@@ -142,8 +104,8 @@ pub fn churn_sweep_cache_telemetry<S: Scheduler>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::run_experiment;
     use crate::parallel::Parallelism;
+    use bolt_recommender::FitCache;
     use bolt_sim::LeastLoaded;
 
     fn small_base() -> ExperimentConfig {
@@ -157,8 +119,11 @@ mod tests {
     #[test]
     fn zero_intensity_point_matches_the_legacy_experiment() {
         let base = small_base();
-        let (points, _) = churn_sweep_telemetry(&base, &LeastLoaded, &[0.0]).unwrap();
-        let legacy = run_experiment(&base, &LeastLoaded).unwrap();
+        // Separate caches: each run fits its own recommender.
+        let (fit_a, fit_b) = (FitCache::new(), FitCache::new());
+        let (points, _) =
+            churn_sweep(&base, &LeastLoaded, &[0.0], &RunCtx::new(&fit_a, false)).unwrap();
+        let (legacy, _) = run_experiment(&base, &LeastLoaded, &RunCtx::new(&fit_b, false)).unwrap();
         let p = &points[0];
         assert_eq!(p.label_accuracy, legacy.label_accuracy());
         assert_eq!(
@@ -176,7 +141,14 @@ mod tests {
 
     #[test]
     fn churn_injects_faults_and_degrades_loudly_not_silently() {
-        let points = churn_sweep(&small_base(), &LeastLoaded, &[0.0, 1.0]).unwrap();
+        let cache = FitCache::new();
+        let (points, _) = churn_sweep(
+            &small_base(),
+            &LeastLoaded,
+            &[0.0, 1.0],
+            &RunCtx::new(&cache, false),
+        )
+        .unwrap();
         let calm = &points[0];
         let stormy = &points[1];
         assert!(
@@ -219,8 +191,21 @@ mod tests {
             parallelism: Parallelism::Threads(3),
             ..small_base()
         };
-        let (p1, log1) = churn_sweep_telemetry(&serial, &LeastLoaded, &[0.5]).unwrap();
-        let (p2, log2) = churn_sweep_telemetry(&threaded, &LeastLoaded, &[0.5]).unwrap();
+        // Fresh caches: both runs record a cold fit.
+        let (p1, log1) = churn_sweep(
+            &serial,
+            &LeastLoaded,
+            &[0.5],
+            &RunCtx::new(&FitCache::new(), true),
+        )
+        .unwrap();
+        let (p2, log2) = churn_sweep(
+            &threaded,
+            &LeastLoaded,
+            &[0.5],
+            &RunCtx::new(&FitCache::new(), true),
+        )
+        .unwrap();
         assert_eq!(p1, p2);
         assert_eq!(log1.normalized(), log2.normalized());
     }

@@ -11,7 +11,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use bolt_probes::ProfilerConfig;
 use bolt_recommender::FitCache;
@@ -19,17 +18,15 @@ use bolt_sim::vm::VmRole;
 use bolt_sim::{Cluster, LeastLoaded, ServerSpec, VmId};
 use bolt_workloads::{AppLabel, PressureVector, WorkloadProfile};
 
+use crate::ctx::RunCtx;
 use crate::detector::{Detector, DetectorConfig};
-use crate::experiment::{
-    run_experiment_cache, run_experiment_cache_telemetry, shared_recommender, victim_set,
-    ExperimentConfig,
-};
+use crate::experiment::{run_experiment, shared_recommender, victim_set, ExperimentConfig};
 use crate::parallel::{sweep, Parallelism};
 use crate::telemetry::{Telemetry, TelemetryLog};
 use crate::BoltError;
 
 /// One sweep point: the swept parameter value and the measured accuracy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// The swept parameter's value.
     pub parameter: f64,
@@ -39,9 +36,12 @@ pub struct SweepPoint {
 
 /// Fig. 10b: accuracy as a function of the adversarial VM's vCPU count.
 ///
-/// Sweep points run serially through [`sweep`]; each point's inner
-/// experiment already fans its victims out over `base.parallelism`, which
-/// scales better than parallelizing the handful of points.
+/// Points run serially; each point's inner experiment already fans its
+/// victims out over `base.parallelism`, which scales better than
+/// parallelizing the handful of points. The adversary's size does not
+/// touch the training inputs, so with a shared `ctx.fit_cache` every
+/// point past the first reuses point 0's trained recommender. The log is
+/// the points' [`run_experiment`] streams concatenated in size order.
 ///
 /// # Errors
 ///
@@ -49,85 +49,24 @@ pub struct SweepPoint {
 pub fn adversary_size_sweep(
     base: &ExperimentConfig,
     sizes: &[u32],
-) -> Result<Vec<SweepPoint>, BoltError> {
-    adversary_size_sweep_cache(base, sizes, &FitCache::new())
-}
-
-/// [`adversary_size_sweep`] fitting through a shared [`FitCache`]: the
-/// adversary's size does not touch the training inputs, so every point
-/// past the first reuses point 0's trained recommender. Byte-identical
-/// to the uncached sweep; pass [`FitCache::disabled`] to re-train per
-/// point.
-///
-/// # Errors
-///
-/// Same conditions as [`adversary_size_sweep`].
-pub fn adversary_size_sweep_cache(
-    base: &ExperimentConfig,
-    sizes: &[u32],
-    cache: &FitCache,
-) -> Result<Vec<SweepPoint>, BoltError> {
-    sweep(sizes, Parallelism::Serial, |_, &vcpus| {
+    ctx: &RunCtx,
+) -> Result<(Vec<SweepPoint>, TelemetryLog), BoltError> {
+    experiment_sweep(sizes, ctx, |vcpus| {
         let config = ExperimentConfig {
             adversary_vcpus: vcpus,
             ..*base
         };
-        run_experiment_cache(&config, &LeastLoaded, cache).map(|results| SweepPoint {
-            parameter: vcpus as f64,
-            accuracy: results.label_accuracy(),
-        })
+        (vcpus as f64, config)
     })
-    .into_iter()
-    .collect()
-}
-
-/// [`adversary_size_sweep`] returning the concatenated telemetry of
-/// every point alongside the rows, in size order.
-///
-/// # Errors
-///
-/// Same conditions as [`adversary_size_sweep`].
-pub fn adversary_size_sweep_telemetry(
-    base: &ExperimentConfig,
-    sizes: &[u32],
-) -> Result<(Vec<SweepPoint>, TelemetryLog), BoltError> {
-    adversary_size_sweep_cache_telemetry(base, sizes, &FitCache::new())
-}
-
-/// [`adversary_size_sweep_telemetry`] fitting through a shared
-/// [`FitCache`]; with a warm cache every point's unit-0 stream carries a
-/// fit-cache-hit counter instead of a recommender-fit span.
-///
-/// # Errors
-///
-/// Same conditions as [`adversary_size_sweep`].
-pub fn adversary_size_sweep_cache_telemetry(
-    base: &ExperimentConfig,
-    sizes: &[u32],
-    cache: &FitCache,
-) -> Result<(Vec<SweepPoint>, TelemetryLog), BoltError> {
-    let mut points = Vec::with_capacity(sizes.len());
-    let mut log = TelemetryLog::new();
-    for &vcpus in sizes {
-        let config = ExperimentConfig {
-            adversary_vcpus: vcpus,
-            ..*base
-        };
-        let (results, point_log) = run_experiment_cache_telemetry(&config, &LeastLoaded, cache)?;
-        points.push(SweepPoint {
-            parameter: vcpus as f64,
-            accuracy: results.label_accuracy(),
-        });
-        log.extend(point_log.into_events());
-    }
-    Ok((points, log))
 }
 
 /// Fig. 10c: accuracy as a function of the number of profiling
 /// benchmarks in the initial snapshot.
 ///
-/// Like [`adversary_size_sweep`], points run serially and the inner
-/// experiments carry the parallelism.
+/// Like [`adversary_size_sweep`], points run serially, the inner
+/// experiments carry the parallelism, and one fit serves the whole sweep
+/// (the benchmark count only changes the profiler). The log concatenates
+/// the points' streams in count order.
 ///
 /// # Errors
 ///
@@ -135,23 +74,9 @@ pub fn adversary_size_sweep_cache_telemetry(
 pub fn benchmark_count_sweep(
     base: &ExperimentConfig,
     counts: &[usize],
-) -> Result<Vec<SweepPoint>, BoltError> {
-    benchmark_count_sweep_cache(base, counts, &FitCache::new())
-}
-
-/// [`benchmark_count_sweep`] fitting through a shared [`FitCache`] —
-/// the benchmark count only changes the profiler, never the training
-/// inputs, so one fit serves the whole sweep.
-///
-/// # Errors
-///
-/// Same conditions as [`benchmark_count_sweep`].
-pub fn benchmark_count_sweep_cache(
-    base: &ExperimentConfig,
-    counts: &[usize],
-    cache: &FitCache,
-) -> Result<Vec<SweepPoint>, BoltError> {
-    sweep(counts, Parallelism::Serial, |_, &n| {
+    ctx: &RunCtx,
+) -> Result<(Vec<SweepPoint>, TelemetryLog), BoltError> {
+    experiment_sweep(counts, ctx, |n| {
         let config = ExperimentConfig {
             detector: DetectorConfig {
                 profiler: ProfilerConfig {
@@ -162,55 +87,24 @@ pub fn benchmark_count_sweep_cache(
             },
             ..*base
         };
-        run_experiment_cache(&config, &LeastLoaded, cache).map(|results| SweepPoint {
-            parameter: n as f64,
-            accuracy: results.label_accuracy(),
-        })
+        (n as f64, config)
     })
-    .into_iter()
-    .collect()
 }
 
-/// [`benchmark_count_sweep`] returning the concatenated telemetry of
-/// every point alongside the rows, in count order.
-///
-/// # Errors
-///
-/// Same conditions as [`benchmark_count_sweep`].
-pub fn benchmark_count_sweep_telemetry(
-    base: &ExperimentConfig,
-    counts: &[usize],
+/// Runs one [`run_experiment`] per swept value, in order: `point` maps a
+/// value to its parameter and experiment configuration.
+fn experiment_sweep<T: Copy>(
+    values: &[T],
+    ctx: &RunCtx,
+    point: impl Fn(T) -> (f64, ExperimentConfig),
 ) -> Result<(Vec<SweepPoint>, TelemetryLog), BoltError> {
-    benchmark_count_sweep_cache_telemetry(base, counts, &FitCache::new())
-}
-
-/// [`benchmark_count_sweep_telemetry`] fitting through a shared
-/// [`FitCache`].
-///
-/// # Errors
-///
-/// Same conditions as [`benchmark_count_sweep`].
-pub fn benchmark_count_sweep_cache_telemetry(
-    base: &ExperimentConfig,
-    counts: &[usize],
-    cache: &FitCache,
-) -> Result<(Vec<SweepPoint>, TelemetryLog), BoltError> {
-    let mut points = Vec::with_capacity(counts.len());
+    let mut points = Vec::with_capacity(values.len());
     let mut log = TelemetryLog::new();
-    for &n in counts {
-        let config = ExperimentConfig {
-            detector: DetectorConfig {
-                profiler: ProfilerConfig {
-                    initial_benchmarks: n,
-                    ..base.detector.profiler
-                },
-                ..base.detector
-            },
-            ..*base
-        };
-        let (results, point_log) = run_experiment_cache_telemetry(&config, &LeastLoaded, cache)?;
+    for &value in values {
+        let (parameter, config) = point(value);
+        let (results, point_log) = run_experiment(&config, &LeastLoaded, ctx)?;
         points.push(SweepPoint {
-            parameter: n as f64,
+            parameter,
             accuracy: results.label_accuracy(),
         });
         log.extend(point_log.into_events());
@@ -233,15 +127,7 @@ impl PhasedVictim {
     /// The label active at time `t` (the last schedule entry at or before
     /// `t`).
     pub fn active_label(&self, t: f64) -> &AppLabel {
-        let mut current = &self.schedule[0].1;
-        for (start, label) in &self.schedule {
-            if *start <= t {
-                current = label;
-            } else {
-                break;
-            }
-        }
-        current
+        &self.schedule[self.active_index(t)].1
     }
 
     /// Index of the job active at time `t`.
@@ -269,6 +155,14 @@ impl PhasedVictim {
 /// Each interval builds its own single-server scene with an RNG derived
 /// from `seed` and the interval value, so intervals are independent and
 /// fan out over `parallelism` with results identical to a serial run.
+/// Every interval shares one training configuration, so with an enabled
+/// `ctx.fit_cache` the sweep pre-warms the cache on the calling thread
+/// before fanning out — each worker then hits deterministically.
+///
+/// Telemetry: the pre-warm fit records as unit 0; interval `i` records
+/// its re-detections' pipeline spans and probe counts plus the victim's
+/// job-swap trace events as unit `i`. The log concatenates them in that
+/// order, so it is identical for any `parallelism`.
 ///
 /// # Errors
 ///
@@ -279,113 +173,29 @@ pub fn profiling_interval_sweep(
     horizon_s: f64,
     seed: u64,
     parallelism: Parallelism,
-) -> Result<Vec<SweepPoint>, BoltError> {
-    profiling_interval_sweep_cache(
-        intervals_s,
-        job_duration_s,
-        horizon_s,
-        seed,
-        parallelism,
-        &FitCache::new(),
-    )
-}
-
-/// [`profiling_interval_sweep`] fitting through a shared [`FitCache`].
-/// Every interval shares one training configuration, so the sweep
-/// pre-warms the cache on the calling thread before fanning intervals
-/// out over `parallelism` — each worker then hits deterministically,
-/// keeping results *and* telemetry identical for every thread count.
-///
-/// # Errors
-///
-/// Same conditions as [`profiling_interval_sweep`].
-pub fn profiling_interval_sweep_cache(
-    intervals_s: &[f64],
-    job_duration_s: f64,
-    horizon_s: f64,
-    seed: u64,
-    parallelism: Parallelism,
-    cache: &FitCache,
-) -> Result<Vec<SweepPoint>, BoltError> {
-    let base = ExperimentConfig::default();
-    if cache.is_enabled() {
-        prewarm(&base, cache, &mut Telemetry::disabled())?;
-    }
-    sweep(intervals_s, parallelism, |_, &interval| {
-        let mut telemetry = Telemetry::disabled();
-        interval_point(
-            &base,
-            interval,
-            job_duration_s,
-            horizon_s,
-            seed,
-            cache,
-            &mut telemetry,
-        )
-    })
-    .into_iter()
-    .collect()
-}
-
-/// [`profiling_interval_sweep`] recording per-interval telemetry: the
-/// detection-pipeline spans and probe counts of every re-detection, plus
-/// the victim's job-swap trace events. Each interval records under its
-/// own unit id, and the returned log concatenates the per-interval
-/// streams in interval order, so the log is identical for any
-/// `parallelism`.
-///
-/// # Errors
-///
-/// Same conditions as [`profiling_interval_sweep`].
-pub fn profiling_interval_sweep_telemetry(
-    intervals_s: &[f64],
-    job_duration_s: f64,
-    horizon_s: f64,
-    seed: u64,
-    parallelism: Parallelism,
-) -> Result<(Vec<SweepPoint>, TelemetryLog), BoltError> {
-    profiling_interval_sweep_cache_telemetry(
-        intervals_s,
-        job_duration_s,
-        horizon_s,
-        seed,
-        parallelism,
-        &FitCache::new(),
-    )
-}
-
-/// [`profiling_interval_sweep_telemetry`] fitting through a shared
-/// [`FitCache`]. The pre-warm fit records (as unit 0) ahead of the
-/// per-interval streams; with a warm cache each interval then records a
-/// fit-cache-hit counter and no fit span, identically for every
-/// `parallelism`.
-///
-/// # Errors
-///
-/// Same conditions as [`profiling_interval_sweep`].
-pub fn profiling_interval_sweep_cache_telemetry(
-    intervals_s: &[f64],
-    job_duration_s: f64,
-    horizon_s: f64,
-    seed: u64,
-    parallelism: Parallelism,
-    cache: &FitCache,
+    ctx: &RunCtx,
 ) -> Result<(Vec<SweepPoint>, TelemetryLog), BoltError> {
     let base = ExperimentConfig::default();
-    let mut prelude = Telemetry::for_unit(0);
-    if cache.is_enabled() {
-        prewarm(&base, cache, &mut prelude)?;
+    let mut prelude = ctx.unit(0);
+    if ctx.fit_cache.is_enabled() {
+        shared_recommender(
+            base.training_seed,
+            &base.isolation,
+            base.recommender,
+            ctx.fit_cache,
+            &mut prelude,
+        )?;
     }
     let per_point: Result<Vec<_>, BoltError> =
         sweep(intervals_s, parallelism, |unit, &interval| {
-            let mut telemetry = Telemetry::for_unit(unit);
+            let mut telemetry = ctx.unit(unit);
             let point = interval_point(
                 &base,
                 interval,
                 job_duration_s,
                 horizon_s,
                 seed,
-                cache,
+                ctx.fit_cache,
                 &mut telemetry,
             )?;
             Ok((point, telemetry.into_events()))
@@ -402,28 +212,8 @@ pub fn profiling_interval_sweep_cache_telemetry(
     Ok((points, log))
 }
 
-/// Trains (or recalls) the recommender for `base`'s training inputs on
-/// the calling thread, so a subsequent parallel fan-out over the same
-/// inputs hits deterministically.
-fn prewarm(
-    base: &ExperimentConfig,
-    cache: &FitCache,
-    telemetry: &mut Telemetry,
-) -> Result<(), BoltError> {
-    shared_recommender(
-        base.training_seed,
-        &base.isolation,
-        base.recommender,
-        cache,
-        telemetry,
-    )
-    .map(|_| ())
-}
-
 /// One interval of the staleness study: build the phased scene, audit at
-/// 1 Hz, re-detect at every interval multiple. Both sweep entry points
-/// funnel through here; the plain one passes [`Telemetry::disabled`], so
-/// the recorded and unrecorded paths cannot drift apart.
+/// 1 Hz, re-detect at every interval multiple.
 #[allow(clippy::too_many_arguments)]
 fn interval_point(
     base: &ExperimentConfig,
@@ -451,7 +241,7 @@ fn interval_point(
             let idx = victim.active_index(t);
             cluster.swap_profile(victim.vm, victim.profiles[idx].clone())?;
             telemetry.cluster_events(cluster.take_events());
-            let d = detector.detect_telemetry(&cluster, adversary, t, &mut rng, telemetry)?;
+            let d = detector.detect(&cluster, adversary, t, None, &mut rng, telemetry)?;
             belief = d.labels().next().cloned().or(belief);
             next_detection = t + interval;
         }
@@ -539,7 +329,8 @@ mod tests {
 
     #[test]
     fn adversary_size_matters_below_four_vcpus() {
-        let points = adversary_size_sweep(&small(), &[1, 4]).unwrap();
+        let (points, _) =
+            adversary_size_sweep(&small(), &[1, 4], &RunCtx::new(&FitCache::new(), false)).unwrap();
         assert_eq!(points.len(), 2);
         assert!(
             points[0].accuracy < points[1].accuracy,
@@ -551,7 +342,9 @@ mod tests {
 
     #[test]
     fn single_benchmark_is_insufficient() {
-        let points = benchmark_count_sweep(&small(), &[1, 3]).unwrap();
+        let (points, _) =
+            benchmark_count_sweep(&small(), &[1, 3], &RunCtx::new(&FitCache::new(), false))
+                .unwrap();
         assert!(
             points[0].accuracy < points[1].accuracy + 1e-9,
             "1 benchmark {p0} should not beat 3 benchmarks {p1}",
@@ -562,9 +355,15 @@ mod tests {
 
     #[test]
     fn stale_detections_lose_accuracy() {
-        let points =
-            profiling_interval_sweep(&[20.0, 300.0], 60.0, 600.0, 0xF16A, Parallelism::Auto)
-                .unwrap();
+        let (points, _) = profiling_interval_sweep(
+            &[20.0, 300.0],
+            60.0,
+            600.0,
+            0xF16A,
+            Parallelism::Auto,
+            &RunCtx::new(&FitCache::new(), false),
+        )
+        .unwrap();
         assert!(
             points[0].accuracy > points[1].accuracy + 0.1,
             "20 s interval {p0} should clearly beat 300 s {p1}",
@@ -574,49 +373,12 @@ mod tests {
     }
 
     #[test]
-    fn experiment_sweep_telemetry_matches_the_plain_sweeps() {
-        let base = ExperimentConfig {
-            servers: 4,
-            victims: 6,
-            ..ExperimentConfig::default()
-        };
-        let plain = adversary_size_sweep(&base, &[2]).unwrap();
-        let (recorded, log) = adversary_size_sweep_telemetry(&base, &[2]).unwrap();
-        assert_eq!(plain, recorded);
-        assert!(log.counter_total(crate::telemetry::Counter::ProbeSamples) > 0);
-
-        let plain = benchmark_count_sweep(&base, &[2]).unwrap();
-        let (recorded, log) = benchmark_count_sweep_telemetry(&base, &[2]).unwrap();
-        assert_eq!(plain, recorded);
-        assert!(!log.is_empty());
-    }
-
-    #[test]
-    fn interval_sweep_telemetry_matches_and_records_swaps() {
-        let plain =
-            profiling_interval_sweep(&[60.0], 60.0, 240.0, 0xF16A, Parallelism::Serial).unwrap();
-        let (recorded, log) =
-            profiling_interval_sweep_telemetry(&[60.0], 60.0, 240.0, 0xF16A, Parallelism::Auto)
-                .unwrap();
-        assert_eq!(plain, recorded);
-        assert!(log.counter_total(crate::telemetry::Counter::ProbeSamples) > 0);
-        // The victim's job swaps land in the log as cluster trace events.
-        assert!(log.to_jsonl().contains("\"kind\":\"swap-profile\""));
-    }
-
-    #[test]
     fn phased_victim_schedule_lookup() {
         let mut rng = StdRng::seed_from_u64(1);
         let base = ExperimentConfig::default();
-        let (_, _, _, victim) = phased_scene(
-            &base,
-            60.0,
-            300.0,
-            &FitCache::new(),
-            &mut Telemetry::disabled(),
-            &mut rng,
-        )
-        .unwrap();
+        let mut off = Telemetry::disabled();
+        let (_, _, _, victim) =
+            phased_scene(&base, 60.0, 300.0, &FitCache::new(), &mut off, &mut rng).unwrap();
         assert!(!victim.schedule.is_empty());
         let first = victim.schedule[0].1.clone();
         assert!(victim.active_label(0.0).matches(&first));

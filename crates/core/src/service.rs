@@ -36,7 +36,6 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use bolt_recommender::{FitCache, FitOutcome, HybridRecommender, RecommenderConfig, TrainingData};
 use bolt_sim::vm::VmRole;
@@ -49,6 +48,7 @@ use bolt_workloads::training::training_set;
 use bolt_workloads::{AppLabel, LoadPattern, PressureVector, WorkloadProfile};
 
 use crate::anytime::FIXED_WINDOW_NOMINAL_PROBES;
+use crate::ctx::RunCtx;
 use crate::detector::{DegradedReason, Detector, DetectorConfig, RetryPolicy};
 use crate::events::EventQueue;
 use crate::experiment::{observed_training, shared_recommender, training_data_key, victim_set};
@@ -58,7 +58,7 @@ use crate::telemetry::{Counter, LatencySummary, Phase, ServiceMetric, Telemetry,
 use crate::BoltError;
 
 /// What to do with an arrival when the admission queue is saturated.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ShedPolicy {
     /// Reject outright once the queue estimate reaches capacity.
     Reject,
@@ -70,7 +70,7 @@ pub enum ShedPolicy {
 }
 
 /// Per-server circuit-breaker policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerConfig {
     /// Consecutive faulty hunts (degraded verdict or deadline overrun)
     /// against one server before its breaker opens.
@@ -92,7 +92,7 @@ impl Default for BreakerConfig {
 /// Streaming-service configuration. The cluster mirrors the §3.4 testbed
 /// (one quiet adversarial VM per server, victims placed round-robin); the
 /// request trace, storms, and chaos are all pure functions of `seed`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceConfig {
     /// Servers in the service cluster.
     pub servers: usize,
@@ -223,7 +223,7 @@ impl ServiceConfig {
 }
 
 /// One detection request in the replayable trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// Trace-order id (arrival-sorted, dense from 0). Hunt RNG streams and
     /// fault plans derive from it, so outcomes are lane-assignment
@@ -242,7 +242,7 @@ pub struct Request {
 }
 
 /// Why a request was shed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
     /// Queue estimate at capacity under [`ShedPolicy::Reject`].
     QueueFull,
@@ -253,7 +253,7 @@ pub enum ShedReason {
 }
 
 /// Terminal state of a request. Every traced request ends in exactly one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RequestOutcome {
     /// Clean detection inside the deadline.
     Completed {
@@ -296,7 +296,7 @@ pub enum RequestOutcome {
 }
 
 /// One request's full ledger entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestRecord {
     /// Trace id.
     pub id: usize,
@@ -315,7 +315,7 @@ pub struct RequestRecord {
 }
 
 /// Aggregate service-run report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
     /// Per-request ledger, in trace order.
     pub records: Vec<RequestRecord>,
@@ -442,43 +442,15 @@ fn compile_trace_with(config: &ServiceConfig, storm: &StormPlan) -> Vec<Request>
     out
 }
 
-/// Runs the service loop with a fresh fit cache, discarding telemetry.
+/// [`run_service`] with telemetry.
 ///
-/// # Errors
-///
-/// Returns [`BoltError::InvalidExperiment`] on a degenerate configuration
-/// and propagates simulator/numerical errors.
-pub fn run_service(config: &ServiceConfig) -> Result<ServiceReport, BoltError> {
-    run_service_inner(config, &FitCache::new()).map(|(report, _)| report)
-}
-
-/// [`run_service`] returning the merged telemetry stream. Unit 0 carries
-/// setup (fit, launches) and the admission pass (queue-depth gauges,
-/// admit/shed counters); lane `i` records as unit `i + 1`. The stream is
-/// identical for every [`Parallelism`] setting after
-/// [`TelemetryLog::normalized`].
-///
-/// # Errors
-///
-/// Same conditions as [`run_service`].
-pub fn run_service_telemetry(
-    config: &ServiceConfig,
-) -> Result<(ServiceReport, TelemetryLog), BoltError> {
-    run_service_inner(config, &FitCache::new())
-}
-
-/// [`run_service_telemetry`] fitting through a shared [`FitCache`] — with
-/// [`ServiceConfig::warm_refit`] set, a cold miss seeds SGD from the
-/// nearest same-config cached model instead of random factors.
-///
-/// # Errors
-///
-/// Same conditions as [`run_service`].
+/// Kept with this exact signature because the bolt-perf benchmark calls
+/// it; delete it when that benchmark is next revised.
 pub fn run_service_cache_telemetry(
     config: &ServiceConfig,
     cache: &FitCache,
 ) -> Result<(ServiceReport, TelemetryLog), BoltError> {
-    run_service_inner(config, cache)
+    run_service(config, &RunCtx::new(cache, true))
 }
 
 /// The service's fit path: [`shared_recommender`] unless `warm_refit`
@@ -621,9 +593,24 @@ enum BreakerState {
     HalfOpen,
 }
 
-fn run_service_inner(
+/// Runs the service loop, fitting through `ctx.fit_cache` — with
+/// [`ServiceConfig::warm_refit`] set, a cold miss seeds SGD from the
+/// nearest same-config cached model instead of random factors.
+///
+/// Telemetry is always recorded internally (the report's latency summary
+/// reads the request spans); the stream is returned only when
+/// `ctx.telemetry` is set. Unit 0 carries setup (fit, launches) and the
+/// admission pass (queue-depth gauges, admit/shed counters); lane `i`
+/// records as unit `i + 1`. The stream is identical for every
+/// [`Parallelism`] setting after [`TelemetryLog::normalized`].
+///
+/// # Errors
+///
+/// Returns [`BoltError::InvalidExperiment`] on a degenerate configuration
+/// and propagates simulator/numerical errors.
+pub fn run_service(
     config: &ServiceConfig,
-    cache: &FitCache,
+    ctx: &RunCtx,
 ) -> Result<(ServiceReport, TelemetryLog), BoltError> {
     // `is_finite` guards matter: a NaN rate or deadline slips through a
     // plain `<= 0.0` comparison and would otherwise surface much later as
@@ -675,7 +662,7 @@ fn run_service_inner(
         server_vms,
         truths,
     } = built;
-    let model = service_recommender(config, cache, &mut unit0)?;
+    let model = service_recommender(config, ctx.fit_cache, &mut unit0)?;
     unit0.count(Counter::StormArrivals, storm_injected as u64);
 
     // Sequential admission pass, event-driven: the queue estimator (one
@@ -855,6 +842,9 @@ fn run_service_inner(
         silent_mislabel_rate: silent_mislabels as f64 / denom,
         records,
     };
+    if !ctx.telemetry {
+        log = TelemetryLog::new();
+    }
     Ok((report, log))
 }
 
@@ -1096,6 +1086,11 @@ fn run_lane(
 mod tests {
     use super::*;
 
+    /// A recorded service run through a fresh fit cache.
+    fn serve(config: &ServiceConfig) -> (ServiceReport, TelemetryLog) {
+        run_service(config, &RunCtx::new(&FitCache::new(), true)).unwrap()
+    }
+
     fn quick_config() -> ServiceConfig {
         ServiceConfig {
             servers: 4,
@@ -1156,7 +1151,7 @@ mod tests {
             arrival_rate_per_min: 6.0,
             ..quick_config()
         };
-        let report = run_service(&config).unwrap();
+        let report = serve(&config).0;
         assert_eq!(report.records.len(), report.offered);
         for (i, r) in report.records.iter().enumerate() {
             assert_eq!(r.id, i, "ledger must be dense in trace order");
@@ -1185,8 +1180,8 @@ mod tests {
             parallelism: Parallelism::Threads(3),
             ..base
         };
-        let (report_s, log_s) = run_service_telemetry(&serial).unwrap();
-        let (report_t, log_t) = run_service_telemetry(&threaded).unwrap();
+        let (report_s, log_s) = serve(&serial);
+        let (report_t, log_t) = serve(&threaded);
         assert_eq!(report_s, report_t);
         assert_eq!(log_s.normalized(), log_t.normalized());
     }
@@ -1202,7 +1197,7 @@ mod tests {
             deadline_s: 100_000.0,
             ..quick_config()
         };
-        let (report, _) = run_service_telemetry(&config).unwrap();
+        let (report, _) = serve(&config);
         assert_eq!(report.admitted, report.offered);
 
         let built = build_service_cluster(&config).unwrap();
@@ -1279,7 +1274,7 @@ mod tests {
             chaos: ChaosConfig::with_intensity(1.0),
             ..ServiceConfig::default()
         };
-        let (report, log) = run_service_telemetry(&config).unwrap();
+        let (report, log) = serve(&config);
         assert!(report.balanced());
         assert!(
             log.counter_total(Counter::BreakerTrips) >= 1,
@@ -1300,11 +1295,11 @@ mod tests {
             workers: 2,
             ..quick_config()
         };
-        let reject = run_service(&ServiceConfig {
+        let reject = serve(&ServiceConfig {
             shed: ShedPolicy::Reject,
             ..base
         })
-        .unwrap();
+        .0;
         assert!(
             reject.shed_at_admission > 0,
             "60 req/min into 2 workers must shed under Reject: {reject:?}"
@@ -1316,11 +1311,11 @@ mod tests {
             }
         )));
 
-        let degrade = run_service(&ServiceConfig {
+        let degrade = serve(&ServiceConfig {
             shed: ShedPolicy::DegradeToAnytime,
             ..base
         })
-        .unwrap();
+        .0;
         assert!(
             degrade.records.iter().any(|r| r.admitted_degraded),
             "degrade policy must route overload onto the anytime path"
@@ -1344,7 +1339,7 @@ mod tests {
             arrival_rate_per_min: 8.0,
             ..quick_config()
         };
-        let (report, log) = run_service_telemetry(&config).unwrap();
+        let (report, log) = serve(&config);
         let gauges = log
             .events()
             .iter()
@@ -1557,7 +1552,7 @@ mod tests {
         for config in bad {
             assert!(
                 matches!(
-                    run_service(&config),
+                    run_service(&config, &RunCtx::new(&FitCache::new(), false)),
                     Err(BoltError::InvalidExperiment { .. })
                 ),
                 "degenerate config must be rejected: {config:?}"
@@ -1584,8 +1579,8 @@ mod tests {
             arrival_rate_per_min: 0.005,
             ..base
         };
-        let (fast_report, fast_log) = run_service_telemetry(&base).unwrap();
-        let (slow_report, slow_log) = run_service_telemetry(&slow).unwrap();
+        let (fast_report, fast_log) = serve(&base);
+        let (slow_report, slow_log) = serve(&slow);
         assert_eq!(fast_report.records.len(), slow_report.records.len());
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * a.abs().max(b.abs()).max(1.0);
         for (f, s) in fast_report.records.iter().zip(&slow_report.records) {
@@ -1644,8 +1639,8 @@ mod tests {
             share_sweeps: true,
             ..base
         };
-        let (plain_report, plain_log) = run_service_telemetry(&base).unwrap();
-        let (shared_report, shared_log) = run_service_telemetry(&shared).unwrap();
+        let (plain_report, plain_log) = serve(&base);
+        let (shared_report, shared_log) = serve(&shared);
         assert_eq!(
             plain_report, shared_report,
             "sweep sharing must be byte-invisible"
@@ -1660,7 +1655,7 @@ mod tests {
             parallelism: Parallelism::Threads(3),
             ..shared
         };
-        let (report_t, log_t) = run_service_telemetry(&threaded).unwrap();
+        let (report_t, log_t) = serve(&threaded);
         assert_eq!(shared_report, report_t);
         assert_eq!(
             shared_log.normalized(),

@@ -25,8 +25,8 @@
 //!   field; [`TelemetryLog::normalized`] zeroes them for comparisons.
 //!
 //! Logs export as JSONL ([`TelemetryLog::to_jsonl`], round-tripped by
-//! [`TelemetryLog::from_jsonl`] — the vendored serde is an offline
-//! stand-in, so the wire format is hand-rolled here) and render as
+//! [`TelemetryLog::from_jsonl`] — the workspace has no serialization
+//! library, so the wire format is hand-rolled here) and render as
 //! human-readable tables ([`TelemetryLog::timeline_table`],
 //! [`TelemetryLog::summary_table`]).
 
@@ -35,8 +35,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-use serde::{Deserialize, Serialize};
 
 use bolt_sim::telemetry::EventSink;
 use bolt_sim::vm::VmRole;
@@ -47,7 +45,7 @@ use crate::error::BoltError;
 use crate::report::Table;
 
 /// A detection-pipeline phase covered by a span timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Training the hybrid recommender (SVD + SGD completion). A
     /// [`FitCacheHit`](Counter::FitCacheHit) replaces this span entirely:
@@ -120,7 +118,7 @@ impl Phase {
 }
 
 /// A monotonically accumulating quantity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
     /// Individual SGD coordinate updates inside matrix completion.
     SgdIterations,
@@ -305,7 +303,7 @@ impl Counter {
 
 /// A service-loop quantity sampled at a simulated instant, as opposed to
 /// the per-resource pressure [`TelemetryEvent::Gauge`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServiceMetric {
     /// Requests waiting in the admission queue at an arrival tick.
     QueueDepth,
@@ -332,7 +330,7 @@ impl ServiceMetric {
 
 /// One telemetry event. The stream interleaves pipeline spans, counter
 /// increments, gauge readings, and the cluster's VM lifecycle events.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TelemetryEvent {
     /// A timed pipeline phase.
     Span {
@@ -818,6 +816,15 @@ impl Telemetry {
         }
     }
 
+    /// An enabled handle for `unit` when `enabled`, a no-op one otherwise.
+    pub fn for_unit_if(enabled: bool, unit: usize) -> Self {
+        if enabled {
+            Telemetry::for_unit(unit)
+        } else {
+            Telemetry::disabled()
+        }
+    }
+
     /// Whether events are being recorded.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
@@ -1260,9 +1267,8 @@ where
 }
 
 /// A minimal JSON reader for the hand-rolled JSONL wire format. The
-/// vendored `serde` is an offline marker stub with no serializer, so
-/// decoding is done here: just enough of RFC 8259 for the objects this
-/// module emits.
+/// workspace has no serialization library, so decoding is done here:
+/// just enough of RFC 8259 for the objects this module emits.
 mod json {
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]

@@ -10,14 +10,14 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
-use bolt_recommender::{FitCache, RecommenderConfig};
+use bolt_recommender::RecommenderConfig;
 use bolt_sim::vm::VmRole;
 use bolt_sim::{Cluster, IsolationConfig, ServerSpec, VmId};
 use bolt_workloads::catalog::userstudy::{self, UserStudyApp};
 use bolt_workloads::{AppLabel, PressureVector, ResourceCharacteristics};
 
+use crate::ctx::RunCtx;
 use crate::detector::{Detector, DetectorConfig};
 use crate::parallel::{split_seed, sweep, Parallelism};
 use crate::telemetry::{Telemetry, TelemetryLog};
@@ -29,7 +29,7 @@ use crate::BoltError;
 const USER_STUDY_TRAINING_SEED: u64 = 7;
 
 /// User-study configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UserStudyConfig {
     /// Instances in the shared pool (paper: 200).
     pub instances: usize,
@@ -51,7 +51,6 @@ pub struct UserStudyConfig {
     /// serial (it mutates the shared pool); detections run on frozen
     /// cluster snapshots with job-derived RNGs, so results are identical
     /// for every setting (see [`crate::parallel`]).
-    #[serde(default)]
     pub parallelism: Parallelism,
 }
 
@@ -71,7 +70,7 @@ impl Default for UserStudyConfig {
 }
 
 /// One submitted job's outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserStudyRecord {
     /// The submitting user (0-based).
     pub user: usize,
@@ -98,7 +97,7 @@ pub struct UserStudyRecord {
 }
 
 /// Aggregate user-study results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserStudyResults {
     /// Per-job records.
     pub records: Vec<UserStudyRecord>,
@@ -185,8 +184,14 @@ fn detect_job(
     // Job-derived stream: detection noise no longer perturbs the shared
     // placement RNG, and any fan-out order yields identical records.
     let mut rng = StdRng::seed_from_u64(split_seed(seed ^ 0xD37EC7, p.job as u64));
-    let detection =
-        detector.detect_telemetry(&p.snapshot, p.bolt_vm, p.detect_t, &mut rng, telemetry)?;
+    let detection = detector.detect(
+        &p.snapshot,
+        p.bolt_vm,
+        p.detect_t,
+        None,
+        &mut rng,
+        telemetry,
+    )?;
     let name_correct = p.in_training && detection.matches_family(&p.truth_label);
     let characteristics_correct = detection.matches_characteristics(&p.truth_characteristics);
     Ok(UserStudyRecord {
@@ -211,7 +216,7 @@ fn detect_job(
 fn flush_detections(
     detector: &Detector,
     config: &UserStudyConfig,
-    telemetry_enabled: bool,
+    ctx: &RunCtx,
     pending: &mut Vec<PendingDetection>,
     records: &mut Vec<UserStudyRecord>,
     log: &mut TelemetryLog,
@@ -220,11 +225,7 @@ fn flush_detections(
         // Job `j` records into unit `j + 1`; unit 0 is reserved for the
         // cluster's own placement events. Batches flush in job order, so
         // the merged stream is identical for every `parallelism` setting.
-        let mut telemetry = if telemetry_enabled {
-            Telemetry::for_unit(p.job + 1)
-        } else {
-            Telemetry::disabled()
-        };
+        let mut telemetry = ctx.unit(p.job + 1);
         detect_job(detector, config.seed, p, &mut telemetry).map(|r| (r, telemetry.into_events()))
     });
     for outcome in outcomes {
@@ -245,64 +246,22 @@ fn flush_detections(
 /// match ground truth (primary or shutter-secondary verdict).
 ///
 /// Placement runs serially on the shared RNG; detections are deferred
-/// onto frozen [`Cluster::snapshot`]s and fan out in
-/// [`DETECTION_CHUNK`]-sized batches over `config.parallelism`.
+/// onto frozen [`Cluster::snapshot`]s and fan out in batches of 16 over
+/// `config.parallelism`. Repeated studies sharing `ctx.fit_cache` reuse
+/// the trained recommender instead of refitting it.
+///
+/// Telemetry: the fit (or cache recall) leads the stream as a unit-0
+/// block; each job's detection pass records into its own unit
+/// (`job + 1`); the cluster's placement events (launches, departures)
+/// form a trailing unit-0 block. The merged stream is identical for
+/// every [`Parallelism`] setting.
 ///
 /// # Errors
 ///
 /// Propagates [`BoltError`] from the simulator or detector.
-pub fn run_user_study(config: &UserStudyConfig) -> Result<UserStudyResults, BoltError> {
-    run_user_study_cache(config, &FitCache::new())
-}
-
-/// [`run_user_study`] fitting through a shared [`FitCache`] — repeated
-/// studies (or a study following other default-config work) reuse the
-/// trained recommender instead of refitting it. Byte-identical results.
-///
-/// # Errors
-///
-/// Same conditions as [`run_user_study`].
-pub fn run_user_study_cache(
+pub fn run_user_study(
     config: &UserStudyConfig,
-    cache: &FitCache,
-) -> Result<UserStudyResults, BoltError> {
-    run_user_study_inner(config, cache, false).map(|(results, _)| results)
-}
-
-/// Runs the user study with telemetry enabled.
-///
-/// Each job's detection pass records into its own unit (`job + 1`);
-/// the cluster's placement events (launches, departures) form a trailing
-/// unit-0 block. The merged stream is identical for every
-/// [`Parallelism`] setting.
-///
-/// # Errors
-///
-/// Propagates [`BoltError`] from the simulator or detector.
-pub fn run_user_study_telemetry(
-    config: &UserStudyConfig,
-) -> Result<(UserStudyResults, TelemetryLog), BoltError> {
-    run_user_study_inner(config, &FitCache::new(), true)
-}
-
-/// [`run_user_study_telemetry`] fitting through a shared [`FitCache`];
-/// the fit (or cache recall) leads the stream as a unit-0 block ahead of
-/// the per-job detection units.
-///
-/// # Errors
-///
-/// Same conditions as [`run_user_study`].
-pub fn run_user_study_cache_telemetry(
-    config: &UserStudyConfig,
-    cache: &FitCache,
-) -> Result<(UserStudyResults, TelemetryLog), BoltError> {
-    run_user_study_inner(config, cache, true)
-}
-
-fn run_user_study_inner(
-    config: &UserStudyConfig,
-    cache: &FitCache,
-    telemetry_enabled: bool,
+    ctx: &RunCtx,
 ) -> Result<(UserStudyResults, TelemetryLog), BoltError> {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut cluster = Cluster::new(
@@ -328,16 +287,12 @@ fn run_user_study_inner(
     // The study trains on seed-7 profiles observed through the cloud's
     // default channel (see `USER_STUDY_TRAINING_SEED`); the shared fit
     // path memoizes both the catalog walk and the SVD+SGD training.
-    let mut fit_telemetry = if telemetry_enabled {
-        Telemetry::for_unit(0)
-    } else {
-        Telemetry::disabled()
-    };
+    let mut fit_telemetry = ctx.unit(0);
     let recommender = crate::experiment::shared_recommender(
         USER_STUDY_TRAINING_SEED,
         &isolation,
         config.recommender,
-        cache,
+        ctx.fit_cache,
         &mut fit_telemetry,
     )?;
     let detector = Detector::new(recommender, config.detector);
@@ -406,14 +361,7 @@ fn run_user_study_inner(
             snapshot: cluster.snapshot(),
         });
         if pending.len() >= DETECTION_CHUNK {
-            flush_detections(
-                &detector,
-                config,
-                telemetry_enabled,
-                &mut pending,
-                &mut records,
-                &mut log,
-            )?;
+            flush_detections(&detector, config, ctx, &mut pending, &mut records, &mut log)?;
         }
 
         // Jobs complete over time: once the pool holds more friendly VMs
@@ -436,22 +384,13 @@ fn run_user_study_inner(
             }
         }
     }
-    flush_detections(
-        &detector,
-        config,
-        telemetry_enabled,
-        &mut pending,
-        &mut records,
-        &mut log,
-    )?;
+    flush_detections(&detector, config, ctx, &mut pending, &mut records, &mut log)?;
 
     // The pool mutates throughout the run, so its launch/terminate stream
     // drains once, as a trailing unit-0 block.
-    if telemetry_enabled {
-        let mut unit0 = Telemetry::for_unit(0);
-        unit0.cluster_events(cluster.take_events());
-        log.merge(unit0);
-    }
+    let mut unit0 = ctx.unit(0);
+    unit0.cluster_events(cluster.take_events());
+    log.merge(unit0);
 
     let instances_used = {
         let mut used = vec![false; config.instances];
@@ -473,6 +412,13 @@ fn run_user_study_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bolt_recommender::FitCache;
+
+    fn study() -> UserStudyResults {
+        run_user_study(&small(), &RunCtx::new(&FitCache::new(), false))
+            .unwrap()
+            .0
+    }
 
     fn small() -> UserStudyConfig {
         UserStudyConfig {
@@ -485,7 +431,7 @@ mod tests {
 
     #[test]
     fn study_processes_requested_jobs() {
-        let results = run_user_study(&small()).unwrap();
+        let results = study();
         assert!(results.records.len() >= 35, "most jobs should place");
         assert!(results.instances_used <= 12);
     }
@@ -493,7 +439,7 @@ mod tests {
     #[test]
     fn characterized_outnumbers_named() {
         // The paper's headline gap: 385 characterized vs 277 named.
-        let results = run_user_study(&small()).unwrap();
+        let results = study();
         assert!(
             results.characterized() >= results.named(),
             "characterized {} < named {}",
@@ -511,7 +457,7 @@ mod tests {
 
     #[test]
     fn never_trained_families_are_never_named() {
-        let results = run_user_study(&small()).unwrap();
+        let results = study();
         for r in &results.records {
             if !r.in_training {
                 assert!(!r.name_correct, "{} cannot be named", r.family);
@@ -521,7 +467,7 @@ mod tests {
 
     #[test]
     fn per_label_counts_sum_to_records() {
-        let results = run_user_study(&small()).unwrap();
+        let results = study();
         let total: usize = results.per_label().iter().map(|&(_, n, _, _)| n).sum();
         assert_eq!(total, results.records.len());
         let jobs: usize = results.jobs_per_instance(12).iter().sum();
@@ -530,8 +476,8 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = run_user_study(&small()).unwrap();
-        let b = run_user_study(&small()).unwrap();
+        let a = study();
+        let b = study();
         assert_eq!(a.named(), b.named());
         assert_eq!(a.characterized(), b.characterized());
     }

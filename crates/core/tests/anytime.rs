@@ -4,9 +4,9 @@
 //! in the probe budget.
 
 use bolt::detector::{Detector, DetectorConfig};
-use bolt::experiment::{run_experiment_telemetry, ExperimentConfig};
+use bolt::experiment::{run_experiment, ExperimentConfig, ExperimentResults};
 use bolt::telemetry::Counter;
-use bolt::Parallelism;
+use bolt::{FitCache, Parallelism, RunCtx, Telemetry, TelemetryLog};
 use bolt_recommender::{HybridRecommender, RecommenderConfig, TrainingData};
 use bolt_sim::vm::VmRole;
 use bolt_sim::LeastLoaded;
@@ -49,6 +49,12 @@ fn fitted_detector(config: DetectorConfig) -> Detector {
     Detector::new(rec, config)
 }
 
+/// A recorded experiment run through a fresh fit cache.
+fn traced(config: &ExperimentConfig) -> (ExperimentResults, TelemetryLog) {
+    let cache = FitCache::new();
+    run_experiment(config, &LeastLoaded, &RunCtx::new(&cache, true)).unwrap()
+}
+
 #[test]
 fn anytime_off_is_byte_invisible() {
     // With the flag off, varying every anytime knob must not move a
@@ -64,8 +70,8 @@ fn anytime_off_is_byte_invisible() {
         ..base
     };
     assert!(!base.anytime && !base.detector.anytime);
-    let a = run_experiment_telemetry(&base, &LeastLoaded).unwrap();
-    let b = run_experiment_telemetry(&decorated, &LeastLoaded).unwrap();
+    let a = traced(&base);
+    let b = traced(&decorated);
     assert_eq!(a.0.records, b.0.records);
     assert_eq!(a.1.normalized().to_jsonl(), b.1.normalized().to_jsonl());
     let jsonl = a.1.to_jsonl();
@@ -89,8 +95,8 @@ fn anytime_hunts_are_parallelism_invariant() {
         parallelism: Parallelism::Threads(3),
         ..serial
     };
-    let a = run_experiment_telemetry(&serial, &LeastLoaded).unwrap();
-    let b = run_experiment_telemetry(&threaded, &LeastLoaded).unwrap();
+    let a = traced(&serial);
+    let b = traced(&threaded);
     assert_eq!(a.0.records, b.0.records);
     assert_eq!(a.1.normalized().to_jsonl(), b.1.normalized().to_jsonl());
     assert!(
@@ -114,7 +120,9 @@ fn threshold_gates_the_early_exit() {
             ..DetectorConfig::default()
         });
         let mut rng = StdRng::seed_from_u64(0xEA51);
-        det.detect(&cluster, adv, 100.0, &mut rng).unwrap()
+        let mut off = Telemetry::disabled();
+        det.detect(&cluster, adv, 100.0, None, &mut rng, &mut off)
+            .unwrap()
     };
     let eager = run(0.0);
     let exhaustive = run(1.5);
@@ -156,7 +164,10 @@ fn confidence_is_monotone_in_the_probe_budget() {
             ..DetectorConfig::default()
         });
         let mut rng = StdRng::seed_from_u64(0xB07);
-        let d = det.detect(&cluster, adv, 60.0, &mut rng).unwrap();
+        let mut off = Telemetry::disabled();
+        let d = det
+            .detect(&cluster, adv, 60.0, None, &mut rng, &mut off)
+            .unwrap();
         let info = d.anytime.expect("anytime detections carry stats");
         assert!(!info.converged);
         assert!(

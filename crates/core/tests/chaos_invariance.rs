@@ -5,10 +5,10 @@
 
 use bolt::detector::{Detector, DetectorConfig, RetryPolicy};
 use bolt::experiment::{
-    build_testbed, observed_training, run_experiment_telemetry, ExperimentConfig,
+    build_testbed, observed_training, run_experiment, ExperimentConfig, ExperimentResults, Testbed,
 };
-use bolt::telemetry::{Counter, Telemetry};
-use bolt::Parallelism;
+use bolt::telemetry::{Counter, Telemetry, TelemetryLog};
+use bolt::{FitCache, Parallelism, RunCtx};
 use bolt_recommender::{HybridRecommender, TrainingData};
 use bolt_sim::{ChaosConfig, FaultPlan, LeastLoaded};
 use bolt_workloads::training::training_set;
@@ -25,6 +25,17 @@ fn small_config(seed: u64) -> ExperimentConfig {
     }
 }
 
+/// A recorded experiment run through a fresh fit cache.
+fn traced(config: &ExperimentConfig) -> (ExperimentResults, TelemetryLog) {
+    let cache = FitCache::new();
+    run_experiment(config, &LeastLoaded, &RunCtx::new(&cache, true)).expect("experiment runs")
+}
+
+fn testbed(config: &ExperimentConfig) -> Testbed {
+    let cache = FitCache::new();
+    build_testbed(config, &LeastLoaded, &cache, &mut Telemetry::disabled()).unwrap()
+}
+
 fn fitted_detector(config: &ExperimentConfig) -> Detector {
     let examples = observed_training(&training_set(config.training_seed), &config.isolation);
     let data = TrainingData::from_examples(examples).unwrap();
@@ -35,7 +46,7 @@ fn fitted_detector(config: &ExperimentConfig) -> Detector {
 #[test]
 fn none_plan_detection_is_bit_identical_to_the_legacy_path() {
     let config = small_config(0xA5FA11);
-    let testbed = build_testbed(&config, &LeastLoaded).unwrap();
+    let testbed = testbed(&config);
     let detector = fitted_detector(&config);
     let adversary = testbed.adversaries[0];
 
@@ -43,7 +54,7 @@ fn none_plan_detection_is_bit_identical_to_the_legacy_path() {
     let mut rng1 = StdRng::seed_from_u64(77);
     let mut t1 = Telemetry::for_unit(1);
     let legacy = detector
-        .detect_telemetry(&testbed.cluster, adversary, 120.0, &mut rng1, &mut t1)
+        .detect(&testbed.cluster, adversary, 120.0, None, &mut rng1, &mut t1)
         .unwrap();
 
     // Churn path with an empty plan: same cluster state, same RNG seed.
@@ -70,13 +81,21 @@ fn none_plan_detection_is_bit_identical_to_the_legacy_path() {
 #[test]
 fn none_plan_hunt_loop_is_bit_identical_to_detect_until() {
     let config = small_config(0xBEEF);
-    let testbed = build_testbed(&config, &LeastLoaded).unwrap();
+    let testbed = testbed(&config);
     let detector = fitted_detector(&config);
     let adversary = testbed.adversaries[1];
 
+    let mut off = Telemetry::disabled();
     let mut rng1 = StdRng::seed_from_u64(5);
     let (legacy, iters1) = detector
-        .detect_until(&testbed.cluster, adversary, 30.0, |_| false, &mut rng1)
+        .detect_until_telemetry(
+            &testbed.cluster,
+            adversary,
+            30.0,
+            |_| false,
+            &mut rng1,
+            &mut off,
+        )
         .unwrap();
 
     let mut live = testbed.cluster.snapshot();
@@ -84,7 +103,7 @@ fn none_plan_hunt_loop_is_bit_identical_to_detect_until() {
     let mut plan = FaultPlan::compile(&ChaosConfig::none(), 1, 1, 0.0, 5000.0);
     let mut rng2 = StdRng::seed_from_u64(5);
     let (churn, iters2) = detector
-        .detect_until_churn(
+        .detect_until_churn_telemetry(
             &mut live,
             &mut plan,
             &RetryPolicy::default(),
@@ -92,6 +111,7 @@ fn none_plan_hunt_loop_is_bit_identical_to_detect_until() {
             30.0,
             |_| false,
             &mut rng2,
+            &mut off,
         )
         .unwrap();
 
@@ -106,7 +126,7 @@ fn chaos_off_experiment_telemetry_carries_no_chaos_artifacts() {
         config.chaos.is_none(),
         "the default config must be chaos-off"
     );
-    let (_, log) = run_experiment_telemetry(&config, &LeastLoaded).unwrap();
+    let (_, log) = traced(&config);
     assert!(!log.is_empty());
     assert_eq!(log.counter_total(Counter::FaultsInjected), 0);
     assert_eq!(log.counter_total(Counter::WindowsDiscarded), 0);
@@ -130,8 +150,8 @@ fn mrc_channel_off_is_byte_invisible() {
         ..base
     };
     assert!(!base.mrc_channel && !base.detector.mrc_channel);
-    let a = run_experiment_telemetry(&base, &LeastLoaded).unwrap();
-    let b = run_experiment_telemetry(&decorated, &LeastLoaded).unwrap();
+    let a = traced(&base);
+    let b = traced(&decorated);
     assert_eq!(a.0.records, b.0.records);
     assert_eq!(a.1.normalized().to_jsonl(), b.1.normalized().to_jsonl());
     let jsonl = a.1.to_jsonl();
@@ -156,8 +176,8 @@ fn mrc_hunts_are_parallelism_invariant() {
         parallelism: Parallelism::Threads(3),
         ..serial
     };
-    let a = run_experiment_telemetry(&serial, &LeastLoaded).unwrap();
-    let b = run_experiment_telemetry(&threaded, &LeastLoaded).unwrap();
+    let a = traced(&serial);
+    let b = traced(&threaded);
     assert_eq!(a.0.records, b.0.records);
     assert_eq!(a.1.normalized().to_jsonl(), b.1.normalized().to_jsonl());
     assert!(
@@ -194,8 +214,8 @@ proptest! {
             },
             ..base
         };
-        let a = run_experiment_telemetry(&base, &LeastLoaded).expect("base runs");
-        let b = run_experiment_telemetry(&decorated, &LeastLoaded).expect("decorated runs");
+        let a = traced(&base);
+        let b = traced(&decorated);
         prop_assert_eq!(&a.0.records, &b.0.records);
         prop_assert_eq!(
             a.1.normalized().to_jsonl(),

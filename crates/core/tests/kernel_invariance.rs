@@ -8,9 +8,9 @@
 //! work: if this test passes, regenerating them cannot change a byte
 //! outside wall-clock columns.
 
-use bolt::experiment::{run_experiment_cache_telemetry, ExperimentConfig};
+use bolt::experiment::{run_experiment, ExperimentConfig};
 use bolt::parallel::Parallelism;
-use bolt::FitCache;
+use bolt::{FitCache, RunCtx};
 use bolt_linalg::kernels;
 use bolt_sim::LeastLoaded;
 
@@ -31,12 +31,14 @@ fn unrolled_kernels_are_invisible_end_to_end() {
         let cfg = config(seed);
 
         kernels::force_reference(false);
-        let (fast, fast_log) = run_experiment_cache_telemetry(&cfg, &LeastLoaded, &FitCache::new())
-            .expect("kernel run succeeds");
+        let (fast, fast_log) =
+            run_experiment(&cfg, &LeastLoaded, &RunCtx::new(&FitCache::new(), true))
+                .expect("kernel run succeeds");
 
         kernels::force_reference(true);
-        let (slow, slow_log) = run_experiment_cache_telemetry(&cfg, &LeastLoaded, &FitCache::new())
-            .expect("reference run succeeds");
+        let (slow, slow_log) =
+            run_experiment(&cfg, &LeastLoaded, &RunCtx::new(&FitCache::new(), true))
+                .expect("reference run succeeds");
         kernels::force_reference(false);
 
         assert_eq!(

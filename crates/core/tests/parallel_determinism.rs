@@ -1,11 +1,9 @@
 //! Property tests for the parallel experiment engine's determinism
 //! claims: thread count must never change results, only wall-clock.
 
-use bolt::experiment::{
-    run_experiment, run_experiment_cache, run_experiment_cache_telemetry, ExperimentConfig,
-};
+use bolt::experiment::{run_experiment, ExperimentConfig};
 use bolt::parallel::{sweep, Parallelism};
-use bolt::FitCache;
+use bolt::{FitCache, RunCtx};
 use bolt_sim::LeastLoaded;
 use proptest::prelude::*;
 
@@ -27,14 +25,15 @@ proptest! {
             parallelism,
             ..ExperimentConfig::default()
         };
-        let serial = run_experiment(&config(Parallelism::Serial), &LeastLoaded)
-            .expect("serial runs");
-        let one = run_experiment(&config(Parallelism::Threads(1)), &LeastLoaded)
-            .expect("1 thread runs");
-        let two = run_experiment(&config(Parallelism::Threads(2)), &LeastLoaded)
-            .expect("2 threads run");
-        let eight = run_experiment(&config(Parallelism::Threads(8)), &LeastLoaded)
-            .expect("8 threads run");
+        let run = |parallelism| {
+            let cache = FitCache::new();
+            let ctx = RunCtx::new(&cache, false);
+            run_experiment(&config(parallelism), &LeastLoaded, &ctx).expect("experiment runs").0
+        };
+        let serial = run(Parallelism::Serial);
+        let one = run(Parallelism::Threads(1));
+        let two = run(Parallelism::Threads(2));
+        let eight = run(Parallelism::Threads(8));
         prop_assert_eq!(&serial.records, &one.records);
         prop_assert_eq!(&serial.records, &two.records);
         prop_assert_eq!(&serial.records, &eight.records);
@@ -56,26 +55,24 @@ proptest! {
             parallelism,
             ..ExperimentConfig::default()
         };
+        let run = |parallelism, cache: &FitCache, telemetry| {
+            let ctx = RunCtx::new(cache, telemetry);
+            run_experiment(&config(parallelism), &LeastLoaded, &ctx).expect("experiment runs")
+        };
         let serial_cache = FitCache::new();
-        let (serial, serial_log) =
-            run_experiment_cache_telemetry(&config(Parallelism::Serial), &LeastLoaded, &serial_cache)
-                .expect("serial runs");
+        let (serial, serial_log) = run(Parallelism::Serial, &serial_cache, true);
         let threaded_cache = FitCache::new();
-        let (threaded, threaded_log) =
-            run_experiment_cache_telemetry(&config(Parallelism::Threads(3)), &LeastLoaded, &threaded_cache)
-                .expect("3 threads run");
+        let (threaded, threaded_log) = run(Parallelism::Threads(3), &threaded_cache, true);
         prop_assert_eq!(&serial.records, &threaded.records);
         prop_assert_eq!(serial_log.normalized(), threaded_log.normalized());
         prop_assert_eq!(serial_cache.stats(), threaded_cache.stats());
         // A warm cache changes wall-clock only: re-running against the
         // already-populated serial cache reproduces the records again.
-        let warm = run_experiment_cache(&config(Parallelism::Threads(2)), &LeastLoaded, &serial_cache)
-            .expect("warm cache runs");
+        let (warm, _) = run(Parallelism::Threads(2), &serial_cache, false);
         prop_assert_eq!(&serial.records, &warm.records);
         prop_assert_eq!(serial_cache.stats().hits, 1);
         // Disabling the cache must not change results either.
-        let uncached = run_experiment_cache(&config(Parallelism::Serial), &LeastLoaded, &FitCache::disabled())
-            .expect("uncached runs");
+        let (uncached, _) = run(Parallelism::Serial, &FitCache::disabled(), false);
         prop_assert_eq!(&serial.records, &uncached.records);
     }
 }

@@ -3,10 +3,8 @@
 //! outcomes, degraded verdicts never outrank the clean verdict the same
 //! request earns on a calm cluster, and thread fan-out moves no bytes.
 
-use bolt::service::{
-    run_service, run_service_telemetry, RequestOutcome, ServiceConfig, ShedReason,
-};
-use bolt::Parallelism;
+use bolt::service::{run_service, RequestOutcome, ServiceConfig, ShedReason};
+use bolt::{FitCache, Parallelism, RunCtx};
 use bolt_sim::{ChaosConfig, StormConfig};
 use proptest::prelude::*;
 
@@ -42,8 +40,11 @@ proptest! {
             ..calm
         };
 
-        let calm_report = run_service(&calm).unwrap();
-        let (stormy_report, stormy_log) = run_service_telemetry(&stormy).unwrap();
+        let run = |config, telemetry| {
+            run_service(config, &RunCtx::new(&FitCache::new(), telemetry)).unwrap()
+        };
+        let (calm_report, _) = run(&calm, false);
+        let (stormy_report, stormy_log) = run(&stormy, true);
 
         for report in [&calm_report, &stormy_report] {
             // Totality: one terminal record per offered request, dense in
@@ -101,7 +102,7 @@ proptest! {
             parallelism: Parallelism::Threads(3),
             ..stormy
         };
-        let (threaded_report, threaded_log) = run_service_telemetry(&threaded).unwrap();
+        let (threaded_report, threaded_log) = run(&threaded, true);
         prop_assert_eq!(&stormy_report, &threaded_report);
         prop_assert_eq!(stormy_log.normalized(), threaded_log.normalized());
     }

@@ -30,7 +30,7 @@
 //! currently qualifies (see DESIGN.md "Kernel determinism policy"), so
 //! `Relaxed` is exercised by the benches and equivalence tests alone.
 //!
-//! Every kernel has a naive scalar twin in [`reference`], property-tested
+//! Every kernel has a naive scalar twin in [`reference`](mod@reference), property-tested
 //! to be bit-identical; the doc-hidden [`force_reference`] switch routes
 //! all kernels through those twins so end-to-end tests can pin that the
 //! unrolled forms are invisible to experiment output.

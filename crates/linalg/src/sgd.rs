@@ -11,7 +11,6 @@ use std::cell::RefCell;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{kernels, LinalgError, Matrix};
 
@@ -47,7 +46,7 @@ fn with_scratch<T>(f: impl FnOnce(&mut SgdScratch) -> T) -> T {
 }
 
 /// An observed cell of a partially-known matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observation {
     /// Row index (application).
     pub row: usize,
@@ -61,7 +60,7 @@ pub struct Observation {
 ///
 /// The defaults are tuned for Bolt's regime — matrices of at most a few
 /// hundred rows and ~10 columns whose entries live in `[0, 100]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SgdConfig {
     /// Number of latent factors (the inner dimension of `P Qᵀ`).
     pub factors: usize,
@@ -91,7 +90,7 @@ impl Default for SgdConfig {
 }
 
 /// The result of an SGD matrix-completion run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Completion {
     /// The completed (fully dense) matrix `P Qᵀ`.
     pub completed: Matrix,
@@ -333,7 +332,7 @@ pub fn complete_row<R: Rng>(
 /// `Q` are trained once; each new victim contributes a sparse row whose
 /// latent factors are solved against the frozen `Q` in a handful of SGD
 /// steps — milliseconds instead of a full retrain.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PqModel {
     q: Vec<f64>, // cols × factors, row-major
     cols: usize,

@@ -11,8 +11,6 @@
 //! rows, ~10 columns), the algorithm is simple to verify, and it computes
 //! small singular values to high relative accuracy.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{kernels, LinalgError, Matrix};
 
 /// Maximum number of Jacobi sweeps before declaring non-convergence.
@@ -42,7 +40,7 @@ const TOL: f64 = 1e-12;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Svd {
     u: Matrix,
     sigma: Vec<f64>,

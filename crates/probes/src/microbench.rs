@@ -15,13 +15,12 @@
 //! exactly where the real protocol would.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use bolt_sim::{Cluster, SimError, VmId};
 use bolt_workloads::Resource;
 
 /// Configuration of the ramp protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RampConfig {
     /// Intensity increment per step (percent). The knee can only be located
     /// to within one step, so smaller steps are more accurate but slower.
@@ -44,7 +43,7 @@ impl Default for RampConfig {
 }
 
 /// One pressure measurement produced by a microbenchmark ramp.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeReading {
     /// The resource that was probed.
     pub resource: Resource,

@@ -17,7 +17,6 @@
 //! additive measurement noise of the ramp configuration.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use bolt_sim::{Cluster, SimError, VmId};
 use bolt_workloads::Resource;
@@ -29,7 +28,7 @@ use crate::microbench::RampConfig;
 const SWEEP_SAMPLES: usize = 3;
 
 /// One full cache-allocation-sweep measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MrcSweepReading {
     /// Co-resident response per allocation level: index `k` holds the
     /// aggregate pressure observed while the probe occupied

@@ -17,7 +17,6 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use bolt_sim::{Cluster, SimError, VmId};
 use bolt_workloads::Resource;
@@ -25,7 +24,7 @@ use bolt_workloads::Resource;
 use crate::microbench::{Microbenchmark, ProbeReading, RampConfig};
 
 /// Profiling policy configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfilerConfig {
     /// Benchmarks in the initial snapshot (paper default: 2 — one core,
     /// one uncore). Values above 2 add more uncore benchmarks; Fig. 10c
@@ -46,7 +45,7 @@ impl Default for ProfilerConfig {
 
 /// A sparse profiling snapshot: the probed resources and their estimated
 /// pressures, plus the total simulated profiling cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Individual probe readings, in execution order.
     pub readings: Vec<ProbeReading>,

@@ -13,13 +13,12 @@
 //! tests reproduce.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use bolt_sim::{Cluster, SimError, VmId};
 use bolt_workloads::{PressureVector, Resource};
 
 /// Configuration of the shutter mode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShutterConfig {
     /// Number of brief profiling frames to take.
     pub frames: usize,
@@ -40,7 +39,7 @@ impl Default for ShutterConfig {
 }
 
 /// The result of a shutter profiling pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShutterCapture {
     /// Every frame's observed uncore pressure vector.
     pub frames: Vec<PressureVector>,

@@ -12,8 +12,8 @@
 //! * [`Fingerprint`] — a 128-bit content hash of the training examples
 //!   (labels, kinds, observed and reference pressures) plus every config
 //!   field, built from two independently-seeded FNV-1a-64 streams via
-//!   [`ContentHasher`]. The vendored serde is a no-op stub, so the hash
-//!   is hand-rolled over `f64::to_bits` and the raw label bytes.
+//!   [`ContentHasher`]. The workspace has no serialization library, so
+//!   the hash is hand-rolled over `f64::to_bits` and the raw label bytes.
 //! * [`FitCache::fit`] — returns the cached `Arc<HybridRecommender>` on a
 //!   fingerprint hit, trains (and inserts) on a miss. Because fits are
 //!   pure, a hit is byte-identical to a refit; the cache can be dropped
@@ -249,10 +249,11 @@ const DEFAULT_CAPACITY: usize = 64;
 /// (and the training sets that feed them), shared across sweep points,
 /// hunts, and `Parallelism::Threads(n)` workers.
 ///
-/// See the [module docs](self) for the determinism contract. Construct
-/// one per sweep (or per CLI invocation) and thread it through the
-/// `*_cache` entry points; [`FitCache::disabled`] restores the
-/// train-every-time pipeline.
+/// Determinism contract: callers that fan units out in parallel pre-warm
+/// shared keys on the calling thread, so the per-unit hit/miss flags (and
+/// the telemetry they feed) never depend on scheduling. Construct one per
+/// sweep (or per CLI invocation) and hand it to every driver of the run;
+/// [`FitCache::disabled`] restores the train-every-time pipeline.
 ///
 /// # Example
 ///
@@ -316,8 +317,8 @@ impl FitCache {
     /// Training runs *outside* the map lock, so concurrent misses on
     /// distinct fingerprints train in parallel. Two threads racing the
     /// same cold fingerprint both train — wasted work, never wrong
-    /// output, since fits are pure; the determinism contract in the
-    /// [module docs](self) keeps that off in-tree sweep paths anyway.
+    /// output, since fits are pure; the pre-warm rule of the determinism
+    /// contract keeps that off in-tree sweep paths anyway.
     ///
     /// # Errors
     ///

@@ -1,7 +1,5 @@
 //! Training data handling: the matrix of previously-seen workloads.
 
-use serde::{Deserialize, Serialize};
-
 use bolt_linalg::{LinalgError, Matrix};
 use bolt_workloads::{
     AppLabel, PressureVector, ResourceCharacteristics, WorkloadKind, WorkloadProfile,
@@ -10,7 +8,7 @@ use bolt_workloads::{
 
 /// One training example: a previously-seen application's label and full
 /// pressure fingerprint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingExample {
     /// The application label.
     pub label: AppLabel,

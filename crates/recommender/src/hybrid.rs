@@ -13,7 +13,6 @@
 //! memcached, 18% Spark/PageRank, 10% Hadoop/SVM...
 
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use bolt_linalg::kernels;
 use bolt_linalg::sgd::{PqModel, SgdConfig};
@@ -31,7 +30,7 @@ use crate::dataset::TrainingData;
 const SGD_EPOCHS: u64 = 600;
 
 /// Recommender configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecommenderConfig {
     /// Fraction of spectral energy the retained similarity concepts must
     /// preserve (paper: 90%).
@@ -138,7 +137,7 @@ enum DictTag {
 /// Carry-over state for iterative-deepening decomposition: the pruned
 /// atom shortlist of the previous refinement round. A fresh (or
 /// dictionary-switched) state makes the next decomposition search the
-/// full dictionary, exactly like the non-warm entry points; afterwards
+/// full dictionary, exactly like a decomposition without one; afterwards
 /// each round refines among the previous round's survivors only, which
 /// is what keeps per-probe re-decomposition affordable.
 #[derive(Debug, Clone, Default)]
@@ -174,7 +173,7 @@ impl WarmShortlist {
 }
 
 /// One entry of the similarity distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimilarityScore {
     /// Index of the training example.
     pub index: usize,
@@ -187,7 +186,7 @@ pub struct SimilarityScore {
 }
 
 /// The recommender's verdict for one profiling snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Recommendation {
     /// Similarity scores, highest correlation first.
     pub scores: Vec<SimilarityScore>,
@@ -745,6 +744,21 @@ impl HybridRecommender {
     /// signal of two tenants matches *no* single application well, but
     /// decomposes cleanly into two.
     ///
+    /// * `mrc_observed` — an optional observed cache-allocation sweep (one
+    ///   response per allocation level). When present, near-degenerate
+    ///   candidate mixtures — within [`RecommenderConfig::mrc_tie_margin`]
+    ///   of the best fit error — are re-ranked by RMS distance between
+    ///   their expected sweep-response curves and the observation. `None`
+    ///   (or an empty sweep) leaves the plain decomposition untouched.
+    /// * `warm` — a warm-started shortlist for iterative deepening: when it
+    ///   carries the atom shortlist of a previous refinement round over the
+    ///   *same* dictionary, the single-fit ranking runs over those atoms
+    ///   alone instead of the full dictionary, and this round's pruned
+    ///   shortlist is written back for the next. `None`, an empty shortlist
+    ///   or a path-switched one searches the full dictionary.
+    /// * `stats` — records whether the pair search ran pruned or exact, and
+    ///   how many MRC tie-breaks fired.
+    ///
     /// Returns `(example index, scale, explained fraction)` per component,
     /// first component first.
     ///
@@ -755,95 +769,15 @@ impl HybridRecommender {
     pub fn decompose_mixture(
         &self,
         observations: &[(Resource, f64)],
-        consistency: &[(Resource, f64)],
-        max_components: usize,
-    ) -> Result<Vec<(usize, f64, f64)>, LinalgError> {
-        self.decompose_mixture_with_stats(
-            observations,
-            consistency,
-            max_components,
-            &mut RecommenderStats::default(),
-        )
-    }
-
-    /// [`HybridRecommender::decompose_mixture`], additionally recording
-    /// whether the pair search ran pruned or exact into `stats`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HybridRecommender::decompose_mixture`].
-    pub fn decompose_mixture_with_stats(
-        &self,
-        observations: &[(Resource, f64)],
-        consistency: &[(Resource, f64)],
-        max_components: usize,
-        stats: &mut RecommenderStats,
-    ) -> Result<Vec<(usize, f64, f64)>, LinalgError> {
-        self.decompose_mixture_mrc(observations, consistency, max_components, None, stats)
-    }
-
-    /// [`HybridRecommender::decompose_mixture_with_stats`] with an
-    /// optional observed cache-allocation sweep (`mrc_observed`, one
-    /// response per allocation level). When present, near-degenerate
-    /// candidate mixtures — within
-    /// [`RecommenderConfig::mrc_tie_margin`] of the best fit error — are
-    /// re-ranked by RMS distance between their expected sweep-response
-    /// curves and the observation. `None` is byte-identical to the plain
-    /// decomposition.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HybridRecommender::decompose_mixture`].
-    pub fn decompose_mixture_mrc(
-        &self,
-        observations: &[(Resource, f64)],
-        consistency: &[(Resource, f64)],
         max_components: usize,
         mrc_observed: Option<&[f64]>,
+        warm: Option<&mut WarmShortlist>,
         stats: &mut RecommenderStats,
     ) -> Result<Vec<(usize, f64, f64)>, LinalgError> {
-        let _ = consistency;
-        self.decompose_mixture_impl(observations, max_components, mrc_observed, None, stats)
-    }
-
-    /// [`HybridRecommender::decompose_mixture_mrc`] with a warm-started
-    /// shortlist for iterative deepening: when `warm` carries the atom
-    /// shortlist of a previous refinement round over the *same*
-    /// dictionary, the single-fit ranking runs over those atoms alone
-    /// instead of the full dictionary, and the pruned shortlist of this
-    /// round is written back for the next. An empty (or path-switched)
-    /// `warm` searches the full dictionary, identically to the plain
-    /// decomposition.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HybridRecommender::decompose_mixture`].
-    pub fn decompose_mixture_warm(
-        &self,
-        observations: &[(Resource, f64)],
-        max_components: usize,
-        mrc_observed: Option<&[f64]>,
-        warm: &mut WarmShortlist,
-        stats: &mut RecommenderStats,
-    ) -> Result<Vec<(usize, f64, f64)>, LinalgError> {
-        warm.enter(DictTag::UncoreOnly);
-        self.decompose_mixture_impl(
-            observations,
-            max_components,
-            mrc_observed,
-            Some(&mut warm.atoms),
-            stats,
-        )
-    }
-
-    fn decompose_mixture_impl(
-        &self,
-        observations: &[(Resource, f64)],
-        max_components: usize,
-        mrc_observed: Option<&[f64]>,
-        warm: Option<&mut Vec<usize>>,
-        stats: &mut RecommenderStats,
-    ) -> Result<Vec<(usize, f64, f64)>, LinalgError> {
+        let warm = warm.map(|w| {
+            w.enter(DictTag::UncoreOnly);
+            &mut w.atoms
+        });
         validate_obs(observations)?;
         let dims: Vec<usize> = observations.iter().map(|&(r, _)| r.index()).collect();
         let weights: Vec<f64> = dims.iter().map(|&j| self.information_weight(j)).collect();
@@ -880,130 +814,39 @@ impl HybridRecommender {
     /// "freely" explains any core signal: as a sharer it must account for
     /// the uncore readings too.
     ///
+    /// `mrc_observed`, `warm` and `stats` act exactly as in
+    /// [`HybridRecommender::decompose_mixture`]. The visibility hypotheses
+    /// of one example share its curve — the LLC is uncore, so core-sharing
+    /// does not change the sweep response. The dictionary layout depends on
+    /// whether scheduler float is visible, so a warm shortlist resets
+    /// itself whenever the float regime (or the uncore-only/joint path)
+    /// changes between rounds.
+    ///
     /// Returns `(example index, scale, explained)` like
     /// [`HybridRecommender::decompose_mixture`].
     ///
     /// # Errors
     ///
     /// Same conditions as [`HybridRecommender::decompose_mixture`].
+    #[allow(clippy::too_many_arguments)]
     pub fn decompose_with_core(
         &self,
         core_obs: &[(Resource, f64)],
         uncore_obs: &[(Resource, f64)],
         float_visibility: f64,
         max_components: usize,
-    ) -> Result<Vec<(usize, f64, f64)>, LinalgError> {
-        self.decompose_with_core_stats(
-            core_obs,
-            uncore_obs,
-            float_visibility,
-            max_components,
-            &mut RecommenderStats::default(),
-        )
-    }
-
-    /// [`HybridRecommender::decompose_with_core`], additionally recording
-    /// whether the pair search ran pruned or exact into `stats`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HybridRecommender::decompose_with_core`].
-    pub fn decompose_with_core_stats(
-        &self,
-        core_obs: &[(Resource, f64)],
-        uncore_obs: &[(Resource, f64)],
-        float_visibility: f64,
-        max_components: usize,
-        stats: &mut RecommenderStats,
-    ) -> Result<Vec<(usize, f64, f64)>, LinalgError> {
-        self.decompose_with_core_mrc(
-            core_obs,
-            uncore_obs,
-            float_visibility,
-            max_components,
-            None,
-            stats,
-        )
-    }
-
-    /// [`HybridRecommender::decompose_with_core_stats`] with an optional
-    /// observed cache-allocation sweep, used exactly as in
-    /// [`HybridRecommender::decompose_mixture_mrc`]: near-degenerate
-    /// candidates are re-ranked by curve distance. The visibility
-    /// hypotheses of one example share its curve — the LLC is uncore, so
-    /// core-sharing does not change the sweep response.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HybridRecommender::decompose_with_core`].
-    pub fn decompose_with_core_mrc(
-        &self,
-        core_obs: &[(Resource, f64)],
-        uncore_obs: &[(Resource, f64)],
-        float_visibility: f64,
-        max_components: usize,
         mrc_observed: Option<&[f64]>,
+        warm: Option<&mut WarmShortlist>,
         stats: &mut RecommenderStats,
     ) -> Result<Vec<(usize, f64, f64)>, LinalgError> {
-        self.decompose_with_core_impl(
-            core_obs,
-            uncore_obs,
-            float_visibility,
-            max_components,
-            mrc_observed,
-            None,
-            stats,
-        )
-    }
-
-    /// [`HybridRecommender::decompose_with_core_mrc`] with a warm-started
-    /// shortlist, exactly as in
-    /// [`HybridRecommender::decompose_mixture_warm`]. The visibility-
-    /// hypothesis dictionary layout depends on whether scheduler float is
-    /// visible, so the warm state resets itself whenever the float regime
-    /// (or the uncore-only/joint path) changes between rounds.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HybridRecommender::decompose_with_core`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn decompose_with_core_warm(
-        &self,
-        core_obs: &[(Resource, f64)],
-        uncore_obs: &[(Resource, f64)],
-        float_visibility: f64,
-        max_components: usize,
-        mrc_observed: Option<&[f64]>,
-        warm: &mut WarmShortlist,
-        stats: &mut RecommenderStats,
-    ) -> Result<Vec<(usize, f64, f64)>, LinalgError> {
-        warm.enter(if float_visibility > 0.0 {
-            DictTag::JointWithFloat
-        } else {
-            DictTag::Joint
+        let warm = warm.map(|w| {
+            w.enter(if float_visibility > 0.0 {
+                DictTag::JointWithFloat
+            } else {
+                DictTag::Joint
+            });
+            &mut w.atoms
         });
-        self.decompose_with_core_impl(
-            core_obs,
-            uncore_obs,
-            float_visibility,
-            max_components,
-            mrc_observed,
-            Some(&mut warm.atoms),
-            stats,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn decompose_with_core_impl(
-        &self,
-        core_obs: &[(Resource, f64)],
-        uncore_obs: &[(Resource, f64)],
-        float_visibility: f64,
-        max_components: usize,
-        mrc_observed: Option<&[f64]>,
-        warm: Option<&mut Vec<usize>>,
-        stats: &mut RecommenderStats,
-    ) -> Result<Vec<(usize, f64, f64)>, LinalgError> {
         let all: Vec<(Resource, f64)> = core_obs.iter().chain(uncore_obs).copied().collect();
         validate_obs(&all)?;
         let dims: Vec<usize> = all.iter().map(|&(r, _)| r.index()).collect();
@@ -1725,7 +1568,7 @@ mod tests {
         assert_eq!(stats.sgd_iterations, SGD_EPOCHS * 3);
         // The plain mixture search over the 120-app dictionary fits inside
         // the default shortlist (128), so it stays exact...
-        rec.decompose_mixture_with_stats(&obs, &[], 2, &mut stats)
+        rec.decompose_mixture(&obs, 2, None, None, &mut stats)
             .unwrap();
         assert_eq!(stats.exact_searches, 1);
         assert_eq!(stats.shortlist_hits, 0);
@@ -1733,7 +1576,7 @@ mod tests {
         // atoms) is pruned.
         let core = [(Resource::L1i, 40.0), (Resource::L2, 30.0)];
         let uncore = [(Resource::Llc, 30.0), (Resource::MemBw, 20.0)];
-        rec.decompose_with_core_stats(&core, &uncore, 0.5, 2, &mut stats)
+        rec.decompose_with_core(&core, &uncore, 0.5, 2, None, None, &mut stats)
             .unwrap();
         assert_eq!(stats.shortlist_hits, 1);
 
@@ -1825,11 +1668,9 @@ mod tests {
         ];
         let mut s1 = RecommenderStats::default();
         let mut s2 = RecommenderStats::default();
-        let plain = rec
-            .decompose_mixture_with_stats(&obs, &[], 2, &mut s1)
-            .unwrap();
+        let plain = rec.decompose_mixture(&obs, 2, None, None, &mut s1).unwrap();
         let empty = rec
-            .decompose_mixture_mrc(&obs, &[], 2, Some(&[]), &mut s2)
+            .decompose_mixture(&obs, 2, Some(&[]), None, &mut s2)
             .unwrap();
         assert_eq!(plain, empty);
         assert_eq!(s2.mrc_tie_breaks, 0);

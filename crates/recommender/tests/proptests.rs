@@ -2,12 +2,21 @@
 
 use std::sync::{Arc, OnceLock};
 
-use bolt_recommender::{FitCache, HybridRecommender, RecommenderConfig, TrainingData};
+use bolt_recommender::{
+    FitCache, HybridRecommender, RecommenderConfig, RecommenderStats, TrainingData,
+};
 use bolt_workloads::training::training_set;
 use bolt_workloads::Resource;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The plain mixture decomposition: no MRC curve, no warm shortlist.
+fn decompose(rec: &HybridRecommender, mix: &[(Resource, f64)], k: usize) -> Vec<(usize, f64, f64)> {
+    let mut stats = RecommenderStats::default();
+    rec.decompose_mixture(mix, k, None, None, &mut stats)
+        .expect("decompose")
+}
 
 fn recommender() -> HybridRecommender {
     let data = TrainingData::from_profiles(&training_set(7)).expect("training data");
@@ -105,7 +114,7 @@ proptest! {
             .map(|&r| (r, (la * a[r] + lb * b[r]).min(100.0)))
             .collect();
         prop_assume!(mix.iter().map(|&(_, v)| v).sum::<f64>() > 40.0);
-        let comps = rec.decompose_mixture(&mix, &[], 3).expect("decompose");
+        let comps = decompose(&rec, &mix, 3);
         prop_assert!(!comps.is_empty(), "a loud mixture must decompose into something");
         for &(_, lambda, explained) in &comps {
             prop_assert!((0.0..=1.05).contains(&lambda));
@@ -136,8 +145,8 @@ proptest! {
             .map(|&r| (r, (la * a[r] + lb * b[r]).min(100.0)))
             .collect();
         prop_assert_eq!(
-            cached.decompose_mixture(&mix, &[], 2).expect("cached decompose"),
-            fresh.decompose_mixture(&mix, &[], 2).expect("fresh decompose")
+            decompose(cached, &mix, 2),
+            decompose(fresh, &mix, 2)
         );
         let obs: Vec<(Resource, f64)> = mix[..3].to_vec();
         let cc = cached
@@ -175,14 +184,12 @@ proptest! {
         let uncore: Vec<(Resource, f64)> =
             mix.iter().copied().filter(|&(r, _)| !r.is_core()).collect();
 
-        let da = exact_k.decompose_mixture(&mix, &[], 2).expect("decompose");
-        let db = exhaustive.decompose_mixture(&mix, &[], 2).expect("decompose");
-        prop_assert_eq!(da, db);
+        prop_assert_eq!(decompose(&exact_k, &mix, 2), decompose(&exhaustive, &mix, 2));
         let ca = exact_k
-            .decompose_with_core(&core, &uncore, 0.35, 2)
+            .decompose_with_core(&core, &uncore, 0.35, 2, None, None, &mut Default::default())
             .expect("decompose");
         let cb = exhaustive
-            .decompose_with_core(&core, &uncore, 0.35, 2)
+            .decompose_with_core(&core, &uncore, 0.35, 2, None, None, &mut Default::default())
             .expect("decompose");
         prop_assert_eq!(ca, cb);
     }

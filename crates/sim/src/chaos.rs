@@ -25,7 +25,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use bolt_workloads::{catalog, DatasetScale, WorkloadProfile};
 
@@ -37,7 +36,7 @@ use crate::vm::{VmId, VmRole};
 /// Knobs for the chaos engine. All rates are specified at `intensity = 1.0`
 /// and scale linearly with [`ChaosConfig::intensity`]; an intensity of zero
 /// disables everything ([`ChaosConfig::none`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosConfig {
     /// Master dial in `[0, 1]`. Zero disables the engine entirely.
     pub intensity: f64,
@@ -456,7 +455,7 @@ impl FaultPlan {
 /// stalls, and burst churn. Like [`ChaosConfig`], this is pure data — rates
 /// are specified at `intensity = 1.0` and scale linearly with
 /// [`StormConfig::intensity`]; zero intensity disables everything.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StormConfig {
     /// Master dial in `[0, 1]`. Zero disables the injector entirely.
     pub intensity: f64,

@@ -10,12 +10,10 @@
 //! it isolates; none of them touches disk, which is why disk-heavy
 //! workloads stay detectable even under the full stack (the residual ~14%).
 
-use serde::{Deserialize, Serialize};
-
 use bolt_workloads::Resource;
 
 /// The OS-level virtualization setting (paper §6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OsSetting {
     /// Bare-metal Linux: no capacity constraints, the scheduler may float
     /// threads across cores.
@@ -45,7 +43,7 @@ impl OsSetting {
 }
 
 /// The stackable resource-isolation mechanisms of Fig. 14.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Mechanisms {
     /// Pin application threads to physical cores (removes OS-scheduler
     /// context-switch noise from core-resource measurements).
@@ -124,7 +122,7 @@ impl Mechanisms {
 }
 
 /// A complete isolation configuration: OS setting plus mechanism stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IsolationConfig {
     /// The OS-level setting.
     pub setting: OsSetting,

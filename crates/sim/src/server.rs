@@ -6,13 +6,11 @@
 //! is dedicated to a single application — the placement invariant both the
 //! least-loaded and Quasar schedulers preserve.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SimError;
 use crate::vm::VmId;
 
 /// Static description of a server's topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerSpec {
     /// Physical cores per socket.
     pub cores: u32,

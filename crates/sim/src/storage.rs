@@ -14,7 +14,7 @@
 //! the order of every floating-point accumulation and every RNG draw —
 //! is bit-identical to the old scan.
 //!
-//! [`AggCache`] memoizes *whole query results* (per observer, per time)
+//! `AggCache` memoizes *whole query results* (per observer, per time)
 //! rather than algebraic partial sums: per-step saturation
 //! (`saturating_add` clamps at 100 after each neighbor) and float
 //! non-associativity make a shared sum-minus-self aggregate impossible to
@@ -368,7 +368,7 @@ impl AggCache {
 /// A cross-snapshot probe-sweep memo: batched probe scheduling for
 /// concurrent hunts against one base cluster.
 ///
-/// [`AggCache`] is private to one `Cluster` instance and keeps only the
+/// `AggCache` is private to one `Cluster` instance and keeps only the
 /// *latest* result per observer, so two hunts running on separate
 /// snapshots of the same base cluster re-walk identical co-resident sets
 /// even when they issue byte-identical queries. A `SweepMemo` is the
@@ -385,7 +385,7 @@ impl AggCache {
 /// degradation) detaches from the memo outright — its world has diverged
 /// from the base placement, so it neither reads nor publishes entries.
 ///
-/// Unlike [`AggCache`], entries are keyed by the full `(observer, time[,
+/// Unlike `AggCache`, entries are keyed by the full `(observer, time[,
 /// core/alloc])` tuple and never overwritten: the map is bounded by the
 /// number of *distinct* probe queries a run issues, which is what makes
 /// the sharing accounting exact — `shared() = lookups() - distinct()`
@@ -517,7 +517,7 @@ impl SweepMemo {
     ///
     /// Both terms are pure functions of the query trace: each hunt
     /// consults the memo exactly once per distinct top-level key it needs
-    /// (its snapshot-local [`AggCache`] absorbs repeats, and is back-filled
+    /// (its snapshot-local `AggCache` absorbs repeats, and is back-filled
     /// identically on a memo hit or miss), and the set of keys ever
     /// published is the union of the hunts' key sets regardless of which
     /// lane computed each entry first.

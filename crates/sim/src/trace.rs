@@ -7,12 +7,10 @@
 //! emits its injected faults into the same stream, so a churned run's
 //! timeline reads as one ordered history.
 
-use serde::{Deserialize, Serialize};
-
 use crate::vm::{VmId, VmRole};
 
 /// The kind of probe-level fault injected into a measurement window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeFaultKind {
     /// One probe sample was lost (the reading never arrives).
     DroppedSample,
@@ -46,7 +44,7 @@ impl ProbeFaultKind {
 }
 
 /// One recorded cluster event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A VM was launched.
     Launch {

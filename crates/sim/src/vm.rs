@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use bolt_workloads::WorkloadProfile;
 
 /// An opaque, cluster-unique VM identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VmId(pub(crate) u64);
 
 impl VmId {
@@ -40,7 +38,7 @@ impl fmt::Display for VmId {
 /// The role a VM plays in an experiment — friendly VMs run victim
 /// workloads; adversarial VMs host Bolt's probes and attack programs
 /// (paper §3.1 threat model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VmRole {
     /// A normal tenant running one or more applications.
     Friendly,

@@ -9,12 +9,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{PressureVector, Resource};
 
 /// Coarse dataset/input scale, one of the per-family variation axes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetScale {
     /// Small input (fits in caches / single wave of tasks).
     Small,
@@ -75,7 +73,7 @@ impl fmt::Display for DatasetScale {
 /// assert!(a.matches(&b)); // same family + variant; scale may differ
 /// assert_eq!(a.to_string(), "hadoop:wordcount:S");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AppLabel {
     family: String,
     variant: String,
@@ -130,7 +128,7 @@ impl fmt::Display for AppLabel {
 /// The resource characteristics of an application, as Bolt reports them:
 /// the dominant resource plus the set of resources the application is most
 /// sensitive to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceCharacteristics {
     /// The resource with the highest pressure.
     pub dominant: Resource,

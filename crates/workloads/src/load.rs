@@ -7,8 +7,6 @@
 //! simulation time (seconds) to a load level in `[0, 1]` that scales the
 //! workload's generated pressure.
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds in one simulated day (compressed so diurnal effects show up in
 /// minutes-long experiments: 1 "day" = 600 s of simulated time).
 pub const DAY_SECONDS: f64 = 600.0;
@@ -28,7 +26,7 @@ pub const DAY_SECONDS: f64 = 600.0;
 /// let l = diurnal.level(0.0);
 /// assert!((0.2..=0.9).contains(&l));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LoadPattern {
     /// Constant load at `level`.
     Constant {

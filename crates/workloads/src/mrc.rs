@@ -16,8 +16,6 @@
 //! working set,
 //! `miss(a) = floor + (1 − floor) · (1 − a/knee)₊^shape` for `a < knee`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::profile::WorkloadProfile;
 use crate::resource::{PressureVector, Resource};
 
@@ -32,7 +30,7 @@ use crate::resource::{PressureVector, Resource};
 /// let resident  = MissRateCurve::new(0.4, 0.02, 2.0); // fits in 40% of the LLC
 /// assert!(streaming.miss_rate(0.5) > resident.miss_rate(0.5));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MissRateCurve {
     /// Fraction of the LLC at which the working set fits (`(0, 1]`); the
     /// miss rate reaches its floor here.

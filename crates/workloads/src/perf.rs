@@ -9,8 +9,6 @@
 //! contention raises the effective utilization of the victim's bottleneck,
 //! and latency explodes as the bottleneck saturates.
 
-use serde::{Deserialize, Serialize};
-
 use crate::profile::WorkloadProfile;
 use crate::resource::{PressureVector, Resource};
 
@@ -140,7 +138,7 @@ pub fn qps_loss(profile: &WorkloadProfile, interference: &PressureVector, load: 
 
 /// A summarized performance observation for one victim at one instant —
 /// the record the attack experiments aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfSample {
     /// Simulated time of the sample (seconds).
     pub time_s: f64,

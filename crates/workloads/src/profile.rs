@@ -8,7 +8,6 @@
 //! level of its pressure signal.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::label::{AppLabel, ResourceCharacteristics};
 use crate::load::LoadPattern;
@@ -16,7 +15,7 @@ use crate::resource::{PressureVector, Resource, RESOURCE_COUNT};
 
 /// Whether a workload is latency-critical or throughput-oriented, which
 /// selects the performance model the simulator applies to it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadKind {
     /// Latency-critical service (key-value store, webserver, database):
     /// interference shows up as tail-latency amplification.
@@ -39,7 +38,7 @@ pub enum WorkloadKind {
 /// // memcached's instruction-cache pressure is its signature (paper Fig. 2).
 /// assert!(p.base_pressure()[bolt_workloads::Resource::L1i] > 60.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     label: AppLabel,
     kind: WorkloadKind,
@@ -53,7 +52,6 @@ pub struct WorkloadProfile {
     /// For derived profiles (e.g. a load-scaled training instance), the
     /// original full-load fingerprint; `None` when `base_pressure` is
     /// already the reference.
-    #[serde(default)]
     reference_pressure: Option<PressureVector>,
 }
 

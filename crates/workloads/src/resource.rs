@@ -10,13 +10,11 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 /// Number of shared resources Bolt profiles.
 pub const RESOURCE_COUNT: usize = 10;
 
 /// One of the ten shared resources (paper §3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Resource {
     /// L1 instruction cache (per physical core, shared by hyperthreads).
     L1i,
@@ -143,7 +141,7 @@ impl fmt::Display for Resource {
 /// p[Resource::L1i] = 81.0;
 /// assert_eq!(p.dominant(), Resource::L1i);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PressureVector([f64; RESOURCE_COUNT]);
 
 impl PressureVector {

@@ -7,6 +7,7 @@
 use bolt::attacks::coresidency::{hunt, placement_probability, CoResidencyConfig};
 use bolt::detector::{Detector, DetectorConfig};
 use bolt::experiment::observed_training;
+use bolt::Telemetry;
 use bolt_recommender::{HybridRecommender, RecommenderConfig, TrainingData};
 use bolt_sim::vm::VmRole;
 use bolt_sim::{Cluster, IsolationConfig, ServerSpec};
@@ -65,6 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &config,
             round as f64 * 120.0,
             &mut rng,
+            &mut Telemetry::disabled(),
         )?;
         total_vms += outcome.vms_used;
         total_time += outcome.elapsed_s;

@@ -7,7 +7,7 @@
 //! Pass `--telemetry <path>` to capture a JSONL trace: the detection
 //! pipeline plus both attack executions (unit 1 = Bolt, unit 2 = naive).
 
-use bolt::attacks::dos::{craft_attack, naive_attack, run_dos_telemetry, DosRunConfig};
+use bolt::attacks::dos::{craft_attack, naive_attack, run_dos, DosRunConfig};
 use bolt::detector::{Detector, DetectorConfig};
 use bolt::experiment::observed_training;
 use bolt::telemetry::{telemetry_path_from_args, Telemetry, TelemetryLog};
@@ -38,13 +38,7 @@ fn scene(rng: &mut StdRng) -> Result<(Cluster, VmId, VmId, f64), Box<dyn std::er
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let telemetry_path = telemetry_path_from_args(std::env::args().skip(1));
-    let unit = |u: usize| {
-        if telemetry_path.is_some() {
-            Telemetry::for_unit(u)
-        } else {
-            Telemetry::disabled()
-        }
-    };
+    let unit = |u: usize| Telemetry::for_unit_if(telemetry_path.is_some(), u);
     let mut rng = StdRng::seed_from_u64(7);
     let isolation = IsolationConfig::cloud_default();
     let data = TrainingData::from_examples(observed_training(&training_set(7), &isolation))?;
@@ -55,8 +49,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Bolt's attack: detect first, then stress what the victim needs.
     let (mut cluster, attacker, victim, baseline) = scene(&mut rng)?;
     let mut bolt_telemetry = unit(1);
-    let detection =
-        detector.detect_telemetry(&cluster, attacker, 10.0, &mut rng, &mut bolt_telemetry)?;
+    let detection = detector.detect(
+        &cluster,
+        attacker,
+        10.0,
+        None,
+        &mut rng,
+        &mut bolt_telemetry,
+    )?;
     println!(
         "detected co-resident: {:?} ({:?})",
         detection.label().map(ToString::to_string),
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let primary = detection.primary().expect("a co-resident was detected");
     let attack = craft_attack(primary);
     println!("crafted contention:   {attack}");
-    let bolt = run_dos_telemetry(
+    let bolt = run_dos(
         &mut cluster,
         attacker,
         victim,
@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- The naive baseline: saturate compute, get migrated away.
     let (mut cluster2, attacker2, victim2, _) = scene(&mut rng)?;
     let mut naive_telemetry = unit(2);
-    let naive = run_dos_telemetry(
+    let naive = run_dos(
         &mut cluster2,
         attacker2,
         victim2,

@@ -21,11 +21,7 @@ use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let telemetry_path = telemetry_path_from_args(std::env::args().skip(1));
-    let mut telemetry = if telemetry_path.is_some() {
-        Telemetry::for_unit(0)
-    } else {
-        Telemetry::disabled()
-    };
+    let mut telemetry = Telemetry::for_unit_if(telemetry_path.is_some(), 0);
     let mut rng = StdRng::seed_from_u64(0xF18);
     let isolation = IsolationConfig::cloud_default();
     let mut cluster = Cluster::new(1, ServerSpec::xeon(), isolation)?;
@@ -75,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let phase = ((t / phase_s) as usize).min(jobs.len() - 1);
         cluster.swap_profile(victim, jobs[phase].clone())?;
         let clock = telemetry.begin();
-        let d = detector.detect_telemetry(&cluster, adversary, t, &mut rng, &mut telemetry)?;
+        let d = detector.detect(&cluster, adversary, t, None, &mut rng, &mut telemetry)?;
         telemetry.span(Phase::DetectionIteration, t, d.duration_s, clock);
         let detected = d
             .label()
@@ -96,8 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(path) = telemetry_path {
         telemetry.cluster_events(cluster.take_events());
-        let mut log = TelemetryLog::new();
-        log.merge(telemetry);
+        let log = TelemetryLog::from_events(telemetry.into_events());
         log.write_jsonl(&path)?;
         eprintln!("telemetry: {} events -> {}", log.len(), path.display());
     }

@@ -16,11 +16,7 @@ use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let telemetry_path = telemetry_path_from_args(std::env::args().skip(1));
-    let mut telemetry = if telemetry_path.is_some() {
-        Telemetry::for_unit(0)
-    } else {
-        Telemetry::disabled()
-    };
+    let mut telemetry = Telemetry::for_unit_if(telemetry_path.is_some(), 0);
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
 
     // One Xeon-class host in a default public-cloud configuration (VMs, no
@@ -53,8 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One detection iteration: probing + data mining. Bolt emits one
     // verdict per co-resident it believes it disentangled.
-    let detection =
-        detector.detect_telemetry(&cluster, adversary, 20.0, &mut rng, &mut telemetry)?;
+    let detection = detector.detect(&cluster, adversary, 20.0, None, &mut rng, &mut telemetry)?;
     println!(
         "\nprofiling cost: {:.1} simulated seconds",
         detection.duration_s
@@ -81,8 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         primary.characteristics
     );
     if let Some(path) = telemetry_path {
-        let mut log = TelemetryLog::new();
-        log.merge(telemetry);
+        let log = TelemetryLog::from_events(telemetry.into_events());
         log.write_jsonl(&path)?;
         eprintln!("telemetry: {} events -> {}", log.len(), path.display());
     }

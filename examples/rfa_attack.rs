@@ -5,6 +5,7 @@
 //! Run with: `cargo run --example rfa_attack`
 
 use bolt::attacks::rfa::run_rfa;
+use bolt::Telemetry;
 use bolt_sim::{Cluster, IsolationConfig, ServerSpec};
 use bolt_workloads::{catalog, DatasetScale};
 use rand::rngs::StdRng;
@@ -40,7 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut cluster = Cluster::new(1, ServerSpec::xeon(), IsolationConfig::cloud_default())?;
         let beneficiary = catalog::speccpu::profile(&catalog::speccpu::Benchmark::Mcf, &mut rng);
         let name = victim.label().to_string();
-        let outcome = run_rfa(&mut cluster, 0, victim, beneficiary, &mut rng)?;
+        let mut off = Telemetry::disabled();
+        let outcome = run_rfa(&mut cluster, 0, victim, beneficiary, &mut rng, &mut off)?;
         println!(
             "{:<22} {:>+13.0}% {:>+15.0}% {:>14}",
             name,

@@ -14,21 +14,20 @@
 //!
 //! Dependencies are deliberately std-only: arguments are parsed by hand.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bolt::attacks::coresidency::{hunt_telemetry, placement_probability, CoResidencyConfig};
-use bolt::attacks::dos::{
-    craft_attack_from_profile, naive_attack, run_dos_telemetry, DosRunConfig,
-};
-use bolt::attacks::rfa::run_rfa_telemetry;
-use bolt::experiment::{run_experiment_cache, run_experiment_cache_telemetry, ExperimentConfig};
-use bolt::isolation_study::{run_isolation_study_cache, run_isolation_study_cache_telemetry};
+use bolt::attacks::coresidency::{hunt, placement_probability, CoResidencyConfig};
+use bolt::attacks::dos::{craft_attack_from_profile, naive_attack, run_dos, DosRunConfig};
+use bolt::attacks::rfa::run_rfa;
+use bolt::experiment::{run_experiment, ExperimentConfig};
+use bolt::isolation_study::run_isolation_study;
 use bolt::report::{pct, Table};
 use bolt::telemetry::{Telemetry, TelemetryLog};
-use bolt::user_study::{run_user_study_cache, run_user_study_cache_telemetry, UserStudyConfig};
-use bolt::FitCache;
+use bolt::user_study::{run_user_study, UserStudyConfig};
+use bolt::{FitCache, RunCtx};
 use bolt_sim::{LeastLoaded, OsSetting, Quasar};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,29 +46,32 @@ fn main() -> ExitCode {
         }
     };
 
-    let result = match command.as_str() {
-        "detect" => cmd_detect(&flags),
-        "table1" => cmd_table1(&flags),
-        "study" => cmd_study(&flags),
-        "isolation" => cmd_isolation(&flags),
-        "dos" => cmd_dos(&flags),
-        "rfa" => cmd_rfa(&flags),
-        "coresidency" => cmd_coresidency(&flags),
-        "robustness" => cmd_robustness(&flags),
-        "region" => cmd_region(&flags),
-        "serve" => cmd_serve(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
-    };
-    match result {
+    match run_command(&command, &flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+fn run_command(command: &str, flags: &Flags) -> Result<(), String> {
+    match command {
+        "detect" => cmd_detect(flags),
+        "table1" => cmd_table1(flags),
+        "study" => cmd_study(flags),
+        "isolation" => cmd_isolation(flags),
+        "dos" => cmd_dos(flags),
+        "rfa" => cmd_rfa(flags),
+        "coresidency" => cmd_coresidency(flags),
+        "robustness" => cmd_robustness(flags),
+        "region" => cmd_region(flags),
+        "serve" => cmd_serve(flags),
+        "help" | "--help" | "-h" => {
+            println!("{USAGE}");
+            Ok(())
+        }
+        other => Err(format!("unknown command `{other}`\n{USAGE}")),
     }
 }
 
@@ -124,14 +126,42 @@ const BOOLEAN_FLAGS: [&str; 5] = ["mrc", "anytime", "no-fit-cache", "warm-refit"
 
 /// Parsed `--flag value` pairs (also accepts `--flag=value`). Values stay
 /// strings until a command asks for them, so path-valued flags like
-/// `--telemetry` coexist with the numeric ones.
-struct Flags(HashMap<String, String>);
+/// `--telemetry` coexist with the numeric ones. Every lookup marks the
+/// flag as read, so [`Flags::reject_unread`] can refuse the flags a
+/// command never looked at — misspellings included — before it runs.
+struct Flags {
+    values: BTreeMap<String, String>,
+    read: RefCell<BTreeSet<String>>,
+}
 
 impl Flags {
+    /// The raw value of a flag, if present, marking it as read.
+    fn get(&self, name: &str) -> Option<&String> {
+        self.read.borrow_mut().insert(name.to_string());
+        self.values.get(name)
+    }
+
+    /// Fails with a usage error naming every flag the command has not read.
+    fn reject_unread(&self) -> Result<(), String> {
+        let read = self.read.borrow();
+        let unread: Vec<&str> = self
+            .values
+            .keys()
+            .filter(|name| !read.contains(*name))
+            .map(String::as_str)
+            .collect();
+        if unread.is_empty() {
+            return Ok(());
+        }
+        Err(format!(
+            "unknown flag for this command: --{}\n{USAGE}",
+            unread.join(", --")
+        ))
+    }
+
     /// The flag as an integer, if present.
     fn u64(&self, name: &str) -> Result<Option<u64>, String> {
-        self.0
-            .get(name)
+        self.get(name)
             .map(|v| {
                 v.parse()
                     .map_err(|_| format!("--{name} needs an integer, got `{v}`"))
@@ -146,8 +176,7 @@ impl Flags {
 
     /// The flag as a float, if present.
     fn f64(&self, name: &str) -> Result<Option<f64>, String> {
-        self.0
-            .get(name)
+        self.get(name)
             .map(|v| {
                 v.parse()
                     .map_err(|_| format!("--{name} needs a number, got `{v}`"))
@@ -157,8 +186,7 @@ impl Flags {
 
     /// The flag as a boolean, defaulting to `false` when absent.
     fn bool(&self, name: &str) -> Result<bool, String> {
-        self.0
-            .get(name)
+        self.get(name)
             .map(|v| {
                 v.parse()
                     .map_err(|_| format!("--{name} needs true or false, got `{v}`"))
@@ -169,7 +197,16 @@ impl Flags {
 
     /// The `--telemetry` output path, if requested.
     fn telemetry(&self) -> Option<PathBuf> {
-        self.0.get("telemetry").map(PathBuf::from)
+        self.get("telemetry").map(PathBuf::from)
+    }
+
+    /// Reads `--telemetry`, then rejects the flags the command has not
+    /// read. Commands call this once their other flags are parsed, before
+    /// running.
+    fn finish(&self) -> Result<Trace, String> {
+        let trace = Trace(self.telemetry());
+        self.reject_unread()?;
+        Ok(trace)
     }
 
     /// The run's fit cache: shared across every fit of the command unless
@@ -184,7 +221,7 @@ impl Flags {
 }
 
 fn parse_flags(args: impl Iterator<Item = String>) -> Result<Flags, String> {
-    let mut flags = HashMap::new();
+    let mut flags = BTreeMap::new();
     let mut args = args.peekable();
     while let Some(flag) = args.next() {
         let Some(name) = flag.strip_prefix("--") else {
@@ -208,20 +245,32 @@ fn parse_flags(args: impl Iterator<Item = String>) -> Result<Flags, String> {
         };
         flags.insert(name, value);
     }
-    Ok(Flags(flags))
+    Ok(Flags {
+        values: flags,
+        read: RefCell::default(),
+    })
 }
 
-/// Writes the run's telemetry trace when `--telemetry` was given, with a
-/// per-metric summary on stderr.
-fn write_telemetry(flags: &Flags, log: &TelemetryLog) -> Result<(), String> {
-    let Some(path) = flags.telemetry() else {
-        return Ok(());
-    };
-    log.write_jsonl(&path)
-        .map_err(|e| format!("writing {}: {e}", path.display()))?;
-    eprintln!("telemetry: {} events -> {}", log.len(), path.display());
-    eprintln!("{}", log.summary_table().render());
-    Ok(())
+/// Where a command's `--telemetry` trace goes, if anywhere.
+struct Trace(Option<PathBuf>);
+
+impl Trace {
+    /// Whether the command records telemetry.
+    fn on(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Writes the trace, with a per-metric summary on stderr.
+    fn write(&self, log: &TelemetryLog) -> Result<(), String> {
+        let Some(path) = &self.0 else {
+            return Ok(());
+        };
+        log.write_jsonl(path)
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+        eprintln!("telemetry: {} events -> {}", log.len(), path.display());
+        eprintln!("{}", log.summary_table().render());
+        Ok(())
+    }
 }
 
 fn experiment_config(flags: &Flags) -> Result<ExperimentConfig, String> {
@@ -243,18 +292,14 @@ fn experiment_config(flags: &Flags) -> Result<ExperimentConfig, String> {
 
 fn cmd_detect(flags: &Flags) -> Result<(), String> {
     let config = experiment_config(flags)?;
+    let cache = flags.fit_cache()?;
+    let trace = flags.finish()?;
     eprintln!(
         "running the controlled experiment: {} victims on {} servers...",
         config.victims, config.servers
     );
-    let cache = flags.fit_cache()?;
-    let (results, log) = if flags.telemetry().is_some() {
-        run_experiment_cache_telemetry(&config, &LeastLoaded, &cache).map_err(|e| e.to_string())?
-    } else {
-        let results =
-            run_experiment_cache(&config, &LeastLoaded, &cache).map_err(|e| e.to_string())?;
-        (results, TelemetryLog::new())
-    };
+    let ctx = RunCtx::new(&cache, trace.on());
+    let (results, log) = run_experiment(&config, &LeastLoaded, &ctx).map_err(|e| e.to_string())?;
     let mut table = Table::new(vec![
         "victim", "detected", "iters", "co-res", "label", "chars",
     ]);
@@ -277,28 +322,20 @@ fn cmd_detect(flags: &Flags) -> Result<(), String> {
         pct(results.label_accuracy()),
         pct(results.characteristics_accuracy())
     );
-    write_telemetry(flags, &log)?;
-    Ok(())
+    trace.write(&log)
 }
 
 fn cmd_table1(flags: &Flags) -> Result<(), String> {
     let config = experiment_config(flags)?;
+    let cache = flags.fit_cache()?;
+    let trace = flags.finish()?;
     eprintln!("running the controlled experiment twice (LL, Quasar)...");
     // Both schedulers see the same cluster physics, so one cache means the
     // recommender is trained once and the Quasar run reuses it.
-    let cache = flags.fit_cache()?;
-    let (ll, quasar, log) = if flags.telemetry().is_some() {
-        let (ll, mut log) = run_experiment_cache_telemetry(&config, &LeastLoaded, &cache)
-            .map_err(|e| e.to_string())?;
-        let (quasar, quasar_log) =
-            run_experiment_cache_telemetry(&config, &Quasar, &cache).map_err(|e| e.to_string())?;
-        log.extend(quasar_log.into_events());
-        (ll, quasar, log)
-    } else {
-        let ll = run_experiment_cache(&config, &LeastLoaded, &cache).map_err(|e| e.to_string())?;
-        let quasar = run_experiment_cache(&config, &Quasar, &cache).map_err(|e| e.to_string())?;
-        (ll, quasar, TelemetryLog::new())
-    };
+    let ctx = RunCtx::new(&cache, trace.on());
+    let (ll, mut log) = run_experiment(&config, &LeastLoaded, &ctx).map_err(|e| e.to_string())?;
+    let (quasar, quasar_log) = run_experiment(&config, &Quasar, &ctx).map_err(|e| e.to_string())?;
+    log.extend(quasar_log.into_events());
     let mut table = Table::new(vec!["class", "LL", "Quasar"]);
     table.row(vec![
         "aggregate".into(),
@@ -318,8 +355,7 @@ fn cmd_table1(flags: &Flags) -> Result<(), String> {
         ]);
     }
     println!("{}", table.render());
-    write_telemetry(flags, &log)?;
-    Ok(())
+    trace.write(&log)
 }
 
 fn cmd_study(flags: &Flags) -> Result<(), String> {
@@ -332,17 +368,14 @@ fn cmd_study(flags: &Flags) -> Result<(), String> {
     if let Some(seed) = flags.u64("seed")? {
         config.seed = seed;
     }
+    let cache = flags.fit_cache()?;
+    let trace = flags.finish()?;
     eprintln!(
         "running the user study: {} jobs on {} instances...",
         config.jobs, config.instances
     );
-    let cache = flags.fit_cache()?;
-    let (results, log) = if flags.telemetry().is_some() {
-        run_user_study_cache_telemetry(&config, &cache).map_err(|e| e.to_string())?
-    } else {
-        let results = run_user_study_cache(&config, &cache).map_err(|e| e.to_string())?;
-        (results, TelemetryLog::new())
-    };
+    let ctx = RunCtx::new(&cache, trace.on());
+    let (results, log) = run_user_study(&config, &ctx).map_err(|e| e.to_string())?;
     let n = results.records.len();
     println!(
         "named {}/{} ({})  characterized {}/{} ({})  instances used {}/{}",
@@ -355,8 +388,7 @@ fn cmd_study(flags: &Flags) -> Result<(), String> {
         results.instances_used,
         config.instances
     );
-    write_telemetry(flags, &log)?;
-    Ok(())
+    trace.write(&log)
 }
 
 fn cmd_isolation(flags: &Flags) -> Result<(), String> {
@@ -365,14 +397,11 @@ fn cmd_isolation(flags: &Flags) -> Result<(), String> {
         victims: flags.usize("victims", 24)?,
         ..ExperimentConfig::default()
     };
-    eprintln!("running 21 detection experiments (3 settings x 7 stacks)...");
     let cache = flags.fit_cache()?;
-    let (study, log) = if flags.telemetry().is_some() {
-        run_isolation_study_cache_telemetry(&config, &cache).map_err(|e| e.to_string())?
-    } else {
-        let study = run_isolation_study_cache(&config, &cache).map_err(|e| e.to_string())?;
-        (study, TelemetryLog::new())
-    };
+    let trace = flags.finish()?;
+    eprintln!("running 21 detection experiments (3 settings x 7 stacks)...");
+    let ctx = RunCtx::new(&cache, trace.on());
+    let (study, log) = run_isolation_study(&config, &ctx).map_err(|e| e.to_string())?;
     let mut table = Table::new(vec!["stack", "baremetal", "containers", "VMs"]);
     let stacks = [
         "none",
@@ -395,8 +424,7 @@ fn cmd_isolation(flags: &Flags) -> Result<(), String> {
         table.row(row);
     }
     println!("{}", table.render());
-    write_telemetry(flags, &log)?;
-    Ok(())
+    trace.write(&log)
 }
 
 fn cmd_dos(flags: &Flags) -> Result<(), String> {
@@ -405,6 +433,7 @@ fn cmd_dos(flags: &Flags) -> Result<(), String> {
     use bolt_workloads::{catalog, LoadPattern, PressureVector};
 
     let seed = flags.u64("seed")?.unwrap_or(0xD05);
+    let trace = flags.finish()?;
     let mut rng = StdRng::seed_from_u64(seed);
     let scene = |rng: &mut StdRng| -> Result<_, String> {
         let mut cluster = Cluster::new(4, ServerSpec::xeon(), IsolationConfig::cloud_default())
@@ -432,14 +461,6 @@ fn cmd_dos(flags: &Flags) -> Result<(), String> {
     };
 
     // Unit 1 traces the Bolt-crafted run, unit 2 the naive baseline.
-    let enabled = flags.telemetry().is_some();
-    let unit = |u: usize| {
-        if enabled {
-            Telemetry::for_unit(u)
-        } else {
-            Telemetry::disabled()
-        }
-    };
     let defense = DosRunConfig::default();
     let (mut c1, a1, v1, baseline) = scene(&mut rng)?;
     let pressure = *c1
@@ -447,8 +468,8 @@ fn cmd_dos(flags: &Flags) -> Result<(), String> {
         .map_err(|e| e.to_string())?
         .profile
         .base_pressure();
-    let mut bolt_telemetry = unit(1);
-    let bolt = run_dos_telemetry(
+    let mut bolt_telemetry = Telemetry::for_unit_if(trace.on(), 1);
+    let bolt = run_dos(
         &mut c1,
         a1,
         v1,
@@ -459,8 +480,8 @@ fn cmd_dos(flags: &Flags) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     let (mut c2, a2, v2, _) = scene(&mut rng)?;
-    let mut naive_telemetry = unit(2);
-    let naive = run_dos_telemetry(
+    let mut naive_telemetry = Telemetry::for_unit_if(trace.on(), 2);
+    let naive = run_dos(
         &mut c2,
         a2,
         v2,
@@ -483,8 +504,7 @@ fn cmd_dos(flags: &Flags) -> Result<(), String> {
         naive.final_amplification(baseline),
         naive.migration_at
     );
-    write_telemetry(flags, &log)?;
-    Ok(())
+    trace.write(&log)
 }
 
 fn cmd_rfa(flags: &Flags) -> Result<(), String> {
@@ -492,6 +512,7 @@ fn cmd_rfa(flags: &Flags) -> Result<(), String> {
     use bolt_workloads::{catalog, DatasetScale};
 
     let seed = flags.u64("seed")?.unwrap_or(0x2FA);
+    let trace = flags.finish()?;
     let mut rng = StdRng::seed_from_u64(seed);
     let victims = vec![
         catalog::webserver::profile(&catalog::webserver::Variant::Dynamic, &mut rng).with_vcpus(8),
@@ -508,7 +529,6 @@ fn cmd_rfa(flags: &Flags) -> Result<(), String> {
         )
         .with_vcpus(8),
     ];
-    let enabled = flags.telemetry().is_some();
     let mut log = TelemetryLog::new();
     let mut table = Table::new(vec!["victim", "victim perf", "mcf", "target"]);
     for (idx, victim) in victims.into_iter().enumerate() {
@@ -517,12 +537,8 @@ fn cmd_rfa(flags: &Flags) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         let mcf = catalog::speccpu::profile(&catalog::speccpu::Benchmark::Mcf, &mut rng);
         // One telemetry unit per Table 2 row.
-        let mut telemetry = if enabled {
-            Telemetry::for_unit(idx + 1)
-        } else {
-            Telemetry::disabled()
-        };
-        let outcome = run_rfa_telemetry(&mut cluster, 0, victim, mcf, &mut rng, &mut telemetry)
+        let mut telemetry = Telemetry::for_unit_if(trace.on(), idx + 1);
+        let outcome = run_rfa(&mut cluster, 0, victim, mcf, &mut rng, &mut telemetry)
             .map_err(|e| e.to_string())?;
         log.merge(telemetry);
         table.row(vec![
@@ -533,8 +549,7 @@ fn cmd_rfa(flags: &Flags) -> Result<(), String> {
         ]);
     }
     println!("{}", table.render());
-    write_telemetry(flags, &log)?;
-    Ok(())
+    trace.write(&log)
 }
 
 fn cmd_coresidency(flags: &Flags) -> Result<(), String> {
@@ -547,6 +562,8 @@ fn cmd_coresidency(flags: &Flags) -> Result<(), String> {
 
     let servers = flags.usize("servers", 40)?;
     let seed = flags.u64("seed")?.unwrap_or(0xC0DE);
+    let cache = flags.fit_cache()?;
+    let trace = flags.finish()?;
     let mut rng = StdRng::seed_from_u64(seed);
     let isolation = IsolationConfig::cloud_default();
     let mut cluster =
@@ -588,7 +605,7 @@ fn cmd_coresidency(flags: &Flags) -> Result<(), String> {
         7,
         &isolation,
         RecommenderConfig::default(),
-        &flags.fit_cache()?,
+        &cache,
         &mut Telemetry::disabled(),
     )
     .map_err(|e| e.to_string())?;
@@ -598,16 +615,11 @@ fn cmd_coresidency(flags: &Flags) -> Result<(), String> {
         "hunting a SQL victim across {servers} servers; P(per fleet) = {:.2}",
         placement_probability(servers, 1, config.probes)
     );
-    let enabled = flags.telemetry().is_some();
     let mut log = TelemetryLog::new();
     for round in 0..10 {
         // One telemetry unit per probe fleet.
-        let mut telemetry = if enabled {
-            Telemetry::for_unit(round + 1)
-        } else {
-            Telemetry::disabled()
-        };
-        let outcome = hunt_telemetry(
+        let mut telemetry = Telemetry::for_unit_if(trace.on(), round + 1);
+        let outcome = hunt(
             &mut cluster,
             &detector,
             victim,
@@ -628,23 +640,23 @@ fn cmd_coresidency(flags: &Flags) -> Result<(), String> {
                 "confirmed on server {server} (truth: {victim_host}) with a {:.1}x latency jump",
                 outcome.latency_ratio()
             );
-            write_telemetry(flags, &log)?;
-            return Ok(());
+            return trace.write(&log);
         }
     }
     println!("not located within the fleet budget — relaunch with another --seed");
-    write_telemetry(flags, &log)?;
-    Ok(())
+    trace.write(&log)
 }
 
 fn cmd_robustness(flags: &Flags) -> Result<(), String> {
-    use bolt::robustness::churn_sweep_cache_telemetry;
+    use bolt::robustness::churn_sweep;
 
     let config = ExperimentConfig {
         servers: flags.usize("servers", 8)?,
         victims: flags.usize("victims", 16)?,
         ..experiment_config(flags)?
     };
+    let cache = flags.fit_cache()?;
+    let trace = flags.finish()?;
     let intensities = [0.0, 0.25, 0.5, 0.75, 1.0];
     eprintln!(
         "running the churn sweep: {} victims on {} servers at {} intensities...",
@@ -652,12 +664,9 @@ fn cmd_robustness(flags: &Flags) -> Result<(), String> {
         config.servers,
         intensities.len()
     );
-    // The sweep always records internally — the counters feed the
-    // fault/retry columns — so the log is there whether or not it is
-    // written out.
+    let ctx = RunCtx::new(&cache, trace.on());
     let (points, log) =
-        churn_sweep_cache_telemetry(&config, &LeastLoaded, &intensities, &flags.fit_cache()?)
-            .map_err(|e| e.to_string())?;
+        churn_sweep(&config, &LeastLoaded, &intensities, &ctx).map_err(|e| e.to_string())?;
     let mut table = Table::new(vec![
         "intensity",
         "accuracy",
@@ -696,8 +705,7 @@ fn cmd_robustness(flags: &Flags) -> Result<(), String> {
             "CONTRACT VIOLATED"
         }
     );
-    write_telemetry(flags, &log)?;
-    Ok(())
+    trace.write(&log)
 }
 
 fn cmd_region(flags: &Flags) -> Result<(), String> {
@@ -712,21 +720,19 @@ fn cmd_region(flags: &Flags) -> Result<(), String> {
     if let Some(seed) = flags.u64("seed")? {
         config.seed = seed;
     }
+    let trace = flags.finish()?;
     eprintln!(
         "stepping a {}-server region ({} tenants/host target, {} steps)...",
         config.servers, config.vms_per_server, config.steps
     );
-    let mut telemetry = Telemetry::for_unit(0);
+    let mut telemetry = Telemetry::for_unit_if(trace.on(), 0);
     let report = run_region_telemetry(&config, &mut telemetry).map_err(|e| e.to_string())?;
     println!("{}", report.table().render());
-    let mut log = TelemetryLog::new();
-    log.merge(telemetry);
-    write_telemetry(flags, &log)?;
-    Ok(())
+    trace.write(&TelemetryLog::from_events(telemetry.into_events()))
 }
 
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
-    use bolt::service::{run_service_cache_telemetry, ServiceConfig, ShedPolicy};
+    use bolt::service::{run_service, ServiceConfig, ShedPolicy};
     use bolt::{Parallelism, RegionConfig};
     use bolt_sim::{ChaosConfig, StormConfig};
 
@@ -780,13 +786,15 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             Parallelism::Threads(threads as usize)
         };
     }
-    if let Some(policy) = flags.0.get("shed") {
+    if let Some(policy) = flags.get("shed") {
         config.shed = match policy.as_str() {
             "degrade" => ShedPolicy::DegradeToAnytime,
             "reject" => ShedPolicy::Reject,
             other => return Err(format!("--shed needs degrade or reject, got `{other}`")),
         };
     }
+    let cache = flags.fit_cache()?;
+    let trace = flags.finish()?;
 
     eprintln!(
         "serving {} requests at {:.1}/min over {} lanes ({} servers, storm {:.2}, chaos {:.2})...",
@@ -797,8 +805,9 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         config.storm.intensity,
         config.chaos.intensity
     );
-    let (report, log) =
-        run_service_cache_telemetry(&config, &flags.fit_cache()?).map_err(|e| e.to_string())?;
+    // Always recorded: the table's event, idle and sharing rows read the log.
+    let ctx = RunCtx::new(&cache, true);
+    let (report, log) = run_service(&config, &ctx).map_err(|e| e.to_string())?;
 
     let mut table = Table::new(vec!["metric", "value"]);
     table.row(vec!["offered".into(), report.offered.to_string()]);
@@ -871,7 +880,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             storm: StormConfig::none(),
             ..config
         };
-        run_service_cache_telemetry(&calm, &flags.fit_cache()?)
+        run_service(&calm, &ctx)
             .map_err(|e| e.to_string())?
             .0
             .silent_mislabel_rate
@@ -887,14 +896,58 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             "CONTRACT VIOLATED"
         }
     );
-    write_telemetry(flags, &log)?;
-    Ok(())
+    trace.write(&log)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::parse_flags;
+    use super::{experiment_config, parse_flags, run_command};
     use std::path::PathBuf;
+
+    fn flags(args: &[&str]) -> Result<super::Flags, String> {
+        parse_flags(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn commands_reject_unread_flags_before_running() {
+        let detect = |args: &[&str]| run_command("detect", &flags(args).unwrap()).unwrap_err();
+        let err = detect(&[
+            "--servers",
+            "4",
+            "--victims",
+            "6",
+            "--telemtry",
+            "typo.jsonl",
+        ]);
+        assert!(
+            err.contains("unknown flag") && err.contains("--telemtry"),
+            "{err}"
+        );
+        assert!(
+            !PathBuf::from("typo.jsonl").exists(),
+            "rejected before running"
+        );
+        let err = detect(&["--servers", "4", "--no-fit-cahce", "true"]);
+        assert!(err.contains("--no-fit-cahce"), "{err}");
+        // A bare misspelling is not a known boolean, so it fails to parse.
+        assert!(flags(&["--servers", "4", "--no-fit-cahce"]).is_err());
+        // Flags another command reads are still unknown to this one.
+        let err = run_command("region", &flags(&["--no-fit-cache"]).unwrap()).unwrap_err();
+        assert!(err.contains("--no-fit-cache"), "{err}");
+        // Once a command has read every flag given, nothing is rejected.
+        let given = flags(&[
+            "--servers",
+            "4",
+            "--mrc",
+            "--no-fit-cache",
+            "--telemetry",
+            "t",
+        ]);
+        let given = given.unwrap();
+        experiment_config(&given).unwrap();
+        given.fit_cache().unwrap();
+        assert!(given.finish().unwrap().on());
+    }
 
     #[test]
     fn parse_flags_accepts_pairs() {

@@ -6,6 +6,7 @@ use bolt::attacks::dos::{craft_attack, naive_attack, run_dos, DosRunConfig};
 use bolt::attacks::rfa::run_rfa;
 use bolt::detector::{Detector, DetectorConfig};
 use bolt::experiment::observed_training;
+use bolt::Telemetry;
 use bolt_recommender::{HybridRecommender, RecommenderConfig, TrainingData};
 use bolt_sim::vm::VmRole;
 use bolt_sim::{Cluster, IsolationConfig, ServerSpec};
@@ -51,8 +52,9 @@ fn detect_then_dos_end_to_end() {
         .set_pressure_override(attacker, Some(PressureVector::zero()))
         .expect("quiet attacker");
 
+    let mut off = Telemetry::disabled();
     let detection = det
-        .detect(&cluster, attacker, 15.0, &mut rng)
+        .detect(&cluster, attacker, 15.0, None, &mut rng, &mut off)
         .expect("detect");
     let primary = detection.primary().expect("victim detected");
     let attack = craft_attack(primary);
@@ -64,6 +66,7 @@ fn detect_then_dos_end_to_end() {
         attack,
         &DosRunConfig::default(),
         &mut rng,
+        &mut Telemetry::disabled(),
     )
     .expect("dos runs");
     assert!(
@@ -106,6 +109,7 @@ fn naive_dos_is_defeated_by_migration() {
         naive_attack(),
         &DosRunConfig::default(),
         &mut rng,
+        &mut Telemetry::disabled(),
     )
     .expect("dos runs");
     assert!(
@@ -141,7 +145,9 @@ fn rfa_all_three_paper_victims() {
         let mut cluster =
             Cluster::new(1, ServerSpec::xeon(), IsolationConfig::cloud_default()).expect("cluster");
         let beneficiary = catalog::speccpu::profile(&catalog::speccpu::Benchmark::Mcf, &mut rng);
-        let outcome = run_rfa(&mut cluster, 0, victim, beneficiary, &mut rng).expect("rfa");
+        let mut off = Telemetry::disabled();
+        let outcome =
+            run_rfa(&mut cluster, 0, victim, beneficiary, &mut rng, &mut off).expect("rfa");
         assert!(
             outcome.victim_delta < -0.1,
             "{name}: victim should degrade, got {:+.2}",
@@ -191,6 +197,7 @@ fn coresidency_hunt_eventually_confirms() {
             &config,
             round as f64 * 150.0,
             &mut rng,
+            &mut Telemetry::disabled(),
         )
         .expect("hunt runs");
         if let Some(server) = outcome.confirmed_server {

@@ -3,6 +3,7 @@
 
 use bolt::detector::{Detector, DetectorConfig};
 use bolt::experiment::{observe_through, observed_training};
+use bolt::Telemetry;
 use bolt_recommender::{HybridRecommender, RecommenderConfig, TrainingData};
 use bolt_sim::vm::VmRole;
 use bolt_sim::{Cluster, IsolationConfig, ServerSpec, VmId};
@@ -67,7 +68,14 @@ fn end_to_end_single_victim_families_detected() {
         let truth = victim.label().clone();
         let (cluster, adv) = host_with(vec![victim], &mut rng);
         let (d, _) = det
-            .detect_until(&cluster, adv, 0.0, |d| d.matches_family(&truth), &mut rng)
+            .detect_until_telemetry(
+                &cluster,
+                adv,
+                0.0,
+                |d| d.matches_family(&truth),
+                &mut rng,
+                &mut Telemetry::disabled(),
+            )
             .expect("detection runs");
         hits += d.matches_family(&truth) as usize;
     }
@@ -105,12 +113,13 @@ fn end_to_end_two_victims_both_usually_found() {
     let mut baseline: Option<Vec<(bolt_workloads::Resource, f64)>> = None;
     for i in 0..6 {
         let d = det
-            .detect_with_baseline(
+            .detect(
                 &cluster,
                 adv,
                 i as f64 * 20.0,
                 baseline.as_deref(),
                 &mut rng,
+                &mut Telemetry::disabled(),
             )
             .expect("detect");
         found_a |= d.matches_family(&truth_a);
@@ -141,8 +150,9 @@ fn characteristics_survive_unseen_applications() {
     let mut characterized = false;
     let mut named = false;
     for i in 0..6 {
+        let mut off = Telemetry::disabled();
         let d = det
-            .detect(&cluster, adv, i as f64 * 20.0, &mut rng)
+            .detect(&cluster, adv, i as f64 * 20.0, None, &mut rng, &mut off)
             .expect("detect");
         characterized |= d.matches_characteristics(&truth_chars);
         named |= d.matches_family(&truth_label);
@@ -234,7 +244,10 @@ fn detection_is_deterministic_for_fixed_seeds() {
         let victim = catalog::cassandra::profile(&catalog::cassandra::Variant::Mixed, &mut rng)
             .with_vcpus(8);
         let (cluster, adv) = host_with(vec![victim], &mut rng);
-        let d = det.detect(&cluster, adv, 42.0, &mut rng).expect("detect");
+        let mut off = Telemetry::disabled();
+        let d = det
+            .detect(&cluster, adv, 42.0, None, &mut rng, &mut off)
+            .expect("detect");
         d.labels().map(ToString::to_string).collect::<Vec<_>>()
     };
     assert_eq!(run(), run());

@@ -4,6 +4,7 @@
 
 use bolt::detector::{Detector, DetectorConfig};
 use bolt::experiment::{observe_through, observed_training};
+use bolt::Telemetry;
 use bolt_recommender::{HybridRecommender, RecommenderConfig, TrainingData};
 use bolt_sim::vm::VmRole;
 use bolt_sim::{Cluster, IsolationConfig, ServerSpec, TraceEvent};
@@ -51,8 +52,9 @@ fn parsec_jobs_are_characterized_but_never_named() {
 
         let mut hit = false;
         for i in 0..4 {
+            let mut off = Telemetry::disabled();
             let d = det
-                .detect(&cluster, adv, i as f64 * 20.0, &mut rng)
+                .detect(&cluster, adv, i as f64 * 20.0, None, &mut rng, &mut off)
                 .expect("detect");
             assert!(
                 !d.matches_family(&truth_label),
