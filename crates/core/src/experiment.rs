@@ -465,14 +465,21 @@ pub struct Testbed {
 ///
 /// # Errors
 ///
-/// Returns [`BoltError::InvalidExperiment`] if the victims cannot all be
-/// placed, and propagates simulator/numerical errors.
+/// Returns [`BoltError::InvalidExperiment`] if there are no victims or
+/// they cannot all be placed, and propagates simulator/numerical errors.
 pub fn build_testbed<S: Scheduler>(
     config: &ExperimentConfig,
     scheduler: &S,
     cache: &FitCache,
     telemetry: &mut Telemetry,
 ) -> Result<Testbed, BoltError> {
+    // With nothing to hunt, every accuracy is 0/0: refuse rather than
+    // report an empty table as "0.0% accuracy".
+    if config.victims == 0 {
+        return Err(BoltError::InvalidExperiment {
+            reason: "experiment needs at least one victim".to_string(),
+        });
+    }
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut cluster = Cluster::new(config.servers, ServerSpec::xeon(), config.isolation)?;
 
@@ -774,17 +781,19 @@ mod tests {
     }
 
     #[test]
-    fn overfull_experiment_rejected() {
-        let config = ExperimentConfig {
-            servers: 1,
-            victims: 50,
-            ..ExperimentConfig::default()
-        };
-        let mut off = Telemetry::disabled();
-        assert!(matches!(
-            build_testbed(&config, &LeastLoaded, &FitCache::new(), &mut off),
-            Err(BoltError::InvalidExperiment { .. })
-        ));
+    fn overfull_or_victimless_experiment_rejected() {
+        for (servers, victims) in [(1, 50), (4, 0)] {
+            let config = ExperimentConfig {
+                servers,
+                victims,
+                ..ExperimentConfig::default()
+            };
+            let mut off = Telemetry::disabled();
+            assert!(matches!(
+                build_testbed(&config, &LeastLoaded, &FitCache::new(), &mut off),
+                Err(BoltError::InvalidExperiment { .. })
+            ));
+        }
     }
 
     #[test]

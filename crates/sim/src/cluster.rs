@@ -75,15 +75,12 @@ pub struct StorageStats {
 /// ```
 #[derive(Debug)]
 pub struct Cluster {
-    servers: Vec<Server>,
-    vms: VmArena,
+    /// Placement state, shared copy-on-write between a cluster and its
+    /// [`Cluster::snapshot`]s. Read it freely; write it only through
+    /// [`Cluster::placement_mut`].
+    placement: Arc<Placement>,
     isolation: IsolationConfig,
-    next_id: u64,
     events: Vec<TraceEvent>,
-    /// Per-server capacity degradation in `[0, 1)`; 0 means full capacity.
-    /// Only the chaos engine sets this, so the vector stays all-zero (and
-    /// the physics below stay branch-only, bit-identical) in chaos-off runs.
-    degradation: Vec<f64>,
     /// Memoized deterministic aggregates (see [`crate::storage`]); a
     /// `Mutex` because detection shares `&Cluster` across worker threads.
     /// Queries release the lock while computing, so the couple-progress
@@ -104,6 +101,20 @@ pub struct Cluster {
     shared: Option<Arc<SweepMemo>>,
 }
 
+/// Everything a snapshot freezes: which VM sits where, on which threads,
+/// running what, on servers of what capacity. Cheap to share, O(placement)
+/// to copy.
+#[derive(Debug, Clone)]
+struct Placement {
+    servers: Vec<Server>,
+    vms: VmArena,
+    next_id: u64,
+    /// Per-server capacity degradation in `[0, 1)`; 0 means full capacity.
+    /// Only the chaos engine sets this, so the vector stays all-zero (and
+    /// the physics below stay branch-only, bit-identical) in chaos-off runs.
+    degradation: Vec<f64>,
+}
+
 impl Cluster {
     /// Creates a cluster of `n` identical empty servers.
     ///
@@ -121,17 +132,26 @@ impl Cluster {
             .map(|_| Server::new(spec))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Cluster {
-            servers,
-            vms: VmArena::new(n),
+            placement: Arc::new(Placement {
+                servers,
+                vms: VmArena::new(n),
+                next_id: 0,
+                degradation: vec![0.0; n],
+            }),
             isolation,
-            next_id: 0,
             events: Vec::new(),
-            degradation: vec![0.0; n],
             agg: Mutex::new(AggCache::default()),
             neighbor_visits: AtomicU64::new(0),
             reference_scan: false,
             shared: None,
         })
+    }
+
+    /// The only write path to the placement: unshares it first, so the
+    /// first mutation after a [`Cluster::snapshot`] copies it once and
+    /// every other instance sharing it keeps reading the old state.
+    fn placement_mut(&mut self) -> &mut Placement {
+        Arc::make_mut(&mut self.placement)
     }
 
     /// Drops every memoized aggregate; called by every mutation that can
@@ -163,18 +183,18 @@ impl Cluster {
     /// stochastic path draws RNG per neighbor in a fixed order; caching
     /// it would skip draws and shift the stream, so it is excluded.
     fn cacheable(&self, server: usize) -> bool {
-        !self.reference_scan && self.vms.stochastic_on(server) == 0
+        !self.reference_scan && self.placement.vms.stochastic_on(server) == 0
     }
 
     /// Storage-layer instrumentation counters.
     pub fn storage_stats(&self) -> StorageStats {
         let agg = self.agg.lock().expect("cache lock poisoned");
         StorageStats {
-            live_vms: self.vms.len(),
-            arena_slots: self.vms.slots(),
-            free_slots: self.vms.free_slots(),
-            slots_reused: self.vms.slots_reused,
-            residency_ops: self.vms.residency_ops,
+            live_vms: self.placement.vms.len(),
+            arena_slots: self.placement.vms.slots(),
+            free_slots: self.placement.vms.free_slots(),
+            slots_reused: self.placement.vms.slots_reused,
+            residency_ops: self.placement.vms.residency_ops,
             agg_hits: agg.hits,
             agg_misses: agg.misses,
             neighbor_visits: self.neighbor_visits.load(Ordering::Relaxed),
@@ -192,7 +212,7 @@ impl Cluster {
 
     /// Number of servers.
     pub fn server_count(&self) -> usize {
-        self.servers.len()
+        self.placement.servers.len()
     }
 
     /// The active isolation configuration.
@@ -218,10 +238,10 @@ impl Cluster {
     /// * [`SimError::UnknownServer`] for a bad server index.
     /// * [`SimError::InvalidConfig`] if `factor` is not in `[0, 1)`.
     pub fn set_degradation(&mut self, server: usize, factor: f64, at: f64) -> Result<(), SimError> {
-        if server >= self.servers.len() {
+        if server >= self.placement.servers.len() {
             return Err(SimError::UnknownServer {
                 server,
-                cluster_size: self.servers.len(),
+                cluster_size: self.placement.servers.len(),
             });
         }
         if !(0.0..1.0).contains(&factor) {
@@ -229,7 +249,7 @@ impl Cluster {
                 reason: format!("degradation factor {factor} outside [0, 1)"),
             });
         }
-        self.degradation[server] = factor;
+        self.placement_mut().degradation[server] = factor;
         self.events.push(TraceEvent::Degrade { server, factor, at });
         self.invalidate_aggregates();
         Ok(())
@@ -241,12 +261,13 @@ impl Cluster {
     ///
     /// Returns [`SimError::UnknownServer`] for a bad index.
     pub fn degradation_of(&self, server: usize) -> Result<f64, SimError> {
-        self.degradation
+        self.placement
+            .degradation
             .get(server)
             .copied()
             .ok_or(SimError::UnknownServer {
                 server,
-                cluster_size: self.servers.len(),
+                cluster_size: self.placement.servers.len(),
             })
     }
 
@@ -256,10 +277,13 @@ impl Cluster {
     ///
     /// Returns [`SimError::UnknownServer`] for an out-of-range index.
     pub fn server(&self, idx: usize) -> Result<&Server, SimError> {
-        self.servers.get(idx).ok_or(SimError::UnknownServer {
-            server: idx,
-            cluster_size: self.servers.len(),
-        })
+        self.placement
+            .servers
+            .get(idx)
+            .ok_or(SimError::UnknownServer {
+                server: idx,
+                cluster_size: self.placement.servers.len(),
+            })
     }
 
     /// A placed VM's state.
@@ -268,19 +292,22 @@ impl Cluster {
     ///
     /// Returns [`SimError::UnknownVm`] if the VM does not exist.
     pub fn vm(&self, id: VmId) -> Result<&VmState, SimError> {
-        self.vms.get(id).ok_or(SimError::UnknownVm { vm: id })
+        self.placement
+            .vms
+            .get(id)
+            .ok_or(SimError::UnknownVm { vm: id })
     }
 
     /// All VM ids, in launch order. Borrows the arena instead of
     /// allocating: per-tick driver loops call this on every sweep.
     pub fn vm_ids(&self) -> impl Iterator<Item = VmId> + '_ {
-        self.vms.iter_ids()
+        self.placement.vms.iter_ids()
     }
 
     /// VMs hosted on one server, sorted by ascending id — a borrow of the
     /// residency index, O(1) to obtain.
     pub fn vms_on(&self, server: usize) -> &[VmId] {
-        self.vms.on_server(server)
+        self.placement.vms.on_server(server)
     }
 
     /// Launches a VM on a specific server.
@@ -296,16 +323,17 @@ impl Cluster {
         role: VmRole,
         at: f64,
     ) -> Result<VmId, SimError> {
-        if server >= self.servers.len() {
+        if server >= self.placement.servers.len() {
             return Err(SimError::UnknownServer {
                 server,
-                cluster_size: self.servers.len(),
+                cluster_size: self.placement.servers.len(),
             });
         }
-        let id = VmId(self.next_id);
-        let vcpus = profile.vcpus();
         let core_iso = self.isolation.mechanisms.core_isolation;
-        let threads = self.servers[server]
+        let placement = self.placement_mut();
+        let id = VmId(placement.next_id);
+        let vcpus = profile.vcpus();
+        let threads = placement.servers[server]
             .place(id, vcpus, core_iso)
             .map_err(|e| match e {
                 SimError::InsufficientCapacity {
@@ -319,16 +347,16 @@ impl Cluster {
                 },
                 other => other,
             })?;
-        self.next_id += 1;
-        self.events.push(TraceEvent::Launch {
+        placement.next_id += 1;
+        let event = TraceEvent::Launch {
             vm: id,
             role,
             server,
             threads: threads.clone(),
             label: profile.label().to_string(),
             at,
-        });
-        self.vms.insert(
+        };
+        placement.vms.insert(
             id,
             VmState {
                 profile,
@@ -339,6 +367,7 @@ impl Cluster {
                 pressure_override: None,
             },
         );
+        self.events.push(event);
         self.invalidate_aggregates();
         Ok(id)
     }
@@ -366,15 +395,16 @@ impl Cluster {
                 reason: "user pinning is incompatible with core isolation".to_string(),
             });
         }
-        if server >= self.servers.len() {
+        if server >= self.placement.servers.len() {
             return Err(SimError::UnknownServer {
                 server,
-                cluster_size: self.servers.len(),
+                cluster_size: self.placement.servers.len(),
             });
         }
-        let id = VmId(self.next_id);
+        let placement = self.placement_mut();
+        let id = VmId(placement.next_id);
         let vcpus = profile.vcpus();
-        let threads = self.servers[server]
+        let threads = placement.servers[server]
             .place_pinned(id, vcpus, rng)
             .map_err(|e| match e {
                 SimError::InsufficientCapacity {
@@ -388,16 +418,16 @@ impl Cluster {
                 },
                 other => other,
             })?;
-        self.next_id += 1;
-        self.events.push(TraceEvent::Launch {
+        placement.next_id += 1;
+        let event = TraceEvent::Launch {
             vm: id,
             role,
             server,
             threads: threads.clone(),
             label: profile.label().to_string(),
             at,
-        });
-        self.vms.insert(
+        };
+        placement.vms.insert(
             id,
             VmState {
                 profile,
@@ -408,6 +438,7 @@ impl Cluster {
                 pressure_override: None,
             },
         );
+        self.events.push(event);
         self.invalidate_aggregates();
         Ok(id)
     }
@@ -419,8 +450,10 @@ impl Cluster {
     ///
     /// Returns [`SimError::UnknownVm`] if the VM does not exist.
     pub fn terminate(&mut self, id: VmId) -> Result<(), SimError> {
-        let state = self.vms.remove(id).ok_or(SimError::UnknownVm { vm: id })?;
-        self.servers[state.server].remove(id);
+        self.vm(id)?; // reject before unsharing: a failed write copies nothing
+        let placement = self.placement_mut();
+        let state = placement.vms.remove(id).expect("vm is live");
+        placement.servers[state.server].remove(id);
         self.events.push(TraceEvent::Terminate {
             vm: id,
             server: state.server,
@@ -439,29 +472,30 @@ impl Cluster {
     /// * [`SimError::InsufficientCapacity`] if the target is full; the VM
     ///   stays where it was.
     pub fn migrate(&mut self, id: VmId, to: usize) -> Result<(), SimError> {
-        if to >= self.servers.len() {
+        if to >= self.placement.servers.len() {
             return Err(SimError::UnknownServer {
                 server: to,
-                cluster_size: self.servers.len(),
+                cluster_size: self.placement.servers.len(),
             });
         }
         let (from, vcpus) = {
-            let state = self.vms.get(id).ok_or(SimError::UnknownVm { vm: id })?;
+            let state = self.vm(id)?;
             (state.server, state.vcpus())
         };
         let core_iso = self.isolation.mechanisms.core_isolation;
-        if !self.servers[to].can_host(vcpus, core_iso) {
+        if !self.placement.servers[to].can_host(vcpus, core_iso) {
             return Err(SimError::InsufficientCapacity {
                 server: to,
                 requested: vcpus,
-                available: self.servers[to].free_threads(),
+                available: self.placement.servers[to].free_threads(),
             });
         }
-        self.servers[from].remove(id);
-        let threads = self.servers[to]
+        let placement = self.placement_mut();
+        placement.servers[from].remove(id);
+        let threads = placement.servers[to]
             .place(id, vcpus, core_iso)
             .expect("capacity just checked");
-        self.vms.relocate(id, to, threads);
+        placement.vms.relocate(id, to, threads);
         self.events.push(TraceEvent::Migrate { vm: id, from, to });
         self.invalidate_aggregates();
         Ok(())
@@ -480,7 +514,7 @@ impl Cluster {
     ///   not fit (the original VM is restored).
     pub fn swap_profile(&mut self, id: VmId, profile: WorkloadProfile) -> Result<(), SimError> {
         let (server, old_vcpus) = {
-            let state = self.vms.get(id).ok_or(SimError::UnknownVm { vm: id })?;
+            let state = self.vm(id)?;
             (state.server, state.vcpus())
         };
         if profile.vcpus() == old_vcpus {
@@ -488,28 +522,27 @@ impl Cluster {
                 vm: id,
                 label: profile.label().to_string(),
             });
-            self.vms.set_profile(id, profile, None);
+            self.placement_mut().vms.set_profile(id, profile, None);
             self.invalidate_aggregates();
             return Ok(());
         }
         let core_iso = self.isolation.mechanisms.core_isolation;
-        self.servers[server].remove(id);
-        match self.servers[server].place(id, profile.vcpus(), core_iso) {
+        let placement = self.placement_mut();
+        placement.servers[server].remove(id);
+        match placement.servers[server].place(id, profile.vcpus(), core_iso) {
             Ok(threads) => {
-                self.events.push(TraceEvent::SwapProfile {
-                    vm: id,
-                    label: profile.label().to_string(),
-                });
-                self.vms.set_profile(id, profile, Some(threads));
+                let label = profile.label().to_string();
+                placement.vms.set_profile(id, profile, Some(threads));
+                self.events.push(TraceEvent::SwapProfile { vm: id, label });
                 self.invalidate_aggregates();
                 Ok(())
             }
             Err(e) => {
                 // Restore the old placement before reporting.
-                let threads = self.servers[server]
+                let threads = placement.servers[server]
                     .place(id, old_vcpus, core_iso)
                     .expect("old placement fit before");
-                self.vms.set_threads(id, threads);
+                placement.vms.set_threads(id, threads);
                 // Re-placement may land on different threads than before.
                 self.invalidate_aggregates();
                 Err(match e {
@@ -539,9 +572,9 @@ impl Cluster {
         id: VmId,
         pressure: Option<PressureVector>,
     ) -> Result<(), SimError> {
-        if !self.vms.set_override(id, pressure) {
-            return Err(SimError::UnknownVm { vm: id });
-        }
+        self.vm(id)?;
+        let live = self.placement_mut().vms.set_override(id, pressure);
+        debug_assert!(live, "liveness checked above");
         self.invalidate_aggregates();
         Ok(())
     }
@@ -602,8 +635,8 @@ impl Cluster {
         t: f64,
         rng: &mut R,
     ) -> Result<PressureVector, SimError> {
-        let state = self.vms.get(id).ok_or(SimError::UnknownVm { vm: id })?;
-        let tpc = self.servers[state.server].spec().threads_per_core;
+        let state = self.vm(id)?;
+        let tpc = self.placement.servers[state.server].spec().threads_per_core;
         let my_cores = state.cores(tpc);
         let Some(&physical_core) = my_cores.get(core) else {
             return Err(SimError::InvalidConfig {
@@ -660,16 +693,20 @@ impl Cluster {
         t: f64,
         rng: &mut R,
     ) -> PressureVector {
-        let tpc = self.servers[state.server].spec().threads_per_core;
+        let tpc = self.placement.servers[state.server].spec().threads_per_core;
         let atten = self.isolation.attenuation_array();
         let mut total = PressureVector::zero();
         if self.reference_scan {
-            for other_id in self.vms.iter_ids() {
+            for other_id in self.placement.vms.iter_ids() {
                 self.neighbor_visits.fetch_add(1, Ordering::Relaxed);
                 if other_id == id {
                     continue;
                 }
-                let other = self.vms.get(other_id).expect("iterated id is live");
+                let other = self
+                    .placement
+                    .vms
+                    .get(other_id)
+                    .expect("iterated id is live");
                 if other.server != state.server || !other.cores(tpc).contains(&physical_core) {
                     continue;
                 }
@@ -678,16 +715,16 @@ impl Cluster {
         } else {
             // Sibling owners in ascending id order — the same visit order
             // (and therefore RNG draw order) the full scan would produce.
-            for other_id in self.servers[state.server].core_occupants(physical_core) {
+            for other_id in self.placement.servers[state.server].core_occupants(physical_core) {
                 self.neighbor_visits.fetch_add(1, Ordering::Relaxed);
                 if other_id == id {
                     continue;
                 }
-                let other = self.vms.get(other_id).expect("occupant is live");
+                let other = self.placement.vms.get(other_id).expect("occupant is live");
                 self.add_core_contribution(other, t, rng, &atten, &mut total);
             }
         }
-        let d = self.degradation[state.server];
+        let d = self.placement.degradation[state.server];
         if d > 0.0 {
             for r in Resource::CORE {
                 total[r] = (total[r] * (1.0 + d)).min(100.0);
@@ -735,7 +772,7 @@ impl Cluster {
         t: f64,
         rng: &mut R,
     ) -> Result<PressureVector, SimError> {
-        let state = self.vms.get(id).ok_or(SimError::UnknownVm { vm: id })?;
+        let state = self.vm(id)?;
         Ok(self.interference_from_neighbors(id, state, t, rng, true))
     }
 
@@ -772,7 +809,7 @@ impl Cluster {
                 reason: format!("probe allocation {probe_alloc} outside [0, 1]"),
             });
         }
-        let state = self.vms.get(id).ok_or(SimError::UnknownVm { vm: id })?;
+        let state = self.vm(id)?;
         if self.cacheable(state.server) {
             let (t_bits, alloc_bits) = (t.to_bits(), probe_alloc.to_bits());
             if let Some(v) = self.agg.lock().expect("cache lock poisoned").get_sweep(
@@ -821,17 +858,17 @@ impl Cluster {
         let mut total = 0.0;
         let full: Vec<VmId>;
         let candidates: &[VmId] = if self.reference_scan {
-            full = self.vms.iter_ids().collect();
+            full = self.placement.vms.iter_ids().collect();
             &full
         } else {
-            self.vms.on_server(state.server)
+            self.placement.vms.on_server(state.server)
         };
         for &other_id in candidates {
             self.neighbor_visits.fetch_add(1, Ordering::Relaxed);
             if other_id == id {
                 continue;
             }
-            let other = self.vms.get(other_id).expect("candidate is live");
+            let other = self.placement.vms.get(other_id).expect("candidate is live");
             if other.server != state.server {
                 continue; // reference mode scans the whole arena
             }
@@ -847,7 +884,7 @@ impl Cluster {
             };
             total += response * atten;
         }
-        let d = self.degradation[state.server];
+        let d = self.placement.degradation[state.server];
         if d > 0.0 {
             total = (total * (1.0 + d)).min(100.0);
         }
@@ -912,7 +949,7 @@ impl Cluster {
         rng: &mut R,
         couple_progress: bool,
     ) -> PressureVector {
-        let server = &self.servers[state.server];
+        let server = &self.placement.servers[state.server];
         let tpc = server.spec().threads_per_core;
         let my_cores = state.cores(tpc);
         // Attenuation depends only on the isolation config: hoist all ten
@@ -930,17 +967,17 @@ impl Cluster {
 
         let full: Vec<VmId>;
         let candidates: &[VmId] = if self.reference_scan {
-            full = self.vms.iter_ids().collect();
+            full = self.placement.vms.iter_ids().collect();
             &full
         } else {
-            self.vms.on_server(state.server)
+            self.placement.vms.on_server(state.server)
         };
         for &other_id in candidates {
             self.neighbor_visits.fetch_add(1, Ordering::Relaxed);
             if other_id == id {
                 continue;
             }
-            let other = self.vms.get(other_id).expect("candidate is live");
+            let other = self.placement.vms.get(other_id).expect("candidate is live");
             if other.server != state.server {
                 continue; // reference mode scans the whole arena
             }
@@ -993,7 +1030,7 @@ impl Cluster {
         // A throttled server has less effective capacity, so the same
         // co-resident demand fills more of it. The branch keeps the math
         // bit-identical when no degradation was ever injected.
-        let d = self.degradation[state.server];
+        let d = self.placement.degradation[state.server];
         if d > 0.0 {
             kernels::sat_scale(total.as_mut_array(), 1.0 + d, 100.0);
         }
@@ -1017,10 +1054,10 @@ impl Cluster {
         t: f64,
         rng: &mut R,
     ) -> Result<f64, SimError> {
-        if server >= self.servers.len() {
+        if server >= self.placement.servers.len() {
             return Err(SimError::UnknownServer {
                 server,
-                cluster_size: self.servers.len(),
+                cluster_size: self.placement.servers.len(),
             });
         }
         if self.cacheable(server) {
@@ -1049,14 +1086,14 @@ impl Cluster {
         let mut occupied = 0u32;
         let full: Vec<VmId>;
         let candidates: &[VmId] = if self.reference_scan {
-            full = self.vms.iter_ids().collect();
+            full = self.placement.vms.iter_ids().collect();
             &full
         } else {
-            self.vms.on_server(server)
+            self.placement.vms.on_server(server)
         };
         for &vm_id in candidates {
             self.neighbor_visits.fetch_add(1, Ordering::Relaxed);
-            let state = self.vms.get(vm_id).expect("candidate is live");
+            let state = self.placement.vms.get(vm_id).expect("candidate is live");
             if state.server != server {
                 continue; // reference mode scans the whole arena
             }
@@ -1068,7 +1105,7 @@ impl Cluster {
             };
             let contention = self.raw_interference_on(vm_id, state, t, rng)[Resource::Cpu];
             let mut effective = (own * (1.0 + 2.0 * contention / 100.0)).min(100.0);
-            let d = self.degradation[server];
+            let d = self.placement.degradation[server];
             if d > 0.0 {
                 effective = (effective * (1.0 + d)).min(100.0);
             }
@@ -1095,7 +1132,7 @@ impl Cluster {
         t: f64,
         rng: &mut R,
     ) -> Result<(f64, f64), SimError> {
-        let state = self.vms.get(id).ok_or(SimError::UnknownVm { vm: id })?;
+        let state = self.vm(id)?;
         let interference = self.interference_from_neighbors(id, state, t, rng, false);
         let penalty = self.isolation.performance_penalty();
         match state.profile.kind() {
@@ -1121,31 +1158,32 @@ impl Cluster {
         std::mem::take(&mut self.events)
     }
 
-    /// An independent copy of the cluster's *placement* state — servers,
-    /// VMs and isolation config — with an empty event log.
+    /// The cluster as observed at this instant, for read-only work (e.g.
+    /// a detection pass) that proceeds while the original keeps evolving.
     ///
-    /// Snapshots freeze the cluster as observed at one instant so that
-    /// read-only work (e.g. a detection pass) can proceed on a worker
-    /// thread while the original cluster keeps evolving. The event log is
-    /// deliberately not copied: it is an append-only trace of the live
-    /// cluster, and duplicating it would make snapshots O(history) instead
-    /// of O(placement).
+    /// Cost: O(1) to take and to drop. The snapshot *shares* the
+    /// placement — servers, VMs, their residency index and the
+    /// degradation vector — with `self` copy-on-write: the first mutation
+    /// on either side copies it once (O(placement)) and only that side
+    /// moves on; the other keeps reading the old state. A snapshot that
+    /// is only queried never copies.
+    ///
+    /// Per instance, as before: the isolation config (copied), the event
+    /// log (the snapshot's starts empty — it is an append-only trace of
+    /// the live cluster, and copying it would make snapshots O(history)),
+    /// the aggregate cache and neighbor-visit counter (fresh: a new
+    /// observation domain), and the reference-scan switch. The
+    /// [`SweepMemo`] handle is inherited: the snapshot observes the same
+    /// base placement, so published sweeps stay valid for it until it
+    /// mutates (which detaches it).
     pub fn snapshot(&self) -> Cluster {
         Cluster {
-            servers: self.servers.clone(),
-            vms: self.vms.clone(),
+            placement: Arc::clone(&self.placement),
             isolation: self.isolation,
-            next_id: self.next_id,
             events: Vec::new(),
-            degradation: self.degradation.clone(),
-            // Memos and instrumentation start fresh: the snapshot is a new
-            // observation domain, and cached entries are cheap to rebuild.
             agg: Mutex::new(AggCache::default()),
             neighbor_visits: AtomicU64::new(0),
             reference_scan: self.reference_scan,
-            // The *shared* memo is inherited: the snapshot observes the
-            // same base placement, so published sweeps stay valid for it
-            // until it mutates (which detaches it).
             shared: self.shared.clone(),
         }
     }
@@ -1159,9 +1197,10 @@ impl Cluster {
         // `max_by_key` keeps the *last* maximal element, so the index enters
         // the key (reversed) to break free-thread ties toward the lowest
         // index, as documented.
-        (0..self.servers.len())
-            .filter(|&i| self.servers[i].can_host(vcpus, core_iso))
-            .max_by_key(|&i| (self.servers[i].free_threads(), std::cmp::Reverse(i)))
+        let servers = &self.placement.servers;
+        (0..servers.len())
+            .filter(|&i| servers[i].can_host(vcpus, core_iso))
+            .max_by_key(|&i| (servers[i].free_threads(), std::cmp::Reverse(i)))
     }
 }
 
@@ -1508,6 +1547,64 @@ mod tests {
         for e in &events {
             assert!(!e.describe().is_empty());
         }
+    }
+
+    /// Guards the copy-on-write gain itself: a stray write on the
+    /// read-only hunt path would silently put the full copy back.
+    #[test]
+    fn snapshots_share_placement_until_first_write() {
+        let mut r = rng();
+        let mut base = cluster(2);
+        let a = base
+            .launch_on(0, memcached(&mut r), VmRole::Adversarial, 0.0)
+            .unwrap();
+        let b = base
+            .launch_on(0, hadoop(&mut r), VmRole::Friendly, 0.0)
+            .unwrap();
+        let shared = |x: &Cluster, y: &Cluster| Arc::ptr_eq(&x.placement, &y.placement);
+        let mut snap = base.snapshot();
+        let mut other = base.snapshot();
+        assert!(shared(&base, &snap) && shared(&base, &other));
+
+        // Queries, draining the log, attaching a memo, per-instance
+        // settings and rejected writes all leave the placement shared.
+        for c in [&base, &snap] {
+            c.interference_on(a, 1.0, &mut r).unwrap();
+            c.interference_on_core(a, 0, 1.0, &mut r).unwrap();
+            c.cache_sweep_response(a, 0.5, 1.0, &mut r).unwrap();
+            c.cpu_utilization(0, 1.0, &mut r).unwrap();
+            c.performance_of(b, 1.0, &mut r).unwrap();
+            c.least_loaded_server(4);
+            c.storage_stats();
+        }
+        base.take_events();
+        snap.share_sweeps(Arc::new(SweepMemo::new()));
+        snap.set_isolation(IsolationConfig::cloud_default());
+        assert!(snap.terminate(VmId(99)).is_err());
+        assert!(snap.set_pressure_override(VmId(99), None).is_err());
+        assert!(snap
+            .launch_on(7, hadoop(&mut r), VmRole::Friendly, 0.0)
+            .is_err());
+        assert!(snap.set_degradation(0, 2.0, 0.0).is_err());
+        assert!(shared(&base, &snap) && shared(&base, &other));
+
+        // The first write unshares only the writer; the others keep
+        // sharing and still read the old state.
+        snap.migrate(b, 1).unwrap();
+        assert!(!shared(&base, &snap));
+        assert!(shared(&base, &other));
+        assert_eq!(snap.vm(b).unwrap().server, 1);
+        assert_eq!(base.vm(b).unwrap().server, 0);
+        assert_eq!(other.vms_on(0), &[a, b]);
+
+        // A sole owner writes in place: no second copy.
+        let owned = Arc::as_ptr(&snap.placement);
+        snap.terminate(a).unwrap();
+        assert_eq!(Arc::as_ptr(&snap.placement), owned);
+        other.set_degradation(1, 0.5, 2.0).unwrap();
+        assert!(!shared(&base, &other));
+        assert_eq!(base.degradation_of(1).unwrap(), 0.0);
+        assert!(base.vm(a).is_ok());
     }
 
     #[test]

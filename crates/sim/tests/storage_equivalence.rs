@@ -15,6 +15,11 @@
 //! A separate regression pins the locality contract: a probe's
 //! neighbor-visit count depends only on its own host's population, never
 //! on the rest of the region.
+//!
+//! Snapshots share their base's placement copy-on-write; a further
+//! property drives a base and its snapshot through independent,
+//! interleaved schedules and checks each against a fresh replay of its
+//! own history, so no write on one side can leak into the other.
 
 use bolt_sim::vm::VmRole;
 use bolt_sim::{ChaosConfig, Cluster, FaultPlan, IsolationConfig, ServerSpec, SweepMemo, VmId};
@@ -38,15 +43,38 @@ fn profile(i: usize, rng: &mut StdRng) -> WorkloadProfile {
     }
 }
 
-/// Applies one op schedule to `cluster` with its own RNG stream, and
-/// returns the RNG so callers can compare subsequent draws.
-fn apply_ops(cluster: &mut Cluster, ops: &[(u8, usize)], seed: u64) -> Vec<VmId> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut live: Vec<VmId> = Vec::new();
-    for (i, &(op, pick)) in ops.iter().enumerate() {
+/// One op schedule's running state: its own RNG stream and the VMs it
+/// launched and has not terminated. Cloning it forks the schedule, so two
+/// clusters sharing a history can continue along different schedules.
+#[derive(Clone)]
+struct Schedule {
+    rng: StdRng,
+    live: Vec<VmId>,
+}
+
+impl Schedule {
+    fn new(seed: u64) -> Self {
+        Schedule {
+            rng: StdRng::seed_from_u64(seed),
+            live: Vec::new(),
+        }
+    }
+
+    /// Applies `ops` to `cluster`, numbering them from `first` (the number
+    /// picks the profile family and the event time).
+    fn run(&mut self, cluster: &mut Cluster, ops: &[(u8, usize)], first: usize) {
+        for (k, &op) in ops.iter().enumerate() {
+            self.step(cluster, first + k, op);
+        }
+    }
+
+    /// Applies op number `i`: launch, terminate, migrate, swap, override
+    /// or degrade, picking its target from `pick`.
+    fn step(&mut self, cluster: &mut Cluster, i: usize, (op, pick): (u8, usize)) {
+        let live = &mut self.live;
         match op {
             0..=2 => {
-                let p = profile(i, &mut rng);
+                let p = profile(i, &mut self.rng);
                 if let Some(s) = cluster.least_loaded_server(p.vcpus()) {
                     let id = cluster
                         .launch_on(s, p, VmRole::Friendly, i as f64)
@@ -73,7 +101,7 @@ fn apply_ops(cluster: &mut Cluster, ops: &[(u8, usize)], seed: u64) -> Vec<VmId>
             5 => {
                 if !live.is_empty() {
                     let id = live[pick % live.len()];
-                    let _ = cluster.swap_profile(id, profile(i + 1, &mut rng));
+                    let _ = cluster.swap_profile(id, profile(i + 1, &mut self.rng));
                 }
             }
             6 => {
@@ -97,7 +125,14 @@ fn apply_ops(cluster: &mut Cluster, ops: &[(u8, usize)], seed: u64) -> Vec<VmId>
             }
         }
     }
-    live
+}
+
+/// Applies one op schedule to `cluster` with its own RNG stream, and
+/// returns the VMs it left live.
+fn apply_ops(cluster: &mut Cluster, ops: &[(u8, usize)], seed: u64) -> Vec<VmId> {
+    let mut schedule = Schedule::new(seed);
+    schedule.run(cluster, ops, 0);
+    schedule.live
 }
 
 /// Every observable of `a` and `b` at time `t`, compared bit for bit.
@@ -147,6 +182,41 @@ fn assert_observables_match(a: &Cluster, b: &Cluster, t: f64, seed: u64) {
         rng_a.gen::<u64>(),
         rng_b.gen::<u64>(),
         "query RNG streams diverged"
+    );
+}
+
+/// Everything a copy-on-write leak between two clusters could show
+/// through: the trace, each VM's full state, each server's slots and
+/// degradation, the storage counters, and (via
+/// [`assert_observables_match`]) the live set, residency, every query
+/// result and the query-RNG stream state afterwards.
+fn assert_same_state(a: &Cluster, b: &Cluster, t: f64, seed: u64) {
+    assert_eq!(a.events(), b.events(), "traces diverged");
+    for id in a.vm_ids() {
+        assert_eq!(
+            format!("{:?}", a.vm(id).expect("vm is live")),
+            format!("{:?}", b.vm(id).expect("vm is live on both")),
+            "state of {id:?} diverged"
+        );
+    }
+    for server in 0..SERVERS {
+        assert_eq!(
+            format!("{:?}", a.server(server).expect("in range")),
+            format!("{:?}", b.server(server).expect("in range")),
+            "slots of server {server} diverged"
+        );
+        assert_eq!(
+            a.degradation_of(server).expect("in range").to_bits(),
+            b.degradation_of(server).expect("in range").to_bits(),
+            "degradation of server {server} diverged"
+        );
+    }
+    assert_eq!(a.storage_stats(), b.storage_stats(), "storage diverged");
+    assert_observables_match(a, b, t, seed);
+    assert_eq!(
+        a.storage_stats(),
+        b.storage_stats(),
+        "query counters diverged"
     );
 }
 
@@ -203,6 +273,58 @@ proptest! {
             assert_observables_match(&indexed, &reference, t, seed ^ 0xBEEF);
         }
         prop_assert_eq!(indexed.events(), reference.events(), "traces diverged");
+    }
+
+    /// A snapshot and its base stay independent in both directions: after
+    /// each runs its own churn schedule, interleaved op by op, each is
+    /// observationally equal to a fresh cluster that replayed the shared
+    /// history plus only its own schedule.
+    #[test]
+    fn snapshots_stay_independent_in_both_directions(
+        seed in 0u64..500,
+        history in proptest::collection::vec((0u8..8, 0usize..64), 0..30),
+        base_ops in proptest::collection::vec((0u8..8, 0usize..64), 0..30),
+        snap_ops in proptest::collection::vec((0u8..8, 0usize..64), 0..30),
+        turns in proptest::collection::vec(any::<bool>(), 60),
+        t in 0.0f64..500.0,
+    ) {
+        let isolation = IsolationConfig::cloud_default();
+        let fresh = || Cluster::new(SERVERS, ServerSpec::xeon(), isolation).expect("cluster");
+        let first = history.len();
+
+        let mut base = fresh();
+        let mut schedule = Schedule::new(seed);
+        schedule.run(&mut base, &history, 0);
+        let mut snap = base.snapshot();
+
+        // `turns[k]` says which side takes step k; a finished side yields.
+        let (mut on_base, mut on_snap) = (schedule.clone(), schedule);
+        let (mut b, mut s) = (0, 0);
+        for &base_turn in &turns {
+            if b < base_ops.len() && (base_turn || s == snap_ops.len()) {
+                on_base.step(&mut base, first + b, base_ops[b]);
+                b += 1;
+            } else if s < snap_ops.len() {
+                on_snap.step(&mut snap, first + s, snap_ops[s]);
+                s += 1;
+            }
+        }
+        prop_assert_eq!((b, s), (base_ops.len(), snap_ops.len()), "every op ran");
+
+        // The snapshot's trace starts empty, so its replay drops the
+        // history's events before running its own schedule.
+        let replay = |ops: &[(u8, usize)], keep_history_events: bool| {
+            let mut c = fresh();
+            let mut schedule = Schedule::new(seed);
+            schedule.run(&mut c, &history, 0);
+            if !keep_history_events {
+                c.take_events();
+            }
+            schedule.run(&mut c, ops, first);
+            c
+        };
+        assert_same_state(&base, &replay(&base_ops, true), t, seed ^ 0xBA5E);
+        assert_same_state(&snap, &replay(&snap_ops, false), t, seed ^ 0x5AAB);
     }
 }
 

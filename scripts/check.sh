@@ -88,14 +88,22 @@ fi
 echo "==> region-serve smoke (2k servers, storms on: Serial vs Threads(3) must move no bytes)"
 RSERVE_START=$SECONDS
 cargo run --release -q -- serve --region --servers 2000 --requests 60 --storm 0.5 \
-  --threads 1 > "$REPLAY_DIR/rserve1.txt"
+  --threads 1 --telemetry "$REPLAY_DIR/rserve1.jsonl" > "$REPLAY_DIR/rserve1.txt"
 cargo run --release -q -- serve --region --servers 2000 --requests 60 --storm 0.5 \
-  --threads 3 > "$REPLAY_DIR/rserve3.txt"
+  --threads 3 --telemetry "$REPLAY_DIR/rserve3.jsonl" > "$REPLAY_DIR/rserve3.txt"
 RSERVE_ELAPSED=$((SECONDS - RSERVE_START))
 cmp "$REPLAY_DIR/rserve1.txt" "$REPLAY_DIR/rserve3.txt"
+# Lanes read one shared copy-on-write placement from several threads: the
+# traces, not just the summary, must match.
+for i in 1 3; do
+  sed -E 's/"wall_ns":[0-9]+/"wall_ns":0/g' "$REPLAY_DIR/rserve$i.jsonl" \
+    > "$REPLAY_DIR/rserve_norm$i.jsonl"
+done
+cmp "$REPLAY_DIR/rserve_norm1.jsonl" "$REPLAY_DIR/rserve_norm3.jsonl"
 grep -q "| sweeps shared  *| 0  *|" "$REPLAY_DIR/rserve1.txt" \
   && { echo "region-serve smoke: no sweeps shared"; cat "$REPLAY_DIR/rserve1.txt"; exit 1; }
-# The event-driven loop serves a 2k-server region in ~2s of wall time;
+# Both traced runs together take ~0.8s of wall time on a 2-core host
+# (snapshots are copy-on-write, so a request no longer copies the region);
 # anything near the budget means per-step or per-server cost crept back in.
 if [ "$RSERVE_ELAPSED" -gt 60 ]; then
   echo "region-serve smoke: took ${RSERVE_ELAPSED}s (budget 60s)"; exit 1

@@ -909,6 +909,14 @@ mod tests {
     }
 
     #[test]
+    fn victimless_experiments_fail() {
+        for command in ["detect", "table1"] {
+            let err = run_command(command, &flags(&["--victims", "0"]).unwrap()).unwrap_err();
+            assert!(err.contains("at least one victim"), "{command}: {err}");
+        }
+    }
+
+    #[test]
     fn commands_reject_unread_flags_before_running() {
         let detect = |args: &[&str]| run_command("detect", &flags(args).unwrap()).unwrap_err();
         let err = detect(&[
