@@ -1,5 +1,6 @@
 //! Criterion bench for the region-scale storage layer: one interference
-//! probe at 100, 1000, and 10000 servers.
+//! probe, and one least-loaded placement query, at 100, 1000, and 10000
+//! servers.
 //!
 //! The per-server residency index makes a probe walk only its host's
 //! co-residents, so the three `probe/*` timings should agree within
@@ -7,6 +8,11 @@
 //! the tenants of the smallest. Each iteration probes at a fresh
 //! simulated time so the aggregate cache never serves a hit — this
 //! measures the walk, not the memo.
+//!
+//! The free-thread placement index makes `least_loaded_server` skip the
+//! region scan, so the three `least_loaded_server/*` timings should be
+//! flat too. The query's answer is the region's last server, the one a
+//! linear scan finds only after visiting every other.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -54,7 +60,7 @@ fn region(servers: usize) -> (Cluster, VmId) {
 fn bench_region_scale(c: &mut Criterion) {
     c.sample_size(10);
     for servers in [100usize, 1000, 10_000] {
-        let (cluster, observer) = region(servers);
+        let (mut cluster, observer) = region(servers);
         let mut rng = StdRng::seed_from_u64(1);
         let mut tick = 0u64;
         c.bench_function(&format!("probe/{servers}_servers"), |b| {
@@ -69,6 +75,15 @@ fn bench_region_scale(c: &mut Criterion) {
                 )
             })
         });
+
+        // One tenant leaves the last server: it alone has the most free
+        // threads, so it is every query's answer.
+        let leaving = *cluster.vms_on(servers - 1).last().expect("populated");
+        cluster.terminate(leaving).expect("tenant is live");
+        c.bench_function(&format!("least_loaded_server/{servers}_servers"), |b| {
+            b.iter(|| black_box(cluster.least_loaded_server(black_box(1))))
+        });
+        assert_eq!(cluster.least_loaded_server(1), Some(servers - 1));
     }
 }
 

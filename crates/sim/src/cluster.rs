@@ -9,6 +9,7 @@
 //! victims both read contention through this one code path, so what Bolt
 //! *measures* and what victims *suffer* stay consistent.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -106,7 +107,11 @@ pub struct Cluster {
 /// to copy.
 #[derive(Debug, Clone)]
 struct Placement {
+    /// Write a server's slots only through [`Placement::edit_server`].
     servers: Vec<Server>,
+    /// Placement index: `by_free[f]` holds the servers with exactly `f`
+    /// free threads, in ascending index order.
+    by_free: Vec<BTreeSet<usize>>,
     vms: VmArena,
     next_id: u64,
     /// Per-server capacity degradation in `[0, 1)`; 0 means full capacity.
@@ -131,9 +136,12 @@ impl Cluster {
         let servers = (0..n)
             .map(|_| Server::new(spec))
             .collect::<Result<Vec<_>, _>>()?;
+        let mut by_free = vec![BTreeSet::new(); spec.total_threads() as usize + 1];
+        by_free[spec.total_threads() as usize] = (0..n).collect();
         Ok(Cluster {
             placement: Arc::new(Placement {
                 servers,
+                by_free,
                 vms: VmArena::new(n),
                 next_id: 0,
                 degradation: vec![0.0; n],
@@ -333,20 +341,9 @@ impl Cluster {
         let placement = self.placement_mut();
         let id = VmId(placement.next_id);
         let vcpus = profile.vcpus();
-        let threads = placement.servers[server]
-            .place(id, vcpus, core_iso)
-            .map_err(|e| match e {
-                SimError::InsufficientCapacity {
-                    requested,
-                    available,
-                    ..
-                } => SimError::InsufficientCapacity {
-                    server,
-                    requested,
-                    available,
-                },
-                other => other,
-            })?;
+        let threads = placement
+            .edit_server(server, |s| s.place(id, vcpus, core_iso))
+            .map_err(at_server(server))?;
         placement.next_id += 1;
         let event = TraceEvent::Launch {
             vm: id,
@@ -404,20 +401,9 @@ impl Cluster {
         let placement = self.placement_mut();
         let id = VmId(placement.next_id);
         let vcpus = profile.vcpus();
-        let threads = placement.servers[server]
-            .place_pinned(id, vcpus, rng)
-            .map_err(|e| match e {
-                SimError::InsufficientCapacity {
-                    requested,
-                    available,
-                    ..
-                } => SimError::InsufficientCapacity {
-                    server,
-                    requested,
-                    available,
-                },
-                other => other,
-            })?;
+        let threads = placement
+            .edit_server(server, |s| s.place_pinned(id, vcpus, rng))
+            .map_err(at_server(server))?;
         placement.next_id += 1;
         let event = TraceEvent::Launch {
             vm: id,
@@ -453,7 +439,7 @@ impl Cluster {
         self.vm(id)?; // reject before unsharing: a failed write copies nothing
         let placement = self.placement_mut();
         let state = placement.vms.remove(id).expect("vm is live");
-        placement.servers[state.server].remove(id);
+        placement.edit_server(state.server, |s| s.remove(id));
         self.events.push(TraceEvent::Terminate {
             vm: id,
             server: state.server,
@@ -491,9 +477,9 @@ impl Cluster {
             });
         }
         let placement = self.placement_mut();
-        placement.servers[from].remove(id);
-        let threads = placement.servers[to]
-            .place(id, vcpus, core_iso)
+        placement.edit_server(from, |s| s.remove(id));
+        let threads = placement
+            .edit_server(to, |s| s.place(id, vcpus, core_iso))
             .expect("capacity just checked");
         placement.vms.relocate(id, to, threads);
         self.events.push(TraceEvent::Migrate { vm: id, from, to });
@@ -511,7 +497,7 @@ impl Cluster {
     ///
     /// * [`SimError::UnknownVm`] if the VM does not exist.
     /// * [`SimError::InsufficientCapacity`] if a larger replacement does
-    ///   not fit (the original VM is restored).
+    ///   not fit (the original VM keeps its profile and threads).
     pub fn swap_profile(&mut self, id: VmId, profile: WorkloadProfile) -> Result<(), SimError> {
         let (server, old_vcpus) = {
             let state = self.vm(id)?;
@@ -528,37 +514,26 @@ impl Cluster {
         }
         let core_iso = self.isolation.mechanisms.core_isolation;
         let placement = self.placement_mut();
-        placement.servers[server].remove(id);
-        match placement.servers[server].place(id, profile.vcpus(), core_iso) {
-            Ok(threads) => {
-                let label = profile.label().to_string();
-                placement.vms.set_profile(id, profile, Some(threads));
-                self.events.push(TraceEvent::SwapProfile { vm: id, label });
-                self.invalidate_aggregates();
-                Ok(())
-            }
-            Err(e) => {
-                // Restore the old placement before reporting.
-                let threads = placement.servers[server]
-                    .place(id, old_vcpus, core_iso)
-                    .expect("old placement fit before");
-                placement.vms.set_threads(id, threads);
-                // Re-placement may land on different threads than before.
-                self.invalidate_aggregates();
-                Err(match e {
-                    SimError::InsufficientCapacity {
-                        requested,
-                        available,
-                        ..
-                    } => SimError::InsufficientCapacity {
-                        server,
-                        requested,
-                        available,
-                    },
-                    other => other,
-                })
-            }
-        }
+        let vcpus = profile.vcpus();
+        let threads = placement
+            .edit_server(server, |s| {
+                // Put the old threads back verbatim if the new size does
+                // not fit: re-placing the old size could itself fail (core
+                // isolation may have been switched on since it landed).
+                let before = s.clone();
+                s.remove(id);
+                let placed = s.place(id, vcpus, core_iso);
+                if placed.is_err() {
+                    *s = before;
+                }
+                placed
+            })
+            .map_err(at_server(server))?;
+        let label = profile.label().to_string();
+        placement.vms.set_profile(id, profile, Some(threads));
+        self.events.push(TraceEvent::SwapProfile { vm: id, label });
+        self.invalidate_aggregates();
+        Ok(())
     }
 
     /// Sets (or clears, with `None`) a VM's pressure override. Attack
@@ -1162,11 +1137,12 @@ impl Cluster {
     /// a detection pass) that proceeds while the original keeps evolving.
     ///
     /// Cost: O(1) to take and to drop. The snapshot *shares* the
-    /// placement — servers, VMs, their residency index and the
-    /// degradation vector — with `self` copy-on-write: the first mutation
-    /// on either side copies it once (O(placement)) and only that side
-    /// moves on; the other keeps reading the old state. A snapshot that
-    /// is only queried never copies.
+    /// placement — servers, VMs, their residency index, the free-thread
+    /// placement index and the degradation vector — with `self`
+    /// copy-on-write: the first mutation on either side copies it once
+    /// (O(placement)) and only that side moves on; the other keeps
+    /// reading the old state. A snapshot that is only queried never
+    /// copies.
     ///
     /// Per instance, as before: the isolation config (copied), the event
     /// log (the snapshot's starts empty — it is an append-only trace of
@@ -1192,15 +1168,64 @@ impl Cluster {
     /// index) that can host `vcpus`, or `None` if the cluster is full —
     /// the primitive behind the least-loaded scheduler and the migration
     /// defense's target choice.
+    ///
+    /// Cost: O(threads per server + log n) for n servers without core
+    /// isolation — a walk over the empty free-thread buckets above the
+    /// answer and one B-tree lookup; the region is never scanned. Under
+    /// core isolation each candidate is also checked for whole free
+    /// cores, so servers whose free threads are scattered across cores
+    /// add one `can_host` check each.
     pub fn least_loaded_server(&self, vcpus: u32) -> Option<usize> {
         let core_iso = self.isolation.mechanisms.core_isolation;
-        // `max_by_key` keeps the *last* maximal element, so the index enters
-        // the key (reversed) to break free-thread ties toward the lowest
-        // index, as documented.
-        let servers = &self.placement.servers;
-        (0..servers.len())
-            .filter(|&i| servers[i].can_host(vcpus, core_iso))
-            .max_by_key(|&i| (servers[i].free_threads(), std::cmp::Reverse(i)))
+        let placement = &*self.placement;
+        // Most free threads first, lowest index first within a bucket: the
+        // first server that can host is the scan's answer. Hosting needs
+        // at least `vcpus` free threads in either mode, so emptier
+        // buckets stop the walk.
+        placement
+            .by_free
+            .iter()
+            .enumerate()
+            .rev()
+            .take_while(|&(free, _)| free >= vcpus as usize)
+            .flat_map(|(_, bucket)| bucket)
+            .copied()
+            .find(|&i| placement.servers[i].can_host(vcpus, core_iso))
+    }
+}
+
+/// Stamps `server` into a [`Server`]-level capacity error, which cannot
+/// know its own index.
+fn at_server(server: usize) -> impl Fn(SimError) -> SimError {
+    move |e| match e {
+        SimError::InsufficientCapacity {
+            requested,
+            available,
+            ..
+        } => SimError::InsufficientCapacity {
+            server,
+            requested,
+            available,
+        },
+        other => other,
+    }
+}
+
+impl Placement {
+    /// Applies `edit` to server `idx`'s slots and re-files the server in
+    /// `by_free` if its free-thread count moved. Every write to a
+    /// server's slots goes through here, so the index never goes stale.
+    fn edit_server<T>(&mut self, idx: usize, edit: impl FnOnce(&mut Server) -> T) -> T {
+        let server = &mut self.servers[idx];
+        let was = server.free_threads() as usize;
+        let out = edit(server);
+        let now = server.free_threads() as usize;
+        if now != was {
+            let filed = self.by_free[was].remove(&idx);
+            debug_assert!(filed, "server {idx} was filed under {was} free threads");
+            self.by_free[now].insert(idx);
+        }
+        out
     }
 }
 
@@ -1607,6 +1632,37 @@ mod tests {
         assert!(base.vm(a).is_ok());
     }
 
+    /// A swap that does not fit leaves the VM on its exact threads and
+    /// the placement index untouched — even when core isolation, switched
+    /// on after the VM landed, would refuse to re-place its old size.
+    #[test]
+    fn failed_swap_keeps_threads_under_a_later_isolation_switch() {
+        let mut r = rng();
+        let mut c = cluster(1);
+        let small = c
+            .launch_on(0, memcached(&mut r).with_vcpus(1), VmRole::Friendly, 0.0)
+            .unwrap();
+        for _ in 0..7 {
+            c.launch_on(0, memcached(&mut r).with_vcpus(2), VmRole::Friendly, 0.0)
+                .unwrap();
+        }
+        // Every core now holds a thread of some VM: no whole core is free.
+        let mut isolation = c.isolation();
+        isolation.mechanisms.core_isolation = true;
+        c.set_isolation(isolation);
+        let before = (c.vm(small).unwrap().threads.clone(), c.events().len());
+        assert!(matches!(
+            c.swap_profile(small, hadoop(&mut r).with_vcpus(4)),
+            Err(SimError::InsufficientCapacity { server: 0, .. })
+        ));
+        assert_eq!(
+            (c.vm(small).unwrap().threads.clone(), c.events().len()),
+            before
+        );
+        assert_eq!(c.server(0).unwrap().free_threads(), 1);
+        assert_eq!(c.least_loaded_server(1), None, "no whole core is free");
+    }
+
     #[test]
     fn least_loaded_prefers_emptier_server() {
         let mut r = rng();
@@ -1642,7 +1698,14 @@ mod tests {
             c.launch_on(0, hadoop(&mut r), VmRole::Friendly, 0.0)
                 .unwrap();
         }
-        assert_eq!(c.least_loaded_server(4), None);
-        assert_eq!(c.least_loaded_server(0), Some(0));
+        for core_isolation in [false, true] {
+            let mut isolation = c.isolation();
+            isolation.mechanisms.core_isolation = core_isolation;
+            c.set_isolation(isolation);
+            for vcpus in 1..=17 {
+                assert_eq!(c.least_loaded_server(vcpus), None, "{vcpus} vcpus");
+            }
+            assert_eq!(c.least_loaded_server(0), Some(0));
+        }
     }
 }

@@ -52,6 +52,8 @@ impl Default for ServerSpec {
 pub struct Server {
     spec: ServerSpec,
     slots: Vec<Option<VmId>>,
+    /// Unoccupied entries of `slots`, kept in step by every slot write.
+    free: u32,
 }
 
 impl Server {
@@ -73,6 +75,7 @@ impl Server {
         Ok(Server {
             spec,
             slots: vec![None; spec.total_threads() as usize],
+            free: spec.total_threads(),
         })
     }
 
@@ -81,9 +84,11 @@ impl Server {
         self.spec
     }
 
-    /// Number of unoccupied hardware threads.
+    /// Number of unoccupied hardware threads. O(1): a counter that
+    /// [`Server::place`], [`Server::place_pinned`] and [`Server::remove`]
+    /// keep in step with the slots.
     pub fn free_threads(&self) -> u32 {
-        self.slots.iter().filter(|s| s.is_none()).count() as u32
+        self.free
     }
 
     /// Number of occupied hardware threads.
@@ -194,9 +199,7 @@ impl Server {
             }
         }
 
-        for &s in &chosen {
-            self.slots[s] = Some(vm);
-        }
+        self.occupy(vm, &chosen);
         Ok(chosen)
     }
 
@@ -240,10 +243,17 @@ impl Server {
             free.swap(i, j);
         }
         let chosen: Vec<usize> = free[..vcpus as usize].to_vec();
-        for &s in &chosen {
+        self.occupy(vm, &chosen);
+        Ok(chosen)
+    }
+
+    /// Hands the free slots `chosen` to `vm`.
+    fn occupy(&mut self, vm: VmId, chosen: &[usize]) {
+        for &s in chosen {
+            debug_assert!(self.slots[s].is_none(), "slot {s} is taken");
             self.slots[s] = Some(vm);
         }
-        Ok(chosen)
+        self.free -= chosen.len() as u32;
     }
 
     /// Frees every slot owned by `vm`. Idempotent.
@@ -251,6 +261,7 @@ impl Server {
         for s in &mut self.slots {
             if *s == Some(vm) {
                 *s = None;
+                self.free += 1;
             }
         }
     }
@@ -418,6 +429,47 @@ mod tests {
         s.remove(VmId(1));
         assert_eq!(s.free_threads(), 16);
         assert!(s.tenants().is_empty());
+    }
+
+    /// The O(1) free-thread counter equals a recount of the slots after
+    /// every placement (spread, isolated, pinned, failed) and every
+    /// removal, including repeated and absent ones.
+    #[test]
+    fn free_thread_counter_matches_slot_recount() {
+        use rand::SeedableRng;
+        let recount = |s: &Server| s.slots.iter().filter(|t| t.is_none()).count() as u32;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5);
+        for core_isolation in [false, true] {
+            let mut s = server();
+            let mut id = 0;
+            // Sizes that fit, then ones that overflow; zero is rejected.
+            for vcpus in [3, 1, 0, 4, 2, 5, 1, 2, 7, 1, 16] {
+                id += 1;
+                let _ = s.place(VmId(id), vcpus, core_isolation);
+                assert_eq!(s.free_threads(), recount(&s), "after place {id}");
+                id += 1;
+                let _ = s.place_pinned(VmId(id), vcpus.min(2), &mut rng);
+                assert_eq!(s.free_threads(), recount(&s), "after pin {id}");
+            }
+            let rest = s.free_threads();
+            if rest > 0 {
+                s.place_pinned(VmId(500), rest, &mut rng).unwrap();
+            }
+            assert_eq!((s.free_threads(), recount(&s)), (0, 0));
+
+            let full = s.free_threads();
+            s.remove(VmId(999));
+            assert_eq!(s.free_threads(), full, "absent vm frees nothing");
+            for vm in [1, 2, 1, 2, 4] {
+                s.remove(VmId(vm));
+                assert_eq!(s.free_threads(), recount(&s), "after remove {vm}");
+            }
+            let freed = s.free_threads();
+            assert!(freed > 0);
+            s.remove(VmId(1));
+            s.remove(VmId(999));
+            assert_eq!(s.free_threads(), freed, "repeat removals free nothing");
+        }
     }
 
     #[test]

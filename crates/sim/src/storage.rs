@@ -197,13 +197,6 @@ impl VmArena {
         self.stochastic_delta(server, was, now);
     }
 
-    /// Restores a VM's thread assignment (failed-swap rollback).
-    pub(crate) fn set_threads(&mut self, id: VmId, threads: Vec<usize>) {
-        let slot = self.slot_of[id.raw() as usize];
-        let state = self.state[slot as usize].as_mut().expect("vm is live");
-        state.threads = threads;
-    }
-
     /// Sets or clears a VM's pressure override. Returns `false` for an
     /// unknown id.
     pub(crate) fn set_override(&mut self, id: VmId, pressure: Option<PressureVector>) -> bool {

@@ -20,6 +20,10 @@
 //! property drives a base and its snapshot through independent,
 //! interleaved schedules and checks each against a fresh replay of its
 //! own history, so no write on one side can leak into the other.
+//!
+//! `Cluster::least_loaded_server` answers from a free-thread index; a
+//! last property checks it against the linear scan it replaced, written
+//! here over the public per-server API, after every placement write.
 
 use bolt_sim::vm::VmRole;
 use bolt_sim::{ChaosConfig, Cluster, FaultPlan, IsolationConfig, ServerSpec, SweepMemo, VmId};
@@ -540,4 +544,134 @@ fn sweep_memo_counts_shared_queries_and_detaches_on_mutation() {
         published,
         "a diverged snapshot must not publish"
     );
+}
+
+/// The linear scan `least_loaded_server` replaced, over the public
+/// `server(i)` API only: the most free threads among servers that can
+/// host `vcpus`, ties to the lowest index. Free threads and whole free
+/// cores are recounted from the slots, so the oracle shares no state
+/// with the index or the servers' free-thread counters.
+fn least_loaded_scan(cluster: &Cluster, vcpus: u32) -> Option<usize> {
+    let core_iso = cluster.isolation().mechanisms.core_isolation;
+    let mut best: Option<(usize, usize)> = None;
+    for i in 0..cluster.server_count() {
+        let server = cluster.server(i).expect("in range");
+        let spec = server.spec();
+        let tpc = spec.threads_per_core as usize;
+        let free_slot = |slot: usize| server.occupant(slot).is_none();
+        let free = (0..spec.total_threads() as usize)
+            .filter(|&t| free_slot(t))
+            .count();
+        let whole_cores = (0..spec.cores as usize)
+            .filter(|&c| (c * tpc..(c + 1) * tpc).all(free_slot))
+            .count();
+        let fits = if core_iso {
+            whole_cores * tpc >= (vcpus as usize).div_ceil(tpc) * tpc
+        } else {
+            free >= vcpus as usize
+        };
+        if fits && best.is_none_or(|(_, most)| free > most) {
+            best = Some((i, free));
+        }
+    }
+    best.map(|(i, _)| i)
+}
+
+/// Every request size the index must answer like the scan: empty, the
+/// region's VM sizes, a whole Xeon, and one thread more than a Xeon has.
+const PLACEMENT_SIZES: [u32; 7] = [0, 1, 2, 4, 8, 16, 17];
+
+fn assert_least_loaded_matches_scan(cluster: &Cluster, context: &str) {
+    for vcpus in PLACEMENT_SIZES {
+        assert_eq!(
+            cluster.least_loaded_server(vcpus),
+            least_loaded_scan(cluster, vcpus),
+            "least_loaded_server({vcpus}) left the scan after {context}"
+        );
+    }
+}
+
+/// One placement write: least-loaded and explicit launches, pinned
+/// launches (rejected under core isolation), terminations, migrations,
+/// profile swaps that may not fit, and core-isolation toggles. Sizes
+/// up to a whole Xeon spread servers over every free-thread bucket.
+fn placement_step(cluster: &mut Cluster, live: &mut Vec<VmId>, (op, pick): (u8, usize), i: usize) {
+    let mut rng = StdRng::seed_from_u64(i as u64 ^ (pick as u64) << 8);
+    let vcpus = 1 + (pick % 16) as u32;
+    let p = profile(i, &mut rng).with_vcpus(1 + (pick % 8) as u32);
+    let server = pick % cluster.server_count();
+    match op {
+        0 => {
+            if let Some(s) = cluster.least_loaded_server(p.vcpus()) {
+                live.push(
+                    cluster
+                        .launch_on(s, p, VmRole::Friendly, 0.0)
+                        .expect("fits"),
+                );
+            }
+        }
+        1 => {
+            if let Ok(id) = cluster.launch_on(server, p.with_vcpus(vcpus), VmRole::Friendly, 0.0) {
+                live.push(id);
+            }
+        }
+        2 => {
+            if let Ok(id) = cluster.launch_pinned(server, p, VmRole::Friendly, 0.0, &mut rng) {
+                live.push(id);
+            }
+        }
+        3 | 4 if !live.is_empty() => {
+            let id = live.remove(pick % live.len());
+            cluster.terminate(id).expect("vm is live");
+        }
+        5 if !live.is_empty() => {
+            let id = live[pick % live.len()];
+            let _ = cluster.migrate(id, server);
+        }
+        6 if !live.is_empty() => {
+            let id = live[pick % live.len()];
+            let _ = cluster.swap_profile(id, p.with_vcpus(vcpus));
+        }
+        7 => {
+            let mut isolation = cluster.isolation();
+            isolation.mechanisms.core_isolation ^= true;
+            cluster.set_isolation(isolation);
+        }
+        _ => {}
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The indexed `least_loaded_server` returns the linear scan's server
+    /// for every request size after every placement write, on a cluster
+    /// and on a snapshot of it while either side writes.
+    #[test]
+    fn least_loaded_index_matches_linear_scan(
+        servers in 1usize..7,
+        ops in proptest::collection::vec((0u8..8, 0usize..256), 1..80),
+        sides in proptest::collection::vec(any::<bool>(), 80),
+        split in 0usize..80,
+    ) {
+        let mut sides_live = vec![(
+            Cluster::new(servers, ServerSpec::xeon(), IsolationConfig::cloud_default())
+                .expect("cluster"),
+            Vec::new(),
+        )];
+        assert_least_loaded_matches_scan(&sides_live[0].0, "construction");
+        for (i, &op) in ops.iter().enumerate() {
+            if i == split {
+                let snapshot = (sides_live[0].0.snapshot(), sides_live[0].1.clone());
+                sides_live.push(snapshot);
+            }
+            let side = usize::from(sides[i]) % sides_live.len();
+            let (cluster, live) = &mut sides_live[side];
+            placement_step(cluster, live, op, i);
+            for (k, (cluster, _)) in sides_live.iter().enumerate() {
+                let context = format!("op {i} {op:?} on side {side} (checking side {k})");
+                assert_least_loaded_matches_scan(cluster, &context);
+            }
+        }
+    }
 }
