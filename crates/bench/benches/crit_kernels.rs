@@ -80,10 +80,10 @@ fn series(n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Scalar-reference vs bit-exact-unrolled vs relaxed-blocked dot product,
-/// plus the fused weighted-moment reduction, at the sizes production paths
-/// actually see (PQ factor rows ~10, pressure series ~64, and 1k/64k to
-/// expose the memory-bandwidth ceiling).
+/// Scalar-reference vs bit-exact-unrolled dot product, plus the fused
+/// weighted-moment reduction, at the sizes production paths actually see
+/// (PQ factor rows ~10, pressure series ~64, and 1k/64k to expose the
+/// memory-bandwidth ceiling).
 fn bench_primitives(c: &mut Criterion) {
     use bolt_linalg::kernels::{self, reference};
     for n in [8usize, 64, 1024, 65_536] {
@@ -94,9 +94,6 @@ fn bench_primitives(c: &mut Criterion) {
         });
         c.bench_function(&format!("dot_bitexact_{n}"), |bench| {
             bench.iter(|| black_box(kernels::dot(black_box(&a), black_box(&b))))
-        });
-        c.bench_function(&format!("dot_relaxed_{n}"), |bench| {
-            bench.iter(|| black_box(kernels::dot_relaxed(black_box(&a), black_box(&b))))
         });
     }
     // The weighted-Pearson interior: three covariance passes (old shape)

@@ -465,8 +465,9 @@ pub struct Testbed {
 ///
 /// # Errors
 ///
-/// Returns [`BoltError::InvalidExperiment`] if there are no victims or
-/// they cannot all be placed, and propagates simulator/numerical errors.
+/// Returns [`BoltError::InvalidExperiment`] if there are no victims, the
+/// confidence threshold is not finite, or the victims cannot all be
+/// placed, and propagates simulator/numerical errors.
 pub fn build_testbed<S: Scheduler>(
     config: &ExperimentConfig,
     scheduler: &S,
@@ -478,6 +479,13 @@ pub fn build_testbed<S: Scheduler>(
     if config.victims == 0 {
         return Err(BoltError::InvalidExperiment {
             reason: "experiment needs at least one victim".to_string(),
+        });
+    }
+    // `confidence >= NaN` is always false: a NaN threshold would silently
+    // never stop an anytime window early.
+    if !config.detector.confidence_threshold.is_finite() {
+        return Err(BoltError::InvalidExperiment {
+            reason: "experiment needs a finite confidence threshold".to_string(),
         });
     }
     let mut rng = StdRng::seed_from_u64(config.seed);

@@ -37,21 +37,20 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use bolt_recommender::{FitCache, FitOutcome, HybridRecommender, RecommenderConfig, TrainingData};
+use bolt_recommender::{FitCache, HybridRecommender, RecommenderConfig};
 use bolt_sim::vm::VmRole;
 use bolt_sim::{
     ChaosConfig, Cluster, FaultPlan, IsolationConfig, ServerSpec, StormConfig, StormPlan,
     SweepMemo, VmId,
 };
 use bolt_workloads::catalog::memcached;
-use bolt_workloads::training::training_set;
 use bolt_workloads::{AppLabel, LoadPattern, PressureVector, WorkloadProfile};
 
 use crate::anytime::FIXED_WINDOW_NOMINAL_PROBES;
 use crate::ctx::RunCtx;
 use crate::detector::{DegradedReason, Detector, DetectorConfig, RetryPolicy};
 use crate::events::EventQueue;
-use crate::experiment::{observed_training, shared_recommender, training_data_key, victim_set};
+use crate::experiment::{shared_recommender, victim_set};
 use crate::parallel::{split_seed, sweep, Parallelism};
 use crate::region::{tenant_profile, RegionConfig};
 use crate::telemetry::{Counter, LatencySummary, Phase, ServiceMetric, Telemetry, TelemetryLog};
@@ -138,10 +137,6 @@ pub struct ServiceConfig {
     /// Thread fan-out over worker lanes. Results are byte-identical for
     /// every setting.
     pub parallelism: Parallelism,
-    /// Fit through [`FitCache::fit_warm`]: seed SGD from the nearest
-    /// same-config cached model ([`Counter::FitWarmStarts`]). Off by
-    /// default — the cold path is the byte-identity baseline.
-    pub warm_refit: bool,
     /// Populate victims with region-scale tenants
     /// ([`crate::region`]'s zero-noise, one-vCPU catalog rotation)
     /// instead of the §3.4 testbed victim set. This is what lets the
@@ -189,7 +184,6 @@ impl Default for ServiceConfig {
             chaos: ChaosConfig::none(),
             storm: StormConfig::none(),
             parallelism: Parallelism::default(),
-            warm_refit: false,
             region_tenants: false,
             share_sweeps: false,
             duplicate_rate: 0.0,
@@ -453,46 +447,6 @@ pub fn run_service_cache_telemetry(
     run_service(config, &RunCtx::new(cache, true))
 }
 
-/// The service's fit path: [`shared_recommender`] unless `warm_refit`
-/// routes through [`FitCache::fit_warm`].
-fn service_recommender(
-    config: &ServiceConfig,
-    cache: &FitCache,
-    telemetry: &mut Telemetry,
-) -> Result<Arc<HybridRecommender>, BoltError> {
-    if !config.warm_refit {
-        return shared_recommender(
-            config.training_seed,
-            &config.isolation,
-            config.recommender,
-            cache,
-            telemetry,
-        );
-    }
-    let key = training_data_key(config.training_seed, &config.isolation);
-    let data = cache.training_data(key, || {
-        TrainingData::from_examples(observed_training(
-            &training_set(config.training_seed),
-            &config.isolation,
-        ))
-    })?;
-    let clock = telemetry.begin();
-    let (model, outcome) = cache.fit_warm(&data, config.recommender, key, true)?;
-    match outcome {
-        FitOutcome::Hit => telemetry.count(Counter::FitCacheHit, 1),
-        FitOutcome::Warm => {
-            telemetry.count(Counter::FitCacheMiss, 1);
-            telemetry.count(Counter::FitWarmStarts, 1);
-            telemetry.span(Phase::RecommenderFit, 0.0, 0.0, clock);
-        }
-        FitOutcome::Cold => {
-            telemetry.count(Counter::FitCacheMiss, 1);
-            telemetry.span(Phase::RecommenderFit, 0.0, 0.0, clock);
-        }
-    }
-    Ok(model)
-}
-
 /// The built service cluster: one quiet adversary per server, victims
 /// round-robin, and the ground-truth labels per server.
 struct ServiceCluster {
@@ -593,9 +547,7 @@ enum BreakerState {
     HalfOpen,
 }
 
-/// Runs the service loop, fitting through `ctx.fit_cache` — with
-/// [`ServiceConfig::warm_refit`] set, a cold miss seeds SGD from the
-/// nearest same-config cached model instead of random factors.
+/// Runs the service loop, fitting through `ctx.fit_cache`.
 ///
 /// Telemetry is always recorded internally (the report's latency summary
 /// reads the request spans); the stream is returned only when
@@ -617,17 +569,22 @@ pub fn run_service(
     // a nonsense trace or a poisoned lane clock. Degenerate configs are
     // errors at the door, never panics downstream.
     let positive_finite = |x: f64| x.is_finite() && x > 0.0;
+    let in_unit_interval = |x: f64| (0.0..=1.0).contains(&x);
     if config.servers == 0
         || config.workers == 0
         || config.queue_capacity == 0
         || !positive_finite(config.nominal_service_s)
         || !positive_finite(config.arrival_rate_per_min)
         || !positive_finite(config.deadline_s)
-        || !(0.0..=1.0).contains(&config.duplicate_rate)
+        || !in_unit_interval(config.duplicate_rate)
+        || !in_unit_interval(config.storm.intensity)
+        || !in_unit_interval(config.chaos.intensity)
+        || !config.detector.confidence_threshold.is_finite()
     {
         return Err(BoltError::InvalidExperiment {
             reason: "service config needs servers, workers, queue capacity, finite positive \
-                     rate/deadline/nominal-service time, and a duplicate rate in [0, 1]"
+                     rate/deadline/nominal-service time, a duplicate rate and storm and chaos \
+                     intensities in [0, 1], and a finite confidence threshold"
                 .to_string(),
         });
     }
@@ -662,7 +619,13 @@ pub fn run_service(
         server_vms,
         truths,
     } = built;
-    let model = service_recommender(config, ctx.fit_cache, &mut unit0)?;
+    let model = shared_recommender(
+        config.training_seed,
+        &config.isolation,
+        config.recommender,
+        ctx.fit_cache,
+        &mut unit0,
+    )?;
     unit0.count(Counter::StormArrivals, storm_injected as u64);
 
     // Sequential admission pass, event-driven: the queue estimator (one
@@ -1085,6 +1048,9 @@ fn run_lane(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::observed_training;
+    use bolt_recommender::TrainingData;
+    use bolt_workloads::training::training_set;
 
     /// A recorded service run through a fresh fit cache.
     fn serve(config: &ServiceConfig) -> (ServiceReport, TelemetryLog) {
@@ -1546,6 +1512,36 @@ mod tests {
             },
             ServiceConfig {
                 duplicate_rate: f64::NAN,
+                ..quick_config()
+            },
+            // `f64::clamp` passes NaN through `with_intensity`.
+            ServiceConfig {
+                storm: StormConfig::with_intensity(f64::NAN),
+                ..quick_config()
+            },
+            ServiceConfig {
+                chaos: ChaosConfig::with_intensity(f64::NAN),
+                ..quick_config()
+            },
+            ServiceConfig {
+                storm: StormConfig {
+                    intensity: 1.5,
+                    ..StormConfig::with_intensity(1.0)
+                },
+                ..quick_config()
+            },
+            ServiceConfig {
+                chaos: ChaosConfig {
+                    intensity: -0.5,
+                    ..ChaosConfig::with_intensity(1.0)
+                },
+                ..quick_config()
+            },
+            ServiceConfig {
+                detector: DetectorConfig {
+                    confidence_threshold: f64::NAN,
+                    ..quick_config().detector
+                },
                 ..quick_config()
             },
         ];

@@ -197,9 +197,6 @@ pub enum Counter {
     StormArrivals,
     /// Probes that paid a slow-probe stall penalty from the storm plan.
     ProbeStalls,
-    /// Recommender fits warm-started from a cached neighbor model instead
-    /// of training from scratch.
-    FitWarmStarts,
     /// Deterministic probe-sweep queries answered from the cross-hunt
     /// [`SweepMemo`] instead of recomputing the co-resident walk —
     /// concurrent hunts against the same (server, window) share one
@@ -223,7 +220,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters.
-    pub const ALL: [Counter; 32] = [
+    pub const ALL: [Counter; 31] = [
         Counter::SgdIterations,
         Counter::ShortlistPairHits,
         Counter::ExactPairSearches,
@@ -252,7 +249,6 @@ impl Counter {
         Counter::BreakerResets,
         Counter::StormArrivals,
         Counter::ProbeStalls,
-        Counter::FitWarmStarts,
         Counter::SweepsShared,
         Counter::EventsProcessed,
         Counter::IdleSkipped,
@@ -289,7 +285,6 @@ impl Counter {
             Counter::BreakerResets => "breaker-resets",
             Counter::StormArrivals => "storm-arrivals",
             Counter::ProbeStalls => "probe-stalls",
-            Counter::FitWarmStarts => "fit-warm-starts",
             Counter::SweepsShared => "sweeps-shared",
             Counter::EventsProcessed => "events-processed",
             Counter::IdleSkipped => "idle-skipped-s",

@@ -13,22 +13,15 @@
 //! Floating-point addition does not associate, and most of these sums feed
 //! outputs that are pinned byte-for-byte (the committed `bench_results`
 //! CSVs) or couple into RNG-driven control flow (SGD early stopping,
-//! detection verdicts). The default kernels therefore keep **one**
+//! detection verdicts). Every kernel therefore keeps **one**
 //! sequential accumulator per sum, added in exactly the order the scalar
 //! reference code used — `fold(0.0, +)` left to right. Unrolling buys
 //! bounds-check elimination and multiply ILP, never reassociation, so
 //! `dot(a, b)` returns the *identical bits* the replaced loop produced.
 //! Fusing independent sums into one pass (e.g. the six weighted-Pearson
 //! reductions) is also bit-exact: each accumulator still sees its own adds
-//! in the original order.
-//!
-//! [`KernelPolicy::Relaxed`] is the documented escape hatch: four
-//! independent lane accumulators combined as `(l0 + l1) + (l2 + l3)`, which
-//! breaks the add dependency chain and is substantially faster on long
-//! inputs, but changes the rounding. It is only permissible on paths proven
-//! not to feed determinism-pinned outputs; no production numeric path
-//! currently qualifies (see DESIGN.md "Kernel determinism policy"), so
-//! `Relaxed` is exercised by the benches and equivalence tests alone.
+//! in the original order. No kernel splits a sum across lane
+//! accumulators: that is faster on long inputs but changes the rounding.
 //!
 //! Every kernel has a naive scalar twin in [`reference`](mod@reference), property-tested
 //! to be bit-identical; the doc-hidden [`force_reference`] switch routes
@@ -52,40 +45,6 @@ pub fn force_reference(on: bool) {
 #[inline]
 fn reference_mode() -> bool {
     FORCE_REFERENCE.load(Ordering::Relaxed)
-}
-
-/// Accumulation-order policy for the summing kernels.
-///
-/// See the module docs: `BitExact` is the default everywhere; `Relaxed`
-/// may only be chosen for sums proven not to feed determinism-pinned
-/// outputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelPolicy {
-    /// One sequential accumulator in scalar order — bit-identical to the
-    /// replaced `fold(0.0, +)` loop. Safe for every caller.
-    #[default]
-    BitExact,
-    /// Four independent lane accumulators combined `(l0 + l1) + (l2 + l3)`
-    /// plus a sequential tail. Faster on long inputs; different rounding.
-    Relaxed,
-}
-
-impl KernelPolicy {
-    /// Dot product under this policy.
-    pub fn dot(self, a: &[f64], b: &[f64]) -> f64 {
-        match self {
-            KernelPolicy::BitExact => dot(a, b),
-            KernelPolicy::Relaxed => dot_relaxed(a, b),
-        }
-    }
-
-    /// Sum of squares under this policy.
-    pub fn sq_norm(self, a: &[f64]) -> f64 {
-        match self {
-            KernelPolicy::BitExact => sq_norm(a),
-            KernelPolicy::Relaxed => sq_norm_relaxed(a),
-        }
-    }
 }
 
 /// Bit-exact dot product: `Σ aᵢ·bᵢ` with one sequential accumulator.
@@ -118,30 +77,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// Relaxed dot product: four lane accumulators, combined
-/// `(l0 + l1) + (l2 + l3)`, then a sequential tail.
-pub fn dot_relaxed(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot_relaxed: length mismatch");
-    if reference_mode() {
-        return reference::dot_blocked(a, b);
-    }
-    let split = a.len() - (a.len() % 4);
-    let (ah, at) = a.split_at(split);
-    let (bh, bt) = b.split_at(split);
-    let mut l = [0.0f64; 4];
-    for (xa, xb) in ah.chunks_exact(4).zip(bh.chunks_exact(4)) {
-        l[0] += xa[0] * xb[0];
-        l[1] += xa[1] * xb[1];
-        l[2] += xa[2] * xb[2];
-        l[3] += xa[3] * xb[3];
-    }
-    let mut acc = (l[0] + l[1]) + (l[2] + l[3]);
-    for (x, y) in at.iter().zip(bt) {
-        acc += x * y;
-    }
-    acc
-}
-
 /// Bit-exact sum of squares: `Σ aᵢ²` in scalar order.
 pub fn sq_norm(a: &[f64]) -> f64 {
     if reference_mode() {
@@ -156,27 +91,6 @@ pub fn sq_norm(a: &[f64]) -> f64 {
         acc += x[2] * x[2];
         acc += x[3] * x[3];
     }
-    for x in tail {
-        acc += x * x;
-    }
-    acc
-}
-
-/// Relaxed sum of squares (same tree as [`dot_relaxed`]).
-pub fn sq_norm_relaxed(a: &[f64]) -> f64 {
-    if reference_mode() {
-        return reference::sq_norm_blocked(a);
-    }
-    let split = a.len() - (a.len() % 4);
-    let (head, tail) = a.split_at(split);
-    let mut l = [0.0f64; 4];
-    for x in head.chunks_exact(4) {
-        l[0] += x[0] * x[0];
-        l[1] += x[1] * x[1];
-        l[2] += x[2] * x[2];
-        l[3] += x[3] * x[3];
-    }
-    let mut acc = (l[0] + l[1]) + (l[2] + l[3]);
     for x in tail {
         acc += x * x;
     }
@@ -531,42 +445,9 @@ pub mod reference {
         (0..a.len()).map(|i| a[i] * b[i]).sum()
     }
 
-    /// Scalar replica of the relaxed 4-lane accumulation tree.
-    pub fn dot_blocked(a: &[f64], b: &[f64]) -> f64 {
-        assert_eq!(a.len(), b.len(), "dot_blocked: length mismatch");
-        let split = a.len() - (a.len() % 4);
-        let mut l = [0.0f64; 4];
-        for i in (0..split).step_by(4) {
-            for lane in 0..4 {
-                l[lane] += a[i + lane] * b[i + lane];
-            }
-        }
-        let mut acc = (l[0] + l[1]) + (l[2] + l[3]);
-        for i in split..a.len() {
-            acc += a[i] * b[i];
-        }
-        acc
-    }
-
     /// Scalar sum of squares.
     pub fn sq_norm(a: &[f64]) -> f64 {
         a.iter().map(|x| x * x).sum()
-    }
-
-    /// Scalar replica of the relaxed sum-of-squares tree.
-    pub fn sq_norm_blocked(a: &[f64]) -> f64 {
-        let split = a.len() - (a.len() % 4);
-        let mut l = [0.0f64; 4];
-        for i in (0..split).step_by(4) {
-            for lane in 0..4 {
-                l[lane] += a[i + lane] * a[i + lane];
-            }
-        }
-        let mut acc = (l[0] + l[1]) + (l[2] + l[3]);
-        for i in split..a.len() {
-            acc += a[i] * a[i];
-        }
-        acc
     }
 
     /// Scalar fused dot + squared norms.
@@ -768,29 +649,6 @@ mod tests {
                 "n={n}"
             );
         }
-    }
-
-    #[test]
-    fn relaxed_dot_matches_blocked_reference() {
-        for n in [0, 3, 4, 9, 64, 1000] {
-            let a = series(n);
-            let b: Vec<f64> = series(n).iter().map(|x| x * 0.9 + 0.1).collect();
-            assert_eq!(
-                dot_relaxed(&a, &b).to_bits(),
-                reference::dot_blocked(&a, &b).to_bits(),
-                "n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn policy_dispatch_selects_trees() {
-        let a = series(37);
-        let b = series(37);
-        assert_eq!(KernelPolicy::BitExact.dot(&a, &b), dot(&a, &b));
-        assert_eq!(KernelPolicy::Relaxed.dot(&a, &b), dot_relaxed(&a, &b));
-        assert_eq!(KernelPolicy::BitExact.sq_norm(&a), sq_norm(&a));
-        assert_eq!(KernelPolicy::Relaxed.sq_norm(&a), sq_norm_relaxed(&a));
     }
 
     #[test]

@@ -377,64 +377,6 @@ impl PqModel {
         })
     }
 
-    /// [`PqModel::train`] warm-started from a previously trained model:
-    /// the item factors `Q` are seeded from `prior` instead of random
-    /// initialization, so on nearby training data the epoch loop reaches
-    /// `target_rmse` in far fewer passes. Falls back to cold training when
-    /// the shapes disagree (`prior` trained on a different column count or
-    /// factor rank).
-    ///
-    /// Not bit-compatible with [`PqModel::train`]: the warm path skips the
-    /// `Q` initialization draws, so the RNG stream diverges. Callers that
-    /// need byte-identical outputs must use the cold path.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`complete`].
-    pub fn train_warm<R: Rng>(
-        matrix: &Matrix,
-        config: &SgdConfig,
-        prior: &PqModel,
-        rng: &mut R,
-    ) -> Result<Self, LinalgError> {
-        let warm = (prior.cols == matrix.cols() && prior.factors == config.factors)
-            .then_some(prior.q.as_slice());
-        if warm.is_none() {
-            return PqModel::train(matrix, config, rng);
-        }
-        with_scratch(|scratch| {
-            let SgdScratch { p, order, obs, .. } = scratch;
-            obs.clear();
-            obs.reserve(matrix.rows() * matrix.cols());
-            for r in 0..matrix.rows() {
-                for c in 0..matrix.cols() {
-                    obs.push(Observation {
-                        row: r,
-                        col: c,
-                        value: matrix[(r, c)],
-                    });
-                }
-            }
-            let (q, rmse) = train_q_seeded(
-                p,
-                order,
-                matrix.rows(),
-                matrix.cols(),
-                obs,
-                config,
-                warm,
-                rng,
-            )?;
-            Ok(PqModel {
-                q,
-                cols: matrix.cols(),
-                factors: config.factors,
-                regularization: config.regularization,
-                rmse,
-            })
-        })
-    }
-
     /// Number of latent factors.
     pub fn factors(&self) -> usize {
         self.factors
@@ -502,7 +444,7 @@ impl PqModel {
 }
 
 /// Trains both factor matrices on observations and returns `Q` plus the
-/// final RMSE (shared by [`complete`]-style training and [`PqModel`]).
+/// final RMSE ([`PqModel::train`]'s epoch loop).
 ///
 /// `p` and `order` are scratch buffers; `q` is freshly allocated because
 /// the caller keeps it (it becomes the [`PqModel`]'s item factors).
@@ -513,23 +455,6 @@ fn train_q<R: Rng>(
     cols: usize,
     observations: &[Observation],
     config: &SgdConfig,
-    rng: &mut R,
-) -> Result<(Vec<f64>, f64), LinalgError> {
-    train_q_seeded(p, order, rows, cols, observations, config, None, rng)
-}
-
-/// [`train_q`] with an optional warm seed for `Q`. With `warm_q = None`
-/// the draw order is exactly the cold path's (`P` first, then `Q`), so
-/// cold callers stay byte-identical; a warm seed skips the `Q` draws.
-#[allow(clippy::too_many_arguments)]
-fn train_q_seeded<R: Rng>(
-    p: &mut Vec<f64>,
-    order: &mut Vec<usize>,
-    rows: usize,
-    cols: usize,
-    observations: &[Observation],
-    config: &SgdConfig,
-    warm_q: Option<&[f64]>,
     rng: &mut R,
 ) -> Result<(Vec<f64>, f64), LinalgError> {
     if rows == 0 || cols == 0 || config.factors == 0 {
@@ -547,12 +472,9 @@ fn train_q_seeded<R: Rng>(
     let k = config.factors;
     p.clear();
     p.extend((0..rows * k).map(|_| rng.gen::<f64>() * config.init_scale));
-    let mut q: Vec<f64> = match warm_q {
-        Some(w) if w.len() == cols * k => w.to_vec(),
-        _ => (0..cols * k)
-            .map(|_| rng.gen::<f64>() * config.init_scale)
-            .collect(),
-    };
+    let mut q: Vec<f64> = (0..cols * k)
+        .map(|_| rng.gen::<f64>() * config.init_scale)
+        .collect();
     order.clear();
     order.extend(0..observations.len());
     let mut rmse = f64::INFINITY;
@@ -629,67 +551,6 @@ mod tests {
             (predicted - 18.0).abs() < 2.0,
             "predicted corner {predicted}, expected ~18"
         );
-    }
-
-    #[test]
-    fn warm_training_starts_from_prior_factors() {
-        let mut m = Matrix::zeros(6, 5).unwrap();
-        for r in 0..6 {
-            for c in 0..5 {
-                m[(r, c)] = (r as f64 + 1.0) * (c as f64 + 1.0);
-            }
-        }
-        let config = SgdConfig {
-            factors: 2,
-            max_epochs: 4000,
-            target_rmse: 0.05,
-            learning_rate: 0.01,
-            ..SgdConfig::default()
-        };
-        let prior = PqModel::train(&m, &config, &mut rng()).unwrap();
-        assert!(prior.rmse() <= 0.05, "prior rmse {}", prior.rmse());
-        // Nearby data: warm-started training must still converge to target.
-        let mut near = m.clone();
-        for r in 0..6 {
-            for c in 0..5 {
-                near[(r, c)] *= 1.02;
-            }
-        }
-        let warm = PqModel::train_warm(&near, &config, &prior, &mut rng()).unwrap();
-        assert!(warm.rmse() <= 0.05, "warm rmse {}", warm.rmse());
-        let fold = warm.fold_in(&[(0, 2.04), (3, 8.16)], &mut rng()).unwrap();
-        assert!(fold.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn warm_training_with_mismatched_shape_equals_cold() {
-        let mut m = Matrix::zeros(4, 3).unwrap();
-        for r in 0..4 {
-            for c in 0..3 {
-                m[(r, c)] = (r * 3 + c) as f64 + 1.0;
-            }
-        }
-        let config = SgdConfig {
-            factors: 3,
-            max_epochs: 50,
-            ..SgdConfig::default()
-        };
-        // Prior trained at a different rank cannot seed Q; the fallback
-        // must be byte-identical to a cold train from the same RNG state.
-        let prior = PqModel::train(
-            &m,
-            &SgdConfig {
-                factors: 2,
-                max_epochs: 50,
-                ..SgdConfig::default()
-            },
-            &mut rng(),
-        )
-        .unwrap();
-        let warm = PqModel::train_warm(&m, &config, &prior, &mut rng()).unwrap();
-        let cold = PqModel::train(&m, &config, &mut rng()).unwrap();
-        assert_eq!(warm.q, cold.q);
-        assert_eq!(warm.rmse(), cold.rmse());
     }
 
     #[test]

