@@ -214,7 +214,7 @@ mod tests {
         // only the robust Fig. 14 claims are asserted: the full mechanism
         // stack never beats no isolation, and core isolation collapses
         // accuracy for virtualized settings. Per-step monotonicity is
-        // checked by the full-scale `fig14_isolation` bench.
+        // checked by the `fig14_isolation` figure.
         let study = run_study(&tiny());
         let mean = |idx: usize| -> f64 {
             OsSetting::ALL

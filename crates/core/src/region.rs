@@ -133,8 +133,6 @@ pub struct ScalePoint {
     pub vms: usize,
     /// First-touch (cache-miss) interference probes measured.
     pub probes: u64,
-    /// Mean wall-clock nanoseconds per probe.
-    pub ns_per_probe: f64,
     /// Mean neighbor candidates visited per probe.
     pub visits_per_probe: f64,
 }
@@ -259,12 +257,13 @@ pub fn run_region_telemetry(
     })
 }
 
-/// Measures first-touch probe cost at each region size.
+/// Measures first-touch probe work at each region size.
 ///
 /// Every probe pairs a distinct `(tenant, t)` so it misses the aggregate
 /// cache and pays the full neighbor walk — the honest per-query cost.
-/// With the residency index both columns should stay flat as `servers`
-/// grows; under the old full-arena scan they grew linearly.
+/// With the residency index visits per probe stay flat as `servers`
+/// grows; under the old full-arena scan they grew linearly. The counts
+/// are deterministic; the `crit_region_scale` bench times the same probe.
 pub fn scaling_curve(
     sizes: &[usize],
     vms_per_server: usize,
@@ -284,7 +283,6 @@ pub fn scaling_curve(
         let before = cluster.storage_stats();
 
         let rounds = 64usize;
-        let start = Instant::now();
         let mut probes = 0u64;
         for round in 0..rounds {
             // A fresh t per round keeps every (tenant, t) pair unseen.
@@ -294,17 +292,11 @@ pub fn scaling_curve(
                 probes += 1;
             }
         }
-        let elapsed = start.elapsed().as_secs_f64();
         let after = cluster.storage_stats();
         points.push(ScalePoint {
             servers,
             vms,
             probes,
-            ns_per_probe: if probes == 0 {
-                0.0
-            } else {
-                elapsed * 1e9 / probes as f64
-            },
             visits_per_probe: if probes == 0 {
                 0.0
             } else {

@@ -3,10 +3,10 @@
 //! Runs the full experiment pipeline twice at the benchmark configuration —
 //! once with the production kernels and once with every kernel rerouted to
 //! its naive scalar reference (`kernels::force_reference`) — and demands
-//! byte-identical records and normalized telemetry. This is the gate that
-//! lets the 35 committed `bench_results/` CSVs stay frozen across kernel
-//! work: if this test passes, regenerating them cannot change a byte
-//! outside wall-clock columns.
+//! byte-identical records and normalized telemetry. It pins the kernels
+//! themselves; `crates/bench/tests/figures.rs` pins the 35 committed
+//! `bench_results/` CSVs they feed, byte for byte, so a kernel change that
+//! moved an output bit would fail both.
 
 use bolt::experiment::{run_experiment, ExperimentConfig};
 use bolt::parallel::Parallelism;

@@ -12,10 +12,11 @@
 //!
 //! Floating-point addition does not associate, and most of these sums feed
 //! outputs that are pinned byte-for-byte (the committed `bench_results`
-//! CSVs) or couple into RNG-driven control flow (SGD early stopping,
-//! detection verdicts). Every kernel therefore keeps **one**
-//! sequential accumulator per sum, added in exactly the order the scalar
-//! reference code used — `fold(0.0, +)` left to right. Unrolling buys
+//! CSVs, compared by the `bolt-bench` figures test) or couple into
+//! RNG-driven control flow (SGD early stopping, detection verdicts).
+//! Every kernel therefore keeps **one** sequential accumulator per sum,
+//! added in exactly the order the scalar reference code used —
+//! `fold(0.0, +)` left to right. Unrolling buys
 //! bounds-check elimination and multiply ILP, never reassociation, so
 //! `dot(a, b)` returns the *identical bits* the replaced loop produced.
 //! Fusing independent sums into one pass (e.g. the six weighted-Pearson

@@ -184,18 +184,6 @@ pub struct FitCacheStats {
     pub data_misses: u64,
 }
 
-impl FitCacheStats {
-    /// Fraction of model lookups served from the cache (0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct State {
     models: HashMap<Fingerprint, Arc<HybridRecommender>>,
@@ -424,7 +412,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 0));
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(cache.len(), 1);
     }
 
