@@ -169,6 +169,36 @@ impl Default for DetectorConfig {
     }
 }
 
+impl DetectorConfig {
+    /// Rejects settings no hunt can run with, so the drivers
+    /// ([`run_experiment`](crate::run_experiment),
+    /// [`run_service`](crate::run_service)) fail at the door instead of
+    /// panicking or reporting NaN sim times.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BoltError::InvalidExperiment`] naming the first bad field.
+    pub(crate) fn validate(&self) -> Result<(), BoltError> {
+        let interval = self.interval_s;
+        let reason = if !self.confidence_threshold.is_finite() {
+            // `confidence >= NaN` is always false: a NaN threshold would
+            // silently never stop an anytime window early.
+            "a finite confidence threshold"
+        } else if !(interval.is_finite() && interval >= 0.0) {
+            // Every hunt clock advances by the interval: a NaN or negative
+            // one would put NaN or backwards sim times into the records.
+            "a finite, non-negative detection interval"
+        } else if self.mrc_points == 0 {
+            "at least one miss-rate-curve sweep point"
+        } else {
+            return Ok(());
+        };
+        Err(BoltError::InvalidExperiment {
+            reason: format!("detector needs {reason}"),
+        })
+    }
+}
+
 /// The outcome of one detection iteration: one verdict per co-resident
 /// Bolt believes it disentangled, strongest first.
 #[derive(Debug, Clone, PartialEq)]
@@ -1266,6 +1296,35 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xDE7EC7)
+    }
+
+    #[test]
+    fn validate_rejects_configs_no_hunt_can_run() {
+        assert!(DetectorConfig::default().validate().is_ok());
+        let bad = [
+            DetectorConfig {
+                confidence_threshold: f64::NAN,
+                ..DetectorConfig::default()
+            },
+            DetectorConfig {
+                interval_s: -1.0,
+                ..DetectorConfig::default()
+            },
+            DetectorConfig {
+                interval_s: f64::INFINITY,
+                ..DetectorConfig::default()
+            },
+            DetectorConfig {
+                mrc_points: 0,
+                ..DetectorConfig::default()
+            },
+        ];
+        for config in bad {
+            assert!(
+                matches!(config.validate(), Err(BoltError::InvalidExperiment { .. })),
+                "{config:?}"
+            );
+        }
     }
 
     fn detector() -> Detector {

@@ -117,27 +117,29 @@ mod tests {
     }
 
     #[test]
-    fn sweep_preserves_item_order_for_any_thread_count() {
-        let items: Vec<u64> = (0..37).collect();
-        let serial = sweep(&items, Parallelism::Serial, |i, &x| (i as u64) * 1000 + x);
-        for threads in [1, 2, 3, 8, 64] {
-            let parallel = sweep(&items, Parallelism::Threads(threads), |i, &x| {
-                (i as u64) * 1000 + x
-            });
-            assert_eq!(serial, parallel, "threads={threads}");
-        }
-        assert_eq!(
-            serial,
-            sweep(&items, Parallelism::Auto, |i, &x| (i as u64) * 1000 + x)
-        );
-    }
-
-    #[test]
     fn sweep_handles_empty_and_single() {
         let none: Vec<u32> = sweep(&[], Parallelism::Auto, |_, &x: &u32| x);
         assert!(none.is_empty());
         let one = sweep(&[9u32], Parallelism::Threads(8), |i, &x| x + i as u32);
         assert_eq!(one, vec![9]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sweep_is_an_order_preserving_map(
+            items in proptest::collection::vec(0u64..1_000_000, 0..40),
+            workers in 0usize..=64,
+        ) {
+            // 0 workers stands for `Auto`; up to 64 workers, more than
+            // there are items.
+            let parallelism = match workers {
+                0 => Parallelism::Auto,
+                n => Parallelism::Threads(n),
+            };
+            let f = |idx: usize, &x: &u64| x.wrapping_mul(0x9E37_79B9).rotate_left(7) ^ idx as u64;
+            let serial: Vec<u64> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+            proptest::prop_assert_eq!(serial, sweep(&items, parallelism, f));
+        }
     }
 
     #[test]

@@ -579,15 +579,15 @@ pub fn run_service(
         || !in_unit_interval(config.duplicate_rate)
         || !in_unit_interval(config.storm.intensity)
         || !in_unit_interval(config.chaos.intensity)
-        || !config.detector.confidence_threshold.is_finite()
     {
         return Err(BoltError::InvalidExperiment {
             reason: "service config needs servers, workers, queue capacity, finite positive \
-                     rate/deadline/nominal-service time, a duplicate rate and storm and chaos \
-                     intensities in [0, 1], and a finite confidence threshold"
+                     rate/deadline/nominal-service time, and a duplicate rate and storm and \
+                     chaos intensities in [0, 1]"
                 .to_string(),
         });
     }
+    config.detector.validate()?;
 
     let storm = StormPlan::compile(
         &config.storm,
@@ -1131,28 +1131,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_threaded_runs_are_byte_identical() {
-        let base = ServiceConfig {
-            storm: StormConfig::with_intensity(1.0),
-            chaos: ChaosConfig::with_intensity(0.4),
-            arrival_rate_per_min: 5.0,
-            ..quick_config()
-        };
-        let serial = ServiceConfig {
-            parallelism: Parallelism::Serial,
-            ..base
-        };
-        let threaded = ServiceConfig {
-            parallelism: Parallelism::Threads(3),
-            ..base
-        };
-        let (report_s, log_s) = serve(&serial);
-        let (report_t, log_t) = serve(&threaded);
-        assert_eq!(report_s, report_t);
-        assert_eq!(log_s.normalized(), log_t.normalized());
-    }
-
-    #[test]
     fn unloaded_service_matches_direct_detection() {
         // Slow arrivals, no storms, no chaos, generous deadline: every
         // request starts at its arrival tick, so the service outcome must
@@ -1540,6 +1518,20 @@ mod tests {
             ServiceConfig {
                 detector: DetectorConfig {
                     confidence_threshold: f64::NAN,
+                    ..quick_config().detector
+                },
+                ..quick_config()
+            },
+            ServiceConfig {
+                detector: DetectorConfig {
+                    interval_s: f64::NAN,
+                    ..quick_config().detector
+                },
+                ..quick_config()
+            },
+            ServiceConfig {
+                detector: DetectorConfig {
+                    interval_s: -20.0,
                     ..quick_config().detector
                 },
                 ..quick_config()

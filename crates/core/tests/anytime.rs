@@ -1,12 +1,12 @@
-//! Anytime-window contracts: off means byte-invisible, on means
-//! deterministic across thread counts, the confidence threshold gates
-//! the early exit, and reported confidence is monotone non-decreasing
-//! in the probe budget.
+//! Anytime-window contracts: off means byte-invisible, on saves probes,
+//! the confidence threshold gates the early exit, and reported confidence
+//! is monotone non-decreasing in the probe budget. Determinism across
+//! thread counts is pinned by `tests/oracle.rs`.
 
 use bolt::detector::{Detector, DetectorConfig};
 use bolt::experiment::{run_experiment, ExperimentConfig, ExperimentResults};
 use bolt::telemetry::Counter;
-use bolt::{FitCache, Parallelism, RunCtx, Telemetry, TelemetryLog};
+use bolt::{FitCache, RunCtx, Telemetry, TelemetryLog};
 use bolt_recommender::{HybridRecommender, RecommenderConfig, TrainingData};
 use bolt_sim::vm::VmRole;
 use bolt_sim::LeastLoaded;
@@ -83,24 +83,14 @@ fn anytime_off_is_byte_invisible() {
 }
 
 #[test]
-fn anytime_hunts_are_parallelism_invariant() {
-    // The deepening loop's extra RNG draws are per-hunt, so Serial and
-    // Threads(n) must still produce bit-identical records and telemetry.
-    let serial = ExperimentConfig {
+fn anytime_hunts_save_probes() {
+    // Thread-count invariance of anytime hunts is pinned by `oracle.rs`.
+    let config = ExperimentConfig {
         anytime: true,
-        parallelism: Parallelism::Serial,
         ..small_config(0x3C6)
     };
-    let threaded = ExperimentConfig {
-        parallelism: Parallelism::Threads(3),
-        ..serial
-    };
-    let a = traced(&serial);
-    let b = traced(&threaded);
-    assert_eq!(a.0.records, b.0.records);
-    assert_eq!(a.1.normalized().to_jsonl(), b.1.normalized().to_jsonl());
     assert!(
-        a.1.counter_total(Counter::ProbesSaved) > 0,
+        traced(&config).1.counter_total(Counter::ProbesSaved) > 0,
         "anytime hunts must actually save probes over the fixed window"
     );
 }

@@ -164,24 +164,14 @@ fn mrc_channel_off_is_byte_invisible() {
 }
 
 #[test]
-fn mrc_hunts_are_parallelism_invariant() {
-    // The channel's extra RNG draws are per-hunt, so Serial and Threads(n)
-    // must still produce bit-identical fingerprints.
-    let serial = ExperimentConfig {
+fn mrc_hunts_sweep() {
+    // Thread-count invariance of MRC hunts is pinned by `oracle.rs`.
+    let config = ExperimentConfig {
         mrc_channel: true,
-        parallelism: Parallelism::Serial,
         ..small_config(0x3C5)
     };
-    let threaded = ExperimentConfig {
-        parallelism: Parallelism::Threads(3),
-        ..serial
-    };
-    let a = traced(&serial);
-    let b = traced(&threaded);
-    assert_eq!(a.0.records, b.0.records);
-    assert_eq!(a.1.normalized().to_jsonl(), b.1.normalized().to_jsonl());
     assert!(
-        a.1.counter_total(Counter::MrcProbePoints) > 0,
+        traced(&config).1.counter_total(Counter::MrcProbePoints) > 0,
         "channel-on hunts must actually sweep"
     );
 }

@@ -1,0 +1,183 @@
+//! Config fuzz: no configuration a caller can build makes a driver panic.
+//!
+//! Each case draws small `ExperimentConfig`, `ServiceConfig`,
+//! `RegionConfig`, `DetectorConfig` and `RecommenderConfig` values and runs
+//! one driver on them under `catch_unwind`. Every numeric field of those
+//! five configs is drawn: usually its normal value, sometimes one of the
+//! degenerate values below. The driver must return `Ok` or a typed `Err`;
+//! a panic fails the case.
+//!
+//! - `f64` fields: 0, −1, NaN, +∞, −∞, 1e300.
+//! - Sizes and loop counts (`usize`, `u32`): 0 and 1. A huge size would
+//!   abort on allocation rather than panic, and a huge loop count only
+//!   measures patience.
+//! - Caps and capacities (`pair_shortlist`, `queue_capacity`,
+//!   `adversary_vcpus`): 0, 1 and their type's maximum.
+//! - Seeds: 0 and the type's maximum.
+//!
+//! Nested policy structs (retry, chaos, storm, breaker, profiler, shutter,
+//! SGD) keep their defaults.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
+
+use bolt::experiment::{run_experiment, ExperimentConfig};
+use bolt::service::{run_service, ServiceConfig};
+use bolt::{run_region, DetectorConfig, FitCache, Parallelism, RegionConfig, RunCtx};
+use bolt_recommender::RecommenderConfig;
+use bolt_sim::LeastLoaded;
+use proptest::prelude::*;
+
+/// The degenerate `f64` values a field is drawn from.
+const F64_SPECIALS: [f64; 6] = [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
+
+/// One pick per field, consumed in order; a pick past the field's
+/// degenerate values keeps the normal value. With picks in `0..PICKS`,
+/// each `f64` field is degenerate with probability 6/40, so most cases
+/// perturb a few fields and get past validation.
+struct Picks(std::vec::IntoIter<u8>);
+
+const PICKS: u8 = 40;
+
+impl Picks {
+    fn pick(&mut self) -> usize {
+        usize::from(self.0.next().expect("enough picks for every field"))
+    }
+
+    fn real(&mut self, normal: f64) -> f64 {
+        F64_SPECIALS.get(self.pick()).copied().unwrap_or(normal)
+    }
+
+    fn size(&mut self, normal: usize) -> usize {
+        [0, 1].get(self.pick()).copied().unwrap_or(normal)
+    }
+
+    fn cap(&mut self, normal: usize) -> usize {
+        [0, 1, usize::MAX]
+            .get(self.pick())
+            .copied()
+            .unwrap_or(normal)
+    }
+
+    fn seed(&mut self, normal: u64) -> u64 {
+        [0, u64::MAX].get(self.pick()).copied().unwrap_or(normal)
+    }
+}
+
+fn recommender(p: &mut Picks) -> RecommenderConfig {
+    let d = RecommenderConfig::default();
+    RecommenderConfig {
+        energy_fraction: p.real(d.energy_fraction),
+        match_threshold: p.real(d.match_threshold),
+        noise_floor: p.real(d.noise_floor),
+        pair_shortlist: p.cap(d.pair_shortlist),
+        mrc_tie_margin: p.real(d.mrc_tie_margin),
+        ..d
+    }
+}
+
+fn detector(p: &mut Picks, d: DetectorConfig, anytime: bool, mrc: bool) -> DetectorConfig {
+    DetectorConfig {
+        interval_s: p.real(d.interval_s),
+        max_iterations: p.size(d.max_iterations),
+        mrc_points: p.size(d.mrc_points),
+        confidence_threshold: p.real(d.confidence_threshold),
+        anytime_max_probes: p.size(d.anytime_max_probes),
+        anytime_batch: p.size(d.anytime_batch),
+        anytime,
+        mrc_channel: mrc,
+        ..d
+    }
+}
+
+fn experiment(p: &mut Picks, anytime: bool, mrc: bool) -> ExperimentConfig {
+    let d = ExperimentConfig::default();
+    ExperimentConfig {
+        servers: p.size(2),
+        victims: p.size(3),
+        adversary_vcpus: [0, 1, u32::MAX]
+            .get(p.pick())
+            .copied()
+            .unwrap_or(d.adversary_vcpus),
+        seed: p.seed(d.seed),
+        training_seed: p.seed(d.training_seed),
+        detector: detector(p, d.detector, anytime, mrc),
+        recommender: recommender(p),
+        parallelism: Parallelism::Serial,
+        ..d
+    }
+}
+
+fn service(p: &mut Picks, anytime: bool, mrc: bool) -> ServiceConfig {
+    let d = ServiceConfig::default();
+    ServiceConfig {
+        servers: p.size(3),
+        vms_per_server: p.size(1),
+        requests: p.size(4),
+        arrival_rate_per_min: p.real(d.arrival_rate_per_min),
+        deadline_s: p.real(d.deadline_s),
+        queue_capacity: p.cap(d.queue_capacity),
+        workers: p.size(2),
+        nominal_service_s: p.real(d.nominal_service_s),
+        seed: p.seed(d.seed),
+        training_seed: p.seed(d.training_seed),
+        duplicate_rate: p.real(0.2),
+        detector: detector(p, d.detector, anytime, mrc),
+        recommender: recommender(p),
+        parallelism: Parallelism::Serial,
+        ..d
+    }
+}
+
+fn region(p: &mut Picks) -> RegionConfig {
+    RegionConfig {
+        servers: p.size(20),
+        vms_per_server: p.size(2),
+        steps: p.size(2),
+        probes_per_step: p.size(8),
+        churn_per_step: p.size(2),
+        seed: p.seed(RegionConfig::default().seed),
+    }
+}
+
+/// One fit cache for the whole run: a hit is byte-identical to a refit, and
+/// the default recommender config would otherwise retrain every case.
+fn cache() -> &'static FitCache {
+    static CACHE: OnceLock<FitCache> = OnceLock::new();
+    CACHE.get_or_init(FitCache::new)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn no_config_makes_a_driver_panic(
+        driver in 0u8..3,
+        (anytime, mrc) in (any::<bool>(), any::<bool>()),
+        picks in proptest::collection::vec(0u8..PICKS, 24),
+    ) {
+        let mut p = Picks(picks.into_iter());
+        let ctx = RunCtx::new(cache(), false);
+        let (config, outcome) = match driver {
+            0 => {
+                let config = experiment(&mut p, anytime, mrc);
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    run_experiment(&config, &LeastLoaded, &ctx).map(drop)
+                }));
+                (format!("{config:?}"), outcome)
+            }
+            1 => {
+                let config = service(&mut p, anytime, mrc);
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(|| run_service(&config, &ctx).map(drop)));
+                (format!("{config:?}"), outcome)
+            }
+            _ => {
+                let config = region(&mut p);
+                let outcome = catch_unwind(AssertUnwindSafe(|| run_region(&config).map(drop)));
+                (format!("{config:?}"), outcome)
+            }
+        };
+        prop_assert!(outcome.is_ok(), "driver panicked on {}", config);
+    }
+}

@@ -1,7 +1,8 @@
 //! Honesty properties of the streaming service loop: every offered request
 //! terminates in exactly one outcome, the admitted count conserves across
-//! outcomes, degraded verdicts never outrank the clean verdict the same
-//! request earns on a calm cluster, and thread fan-out moves no bytes.
+//! outcomes, and degraded verdicts never outrank the clean verdict the
+//! same request earns on a calm cluster. That thread fan-out moves no
+//! bytes is pinned, with every other optimisation, by `tests/oracle.rs`.
 
 use bolt::service::{run_service, RequestOutcome, ServiceConfig, ShedReason};
 use bolt::{FitCache, Parallelism, RunCtx};
@@ -20,7 +21,7 @@ fn small_config(seed: u64) -> ServiceConfig {
 }
 
 proptest! {
-    // Each case runs three full service loops; keep the count small and
+    // Each case runs two full service loops; keep the count small and
     // scale up via PROPTEST_CASES when hunting.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
@@ -40,11 +41,9 @@ proptest! {
             ..calm
         };
 
-        let run = |config, telemetry| {
-            run_service(config, &RunCtx::new(&FitCache::new(), telemetry)).unwrap()
-        };
-        let (calm_report, _) = run(&calm, false);
-        let (stormy_report, stormy_log) = run(&stormy, true);
+        let run = |config| run_service(config, &RunCtx::new(&FitCache::new(), false)).unwrap().0;
+        let calm_report = run(&calm);
+        let stormy_report = run(&stormy);
 
         for report in [&calm_report, &stormy_report] {
             // Totality: one terminal record per offered request, dense in
@@ -95,15 +94,5 @@ proptest! {
                 }
             }
         }
-
-        // Thread fan-out moves no bytes: report and normalized telemetry
-        // are identical at Threads(3).
-        let threaded = ServiceConfig {
-            parallelism: Parallelism::Threads(3),
-            ..stormy
-        };
-        let (threaded_report, threaded_log) = run(&threaded, true);
-        prop_assert_eq!(&stormy_report, &threaded_report);
-        prop_assert_eq!(stormy_log.normalized(), threaded_log.normalized());
     }
 }

@@ -45,6 +45,14 @@ pub enum LinalgError {
         /// How many data points are required at minimum.
         need: usize,
     },
+    /// A tuning parameter lies outside its valid range (e.g. an energy
+    /// fraction outside `(0, 1]`, or NaN).
+    InvalidParameter {
+        /// The parameter that was rejected.
+        param: &'static str,
+        /// Human-readable description of the valid range and the value.
+        reason: String,
+    },
 }
 
 impl fmt::Display for LinalgError {
@@ -72,6 +80,9 @@ impl fmt::Display for LinalgError {
                 f,
                 "insufficient data for {op}: got {got} points, need at least {need}"
             ),
+            LinalgError::InvalidParameter { param, reason } => {
+                write!(f, "invalid {param}: {reason}")
+            }
         }
     }
 }
@@ -109,6 +120,15 @@ mod tests {
             need: 2,
         };
         assert!(e.to_string().contains("pearson"));
+
+        let e = LinalgError::InvalidParameter {
+            param: "energy fraction",
+            reason: "must lie in (0, 1], got NaN".to_string(),
+        };
+        assert_eq!(
+            e.to_string(),
+            "invalid energy fraction: must lie in (0, 1], got NaN"
+        );
     }
 
     #[test]

@@ -24,29 +24,13 @@
 //! in the original order. No kernel splits a sum across lane
 //! accumulators: that is faster on long inputs but changes the rounding.
 //!
-//! Every kernel has a naive scalar twin in [`reference`](mod@reference), property-tested
-//! to be bit-identical; the doc-hidden [`force_reference`] switch routes
-//! all kernels through those twins so end-to-end tests can pin that the
-//! unrolled forms are invisible to experiment output.
+//! Every kernel has a naive scalar twin in [`reference`](mod@reference),
+//! property-tested to be bit-identical. Inside the test-only [`oracle`]
+//! scope every kernel delegates to its twin, so the end-to-end oracle test
+//! can pin that the unrolled forms are invisible to experiment output;
+//! without the `oracle` feature the check compiles away.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// When set, every kernel delegates to its naive [`reference`] twin.
-static FORCE_REFERENCE: AtomicBool = AtomicBool::new(false);
-
-/// Routes every kernel through the naive reference implementations
-/// (process-wide). Only the end-to-end invariance tests should flip this;
-/// it exists to prove the unrolled forms are byte-invisible in experiment
-/// output.
-#[doc(hidden)]
-pub fn force_reference(on: bool) {
-    FORCE_REFERENCE.store(on, Ordering::Relaxed);
-}
-
-#[inline]
-fn reference_mode() -> bool {
-    FORCE_REFERENCE.load(Ordering::Relaxed)
-}
+use crate::oracle;
 
 /// Bit-exact dot product: `Σ aᵢ·bᵢ` with one sequential accumulator.
 ///
@@ -55,7 +39,7 @@ fn reference_mode() -> bool {
 /// Panics if the slices differ in length.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    if reference_mode() {
+    if oracle::enabled() {
         return reference::dot(a, b);
     }
     let split = a.len() - (a.len() % 4);
@@ -80,7 +64,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 /// Bit-exact sum of squares: `Σ aᵢ²` in scalar order.
 pub fn sq_norm(a: &[f64]) -> f64 {
-    if reference_mode() {
+    if oracle::enabled() {
         return reference::sq_norm(a);
     }
     let split = a.len() - (a.len() % 4);
@@ -102,7 +86,7 @@ pub fn sq_norm(a: &[f64]) -> f64 {
 /// accumulator in scalar order.
 pub fn dot_sq_norms(a: &[f64], b: &[f64]) -> (f64, f64, f64) {
     assert_eq!(a.len(), b.len(), "dot_sq_norms: length mismatch");
-    if reference_mode() {
+    if oracle::enabled() {
         return reference::dot_sq_norms(a, b);
     }
     let mut ab = -0.0; // `sum()` fold identity, see `dot`
@@ -123,7 +107,7 @@ pub fn dot_sq_norms(a: &[f64], b: &[f64]) -> (f64, f64, f64) {
 /// Panics if the slices differ in length.
 pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
     assert_eq!(y.len(), x.len(), "axpy: length mismatch");
-    if reference_mode() {
+    if oracle::enabled() {
         return reference::axpy(y, a, x);
     }
     let split = y.len() - (y.len() % 4);
@@ -155,7 +139,7 @@ pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
 /// Panics if the slices differ in length.
 pub fn sgd_step(p: &mut [f64], q: &mut [f64], err: f64, lr: f64, reg: f64) {
     assert_eq!(p.len(), q.len(), "sgd_step: length mismatch");
-    if reference_mode() {
+    if oracle::enabled() {
         return reference::sgd_step(p, q, err, lr, reg);
     }
     for (pf, qf) in p.iter_mut().zip(q.iter_mut()) {
@@ -174,7 +158,7 @@ pub fn sgd_step(p: &mut [f64], q: &mut [f64], err: f64, lr: f64, reg: f64) {
 /// Panics if the slices differ in length.
 pub fn fold_step(p: &mut [f64], q: &[f64], err: f64, lr: f64, reg: f64) {
     assert_eq!(p.len(), q.len(), "fold_step: length mismatch");
-    if reference_mode() {
+    if oracle::enabled() {
         return reference::fold_step(p, q, err, lr, reg);
     }
     for (pf, qf) in p.iter_mut().zip(q) {
@@ -191,7 +175,7 @@ pub fn fold_step(p: &mut [f64], q: &[f64], err: f64, lr: f64, reg: f64) {
 /// Panics if the slices differ in length.
 pub fn weighted_sum(xs: &[f64], ws: &[f64]) -> (f64, f64) {
     assert_eq!(xs.len(), ws.len(), "weighted_sum: length mismatch");
-    if reference_mode() {
+    if oracle::enabled() {
         return reference::weighted_sum(xs, ws);
     }
     let mut wsum = -0.0; // `sum()` fold identity, see `dot`
@@ -211,7 +195,7 @@ pub fn weighted_sum(xs: &[f64], ws: &[f64]) -> (f64, f64) {
 pub fn weighted_sums2(xs: &[f64], ys: &[f64], ws: &[f64]) -> (f64, f64, f64) {
     assert_eq!(xs.len(), ys.len(), "weighted_sums2: length mismatch");
     assert_eq!(xs.len(), ws.len(), "weighted_sums2: length mismatch");
-    if reference_mode() {
+    if oracle::enabled() {
         return reference::weighted_sums2(xs, ys, ws);
     }
     let mut wsum = -0.0; // `sum()` fold identity, see `dot`
@@ -234,7 +218,7 @@ pub fn weighted_sums2(xs: &[f64], ys: &[f64], ws: &[f64]) -> (f64, f64, f64) {
 pub fn weighted_comoment(xs: &[f64], ys: &[f64], ws: &[f64], mx: f64, my: f64) -> f64 {
     assert_eq!(xs.len(), ys.len(), "weighted_comoment: length mismatch");
     assert_eq!(xs.len(), ws.len(), "weighted_comoment: length mismatch");
-    if reference_mode() {
+    if oracle::enabled() {
         return reference::weighted_comoment(xs, ys, ws, mx, my);
     }
     let mut acc = -0.0; // `sum()` fold identity, see `dot`
@@ -255,7 +239,7 @@ pub fn weighted_comoment(xs: &[f64], ys: &[f64], ws: &[f64], mx: f64, my: f64) -
 pub fn weighted_moments(xs: &[f64], ys: &[f64], ws: &[f64], mx: f64, my: f64) -> (f64, f64, f64) {
     assert_eq!(xs.len(), ys.len(), "weighted_moments: length mismatch");
     assert_eq!(xs.len(), ws.len(), "weighted_moments: length mismatch");
-    if reference_mode() {
+    if oracle::enabled() {
         return reference::weighted_moments(xs, ys, ws, mx, my);
     }
     let mut sxy = -0.0; // `sum()` fold identity, see `dot`
@@ -283,7 +267,7 @@ pub fn weighted_moments(xs: &[f64], ys: &[f64], ws: &[f64], mx: f64, my: f64) ->
 pub fn sat_accum(total: &mut [f64], p: &[f64], scale: &[f64], cap: f64) {
     assert_eq!(total.len(), p.len(), "sat_accum: length mismatch");
     assert_eq!(total.len(), scale.len(), "sat_accum: length mismatch");
-    if reference_mode() {
+    if oracle::enabled() {
         return reference::sat_accum(total, p, scale, cap);
     }
     for ((t, x), s) in total.iter_mut().zip(p).zip(scale) {
@@ -294,7 +278,7 @@ pub fn sat_accum(total: &mut [f64], p: &[f64], scale: &[f64], cap: f64) {
 /// Batched saturating scale: `total[i] = min(total[i]·factor, cap)` (the
 /// server-degradation amplification).
 pub fn sat_scale(total: &mut [f64], factor: f64, cap: f64) {
-    if reference_mode() {
+    if oracle::enabled() {
         return reference::sat_scale(total, factor, cap);
     }
     for t in total.iter_mut() {
@@ -310,7 +294,7 @@ pub fn sat_scale(total: &mut [f64], factor: f64, cap: f64) {
 pub fn wdot3(w: &[f64], x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(w.len(), x.len(), "wdot3: length mismatch");
     assert_eq!(w.len(), y.len(), "wdot3: length mismatch");
-    if reference_mode() {
+    if oracle::enabled() {
         return reference::wdot3(w, x, y);
     }
     let split = w.len() - (w.len() % 4);
@@ -344,7 +328,7 @@ pub fn wdot3(w: &[f64], x: &[f64], y: &[f64]) -> f64 {
 /// Panics if the slices differ in length.
 pub fn wdot3_masked(w: &[f64], x: &[f64], y: &[f64], skip: &[bool]) -> f64 {
     assert_eq!(w.len(), skip.len(), "wdot3_masked: length mismatch");
-    if reference_mode() {
+    if oracle::enabled() {
         return reference::wdot3_masked(w, x, y, skip);
     }
     if !skip.iter().any(|&s| s) {
@@ -375,7 +359,7 @@ pub fn gram_strided(data: &[f64], stride: usize, p: usize, q: usize) -> (f64, f6
         stride > 0 && p < stride && q < stride,
         "gram_strided: bad columns"
     );
-    if reference_mode() {
+    if oracle::enabled() {
         return reference::gram_strided(data, stride, p, q);
     }
     let mut alpha = 0.0;
@@ -402,7 +386,7 @@ pub fn rotate_pair_strided(data: &mut [f64], stride: usize, p: usize, q: usize, 
         stride > 0 && p < stride && q < stride,
         "rotate_pair_strided: bad columns"
     );
-    if reference_mode() {
+    if oracle::enabled() {
         return reference::rotate_pair_strided(data, stride, p, q, c, s);
     }
     for row in data.chunks_exact_mut(stride) {
@@ -421,7 +405,7 @@ pub fn rotate_pair_strided(data: &mut [f64], stride: usize, p: usize, q: usize, 
 /// Panics if `c` is not below `stride` or `stride` is zero.
 pub fn col_sq_norm_strided(data: &[f64], stride: usize, c: usize) -> f64 {
     assert!(stride > 0 && c < stride, "col_sq_norm_strided: bad column");
-    if reference_mode() {
+    if oracle::enabled() {
         return reference::col_sq_norm_strided(data, stride, c);
     }
     let mut acc = -0.0; // `sum()` fold identity, see `dot`
@@ -435,7 +419,7 @@ pub fn col_sq_norm_strided(data: &[f64], stride: usize, c: usize) -> f64 {
 /// Naive scalar twins of every kernel, written in the indexed style of the
 /// code the kernels replaced. These are the ground truth the bit-exactness
 /// proptests compare against, the baseline the benches measure against,
-/// and the implementations [`force_reference`] reroutes to.
+/// and the implementations the test-only oracle switch reroutes to.
 // The twins deliberately keep the original indexed-loop style so a reader
 // can diff them against the code the kernels replaced.
 #[allow(clippy::needless_range_loop)]
@@ -650,17 +634,6 @@ mod tests {
                 "n={n}"
             );
         }
-    }
-
-    #[test]
-    fn force_reference_reroutes_kernels() {
-        let a = series(11);
-        let b = series(11);
-        let before = dot(&a, &b);
-        force_reference(true);
-        let during = dot(&a, &b);
-        force_reference(false);
-        assert_eq!(before.to_bits(), during.to_bits());
     }
 
     #[test]

@@ -38,6 +38,7 @@ mod error;
 mod matrix;
 
 pub mod kernels;
+pub mod oracle;
 pub mod sgd;
 pub mod stats;
 pub mod svd;

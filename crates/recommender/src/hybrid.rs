@@ -91,6 +91,29 @@ impl Default for RecommenderConfig {
     }
 }
 
+impl RecommenderConfig {
+    /// Rejects parameters no fit can use, so a bad config is a typed error
+    /// at the door rather than a panic mid-fit (`energy_rank` asserts the
+    /// energy range) or NaN matching weights that later break a sort.
+    fn check(&self) -> Result<(), LinalgError> {
+        let fraction = self.energy_fraction;
+        if !(fraction > 0.0 && fraction <= 1.0) {
+            return Err(LinalgError::InvalidParameter {
+                param: "energy fraction",
+                reason: format!("must lie in (0, 1], got {fraction}"),
+            });
+        }
+        let floor = self.noise_floor;
+        if !(floor.is_finite() && floor >= 0.0) {
+            return Err(LinalgError::InvalidParameter {
+                param: "noise floor",
+                reason: format!("must be finite and non-negative, got {floor}"),
+            });
+        }
+        Ok(())
+    }
+}
+
 /// Work counters accumulated across recommender invocations: how many
 /// SGD coordinate updates the completion stage ran, and whether each
 /// pair-pursuit decomposition used the pruned shortlist or fell back to
@@ -266,8 +289,12 @@ impl HybridRecommender {
     ///
     /// # Errors
     ///
-    /// Propagates [`LinalgError`] from the SVD (non-finite training data).
+    /// Returns [`LinalgError::InvalidParameter`] if
+    /// `config.energy_fraction` is not in `(0, 1]` or `config.noise_floor`
+    /// is not finite and non-negative, and propagates [`LinalgError`] from
+    /// the SVD (non-finite training data).
     pub fn fit(data: TrainingData, config: RecommenderConfig) -> Result<Self, LinalgError> {
+        config.check()?;
         let m = data.matrix();
         let n = m.rows() as f64;
         let col_means: Vec<f64> = (0..m.cols())
@@ -1395,6 +1422,31 @@ mod tests {
         let kept: f64 = sigma[..rec.rank()].iter().map(|s| s * s).sum();
         assert!(kept >= 0.90 * total);
         assert!(rec.rank() >= 2 && rec.rank() <= RESOURCE_COUNT);
+    }
+
+    #[test]
+    fn unusable_config_is_a_typed_error() {
+        let d = RecommenderConfig::default();
+        let mut bad: Vec<RecommenderConfig> = [f64::NAN, 0.0, -0.5, 1.5, f64::INFINITY]
+            .map(|energy_fraction| RecommenderConfig {
+                energy_fraction,
+                ..d
+            })
+            .to_vec();
+        bad.extend(
+            [f64::NAN, -1.0, f64::INFINITY]
+                .map(|noise_floor| RecommenderConfig { noise_floor, ..d }),
+        );
+        for config in bad {
+            let data = TrainingData::from_profiles(&training_set(7)).unwrap();
+            assert!(
+                matches!(
+                    HybridRecommender::fit(data, config),
+                    Err(LinalgError::InvalidParameter { .. })
+                ),
+                "{config:?} must be rejected"
+            );
+        }
     }
 
     #[test]

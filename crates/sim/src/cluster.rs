@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 
 use rand::Rng;
 
-use bolt_linalg::kernels;
+use bolt_linalg::{kernels, oracle};
 use bolt_workloads::mrc;
 use bolt_workloads::{
     perf, PressureVector, Resource, WorkloadKind, WorkloadProfile, RESOURCE_COUNT,
@@ -89,11 +89,6 @@ pub struct Cluster {
     agg: Mutex<AggCache>,
     /// Neighbor candidates visited by queries (locality telemetry).
     neighbor_visits: AtomicU64,
-    /// Test-only escape hatch: scan the whole arena per query, bypassing
-    /// the residency index and the aggregate cache, reproducing the old
-    /// `BTreeMap` storage path. The storage-equivalence proptest drives
-    /// both modes through identical schedules and compares every output.
-    reference_scan: bool,
     /// Cross-snapshot sweep memo ([`SweepMemo`]): probe queries answered
     /// once for every concurrent hunt sharing this handle. `None` until a
     /// driver attaches one via [`Cluster::share_sweeps`]; any mutation
@@ -150,7 +145,6 @@ impl Cluster {
             events: Vec::new(),
             agg: Mutex::new(AggCache::default()),
             neighbor_visits: AtomicU64::new(0),
-            reference_scan: false,
             shared: None,
         })
     }
@@ -190,8 +184,12 @@ impl Cluster {
     /// are pure functions of cluster state and may be memoized. The
     /// stochastic path draws RNG per neighbor in a fixed order; caching
     /// it would skip draws and shift the stream, so it is excluded.
+    ///
+    /// Inside the test-only [`oracle`] scope nothing is cacheable and every
+    /// query scans the whole arena in ascending-id order: the reference
+    /// storage (the original global-map scan) the indexed paths must match.
     fn cacheable(&self, server: usize) -> bool {
-        !self.reference_scan && self.placement.vms.stochastic_on(server) == 0
+        !oracle::enabled() && self.placement.vms.stochastic_on(server) == 0
     }
 
     /// Storage-layer instrumentation counters.
@@ -207,15 +205,6 @@ impl Cluster {
             agg_misses: agg.misses,
             neighbor_visits: self.neighbor_visits.load(Ordering::Relaxed),
         }
-    }
-
-    /// Forces every query back onto a full-arena scan with no aggregate
-    /// caching — the exact visit order of the old global-map storage.
-    /// Only the storage-equivalence tests should enable this.
-    #[doc(hidden)]
-    pub fn set_reference_scan(&mut self, on: bool) {
-        self.reference_scan = on;
-        self.invalidate_aggregates();
     }
 
     /// Number of servers.
@@ -671,7 +660,7 @@ impl Cluster {
         let tpc = self.placement.servers[state.server].spec().threads_per_core;
         let atten = self.isolation.attenuation_array();
         let mut total = PressureVector::zero();
-        if self.reference_scan {
+        if oracle::enabled() {
             for other_id in self.placement.vms.iter_ids() {
                 self.neighbor_visits.fetch_add(1, Ordering::Relaxed);
                 if other_id == id {
@@ -832,7 +821,7 @@ impl Cluster {
         let atten = self.isolation.attenuation(Resource::Llc);
         let mut total = 0.0;
         let full: Vec<VmId>;
-        let candidates: &[VmId] = if self.reference_scan {
+        let candidates: &[VmId] = if oracle::enabled() {
             full = self.placement.vms.iter_ids().collect();
             &full
         } else {
@@ -941,7 +930,7 @@ impl Cluster {
         let mut has_static_sharer = false;
 
         let full: Vec<VmId>;
-        let candidates: &[VmId] = if self.reference_scan {
+        let candidates: &[VmId] = if oracle::enabled() {
             full = self.placement.vms.iter_ids().collect();
             &full
         } else {
@@ -1060,7 +1049,7 @@ impl Cluster {
         let mut busy = 0.0;
         let mut occupied = 0u32;
         let full: Vec<VmId>;
-        let candidates: &[VmId] = if self.reference_scan {
+        let candidates: &[VmId] = if oracle::enabled() {
             full = self.placement.vms.iter_ids().collect();
             &full
         } else {
@@ -1147,8 +1136,8 @@ impl Cluster {
     /// Per instance, as before: the isolation config (copied), the event
     /// log (the snapshot's starts empty — it is an append-only trace of
     /// the live cluster, and copying it would make snapshots O(history)),
-    /// the aggregate cache and neighbor-visit counter (fresh: a new
-    /// observation domain), and the reference-scan switch. The
+    /// and the aggregate cache and neighbor-visit counter (fresh: a new
+    /// observation domain). The
     /// [`SweepMemo`] handle is inherited: the snapshot observes the same
     /// base placement, so published sweeps stay valid for it until it
     /// mutates (which detaches it).
@@ -1159,7 +1148,6 @@ impl Cluster {
             events: Vec::new(),
             agg: Mutex::new(AggCache::default()),
             neighbor_visits: AtomicU64::new(0),
-            reference_scan: self.reference_scan,
             shared: self.shared.clone(),
         }
     }

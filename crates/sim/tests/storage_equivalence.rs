@@ -1,13 +1,15 @@
 //! Storage-layer equivalence: the arena + residency index + aggregate
 //! cache must be observationally identical to the old full-scan storage.
 //!
-//! The cluster keeps a `#[doc(hidden)]` reference mode
-//! ([`Cluster::set_reference_scan`]) that walks the whole arena in
-//! ascending-id order with the aggregate cache disabled — the exact
+//! Inside the test-only `bolt_linalg::oracle::reference` scope (the
+//! `oracle` feature, which this crate's dev-dependencies turn on) every
+//! cluster query walks the whole arena in ascending-id order with the
+//! aggregate cache and the shared sweep memo bypassed — the exact
 //! behaviour of the original `BTreeMap` storage. These tests drive an
-//! indexed cluster and a reference cluster through the same random
-//! churn (launches, terminations, migrations, profile swaps, pressure
-//! overrides, degradation, and compiled chaos plans) and require every
+//! indexed cluster normally and a reference cluster inside that scope
+//! through the same random churn (launches, terminations, migrations,
+//! profile swaps, pressure overrides, degradation, and compiled chaos
+//! plans) and require every
 //! observable — interference, per-core interference, cache-sweep
 //! response, utilization, performance, the trace, and the state of the
 //! shared RNG stream — to match bit for bit.
@@ -25,6 +27,7 @@
 //! last property checks it against the linear scan it replaced, written
 //! here over the public per-server API, after every placement write.
 
+use bolt_linalg::oracle;
 use bolt_sim::vm::VmRole;
 use bolt_sim::{ChaosConfig, Cluster, FaultPlan, IsolationConfig, ServerSpec, SweepMemo, VmId};
 use bolt_workloads::{catalog, DatasetScale, PressureVector, WorkloadProfile};
@@ -139,54 +142,61 @@ fn apply_ops(cluster: &mut Cluster, ops: &[(u8, usize)], seed: u64) -> Vec<VmId>
     schedule.live
 }
 
-/// Every observable of `a` and `b` at time `t`, compared bit for bit.
-/// One shared query-RNG seed per cluster: if either storage skipped or
-/// reordered a single draw, the streams diverge and the compare fails.
-fn assert_observables_match(a: &Cluster, b: &Cluster, t: f64, seed: u64) {
-    let ids_a: Vec<VmId> = a.vm_ids().collect();
-    let ids_b: Vec<VmId> = b.vm_ids().collect();
-    assert_eq!(ids_a, ids_b, "live VM sets diverged");
-
-    let mut rng_a = StdRng::seed_from_u64(seed);
-    let mut rng_b = StdRng::seed_from_u64(seed);
-    for &id in &ids_a {
-        let ia = a.interference_on(id, t, &mut rng_a).expect("vm is live");
-        let ib = b.interference_on(id, t, &mut rng_b).expect("vm is live");
-        assert_eq!(ia, ib, "interference diverged for {id:?} at t={t}");
-        let sa = a
-            .cache_sweep_response(id, 0.5, t, &mut rng_a)
-            .expect("vm is live");
-        let sb = b
-            .cache_sweep_response(id, 0.5, t, &mut rng_b)
-            .expect("vm is live");
-        assert_eq!(sa.to_bits(), sb.to_bits(), "sweep diverged for {id:?}");
-        let pa = a.performance_of(id, t, &mut rng_a).expect("vm is live");
-        let pb = b.performance_of(id, t, &mut rng_b).expect("vm is live");
-        assert_eq!(
-            (pa.0.to_bits(), pa.1.to_bits()),
-            (pb.0.to_bits(), pb.1.to_bits()),
-            "performance diverged"
-        );
-        let ca = a
-            .interference_on_core(id, 0, t, &mut rng_a)
-            .expect("core 0");
-        let cb = b
-            .interference_on_core(id, 0, t, &mut rng_b)
-            .expect("core 0");
-        assert_eq!(ca, cb, "per-core interference diverged for {id:?}");
+/// Every observable of `c` at time `t`, one labelled line each: the live
+/// set, every VM's interference, cache-sweep response, performance and
+/// per-core interference, every server's utilization and residency, and
+/// the query RNG's next draw. Each `f64` is written as its raw bits, so
+/// equal lines mean equal bits, NaN payloads included. All queries share
+/// one RNG seeded from `seed`: if a storage skipped or reordered a single
+/// draw, every later line diverges.
+fn observe(c: &Cluster, t: f64, seed: u64) -> Vec<String> {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let ids: Vec<VmId> = c.vm_ids().collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut lines = vec![format!("live VMs: {ids:?}")];
+    for &id in &ids {
+        let live = "vm is live";
+        let i = c.interference_on(id, t, &mut rng).expect(live);
+        let s = c.cache_sweep_response(id, 0.5, t, &mut rng).expect(live);
+        let p = c.performance_of(id, t, &mut rng).expect(live);
+        let core = c.interference_on_core(id, 0, t, &mut rng).expect("core 0");
+        let (i, core) = (bits(i.as_slice()), bits(core.as_slice()));
+        lines.push(format!("interference on {id:?} at t={t}: {i:?}"));
+        lines.push(format!("sweep response of {id:?}: {}", s.to_bits()));
+        lines.push(format!("performance of {id:?}: {:?}", bits(&[p.0, p.1])));
+        lines.push(format!("per-core interference on {id:?}: {core:?}"));
     }
     for server in 0..SERVERS {
-        let ua = a.cpu_utilization(server, t, &mut rng_a).expect("in range");
-        let ub = b.cpu_utilization(server, t, &mut rng_b).expect("in range");
-        assert_eq!(ua.to_bits(), ub.to_bits(), "utilization diverged");
-        assert_eq!(a.vms_on(server), b.vms_on(server), "residency diverged");
+        let u = c.cpu_utilization(server, t, &mut rng).expect("in range");
+        lines.push(format!("utilization of server {server}: {}", u.to_bits()));
+        lines.push(format!(
+            "residents of server {server}: {:?}",
+            c.vms_on(server)
+        ));
     }
-    // The streams themselves must be in the same state afterwards.
-    assert_eq!(
-        rng_a.gen::<u64>(),
-        rng_b.gen::<u64>(),
-        "query RNG streams diverged"
-    );
+    lines.push(format!("query RNG stream: {}", rng.gen::<u64>()));
+    lines
+}
+
+/// Compares two [`observe`] results line by line, naming the first
+/// observable that diverged.
+fn assert_same_observations(a: &[String], b: &[String]) {
+    for (x, y) in a.iter().zip(b) {
+        assert_eq!(x, y, "observable diverged");
+    }
+    assert_eq!(a.len(), b.len(), "observation counts diverged");
+}
+
+/// Every observable of `a` and `b` at time `t`, compared bit for bit.
+fn assert_observables_match(a: &Cluster, b: &Cluster, t: f64, seed: u64) {
+    assert_same_observations(&observe(a, t, seed), &observe(b, t, seed));
+}
+
+/// Observes `indexed` normally and `reference` inside the
+/// oracle scope (full-arena scan, no aggregate cache), and compares.
+fn assert_matches_reference(indexed: &Cluster, reference: &Cluster, t: f64, seed: u64) {
+    let reference = oracle::reference(|| observe(reference, t, seed));
+    assert_same_observations(&observe(indexed, t, seed), &reference);
 }
 
 /// Everything a copy-on-write leak between two clusters could show
@@ -238,16 +248,15 @@ proptest! {
         let isolation = IsolationConfig::cloud_default();
         let mut indexed = Cluster::new(SERVERS, ServerSpec::xeon(), isolation).expect("cluster");
         let mut reference = Cluster::new(SERVERS, ServerSpec::xeon(), isolation).expect("cluster");
-        reference.set_reference_scan(true);
 
         apply_ops(&mut indexed, &ops, seed);
-        apply_ops(&mut reference, &ops, seed);
+        oracle::reference(|| apply_ops(&mut reference, &ops, seed));
         prop_assert_eq!(indexed.events(), reference.events(), "traces diverged");
 
-        assert_observables_match(&indexed, &reference, t, seed ^ 0xC0FFEE);
+        assert_matches_reference(&indexed, &reference, t, seed ^ 0xC0FFEE);
         // Query twice: the second pass hits the aggregate cache on the
         // indexed cluster and must still match the reference rescans.
-        assert_observables_match(&indexed, &reference, t, seed ^ 0xC0FFEE);
+        assert_matches_reference(&indexed, &reference, t, seed ^ 0xC0FFEE);
     }
 
     /// Chaos plans (the churn engine behind the robustness suite) apply
@@ -260,11 +269,10 @@ proptest! {
         let isolation = IsolationConfig::cloud_default();
         let mut indexed = Cluster::new(SERVERS, ServerSpec::xeon(), isolation).expect("cluster");
         let mut reference = Cluster::new(SERVERS, ServerSpec::xeon(), isolation).expect("cluster");
-        reference.set_reference_scan(true);
 
         let ops: Vec<(u8, usize)> = (0..12).map(|i| (0u8, i)).collect();
         apply_ops(&mut indexed, &ops, seed);
-        apply_ops(&mut reference, &ops, seed);
+        oracle::reference(|| apply_ops(&mut reference, &ops, seed));
 
         let config = ChaosConfig::with_intensity(intensity);
         let mut plan_a = FaultPlan::compile(&config, seed, 0, 0.0, 300.0);
@@ -272,9 +280,9 @@ proptest! {
         for step in 1..=5 {
             let t = step as f64 * 60.0;
             let na = plan_a.apply_due(&mut indexed, t).expect("plan applies");
-            let nb = plan_b.apply_due(&mut reference, t).expect("plan applies");
+            let nb = oracle::reference(|| plan_b.apply_due(&mut reference, t)).expect("plan applies");
             prop_assert_eq!(na, nb, "fault application diverged");
-            assert_observables_match(&indexed, &reference, t, seed ^ 0xBEEF);
+            assert_matches_reference(&indexed, &reference, t, seed ^ 0xBEEF);
         }
         prop_assert_eq!(indexed.events(), reference.events(), "traces diverged");
     }

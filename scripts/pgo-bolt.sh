@@ -25,8 +25,8 @@
 #   scripts/pgo-bolt.sh --with-bolt    # stages 1-5 (needs llvm-bolt)
 #
 # Determinism note: PGO changes code layout, never floating-point
-# semantics — the kernel bit-exactness gate (cargo test -p bolt --test
-# kernel_invariance) holds for PGO builds too, and stage 4 reruns it.
+# semantics — the reference-oracle gate (cargo test -p bolt --test
+# oracle) holds for PGO builds too, and stage 4 reruns it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -128,7 +128,7 @@ fi
 RUSTFLAGS="-Cprofile-use=$(pwd)/$PROFDATA -Cllvm-args=-pgo-warn-missing-function$EMIT_RELOCS" \
   cargo build --release --target-dir "$PGO_DIR/optimized" -p bolt-bench --benches
 RUSTFLAGS="-Cprofile-use=$(pwd)/$PROFDATA$EMIT_RELOCS" \
-  cargo test -q --target-dir "$PGO_DIR/optimized" -p bolt --test kernel_invariance
+  cargo test -q --target-dir "$PGO_DIR/optimized" -p bolt --test oracle
 PGO_CRIT=$(find "$PGO_DIR/optimized/release/deps" -maxdepth 1 \
   -name 'crit_run_experiment-*' -type f -executable | head -1)
 echo "    baseline (plain release):"
