@@ -877,17 +877,6 @@ mod tests {
     }
 
     #[test]
-    fn real_telemetry_round_trips_through_jsonl() {
-        // Thread-count invariance of this stream is pinned by
-        // `tests/oracle.rs` (this configuration, at `Threads(3)`).
-        let cache = FitCache::new();
-        let ctx = RunCtx::new(&cache, true);
-        let (_, log) = run_experiment(&small_config(), &LeastLoaded, &ctx).unwrap();
-        assert!(!log.is_empty());
-        assert_eq!(TelemetryLog::from_jsonl(&log.to_jsonl()).unwrap(), log);
-    }
-
-    #[test]
     fn cached_fit_emits_hit_counter_and_no_fit_span() {
         // The telemetry contract: a miss pays for training and records a
         // RecommenderFit span; a hit records the FitCacheHit counter and

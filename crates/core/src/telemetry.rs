@@ -24,24 +24,22 @@
 //!   Wall-clock durations are the one necessarily nondeterministic
 //!   field; [`TelemetryLog::normalized`] zeroes them for comparisons.
 //!
-//! Logs export as JSONL ([`TelemetryLog::to_jsonl`], round-tripped by
-//! [`TelemetryLog::from_jsonl`] — the workspace has no serialization
-//! library, so the wire format is hand-rolled here) and render as
-//! human-readable tables ([`TelemetryLog::timeline_table`],
-//! [`TelemetryLog::summary_table`]).
+//! Logs export as JSONL ([`TelemetryLog::to_jsonl`]; the workspace has no
+//! serialization library, so the encoder is hand-rolled here) and render
+//! as a human-readable aggregate table ([`TelemetryLog::summary_table`]).
+//! The format is write-only: read a trace with an outside JSON tool such
+//! as `jq`.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use bolt_sim::telemetry::EventSink;
 use bolt_sim::vm::VmRole;
-use bolt_sim::{ProbeFaultKind, TraceEvent, VmId};
+use bolt_sim::TraceEvent;
 use bolt_workloads::Resource;
 
-use crate::error::BoltError;
 use crate::report::Table;
 
 /// A detection-pipeline phase covered by a span timer.
@@ -110,10 +108,6 @@ impl Phase {
             Phase::AttackExecution => "attack-execution",
             Phase::ServiceRequest => "service-request",
         }
-    }
-
-    fn parse(s: &str) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|p| p.as_str() == s)
     }
 }
 
@@ -290,10 +284,6 @@ impl Counter {
             Counter::IdleSkipped => "idle-skipped-s",
         }
     }
-
-    fn parse(s: &str) -> Option<Counter> {
-        Counter::ALL.into_iter().find(|c| c.as_str() == s)
-    }
 }
 
 /// A service-loop quantity sampled at a simulated instant, as opposed to
@@ -316,10 +306,6 @@ impl ServiceMetric {
             ServiceMetric::QueueDepth => "queue-depth",
             ServiceMetric::BreakersOpen => "breakers-open",
         }
-    }
-
-    fn parse(s: &str) -> Option<ServiceMetric> {
-        ServiceMetric::ALL.into_iter().find(|m| m.as_str() == s)
     }
 }
 
@@ -392,42 +378,8 @@ impl TelemetryEvent {
         }
     }
 
-    /// A compact single-line rendering for timeline dumps.
-    pub fn describe(&self) -> String {
-        match self {
-            TelemetryEvent::Span {
-                phase,
-                sim_start_s,
-                sim_duration_s,
-                wall_ns,
-                ..
-            } => format!(
-                "{} t={sim_start_s:.1}s +{sim_duration_s:.1}s wall={:.3}ms",
-                phase.as_str(),
-                *wall_ns as f64 / 1e6,
-            ),
-            TelemetryEvent::Count { counter, delta, .. } => {
-                format!("{} +{delta}", counter.as_str())
-            }
-            TelemetryEvent::Gauge {
-                resource, value, ..
-            } => {
-                format!("{} = {value:.1}", resource.short_name())
-            }
-            TelemetryEvent::Cluster { event, .. } => event.describe(),
-            TelemetryEvent::ServiceGauge {
-                metric,
-                at_s,
-                value,
-                ..
-            } => {
-                format!("{} t={at_s:.1}s = {value:.1}", metric.as_str())
-            }
-        }
-    }
-
     /// Encodes the event as a single-line JSON object.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = String::new();
         match self {
             TelemetryEvent::Span {
@@ -440,9 +392,10 @@ impl TelemetryEvent {
                 let _ = write!(
                     out,
                     "{{\"type\":\"span\",\"phase\":\"{}\",\"unit\":{unit},\
-                     \"sim_start_s\":{sim_start_s},\"sim_duration_s\":{sim_duration_s},\
-                     \"wall_ns\":{wall_ns}}}",
-                    phase.as_str()
+                     \"sim_start_s\":{},\"sim_duration_s\":{},\"wall_ns\":{wall_ns}}}",
+                    phase.as_str(),
+                    JsonNum(*sim_start_s),
+                    JsonNum(*sim_duration_s)
                 );
             }
             TelemetryEvent::Count {
@@ -463,8 +416,9 @@ impl TelemetryEvent {
             } => {
                 let _ = write!(
                     out,
-                    "{{\"type\":\"gauge\",\"resource\":\"{}\",\"unit\":{unit},\"value\":{value}}}",
-                    resource.short_name()
+                    "{{\"type\":\"gauge\",\"resource\":\"{}\",\"unit\":{unit},\"value\":{}}}",
+                    resource.short_name(),
+                    JsonNum(*value)
                 );
             }
             TelemetryEvent::Cluster { unit, event } => {
@@ -483,29 +437,28 @@ impl TelemetryEvent {
                 let _ = write!(
                     out,
                     "{{\"type\":\"service-gauge\",\"metric\":\"{}\",\"unit\":{unit},\
-                     \"at_s\":{at_s},\"value\":{value}}}",
-                    metric.as_str()
+                     \"at_s\":{},\"value\":{}}}",
+                    metric.as_str(),
+                    JsonNum(*at_s),
+                    JsonNum(*value)
                 );
             }
         }
         out
     }
-
-    /// Decodes an event from its JSON rendering.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoltError::Telemetry`] on malformed JSON or unknown
-    /// names.
-    pub fn from_json(s: &str) -> Result<TelemetryEvent, BoltError> {
-        let value = json::parse(s).map_err(bad)?;
-        decode_event(&value)
-    }
 }
 
-fn bad<S: Into<String>>(reason: S) -> BoltError {
-    BoltError::Telemetry {
-        reason: reason.into(),
+/// An `f64` as a JSON number: finite values print exactly as `{}` prints
+/// them, and NaN and ±∞, which JSON cannot represent, print as `null`.
+struct JsonNum(f64);
+
+impl fmt::Display for JsonNum {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            fmt::Display::fmt(&self.0, f)
+        } else {
+            f.write_str("null")
+        }
     }
 }
 
@@ -550,9 +503,10 @@ fn trace_event_json(event: &TraceEvent) -> String {
             let _ = write!(
                 out,
                 "{{\"kind\":\"launch\",\"vm\":{},\"role\":\"{role}\",\"server\":{server},\
-                 \"threads\":[{threads}],\"label\":\"{}\",\"at\":{at}}}",
+                 \"threads\":[{threads}],\"label\":\"{}\",\"at\":{}}}",
                 vm.raw(),
-                json_escape(label)
+                json_escape(label),
+                JsonNum(*at)
             );
         }
         TraceEvent::Terminate { vm, server } => {
@@ -580,188 +534,22 @@ fn trace_event_json(event: &TraceEvent) -> String {
         TraceEvent::Degrade { server, factor, at } => {
             let _ = write!(
                 out,
-                "{{\"kind\":\"degrade\",\"server\":{server},\"factor\":{factor},\"at\":{at}}}"
+                "{{\"kind\":\"degrade\",\"server\":{server},\"factor\":{},\"at\":{}}}",
+                JsonNum(*factor),
+                JsonNum(*at)
             );
         }
         TraceEvent::ProbeFault { vm, kind, at } => {
             let _ = write!(
                 out,
-                "{{\"kind\":\"probe-fault\",\"vm\":{},\"fault\":\"{}\",\"at\":{at}}}",
+                "{{\"kind\":\"probe-fault\",\"vm\":{},\"fault\":\"{}\",\"at\":{}}}",
                 vm.raw(),
-                kind.as_str()
+                kind.as_str(),
+                JsonNum(*at)
             );
         }
     }
     out
-}
-
-fn decode_event(value: &json::Json) -> Result<TelemetryEvent, BoltError> {
-    let kind = value
-        .field("type")
-        .and_then(json::Json::as_str)
-        .ok_or_else(|| bad("event missing \"type\""))?;
-    let unit = value
-        .field("unit")
-        .and_then(json::Json::as_usize)
-        .ok_or_else(|| bad("event missing \"unit\""))?;
-    match kind {
-        "span" => {
-            let phase = value
-                .field("phase")
-                .and_then(json::Json::as_str)
-                .and_then(Phase::parse)
-                .ok_or_else(|| bad("span with unknown \"phase\""))?;
-            Ok(TelemetryEvent::Span {
-                phase,
-                unit,
-                sim_start_s: require_f64(value, "sim_start_s")?,
-                sim_duration_s: require_f64(value, "sim_duration_s")?,
-                wall_ns: require_u64(value, "wall_ns")?,
-            })
-        }
-        "count" => {
-            let counter = value
-                .field("counter")
-                .and_then(json::Json::as_str)
-                .and_then(Counter::parse)
-                .ok_or_else(|| bad("count with unknown \"counter\""))?;
-            Ok(TelemetryEvent::Count {
-                counter,
-                unit,
-                delta: require_u64(value, "delta")?,
-            })
-        }
-        "gauge" => {
-            let name = value
-                .field("resource")
-                .and_then(json::Json::as_str)
-                .ok_or_else(|| bad("gauge missing \"resource\""))?;
-            let resource = Resource::ALL
-                .into_iter()
-                .find(|r| r.short_name() == name)
-                .ok_or_else(|| bad(format!("gauge with unknown resource {name:?}")))?;
-            Ok(TelemetryEvent::Gauge {
-                resource,
-                unit,
-                value: require_f64(value, "value")?,
-            })
-        }
-        "cluster" => {
-            let event = value
-                .field("event")
-                .ok_or_else(|| bad("cluster event missing \"event\""))?;
-            Ok(TelemetryEvent::Cluster {
-                unit,
-                event: decode_trace_event(event)?,
-            })
-        }
-        "service-gauge" => {
-            let metric = value
-                .field("metric")
-                .and_then(json::Json::as_str)
-                .and_then(ServiceMetric::parse)
-                .ok_or_else(|| bad("service-gauge with unknown \"metric\""))?;
-            Ok(TelemetryEvent::ServiceGauge {
-                metric,
-                unit,
-                at_s: require_f64(value, "at_s")?,
-                value: require_f64(value, "value")?,
-            })
-        }
-        other => Err(bad(format!("unknown event type {other:?}"))),
-    }
-}
-
-fn decode_trace_event(value: &json::Json) -> Result<TraceEvent, BoltError> {
-    let kind = value
-        .field("kind")
-        .and_then(json::Json::as_str)
-        .ok_or_else(|| bad("cluster event missing \"kind\""))?;
-    // Every kind except `degrade` names a VM; read it lazily per arm.
-    let vm = require_u64(value, "vm").map(VmId::from_raw);
-    match kind {
-        "launch" => {
-            let vm = vm?;
-            let role = match value.field("role").and_then(json::Json::as_str) {
-                Some("friendly") => VmRole::Friendly,
-                Some("adversarial") => VmRole::Adversarial,
-                other => return Err(bad(format!("launch with unknown role {other:?}"))),
-            };
-            let threads = value
-                .field("threads")
-                .and_then(json::Json::as_array)
-                .ok_or_else(|| bad("launch missing \"threads\""))?
-                .iter()
-                .map(|t| t.as_usize().ok_or_else(|| bad("non-integer thread slot")))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(TraceEvent::Launch {
-                vm,
-                role,
-                server: require_usize(value, "server")?,
-                threads,
-                label: require_str(value, "label")?,
-                at: require_f64(value, "at")?,
-            })
-        }
-        "terminate" => Ok(TraceEvent::Terminate {
-            vm: vm?,
-            server: require_usize(value, "server")?,
-        }),
-        "migrate" => Ok(TraceEvent::Migrate {
-            vm: vm?,
-            from: require_usize(value, "from")?,
-            to: require_usize(value, "to")?,
-        }),
-        "swap-profile" => Ok(TraceEvent::SwapProfile {
-            vm: vm?,
-            label: require_str(value, "label")?,
-        }),
-        "degrade" => Ok(TraceEvent::Degrade {
-            server: require_usize(value, "server")?,
-            factor: require_f64(value, "factor")?,
-            at: require_f64(value, "at")?,
-        }),
-        "probe-fault" => {
-            let name = value
-                .field("fault")
-                .and_then(json::Json::as_str)
-                .ok_or_else(|| bad("probe-fault missing \"fault\""))?;
-            let kind = ProbeFaultKind::parse(name)
-                .ok_or_else(|| bad(format!("unknown probe fault kind {name:?}")))?;
-            Ok(TraceEvent::ProbeFault {
-                vm: vm?,
-                kind,
-                at: require_f64(value, "at")?,
-            })
-        }
-        other => Err(bad(format!("unknown cluster event kind {other:?}"))),
-    }
-}
-
-fn require_f64(value: &json::Json, name: &str) -> Result<f64, BoltError> {
-    value
-        .field(name)
-        .and_then(json::Json::as_f64)
-        .ok_or_else(|| bad(format!("missing numeric field {name:?}")))
-}
-
-fn require_u64(value: &json::Json, name: &str) -> Result<u64, BoltError> {
-    value
-        .field(name)
-        .and_then(json::Json::as_u64)
-        .ok_or_else(|| bad(format!("missing integer field {name:?}")))
-}
-
-fn require_usize(value: &json::Json, name: &str) -> Result<usize, BoltError> {
-    require_u64(value, name).map(|v| v as usize)
-}
-
-fn require_str(value: &json::Json, name: &str) -> Result<String, BoltError> {
-    value
-        .field(name)
-        .and_then(json::Json::as_str)
-        .map(ToString::to_string)
-        .ok_or_else(|| bad(format!("missing string field {name:?}")))
 }
 
 /// An in-flight wall-clock measurement, returned by [`Telemetry::begin`].
@@ -925,18 +713,6 @@ impl Telemetry {
     }
 }
 
-/// The simulator's sink trait, implemented so cluster code can write
-/// straight into a detection-pipeline telemetry buffer.
-impl EventSink<TraceEvent> for Telemetry {
-    fn record(&mut self, event: TraceEvent) {
-        self.cluster_event(event);
-    }
-
-    fn enabled(&self) -> bool {
-        self.is_enabled()
-    }
-}
-
 /// Order statistics over the simulated durations of one phase's spans —
 /// the first-class latency summary the service report prints. Built by
 /// [`TelemetryLog::latency_summary`] on `bolt_linalg::stats::percentile`
@@ -1019,7 +795,7 @@ impl TelemetryLog {
     /// Order statistics over the simulated durations of `phase`'s spans,
     /// or `None` when the log holds no such span. Uses only `sim_duration_s`
     /// — never wall time — so the summary is byte-identical across thread
-    /// counts. Non-finite durations (a corrupt or hand-edited log) are
+    /// counts. Non-finite durations (a caller can record one) are
     /// dropped rather than poisoning the percentiles with NaN; a log whose
     /// matching spans are all non-finite yields `None`.
     pub fn latency_summary(&self, phase: Phase) -> Option<LatencySummary> {
@@ -1087,24 +863,6 @@ impl TelemetryLog {
         out
     }
 
-    /// Decodes a JSONL log (blank lines ignored).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoltError::Telemetry`] naming the first malformed line.
-    pub fn from_jsonl(s: &str) -> Result<TelemetryLog, BoltError> {
-        let mut events = Vec::new();
-        for (i, line) in s.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            events.push(
-                TelemetryEvent::from_json(line).map_err(|e| bad(format!("line {}: {e}", i + 1)))?,
-            );
-        }
-        Ok(TelemetryLog { events })
-    }
-
     /// Writes the JSONL rendering to `path`, creating parent directories.
     ///
     /// # Errors
@@ -1115,30 +873,6 @@ impl TelemetryLog {
             fs::create_dir_all(parent)?;
         }
         fs::write(path, self.to_jsonl())
-    }
-
-    /// Reads and decodes a JSONL log from `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoltError::Telemetry`] on read or decode failure.
-    pub fn read_jsonl<P: AsRef<Path>>(path: P) -> Result<TelemetryLog, BoltError> {
-        let s = fs::read_to_string(path.as_ref())
-            .map_err(|e| bad(format!("reading {}: {e}", path.as_ref().display())))?;
-        TelemetryLog::from_jsonl(&s)
-    }
-
-    /// Renders the full stream as a human-readable timeline table.
-    pub fn timeline_table(&self) -> Table {
-        let mut t = Table::new(vec!["#", "unit", "event"]);
-        for (i, event) in self.events.iter().enumerate() {
-            t.row(vec![
-                i.to_string(),
-                event.unit().to_string(),
-                event.describe(),
-            ]);
-        }
-        t
     }
 
     /// Renders per-phase and per-counter aggregates as a table.
@@ -1261,256 +995,11 @@ where
     None
 }
 
-/// A minimal JSON reader for the hand-rolled JSONL wire format. The
-/// workspace has no serialization library, so decoding is done here:
-/// just enough of RFC 8259 for the objects this module emits.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        /// An object, fields in source order.
-        Object(Vec<(String, Json)>),
-        /// An array.
-        Array(Vec<Json>),
-        /// A string.
-        Str(String),
-        /// A number (f64 covers every value this format emits).
-        Num(f64),
-        /// A boolean.
-        Bool(bool),
-        /// null.
-        Null,
-    }
-
-    impl Json {
-        pub fn field(&self, name: &str) -> Option<&Json> {
-            match self {
-                Json::Object(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Json::Num(x) => Some(*x),
-                _ => None,
-            }
-        }
-
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= u64::MAX as f64 => {
-                    Some(*x as u64)
-                }
-                _ => None,
-            }
-        }
-
-        pub fn as_usize(&self) -> Option<usize> {
-            self.as_u64().map(|v| v as usize)
-        }
-
-        pub fn as_array(&self) -> Option<&[Json]> {
-            match self {
-                Json::Array(items) => Some(items),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(s: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected {:?} at offset {}", b as char, self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Json, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => self.string().map(Json::Str),
-                Some(b't') => self.literal("true", Json::Bool(true)),
-                Some(b'f') => self.literal("false", Json::Bool(false)),
-                Some(b'n') => self.literal("null", Json::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => Err(format!("unexpected input at offset {}", self.pos)),
-            }
-        }
-
-        fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-            if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-                self.pos += lit.len();
-                Ok(value)
-            } else {
-                Err(format!("bad literal at offset {}", self.pos))
-            }
-        }
-
-        fn object(&mut self) -> Result<Json, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Json::Object(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                let value = self.value()?;
-                fields.push((key, value));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Json::Object(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Json, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Json::Array(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Json::Array(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err("unterminated string".to_string()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.peek() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'b') => out.push('\u{8}'),
-                            Some(b'f') => out.push('\u{c}'),
-                            Some(b'u') => {
-                                if self.pos + 5 > self.bytes.len() {
-                                    return Err("truncated \\u escape".to_string());
-                                }
-                                let hex =
-                                    std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                        .map_err(|_| "bad \\u escape".to_string())?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| "bad \\u escape".to_string())?;
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or_else(|| "bad \\u escape".to_string())?,
-                                );
-                                self.pos += 4;
-                            }
-                            _ => return Err(format!("bad escape at offset {}", self.pos)),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 scalar (the input is a &str,
-                        // so boundaries are valid).
-                        let s = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|_| "invalid utf-8".to_string())?;
-                        let c = s.chars().next().unwrap();
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Json, String> {
-            let start = self.pos;
-            if self.peek() == Some(b'-') {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-            {
-                self.pos += 1;
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| "invalid utf-8 in number".to_string())?;
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number {text:?}"))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bolt_sim::{ProbeFaultKind, VmId};
+    use std::collections::HashSet;
 
     fn sample_log() -> TelemetryLog {
         let mut unit0 = Telemetry::for_unit(0);
@@ -1565,34 +1054,81 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips_exactly() {
-        let log = sample_log();
-        let text = log.to_jsonl();
-        let back = TelemetryLog::from_jsonl(&text).unwrap();
-        assert_eq!(back, log);
-        // And the re-encoding is byte-identical.
-        assert_eq!(back.to_jsonl(), text);
+    fn jsonl_lines_are_pinned_for_every_event_kind() {
+        let mut t = Telemetry::for_unit(2);
+        t.service_gauge(ServiceMetric::QueueDepth, 120.0, 7.0);
+        // JSON has no NaN or infinity: non-finite numbers are written as null.
+        t.gauge(Resource::Llc, f64::NAN);
+        let clock = t.begin();
+        t.span(Phase::ServiceRequest, f64::INFINITY, f64::NAN, clock);
+        t.cluster_events([
+            TraceEvent::Terminate {
+                vm: VmId::from_raw(9),
+                server: 1,
+            },
+            TraceEvent::SwapProfile {
+                vm: VmId::from_raw(4),
+                label: "spark\tals".to_string(),
+            },
+            TraceEvent::Degrade {
+                server: 3,
+                factor: 0.25,
+                at: 40.0,
+            },
+            TraceEvent::ProbeFault {
+                vm: VmId::from_raw(6),
+                kind: ProbeFaultKind::Blackout,
+                at: 55.5,
+            },
+        ]);
+        let mut log = sample_log();
+        log.merge(t);
+        let expected = [
+            r#"{"type":"cluster","unit":0,"event":{"kind":"launch","vm":1,"role":"adversarial","server":0,"threads":[0,1],"label":"bolt \"probe\"\nvm","at":0}}"#,
+            r#"{"type":"span","phase":"probe-sweep","unit":1,"sim_start_s":12.5,"sim_duration_s":3.25,"wall_ns":0}"#,
+            r#"{"type":"count","counter":"sgd-iterations","unit":1,"delta":9600}"#,
+            r#"{"type":"gauge","resource":"LLC","unit":1,"value":34.0625}"#,
+            r#"{"type":"cluster","unit":1,"event":{"kind":"migrate","vm":1,"from":0,"to":3}}"#,
+            r#"{"type":"service-gauge","metric":"queue-depth","unit":2,"at_s":120,"value":7}"#,
+            r#"{"type":"gauge","resource":"LLC","unit":2,"value":null}"#,
+            r#"{"type":"span","phase":"service-request","unit":2,"sim_start_s":null,"sim_duration_s":null,"wall_ns":0}"#,
+            r#"{"type":"cluster","unit":2,"event":{"kind":"terminate","vm":9,"server":1}}"#,
+            r#"{"type":"cluster","unit":2,"event":{"kind":"swap-profile","vm":4,"label":"spark\tals"}}"#,
+            r#"{"type":"cluster","unit":2,"event":{"kind":"degrade","server":3,"factor":0.25,"at":40}}"#,
+            r#"{"type":"cluster","unit":2,"event":{"kind":"probe-fault","vm":6,"fault":"blackout","at":55.5}}"#,
+        ];
+        let text = log.normalized().to_jsonl();
+        assert_eq!(text.lines().collect::<Vec<_>>(), expected);
+        assert!(text.ends_with("}\n"));
     }
 
     #[test]
-    fn jsonl_file_round_trip() {
+    fn wire_names_are_distinct() {
+        fn assert_distinct(names: &[&str]) {
+            let unique: HashSet<_> = names.iter().collect();
+            assert_eq!(unique.len(), names.len(), "duplicate in {names:?}");
+        }
+        assert_distinct(&Phase::ALL.map(Phase::as_str));
+        assert_distinct(&Counter::ALL.map(Counter::as_str));
+        assert_distinct(&ServiceMetric::ALL.map(ServiceMetric::as_str));
+        assert_distinct(
+            &[
+                ProbeFaultKind::DroppedSample,
+                ProbeFaultKind::TruncatedSample,
+                ProbeFaultKind::Blackout,
+            ]
+            .map(ProbeFaultKind::as_str),
+        );
+    }
+
+    #[test]
+    fn write_jsonl_creates_parent_directories() {
         let log = sample_log();
         let dir = std::env::temp_dir().join("bolt-telemetry-test");
-        let path = dir.join("trace.jsonl");
+        let path = dir.join("nested").join("trace.jsonl");
         log.write_jsonl(&path).unwrap();
-        let back = TelemetryLog::read_jsonl(&path).unwrap();
-        assert_eq!(back, log);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), log.to_jsonl());
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn from_jsonl_reports_bad_lines() {
-        let err = TelemetryLog::from_jsonl("{\"type\":\"span\"}\n").unwrap_err();
-        assert!(err.to_string().contains("line 1"));
-        assert!(TelemetryLog::from_jsonl("not json\n").is_err());
-        assert!(TelemetryLog::from_jsonl("{\"type\":\"mystery\",\"unit\":0}\n").is_err());
-        // Blank lines are fine.
-        assert!(TelemetryLog::from_jsonl("\n\n").unwrap().is_empty());
     }
 
     #[test]
@@ -1620,104 +1156,20 @@ mod tests {
     }
 
     #[test]
-    fn tables_render_every_event_kind() {
-        let log = sample_log();
-        let timeline = log.timeline_table().render();
-        assert!(timeline.contains("probe-sweep"));
-        assert!(timeline.contains("sgd-iterations +9600"));
-        assert!(timeline.contains("LLC = 34.1"));
-        assert!(timeline.contains("migrate vm-1"));
+    fn summary_table_renders_every_event_kind() {
+        let mut log = sample_log();
+        let mut t = Telemetry::for_unit(3);
+        t.service_gauge(ServiceMetric::QueueDepth, 120.0, 7.0);
+        t.service_gauge(ServiceMetric::BreakersOpen, 180.0, 1.0);
+        t.count(Counter::RequestsShed, 2);
+        log.merge(t);
         let summary = log.summary_table().render();
         assert!(summary.contains("span probe-sweep"));
         assert!(summary.contains("9600"));
         assert!(summary.contains("gauge LLC"));
         assert!(summary.contains("cluster events"));
-    }
-
-    #[test]
-    fn chaos_trace_events_round_trip() {
-        // `degrade` carries no "vm" field; the decoder must not demand one.
-        let mut log = TelemetryLog::new();
-        log.extend(vec![
-            TelemetryEvent::Cluster {
-                unit: 1,
-                event: TraceEvent::Degrade {
-                    server: 3,
-                    factor: 0.25,
-                    at: 40.0,
-                },
-            },
-            TelemetryEvent::Cluster {
-                unit: 1,
-                event: TraceEvent::ProbeFault {
-                    vm: VmId::from_raw(6),
-                    kind: ProbeFaultKind::Blackout,
-                    at: 55.5,
-                },
-            },
-            TelemetryEvent::Count {
-                counter: Counter::FaultsInjected,
-                unit: 1,
-                delta: 2,
-            },
-            TelemetryEvent::Count {
-                counter: Counter::WindowsDiscarded,
-                unit: 1,
-                delta: 1,
-            },
-            TelemetryEvent::Count {
-                counter: Counter::DetectionRetries,
-                unit: 1,
-                delta: 1,
-            },
-        ]);
-        let text = log.to_jsonl();
-        assert!(text.contains("\"kind\":\"degrade\""));
-        assert!(text.contains("\"fault\":\"blackout\""));
-        let back = TelemetryLog::from_jsonl(&text).unwrap();
-        assert_eq!(back, log);
-        assert_eq!(back.to_jsonl(), text);
-        assert_eq!(back.counter_total(Counter::FaultsInjected), 2);
-        let rendered = log.timeline_table().render();
-        assert!(rendered.contains("degrade server 3"));
-        assert!(rendered.contains("blackout"));
-    }
-
-    #[test]
-    fn wire_names_round_trip() {
-        for phase in Phase::ALL {
-            assert_eq!(Phase::parse(phase.as_str()), Some(phase));
-        }
-        for counter in Counter::ALL {
-            assert_eq!(Counter::parse(counter.as_str()), Some(counter));
-        }
-        assert_eq!(Phase::parse("nope"), None);
-        assert_eq!(Counter::parse("nope"), None);
-    }
-
-    #[test]
-    fn service_gauges_round_trip_and_render() {
-        let mut t = Telemetry::for_unit(3);
-        t.service_gauge(ServiceMetric::QueueDepth, 120.0, 7.0);
-        t.service_gauge(ServiceMetric::BreakersOpen, 180.0, 1.0);
-        t.count(Counter::RequestsShed, 2);
-        let mut log = TelemetryLog::new();
-        log.merge(t);
-        let text = log.to_jsonl();
-        assert!(text.contains("\"type\":\"service-gauge\""));
-        assert!(text.contains("\"metric\":\"queue-depth\""));
-        let back = TelemetryLog::from_jsonl(&text).unwrap();
-        assert_eq!(back, log);
-        assert_eq!(back.to_jsonl(), text);
-        assert_eq!(back.counter_total(Counter::RequestsShed), 2);
-        let timeline = log.timeline_table().render();
-        assert!(timeline.contains("queue-depth t=120.0s = 7.0"));
-        let summary = log.summary_table().render();
         assert!(summary.contains("service queue-depth"));
         assert!(summary.contains("counter requests-shed"));
-        for metric in ServiceMetric::ALL {
-            assert_eq!(ServiceMetric::parse(metric.as_str()), Some(metric));
-        }
     }
 
     #[test]
@@ -1786,20 +1238,6 @@ mod tests {
         let mut poisoned = TelemetryLog::new();
         poisoned.extend(vec![span(f64::NAN), span(f64::NEG_INFINITY)]);
         assert_eq!(poisoned.latency_summary(Phase::ServiceRequest), None);
-    }
-
-    #[test]
-    fn event_sink_impl_feeds_cluster_events() {
-        let mut t = Telemetry::for_unit(0);
-        assert!(EventSink::<TraceEvent>::enabled(&t));
-        EventSink::record(
-            &mut t,
-            TraceEvent::Terminate {
-                vm: VmId::from_raw(9),
-                server: 1,
-            },
-        );
-        assert_eq!(t.into_events().len(), 1);
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Config fuzz: no configuration a caller can build makes a driver panic.
+//! Config fuzz: no configuration a caller can build makes a driver panic
+//! or hang.
 //!
 //! Each case draws small `ExperimentConfig`, `ServiceConfig`,
 //! `RegionConfig`, `DetectorConfig` and `RecommenderConfig` values and runs
-//! one driver on them under `catch_unwind`. Every numeric field of those
-//! five configs is drawn: usually its normal value, sometimes one of the
-//! degenerate values below. The driver must return `Ok` or a typed `Err`;
-//! a panic fails the case.
+//! one driver on them on a worker thread. Every numeric field of those
+//! five configs, and of the detector's profiler (with its ramp) and
+//! shutter, is drawn: usually its normal value, sometimes one of the
+//! degenerate values below. The driver must return `Ok` or a typed `Err`
+//! within [`CASE_BOUND`]; a panic or a hang fails the case.
 //!
 //! - `f64` fields: 0, −1, NaN, +∞, −∞, 1e300.
 //! - Sizes and loop counts (`usize`, `u32`): 0 and 1. A huge size would
@@ -15,15 +17,20 @@
 //!   `adversary_vcpus`): 0, 1 and their type's maximum.
 //! - Seeds: 0 and the type's maximum.
 //!
-//! Nested policy structs (retry, chaos, storm, breaker, profiler, shutter,
-//! SGD) keep their defaults.
+//! The other nested policy structs (retry, chaos, storm, breaker, SGD)
+//! keep their defaults.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
+use std::sync::{mpsc, OnceLock};
+use std::thread;
+use std::time::Duration;
 
 use bolt::experiment::{run_experiment, ExperimentConfig};
 use bolt::service::{run_service, ServiceConfig};
-use bolt::{run_region, DetectorConfig, FitCache, Parallelism, RegionConfig, RunCtx};
+use bolt::{
+    run_region, run_user_study, DetectorConfig, FitCache, Parallelism, RegionConfig, RunCtx,
+    UserStudyConfig,
+};
+use bolt_probes::{ProfilerConfig, RampConfig, ShutterConfig};
 use bolt_recommender::RecommenderConfig;
 use bolt_sim::LeastLoaded;
 use proptest::prelude::*;
@@ -77,9 +84,23 @@ fn recommender(p: &mut Picks) -> RecommenderConfig {
 }
 
 fn detector(p: &mut Picks, d: DetectorConfig, anytime: bool, mrc: bool) -> DetectorConfig {
+    let (ramp, shutter) = (d.profiler.ramp, d.shutter);
     DetectorConfig {
         interval_s: p.real(d.interval_s),
         max_iterations: p.size(d.max_iterations),
+        profiler: ProfilerConfig {
+            initial_benchmarks: p.size(d.profiler.initial_benchmarks),
+            ramp: RampConfig {
+                step: p.real(ramp.step),
+                dwell_s: p.real(ramp.dwell_s),
+                base_noise: p.real(ramp.base_noise),
+            },
+        },
+        shutter: ShutterConfig {
+            frames: p.size(shutter.frames),
+            interval_s: p.real(shutter.interval_s),
+            frame_s: p.real(shutter.frame_s),
+        },
         mrc_points: p.size(d.mrc_points),
         confidence_threshold: p.real(d.confidence_threshold),
         anytime_max_probes: p.size(d.anytime_max_probes),
@@ -147,6 +168,27 @@ fn cache() -> &'static FitCache {
     CACHE.get_or_init(FitCache::new)
 }
 
+/// Wall-clock bound on one driver run. A normal case takes well under a
+/// second in a debug build; a case still running after this is hung.
+const CASE_BOUND: Duration = Duration::from_secs(10);
+
+/// Runs `driver` on a worker thread and waits at most [`CASE_BOUND`] for
+/// it. Returns why the driver failed, or `None` if it returned. A hung
+/// worker cannot be stopped: it is left spinning until the test process
+/// exits.
+fn bounded(driver: impl FnOnce() + Send + 'static) -> Option<&'static str> {
+    let (done, finished) = mpsc::channel();
+    let worker = thread::spawn(move || {
+        driver();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(CASE_BOUND) {
+        Err(mpsc::RecvTimeoutError::Timeout) => Some("hung"),
+        // A panic drops `done` without sending, so this join returns at once.
+        _ => worker.join().err().map(|_| "panicked"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -154,30 +196,51 @@ proptest! {
     fn no_config_makes_a_driver_panic(
         driver in 0u8..3,
         (anytime, mrc) in (any::<bool>(), any::<bool>()),
-        picks in proptest::collection::vec(0u8..PICKS, 24),
+        picks in proptest::collection::vec(0u8..PICKS, 32),
     ) {
         let mut p = Picks(picks.into_iter());
-        let ctx = RunCtx::new(cache(), false);
-        let (config, outcome) = match driver {
+        let ctx = || RunCtx::new(cache(), false);
+        // Each arm formats its config before the worker takes it.
+        let (config, failure) = match driver {
             0 => {
                 let config = experiment(&mut p, anytime, mrc);
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    run_experiment(&config, &LeastLoaded, &ctx).map(drop)
-                }));
-                (format!("{config:?}"), outcome)
+                (
+                    format!("{config:?}"),
+                    bounded(move || drop(run_experiment(&config, &LeastLoaded, &ctx()))),
+                )
             }
             1 => {
                 let config = service(&mut p, anytime, mrc);
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| run_service(&config, &ctx).map(drop)));
-                (format!("{config:?}"), outcome)
+                (
+                    format!("{config:?}"),
+                    bounded(move || drop(run_service(&config, &ctx()))),
+                )
             }
             _ => {
                 let config = region(&mut p);
-                let outcome = catch_unwind(AssertUnwindSafe(|| run_region(&config).map(drop)));
-                (format!("{config:?}"), outcome)
+                (format!("{config:?}"), bounded(move || drop(run_region(&config))))
             }
         };
-        prop_assert!(outcome.is_ok(), "driver panicked on {}", config);
+        prop_assert!(failure.is_none(), "driver {} on {}", failure.unwrap_or(""), config);
+    }
+}
+
+/// `run_user_study` builds its detector without the driver-level config
+/// check, so a zero or negative ramp step reaches the probes themselves.
+#[test]
+fn user_study_rejects_a_non_positive_ramp_step() {
+    for step in [0.0, -1.0] {
+        let mut config = UserStudyConfig {
+            instances: 2,
+            users: 1,
+            jobs: 2,
+            ..UserStudyConfig::default()
+        };
+        config.detector.profiler.ramp.step = step;
+        let failure = bounded(move || {
+            let outcome = run_user_study(&config, &RunCtx::new(cache(), false));
+            assert!(outcome.is_err(), "step {step} ran: {outcome:?}");
+        });
+        assert_eq!(failure, None, "step {step}");
     }
 }

@@ -46,7 +46,6 @@ pub mod isolation;
 pub mod scheduler;
 pub mod server;
 mod storage;
-pub mod telemetry;
 pub mod trace;
 pub mod vm;
 
@@ -57,6 +56,5 @@ pub use isolation::{IsolationConfig, Mechanisms, OsSetting};
 pub use scheduler::{LeastLoaded, Quasar, Scheduler};
 pub use server::{Server, ServerSpec};
 pub use storage::SweepMemo;
-pub use telemetry::{EventSink, NullSink, VecSink};
 pub use trace::{ProbeFaultKind, TraceEvent};
 pub use vm::{VmId, VmRole, VmState};

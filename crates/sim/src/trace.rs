@@ -30,17 +30,6 @@ impl ProbeFaultKind {
             ProbeFaultKind::Blackout => "blackout",
         }
     }
-
-    /// Parses a wire name back into a kind.
-    pub fn parse(s: &str) -> Option<ProbeFaultKind> {
-        [
-            ProbeFaultKind::DroppedSample,
-            ProbeFaultKind::TruncatedSample,
-            ProbeFaultKind::Blackout,
-        ]
-        .into_iter()
-        .find(|k| k.as_str() == s)
-    }
 }
 
 /// One recorded cluster event.
@@ -178,15 +167,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_fault_kinds_round_trip() {
-        for kind in [
-            ProbeFaultKind::DroppedSample,
-            ProbeFaultKind::TruncatedSample,
-            ProbeFaultKind::Blackout,
-        ] {
-            assert_eq!(ProbeFaultKind::parse(kind.as_str()), Some(kind));
-        }
-        assert_eq!(ProbeFaultKind::parse("nope"), None);
+    fn probe_fault_concerns_its_observer() {
         let e = TraceEvent::ProbeFault {
             vm: VmId::from_raw_for_tests(5),
             kind: ProbeFaultKind::Blackout,

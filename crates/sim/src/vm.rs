@@ -14,9 +14,9 @@ impl VmId {
         self.0
     }
 
-    /// Rebuilds an id from a raw value, e.g. when decoding a serialized
-    /// telemetry trace. Live ids are assigned by [`crate::Cluster`]; a
-    /// reconstructed id only identifies a VM within the trace it came from.
+    /// Rebuilds an id from a raw value. Live ids are assigned by
+    /// [`crate::Cluster`]; a rebuilt id only identifies a VM within the
+    /// cluster or trace its raw value came from.
     pub fn from_raw(raw: u64) -> Self {
         VmId(raw)
     }

@@ -45,10 +45,15 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 echo "==> service-loop smoke (storms on, threaded)"
 SERVE_START=$SECONDS
 cargo run --release -q -- serve --requests 200 --storm 0.6 --chaos-intensity 0.3 \
-  --threads 3 > "$SMOKE_DIR/serve.txt"
+  --threads 3 --telemetry "$SMOKE_DIR/serve.jsonl" > "$SMOKE_DIR/serve.txt"
 SERVE_ELAPSED=$((SECONDS - SERVE_START))
 grep -q "failures are announced" "$SMOKE_DIR/serve.txt" \
   || { echo "service smoke: honesty contract violated"; cat "$SMOKE_DIR/serve.txt"; exit 1; }
+# Nothing in the workspace parses the JSONL trace, so an outside parser
+# checks that every line is a JSON object carrying "type" and "unit".
+# jq 1.6 accepts NaN, so non-finite numbers are pinned by the Rust tests.
+jq -e -s 'length > 0 and all(has("type") and has("unit"))' "$SMOKE_DIR/serve.jsonl" > /dev/null \
+  || { echo "service smoke: telemetry trace is not valid JSONL"; exit 1; }
 # The 200-request loop itself is sub-second in release; a long-tail
 # regression in the lane scheduler blows past this budget immediately.
 if [ "$SERVE_ELAPSED" -gt 60 ]; then
