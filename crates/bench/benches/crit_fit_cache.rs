@@ -2,13 +2,12 @@
 //! one shared [`FitCache`] versus `FitCache::disabled()` (refit at every
 //! point). Cache hits return the same `Arc`'d model a fresh fit would
 //! produce bit-for-bit (property-tested in
-//! `crates/recommender/src/cache.rs` and the core invariance suite), so
-//! the wall-clock gap is pure amortization — the PR requires at least 2x
-//! on the sweep case.
+//! `crates/recommender/src/cache.rs` and the core oracle suite), so the
+//! wall-clock gap is pure amortization.
 //!
 //! The `fit_hit` / `fit_miss` pair isolates the per-call costs: a hit is
-//! one fingerprint pass plus a map lookup; a miss is that plus the full
-//! SVD + SGD training.
+//! one fingerprint pass plus a map lookup; a miss is that plus the SVD
+//! fit.
 
 use bolt::RunCtx;
 use criterion::{criterion_group, criterion_main, Criterion};

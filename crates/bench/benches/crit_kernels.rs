@@ -3,13 +3,13 @@
 //! * the recommender's end-to-end detection latency (paper: 95th
 //!   percentile 80 ms — ours runs far faster since the matrices are tiny
 //!   and native);
-//! * the SVD and SGD kernels behind it;
+//! * the SVD behind it, and the bit-exact primitive kernels against
+//!   their scalar references;
 //! * one simulated probe ramp.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use bolt_linalg::sgd::{PqModel, SgdConfig};
 use bolt_linalg::svd::Svd;
 use bolt_probes::{Microbenchmark, RampConfig};
 use bolt_recommender::{HybridRecommender, RecommenderConfig, TrainingData};
@@ -56,17 +56,6 @@ fn bench_kernels(c: &mut Criterion) {
             black_box(svd.singular_values()[0])
         })
     });
-    c.bench_function("pq_train_120x10", |b| {
-        let config = SgdConfig {
-            max_epochs: 50,
-            ..SgdConfig::default()
-        };
-        let mut rng = StdRng::seed_from_u64(2);
-        b.iter(|| {
-            let m = PqModel::train(black_box(data.matrix()), &config, &mut rng).expect("train");
-            black_box(m.rmse())
-        })
-    });
 }
 
 /// Deterministic sign/magnitude-mixed series for the primitive-kernel
@@ -82,7 +71,7 @@ fn series(n: usize) -> Vec<f64> {
 
 /// Scalar-reference vs bit-exact-unrolled dot product, plus the fused
 /// weighted-moment reduction, at the sizes production paths actually see
-/// (PQ factor rows ~10, pressure series ~64, and 1k/64k to expose the
+/// (concept rows ~10, pressure series ~64, and 1k/64k to expose the
 /// memory-bandwidth ceiling).
 fn bench_primitives(c: &mut Criterion) {
     use bolt_linalg::kernels::{self, reference};

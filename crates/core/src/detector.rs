@@ -170,6 +170,12 @@ impl Default for DetectorConfig {
 }
 
 impl DetectorConfig {
+    /// The simulated span one hunt's fault plan covers: every iteration's
+    /// interval plus probing slack, and a tail for retries.
+    pub(crate) fn fault_horizon_s(&self) -> f64 {
+        self.max_iterations.max(1) as f64 * (self.interval_s + 120.0) + 600.0
+    }
+
     /// Rejects settings no hunt can run with, so the drivers
     /// ([`run_experiment`](crate::run_experiment),
     /// [`run_service`](crate::run_service)) fail at the door instead of

@@ -468,7 +468,10 @@ pub struct Testbed {
 /// Returns [`BoltError::InvalidExperiment`] if there are no victims, the
 /// detector's confidence threshold is not finite, its interval is NaN,
 /// infinite or negative, or it has no MRC sweep points, or the victims
-/// cannot all be placed, and propagates simulator/numerical errors.
+/// cannot all be placed. Returns
+/// [`SimError::InvalidConfig`](bolt_sim::SimError::InvalidConfig) (wrapped
+/// in [`BoltError::Sim`]) if the chaos config fails
+/// [`ChaosConfig::validate`], and propagates simulator/numerical errors.
 pub fn build_testbed<S: Scheduler>(
     config: &ExperimentConfig,
     scheduler: &S,
@@ -483,6 +486,7 @@ pub fn build_testbed<S: Scheduler>(
         });
     }
     config.detector.validate()?;
+    config.chaos.validate(config.detector.fault_horizon_s())?;
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut cluster = Cluster::new(config.servers, ServerSpec::xeon(), config.isolation)?;
 
@@ -691,15 +695,12 @@ fn hunt_victim(
         // stay independent (and the sweep stays thread-count invariant);
         // the fault plan is a pure function of (config, seed, victim index).
         let mut live = cluster.snapshot();
-        let horizon_s = config.detector.max_iterations.max(1) as f64
-            * (config.detector.interval_s + 120.0)
-            + 600.0;
         let mut plan = FaultPlan::compile(
             &config.chaos,
             config.seed ^ 0xC4A0,
             idx as u64,
             start_t,
-            horizon_s,
+            config.detector.fault_horizon_s(),
         );
         plan.protect(&[adversary, victim_id]);
         detector.detect_until_churn_telemetry(

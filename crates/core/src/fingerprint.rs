@@ -31,23 +31,6 @@ pub struct MrcFingerprint {
     pub duration_s: f64,
 }
 
-impl MrcFingerprint {
-    /// RMS distance to another sweep of the same length; sweeps of
-    /// different lengths are incomparable and return `f64::INFINITY`.
-    pub fn rms_distance(&self, other: &MrcFingerprint) -> f64 {
-        if self.points.len() != other.points.len() || self.points.is_empty() {
-            return f64::INFINITY;
-        }
-        let sum: f64 = self
-            .points
-            .iter()
-            .zip(&other.points)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum();
-        (sum / self.points.len() as f64).sqrt()
-    }
-}
-
 /// A `grid × grid` probability map over one resource pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Heatmap {

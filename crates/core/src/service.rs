@@ -558,8 +558,10 @@ enum BreakerState {
 ///
 /// # Errors
 ///
-/// Returns [`BoltError::InvalidExperiment`] on a degenerate configuration
-/// and propagates simulator/numerical errors.
+/// Returns [`BoltError::InvalidExperiment`] on a degenerate configuration,
+/// [`SimError::InvalidConfig`](bolt_sim::SimError::InvalidConfig) (wrapped
+/// in [`BoltError::Sim`]) on a chaos or storm config that fails its
+/// `validate`, and propagates simulator/numerical errors.
 pub fn run_service(
     config: &ServiceConfig,
     ctx: &RunCtx,
@@ -577,17 +579,16 @@ pub fn run_service(
         || !positive_finite(config.arrival_rate_per_min)
         || !positive_finite(config.deadline_s)
         || !in_unit_interval(config.duplicate_rate)
-        || !in_unit_interval(config.storm.intensity)
-        || !in_unit_interval(config.chaos.intensity)
     {
         return Err(BoltError::InvalidExperiment {
             reason: "service config needs servers, workers, queue capacity, finite positive \
-                     rate/deadline/nominal-service time, and a duplicate rate and storm and \
-                     chaos intensities in [0, 1]"
+                     rate/deadline/nominal-service time, and a duplicate rate in [0, 1]"
                 .to_string(),
         });
     }
     config.detector.validate()?;
+    config.storm.validate(service_horizon_s(config))?;
+    config.chaos.validate(config.detector.fault_horizon_s())?;
 
     let storm = StormPlan::compile(
         &config.storm,
@@ -927,13 +928,12 @@ fn run_lane(
 
         let probe_start = start + stall;
         let mut live = cluster.snapshot();
-        let horizon_s = dcfg.max_iterations.max(1) as f64 * (dcfg.interval_s + 120.0) + 600.0;
         let mut plan = FaultPlan::compile(
             &chaos,
             config.seed ^ PLAN_SALT,
             req.id as u64,
             probe_start,
-            horizon_s,
+            dcfg.fault_horizon_s(),
         );
         let mut protected = vec![adversaries[req.target_server]];
         protected.extend(server_vms[req.target_server].iter().copied());
@@ -1050,6 +1050,7 @@ mod tests {
     use super::*;
     use crate::experiment::observed_training;
     use bolt_recommender::TrainingData;
+    use bolt_sim::SimError;
     use bolt_workloads::training::training_set;
 
     /// A recorded service run through a fresh fit cache.
@@ -1153,15 +1154,12 @@ mod tests {
         let model = Arc::new(HybridRecommender::fit(data, config.recommender).unwrap());
         for (req, record) in compile_trace(&config).iter().zip(&report.records) {
             let mut live = built.cluster.snapshot();
-            let horizon_s = config.detector.max_iterations.max(1) as f64
-                * (config.detector.interval_s + 120.0)
-                + 600.0;
             let mut plan = FaultPlan::compile(
                 &config.chaos,
                 config.seed ^ PLAN_SALT,
                 req.id as u64,
                 req.arrival_s,
-                horizon_s,
+                config.detector.fault_horizon_s(),
             );
             let mut protected = vec![built.adversaries[req.target_server]];
             protected.extend(built.server_vms[req.target_server].iter().copied());
@@ -1492,29 +1490,6 @@ mod tests {
                 duplicate_rate: f64::NAN,
                 ..quick_config()
             },
-            // `f64::clamp` passes NaN through `with_intensity`.
-            ServiceConfig {
-                storm: StormConfig::with_intensity(f64::NAN),
-                ..quick_config()
-            },
-            ServiceConfig {
-                chaos: ChaosConfig::with_intensity(f64::NAN),
-                ..quick_config()
-            },
-            ServiceConfig {
-                storm: StormConfig {
-                    intensity: 1.5,
-                    ..StormConfig::with_intensity(1.0)
-                },
-                ..quick_config()
-            },
-            ServiceConfig {
-                chaos: ChaosConfig {
-                    intensity: -0.5,
-                    ..ChaosConfig::with_intensity(1.0)
-                },
-                ..quick_config()
-            },
             ServiceConfig {
                 detector: DetectorConfig {
                     confidence_threshold: f64::NAN,
@@ -1544,6 +1519,56 @@ mod tests {
                     Err(BoltError::InvalidExperiment { .. })
                 ),
                 "degenerate config must be rejected: {config:?}"
+            );
+        }
+        // The injectors validate themselves. `f64::clamp` passes NaN
+        // through `with_intensity`, and an infinite rate would compile an
+        // endless schedule.
+        let bad_injectors = [
+            ServiceConfig {
+                storm: StormConfig::with_intensity(f64::NAN),
+                ..quick_config()
+            },
+            ServiceConfig {
+                chaos: ChaosConfig::with_intensity(f64::NAN),
+                ..quick_config()
+            },
+            ServiceConfig {
+                storm: StormConfig {
+                    intensity: 1.5,
+                    ..StormConfig::with_intensity(1.0)
+                },
+                ..quick_config()
+            },
+            ServiceConfig {
+                chaos: ChaosConfig {
+                    intensity: -0.5,
+                    ..ChaosConfig::with_intensity(1.0)
+                },
+                ..quick_config()
+            },
+            ServiceConfig {
+                storm: StormConfig {
+                    bursts_per_min: f64::INFINITY,
+                    ..StormConfig::with_intensity(0.8)
+                },
+                ..quick_config()
+            },
+            ServiceConfig {
+                chaos: ChaosConfig {
+                    arrivals_per_min: f64::INFINITY,
+                    ..ChaosConfig::with_intensity(0.8)
+                },
+                ..quick_config()
+            },
+        ];
+        for config in bad_injectors {
+            assert!(
+                matches!(
+                    run_service(&config, &RunCtx::new(&FitCache::new(), false)),
+                    Err(BoltError::Sim(SimError::InvalidConfig { .. }))
+                ),
+                "degenerate injector must be rejected: {config:?}"
             );
         }
     }

@@ -220,9 +220,10 @@ fn fixed_configurations_match_the_reference_stack() {
     }
 }
 
-/// The fitted recommender, compared whole. Its PQ factors feed no verdict
-/// in these drivers (only the collaborative-filtering ablation reads
-/// them), so nothing above would catch a non-bit-exact SGD kernel.
+/// The fitted recommender, compared whole. Every field of the model feeds
+/// the verdicts above, so this mostly localizes a failure: a non-bit-exact
+/// SVD kernel shows up here as a model diff rather than as a verdict diff
+/// several drivers later.
 #[test]
 fn fitted_model_matches_the_reference_fit() {
     let config = ExperimentConfig::default();

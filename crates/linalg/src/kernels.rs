@@ -1,9 +1,9 @@
 //! Hand-unrolled arithmetic kernels with a bit-exactness contract.
 //!
-//! Every hot inner loop in the detection pipeline — the SGD completion
-//! updates, the weighted-Pearson reductions, the Jacobi Gram/rotation
-//! passes, and the per-domain pressure aggregation — bottoms out in one of
-//! the primitives below. They are written as explicit 4-lane blocks over
+//! Every hot inner loop in the detection pipeline — the weighted-Pearson
+//! reductions, the Jacobi Gram/rotation passes, and the per-domain
+//! pressure aggregation — bottoms out in one of the primitives below.
+//! They are written as explicit 4-lane blocks over
 //! `chunks_exact(4)` with a scalar tail: portable Rust, no nightly
 //! `std::simd`, no dependencies, but shaped so the compiler can drop the
 //! bounds checks and schedule the multiplies wide.
@@ -12,10 +12,9 @@
 //!
 //! Floating-point addition does not associate, and most of these sums feed
 //! outputs that are pinned byte-for-byte (the committed `bench_results`
-//! CSVs, compared by the `bolt-bench` figures test) or couple into
-//! RNG-driven control flow (SGD early stopping, detection verdicts).
-//! Every kernel therefore keeps **one** sequential accumulator per sum,
-//! added in exactly the order the scalar reference code used —
+//! CSVs, compared by the `bolt-bench` figures test) or decide detection
+//! verdicts. Every kernel therefore keeps **one** sequential accumulator
+//! per sum, added in exactly the order the scalar reference code used —
 //! `fold(0.0, +)` left to right. Unrolling buys
 //! bounds-check elimination and multiply ILP, never reassociation, so
 //! `dot(a, b)` returns the *identical bits* the replaced loop produced.
@@ -82,24 +81,6 @@ pub fn sq_norm(a: &[f64]) -> f64 {
     acc
 }
 
-/// Fused dot + squared norms: `(Σ aᵢbᵢ, Σ aᵢ², Σ bᵢ²)` in one pass, each
-/// accumulator in scalar order.
-pub fn dot_sq_norms(a: &[f64], b: &[f64]) -> (f64, f64, f64) {
-    assert_eq!(a.len(), b.len(), "dot_sq_norms: length mismatch");
-    if oracle::enabled() {
-        return reference::dot_sq_norms(a, b);
-    }
-    let mut ab = -0.0; // `sum()` fold identity, see `dot`
-    let mut aa = -0.0;
-    let mut bb = -0.0;
-    for (x, y) in a.iter().zip(b) {
-        ab += x * y;
-        aa += x * x;
-        bb += y * y;
-    }
-    (ab, aa, bb)
-}
-
 /// In-place `y += a · x`, elementwise (the matmul inner row update).
 ///
 /// # Panics
@@ -121,48 +102,6 @@ pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
     }
     for (dy, dx) in yt.iter_mut().zip(xt) {
         *dy += a * dx;
-    }
-}
-
-/// One SGD update over a `(p, q)` factor-row pair:
-///
-/// ```text
-/// p[f] += lr · (err·q[f] − reg·p[f])
-/// q[f] += lr · (err·p_old[f] − reg·q[f])
-/// ```
-///
-/// where `p_old` is the value before this update (the classic simultaneous
-/// PQ step). Elementwise, so trivially bit-exact.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn sgd_step(p: &mut [f64], q: &mut [f64], err: f64, lr: f64, reg: f64) {
-    assert_eq!(p.len(), q.len(), "sgd_step: length mismatch");
-    if oracle::enabled() {
-        return reference::sgd_step(p, q, err, lr, reg);
-    }
-    for (pf, qf) in p.iter_mut().zip(q.iter_mut()) {
-        let p0 = *pf;
-        let q0 = *qf;
-        *pf = p0 + lr * (err * q0 - reg * p0);
-        *qf = q0 + lr * (err * p0 - reg * q0);
-    }
-}
-
-/// One fold-in update against a frozen `q` row:
-/// `p[f] += lr · (err·q[f] − reg·p[f])`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn fold_step(p: &mut [f64], q: &[f64], err: f64, lr: f64, reg: f64) {
-    assert_eq!(p.len(), q.len(), "fold_step: length mismatch");
-    if oracle::enabled() {
-        return reference::fold_step(p, q, err, lr, reg);
-    }
-    for (pf, qf) in p.iter_mut().zip(q) {
-        *pf += lr * (err * qf - reg * *pf);
     }
 }
 
@@ -435,44 +374,11 @@ pub mod reference {
         a.iter().map(|x| x * x).sum()
     }
 
-    /// Scalar fused dot + squared norms.
-    pub fn dot_sq_norms(a: &[f64], b: &[f64]) -> (f64, f64, f64) {
-        assert_eq!(a.len(), b.len(), "dot_sq_norms: length mismatch");
-        let mut ab = -0.0; // `sum()` fold identity, matching `dot`/`sq_norm`
-        let mut aa = -0.0;
-        let mut bb = -0.0;
-        for i in 0..a.len() {
-            ab += a[i] * b[i];
-            aa += a[i] * a[i];
-            bb += b[i] * b[i];
-        }
-        (ab, aa, bb)
-    }
-
     /// Scalar axpy.
     pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
         assert_eq!(y.len(), x.len(), "axpy: length mismatch");
         for i in 0..y.len() {
             y[i] += a * x[i];
-        }
-    }
-
-    /// Scalar SGD factor-pair update.
-    pub fn sgd_step(p: &mut [f64], q: &mut [f64], err: f64, lr: f64, reg: f64) {
-        assert_eq!(p.len(), q.len(), "sgd_step: length mismatch");
-        for f in 0..p.len() {
-            let pf = p[f];
-            let qf = q[f];
-            p[f] += lr * (err * qf - reg * pf);
-            q[f] += lr * (err * pf - reg * qf);
-        }
-    }
-
-    /// Scalar fold-in update.
-    pub fn fold_step(p: &mut [f64], q: &[f64], err: f64, lr: f64, reg: f64) {
-        assert_eq!(p.len(), q.len(), "fold_step: length mismatch");
-        for f in 0..p.len() {
-            p[f] += lr * (err * q[f] - reg * p[f]);
         }
     }
 

@@ -8,15 +8,11 @@
 //! * [`svd::Svd`] — singular value decomposition via one-sided Jacobi
 //!   rotations, used by the collaborative-filtering stage to extract
 //!   *similarity concepts* from the application × resource pressure matrix.
-//! * [`sgd`] — PQ matrix factorization trained with stochastic gradient
-//!   descent, used to reconstruct the pressure a victim places on resources
-//!   that were *not* profiled (matrix completion over a sparse signal).
 //! * [`stats`] — descriptive statistics plus the plain and *weighted* Pearson
 //!   correlation of the paper's Eq. 1, where weights are singular values.
 //!
-//! The crate is dependency-light and deterministic: every stochastic routine
-//! takes an explicit [`rand::Rng`] so experiments can be
-//! reproduced bit-for-bit.
+//! The crate has no dependencies and no randomness: every routine is a pure
+//! function of its inputs, so experiments reproduce bit-for-bit.
 //!
 //! # Example
 //!
@@ -39,7 +35,6 @@ mod matrix;
 
 pub mod kernels;
 pub mod oracle;
-pub mod sgd;
 pub mod stats;
 pub mod svd;
 

@@ -145,16 +145,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// A mutable view of row `r` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.rows()`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        assert!(r < self.rows, "row index {r} out of bounds ({})", self.rows);
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Copies column `c` into a new vector.
     ///
     /// # Panics
@@ -178,11 +168,6 @@ impl Matrix {
     /// kernels that update columns in place).
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns the underlying row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Returns the transpose as a new matrix.

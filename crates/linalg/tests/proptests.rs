@@ -1,12 +1,9 @@
 //! Property-based tests for the linear-algebra kernels.
 
-use bolt_linalg::sgd::{complete, Observation, SgdConfig};
 use bolt_linalg::stats::{pearson, percentile, weighted_pearson, Histogram};
 use bolt_linalg::svd::{energy_rank, Svd};
 use bolt_linalg::Matrix;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Strategy for a small matrix with entries in a bounded range.
 fn small_matrix() -> impl Strategy<Value = Matrix> {
@@ -206,27 +203,5 @@ proptest! {
     #[test]
     fn transpose_is_involution(m in small_matrix()) {
         prop_assert_eq!(m.transpose().transpose(), m);
-    }
-
-    #[test]
-    fn sgd_rmse_is_finite_and_improves_on_trivial_data(
-        seed in 0u64..1000,
-        v in 1.0f64..50.0,
-    ) {
-        // A constant 2x2 matrix is rank 1; SGD must fit it well.
-        let obs: Vec<Observation> = (0..2)
-            .flat_map(|r| (0..2).map(move |c| Observation { row: r, col: c, value: v }))
-            .collect();
-        let config = SgdConfig {
-            factors: 2,
-            max_epochs: 2000,
-            target_rmse: v * 0.02,
-            learning_rate: 0.01,
-            ..SgdConfig::default()
-        };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let out = complete(2, 2, &obs, &config, &mut rng).expect("sgd");
-        prop_assert!(out.rmse.is_finite());
-        prop_assert!(out.rmse <= v * 0.5, "rmse {} too high for constant matrix", out.rmse);
     }
 }

@@ -4,7 +4,8 @@
 //! a hybrid recommender using feature augmentation. First a collaborative-
 //! filtering stage recovers the victim's pressure on the resources that
 //! were *not* profiled — matrix factorization with SVD plus
-//! PQ-reconstruction trained by SGD. The SVD's singular values are
+//! PQ-reconstruction trained by SGD, here SGD over the frozen SVD concept
+//! basis (`solve_concept_coords`). The SVD's singular values are
 //! *similarity concepts*; only the largest, preserving 90% of the total
 //! energy, are kept. Then a content-based stage scores the victim against
 //! every previously-seen application with a *weighted Pearson* correlation
@@ -12,10 +13,9 @@
 //! value. The output is a distribution of similarity scores — e.g. 65%
 //! memcached, 18% Spark/PageRank, 10% Hadoop/SVM...
 
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use bolt_linalg::kernels;
-use bolt_linalg::sgd::{PqModel, SgdConfig};
 use bolt_linalg::stats::{pearson, weighted_pearson};
 use bolt_linalg::svd::{energy_rank, Svd};
 use bolt_linalg::LinalgError;
@@ -66,8 +66,6 @@ pub struct RecommenderConfig {
     /// cache-sweep-curve distance instead of fit error alone. `0.0`
     /// disables re-ranking (the curve never overrides the pressure fit).
     pub mrc_tie_margin: f64,
-    /// SGD hyperparameters for the completion stage.
-    pub sgd: SgdConfig,
 }
 
 impl Default for RecommenderConfig {
@@ -79,14 +77,6 @@ impl Default for RecommenderConfig {
             noise_floor: 2.0,
             pair_shortlist: 128,
             mrc_tie_margin: 0.02,
-            sgd: SgdConfig {
-                factors: 4,
-                learning_rate: 0.004,
-                regularization: 0.02,
-                max_epochs: 150,
-                target_rmse: 2.0,
-                init_scale: 3.0,
-            },
         }
     }
 }
@@ -264,9 +254,6 @@ pub struct HybridRecommender {
     /// Column standard deviations (floored away from zero) used for the
     /// standardization.
     col_stds: Vec<f64>,
-    /// The PQ factorization trained once on the dense training matrix;
-    /// each detection folds the victim's sparse row in against it.
-    pq: PqModel,
     /// Per-resource information value `Σₖ (σₖ V[j,k])² · wiener(j)`,
     /// precomputed at fit time — every subspace match and mixture
     /// decomposition reads these, so they must not be re-derived per
@@ -321,11 +308,6 @@ impl HybridRecommender {
         let rank = energy_rank(svd.singular_values(), config.energy_fraction)
             .max(3)
             .min(svd.singular_values().len());
-        // Deterministic PQ training: the factorization is part of the
-        // fitted model, so it uses its own fixed-seed RNG rather than the
-        // caller's stream.
-        let mut pq_rng = rand::rngs::StdRng::seed_from_u64(0x0B01_7F17);
-        let pq = PqModel::train(m, &config.sgd, &mut pq_rng)?;
         // Information value of each resource dimension: how much of the
         // retained concepts' energy loads on it, discounted by the Wiener
         // reliability of the channel (signal variance over signal-plus-
@@ -345,7 +327,6 @@ impl HybridRecommender {
             svd,
             col_means,
             col_stds,
-            pq,
             info_weights,
             rank,
             config,
@@ -667,60 +648,6 @@ impl HybridRecommender {
         self.info_weights
     }
 
-    /// Identifies the co-runner sharing the adversary's physical core by
-    /// combining the core-subspace shape match with a *mixture
-    /// consistency* check on the uncore readings: co-resident pressure is
-    /// additive, so a candidate whose own (load-scaled) uncore profile
-    /// exceeds the observed uncore signal cannot be the core-sharer —
-    /// nobody can contribute negative pressure. Each candidate's shape
-    /// similarity is penalized by its total uncore violation.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HybridRecommender::match_subspace`].
-    pub fn match_core_sharer(
-        &self,
-        core_obs: &[(Resource, f64)],
-        uncore_obs: &[(Resource, f64)],
-    ) -> Result<Vec<SimilarityScore>, LinalgError> {
-        let mut scores = self.match_subspace(core_obs)?;
-        if uncore_obs.is_empty() {
-            return Ok(scores);
-        }
-        // Uncore evidence: the sharer is *part of* the uncore mixture, so
-        // its uncore shape should correlate with the observed one; blended
-        // in at lower weight because other tenants corrupt it. Use the
-        // unfiltered scores so anti-correlated candidates keep their
-        // negative evidence.
-        let uncore_scores = self.subspace_raw(uncore_obs)?;
-        let uncore_sim: std::collections::HashMap<usize, f64> = uncore_scores.into_iter().collect();
-        let obs_total: f64 = uncore_obs.iter().map(|&(_, v)| v).sum();
-        let m = self.data.matrix();
-        for s in &mut scores {
-            let lambda = self.estimate_scale(s.index, core_obs);
-            let violation: f64 = uncore_obs
-                .iter()
-                .map(|&(r, v)| (lambda * m[(s.index, r.index())] - v).max(0.0))
-                .sum();
-            let u = uncore_sim.get(&s.index).copied().unwrap_or(0.0);
-            // Blend: core shape dominates, uncore agreement refines, and
-            // impossible (super-additive) uncore demand penalizes relative
-            // to the observed signal's size.
-            s.correlation = 0.65 * s.correlation + 0.35 * u - violation / (obs_total + 25.0);
-        }
-        scores.sort_by(|a, b| b.correlation.partial_cmp(&a.correlation).expect("finite"));
-        let mass: f64 = scores.iter().map(|s| s.correlation.max(0.0)).sum();
-        for s in &mut scores {
-            s.share = if mass > 0.0 {
-                s.correlation.max(0.0) / mass
-            } else {
-                0.0
-            };
-        }
-        scores.retain(|s| s.correlation >= self.config.match_threshold);
-        Ok(scores)
-    }
-
     /// Decomposes a (possibly mixed) observation into up to
     /// `max_components` known applications by greedy matching pursuit:
     /// repeatedly find the training example and load scale `λ ∈ [0, 1.2]`
@@ -962,34 +889,6 @@ impl HybridRecommender {
             return 1.0;
         }
         (num / den).clamp(0.0, 1.0)
-    }
-
-    /// The pure collaborative-filtering completion (the §3.2 strawman):
-    /// folds the sparse row into the PQ factorization trained on the raw
-    /// training matrix. It recovers missing pressure but, as the paper
-    /// notes, cannot label the victim — and with very sparse signals the
-    /// unregularized-toward-mean extrapolation is visibly worse than the
-    /// hybrid path, which is exactly the ablation argument.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`LinalgError`] from the fold-in (empty observations,
-    /// bad indices, non-finite values).
-    pub fn complete_collaborative<R: Rng>(
-        &self,
-        observations: &[(Resource, f64)],
-        rng: &mut R,
-    ) -> Result<PressureVector, LinalgError> {
-        let obs: Vec<(usize, f64)> = observations.iter().map(|&(r, v)| (r.index(), v)).collect();
-        let raw = self.pq.fold_in(&obs, rng)?;
-        let mut vals = [0.0; RESOURCE_COUNT];
-        for (i, v) in raw.iter().enumerate() {
-            vals[i] = v.clamp(0.0, 100.0);
-        }
-        for &(i, v) in &obs {
-            vals[i] = v.clamp(0.0, 100.0);
-        }
-        Ok(PressureVector::from_raw(vals))
     }
 
     /// Solves the victim's *scaled* concept coordinates `w` (where the

@@ -9,8 +9,9 @@
 //! Pipeline:
 //!
 //! 1. **Collaborative filtering** — SVD of the training matrix extracts
-//!    *similarity concepts*; SGD-trained PQ-reconstruction completes the
-//!    victim's unprofiled resources ([`bolt_linalg::sgd`]).
+//!    *similarity concepts*; SGD over that frozen concept basis completes
+//!    the victim's unprofiled resources
+//!    ([`HybridRecommender::recommend`]).
 //! 2. **Dimensionality reduction** — keep the largest singular values
 //!    preserving 90% of the spectral energy.
 //! 3. **Content-based matching** — weighted Pearson correlation (Eq. 1)

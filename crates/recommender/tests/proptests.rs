@@ -133,8 +133,8 @@ proptest! {
     ) {
         // A model served from the fit cache must be indistinguishable from
         // one trained from scratch on the same inputs: identical mixture
-        // decompositions and identical collaborative completions, bit for
-        // bit, under arbitrary observations.
+        // decompositions and identical recommendations (completed profile
+        // and similarity scores), bit for bit, under arbitrary observations.
         let (cached, fresh) = cached_and_fresh();
         let n = cached.training_data().len();
         let (i, j) = (i % n, j % n);
@@ -149,13 +149,15 @@ proptest! {
             decompose(fresh, &mix, 2)
         );
         let obs: Vec<(Resource, f64)> = mix[..3].to_vec();
-        let cc = cached
-            .complete_collaborative(&obs, &mut StdRng::seed_from_u64(seed))
-            .expect("cached completion");
-        let cf = fresh
-            .complete_collaborative(&obs, &mut StdRng::seed_from_u64(seed))
-            .expect("fresh completion");
-        prop_assert_eq!(cc.as_slice(), cf.as_slice());
+        let rc = cached
+            .recommend(&obs, &mut StdRng::seed_from_u64(seed))
+            .expect("cached recommendation");
+        let rf = fresh
+            .recommend(&obs, &mut StdRng::seed_from_u64(seed))
+            .expect("fresh recommendation");
+        // `Debug` prints every f64 in round-trip form: equal strings are
+        // equal bits.
+        prop_assert_eq!(format!("{rc:?}"), format!("{rf:?}"));
     }
 
     #[test]

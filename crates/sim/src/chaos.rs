@@ -33,6 +33,12 @@ use crate::error::SimError;
 use crate::trace::ProbeFaultKind;
 use crate::vm::{VmId, VmRole};
 
+/// Most events one compiled plan may schedule at full intensity. A config
+/// past it is a typo rather than a workload (an infinite rate, a vanishing
+/// check period, a near-endless horizon): compiling it would allocate
+/// without bound, so the `validate` methods reject it.
+const MAX_PLAN_EVENTS: f64 = 1.0e6;
+
 /// Knobs for the chaos engine. All rates are specified at `intensity = 1.0`
 /// and scale linearly with [`ChaosConfig::intensity`]; an intensity of zero
 /// disables everything ([`ChaosConfig::none`]).
@@ -100,6 +106,51 @@ impl ChaosConfig {
     pub fn is_none(&self) -> bool {
         self.intensity <= 0.0
     }
+
+    /// Rejects a config no plan over `horizon_s` can be compiled from.
+    /// Call it before [`FaultPlan::compile`]: an unchecked infinite rate
+    /// compiles into an endless schedule.
+    ///
+    /// The event count is taken at full intensity, the most a run can
+    /// reach (a storm's churn burst raises the intensity up to 1).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] if the intensity is outside `[0, 1]`,
+    /// a rate, the check period or the probe-fault rate is NaN, infinite
+    /// or negative, the degradation is outside `[0, 1)`, or an enabled
+    /// config schedules more than `MAX_PLAN_EVENTS` (10⁶) events.
+    pub fn validate(&self, horizon_s: f64) -> Result<(), SimError> {
+        in_unit_interval("chaos", self.intensity)?;
+        for (what, value) in [
+            ("chaos arrival rate", self.arrivals_per_min),
+            ("chaos departure rate", self.departures_per_min),
+            ("chaos swap rate", self.swaps_per_min),
+            ("chaos migration-check period", self.migration_check_s),
+            ("chaos probe-fault rate", self.probe_fault_rate),
+        ] {
+            non_negative(what, value)?;
+        }
+        if !(0.0..1.0).contains(&self.max_degradation) {
+            return Err(SimError::InvalidConfig {
+                reason: format!(
+                    "chaos degradation must lie in [0, 1), got {}",
+                    self.max_degradation
+                ),
+            });
+        }
+        if self.is_none() {
+            return Ok(());
+        }
+        let churn = (self.arrivals_per_min + self.departures_per_min + self.swaps_per_min)
+            * (horizon_s / 60.0);
+        let checks = if self.migration_check_s > 0.0 {
+            horizon_s / self.migration_check_s
+        } else {
+            0.0
+        };
+        bounded_plan("chaos", churn + checks)
+    }
 }
 
 impl Default for ChaosConfig {
@@ -166,7 +217,8 @@ impl FaultPlan {
     /// `[start_s, start_s + horizon_s]`. Pure: the result depends only on
     /// the arguments. `unit` is the experiment unit index (the same index
     /// that derives the unit's detection RNG), so sibling units get
-    /// decorrelated but individually reproducible plans.
+    /// decorrelated but individually reproducible plans. `config` should
+    /// have passed [`ChaosConfig::validate`] for `horizon_s`.
     pub fn compile(
         config: &ChaosConfig,
         seed: u64,
@@ -195,7 +247,7 @@ impl FaultPlan {
             (ChaosEvent::Swap, config.swaps_per_min),
         ];
         for (kind, per_min) in rates {
-            let n = plan.draw_count(per_min * config.intensity * minutes);
+            let n = draw_count(&mut plan.rng, per_min * config.intensity * minutes);
             for _ in 0..n {
                 let at = start_s + plan.rng.gen::<f64>() * horizon_s;
                 plan.events.push(PlannedFault { at, kind });
@@ -208,11 +260,17 @@ impl FaultPlan {
                     at,
                     kind: ChaosEvent::MigrationCheck,
                 });
-                at += config.migration_check_s;
+                // Far in the future a short period rounds away and `at`
+                // stops advancing: one check there, not an endless loop.
+                let next = at + config.migration_check_s;
+                if next == at {
+                    break;
+                }
+                at = next;
             }
         }
         if config.max_degradation > 0.0 {
-            let n = plan.draw_count(config.intensity * 2.0);
+            let n = draw_count(&mut plan.rng, config.intensity * 2.0);
             for _ in 0..n {
                 let at = start_s + plan.rng.gen::<f64>() * horizon_s;
                 let server = plan.rng.gen_range(0..1024usize);
@@ -228,17 +286,6 @@ impl FaultPlan {
         plan.events
             .sort_by(|a, b| a.at.partial_cmp(&b.at).unwrap_or(std::cmp::Ordering::Equal));
         plan
-    }
-
-    /// Expected-value count: `floor(expected)` plus a Bernoulli draw on the
-    /// fractional part, so small rates still fire sometimes.
-    fn draw_count(&mut self, expected: f64) -> usize {
-        if expected <= 0.0 {
-            return 0;
-        }
-        let base = expected.floor();
-        let frac = expected - base;
-        base as usize + usize::from(self.rng.gen::<f64>() < frac)
     }
 
     /// Marks VMs the engine must never terminate, swap, or migrate — the
@@ -520,6 +567,39 @@ impl StormConfig {
     pub fn is_none(&self) -> bool {
         self.intensity <= 0.0
     }
+
+    /// Rejects a config no plan over `horizon_s` can be compiled from.
+    /// Call it before [`StormPlan::compile`]: an unchecked infinite rate
+    /// compiles into an endless schedule. A burst counts as the requests
+    /// it injects, and every count is taken at full intensity.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] if the intensity is outside `[0, 1]`,
+    /// a rate, a window length, the stall or the churn factor is NaN,
+    /// infinite or negative, or an enabled config schedules more than
+    /// `MAX_PLAN_EVENTS` (10⁶) events.
+    pub fn validate(&self, horizon_s: f64) -> Result<(), SimError> {
+        in_unit_interval("storm", self.intensity)?;
+        for (what, value) in [
+            ("storm burst rate", self.bursts_per_min),
+            ("storm stall rate", self.stalls_per_min),
+            ("storm stall", self.stall_s),
+            ("storm stall window", self.stall_window_s),
+            ("storm churn-burst rate", self.churn_bursts_per_min),
+            ("storm churn-burst factor", self.churn_burst_factor),
+            ("storm churn-burst window", self.churn_burst_s),
+        ] {
+            non_negative(what, value)?;
+        }
+        if self.is_none() {
+            return Ok(());
+        }
+        let per_min = self.bursts_per_min * self.burst_size as f64
+            + self.stalls_per_min
+            + self.churn_bursts_per_min;
+        bounded_plan("storm", per_min * (horizon_s / 60.0))
+    }
 }
 
 impl Default for StormConfig {
@@ -544,7 +624,8 @@ pub struct StormPlan {
 impl StormPlan {
     /// Compiles `config` into a concrete schedule covering `[0, horizon_s]`.
     /// Pure: the result depends only on the arguments, so Serial and
-    /// `Threads(n)` service runs replay identical storms.
+    /// `Threads(n)` service runs replay identical storms. `config` should
+    /// have passed [`StormConfig::validate`] for `horizon_s`.
     pub fn compile(config: &StormConfig, seed: u64, horizon_s: f64) -> Self {
         let mut plan = StormPlan {
             bursts: Vec::new(),
@@ -556,14 +637,6 @@ impl StormPlan {
         }
         let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ config.salt, 0));
         let minutes = horizon_s / 60.0;
-        let draw_count = |rng: &mut StdRng, expected: f64| -> usize {
-            if expected <= 0.0 {
-                return 0;
-            }
-            let base = expected.floor();
-            let frac = expected - base;
-            base as usize + usize::from(rng.gen::<f64>() < frac)
-        };
 
         let n = draw_count(&mut rng, config.bursts_per_min * config.intensity * minutes);
         for _ in 0..n {
@@ -636,6 +709,52 @@ impl StormPlan {
     pub fn is_empty(&self) -> bool {
         self.bursts.is_empty() && self.stalls.is_empty() && self.churn_bursts.is_empty()
     }
+}
+
+/// Expected-value count: `floor(expected)` plus a Bernoulli draw on the
+/// fractional part, so small rates still fire sometimes.
+fn draw_count(rng: &mut StdRng, expected: f64) -> usize {
+    if expected <= 0.0 {
+        return 0;
+    }
+    let base = expected.floor();
+    let frac = expected - base;
+    base as usize + usize::from(rng.gen::<f64>() < frac)
+}
+
+/// Rejects a master dial outside `[0, 1]`, NaN included.
+fn in_unit_interval(injector: &str, intensity: f64) -> Result<(), SimError> {
+    if (0.0..=1.0).contains(&intensity) {
+        return Ok(());
+    }
+    Err(SimError::InvalidConfig {
+        reason: format!(
+            "{injector} intensity is {intensity}; injector intensities in [0, 1] scale the rates"
+        ),
+    })
+}
+
+/// Rejects a rate, period or factor that is NaN, infinite or negative.
+fn non_negative(what: &str, value: f64) -> Result<(), SimError> {
+    if value.is_finite() && value >= 0.0 {
+        return Ok(());
+    }
+    Err(SimError::InvalidConfig {
+        reason: format!("{what} must be finite and non-negative, got {value}"),
+    })
+}
+
+/// Rejects a plan of more than [`MAX_PLAN_EVENTS`] expected events; a NaN
+/// count (a NaN or infinite horizon) is rejected too.
+fn bounded_plan(injector: &str, events: f64) -> Result<(), SimError> {
+    if events <= MAX_PLAN_EVENTS {
+        return Ok(());
+    }
+    Err(SimError::InvalidConfig {
+        reason: format!(
+            "{injector} plan would schedule {events:.3e} events, more than {MAX_PLAN_EVENTS:e}"
+        ),
+    })
 }
 
 /// The same splitmix64 finalizer the experiment engine uses for per-unit
@@ -780,6 +899,101 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn validate_rejects_configs_that_compile_without_bound() {
+        let horizon = 3600.0;
+        let active = ChaosConfig::with_intensity(0.8);
+        assert_eq!(active.validate(horizon), Ok(()));
+        assert_eq!(ChaosConfig::none().validate(f64::INFINITY), Ok(()));
+        let bad = [
+            ChaosConfig {
+                arrivals_per_min: f64::INFINITY,
+                ..active
+            },
+            ChaosConfig {
+                swaps_per_min: 1e300,
+                ..active
+            },
+            ChaosConfig {
+                departures_per_min: -1.0,
+                ..active
+            },
+            // Positive, but 3.6e303 checks over the hour.
+            ChaosConfig {
+                migration_check_s: 1e-300,
+                ..active
+            },
+            ChaosConfig {
+                probe_fault_rate: f64::NAN,
+                ..active
+            },
+            ChaosConfig {
+                max_degradation: 1.0,
+                ..active
+            },
+            ChaosConfig {
+                intensity: f64::NAN,
+                ..active
+            },
+        ];
+        for config in bad {
+            assert!(
+                matches!(
+                    config.validate(horizon),
+                    Err(SimError::InvalidConfig { .. })
+                ),
+                "{config:?}"
+            );
+        }
+        // A sane config over a near-endless horizon is just as unbounded.
+        assert!(active.validate(1e300).is_err());
+
+        let storm = StormConfig::with_intensity(0.8);
+        assert_eq!(storm.validate(horizon), Ok(()));
+        for bad in [
+            StormConfig {
+                bursts_per_min: f64::INFINITY,
+                ..storm
+            },
+            StormConfig {
+                churn_bursts_per_min: 1e300,
+                ..storm
+            },
+            StormConfig {
+                burst_size: usize::MAX,
+                ..storm
+            },
+            StormConfig {
+                stall_s: f64::NAN,
+                ..storm
+            },
+            StormConfig {
+                intensity: 1.5,
+                ..storm
+            },
+        ] {
+            assert!(
+                matches!(bad.validate(horizon), Err(SimError::InvalidConfig { .. })),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn far_future_migration_checks_stop_when_time_stops_advancing() {
+        // At t = 1e300 adding a 60 s period rounds away; the schedule
+        // gets its one check there instead of looping forever.
+        let config = ChaosConfig::with_intensity(0.8);
+        assert_eq!(config.validate(600.0), Ok(()));
+        let plan = FaultPlan::compile(&config, 1, 0, 1e300, 600.0);
+        let checks = plan
+            .events()
+            .iter()
+            .filter(|e| e.kind == ChaosEvent::MigrationCheck)
+            .count();
+        assert_eq!(checks, 1);
     }
 
     #[test]
