@@ -301,17 +301,6 @@ impl Detection {
     }
 }
 
-/// A label observation over time, for phase tracking (Fig. 8).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseSample {
-    /// Simulated time of the detection.
-    pub time_s: f64,
-    /// The detected label at that time, if any.
-    pub label: Option<AppLabel>,
-    /// The completed pressure estimate at that time.
-    pub pressure: bolt_workloads::PressureVector,
-}
-
 /// Filters a snapshot's readings into recommendation observations: when no
 /// co-resident shares a physical core with the adversary, core readings of
 /// zero mean "cannot see", not "the co-resident is idle there" — pinning
@@ -441,7 +430,7 @@ impl ProbeWorld<'_> {
 /// The detection engine bound to one fitted recommender.
 ///
 /// The recommender is held behind an [`Arc`]: cloning a detector (or
-/// building many from one [`FitCache`](bolt_recommender::FitCache) entry)
+/// building many from one [`FitCache`](crate::FitCache) entry)
 /// shares the trained model rather than duplicating its factor matrices,
 /// and all `Parallelism::Threads(n)` hunt workers read the same fit.
 #[derive(Debug, Clone)]
@@ -1257,37 +1246,6 @@ impl Detector {
         }
         Ok((d, iterations, end_t - start_t))
     }
-
-    /// Tracks the co-resident's label over a time horizon, one detection
-    /// per interval — the Fig. 8 phase-tracking timeline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BoltError`] from [`Detector::detect`].
-    pub fn track_phases<R: Rng>(
-        &self,
-        cluster: &Cluster,
-        adversary: VmId,
-        start_t: f64,
-        horizon_s: f64,
-        rng: &mut R,
-    ) -> Result<Vec<PhaseSample>, BoltError> {
-        let mut out = Vec::new();
-        let mut t = start_t;
-        while t < start_t + horizon_s {
-            let d = self.detect(cluster, adversary, t, None, rng, &mut Telemetry::disabled())?;
-            out.push(PhaseSample {
-                time_s: t,
-                label: d.label().cloned(),
-                pressure: d
-                    .primary()
-                    .map(|r| r.completed)
-                    .unwrap_or_else(bolt_workloads::PressureVector::zero),
-            });
-            t += self.config.interval_s;
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -1445,20 +1403,6 @@ mod tests {
             .detect_until_telemetry(&cluster, adv, 0.0, |_| true, &mut r, &mut off)
             .unwrap();
         assert_eq!(iters, 1);
-    }
-
-    #[test]
-    fn track_phases_emits_samples_each_interval() {
-        let mut r = rng();
-        let victim = catalog::speccpu::profile(&catalog::speccpu::Benchmark::Mcf, &mut r);
-        let (cluster, adv) = cluster_with_victims(vec![victim], &mut r);
-        let samples = detector()
-            .track_phases(&cluster, adv, 0.0, 100.0, &mut r)
-            .unwrap();
-        assert_eq!(samples.len(), 5); // 100 s at 20 s intervals
-        for w in samples.windows(2) {
-            assert!(w[1].time_s > w[0].time_s);
-        }
     }
 
     #[test]

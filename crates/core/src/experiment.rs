@@ -11,9 +11,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use bolt_recommender::{
-    ContentHasher, FitCache, HybridRecommender, RecommenderConfig, TrainingData, TrainingExample,
-};
+use bolt_recommender::{HybridRecommender, RecommenderConfig, TrainingData, TrainingExample};
 use bolt_sim::vm::VmRole;
 use bolt_sim::{ChaosConfig, Cluster, FaultPlan, IsolationConfig, Scheduler, ServerSpec, VmId};
 use bolt_workloads::catalog::{cassandra, database, hadoop, memcached, spark, speccpu, webserver};
@@ -22,7 +20,7 @@ use bolt_workloads::{
     AppLabel, DatasetScale, PressureVector, Resource, ResourceCharacteristics, WorkloadProfile,
 };
 
-use crate::ctx::RunCtx;
+use crate::ctx::{FitCache, RunCtx};
 use crate::detector::{DegradedReason, Detector, DetectorConfig, RetryPolicy};
 use crate::parallel::{split_seed, sweep, Parallelism};
 use crate::telemetry::{Counter, Phase, Telemetry, TelemetryLog};
@@ -395,25 +393,12 @@ pub fn observed_training(
         .collect()
 }
 
-/// Content key for the observed training set: the catalog draw is fixed
-/// by `training_seed`, and [`observe_through`] folds in nothing but the
-/// per-resource isolation attenuations — so two configs sharing those
-/// bits share the training set, however much the rest differs.
-pub(crate) fn training_data_key(training_seed: u64, isolation: &IsolationConfig) -> u64 {
-    let mut h = ContentHasher::new();
-    h.write_u64(training_seed);
-    for r in Resource::ALL {
-        h.write_f64(isolation.attenuation(r));
-    }
-    h.finish().as_u128() as u64
-}
-
-/// The one fit path of the driver stack: builds (or recalls) the observed
-/// training set for `(training_seed, isolation)` and fits (or recalls)
-/// the recommender for it under `recommender` through `cache`.
+/// The one fit path of the driver stack: recalls the recommender for
+/// `(training_seed, isolation, recommender)` from `cache`, or builds the
+/// observed training set and fits it.
 ///
-/// Telemetry contract: a cache miss records a [`Phase::RecommenderFit`]
-/// span plus a [`Counter::FitCacheMiss`]; a hit records a
+/// Telemetry contract: a cache miss records a [`Counter::FitCacheMiss`]
+/// plus a [`Phase::RecommenderFit`] span; a hit records a
 /// [`Counter::FitCacheHit`] and **no** fit span (no training ran).
 ///
 /// # Errors
@@ -426,16 +411,19 @@ pub fn shared_recommender(
     cache: &FitCache,
     telemetry: &mut Telemetry,
 ) -> Result<Arc<HybridRecommender>, BoltError> {
-    let data = cache.training_data(training_data_key(training_seed, isolation), || {
-        TrainingData::from_examples(observed_training(&training_set(training_seed), isolation))
-    })?;
-    let clock = telemetry.begin();
-    let (model, hit) = cache.fit(&data, recommender)?;
-    if hit {
-        telemetry.count(Counter::FitCacheHit, 1);
-    } else {
+    let (model, hit) = cache.get_or_fit(training_seed, isolation, recommender, || {
+        let data = TrainingData::from_examples(observed_training(
+            &training_set(training_seed),
+            isolation,
+        ))?;
+        let clock = telemetry.begin();
+        let model = HybridRecommender::fit(data, recommender)?;
         telemetry.count(Counter::FitCacheMiss, 1);
         telemetry.span(Phase::RecommenderFit, 0.0, 0.0, clock);
+        Ok(model)
+    })?;
+    if hit {
+        telemetry.count(Counter::FitCacheHit, 1);
     }
     Ok(model)
 }
@@ -459,8 +447,7 @@ pub struct Testbed {
 /// over the same `(training_seed, isolation, recommender)` train exactly
 /// once. Cache hits are byte-identical to refits
 /// ([`HybridRecommender::fit`] is pure), so results never depend on the
-/// cache; [`FitCache::disabled`] restores the train-every-time path
-/// exactly. The fit's telemetry (see [`shared_recommender`]) records into
+/// cache. The fit's telemetry (see [`shared_recommender`]) records into
 /// `telemetry`; the launches stay in the cluster's event log.
 ///
 /// # Errors
@@ -914,16 +901,6 @@ mod tests {
             (0, 1, 0),
             "warm run: a hit counter and no fit span"
         );
-        // A disabled cache always trains, and says so.
-        let (_, honest) = run_experiment(
-            &config,
-            &LeastLoaded,
-            &RunCtx::new(&FitCache::disabled(), true),
-        )
-        .unwrap();
-        assert_eq!(fit_events(&honest), (1, 0, 1));
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]

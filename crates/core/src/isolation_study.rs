@@ -115,19 +115,17 @@ pub fn run_isolation_study(
 
     // Pre-warm the distinct observation channels on this thread: cells
     // then hit the cache deterministically however they are scheduled
-    // (racing two parallel cells on a cold shared fingerprint would make
+    // (racing two parallel cells on a cold shared key would make
     // the per-cell hit/miss telemetry thread-count dependent).
     let mut prelude = ctx.unit(0);
-    if ctx.fit_cache.is_enabled() {
-        for isolation in &tasks {
-            shared_recommender(
-                base.training_seed,
-                isolation,
-                base.recommender,
-                ctx.fit_cache,
-                &mut prelude,
-            )?;
-        }
+    for isolation in &tasks {
+        shared_recommender(
+            base.training_seed,
+            isolation,
+            base.recommender,
+            ctx.fit_cache,
+            &mut prelude,
+        )?;
     }
 
     let outcomes = sweep(&tasks, base.parallelism, |idx, isolation| {
@@ -185,7 +183,7 @@ pub fn run_isolation_study(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bolt_recommender::FitCache;
+    use crate::FitCache;
 
     fn run_study(base: &ExperimentConfig) -> IsolationStudy {
         run_isolation_study(base, &RunCtx::new(&FitCache::new(), false))

@@ -92,8 +92,7 @@ pub mod telemetry;
 pub mod user_study;
 
 pub use anytime::AnytimeInfo;
-pub use bolt_recommender::{FitCache, FitCacheStats};
-pub use ctx::RunCtx;
+pub use ctx::{FitCache, RunCtx};
 pub use detector::{DegradedReason, Detection, Detector, DetectorConfig, RetryPolicy};
 pub use error::BoltError;
 pub use experiment::{

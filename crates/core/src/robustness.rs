@@ -105,7 +105,7 @@ pub fn churn_sweep<S: Scheduler>(
 mod tests {
     use super::*;
     use crate::parallel::Parallelism;
-    use bolt_recommender::FitCache;
+    use crate::FitCache;
     use bolt_sim::LeastLoaded;
 
     fn small_base() -> ExperimentConfig {

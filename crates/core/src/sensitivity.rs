@@ -13,12 +13,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use bolt_probes::ProfilerConfig;
-use bolt_recommender::FitCache;
 use bolt_sim::vm::VmRole;
 use bolt_sim::{Cluster, LeastLoaded, ServerSpec, VmId};
 use bolt_workloads::{AppLabel, PressureVector, WorkloadProfile};
 
-use crate::ctx::RunCtx;
+use crate::ctx::{FitCache, RunCtx};
 use crate::detector::{Detector, DetectorConfig};
 use crate::experiment::{run_experiment, shared_recommender, victim_set, ExperimentConfig};
 use crate::parallel::{sweep, Parallelism};
@@ -155,9 +154,9 @@ impl PhasedVictim {
 /// Each interval builds its own single-server scene with an RNG derived
 /// from `seed` and the interval value, so intervals are independent and
 /// fan out over `parallelism` with results identical to a serial run.
-/// Every interval shares one training configuration, so with an enabled
-/// `ctx.fit_cache` the sweep pre-warms the cache on the calling thread
-/// before fanning out — each worker then hits deterministically.
+/// Every interval shares one training configuration, so the sweep
+/// pre-warms `ctx.fit_cache` on the calling thread before fanning out —
+/// each worker then hits deterministically.
 ///
 /// Telemetry: the pre-warm fit records as unit 0; interval `i` records
 /// its re-detections' pipeline spans and probe counts plus the victim's
@@ -177,15 +176,13 @@ pub fn profiling_interval_sweep(
 ) -> Result<(Vec<SweepPoint>, TelemetryLog), BoltError> {
     let base = ExperimentConfig::default();
     let mut prelude = ctx.unit(0);
-    if ctx.fit_cache.is_enabled() {
-        shared_recommender(
-            base.training_seed,
-            &base.isolation,
-            base.recommender,
-            ctx.fit_cache,
-            &mut prelude,
-        )?;
-    }
+    shared_recommender(
+        base.training_seed,
+        &base.isolation,
+        base.recommender,
+        ctx.fit_cache,
+        &mut prelude,
+    )?;
     let per_point: Result<Vec<_>, BoltError> =
         sweep(intervals_s, parallelism, |unit, &interval| {
             let mut telemetry = ctx.unit(unit);

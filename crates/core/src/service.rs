@@ -37,7 +37,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use bolt_recommender::{FitCache, HybridRecommender, RecommenderConfig};
+use bolt_recommender::{HybridRecommender, RecommenderConfig};
 use bolt_sim::vm::VmRole;
 use bolt_sim::{
     ChaosConfig, Cluster, FaultPlan, IsolationConfig, ServerSpec, StormConfig, StormPlan,
@@ -47,7 +47,7 @@ use bolt_workloads::catalog::memcached;
 use bolt_workloads::{AppLabel, LoadPattern, PressureVector, WorkloadProfile};
 
 use crate::anytime::FIXED_WINDOW_NOMINAL_PROBES;
-use crate::ctx::RunCtx;
+use crate::ctx::{FitCache, RunCtx};
 use crate::detector::{DegradedReason, Detector, DetectorConfig, RetryPolicy};
 use crate::events::EventQueue;
 use crate::experiment::{shared_recommender, victim_set};

@@ -140,7 +140,7 @@ pub enum Counter {
     /// Recommender fits served from the [`FitCache`] — no training ran
     /// and no [`Phase::RecommenderFit`] span is recorded.
     ///
-    /// [`FitCache`]: bolt_recommender::FitCache
+    /// [`FitCache`]: crate::FitCache
     FitCacheHit,
     /// Recommender fits that missed the cache and trained from scratch
     /// (always paired with a [`Phase::RecommenderFit`] span).

@@ -138,18 +138,6 @@ impl UserStudyResults {
             })
             .collect()
     }
-
-    /// Histogram of jobs per instance: index = instance, value = jobs that
-    /// ran there (Fig. 12c's intensity).
-    pub fn jobs_per_instance(&self, instances: usize) -> Vec<usize> {
-        let mut h = vec![0usize; instances];
-        for r in &self.records {
-            if r.instance < instances {
-                h[r.instance] += 1;
-            }
-        }
-        h
-    }
 }
 
 /// Deferred detection work for one placed job: everything the detector
@@ -412,7 +400,7 @@ pub fn run_user_study(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bolt_recommender::FitCache;
+    use crate::FitCache;
 
     fn study() -> UserStudyResults {
         run_user_study(&small(), &RunCtx::new(&FitCache::new(), false))
@@ -470,8 +458,6 @@ mod tests {
         let results = study();
         let total: usize = results.per_label().iter().map(|&(_, n, _, _)| n).sum();
         assert_eq!(total, results.records.len());
-        let jobs: usize = results.jobs_per_instance(12).iter().sum();
-        assert_eq!(jobs, results.records.len());
     }
 
     #[test]

@@ -305,7 +305,7 @@ proptest! {
 /// check, so a zero or negative ramp step reaches the probes themselves.
 #[test]
 fn user_study_rejects_a_non_positive_ramp_step() {
-    for step in [0.0, -1.0] {
+    for step in [0.0, -1.0, 1e-300] {
         let mut config = UserStudyConfig {
             instances: 2,
             users: 1,

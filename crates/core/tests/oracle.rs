@@ -6,7 +6,6 @@
 //! | unrolled kernels (`bolt_linalg::kernels`) | `kernels::reference`, in scope  |
 //! | residency index + aggregate cache         | full-arena scan, in scope       |
 //! | cross-hunt sweep sharing                  | `share_sweeps: false`           |
-//! | fit cache                                 | `FitCache::disabled()`          |
 //! | thread fan-out (`Threads(n)`)             | `Parallelism::Serial`           |
 //!
 //! "In scope" means inside `bolt_linalg::oracle::reference`, a thread-local
@@ -17,9 +16,10 @@
 //! One property draws a driver (`run_experiment`, `run_service`, or
 //! `run_service` on the region preset) and a configuration, runs both
 //! stacks, and demands byte-equal results and byte-equal normalized
-//! telemetry. The same check pins the fit cache: a threaded run with a
-//! fresh cache reports the cache statistics a serial run does, and a rerun
-//! against the warmed cache hits exactly once and reproduces the bytes.
+//! telemetry. Both stacks fit through a fresh cache, so the telemetry
+//! comparison also pins the fit cache's hit and miss counts across thread
+//! counts; a rerun against the warmed cache hits exactly once and
+//! reproduces the bytes.
 //! Fixed draws add the benchmark configuration, the anytime window and the
 //! MRC channel at fixed seeds, a stormy service and a 1,000-server region;
 //! a last test compares the fitted recommender itself.
@@ -49,10 +49,17 @@ enum Job {
     Service(ServiceConfig),
 }
 
-/// Runs `job`. Returns the result's `Debug` form (`f64`'s `Debug`
-/// round-trips, so equal strings mean equal bits) and the normalized
-/// telemetry as JSONL without the [`OPTIMISATION_COUNTERS`].
-fn run(job: &Job, parallelism: Parallelism, share_sweeps: bool, cache: &FitCache) -> [String; 2] {
+/// A run's result in `Debug` form (`f64`'s `Debug` round-trips, so equal
+/// strings mean equal bits), its normalized telemetry as JSONL without the
+/// [`OPTIMISATION_COUNTERS`], and its fit-cache `[hits, misses]`.
+struct Run {
+    result: String,
+    telemetry: String,
+    fits: [u64; 2],
+}
+
+/// Runs `job`.
+fn run(job: &Job, parallelism: Parallelism, share_sweeps: bool, cache: &FitCache) -> Run {
     let ctx = RunCtx::new(cache, true);
     let (result, log) = match *job {
         Job::Experiment(config) => {
@@ -74,13 +81,15 @@ fn run(job: &Job, parallelism: Parallelism, share_sweeps: bool, cache: &FitCache
             (format!("{report:#?}"), log)
         }
     };
+    let fits = [Counter::FitCacheHit, Counter::FitCacheMiss].map(|c| log.counter_total(c));
     let events = log.normalized().into_events().into_iter().filter(|e| {
         !matches!(e, TelemetryEvent::Count { counter, .. } if OPTIMISATION_COUNTERS.contains(counter))
     });
-    [
+    Run {
         result,
-        TelemetryLog::from_events(events.collect()).to_jsonl(),
-    ]
+        telemetry: TelemetryLog::from_events(events.collect()).to_jsonl(),
+        fits,
+    }
 }
 
 /// `fast` and `slow` are byte-equal; otherwise names the first line that
@@ -102,20 +111,18 @@ fn same(what: &str, fast: &str, slow: &str) -> Result<(), TestCaseError> {
 fn check(job: &Job, threads: usize) -> Result<(), TestCaseError> {
     let threads = Parallelism::Threads(threads);
     let cache = FitCache::new();
-    let [result, telemetry] = run(job, threads, true, &cache);
-    let [ref_result, ref_telemetry] =
-        oracle::reference(|| run(job, Parallelism::Serial, false, &FitCache::disabled()));
-    same("result", &result, &ref_result)?;
-    same("telemetry", &telemetry, &ref_telemetry)?;
+    let fast = run(job, threads, true, &cache);
+    let slow = oracle::reference(|| run(job, Parallelism::Serial, false, &FitCache::new()));
+    same("result", &fast.result, &slow.result)?;
+    same("telemetry", &fast.telemetry, &slow.telemetry)?;
+    // Every driver fits once; a fresh cache misses at any thread count.
+    prop_assert_eq!(fast.fits, [0, 1]);
+    prop_assert_eq!(slow.fits, [0, 1]);
 
-    // Thread count never changes the cache's accounting.
-    let serial_cache = FitCache::new();
-    run(job, Parallelism::Serial, true, &serial_cache);
-    prop_assert_eq!(serial_cache.stats(), cache.stats());
     // A warm cache changes wall-clock only: one hit, the same bytes.
-    let [warm, _] = run(job, threads, true, &cache);
-    prop_assert_eq!(cache.stats().hits, 1);
-    same("warm-cache result", &result, &warm)
+    let warm = run(job, threads, true, &cache);
+    prop_assert_eq!(warm.fits, [1, 0]);
+    same("warm-cache result", &fast.result, &warm.result)
 }
 
 /// Fails a fixed (non-proptest) test with `result`'s message.
@@ -228,7 +235,7 @@ fn fixed_configurations_match_the_reference_stack() {
 fn fitted_model_matches_the_reference_fit() {
     let config = ExperimentConfig::default();
     let fit = || {
-        let cache = FitCache::disabled();
+        let cache = FitCache::new();
         let (seed, isolation) = (config.training_seed, &config.isolation);
         let model = shared_recommender(
             seed,

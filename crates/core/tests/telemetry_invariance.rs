@@ -102,3 +102,32 @@ fn family_heatmap_is_telemetry_invariant() {
     assert_eq!(log.counter_total(Counter::ProbeSamples), 100);
     assert!(log.to_jsonl().contains("\"content-match\""));
 }
+
+/// The pre-warm rule of [`FitCache`]: sweeps that share one fit across
+/// parallel units warm it on the calling thread first, so every unit's
+/// hit/miss counters (and so the whole normalized stream) are the same at
+/// any thread count. Each run gets a fresh cache.
+#[test]
+fn pre_warmed_sweeps_trace_the_same_at_any_thread_count() {
+    let trace = |parallelism: Parallelism| {
+        let (study_cache, sweep_cache) = (FitCache::new(), FitCache::new());
+        let base = ExperimentConfig {
+            servers: 4,
+            victims: 4,
+            parallelism,
+            ..ExperimentConfig::default()
+        };
+        let (_, study) = run_isolation_study(&base, &RunCtx::new(&study_cache, true)).unwrap();
+        let ctx = RunCtx::new(&sweep_cache, true);
+        let intervals = [30.0, 60.0, 120.0];
+        let (_, sweep) =
+            profiling_interval_sweep(&intervals, 60.0, 240.0, 0xF16A, parallelism, &ctx).unwrap();
+        [study, sweep].map(|log| log.normalized().to_jsonl())
+    };
+    let [serial_study, serial_sweep] = trace(Parallelism::Serial);
+    let [threaded_study, threaded_sweep] = trace(Parallelism::Threads(3));
+    assert!(serial_study.contains("\"fit-cache-hit\""));
+    assert!(serial_sweep.contains("\"fit-cache-hit\""));
+    assert!(serial_study == threaded_study, "isolation study diverged");
+    assert!(serial_sweep == threaded_sweep, "interval sweep diverged");
+}

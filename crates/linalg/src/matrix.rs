@@ -145,20 +145,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copies column `c` into a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= self.cols()`.
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        assert!(
-            c < self.cols,
-            "column index {c} out of bounds ({})",
-            self.cols
-        );
-        (0..self.rows).map(|r| self[(r, c)]).collect()
-    }
-
     /// The underlying row-major buffer.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
@@ -446,10 +432,9 @@ mod tests {
     }
 
     #[test]
-    fn row_and_col_access() {
+    fn row_access() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         assert_eq!(a.row(1), &[3.0, 4.0]);
-        assert_eq!(a.col(0), vec![1.0, 3.0]);
     }
 
     #[test]

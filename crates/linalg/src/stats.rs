@@ -58,15 +58,6 @@ pub fn variance(xs: &[f64]) -> Result<f64, LinalgError> {
     Ok(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
 }
 
-/// Population standard deviation.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::InsufficientData`] if `xs` is empty.
-pub fn std_dev(xs: &[f64]) -> Result<f64, LinalgError> {
-    Ok(variance(xs)?.sqrt())
-}
-
 /// The `p`-th percentile (0–100) by linear interpolation between order
 /// statistics, matching the common "linear" method.
 ///
@@ -340,7 +331,6 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs).unwrap(), 5.0);
         assert_eq!(variance(&xs).unwrap(), 4.0);
-        assert_eq!(std_dev(&xs).unwrap(), 2.0);
         assert!(mean(&[]).is_err());
     }
 

@@ -16,7 +16,7 @@
 
 use rand::Rng;
 
-use bolt_sim::{Cluster, SimError, VmId};
+use bolt_sim::{Cluster, SimError, VmId, MAX_PLAN_EVENTS};
 use bolt_workloads::Resource;
 
 /// Configuration of the ramp protocol.
@@ -102,7 +102,9 @@ impl Microbenchmark {
     ///
     /// Returns [`SimError::UnknownVm`] if `observer` is not placed, and
     /// [`SimError::InvalidConfig`] unless `config.step` is finite and
-    /// positive (the ramp would never reach its ceiling).
+    /// positive with a worst-case trip count, `100 / step`, of at most
+    /// [`MAX_PLAN_EVENTS`]: a zero step never reaches the ceiling, and a
+    /// step of 1e-300 would take ~10³⁰² steps to.
     pub fn measure<R: Rng>(
         &self,
         cluster: &Cluster,
@@ -111,7 +113,8 @@ impl Microbenchmark {
         config: &RampConfig,
         rng: &mut R,
     ) -> Result<ProbeReading, SimError> {
-        if !(config.step.is_finite() && config.step > 0.0) {
+        if !(config.step.is_finite() && config.step > 0.0 && 100.0 / config.step <= MAX_PLAN_EVENTS)
+        {
             return Err(bad_step(config.step));
         }
         // The benchmark dwells on the resource for many of the victim's
@@ -188,7 +191,9 @@ impl Microbenchmark {
 #[cold]
 fn bad_step(step: f64) -> SimError {
     SimError::InvalidConfig {
-        reason: format!("ramp step must be finite and positive, got {step}"),
+        reason: format!(
+            "ramp step must be finite, positive and reach 100% within {MAX_PLAN_EVENTS:e} steps, got {step}"
+        ),
     }
 }
 
@@ -373,7 +378,7 @@ mod tests {
     fn non_positive_ramp_step_is_rejected() {
         let (cluster, adv) = setup(PressureVector::from_pairs(&[(Resource::MemBw, 60.0)]));
         let bench = Microbenchmark::new(Resource::MemBw);
-        for step in [0.0, -1.0] {
+        for step in [0.0, -1.0, 1e-300, f64::MIN_POSITIVE] {
             let config = RampConfig {
                 step,
                 ..RampConfig::default()

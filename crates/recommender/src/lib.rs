@@ -24,11 +24,9 @@
 
 #![warn(missing_docs)]
 
-mod cache;
 mod dataset;
 mod hybrid;
 
-pub use cache::{fingerprint, ContentHasher, Fingerprint, FitCache, FitCacheStats};
 pub use dataset::{TrainingData, TrainingExample};
 pub use hybrid::{
     HybridRecommender, Recommendation, RecommenderConfig, RecommenderStats, SimilarityScore,

@@ -1,10 +1,6 @@
 //! Property-based tests for the hybrid recommender's invariants.
 
-use std::sync::{Arc, OnceLock};
-
-use bolt_recommender::{
-    FitCache, HybridRecommender, RecommenderConfig, RecommenderStats, TrainingData,
-};
+use bolt_recommender::{HybridRecommender, RecommenderConfig, RecommenderStats, TrainingData};
 use bolt_workloads::training::training_set;
 use bolt_workloads::Resource;
 use proptest::prelude::*;
@@ -21,23 +17,6 @@ fn decompose(rec: &HybridRecommender, mix: &[(Resource, f64)], k: usize) -> Vec<
 fn recommender() -> HybridRecommender {
     let data = TrainingData::from_profiles(&training_set(7)).expect("training data");
     HybridRecommender::fit(data, RecommenderConfig::default()).expect("fit")
-}
-
-/// A cache-hit model and an independently fitted model over the same
-/// training inputs, fitted once for the whole property run.
-fn cached_and_fresh() -> &'static (Arc<HybridRecommender>, HybridRecommender) {
-    static MODELS: OnceLock<(Arc<HybridRecommender>, HybridRecommender)> = OnceLock::new();
-    MODELS.get_or_init(|| {
-        let data = TrainingData::from_profiles(&training_set(7)).expect("training data");
-        let config = RecommenderConfig::default();
-        let cache = FitCache::new();
-        let (_, miss_hit) = cache.fit(&data, config).expect("warm fit");
-        assert!(!miss_hit, "first fit must miss");
-        let (cached, hit) = cache.fit(&data, config).expect("cached fit");
-        assert!(hit, "second fit must hit");
-        let fresh = HybridRecommender::fit(data, config).expect("fresh fit");
-        (cached, fresh)
-    })
 }
 
 proptest! {
@@ -121,43 +100,6 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&explained));
         }
         let _ = seed;
-    }
-
-    #[test]
-    fn cache_hit_model_matches_fresh_fit_bit_for_bit(
-        seed in 0u64..500,
-        la in 0.3f64..1.0,
-        lb in 0.3f64..1.0,
-        i in 0usize..120,
-        j in 0usize..120,
-    ) {
-        // A model served from the fit cache must be indistinguishable from
-        // one trained from scratch on the same inputs: identical mixture
-        // decompositions and identical recommendations (completed profile
-        // and similarity scores), bit for bit, under arbitrary observations.
-        let (cached, fresh) = cached_and_fresh();
-        let n = cached.training_data().len();
-        let (i, j) = (i % n, j % n);
-        let a = cached.training_data().example(i).pressure;
-        let b = cached.training_data().example(j).pressure;
-        let mix: Vec<(Resource, f64)> = Resource::UNCORE
-            .iter()
-            .map(|&r| (r, (la * a[r] + lb * b[r]).min(100.0)))
-            .collect();
-        prop_assert_eq!(
-            decompose(cached, &mix, 2),
-            decompose(fresh, &mix, 2)
-        );
-        let obs: Vec<(Resource, f64)> = mix[..3].to_vec();
-        let rc = cached
-            .recommend(&obs, &mut StdRng::seed_from_u64(seed))
-            .expect("cached recommendation");
-        let rf = fresh
-            .recommend(&obs, &mut StdRng::seed_from_u64(seed))
-            .expect("fresh recommendation");
-        // `Debug` prints every f64 in round-trip form: equal strings are
-        // equal bits.
-        prop_assert_eq!(format!("{rc:?}"), format!("{rf:?}"));
     }
 
     #[test]

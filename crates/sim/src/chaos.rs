@@ -33,11 +33,12 @@ use crate::error::SimError;
 use crate::trace::ProbeFaultKind;
 use crate::vm::{VmId, VmRole};
 
-/// Most events one compiled plan may schedule at full intensity. A config
-/// past it is a typo rather than a workload (an infinite rate, a vanishing
-/// check period, a near-endless horizon): compiling it would allocate
-/// without bound, so the `validate` methods reject it.
-const MAX_PLAN_EVENTS: f64 = 1.0e6;
+/// Most events one compiled plan may schedule at full intensity, and most
+/// steps one probe ramp may take. A config past it is a typo rather than a
+/// workload (an infinite rate, a vanishing check period or ramp step, a
+/// near-endless horizon): running it would allocate or loop without
+/// bound, so the `validate` methods and the ramp reject it.
+pub const MAX_PLAN_EVENTS: f64 = 1.0e6;
 
 /// Knobs for the chaos engine. All rates are specified at `intensity = 1.0`
 /// and scale linearly with [`ChaosConfig::intensity`]; an intensity of zero

@@ -49,7 +49,9 @@ mod storage;
 pub mod trace;
 pub mod vm;
 
-pub use chaos::{ChaosConfig, ChaosEvent, FaultPlan, PlannedFault, StormConfig, StormPlan};
+pub use chaos::{
+    ChaosConfig, ChaosEvent, FaultPlan, PlannedFault, StormConfig, StormPlan, MAX_PLAN_EVENTS,
+};
 pub use cluster::{Cluster, StorageStats};
 pub use error::SimError;
 pub use isolation::{IsolationConfig, Mechanisms, OsSetting};

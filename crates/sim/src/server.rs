@@ -279,28 +279,6 @@ impl Server {
         self.slots.get(slot).copied().flatten()
     }
 
-    /// The set of *other* VMs that share at least one physical core with
-    /// `vm` (i.e. own the sibling hyperthread of one of `vm`'s threads).
-    pub fn core_neighbors(&self, vm: VmId) -> Vec<VmId> {
-        let tpc = self.spec.threads_per_core as usize;
-        let mut out = Vec::new();
-        for (slot, &owner) in self.slots.iter().enumerate() {
-            if owner != Some(vm) {
-                continue;
-            }
-            let core = slot / tpc;
-            for s in core * tpc..(core + 1) * tpc {
-                if let Some(other) = self.slots[s] {
-                    if other != vm && !out.contains(&other) {
-                        out.push(other);
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// The VMs owning at least one hyperthread of physical core `core`,
     /// sorted by ascending id. At most `threads_per_core` entries, so
     /// per-core neighbor queries cost O(siblings) instead of a scan over
@@ -377,7 +355,6 @@ mod tests {
         assert_eq!(threads, vec![8, 10, 12, 14, 1, 3]);
         // VM 2 now shares cores 0 and 1 with VM 1.
         assert_eq!(s.shared_cores(VmId(1), VmId(2)), vec![0, 1]);
-        assert_eq!(s.core_neighbors(VmId(1)), vec![VmId(2)]);
     }
 
     #[test]

@@ -149,28 +149,6 @@ impl LoadPattern {
         raw.clamp(0.0, 1.0)
     }
 
-    /// The long-run mean level, estimated by sampling one full period.
-    pub fn mean_level(&self) -> f64 {
-        let horizon = match self {
-            LoadPattern::Constant { .. } => 1.0,
-            LoadPattern::Diurnal { .. } => DAY_SECONDS,
-            LoadPattern::Bursty { period, .. } => period.max(1.0),
-            LoadPattern::OnOff {
-                on_secs, off_secs, ..
-            } => (on_secs + off_secs).max(1.0),
-            LoadPattern::Phased { schedule } => schedule
-                .iter()
-                .map(|(d, _)| d.max(0.0))
-                .sum::<f64>()
-                .max(1.0),
-        };
-        let samples = 200;
-        (0..samples)
-            .map(|i| self.level(horizon * i as f64 / samples as f64))
-            .sum::<f64>()
-            / samples as f64
-    }
-
     /// True if the pattern has pronounced low-load windows (level below
     /// `threshold` for some part of its cycle) — the property that makes
     /// shutter profiling effective.
@@ -292,18 +270,6 @@ mod tests {
             phase: 0.0,
         };
         assert_eq!(p.level(-100.0), p.level(0.0));
-    }
-
-    #[test]
-    fn mean_level_between_extremes() {
-        let p = LoadPattern::OnOff {
-            on_level: 1.0,
-            off_level: 0.0,
-            on_secs: 5.0,
-            off_secs: 5.0,
-        };
-        let m = p.mean_level();
-        assert!((0.4..=0.6).contains(&m), "mean {m}");
     }
 
     #[test]

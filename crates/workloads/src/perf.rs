@@ -136,20 +136,6 @@ pub fn qps_loss(profile: &WorkloadProfile, interference: &PressureVector, load: 
     loss.clamp(0.0, 0.95)
 }
 
-/// A summarized performance observation for one victim at one instant —
-/// the record the attack experiments aggregate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PerfSample {
-    /// Simulated time of the sample (seconds).
-    pub time_s: f64,
-    /// p99 latency in milliseconds (interactive) at this instant.
-    pub p99_latency_ms: f64,
-    /// Slowdown factor relative to the uncontended baseline.
-    pub slowdown: f64,
-    /// Host CPU utilization in percent at this instant.
-    pub host_cpu_utilization: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

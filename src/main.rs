@@ -105,7 +105,6 @@ FLAGS (all optional):
     --mrc             enable the miss-rate-curve detection channel (default off)
     --anytime         enable the anytime iterative-deepening window (default off)
     --confidence-threshold X  anytime early-exit confidence (default 0.7)
-    --no-fit-cache    retrain the recommender at every use instead of caching fits
     --requests N      service requests in the base trace      (default 200)
     --rate X          service arrivals per simulated minute   (default 2.0)
     --workers N       service probe-worker lanes              (default 3)
@@ -121,7 +120,7 @@ FLAGS (all optional):
 
 /// Flags that take no value: `--mrc` alone means `--mrc true`, while an
 /// explicit `--mrc false` (or `=false`) still parses.
-const BOOLEAN_FLAGS: [&str; 4] = ["mrc", "anytime", "no-fit-cache", "region"];
+const BOOLEAN_FLAGS: [&str; 3] = ["mrc", "anytime", "region"];
 
 /// Parsed `--flag value` pairs (also accepts `--flag=value`). Values stay
 /// strings until a command asks for them, so path-valued flags like
@@ -207,16 +206,6 @@ impl Flags {
         self.reject_unread()?;
         Ok(trace)
     }
-
-    /// The run's fit cache: shared across every fit of the command unless
-    /// `--no-fit-cache` asked for honest retrains.
-    fn fit_cache(&self) -> Result<FitCache, String> {
-        Ok(if self.bool("no-fit-cache")? {
-            FitCache::disabled()
-        } else {
-            FitCache::new()
-        })
-    }
 }
 
 fn parse_flags(args: impl Iterator<Item = String>) -> Result<Flags, String> {
@@ -291,7 +280,7 @@ fn experiment_config(flags: &Flags) -> Result<ExperimentConfig, String> {
 
 fn cmd_detect(flags: &Flags) -> Result<(), String> {
     let config = experiment_config(flags)?;
-    let cache = flags.fit_cache()?;
+    let cache = FitCache::new();
     let trace = flags.finish()?;
     eprintln!(
         "running the controlled experiment: {} victims on {} servers...",
@@ -326,7 +315,7 @@ fn cmd_detect(flags: &Flags) -> Result<(), String> {
 
 fn cmd_table1(flags: &Flags) -> Result<(), String> {
     let config = experiment_config(flags)?;
-    let cache = flags.fit_cache()?;
+    let cache = FitCache::new();
     let trace = flags.finish()?;
     eprintln!("running the controlled experiment twice (LL, Quasar)...");
     // Both schedulers see the same cluster physics, so one cache means the
@@ -367,7 +356,7 @@ fn cmd_study(flags: &Flags) -> Result<(), String> {
     if let Some(seed) = flags.u64("seed")? {
         config.seed = seed;
     }
-    let cache = flags.fit_cache()?;
+    let cache = FitCache::new();
     let trace = flags.finish()?;
     eprintln!(
         "running the user study: {} jobs on {} instances...",
@@ -396,7 +385,7 @@ fn cmd_isolation(flags: &Flags) -> Result<(), String> {
         victims: flags.usize("victims", 24)?,
         ..ExperimentConfig::default()
     };
-    let cache = flags.fit_cache()?;
+    let cache = FitCache::new();
     let trace = flags.finish()?;
     eprintln!("running 21 detection experiments (3 settings x 7 stacks)...");
     let ctx = RunCtx::new(&cache, trace.on());
@@ -561,7 +550,7 @@ fn cmd_coresidency(flags: &Flags) -> Result<(), String> {
 
     let servers = flags.usize("servers", 40)?;
     let seed = flags.u64("seed")?.unwrap_or(0xC0DE);
-    let cache = flags.fit_cache()?;
+    let cache = FitCache::new();
     let trace = flags.finish()?;
     let mut rng = StdRng::seed_from_u64(seed);
     let isolation = IsolationConfig::cloud_default();
@@ -654,7 +643,7 @@ fn cmd_robustness(flags: &Flags) -> Result<(), String> {
         victims: flags.usize("victims", 16)?,
         ..experiment_config(flags)?
     };
-    let cache = flags.fit_cache()?;
+    let cache = FitCache::new();
     let trace = flags.finish()?;
     let intensities = [0.0, 0.25, 0.5, 0.75, 1.0];
     eprintln!(
@@ -790,7 +779,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             other => return Err(format!("--shed needs degrade or reject, got `{other}`")),
         };
     }
-    let cache = flags.fit_cache()?;
+    let cache = FitCache::new();
     let trace = flags.finish()?;
 
     eprintln!(
@@ -935,14 +924,19 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("finite confidence threshold"), "{err}");
-        // The warm-start refit path is gone, so its flag is unknown. The
-        // name is assembled so that a search for it finds no live code.
-        let removed = ["--warm", "-refit"].concat();
-        let err = run("serve", &["--requests", "5", &removed, "true"]).unwrap_err();
-        assert!(
-            err.contains("unknown flag") && err.contains(&removed),
-            "{err}"
-        );
+        // The warm-start refit path and the uncached fit path are gone, so
+        // their flags are unknown. The names are assembled so that a search
+        // for them finds no live code.
+        for removed in [
+            ["--warm", "-refit"].concat(),
+            ["--no-fit", "-cache"].concat(),
+        ] {
+            let err = run("serve", &["--requests", "5", &removed, "true"]).unwrap_err();
+            assert!(
+                err.contains("unknown flag") && err.contains(&removed),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -964,25 +958,17 @@ mod tests {
             !PathBuf::from("typo.jsonl").exists(),
             "rejected before running"
         );
-        let err = detect(&["--servers", "4", "--no-fit-cahce", "true"]);
-        assert!(err.contains("--no-fit-cahce"), "{err}");
+        let err = detect(&["--servers", "4", "--anytmie", "true"]);
+        assert!(err.contains("--anytmie"), "{err}");
         // A bare misspelling is not a known boolean, so it fails to parse.
-        assert!(flags(&["--servers", "4", "--no-fit-cahce"]).is_err());
+        assert!(flags(&["--servers", "4", "--anytmie"]).is_err());
         // Flags another command reads are still unknown to this one.
-        let err = run_command("region", &flags(&["--no-fit-cache"]).unwrap()).unwrap_err();
-        assert!(err.contains("--no-fit-cache"), "{err}");
+        let err = run_command("region", &flags(&["--anytime"]).unwrap()).unwrap_err();
+        assert!(err.contains("--anytime"), "{err}");
         // Once a command has read every flag given, nothing is rejected.
-        let given = flags(&[
-            "--servers",
-            "4",
-            "--mrc",
-            "--no-fit-cache",
-            "--telemetry",
-            "t",
-        ]);
+        let given = flags(&["--servers", "4", "--mrc", "--anytime", "--telemetry", "t"]);
         let given = given.unwrap();
         experiment_config(&given).unwrap();
-        given.fit_cache().unwrap();
         assert!(given.finish().unwrap().on());
     }
 
@@ -1033,13 +1019,8 @@ mod tests {
         assert!(!flags.bool("mrc").unwrap());
         let flags = parse_flags(["--mrc=oui".to_string()].into_iter()).unwrap();
         assert!(flags.bool("mrc").is_err());
-        let flags = parse_flags(
-            ["--no-fit-cache", "--seed", "9"]
-                .iter()
-                .map(|s| s.to_string()),
-        )
-        .unwrap();
-        assert!(flags.bool("no-fit-cache").unwrap());
+        let flags = parse_flags(["--region", "--seed", "9"].iter().map(|s| s.to_string())).unwrap();
+        assert!(flags.bool("region").unwrap());
         let flags = parse_flags(
             ["--anytime", "--confidence-threshold", "0.8"]
                 .iter()
