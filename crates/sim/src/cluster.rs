@@ -555,11 +555,8 @@ impl Cluster {
         match state.pressure_override {
             Some(p) => p,
             None => {
-                // One-step RFA coupling: a victim stalled by interference
-                // exerts less pressure on its non-critical resources.
                 let interference = self.raw_interference_on(id, state, t, rng);
-                let progress = perf::progress_rate(&state.profile, &interference);
-                state.profile.pressure_at(t, progress, rng)
+                coupled_emission(state, &interference, t, rng)
             }
         }
     }
@@ -661,8 +658,8 @@ impl Cluster {
         let atten = self.isolation.attenuation_array();
         let mut total = PressureVector::zero();
         if oracle::enabled() {
+            self.count_visits(self.placement.vms.len());
             for other_id in self.placement.vms.iter_ids() {
-                self.neighbor_visits.fetch_add(1, Ordering::Relaxed);
                 if other_id == id {
                     continue;
                 }
@@ -679,8 +676,9 @@ impl Cluster {
         } else {
             // Sibling owners in ascending id order — the same visit order
             // (and therefore RNG draw order) the full scan would produce.
-            for other_id in self.placement.servers[state.server].core_occupants(physical_core) {
-                self.neighbor_visits.fetch_add(1, Ordering::Relaxed);
+            let occupants = self.placement.servers[state.server].core_occupants(physical_core);
+            self.count_visits(occupants.len());
+            for other_id in occupants {
                 if other_id == id {
                     continue;
                 }
@@ -706,10 +704,7 @@ impl Cluster {
         atten: &[f64; RESOURCE_COUNT],
         total: &mut PressureVector,
     ) {
-        let p = match other.pressure_override {
-            Some(p) => p,
-            None => other.profile.pressure_at(t, 1.0, rng),
-        };
+        let p = raw_emission(other, t, rng);
         // Only core lanes carry pressure here; the fused kernel still
         // touches all ten (adding +0.0 elsewhere), matching the old
         // zero-contribution saturating_add lane for lane.
@@ -827,8 +822,8 @@ impl Cluster {
         } else {
             self.placement.vms.on_server(state.server)
         };
+        self.count_visits(candidates.len());
         for &other_id in candidates {
-            self.neighbor_visits.fetch_add(1, Ordering::Relaxed);
             if other_id == id {
                 continue;
             }
@@ -863,48 +858,69 @@ impl Cluster {
         rng: &mut R,
         couple_progress: bool,
     ) -> PressureVector {
-        if self.cacheable(state.server) {
-            let t_bits = t.to_bits();
-            if let Some(v) = self.agg.lock().expect("cache lock poisoned").get_neighbors(
-                id.raw(),
-                couple_progress,
-                t_bits,
-            ) {
-                return v;
+        if !self.cacheable(state.server) {
+            return self.neighbor_scan(id, state, t, rng, couple_progress);
+        }
+        self.memoized_neighbors(id, couple_progress, t, || {
+            if couple_progress {
+                self.coupled_table_scan(id, state, t, rng)
+            } else {
+                self.neighbor_scan(id, state, t, rng, false)
             }
-            if let Some(memo) = &self.shared {
-                if let Some(v) = memo.get_neighbors(id.raw(), couple_progress, t_bits) {
-                    self.agg.lock().expect("cache lock poisoned").put_neighbors(
-                        id.raw(),
-                        couple_progress,
-                        t_bits,
-                        v,
-                    );
-                    return v;
-                }
-            }
-            // Computed with the lock released: the couple-progress path
-            // recurses back into this function once per neighbor, and the
-            // lock is not reentrant.
-            let v = self.neighbor_scan(id, state, t, rng, couple_progress);
-            self.agg.lock().expect("cache lock poisoned").put_neighbors(
-                id.raw(),
-                couple_progress,
-                t_bits,
-                v,
-            );
-            if let Some(memo) = &self.shared {
-                memo.put_neighbors(id.raw(), couple_progress, t_bits, v);
-            }
+        })
+    }
+
+    /// The aggregate-cache protocol of one neighbor query on a
+    /// deterministic server: the instance cache, then the shared sweep
+    /// memo, then `scan`, whose result is published to both. `scan` runs
+    /// with the lock released: the coupled walk comes back here once per
+    /// neighbor, and the lock is not reentrant.
+    fn memoized_neighbors(
+        &self,
+        id: VmId,
+        couple_progress: bool,
+        t: f64,
+        scan: impl FnOnce() -> PressureVector,
+    ) -> PressureVector {
+        let t_bits = t.to_bits();
+        if let Some(v) = self.agg.lock().expect("cache lock poisoned").get_neighbors(
+            id.raw(),
+            couple_progress,
+            t_bits,
+        ) {
             return v;
         }
-        self.neighbor_scan(id, state, t, rng, couple_progress)
+        if let Some(memo) = &self.shared {
+            if let Some(v) = memo.get_neighbors(id.raw(), couple_progress, t_bits) {
+                self.agg.lock().expect("cache lock poisoned").put_neighbors(
+                    id.raw(),
+                    couple_progress,
+                    t_bits,
+                    v,
+                );
+                return v;
+            }
+        }
+        let v = scan();
+        self.agg.lock().expect("cache lock poisoned").put_neighbors(
+            id.raw(),
+            couple_progress,
+            t_bits,
+            v,
+        );
+        if let Some(memo) = &self.shared {
+            memo.put_neighbors(id.raw(), couple_progress, t_bits, v);
+        }
+        v
     }
 
     /// The uncached neighbor walk behind [`Cluster::interference_on`]:
     /// visits the observer's co-residents through the residency index, in
     /// ascending-id order — the same order (and the same RNG draw order)
-    /// the old whole-cluster scan produced for this server.
+    /// the old whole-cluster scan produced for this server. Stochastic
+    /// servers, the reference scope and uncoupled queries take this walk;
+    /// a coupled probe on a deterministic server takes
+    /// [`Cluster::coupled_table_scan`].
     fn neighbor_scan<R: Rng>(
         &self,
         id: VmId,
@@ -913,22 +929,7 @@ impl Cluster {
         rng: &mut R,
         couple_progress: bool,
     ) -> PressureVector {
-        let server = &self.placement.servers[state.server];
-        let tpc = server.spec().threads_per_core;
-        let my_cores = state.cores(tpc);
-        // Attenuation depends only on the isolation config: hoist all ten
-        // factors once per scan instead of re-matching per neighbor lane.
-        let atten = self.isolation.attenuation_array();
-
-        let mut total = PressureVector::zero();
-        // Scheduler-float candidates: without pinning, threads of
-        // non-core-sharing tenants occasionally land on the observer's
-        // sibling hyperthreads. The *loudest* (most CPU-hungry) neighbor
-        // dominates those co-schedulings, so only its core pressure leaks.
-        let float = self.isolation.float_visibility();
-        let mut float_candidate: Option<PressureVector> = None;
-        let mut has_static_sharer = false;
-
+        let tpc = self.placement.servers[state.server].spec().threads_per_core;
         let full: Vec<VmId>;
         let candidates: &[VmId] = if oracle::enabled() {
             full = self.placement.vms.iter_ids().collect();
@@ -936,8 +937,9 @@ impl Cluster {
         } else {
             self.placement.vms.on_server(state.server)
         };
+        self.count_visits(candidates.len());
+        let mut sum = NeighborSum::new(&self.isolation);
         for &other_id in candidates {
-            self.neighbor_visits.fetch_add(1, Ordering::Relaxed);
             if other_id == id {
                 continue;
             }
@@ -948,57 +950,91 @@ impl Cluster {
             let p = if couple_progress {
                 self.generated_pressure(other_id, other, t, rng)
             } else {
-                match other.pressure_override {
-                    Some(p) => p,
-                    None => other.profile.pressure_at(t, 1.0, rng),
+                raw_emission(other, t, rng)
+            };
+            sum.add(&p, share_a_core(state, other, tpc));
+        }
+        sum.finish(self.placement.degradation[state.server])
+    }
+
+    /// A coupled probe on a deterministic server. Each neighbor's coupled
+    /// emission needs that neighbor's own raw interference, which walks
+    /// the same residents again; those k inner walks read one
+    /// [`Resident`] table instead of re-evaluating every resident k times.
+    ///
+    /// The table is built at the first inner walk that misses the
+    /// aggregate cache and dropped when this walk returns. Every cache
+    /// lookup and publish happens exactly as in [`Cluster::neighbor_scan`],
+    /// and every walk counts the same visits, so results, RNG stream (no
+    /// deterministic resident draws) and storage counters are unchanged.
+    fn coupled_table_scan<R: Rng>(
+        &self,
+        id: VmId,
+        state: &VmState,
+        t: f64,
+        rng: &mut R,
+    ) -> PressureVector {
+        let tpc = self.placement.servers[state.server].spec().threads_per_core;
+        let residents = self.placement.vms.on_server(state.server);
+        self.count_visits(residents.len());
+        let mut table: Option<Vec<Resident>> = None;
+        let mut sum = NeighborSum::new(&self.isolation);
+        for &other_id in residents {
+            if other_id == id {
+                continue;
+            }
+            let other = self.placement.vms.get(other_id).expect("resident is live");
+            let p = match other.pressure_override {
+                Some(p) => p,
+                None => {
+                    let interference = self.memoized_neighbors(other_id, false, t, || {
+                        let table = table
+                            .get_or_insert_with(|| self.resident_table(residents, t, &mut *rng));
+                        self.table_scan(table, other_id, other)
+                    });
+                    coupled_emission(other, &interference, t, rng)
                 }
             };
-            let other_cores = other.cores(tpc);
-            let shares_core = my_cores.iter().any(|c| other_cores.contains(c));
-            has_static_sharer |= shares_core;
+            sum.add(&p, share_a_core(state, other, tpc));
+        }
+        sum.finish(self.placement.degradation[state.server])
+    }
 
-            // Core lanes are only visible from static core-sharers; zeroing
-            // them and running one fused multiply-accumulate-saturate over
-            // all ten lanes reproduces the old per-lane math bit for bit
-            // (0.0 · attenuation adds +0.0, as before).
-            let mut visible = *p.as_array();
-            if !shares_core {
-                for r in Resource::CORE {
-                    visible[r.index()] = 0.0;
+    /// Every resident's raw emission at `t`, in residency-index order.
+    fn resident_table<R: Rng>(&self, residents: &[VmId], t: f64, rng: &mut R) -> Vec<Resident<'_>> {
+        residents
+            .iter()
+            .map(|&id| {
+                let state = self.placement.vms.get(id).expect("resident is live");
+                Resident {
+                    id,
+                    state,
+                    raw: raw_emission(state, t, rng),
                 }
-            }
-            kernels::sat_accum(total.as_mut_array(), &visible, &atten, 100.0);
+            })
+            .collect()
+    }
 
-            if !shares_core && float > 0.0 {
-                let core_total: f64 = Resource::CORE.iter().map(|&r| p[r]).sum();
-                let best_total = float_candidate
-                    .as_ref()
-                    .map(|c| Resource::CORE.iter().map(|&r| c[r]).sum::<f64>())
-                    .unwrap_or(-1.0);
-                if core_total > best_total {
-                    let mut leak = PressureVector::zero();
-                    for r in Resource::CORE {
-                        leak[r] = p[r] * float * atten[r.index()];
-                    }
-                    float_candidate = Some(leak);
-                }
+    /// The uncoupled walk for `id` over a [`Resident`] table: the sum
+    /// [`Cluster::neighbor_scan`] computes without progress coupling,
+    /// bit for bit, in the same order.
+    fn table_scan(&self, table: &[Resident], id: VmId, state: &VmState) -> PressureVector {
+        let tpc = self.placement.servers[state.server].spec().threads_per_core;
+        self.count_visits(table.len());
+        let mut sum = NeighborSum::new(&self.isolation);
+        for resident in table {
+            if resident.id != id {
+                sum.add(&resident.raw, share_a_core(state, resident.state, tpc));
             }
         }
-        // Float leakage only reaches us while our sibling hyperthreads are
-        // otherwise idle; a static core-sharer occupies them.
-        if !has_static_sharer {
-            if let Some(leak) = float_candidate {
-                total = total.saturating_add(&leak);
-            }
-        }
-        // A throttled server has less effective capacity, so the same
-        // co-resident demand fills more of it. The branch keeps the math
-        // bit-identical when no degradation was ever injected.
-        let d = self.placement.degradation[state.server];
-        if d > 0.0 {
-            kernels::sat_scale(total.as_mut_array(), 1.0 + d, 100.0);
-        }
-        total
+        sum.finish(self.placement.degradation[state.server])
+    }
+
+    /// Adds one walk's `candidates` to the neighbor-visit counter: one
+    /// atomic add per walk, not one per candidate.
+    fn count_visits(&self, candidates: usize) {
+        self.neighbor_visits
+            .fetch_add(candidates as u64, Ordering::Relaxed);
     }
 
     /// CPU utilization (percent) over the *occupied* hyperthreads of a
@@ -1055,18 +1091,15 @@ impl Cluster {
         } else {
             self.placement.vms.on_server(server)
         };
+        self.count_visits(candidates.len());
         for &vm_id in candidates {
-            self.neighbor_visits.fetch_add(1, Ordering::Relaxed);
             let state = self.placement.vms.get(vm_id).expect("candidate is live");
             if state.server != server {
                 continue; // reference mode scans the whole arena
             }
             // A stalled thread still burns its timeslice, so utilization
             // accounting deliberately skips the progress coupling.
-            let own = match state.pressure_override {
-                Some(p) => p[Resource::Cpu],
-                None => state.profile.pressure_at(t, 1.0, rng)[Resource::Cpu],
-            };
+            let own = raw_emission(state, t, rng)[Resource::Cpu];
             let contention = self.raw_interference_on(vm_id, state, t, rng)[Resource::Cpu];
             let mut effective = (own * (1.0 + 2.0 * contention / 100.0)).min(100.0);
             let d = self.placement.degradation[server];
@@ -1179,6 +1212,126 @@ impl Cluster {
             .flat_map(|(_, bucket)| bucket)
             .copied()
             .find(|&i| placement.servers[i].can_host(vcpus, core_iso))
+    }
+}
+
+/// One resident of a coupled probe's table (see
+/// [`Cluster::coupled_table_scan`]): its id, its state (whose threads give
+/// its core set) and its raw emission at the probe's time.
+struct Resident<'a> {
+    id: VmId,
+    state: &'a VmState,
+    raw: PressureVector,
+}
+
+/// A VM's emission at `t` with no progress coupling: its override, if
+/// set, else its profile's pressure at full progress.
+fn raw_emission<R: Rng>(state: &VmState, t: f64, rng: &mut R) -> PressureVector {
+    match state.pressure_override {
+        Some(p) => p,
+        None => state.profile.pressure_at(t, 1.0, rng),
+    }
+}
+
+/// One-step RFA coupling: a victim stalled by `interference` exerts less
+/// pressure on its non-critical resources.
+fn coupled_emission<R: Rng>(
+    state: &VmState,
+    interference: &PressureVector,
+    t: f64,
+    rng: &mut R,
+) -> PressureVector {
+    let progress = perf::progress_rate(&state.profile, interference);
+    state.profile.pressure_at(t, progress, rng)
+}
+
+/// True when `a` and `b` own hyperthreads of one physical core — the
+/// same answer as intersecting their [`VmState::cores`], without
+/// allocating either list. One division per thread of `a`: each of `b`'s
+/// threads is range-checked against the thread span of `a`'s core.
+fn share_a_core(a: &VmState, b: &VmState, threads_per_core: u32) -> bool {
+    let tpc = threads_per_core as usize;
+    a.threads.iter().any(|&x| {
+        let first = x - x % tpc;
+        b.threads.iter().any(|&y| (first..first + tpc).contains(&y))
+    })
+}
+
+/// The running sum of one neighbor walk as one observer sees it.
+struct NeighborSum {
+    /// Attenuation depends only on the isolation config: hoisted once per
+    /// walk instead of re-matched per neighbor lane.
+    atten: [f64; RESOURCE_COUNT],
+    float: f64,
+    total: PressureVector,
+    /// Scheduler-float candidate: without pinning, threads of
+    /// non-core-sharing tenants occasionally land on the observer's
+    /// sibling hyperthreads. The *loudest* (most CPU-hungry) neighbor
+    /// dominates those co-schedulings, so only its core pressure leaks.
+    float_candidate: Option<PressureVector>,
+    has_static_sharer: bool,
+}
+
+impl NeighborSum {
+    fn new(isolation: &IsolationConfig) -> Self {
+        NeighborSum {
+            atten: isolation.attenuation_array(),
+            float: isolation.float_visibility(),
+            total: PressureVector::zero(),
+            float_candidate: None,
+            has_static_sharer: false,
+        }
+    }
+
+    /// Adds one co-resident's emission `p`.
+    fn add(&mut self, p: &PressureVector, shares_core: bool) {
+        self.has_static_sharer |= shares_core;
+        // Core lanes are only visible from static core-sharers; zeroing
+        // them and running one fused multiply-accumulate-saturate over
+        // all ten lanes reproduces the old per-lane math bit for bit
+        // (0.0 · attenuation adds +0.0, as before).
+        let mut visible = *p.as_array();
+        if !shares_core {
+            for r in Resource::CORE {
+                visible[r.index()] = 0.0;
+            }
+        }
+        kernels::sat_accum(self.total.as_mut_array(), &visible, &self.atten, 100.0);
+
+        if !shares_core && self.float > 0.0 {
+            let core_total: f64 = Resource::CORE.iter().map(|&r| p[r]).sum();
+            let best_total = self
+                .float_candidate
+                .as_ref()
+                .map(|c| Resource::CORE.iter().map(|&r| c[r]).sum::<f64>())
+                .unwrap_or(-1.0);
+            if core_total > best_total {
+                let mut leak = PressureVector::zero();
+                for r in Resource::CORE {
+                    leak[r] = p[r] * self.float * self.atten[r.index()];
+                }
+                self.float_candidate = Some(leak);
+            }
+        }
+    }
+
+    /// The walk's result on a server with capacity degradation `d`.
+    fn finish(self, d: f64) -> PressureVector {
+        let mut total = self.total;
+        // Float leakage only reaches us while our sibling hyperthreads are
+        // otherwise idle; a static core-sharer occupies them.
+        if !self.has_static_sharer {
+            if let Some(leak) = self.float_candidate {
+                total = total.saturating_add(&leak);
+            }
+        }
+        // A throttled server has less effective capacity, so the same
+        // co-resident demand fills more of it. The branch keeps the math
+        // bit-identical when no degradation was ever injected.
+        if d > 0.0 {
+            kernels::sat_scale(total.as_mut_array(), 1.0 + d, 100.0);
+        }
+        total
     }
 }
 

@@ -29,7 +29,9 @@
 
 use bolt_linalg::oracle;
 use bolt_sim::vm::VmRole;
-use bolt_sim::{ChaosConfig, Cluster, FaultPlan, IsolationConfig, ServerSpec, SweepMemo, VmId};
+use bolt_sim::{
+    ChaosConfig, Cluster, FaultPlan, IsolationConfig, ServerSpec, StorageStats, SweepMemo, VmId,
+};
 use bolt_workloads::{catalog, DatasetScale, PressureVector, WorkloadProfile};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -337,6 +339,190 @@ proptest! {
         };
         assert_same_state(&base, &replay(&base_ops, true), t, seed ^ 0xBA5E);
         assert_same_state(&snap, &replay(&snap_ops, false), t, seed ^ 0x5AAB);
+    }
+}
+
+/// One tenant of a deterministic host: profile family, vCPUs, and an
+/// optional uniform pressure override.
+type HostTenant = (usize, u32, Option<f64>);
+
+/// A region whose server 0 holds `tenants`, every one deterministic (zero
+/// noise, or an override), and whose other servers stay empty, so the
+/// reference's whole-arena scans visit exactly that host's residents.
+/// The cacheable gate is open on server 0, so a coupled probe there
+/// takes the resident-table walk.
+fn deterministic_host(
+    isolation: IsolationConfig,
+    tenants: &[HostTenant],
+    degradation: f64,
+    seed: u64,
+) -> Cluster {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut c = Cluster::new(SERVERS, ServerSpec::xeon(), isolation).expect("cluster");
+    for (i, &(family, vcpus, level)) in tenants.iter().enumerate() {
+        let p = profile(family, &mut rng).with_noise(0.0).with_vcpus(vcpus);
+        let id = c
+            .launch_on(0, p, VmRole::Friendly, i as f64)
+            .expect("the host has room");
+        let o = level.map(|l| PressureVector::from_raw([l; bolt_workloads::RESOURCE_COUNT]));
+        c.set_pressure_override(id, o).expect("vm is live");
+    }
+    c.set_degradation(0, degradation, 0.0)
+        .expect("factor in range");
+    c
+}
+
+/// Probes every tenant of a [`deterministic_host`] cold and then warm,
+/// each on a fresh snapshot (empty aggregate cache, zeroed counters), and
+/// compares with the same probe on `reference` inside the oracle scope:
+/// the bits, the query-RNG stream, and `storage_stats()`. The reference
+/// bypasses the aggregate cache, so its hit and miss counters stay 0;
+/// every other counter, neighbor visits included, must equal the cold
+/// probe's. A cold probe misses once per walk (its own, and one inner
+/// walk per co-resident without an override); the warm probe is one hit
+/// and walks nothing. Then every observable, cold and warm, as in the
+/// churn properties.
+fn assert_table_path_matches_reference(indexed: &Cluster, reference: &Cluster, t: f64, seed: u64) {
+    let bits = |v: PressureVector| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for &id in indexed.vms_on(0) {
+        let snap = indexed.snapshot();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cold = snap.interference_on(id, t, &mut rng).expect("probe");
+        let cold_stats = snap.storage_stats();
+        let warm = snap.interference_on(id, t, &mut rng).expect("probe");
+        let warm_stats = snap.storage_stats();
+
+        let ref_snap = reference.snapshot();
+        let mut ref_rng = StdRng::seed_from_u64(seed);
+        let expected =
+            oracle::reference(|| ref_snap.interference_on(id, t, &mut ref_rng)).expect("probe");
+        let ref_stats = ref_snap.storage_stats();
+
+        assert_eq!(bits(cold), bits(expected), "cold probe of {id:?}");
+        assert_eq!(bits(warm), bits(expected), "warm probe of {id:?}");
+        assert_eq!(
+            rng.gen::<u64>(),
+            ref_rng.gen::<u64>(),
+            "query RNG stream after probing {id:?}"
+        );
+        let uncached = StorageStats {
+            agg_hits: 0,
+            agg_misses: 0,
+            ..cold_stats
+        };
+        assert_eq!(uncached, ref_stats, "cold storage stats of {id:?}");
+        let inner = indexed
+            .vms_on(0)
+            .iter()
+            .filter(|&&o| o != id && indexed.vm(o).expect("live").pressure_override.is_none())
+            .count() as u64;
+        assert_eq!(
+            (cold_stats.agg_hits, cold_stats.agg_misses),
+            (0, 1 + inner),
+            "cold cache counters of {id:?}"
+        );
+        assert_eq!(
+            warm_stats,
+            StorageStats {
+                agg_hits: 1,
+                ..cold_stats
+            },
+            "warm storage stats of {id:?}"
+        );
+    }
+    assert_matches_reference(indexed, reference, t, seed);
+    assert_matches_reference(indexed, reference, t, seed);
+}
+
+/// Core isolation: whole cores per tenant, the float channel closed.
+fn core_isolated() -> IsolationConfig {
+    let mut isolation = IsolationConfig::cloud_default();
+    isolation.mechanisms.core_isolation = true;
+    isolation
+}
+
+/// The resident-table walk, fixed cases: ten tenants on a cloud-default
+/// host (scheduler float visible, the two 2-vCPU tenants push the last
+/// ones onto shared cores, two overrides, one degraded run), and eight
+/// on a core-isolated host.
+#[test]
+fn resident_table_matches_reference_on_deterministic_hosts() {
+    let shared: Vec<HostTenant> = (0..10)
+        .map(|i| {
+            let vcpus = if i == 3 || i == 6 { 2 } else { 1 };
+            let level = match i {
+                2 => Some(35.0),
+                7 => Some(80.0),
+                _ => None,
+            };
+            (i, vcpus, level)
+        })
+        .collect();
+    assert!(IsolationConfig::cloud_default().float_visibility() > 0.0);
+    for degradation in [0.0, 0.3] {
+        let host =
+            |seed| deterministic_host(IsolationConfig::cloud_default(), &shared, degradation, seed);
+        let (indexed, reference) = (host(21), host(21));
+        let sharers = indexed.vms_on(0).iter().filter(|&&id| {
+            let tenant = indexed.vm(id).expect("live");
+            // `thread ^ 1` is the other hyperthread of a 2-way Xeon core.
+            tenant.threads.iter().any(|&thread| {
+                let sibling = indexed.server(0).expect("server 0").occupant(thread ^ 1);
+                sibling.is_some_and(|o| o != id)
+            })
+        });
+        assert!(sharers.count() >= 2, "the host has core-sharers");
+        assert_table_path_matches_reference(&indexed, &reference, 4321.25, 5);
+    }
+
+    let isolated: Vec<HostTenant> = (0..8)
+        .map(|i| (i, 1 + (i % 2) as u32, (i == 4).then_some(60.0)))
+        .collect();
+    let (indexed, reference) = (
+        deterministic_host(core_isolated(), &isolated, 0.0, 22),
+        deterministic_host(core_isolated(), &isolated, 0.0, 22),
+    );
+    assert_eq!(indexed.vms_on(0).len(), 8);
+    assert_table_path_matches_reference(&indexed, &reference, 777.5, 6);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The resident-table walk on random deterministic hosts: 8–16
+    /// tenants (some on 2 vCPUs, so later ones share cores) under the
+    /// cloud default, or 8 under core isolation; random families,
+    /// overrides, degradation and probe time.
+    #[test]
+    fn resident_table_matches_reference_on_random_hosts(
+        seed in 0u64..500,
+        isolate in any::<bool>(),
+        extra in 0usize..=8,
+        wide in 0usize..=8,
+        families in proptest::collection::vec(0usize..4, 16),
+        levels in proptest::collection::vec((0u8..5, 0.0f64..100.0), 16),
+        degraded in any::<bool>(),
+        degradation in 0.0f64..0.9,
+        t in 0.0f64..5000.0,
+    ) {
+        // Under core isolation every tenant takes a whole core: 8 fit.
+        // Otherwise `n` tenants, the first `wide` of those that still fit
+        // on 2 vCPUs, never more than the host's 16 threads.
+        let n = if isolate { 8 } else { 8 + extra };
+        let wide = if isolate { wide } else { wide.min(16 - n) };
+        let tenants: Vec<HostTenant> = (0..n)
+            .map(|i| {
+                // One tenant in five runs on an override.
+                let (pick, level) = levels[i];
+                (families[i], if i < wide { 2 } else { 1 }, (pick == 0).then_some(level))
+            })
+            .collect();
+        let isolation = if isolate { core_isolated() } else { IsolationConfig::cloud_default() };
+        let degradation = if degraded { degradation } else { 0.0 };
+        let indexed = deterministic_host(isolation, &tenants, degradation, seed);
+        let reference = deterministic_host(isolation, &tenants, degradation, seed);
+        prop_assert_eq!(indexed.vms_on(0).len(), n);
+        assert_table_path_matches_reference(&indexed, &reference, t, seed ^ 0x7AB1E);
     }
 }
 
