@@ -53,17 +53,12 @@ pub fn run(scale: Scale) -> Result<Output, BoltError> {
             report.balanced(),
         ));
 
-        // Contract 1 — sweep sharing is byte-invisible: the same run
-        // without the shared memo must produce the identical report.
-        let unbatched = ServiceConfig {
-            share_sweeps: false,
-            ..config
-        };
-        let plain_report = run_service(&unbatched, &RunCtx::new(&cache, true))?.0;
+        // Contract 1 — co-arriving duplicates share sweeps. The oracle
+        // suite's region draw checks that sharing moves no report byte.
         let shared = point_log.counter_total(Counter::SweepsShared);
         out.checks.push((
-            format!("{servers} servers: {shared} sweeps shared, and sharing moves no report byte"),
-            shared > 0 && report == plain_report,
+            format!("{servers} servers: {shared} sweeps shared"),
+            shared > 0,
         ));
 
         // Contract 2 — lane fan-out is byte-invisible, including the

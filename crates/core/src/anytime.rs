@@ -47,6 +47,9 @@ use crate::detector::{orient_difference, ProbeWorld};
 use crate::telemetry::{Counter, Phase, Telemetry};
 use crate::BoltError;
 
+/// Probes taken between decomposition refinements when deepening.
+const ANYTIME_BATCH: usize = 1;
+
 /// The nominal probe cost of one fixed-shape window: a full-resource
 /// sweep taken twice. [`Counter::ProbesSaved`] and
 /// [`AnytimeInfo::probes_saved`] measure against this yardstick.
@@ -185,7 +188,6 @@ impl Detector {
         let deepen_clock = telemetry.begin();
         let deepen_start_s = snapshot.duration_s;
         let info_weights = self.recommender.information_weights();
-        let batch = self.config.anytime_batch.max(1);
         let max_probes = self.config.anytime_max_probes.max(probes_used);
         let mut warm = WarmShortlist::new();
         let mut stats = RecommenderStats::default();
@@ -252,7 +254,7 @@ impl Detector {
                     &components,
                     &info_weights,
                     &self.recommender,
-                    batch.min(max_probes - probes_used),
+                    ANYTIME_BATCH.min(max_probes - probes_used),
                 );
                 if !picks.is_empty() {
                     for r in picks {
@@ -365,7 +367,7 @@ impl Detector {
                 &components,
                 &info_weights,
                 &self.recommender,
-                batch.min(max_probes - probes_used),
+                ANYTIME_BATCH.min(max_probes - probes_used),
             );
             if picks.is_empty() {
                 break;

@@ -16,8 +16,8 @@
 //! application phases (Fig. 8).
 //!
 //! Hunts are oblivious to probe batching: when the cluster snapshot they
-//! probe carries a shared sweep memo (`Cluster::share_sweeps`, used by the
-//! region-scale service), repeated sweeps against the same server are
+//! probe carries a shared sweep memo (`Cluster::share_sweeps`, which the
+//! service always attaches), repeated sweeps against the same server are
 //! answered from another hunt's memoized result with byte-identical
 //! values, so nothing in this engine changes between batched and
 //! unbatched execution.
@@ -123,8 +123,6 @@ pub struct DetectorConfig {
     /// window whose curve breaks near-degenerate decomposition ties.
     /// Off by default — the pressure-only pipeline is the paper baseline.
     pub mrc_channel: bool,
-    /// Allocation levels per cache sweep when the channel is on.
-    pub mrc_points: usize,
     /// Enables the anytime iterative-deepening window: probes are taken
     /// one batch at a time in expected-information order, the
     /// decomposition is refined after each batch, and the window returns
@@ -141,8 +139,6 @@ pub struct DetectorConfig {
     /// savings come entirely from early exits, never from a ceiling on
     /// hard cases.
     pub anytime_max_probes: usize,
-    /// Probes taken between decomposition refinements when deepening.
-    pub anytime_batch: usize,
 }
 
 impl Default for DetectorConfig {
@@ -160,11 +156,9 @@ impl Default for DetectorConfig {
             enable_decomposition: true,
             enable_differencing: true,
             mrc_channel: false,
-            mrc_points: 8,
             anytime: false,
             confidence_threshold: 0.7,
             anytime_max_probes: 20,
-            anytime_batch: 1,
         }
     }
 }
@@ -194,8 +188,6 @@ impl DetectorConfig {
             // Every hunt clock advances by the interval: a NaN or negative
             // one would put NaN or backwards sim times into the records.
             "a finite, non-negative detection interval"
-        } else if self.mrc_points == 0 {
-            "at least one miss-rate-curve sweep point"
         } else {
             return Ok(());
         };
@@ -361,6 +353,10 @@ fn window_contaminated(
     }
     jumps >= 3 && total > 75.0
 }
+
+/// Allocation levels per cache sweep when the miss-rate-curve channel is
+/// on.
+const MRC_POINTS: usize = 8;
 
 /// Minimum core reading (percentage points) for the core channel to carry
 /// a usable signal. Static core sharing produces readings well above this;
@@ -805,7 +801,7 @@ impl Detector {
             world.cluster(),
             adversary,
             t,
-            self.config.mrc_points,
+            MRC_POINTS,
             &self.config.profiler.ramp,
             rng,
         )?;
@@ -1276,10 +1272,6 @@ mod tests {
             },
             DetectorConfig {
                 interval_s: f64::INFINITY,
-                ..DetectorConfig::default()
-            },
-            DetectorConfig {
-                mrc_points: 0,
                 ..DetectorConfig::default()
             },
         ];

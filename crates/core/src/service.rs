@@ -145,12 +145,6 @@ pub struct ServiceConfig {
     /// engaged, and their constant-load profiles make hunt outcomes
     /// invariant to when a request arrives.
     pub region_tenants: bool,
-    /// Attach one cross-hunt [`SweepMemo`] to the service cluster:
-    /// concurrent hunts targeting the same server share each
-    /// deterministic probe sweep instead of recomputing it per snapshot.
-    /// Byte-invisible in every report — only the `sweeps-shared`
-    /// telemetry counter observes it.
-    pub share_sweeps: bool,
     /// Probability that a base request is duplicated by a co-arriving
     /// request for the same target — independent users asking about the
     /// same server at the same instant, the workload batched probe
@@ -185,7 +179,6 @@ impl Default for ServiceConfig {
             storm: StormConfig::none(),
             parallelism: Parallelism::default(),
             region_tenants: false,
-            share_sweeps: false,
             duplicate_rate: 0.0,
         }
     }
@@ -196,18 +189,17 @@ impl ServiceConfig {
     /// a full [`RegionConfig`]-sized cluster instead of the testbed.
     ///
     /// Takes the region's host count, tenant density, and seed; switches
-    /// the victim population to region tenants; turns on cross-hunt sweep
-    /// sharing; and injects co-arriving duplicate requests (20% of the
-    /// base trace) so the batched scheduling has something to batch. More
-    /// worker lanes and a deeper admission queue match the wider target
-    /// set. Everything else keeps the service defaults.
+    /// the victim population to region tenants; and injects co-arriving
+    /// duplicate requests (20% of the base trace) so the batched sweep
+    /// scheduling has something to batch. More worker lanes and a deeper
+    /// admission queue match the wider target set. Everything else keeps
+    /// the service defaults.
     pub fn for_region(region: &RegionConfig) -> ServiceConfig {
         ServiceConfig {
             servers: region.servers,
             vms_per_server: region.vms_per_server,
             seed: region.seed,
             region_tenants: true,
-            share_sweeps: true,
             duplicate_rate: 0.2,
             workers: 8,
             queue_capacity: 16,
@@ -604,16 +596,14 @@ pub fn run_service(
     let mut built = build_service_cluster(config)?;
     unit0.cluster_events(built.cluster.take_events());
     // Batched probe scheduling: one memo attached to the base cluster,
-    // inherited by every per-request snapshot. A snapshot that mutates
-    // (chaos churn) detaches itself; the base placement never mutates
-    // during the run, so unmutated hunts keep sharing.
-    let memo = if config.share_sweeps {
-        let memo = Arc::new(SweepMemo::new());
-        built.cluster.share_sweeps(Arc::clone(&memo));
-        Some(memo)
-    } else {
-        None
-    };
+    // inherited by every per-request snapshot, so concurrent hunts
+    // targeting the same server share each deterministic probe sweep.
+    // Byte-invisible in every report; only the `sweeps-shared` counter
+    // observes it. A snapshot that mutates (chaos churn) detaches itself;
+    // the base placement never mutates during the run, so unmutated hunts
+    // keep sharing.
+    let memo = Arc::new(SweepMemo::new());
+    built.cluster.share_sweeps(Arc::clone(&memo));
     let ServiceCluster {
         cluster,
         adversaries,
@@ -741,9 +731,7 @@ pub fn run_service(
     // Counted after all lanes finish: top-level memo consults minus
     // distinct published keys, which is invariant under lane thread
     // count (see `SweepMemo::shared_sweeps`).
-    if let Some(memo) = &memo {
-        unit0.count(Counter::SweepsShared, memo.shared_sweeps());
-    }
+    unit0.count(Counter::SweepsShared, memo.shared_sweeps());
 
     let mut log = TelemetryLog::new();
     log.merge(unit0);
@@ -1637,10 +1625,11 @@ mod tests {
     fn sweep_sharing_is_byte_invisible_and_thread_invariant() {
         // Co-arriving duplicates probe the same server at the same
         // virtual instants, so the shared memo sees repeat top-level
-        // queries; the memo must not change a single byte of the report,
-        // and the sweeps-shared counter must be identical across thread
+        // queries; the memo must not change a single byte of the report
+        // against the reference scope, where no memo is consulted, and
+        // the sweeps-shared counter must be identical across thread
         // counts.
-        let base = ServiceConfig {
+        let shared = ServiceConfig {
             region_tenants: true,
             duplicate_rate: 0.6,
             requests: 12,
@@ -1648,11 +1637,12 @@ mod tests {
             deadline_s: 100_000.0,
             ..quick_config()
         };
-        let shared = ServiceConfig {
-            share_sweeps: true,
-            ..base
+        // The scope is thread-local, so the reference twin runs serially.
+        let plain = ServiceConfig {
+            parallelism: Parallelism::Serial,
+            ..shared
         };
-        let (plain_report, plain_log) = serve(&base);
+        let (plain_report, plain_log) = bolt_linalg::oracle::reference(|| serve(&plain));
         let (shared_report, shared_log) = serve(&shared);
         assert_eq!(
             plain_report, shared_report,

@@ -64,7 +64,6 @@ fn anytime_off_is_byte_invisible() {
         detector: DetectorConfig {
             confidence_threshold: 0.99,
             anytime_max_probes: 3,
-            anytime_batch: 7,
             ..base.detector
         },
         ..base

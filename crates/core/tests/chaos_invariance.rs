@@ -9,7 +9,7 @@ use bolt::experiment::{
 };
 use bolt::telemetry::{Counter, Telemetry, TelemetryLog};
 use bolt::{FitCache, Parallelism, RunCtx};
-use bolt_recommender::{HybridRecommender, TrainingData};
+use bolt_recommender::{HybridRecommender, RecommenderConfig, TrainingData};
 use bolt_sim::{ChaosConfig, FaultPlan, LeastLoaded};
 use bolt_workloads::training::training_set;
 use proptest::prelude::*;
@@ -139,13 +139,13 @@ fn chaos_off_experiment_telemetry_carries_no_chaos_artifacts() {
 
 #[test]
 fn mrc_channel_off_is_byte_invisible() {
-    // With the channel off, varying the sweep resolution must not move a
+    // With the channel off, varying the tie-break margin must not move a
     // byte: no extra RNG draw, no telemetry span, no counter.
     let base = small_config(0xA5FA11);
     let decorated = ExperimentConfig {
-        detector: DetectorConfig {
-            mrc_points: 31,
-            ..base.detector
+        recommender: RecommenderConfig {
+            mrc_tie_margin: 0.5,
+            ..base.recommender
         },
         ..base
     };

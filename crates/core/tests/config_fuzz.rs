@@ -12,7 +12,9 @@
 //! disabled one. The driver must return `Ok` or a typed `Err` within
 //! [`CASE_BOUND`]; a panic fails the case, and a hang aborts the run.
 //!
-//! - `f64` fields: 0, −1, NaN, +∞, −∞, 1e300.
+//! - `f64` fields: 0, −1, NaN, +∞, −∞, 1e300, and the tiny positives
+//!   1e-300 and `f64::MIN_POSITIVE` (a step or rate that passes a
+//!   "finite and > 0" check yet would loop ~10³⁰⁰ times).
 //! - Sizes and loop counts (`usize`, `u32`): 0 and 1. A huge size would
 //!   abort on allocation rather than panic, and a huge loop count only
 //!   measures patience.
@@ -42,13 +44,22 @@ use bolt_sim::{ChaosConfig, LeastLoaded, StormConfig};
 use proptest::prelude::*;
 
 /// The degenerate `f64` values a field is drawn from.
-const F64_SPECIALS: [f64; 6] = [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
+const F64_SPECIALS: [f64; 8] = [
+    0.0,
+    -1.0,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1e300,
+    1e-300,
+    f64::MIN_POSITIVE,
+];
 
 /// One pick per field, consumed in order; a pick past the field's
 /// degenerate values keeps the normal value. With picks in `0..PICKS`,
-/// each `f64` field is degenerate with probability 6/64. A service case
-/// draws about 45 `f64` fields, so it perturbs a few of them; in about
-/// one case in five every perturbed value passes validation and the
+/// each `f64` field is degenerate with probability 8/64. A service case
+/// draws about 45 `f64` fields, so it perturbs a few of them; in a
+/// minority of cases every perturbed value passes validation and the
 /// driver runs.
 struct Picks(std::vec::IntoIter<u8>);
 
@@ -113,10 +124,8 @@ fn detector(p: &mut Picks, d: DetectorConfig, anytime: bool, mrc: bool) -> Detec
             interval_s: p.real(shutter.interval_s),
             frame_s: p.real(shutter.frame_s),
         },
-        mrc_points: p.size(d.mrc_points),
         confidence_threshold: p.real(d.confidence_threshold),
         anytime_max_probes: p.size(d.anytime_max_probes),
-        anytime_batch: p.size(d.anytime_batch),
         anytime,
         mrc_channel: mrc,
         ..d

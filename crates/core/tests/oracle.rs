@@ -5,7 +5,7 @@
 //! |-------------------------------------------|---------------------------------|
 //! | unrolled kernels (`bolt_linalg::kernels`) | `kernels::reference`, in scope  |
 //! | residency index + aggregate cache         | full-arena scan, in scope       |
-//! | cross-hunt sweep sharing                  | `share_sweeps: false`           |
+//! | cross-hunt sweep sharing                  | memo never consulted, in scope  |
 //! | thread fan-out (`Threads(n)`)             | `Parallelism::Serial`           |
 //!
 //! "In scope" means inside `bolt_linalg::oracle::reference`, a thread-local
@@ -38,11 +38,11 @@ use proptest::prelude::*;
 /// cannot reproduce them. They are dropped before telemetry is compared;
 /// every other event must match byte for byte.
 ///
-/// - `sweeps-shared`: sweep-memo hits. With `share_sweeps: false` there is
-///   no memo, so the reference stack records none.
+/// - `sweeps-shared`: sweep-memo hits. In scope no query is memoized, so
+///   the reference stack never consults the memo and records none.
 const OPTIMISATION_COUNTERS: &[Counter] = &[Counter::SweepsShared];
 
-/// A driver run; `parallelism` and `share_sweeps` are set per stack.
+/// A driver run; `parallelism` is set per stack.
 #[derive(Debug)]
 enum Job {
     Experiment(ExperimentConfig),
@@ -59,7 +59,7 @@ struct Run {
 }
 
 /// Runs `job`.
-fn run(job: &Job, parallelism: Parallelism, share_sweeps: bool, cache: &FitCache) -> Run {
+fn run(job: &Job, parallelism: Parallelism, cache: &FitCache) -> Run {
     let ctx = RunCtx::new(cache, true);
     let (result, log) = match *job {
         Job::Experiment(config) => {
@@ -74,7 +74,6 @@ fn run(job: &Job, parallelism: Parallelism, share_sweeps: bool, cache: &FitCache
         Job::Service(config) => {
             let config = ServiceConfig {
                 parallelism,
-                share_sweeps,
                 ..config
             };
             let (report, log) = run_service(&config, &ctx).expect("service runs");
@@ -111,8 +110,8 @@ fn same(what: &str, fast: &str, slow: &str) -> Result<(), TestCaseError> {
 fn check(job: &Job, threads: usize) -> Result<(), TestCaseError> {
     let threads = Parallelism::Threads(threads);
     let cache = FitCache::new();
-    let fast = run(job, threads, true, &cache);
-    let slow = oracle::reference(|| run(job, Parallelism::Serial, false, &FitCache::new()));
+    let fast = run(job, threads, &cache);
+    let slow = oracle::reference(|| run(job, Parallelism::Serial, &FitCache::new()));
     same("result", &fast.result, &slow.result)?;
     same("telemetry", &fast.telemetry, &slow.telemetry)?;
     // Every driver fits once; a fresh cache misses at any thread count.
@@ -120,7 +119,7 @@ fn check(job: &Job, threads: usize) -> Result<(), TestCaseError> {
     prop_assert_eq!(slow.fits, [0, 1]);
 
     // A warm cache changes wall-clock only: one hit, the same bytes.
-    let warm = run(job, threads, true, &cache);
+    let warm = run(job, threads, &cache);
     prop_assert_eq!(warm.fits, [1, 0]);
     same("warm-cache result", &fast.result, &warm.result)
 }

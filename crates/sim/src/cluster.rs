@@ -9,6 +9,7 @@
 //! victims both read contention through this one code path, so what Bolt
 //! *measures* and what victims *suffer* stay consistent.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -24,7 +25,7 @@ use bolt_workloads::{
 use crate::error::SimError;
 use crate::isolation::IsolationConfig;
 use crate::server::{Server, ServerSpec};
-use crate::storage::{AggCache, SweepMemo, VmArena};
+use crate::storage::{AggCache, Memoized, Query, Stamp, SweepMemo, VmArena};
 use crate::trace::TraceEvent;
 use crate::vm::{VmId, VmRole, VmState};
 
@@ -608,39 +609,13 @@ impl Cluster {
             });
         };
 
-        if self.cacheable(state.server) {
-            let t_bits = t.to_bits();
-            if let Some(v) = self.agg.lock().expect("cache lock poisoned").get_per_core(
-                id.raw(),
-                physical_core,
-                t_bits,
-            ) {
-                return Ok(v);
-            }
-            if let Some(memo) = &self.shared {
-                if let Some(v) = memo.get_per_core(id.raw(), physical_core, t_bits) {
-                    self.agg.lock().expect("cache lock poisoned").put_per_core(
-                        id.raw(),
-                        physical_core,
-                        t_bits,
-                        v,
-                    );
-                    return Ok(v);
-                }
-            }
-            let v = self.per_core_scan(id, state, physical_core, t, rng);
-            self.agg.lock().expect("cache lock poisoned").put_per_core(
-                id.raw(),
-                physical_core,
-                t_bits,
-                v,
-            );
-            if let Some(memo) = &self.shared {
-                memo.put_per_core(id.raw(), physical_core, t_bits, v);
-            }
-            return Ok(v);
-        }
-        Ok(self.per_core_scan(id, state, physical_core, t, rng))
+        let query = Query::PerCore {
+            id: id.raw(),
+            core: physical_core as u32,
+        };
+        Ok(self.memoized(state.server, query, (t.to_bits(), 0), || {
+            self.per_core_scan(id, state, physical_core, t, rng)
+        }))
     }
 
     /// The uncached per-core walk: only the owners of `physical_core`'s
@@ -769,39 +744,12 @@ impl Cluster {
             });
         }
         let state = self.vm(id)?;
-        if self.cacheable(state.server) {
-            let (t_bits, alloc_bits) = (t.to_bits(), probe_alloc.to_bits());
-            if let Some(v) = self.agg.lock().expect("cache lock poisoned").get_sweep(
-                id.raw(),
-                t_bits,
-                alloc_bits,
-            ) {
-                return Ok(v);
-            }
-            if let Some(memo) = &self.shared {
-                if let Some(v) = memo.get_sweep(id.raw(), t_bits, alloc_bits) {
-                    self.agg.lock().expect("cache lock poisoned").put_sweep(
-                        id.raw(),
-                        t_bits,
-                        alloc_bits,
-                        v,
-                    );
-                    return Ok(v);
-                }
-            }
-            let v = self.sweep_scan(id, state, probe_alloc, t, rng);
-            self.agg.lock().expect("cache lock poisoned").put_sweep(
-                id.raw(),
-                t_bits,
-                alloc_bits,
-                v,
-            );
-            if let Some(memo) = &self.shared {
-                memo.put_sweep(id.raw(), t_bits, alloc_bits, v);
-            }
-            return Ok(v);
-        }
-        Ok(self.sweep_scan(id, state, probe_alloc, t, rng))
+        let stamp = (t.to_bits(), probe_alloc.to_bits());
+        Ok(
+            self.memoized(state.server, Query::Sweep { id: id.raw() }, stamp, || {
+                self.sweep_scan(id, state, probe_alloc, t, rng)
+            }),
+        )
     }
 
     /// The uncached LLC-sweep walk over the observer's co-residents.
@@ -815,15 +763,9 @@ impl Cluster {
     ) -> f64 {
         let atten = self.isolation.attenuation(Resource::Llc);
         let mut total = 0.0;
-        let full: Vec<VmId>;
-        let candidates: &[VmId] = if oracle::enabled() {
-            full = self.placement.vms.iter_ids().collect();
-            &full
-        } else {
-            self.placement.vms.on_server(state.server)
-        };
+        let candidates = self.candidates(state.server);
         self.count_visits(candidates.len());
-        for &other_id in candidates {
+        for &other_id in candidates.iter() {
             if other_id == id {
                 continue;
             }
@@ -858,60 +800,66 @@ impl Cluster {
         rng: &mut R,
         couple_progress: bool,
     ) -> PressureVector {
-        if !self.cacheable(state.server) {
-            return self.neighbor_scan(id, state, t, rng, couple_progress);
-        }
-        self.memoized_neighbors(id, couple_progress, t, || {
-            if couple_progress {
+        let query = Query::Neighbors {
+            id: id.raw(),
+            couple: couple_progress,
+        };
+        // A coupled probe on a deterministic server reads a resident table.
+        let table = couple_progress && self.cacheable(state.server);
+        self.memoized(state.server, query, (t.to_bits(), 0), || {
+            if table {
                 self.coupled_table_scan(id, state, t, rng)
             } else {
-                self.neighbor_scan(id, state, t, rng, false)
+                self.neighbor_scan(id, state, t, rng, couple_progress)
             }
         })
     }
 
-    /// The aggregate-cache protocol of one neighbor query on a
-    /// deterministic server: the instance cache, then the shared sweep
-    /// memo, then `scan`, whose result is published to both. `scan` runs
-    /// with the lock released: the coupled walk comes back here once per
-    /// neighbor, and the lock is not reentrant.
-    fn memoized_neighbors(
+    /// The memo protocol of every query about `server`. On a
+    /// [`Cluster::cacheable`] server: the instance cache, then the shared
+    /// sweep memo (probe queries only; utilization never reaches it), then
+    /// `scan`, whose result is published to both. Elsewhere `scan` alone.
+    /// `scan` runs with the lock released: the coupled walk comes back here
+    /// once per neighbor, and the lock is not reentrant.
+    fn memoized<V: Memoized>(
         &self,
-        id: VmId,
-        couple_progress: bool,
-        t: f64,
-        scan: impl FnOnce() -> PressureVector,
-    ) -> PressureVector {
-        let t_bits = t.to_bits();
-        if let Some(v) = self.agg.lock().expect("cache lock poisoned").get_neighbors(
-            id.raw(),
-            couple_progress,
-            t_bits,
-        ) {
-            return v;
+        server: usize,
+        query: Query,
+        stamp: Stamp,
+        scan: impl FnOnce() -> V,
+    ) -> V {
+        if !self.cacheable(server) {
+            return scan();
         }
-        if let Some(memo) = &self.shared {
-            if let Some(v) = memo.get_neighbors(id.raw(), couple_progress, t_bits) {
-                self.agg.lock().expect("cache lock poisoned").put_neighbors(
-                    id.raw(),
-                    couple_progress,
-                    t_bits,
-                    v,
-                );
-                return v;
-            }
+        let agg = || self.agg.lock().expect("cache lock poisoned");
+        if let Some(answer) = agg().get(query, stamp) {
+            return V::from_answer(answer);
+        }
+        let memo = self
+            .shared
+            .as_deref()
+            .filter(|_| !matches!(query, Query::Utilization { .. }));
+        if let Some(answer) = memo.and_then(|memo| memo.get(query, stamp)) {
+            agg().put(query, stamp, answer);
+            return V::from_answer(answer);
         }
         let v = scan();
-        self.agg.lock().expect("cache lock poisoned").put_neighbors(
-            id.raw(),
-            couple_progress,
-            t_bits,
-            v,
-        );
-        if let Some(memo) = &self.shared {
-            memo.put_neighbors(id.raw(), couple_progress, t_bits, v);
+        agg().put(query, stamp, v.into_answer());
+        if let Some(memo) = memo {
+            memo.put(query, stamp, v.into_answer());
         }
         v
+    }
+
+    /// The candidates a walk over `server`'s residents visits: the
+    /// residency index, or inside the test-only [`oracle`] scope the whole
+    /// arena in ascending-id order (the walk then skips other servers).
+    fn candidates(&self, server: usize) -> Cow<'_, [VmId]> {
+        if oracle::enabled() {
+            Cow::Owned(self.placement.vms.iter_ids().collect())
+        } else {
+            Cow::Borrowed(self.placement.vms.on_server(server))
+        }
     }
 
     /// The uncached neighbor walk behind [`Cluster::interference_on`]:
@@ -930,16 +878,10 @@ impl Cluster {
         couple_progress: bool,
     ) -> PressureVector {
         let tpc = self.placement.servers[state.server].spec().threads_per_core;
-        let full: Vec<VmId>;
-        let candidates: &[VmId] = if oracle::enabled() {
-            full = self.placement.vms.iter_ids().collect();
-            &full
-        } else {
-            self.placement.vms.on_server(state.server)
-        };
+        let candidates = self.candidates(state.server);
         self.count_visits(candidates.len());
         let mut sum = NeighborSum::new(&self.isolation);
-        for &other_id in candidates {
+        for &other_id in candidates.iter() {
             if other_id == id {
                 continue;
             }
@@ -987,7 +929,11 @@ impl Cluster {
             let p = match other.pressure_override {
                 Some(p) => p,
                 None => {
-                    let interference = self.memoized_neighbors(other_id, false, t, || {
+                    let query = Query::Neighbors {
+                        id: other_id.raw(),
+                        couple: false,
+                    };
+                    let interference = self.memoized(state.server, query, (t.to_bits(), 0), || {
                         let table = table
                             .get_or_insert_with(|| self.resident_table(residents, t, &mut *rng));
                         self.table_scan(table, other_id, other)
@@ -1060,39 +1006,19 @@ impl Cluster {
                 cluster_size: self.placement.servers.len(),
             });
         }
-        if self.cacheable(server) {
-            let t_bits = t.to_bits();
-            if let Some(v) = self
-                .agg
-                .lock()
-                .expect("cache lock poisoned")
-                .get_utilization(server, t_bits)
-            {
-                return Ok(v);
-            }
-            let v = self.utilization_scan(server, t, rng);
-            self.agg
-                .lock()
-                .expect("cache lock poisoned")
-                .put_utilization(server, t_bits, v);
-            return Ok(v);
-        }
-        Ok(self.utilization_scan(server, t, rng))
+        let query = Query::Utilization { server };
+        Ok(self.memoized(server, query, (t.to_bits(), 0), || {
+            self.utilization_scan(server, t, rng)
+        }))
     }
 
     /// The uncached utilization walk over one server's residents.
     fn utilization_scan<R: Rng>(&self, server: usize, t: f64, rng: &mut R) -> f64 {
         let mut busy = 0.0;
         let mut occupied = 0u32;
-        let full: Vec<VmId>;
-        let candidates: &[VmId] = if oracle::enabled() {
-            full = self.placement.vms.iter_ids().collect();
-            &full
-        } else {
-            self.placement.vms.on_server(server)
-        };
+        let candidates = self.candidates(server);
         self.count_visits(candidates.len());
-        for &vm_id in candidates {
+        for &vm_id in candidates.iter() {
             let state = self.placement.vms.get(vm_id).expect("candidate is live");
             if state.server != server {
                 continue; // reference mode scans the whole arena

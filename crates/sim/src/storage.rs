@@ -1,5 +1,5 @@
 //! Region-scale VM storage: a slot arena, a per-server residency index,
-//! and a memo cache for deterministic pressure aggregates.
+//! and the memos for deterministic probe queries.
 //!
 //! The cluster used to keep every VM in one global `BTreeMap<VmId,
 //! VmState>`, so each neighbor query walked the whole region and filtered
@@ -14,20 +14,31 @@
 //! the order of every floating-point accumulation and every RNG draw —
 //! is bit-identical to the old scan.
 //!
-//! `AggCache` memoizes *whole query results* (per observer, per time)
-//! rather than algebraic partial sums: per-step saturation
-//! (`saturating_add` clamps at 100 after each neighbor) and float
-//! non-associativity make a shared sum-minus-self aggregate impossible to
-//! keep bit-exact, while a memo of the finished vector is exact by
-//! construction. The cluster only consults the cache on servers whose
-//! residents are all deterministic (pressure override set, or a
-//! zero-noise profile); the stochastic `pressure_at` path draws RNG per
-//! neighbor and must keep its exact draw order, so it never sees the
-//! cache.
+//! Deterministic probe queries are memoized through one protocol. A
+//! [`Query`] names what is asked of whom (neighbor interference, per-core
+//! interference, an LLC sweep, a server's utilization), a [`Stamp`]
+//! decides whether a stored answer is current (the query time's bits,
+//! plus the probe allocation's for a sweep), and two maps hold
+//! [`Answer`]s under those keys: `AggCache`, one per `Cluster` instance,
+//! keeps the latest answer per query; [`SweepMemo`], shared by the
+//! snapshots of one base cluster, keeps every answer per `(query,
+//! stamp)`. The cluster runs the lookup → scan → publish sequence in one
+//! helper.
+//!
+//! Both memoize *whole query results* rather than algebraic partial
+//! sums: per-step saturation (`saturating_add` clamps at 100 after each
+//! neighbor) and float non-associativity make a shared sum-minus-self
+//! aggregate impossible to keep bit-exact, while a memo of the finished
+//! vector is exact by construction. The cluster only consults them on
+//! servers whose residents are all deterministic (pressure override set,
+//! or a zero-noise profile); the stochastic `pressure_at` path draws RNG
+//! per neighbor and must keep its exact draw order, so it never sees a
+//! memo.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use bolt_workloads::PressureVector;
 
@@ -246,25 +257,107 @@ impl VmArena {
     }
 }
 
-/// Memo cache for deterministic pressure aggregates.
+/// One memoizable probe query: what is asked, and of whom. Whether a
+/// memo entry answers it is decided by its [`Stamp`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Query {
+    /// Interference on VM `id` (raw id), with or without progress coupling.
+    Neighbors { id: u64, couple: bool },
+    /// Interference on VM `id` through one of its physical cores. A
+    /// `u32`, like `ServerSpec::cores`, keeps the key at 16 bytes.
+    PerCore { id: u64, core: u32 },
+    /// The LLC cache-sweep response VM `id` observes.
+    Sweep { id: u64 },
+    /// CPU utilization of one server.
+    Utilization { server: usize },
+}
+
+/// Hashes the fields alone: a derived hash also writes the discriminant,
+/// one more SipHash write on every lookup of the probe hot path. Kinds
+/// whose fields hash alike share a bucket, and `Eq` tells them apart.
+impl Hash for Query {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match *self {
+            Query::Neighbors { id, couple } => {
+                state.write_u64(id);
+                state.write_u8(couple.into());
+            }
+            Query::PerCore { id, core } => {
+                state.write_u64(id);
+                state.write_u32(core);
+            }
+            Query::Sweep { id } => state.write_u64(id),
+            Query::Utilization { server } => state.write_usize(server),
+        }
+    }
+}
+
+impl Query {
+    /// True for a query a probe issues itself: a coupled neighbor walk, a
+    /// per-core walk or an LLC sweep. The uncoupled walks a coupled walk
+    /// recurses into are not, and neither is utilization, which is a
+    /// monitor's question rather than a probe's.
+    pub(crate) fn top_level(self) -> bool {
+        match self {
+            Query::Neighbors { couple, .. } => couple,
+            Query::PerCore { .. } | Query::Sweep { .. } => true,
+            Query::Utilization { .. } => false,
+        }
+    }
+}
+
+/// What decides whether a memo entry answers a [`Query`]: the query
+/// time's bit pattern, then the probe allocation's bit pattern for an LLC
+/// sweep (0 for every other query).
+pub(crate) type Stamp = (u64, u64);
+
+/// A memoized query result as the memos store it: a pressure vector, or
+/// a scalar response in lane 0. With no tag, an entry stays as small as a
+/// bare vector.
+pub(crate) type Answer = PressureVector;
+
+/// A result type a [`Query`] answers with. Each query kind always answers
+/// with the same type, so an entry reads back as what was stored.
+pub(crate) trait Memoized: Copy {
+    fn into_answer(self) -> Answer;
+    fn from_answer(answer: Answer) -> Self;
+}
+
+impl Memoized for PressureVector {
+    fn into_answer(self) -> Answer {
+        self
+    }
+
+    fn from_answer(answer: Answer) -> Self {
+        answer
+    }
+}
+
+impl Memoized for f64 {
+    fn into_answer(self) -> Answer {
+        let mut answer = PressureVector::zero();
+        answer.as_mut_array()[0] = self;
+        answer
+    }
+
+    fn from_answer(answer: Answer) -> Self {
+        answer.as_array()[0]
+    }
+}
+
+/// Memo cache for deterministic pressure aggregates: the latest answer
+/// per [`Query`].
 ///
-/// Entries are keyed by observer (raw id or server index) and hold the
-/// query time's bit pattern alongside the finished result, so a probe
-/// that re-samples at the same `t` hits while any time advance naturally
-/// misses and overwrites — the map stays bounded by the number of
-/// observers, never by the number of distinct times. Every cluster
-/// mutation (launch, terminate, migrate, profile swap, pressure
-/// override, degradation, isolation change) clears the cache outright.
+/// Each entry holds its [`Stamp`] alongside the finished result, so a
+/// probe that re-samples at the same `t` (and, for a sweep, the same
+/// allocation) hits while any time advance naturally misses and
+/// overwrites — the map stays bounded by the number of observers, never
+/// by the number of distinct times. Every cluster mutation (launch,
+/// terminate, migrate, profile swap, pressure override, degradation,
+/// isolation change) clears the cache outright.
 #[derive(Debug, Default)]
 pub(crate) struct AggCache {
-    /// (raw id, couple_progress) -> (t bits, interference vector).
-    neighbors: HashMap<(u64, bool), (u64, PressureVector)>,
-    /// (raw id, physical core) -> (t bits, per-core interference).
-    per_core: HashMap<(u64, usize), (u64, PressureVector)>,
-    /// raw id -> (t bits, probe_alloc bits, LLC sweep response).
-    sweep: HashMap<u64, (u64, u64, f64)>,
-    /// server -> (t bits, CPU utilization).
-    utilization: HashMap<usize, (u64, f64)>,
+    latest: HashMap<Query, (Stamp, Answer)>,
     pub(crate) hits: u64,
     pub(crate) misses: u64,
 }
@@ -273,22 +366,16 @@ impl AggCache {
     /// Drops every memo (a cluster mutation invalidated them all). The
     /// hit/miss counters survive: they are cumulative telemetry.
     pub(crate) fn invalidate(&mut self) {
-        self.neighbors.clear();
-        self.per_core.clear();
-        self.sweep.clear();
-        self.utilization.clear();
+        self.latest.clear();
     }
 
-    pub(crate) fn get_neighbors(
-        &mut self,
-        id: u64,
-        couple: bool,
-        t_bits: u64,
-    ) -> Option<PressureVector> {
-        match self.neighbors.get(&(id, couple)) {
-            Some(&(tb, v)) if tb == t_bits => {
+    /// The memoized answer to `query` if it carries `stamp`; counts a hit
+    /// or a miss.
+    pub(crate) fn get(&mut self, query: Query, stamp: Stamp) -> Option<Answer> {
+        match self.latest.get(&query) {
+            Some(&(s, answer)) if s == stamp => {
                 self.hits += 1;
-                Some(v)
+                Some(answer)
             }
             _ => {
                 self.misses += 1;
@@ -297,64 +384,8 @@ impl AggCache {
         }
     }
 
-    pub(crate) fn put_neighbors(&mut self, id: u64, couple: bool, t_bits: u64, v: PressureVector) {
-        self.neighbors.insert((id, couple), (t_bits, v));
-    }
-
-    pub(crate) fn get_per_core(
-        &mut self,
-        id: u64,
-        core: usize,
-        t_bits: u64,
-    ) -> Option<PressureVector> {
-        match self.per_core.get(&(id, core)) {
-            Some(&(tb, v)) if tb == t_bits => {
-                self.hits += 1;
-                Some(v)
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    pub(crate) fn put_per_core(&mut self, id: u64, core: usize, t_bits: u64, v: PressureVector) {
-        self.per_core.insert((id, core), (t_bits, v));
-    }
-
-    pub(crate) fn get_sweep(&mut self, id: u64, t_bits: u64, alloc_bits: u64) -> Option<f64> {
-        match self.sweep.get(&id) {
-            Some(&(tb, ab, v)) if tb == t_bits && ab == alloc_bits => {
-                self.hits += 1;
-                Some(v)
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    pub(crate) fn put_sweep(&mut self, id: u64, t_bits: u64, alloc_bits: u64, v: f64) {
-        self.sweep.insert(id, (t_bits, alloc_bits, v));
-    }
-
-    pub(crate) fn get_utilization(&mut self, server: usize, t_bits: u64) -> Option<f64> {
-        match self.utilization.get(&server) {
-            Some(&(tb, v)) if tb == t_bits => {
-                self.hits += 1;
-                Some(v)
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    pub(crate) fn put_utilization(&mut self, server: usize, t_bits: u64, v: f64) {
-        self.utilization.insert(server, (t_bits, v));
+    pub(crate) fn put(&mut self, query: Query, stamp: Stamp, answer: Answer) {
+        self.latest.insert(query, (stamp, answer));
     }
 }
 
@@ -367,8 +398,9 @@ impl AggCache {
 /// even when they issue byte-identical queries. A `SweepMemo` is the
 /// sharing layer above that: the service attaches one `Arc<SweepMemo>` to
 /// the base cluster, every snapshot inherits the handle, and the first
-/// hunt to finish a `(observer, time)` probe query publishes the result
-/// for every later hunt targeting the same server.
+/// hunt to finish a probe query publishes the result for every later hunt
+/// targeting the same server. Utilization is not a probe query and never
+/// reaches the memo.
 ///
 /// Determinism contract (same as the aggregate cache, see the module
 /// docs): the memo is consulted only behind the `cacheable(server)` gate,
@@ -378,25 +410,17 @@ impl AggCache {
 /// degradation) detaches from the memo outright — its world has diverged
 /// from the base placement, so it neither reads nor publishes entries.
 ///
-/// Unlike `AggCache`, entries are keyed by the full `(observer, time[,
-/// core/alloc])` tuple and never overwritten: the map is bounded by the
+/// Unlike `AggCache`, entries are keyed by the full `(query, stamp)` pair
+/// and never overwritten with different bytes: the map is bounded by the
 /// number of *distinct* probe queries a run issues, which is what makes
-/// the sharing accounting exact — `shared() = lookups() - distinct()`
-/// counts every consult that was (or raced with) a repeat of an already
-/// computed query, independent of thread schedule.
+/// the sharing accounting exact.
 #[derive(Debug, Default)]
 pub struct SweepMemo {
-    /// (raw id, couple_progress, t bits) -> interference vector.
-    neighbors: Mutex<HashMap<(u64, bool, u64), PressureVector>>,
-    /// (raw id, physical core, t bits) -> per-core interference.
-    per_core: Mutex<HashMap<(u64, usize, u64), PressureVector>>,
-    /// (raw id, t bits, probe_alloc bits) -> LLC sweep response.
-    sweep: Mutex<HashMap<(u64, u64, u64), f64>>,
+    answers: Mutex<HashMap<(Query, Stamp), Answer>>,
     /// Total consults (hit or miss). A racy duplicate compute counts the
     /// same as the serial-order hit it would have been.
     lookups: AtomicU64,
-    /// Consults from *top-level* probe queries only (couple-progress
-    /// neighbor walks, per-core walks, LLC sweeps). Unlike `lookups`,
+    /// Consults from [`Query::top_level`] queries only. Unlike `lookups`,
     /// which also counts the nested non-coupled consults a cache miss
     /// recurses into (and a hit short-circuits), this is a pure function
     /// of the query trace — the basis of the `sweeps-shared` telemetry
@@ -410,62 +434,21 @@ impl SweepMemo {
         SweepMemo::default()
     }
 
-    pub(crate) fn get_neighbors(
-        &self,
-        id: u64,
-        couple: bool,
-        t_bits: u64,
-    ) -> Option<PressureVector> {
+    fn answers(&self) -> MutexGuard<'_, HashMap<(Query, Stamp), Answer>> {
+        self.answers.lock().expect("sweep memo lock poisoned")
+    }
+
+    /// The published answer to `query` at `stamp`; counts the consult.
+    pub(crate) fn get(&self, query: Query, stamp: Stamp) -> Option<Answer> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        if couple {
+        if query.top_level() {
             self.query_lookups.fetch_add(1, Ordering::Relaxed);
         }
-        self.neighbors
-            .lock()
-            .expect("sweep memo lock poisoned")
-            .get(&(id, couple, t_bits))
-            .copied()
+        self.answers().get(&(query, stamp)).copied()
     }
 
-    pub(crate) fn put_neighbors(&self, id: u64, couple: bool, t_bits: u64, v: PressureVector) {
-        self.neighbors
-            .lock()
-            .expect("sweep memo lock poisoned")
-            .insert((id, couple, t_bits), v);
-    }
-
-    pub(crate) fn get_per_core(&self, id: u64, core: usize, t_bits: u64) -> Option<PressureVector> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.query_lookups.fetch_add(1, Ordering::Relaxed);
-        self.per_core
-            .lock()
-            .expect("sweep memo lock poisoned")
-            .get(&(id, core, t_bits))
-            .copied()
-    }
-
-    pub(crate) fn put_per_core(&self, id: u64, core: usize, t_bits: u64, v: PressureVector) {
-        self.per_core
-            .lock()
-            .expect("sweep memo lock poisoned")
-            .insert((id, core, t_bits), v);
-    }
-
-    pub(crate) fn get_sweep(&self, id: u64, t_bits: u64, alloc_bits: u64) -> Option<f64> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.query_lookups.fetch_add(1, Ordering::Relaxed);
-        self.sweep
-            .lock()
-            .expect("sweep memo lock poisoned")
-            .get(&(id, t_bits, alloc_bits))
-            .copied()
-    }
-
-    pub(crate) fn put_sweep(&self, id: u64, t_bits: u64, alloc_bits: u64, v: f64) {
-        self.sweep
-            .lock()
-            .expect("sweep memo lock poisoned")
-            .insert((id, t_bits, alloc_bits), v);
+    pub(crate) fn put(&self, query: Query, stamp: Stamp, answer: Answer) {
+        self.answers().insert((query, stamp), answer);
     }
 
     /// Total memo consults so far (hits and misses alike).
@@ -478,30 +461,7 @@ impl SweepMemo {
     /// publishes it; a racy duplicate publish overwrites with identical
     /// bytes), so this is schedule-independent.
     pub fn distinct(&self) -> u64 {
-        let n = self
-            .neighbors
-            .lock()
-            .expect("sweep memo lock poisoned")
-            .len();
-        let c = self
-            .per_core
-            .lock()
-            .expect("sweep memo lock poisoned")
-            .len();
-        let s = self.sweep.lock().expect("sweep memo lock poisoned").len();
-        (n + c + s) as u64
-    }
-
-    /// Probe sweeps served from (or concurrently duplicated against) the
-    /// memo instead of re-walking co-residents: `lookups - distinct`.
-    /// Exact under a serial schedule; under concurrent lanes a racy
-    /// double-compute inflates `lookups` through the nested non-coupled
-    /// consults a hit would have skipped, so prefer [`shared_sweeps`] for
-    /// anything compared across thread counts.
-    ///
-    /// [`shared_sweeps`]: SweepMemo::shared_sweeps
-    pub fn shared(&self) -> u64 {
-        self.lookups().saturating_sub(self.distinct())
+        self.answers().len() as u64
     }
 
     /// Top-level probe queries answered from (or concurrently duplicated
@@ -515,23 +475,10 @@ impl SweepMemo {
     /// published is the union of the hunts' key sets regardless of which
     /// lane computed each entry first.
     pub fn shared_sweeps(&self) -> u64 {
-        let coupled = self
-            .neighbors
-            .lock()
-            .expect("sweep memo lock poisoned")
-            .keys()
-            .filter(|k| k.1)
-            .count();
-        let c = self
-            .per_core
-            .lock()
-            .expect("sweep memo lock poisoned")
-            .len();
-        let s = self.sweep.lock().expect("sweep memo lock poisoned").len();
-        let distinct_queries = (coupled + c + s) as u64;
+        let distinct_queries = self.answers().keys().filter(|(q, _)| q.top_level()).count();
         self.query_lookups
             .load(Ordering::Relaxed)
-            .saturating_sub(distinct_queries)
+            .saturating_sub(distinct_queries as u64)
     }
 }
 
@@ -623,17 +570,33 @@ mod tests {
     }
 
     #[test]
-    fn agg_cache_hits_only_on_matching_time() {
+    fn agg_cache_hits_only_on_matching_stamp() {
         let mut cache = AggCache::default();
         let v = PressureVector::from_pairs(&[(Resource::Llc, 5.0)]);
-        assert_eq!(cache.get_neighbors(3, true, 100), None);
-        cache.put_neighbors(3, true, 100, v);
-        assert_eq!(cache.get_neighbors(3, true, 100), Some(v));
-        assert_eq!(cache.get_neighbors(3, true, 200), None, "time advanced");
-        assert_eq!(cache.get_neighbors(3, false, 100), None, "flavor differs");
+        let coupled = Query::Neighbors {
+            id: 3,
+            couple: true,
+        };
+        assert_eq!(cache.get(coupled, (100, 0)), None);
+        cache.put(coupled, (100, 0), v);
+        assert_eq!(cache.get(coupled, (100, 0)), Some(v));
+        assert_eq!(cache.get(coupled, (200, 0)), None, "time advanced");
+        let uncoupled = Query::Neighbors {
+            id: 3,
+            couple: false,
+        };
+        assert_eq!(cache.get(uncoupled, (100, 0)), None, "flavor differs");
         cache.invalidate();
-        assert_eq!(cache.get_neighbors(3, true, 100), None, "mutation clears");
+        assert_eq!(cache.get(coupled, (100, 0)), None, "mutation clears");
         assert_eq!(cache.hits, 1);
         assert_eq!(cache.misses, 4);
+
+        // A sweep's stamp carries its allocation: same time, other
+        // allocation misses. Scalars round-trip through lane 0.
+        let sweep = Query::Sweep { id: 3 };
+        let half = (100, 0.5f64.to_bits());
+        cache.put(sweep, half, 7.0.into_answer());
+        assert_eq!(cache.get(sweep, half).map(f64::from_answer), Some(7.0));
+        assert_eq!(cache.get(sweep, (100, 0.25f64.to_bits())), None);
     }
 }

@@ -145,8 +145,10 @@ fn apply_ops(cluster: &mut Cluster, ops: &[(u8, usize)], seed: u64) -> Vec<VmId>
 }
 
 /// Every observable of `c` at time `t`, one labelled line each: the live
-/// set, every VM's interference, cache-sweep response, performance and
-/// per-core interference, every server's utilization and residency, and
+/// set, every VM's interference, cache-sweep responses at two allocations
+/// (at one `t`, so a memo that ignored the allocation would answer the
+/// second from the first), performance and per-core interference, every
+/// server's utilization and residency, and
 /// the query RNG's next draw. Each `f64` is written as its raw bits, so
 /// equal lines mean equal bits, NaN payloads included. All queries share
 /// one RNG seeded from `seed`: if a storage skipped or reordered a single
@@ -159,12 +161,13 @@ fn observe(c: &Cluster, t: f64, seed: u64) -> Vec<String> {
     for &id in &ids {
         let live = "vm is live";
         let i = c.interference_on(id, t, &mut rng).expect(live);
-        let s = c.cache_sweep_response(id, 0.5, t, &mut rng).expect(live);
+        let s =
+            [0.5, 0.25].map(|alloc| c.cache_sweep_response(id, alloc, t, &mut rng).expect(live));
         let p = c.performance_of(id, t, &mut rng).expect(live);
         let core = c.interference_on_core(id, 0, t, &mut rng).expect("core 0");
         let (i, core) = (bits(i.as_slice()), bits(core.as_slice()));
         lines.push(format!("interference on {id:?} at t={t}: {i:?}"));
-        lines.push(format!("sweep response of {id:?}: {}", s.to_bits()));
+        lines.push(format!("sweep responses of {id:?}: {:?}", bits(&s)));
         lines.push(format!("performance of {id:?}: {:?}", bits(&[p.0, p.1])));
         lines.push(format!("per-core interference on {id:?}: {core:?}"));
     }
@@ -717,7 +720,21 @@ fn sweep_memo_counts_shared_queries_and_detaches_on_mutation() {
         "warm query costs one consult"
     );
     assert_eq!(memo.distinct(), published, "warm query publishes nothing");
-    assert_eq!(memo.shared(), 1, "the one warm consult was shared");
+    assert_eq!(
+        memo.lookups() - memo.distinct(),
+        1,
+        "the one warm consult was shared"
+    );
+
+    // Utilization is a monitor's query, not a probe's: it never reaches
+    // the memo (server 1 is empty, so no nested neighbor walk does either).
+    assert_eq!(b.cpu_utilization(1, t, &mut rng).expect("in range"), 0.0);
+    assert_eq!(
+        memo.lookups(),
+        cold_lookups + 1,
+        "utilization never consults"
+    );
+    assert_eq!(memo.distinct(), published, "utilization never publishes");
 
     // Mutating a snapshot detaches it: no further consults or publishes.
     let mut mutated = c.snapshot();
@@ -737,6 +754,30 @@ fn sweep_memo_counts_shared_queries_and_detaches_on_mutation() {
         memo.distinct(),
         published,
         "a diverged snapshot must not publish"
+    );
+
+    // Each top-level kind counts toward `shared_sweeps`: so far the one
+    // shared coupled probe; then a per-core walk and an LLC sweep, each
+    // computed on one snapshot and repeated on its sibling.
+    assert_eq!(memo.shared_sweeps(), 1);
+    let core = a
+        .interference_on_core(observer, 0, t, &mut rng)
+        .expect("core 0");
+    let sweep = a
+        .cache_sweep_response(observer, 0.5, t, &mut rng)
+        .expect("sweep");
+    assert_eq!(memo.shared_sweeps(), 1, "cold queries share nothing");
+    let core_b = b
+        .interference_on_core(observer, 0, t, &mut rng)
+        .expect("core 0");
+    let sweep_b = b
+        .cache_sweep_response(observer, 0.5, t, &mut rng)
+        .expect("sweep");
+    assert_eq!((core_b, sweep_b), (core, sweep));
+    assert_eq!(
+        memo.shared_sweeps(),
+        3,
+        "the per-core walk and the sweep were shared"
     );
 }
 
