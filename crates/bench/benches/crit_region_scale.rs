@@ -20,8 +20,10 @@
 //! one inner walk over the k residents per neighbor. The per-probe
 //! resident table evaluates each resident's pressure once, so a probe
 //! makes 2k−1 pressure evaluations where re-evaluating every resident
-//! in every inner walk made k(k−1); what still grows with k² is only the
-//! inner walks' reads of the table.
+//! in every inner walk made k(k−1). Each table entry also carries its
+//! fold operands (masked core lanes, core and float-leak totals), so
+//! what still grows with k² is one ten-lane saturating accumulate and
+//! one scalar comparison per inner-walk read of the table.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -44,7 +44,7 @@ use bolt_sim::{
     SweepMemo, VmId,
 };
 use bolt_workloads::catalog::memcached;
-use bolt_workloads::{AppLabel, LoadPattern, PressureVector, WorkloadProfile};
+use bolt_workloads::{AppLabel, LoadPattern, PressureVector};
 
 use crate::anytime::FIXED_WINDOW_NOMINAL_PROBES;
 use crate::ctx::{FitCache, RunCtx};
@@ -453,6 +453,8 @@ fn build_service_cluster(config: &ServiceConfig) -> Result<ServiceCluster, BoltE
     let mut cluster = Cluster::new(config.servers, ServerSpec::xeon(), config.isolation)?;
     let core_iso = cluster.isolation().mechanisms.core_isolation;
 
+    let tenants = config.servers * config.vms_per_server;
+    cluster.reserve(config.servers + tenants);
     let mut adversaries = Vec::with_capacity(config.servers);
     for s in 0..config.servers {
         let profile = memcached::profile(&memcached::Variant::Mixed, &mut rng).with_vcpus(4);
@@ -461,20 +463,23 @@ fn build_service_cluster(config: &ServiceConfig) -> Result<ServiceCluster, BoltE
         adversaries.push(id);
     }
 
-    let profiles: Vec<WorkloadProfile> = if config.region_tenants {
-        // Steady load on top of the region catalog's zero noise: the
-        // tenants' pressures become pure functions of placement, never of
-        // the virtual instant a probe lands — the invariant behind both
-        // idle-gap-invariant verdicts and cross-hunt sweep sharing.
-        (0..config.servers * config.vms_per_server)
-            .map(|i| tenant_profile(i, &mut rng).with_load(LoadPattern::steady()))
-            .collect()
-    } else {
-        victim_set(config.servers * config.vms_per_server, &mut rng)
-    };
+    // Region tenants are drawn as they launch (launching draws nothing
+    // from `rng`, so the stream is the one a drawn-first list would use):
+    // at region scale the list would be 7 MB that every run allocates
+    // and frees next to the cluster it builds.
+    let mut victims = (!config.region_tenants).then(|| victim_set(tenants, &mut rng).into_iter());
     let mut server_vms = vec![Vec::new(); config.servers];
     let mut truths = vec![Vec::new(); config.servers];
-    for (i, p) in profiles.into_iter().enumerate() {
+    for i in 0..tenants {
+        let p = match victims.as_mut() {
+            Some(victims) => victims.next().expect("victim_set draws one per tenant"),
+            // Steady load on top of the region catalog's zero noise: the
+            // tenants' pressures become pure functions of placement, never
+            // of the virtual instant a probe lands — the invariant behind
+            // both idle-gap-invariant verdicts and cross-hunt sweep
+            // sharing.
+            None => tenant_profile(i, &mut rng).with_load(LoadPattern::steady()),
+        };
         let server = i % config.servers;
         if !cluster.server(server)?.can_host(p.vcpus(), core_iso) {
             return Err(BoltError::InvalidExperiment {

@@ -150,6 +150,17 @@ impl Cluster {
         })
     }
 
+    /// Makes room for `vms` more launches (VM slots and their launch
+    /// events) in one allocation each. A driver that builds a large
+    /// cluster in one go calls it first: growing by doubling instead
+    /// frees a trail of outgrown buffers, about as large in total as the
+    /// final one (16 MB of VM slots at 22,000 VMs), and other allocations
+    /// then fragment the holes they leave.
+    pub fn reserve(&mut self, vms: usize) {
+        self.placement_mut().vms.reserve(vms);
+        self.events.reserve(vms);
+    }
+
     /// The only write path to the placement: unshares it first, so the
     /// first mutation after a [`Cluster::snapshot`] copies it once and
     /// every other instance sharing it keeps reading the old state.
@@ -171,9 +182,9 @@ impl Cluster {
     }
 
     /// Attaches a cross-snapshot [`SweepMemo`]: until this instance next
-    /// mutates, its deterministic probe queries consult (and publish to)
-    /// `memo` after missing the instance-local aggregate cache, and
-    /// [`Cluster::snapshot`]s inherit the handle. Results are
+    /// mutates, its deterministic top-level probe queries consult (and
+    /// publish to) `memo` after missing the instance-local aggregate
+    /// cache, and [`Cluster::snapshot`]s inherit the handle. Results are
     /// byte-identical with or without a memo — only repeated co-resident
     /// walks are skipped; see [`SweepMemo`] for the argument.
     pub fn share_sweeps(&mut self, memo: Arc<SweepMemo>) {
@@ -817,8 +828,10 @@ impl Cluster {
 
     /// The memo protocol of every query about `server`. On a
     /// [`Cluster::cacheable`] server: the instance cache, then the shared
-    /// sweep memo (probe queries only; utilization never reaches it), then
-    /// `scan`, whose result is published to both. Elsewhere `scan` alone.
+    /// sweep memo (only for a [`Query::top_level`] query: the uncoupled
+    /// walks a coupled probe recurses into, and utilization, never reach
+    /// it), then `scan`, whose result is published to both. Elsewhere
+    /// `scan` alone.
     /// `scan` runs with the lock released: the coupled walk comes back here
     /// once per neighbor, and the lock is not reentrant.
     fn memoized<V: Memoized>(
@@ -835,10 +848,7 @@ impl Cluster {
         if let Some(answer) = agg().get(query, stamp) {
             return V::from_answer(answer);
         }
-        let memo = self
-            .shared
-            .as_deref()
-            .filter(|_| !matches!(query, Query::Utilization { .. }));
+        let memo = self.shared.as_deref().filter(|_| query.top_level());
         if let Some(answer) = memo.and_then(|memo| memo.get(query, stamp)) {
             agg().put(query, stamp, answer);
             return V::from_answer(answer);
@@ -894,7 +904,7 @@ impl Cluster {
             } else {
                 raw_emission(other, t, rng)
             };
-            sum.add(&p, share_a_core(state, other, tpc));
+            sum.add_emission(p, share_a_core(state, other, tpc));
         }
         sum.finish(self.placement.degradation[state.server])
     }
@@ -941,13 +951,15 @@ impl Cluster {
                     coupled_emission(other, &interference, t, rng)
                 }
             };
-            sum.add(&p, share_a_core(state, other, tpc));
+            sum.add_emission(p, share_a_core(state, other, tpc));
         }
         sum.finish(self.placement.degradation[state.server])
     }
 
-    /// Every resident's raw emission at `t`, in residency-index order.
+    /// Every resident's raw emission at `t`, in residency-index order, as
+    /// the operands every inner walk folds.
     fn resident_table<R: Rng>(&self, residents: &[VmId], t: f64, rng: &mut R) -> Vec<Resident<'_>> {
+        let fold = NeighborSum::new(&self.isolation);
         residents
             .iter()
             .map(|&id| {
@@ -955,7 +967,7 @@ impl Cluster {
                 Resident {
                     id,
                     state,
-                    raw: raw_emission(state, t, rng),
+                    operands: fold.operands(raw_emission(state, t, rng)),
                 }
             })
             .collect()
@@ -970,7 +982,7 @@ impl Cluster {
         let mut sum = NeighborSum::new(&self.isolation);
         for resident in table {
             if resident.id != id {
-                sum.add(&resident.raw, share_a_core(state, resident.state, tpc));
+                sum.add(&resident.operands, share_a_core(state, resident.state, tpc));
             }
         }
         sum.finish(self.placement.degradation[state.server])
@@ -1143,11 +1155,11 @@ impl Cluster {
 
 /// One resident of a coupled probe's table (see
 /// [`Cluster::coupled_table_scan`]): its id, its state (whose threads give
-/// its core set) and its raw emission at the probe's time.
+/// its core set) and its raw emission at the probe's time, ready to fold.
 struct Resident<'a> {
     id: VmId,
     state: &'a VmState,
-    raw: PressureVector,
+    operands: FoldOperands,
 }
 
 /// A VM's emission at `t` with no progress coupling: its override, if
@@ -1183,6 +1195,23 @@ fn share_a_core(a: &VmState, b: &VmState, threads_per_core: u32) -> bool {
     })
 }
 
+/// One co-resident's emission as [`NeighborSum::add`] folds it. Each part
+/// depends on the emission and the isolation config alone, not on the
+/// observer, so a resident table computes them once per probe rather than
+/// once per inner walk.
+struct FoldOperands {
+    /// The emission, all ten lanes: what a static core-sharer sees.
+    raw: PressureVector,
+    /// The emission with its core lanes zeroed: what everyone else sees.
+    uncore: [f64; RESOURCE_COUNT],
+    /// The emission's core-lane total, which ranks float candidates.
+    core_total: f64,
+    /// The core lanes that leak through scheduler float (`p·float·atten`).
+    leak: PressureVector,
+    /// The leak's core-lane total.
+    leak_total: f64,
+}
+
 /// The running sum of one neighbor walk as one observer sees it.
 struct NeighborSum {
     /// Attenuation depends only on the isolation config: hoisted once per
@@ -1195,6 +1224,10 @@ struct NeighborSum {
     /// sibling hyperthreads. The *loudest* (most CPU-hungry) neighbor
     /// dominates those co-schedulings, so only its core pressure leaks.
     float_candidate: Option<PressureVector>,
+    /// The candidate's leak total, or -1 before the first candidate. A
+    /// neighbor replaces the candidate when its *raw* core total exceeds
+    /// this *leaked* one.
+    candidate_total: f64,
     has_static_sharer: bool,
 }
 
@@ -1205,39 +1238,52 @@ impl NeighborSum {
             float: isolation.float_visibility(),
             total: PressureVector::zero(),
             float_candidate: None,
+            candidate_total: -1.0,
             has_static_sharer: false,
         }
     }
 
+    /// The fold operands of emission `p` under this walk's isolation.
+    fn operands(&self, p: PressureVector) -> FoldOperands {
+        let core_sum = |v: &PressureVector| Resource::CORE.iter().map(|&r| v[r]).sum::<f64>();
+        let mut uncore = *p.as_array();
+        let mut leak = PressureVector::zero();
+        for r in Resource::CORE {
+            uncore[r.index()] = 0.0;
+            leak[r] = p[r] * self.float * self.atten[r.index()];
+        }
+        FoldOperands {
+            raw: p,
+            uncore,
+            core_total: core_sum(&p),
+            leak,
+            leak_total: core_sum(&leak),
+        }
+    }
+
     /// Adds one co-resident's emission `p`.
-    fn add(&mut self, p: &PressureVector, shares_core: bool) {
+    fn add_emission(&mut self, p: PressureVector, shares_core: bool) {
+        let operands = self.operands(p);
+        self.add(&operands, shares_core);
+    }
+
+    /// Adds one co-resident's emission, given as its fold operands.
+    fn add(&mut self, o: &FoldOperands, shares_core: bool) {
         self.has_static_sharer |= shares_core;
-        // Core lanes are only visible from static core-sharers; zeroing
-        // them and running one fused multiply-accumulate-saturate over
+        // Core lanes are only visible from static core-sharers; folding
+        // the zeroed copy with one fused multiply-accumulate-saturate over
         // all ten lanes reproduces the old per-lane math bit for bit
         // (0.0 · attenuation adds +0.0, as before).
-        let mut visible = *p.as_array();
-        if !shares_core {
-            for r in Resource::CORE {
-                visible[r.index()] = 0.0;
-            }
-        }
-        kernels::sat_accum(self.total.as_mut_array(), &visible, &self.atten, 100.0);
+        let visible = if shares_core {
+            o.raw.as_array()
+        } else {
+            &o.uncore
+        };
+        kernels::sat_accum(self.total.as_mut_array(), visible, &self.atten, 100.0);
 
-        if !shares_core && self.float > 0.0 {
-            let core_total: f64 = Resource::CORE.iter().map(|&r| p[r]).sum();
-            let best_total = self
-                .float_candidate
-                .as_ref()
-                .map(|c| Resource::CORE.iter().map(|&r| c[r]).sum::<f64>())
-                .unwrap_or(-1.0);
-            if core_total > best_total {
-                let mut leak = PressureVector::zero();
-                for r in Resource::CORE {
-                    leak[r] = p[r] * self.float * self.atten[r.index()];
-                }
-                self.float_candidate = Some(leak);
-            }
+        if !shares_core && self.float > 0.0 && o.core_total > self.candidate_total {
+            self.float_candidate = Some(o.leak);
+            self.candidate_total = o.leak_total;
         }
     }
 
@@ -1774,5 +1820,151 @@ mod tests {
             }
             assert_eq!(c.least_loaded_server(0), Some(0));
         }
+    }
+
+    /// The fold as it was written before the operands were split out: it
+    /// masks the core lanes and sums the candidate's leak on every call.
+    /// The reference the fold-ready [`NeighborSum`] must match bit for bit.
+    fn reference_fold(
+        walk: &[(PressureVector, bool)],
+        atten: &[f64; RESOURCE_COUNT],
+        float: f64,
+        d: f64,
+    ) -> (PressureVector, Option<PressureVector>) {
+        let mut total = PressureVector::zero();
+        let mut candidate: Option<PressureVector> = None;
+        let mut has_static_sharer = false;
+        for &(p, shares_core) in walk {
+            has_static_sharer |= shares_core;
+            let mut visible = *p.as_array();
+            if !shares_core {
+                for r in Resource::CORE {
+                    visible[r.index()] = 0.0;
+                }
+            }
+            kernels::sat_accum(total.as_mut_array(), &visible, atten, 100.0);
+            if !shares_core && float > 0.0 {
+                let core_total: f64 = Resource::CORE.iter().map(|&r| p[r]).sum();
+                let best_total = candidate
+                    .as_ref()
+                    .map(|c| Resource::CORE.iter().map(|&r| c[r]).sum::<f64>())
+                    .unwrap_or(-1.0);
+                if core_total > best_total {
+                    let mut leak = PressureVector::zero();
+                    for r in Resource::CORE {
+                        leak[r] = p[r] * float * atten[r.index()];
+                    }
+                    candidate = Some(leak);
+                }
+            }
+        }
+        if !has_static_sharer {
+            if let Some(leak) = candidate {
+                total = total.saturating_add(&leak);
+            }
+        }
+        if d > 0.0 {
+            kernels::sat_scale(total.as_mut_array(), 1.0 + d, 100.0);
+        }
+        (total, candidate)
+    }
+
+    fn bits(v: &PressureVector) -> Vec<u64> {
+        v.as_array().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Folding operands precomputed in a table, folding emissions as they
+    /// arrive, and the reference fold give the same bits: totals and float
+    /// candidates alike. Walks mix random lanes, all-zero core lanes,
+    /// repeated emissions (equal core totals), emissions whose raw core
+    /// total equals an earlier leak total (the candidate test's tie),
+    /// random share masks, float 0 and > 0, and degradation.
+    #[test]
+    fn fold_ready_operands_match_the_reference_fold() {
+        let mut r = rng();
+        let mut ties = 0;
+        for case in 0..3000 {
+            let float = [0.0, 0.18, 0.5, r.gen_range(0.0..1.0)][case % 4];
+            let atten: [f64; RESOURCE_COUNT] = if case % 3 == 0 {
+                [1.0; RESOURCE_COUNT]
+            } else {
+                std::array::from_fn(|_| r.gen::<f64>())
+            };
+            let d = [0.0, 0.0, 0.3][case % 3];
+            let sharer_rate = [0.0, 0.2, 0.6][(case / 4) % 3];
+            let mut walk: Vec<(PressureVector, bool)> = Vec::new();
+            for _ in 0..r.gen_range(0..12usize) {
+                let roll = r.gen_range(0..10u32);
+                let p = if roll == 0 && !walk.is_empty() {
+                    walk[r.gen_range(0..walk.len())].0
+                } else if roll == 1 && !walk.is_empty() {
+                    // Raw core total equal to an earlier emission's leak.
+                    let e = walk[r.gen_range(0..walk.len())].0;
+                    let leak: f64 = Resource::CORE
+                        .iter()
+                        .map(|&c| e[c] * float * atten[c.index()])
+                        .sum();
+                    ties += 1;
+                    PressureVector::from_pairs(&[(Resource::L1i, leak), (Resource::Llc, 40.0)])
+                } else {
+                    let mut p =
+                        PressureVector::from_raw(std::array::from_fn(|_| r.gen_range(0.0..100.0)));
+                    if roll == 2 {
+                        for c in Resource::CORE {
+                            p[c] = 0.0;
+                        }
+                    }
+                    p
+                };
+                walk.push((p, r.gen_bool(sharer_rate)));
+            }
+
+            let fresh = || {
+                let mut sum = NeighborSum::new(&IsolationConfig::cloud_default());
+                sum.atten = atten;
+                sum.float = float;
+                sum
+            };
+            let builder = fresh();
+            let table: Vec<FoldOperands> = walk.iter().map(|&(p, _)| builder.operands(p)).collect();
+            let mut tabled = fresh();
+            let mut on_the_fly = fresh();
+            for (o, &(p, shares_core)) in table.iter().zip(&walk) {
+                tabled.add(o, shares_core);
+                on_the_fly.add_emission(p, shares_core);
+            }
+            let (expected, expected_candidate) = reference_fold(&walk, &atten, float, d);
+            for sum in [tabled, on_the_fly] {
+                let candidate = sum.float_candidate;
+                assert_eq!(
+                    candidate.as_ref().map(bits),
+                    expected_candidate.as_ref().map(bits),
+                    "case {case}: float candidate"
+                );
+                assert_eq!(bits(&sum.finish(d)), bits(&expected), "case {case}: total");
+            }
+        }
+        assert!(ties > 100, "walks exercise the candidate tie ({ties})");
+    }
+
+    /// The candidate test compares a neighbor's raw core total with the
+    /// candidate's leaked total, so at float 0.18 a neighbor with core
+    /// total 30 replaces one with core total 100 (leaked: 18). A fold that
+    /// ranked raw against raw, or took ties, would keep the other leak.
+    #[test]
+    fn float_candidate_ranks_raw_against_leaked_totals() {
+        let mut sum = NeighborSum::new(&IsolationConfig::cloud_default());
+        sum.atten = [1.0; RESOURCE_COUNT];
+        sum.float = 0.5;
+        let loud = PressureVector::from_pairs(&[(Resource::L1i, 100.0)]);
+        sum.add_emission(loud, false);
+        assert_eq!(sum.candidate_total, 50.0);
+        // Raw 50 ties the leaked 50: the candidate stays.
+        sum.add_emission(PressureVector::from_pairs(&[(Resource::Cpu, 50.0)]), false);
+        assert_eq!(sum.float_candidate, Some(loud.scaled(0.5)));
+        // Raw 60 beats the leaked 50, though 60 < 100 raw.
+        let quiet = PressureVector::from_pairs(&[(Resource::L2, 60.0)]);
+        sum.add_emission(quiet, false);
+        assert_eq!(sum.float_candidate, Some(quiet.scaled(0.5)));
     }
 }

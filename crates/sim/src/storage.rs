@@ -22,8 +22,10 @@
 //! [`Answer`]s under those keys: `AggCache`, one per `Cluster` instance,
 //! keeps the latest answer per query; [`SweepMemo`], shared by the
 //! snapshots of one base cluster, keeps every answer per `(query,
-//! stamp)`. The cluster runs the lookup → scan → publish sequence in one
-//! helper.
+//! stamp)` for the queries a probe issues itself
+//! ([`Query::top_level`]). The cluster runs the lookup → scan → publish
+//! sequence in one helper. Both maps key on a few internal integers, so
+//! they hash with [`KeyHasher`] rather than SipHash.
 //!
 //! Both memoize *whole query results* rather than algebraic partial
 //! sums: per-step saturation (`saturating_add` clamps at 100 after each
@@ -36,7 +38,7 @@
 //! memo.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -101,6 +103,12 @@ impl VmArena {
 
     pub(crate) fn free_slots(&self) -> usize {
         self.free.len()
+    }
+
+    /// Room for `additional` more launches without reallocating.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.state.reserve(additional);
+        self.slot_of.reserve(additional);
     }
 
     pub(crate) fn get(&self, id: VmId) -> Option<&VmState> {
@@ -273,7 +281,7 @@ pub(crate) enum Query {
 }
 
 /// Hashes the fields alone: a derived hash also writes the discriminant,
-/// one more SipHash write on every lookup of the probe hot path. Kinds
+/// one more hasher write on every lookup of the probe hot path. Kinds
 /// whose fields hash alike share a bucket, and `Eq` tells them apart.
 impl Hash for Query {
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -305,6 +313,47 @@ impl Query {
         }
     }
 }
+
+/// A multiply-rotate hasher for the memo keys: one rotate, xor and
+/// multiply per written integer. Every key is a few integers the simulator
+/// makes itself (VM ids, core and server indices, the bits of a probe's
+/// time and allocation), never outside input, so SipHash's protection
+/// against crafted collisions buys nothing here.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by memo keys, hashed with [`KeyHasher`].
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
 /// What decides whether a memo entry answers a [`Query`]: the query
 /// time's bit pattern, then the probe allocation's bit pattern for an LLC
@@ -357,7 +406,7 @@ impl Memoized for f64 {
 /// isolation change) clears the cache outright.
 #[derive(Debug, Default)]
 pub(crate) struct AggCache {
-    latest: HashMap<Query, (Stamp, Answer)>,
+    latest: KeyMap<Query, (Stamp, Answer)>,
     pub(crate) hits: u64,
     pub(crate) misses: u64,
 }
@@ -399,8 +448,10 @@ impl AggCache {
 /// sharing layer above that: the service attaches one `Arc<SweepMemo>` to
 /// the base cluster, every snapshot inherits the handle, and the first
 /// hunt to finish a probe query publishes the result for every later hunt
-/// targeting the same server. Utilization is not a probe query and never
-/// reaches the memo.
+/// targeting the same server. Only `Query::top_level` queries reach the
+/// memo: the uncoupled walks a coupled probe recurses into are answered
+/// by the snapshot's `AggCache` or scanned (a shared top-level hit skips
+/// them anyway), and utilization is not a probe query.
 ///
 /// Determinism contract (same as the aggregate cache, see the module
 /// docs): the memo is consulted only behind the `cacheable(server)` gate,
@@ -412,20 +463,17 @@ impl AggCache {
 ///
 /// Unlike `AggCache`, entries are keyed by the full `(query, stamp)` pair
 /// and never overwritten with different bytes: the map is bounded by the
-/// number of *distinct* probe queries a run issues, which is what makes
-/// the sharing accounting exact.
+/// number of *distinct* top-level probe queries a run issues, which is
+/// what makes the sharing accounting exact. Nothing is evicted.
 #[derive(Debug, Default)]
 pub struct SweepMemo {
-    answers: Mutex<HashMap<(Query, Stamp), Answer>>,
-    /// Total consults (hit or miss). A racy duplicate compute counts the
-    /// same as the serial-order hit it would have been.
+    answers: Mutex<KeyMap<(Query, Stamp), Answer>>,
+    /// Total consults (hit or miss), each from a [`Query::top_level`]
+    /// query. A racy duplicate compute counts the same as the serial-order
+    /// hit it would have been. Each hunt consults once per distinct key it
+    /// needs, so this is a pure function of the query trace — the basis of
+    /// the `sweeps-shared` telemetry counter's thread-count invariance.
     lookups: AtomicU64,
-    /// Consults from [`Query::top_level`] queries only. Unlike `lookups`,
-    /// which also counts the nested non-coupled consults a cache miss
-    /// recurses into (and a hit short-circuits), this is a pure function
-    /// of the query trace — the basis of the `sweeps-shared` telemetry
-    /// counter's thread-count invariance.
-    query_lookups: AtomicU64,
 }
 
 impl SweepMemo {
@@ -434,16 +482,15 @@ impl SweepMemo {
         SweepMemo::default()
     }
 
-    fn answers(&self) -> MutexGuard<'_, HashMap<(Query, Stamp), Answer>> {
+    fn answers(&self) -> MutexGuard<'_, KeyMap<(Query, Stamp), Answer>> {
         self.answers.lock().expect("sweep memo lock poisoned")
     }
 
-    /// The published answer to `query` at `stamp`; counts the consult.
+    /// The published answer to the top-level `query` at `stamp`; counts
+    /// the consult.
     pub(crate) fn get(&self, query: Query, stamp: Stamp) -> Option<Answer> {
+        debug_assert!(query.top_level(), "only probe queries reach the memo");
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        if query.top_level() {
-            self.query_lookups.fetch_add(1, Ordering::Relaxed);
-        }
         self.answers().get(&(query, stamp)).copied()
     }
 
@@ -451,15 +498,16 @@ impl SweepMemo {
         self.answers().insert((query, stamp), answer);
     }
 
-    /// Total memo consults so far (hits and misses alike).
+    /// Total memo consults so far (hits and misses alike), all from
+    /// top-level probe queries.
     pub fn lookups(&self) -> u64 {
         self.lookups.load(Ordering::Relaxed)
     }
 
-    /// Distinct probe queries published so far. Every consulted key ends
-    /// up in exactly one map entry (the first missing consult computes and
-    /// publishes it; a racy duplicate publish overwrites with identical
-    /// bytes), so this is schedule-independent.
+    /// Distinct top-level probe queries published so far. Every consulted
+    /// key ends up in exactly one map entry (the first missing consult
+    /// computes and publishes it; a racy duplicate publish overwrites with
+    /// identical bytes), so this is schedule-independent.
     pub fn distinct(&self) -> u64 {
         self.answers().len() as u64
     }
@@ -475,10 +523,7 @@ impl SweepMemo {
     /// published is the union of the hunts' key sets regardless of which
     /// lane computed each entry first.
     pub fn shared_sweeps(&self) -> u64 {
-        let distinct_queries = self.answers().keys().filter(|(q, _)| q.top_level()).count();
-        self.query_lookups
-            .load(Ordering::Relaxed)
-            .saturating_sub(distinct_queries as u64)
+        self.lookups().saturating_sub(self.distinct())
     }
 }
 
@@ -510,6 +555,20 @@ mod tests {
                 Some(PressureVector::from_pairs(&[(Resource::Cpu, 10.0)]))
             },
         }
+    }
+
+    /// A reserved arena takes its launches in the buffers it reserved.
+    #[test]
+    fn reserved_launches_do_not_reallocate() {
+        let mut arena = VmArena::new(4);
+        arena.reserve(40);
+        let (state_buf, slot_buf) = (arena.state.as_ptr(), arena.slot_of.as_ptr());
+        for raw in 0..40 {
+            arena.insert(VmId::from_raw(raw), state(raw as usize % 4, true));
+        }
+        assert_eq!(arena.slots(), 40);
+        assert_eq!(arena.state.as_ptr(), state_buf);
+        assert_eq!(arena.slot_of.as_ptr(), slot_buf);
     }
 
     #[test]

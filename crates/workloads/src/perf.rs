@@ -48,8 +48,8 @@ pub fn weighted_contention(profile: &WorkloadProfile, interference: &PressureVec
 /// most sensitive resource should be devastating even though the average
 /// across all ten resources is low — this term captures that.
 pub fn critical_contention(profile: &WorkloadProfile, interference: &PressureVector) -> f64 {
-    let critical = profile.sensitivity().top(3);
-    critical
+    profile
+        .critical()
         .iter()
         .map(|&r| (interference[r] / 100.0) * (profile.sensitivity()[r] / 100.0))
         .fold(0.0, f64::max)

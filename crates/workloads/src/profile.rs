@@ -44,6 +44,9 @@ pub struct WorkloadProfile {
     kind: WorkloadKind,
     base_pressure: PressureVector,
     sensitivity: PressureVector,
+    /// `sensitivity.top(3)`, ranked once here: the contention model reads
+    /// it on every call, and no method changes `sensitivity` after `new`.
+    critical: [Resource; 3],
     load: LoadPattern,
     noise: f64,
     base_latency_ms: f64,
@@ -80,11 +83,13 @@ impl WorkloadProfile {
         base_runtime_s: f64,
         vcpus: u32,
     ) -> Self {
+        let ranked = sensitivity.ranked_array();
         WorkloadProfile {
             label,
             kind,
             base_pressure,
             sensitivity,
+            critical: [ranked[0], ranked[1], ranked[2]],
             load,
             noise: noise.clamp(0.0, 0.5),
             base_latency_ms: base_latency_ms.max(0.01),
@@ -121,6 +126,12 @@ impl WorkloadProfile {
     /// Per-resource sensitivity to contention.
     pub fn sensitivity(&self) -> &PressureVector {
         &self.sensitivity
+    }
+
+    /// The three resources this workload is most sensitive to, most
+    /// sensitive first (ties in canonical order): `sensitivity().top(3)`.
+    pub fn critical(&self) -> &[Resource; 3] {
+        &self.critical
     }
 
     /// The load pattern this workload follows.
@@ -390,6 +401,62 @@ mod tests {
         // Level clamped.
         let over = p.at_load_level(2.0);
         assert_eq!(over.base_pressure()[Resource::L1i], 80.0);
+    }
+
+    #[test]
+    fn critical_is_the_top_three_sensitivities() {
+        use crate::catalog::{parsec, userstudy};
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut profiles = crate::training::training_set(3);
+        profiles.extend(
+            parsec::Benchmark::ALL
+                .iter()
+                .map(|b| parsec::profile(b, &mut rng)),
+        );
+        profiles.extend(
+            userstudy::APPS
+                .iter()
+                .map(|a| userstudy::profile(a, &mut rng)),
+        );
+        // Ties rank in canonical order: an all-zero sensitivity, and a
+        // three-way tie with a fourth resource above it.
+        let tied = PressureVector::from_pairs(&[
+            (Resource::Cpu, 50.0),
+            (Resource::L1d, 50.0),
+            (Resource::DiskBw, 50.0),
+            (Resource::NetBw, 70.0),
+        ]);
+        for sensitivity in [PressureVector::zero(), tied] {
+            let p = WorkloadProfile::new(
+                AppLabel::new("tie", "case", DatasetScale::Small),
+                WorkloadKind::Batch,
+                tied,
+                sensitivity,
+                LoadPattern::steady(),
+                0.0,
+                1.0,
+                60.0,
+                1,
+            );
+            profiles.push(p);
+        }
+        for p in &profiles {
+            assert_eq!(
+                p.critical().to_vec(),
+                p.sensitivity().top(3),
+                "{}",
+                p.label()
+            );
+        }
+        let n = profiles.len();
+        assert_eq!(
+            profiles[n - 2].critical(),
+            &[Resource::L1i, Resource::L1d, Resource::L2]
+        );
+        assert_eq!(
+            profiles[n - 1].critical(),
+            &[Resource::NetBw, Resource::L1d, Resource::Cpu]
+        );
     }
 
     #[test]

@@ -13,7 +13,8 @@ use std::ops::{Index, IndexMut};
 /// Number of shared resources Bolt profiles.
 pub const RESOURCE_COUNT: usize = 10;
 
-/// One of the ten shared resources (paper §3.2).
+/// One of the ten shared resources (paper §3.2). The declaration order is
+/// [`Resource::ALL`]'s: [`Resource::index`] returns the discriminant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Resource {
     /// L1 instruction cache (per physical core, shared by hyperthreads).
@@ -69,12 +70,10 @@ impl Resource {
     ];
 
     /// This resource's index in [`Resource::ALL`] and in
-    /// [`PressureVector`] storage.
+    /// [`PressureVector`] storage: the discriminant, since the variants
+    /// are declared in [`Resource::ALL`] order.
     pub fn index(self) -> usize {
-        Resource::ALL
-            .iter()
-            .position(|&r| r == self)
-            .expect("resource present in ALL")
+        self as usize
     }
 
     /// Builds a resource from its canonical index.
@@ -202,14 +201,20 @@ impl PressureVector {
 
     /// Resources ordered by descending pressure.
     pub fn ranked(&self) -> Vec<Resource> {
-        let mut idx: Vec<usize> = (0..RESOURCE_COUNT).collect();
-        idx.sort_by(|&a, &b| {
-            self.0[b]
-                .partial_cmp(&self.0[a])
+        self.ranked_array().to_vec()
+    }
+
+    /// [`Self::ranked`] without the allocation: ties break toward the
+    /// earlier resource in canonical order.
+    pub(crate) fn ranked_array(&self) -> [Resource; RESOURCE_COUNT] {
+        let mut order = Resource::ALL;
+        order.sort_by(|&a, &b| {
+            self[b]
+                .partial_cmp(&self[a])
                 .expect("pressure is finite")
                 .then(a.cmp(&b))
         });
-        idx.into_iter().map(Resource::from_index).collect()
+        order
     }
 
     /// The top `n` resources by pressure.

@@ -21,6 +21,13 @@ cargo test -q
 echo "==> cargo test --workspace (every unit, integration and property suite)"
 cargo test --workspace -q
 
+# The storage-equivalence proptests pin the probe walks (resident table,
+# fold operands, memos) to the reference scan bit for bit. The suite's own
+# 32-64 cases per property keep the debug run short; 2,048 in release go
+# deeper in a few seconds.
+echo "==> storage_equivalence at PROPTEST_CASES=2048 (release)"
+PROPTEST_CASES=2048 cargo test --release -q -p bolt-sim --test storage_equivalence
+
 echo "==> cargo test --doc (doctests)"
 cargo test --workspace --doc -q
 
