@@ -369,6 +369,35 @@ mod tests {
         );
     }
 
+    /// The storage counters of one fixed run, pinned: 200 servers stepped
+    /// 10 times, so probes revisit hosts within a step and the aggregate
+    /// cache both hits and misses. A change to the probe walks, the memo
+    /// or placement that moves any counter fails here.
+    #[test]
+    fn region_storage_counters_are_pinned() {
+        let config = RegionConfig {
+            servers: 200,
+            steps: 10,
+            seed: 7,
+            ..RegionConfig::default()
+        };
+        let report = run_region(&config).expect("region runs");
+        assert_eq!((report.vms, report.probes), (2000, 2560));
+        assert_eq!(
+            report.storage,
+            StorageStats {
+                live_vms: 2000,
+                arena_slots: 2000,
+                free_slots: 0,
+                slots_reused: 320,
+                residency_ops: 2640,
+                agg_hits: 5193,
+                agg_misses: 20407,
+                neighbor_visits: 204070,
+            }
+        );
+    }
+
     #[test]
     fn region_run_is_deterministic() {
         let config = RegionConfig {

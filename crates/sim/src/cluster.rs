@@ -815,8 +815,11 @@ impl Cluster {
             id: id.raw(),
             couple: couple_progress,
         };
-        // A coupled probe on a deterministic server reads a resident table.
-        let table = couple_progress && self.cacheable(state.server);
+        // A coupled probe on a deterministic server reads a resident table,
+        // whose core masks need a host of at most 64 cores.
+        let table = couple_progress
+            && self.cacheable(state.server)
+            && self.placement.servers[state.server].spec().cores <= u64::BITS;
         self.memoized(state.server, query, (t.to_bits(), 0), || {
             if table {
                 self.coupled_table_scan(id, state, t, rng)
@@ -845,16 +848,16 @@ impl Cluster {
             return scan();
         }
         let agg = || self.agg.lock().expect("cache lock poisoned");
-        if let Some(answer) = agg().get(query, stamp) {
+        if let Some(answer) = agg().get(server, query, stamp) {
             return V::from_answer(answer);
         }
         let memo = self.shared.as_deref().filter(|_| query.top_level());
         if let Some(answer) = memo.and_then(|memo| memo.get(query, stamp)) {
-            agg().put(query, stamp, answer);
+            agg().put(server, query, stamp, answer);
             return V::from_answer(answer);
         }
         let v = scan();
-        agg().put(query, stamp, v.into_answer());
+        agg().put(server, query, stamp, v.into_answer());
         if let Some(memo) = memo {
             memo.put(query, stamp, v.into_answer());
         }
@@ -912,13 +915,15 @@ impl Cluster {
     /// A coupled probe on a deterministic server. Each neighbor's coupled
     /// emission needs that neighbor's own raw interference, which walks
     /// the same residents again; those k inner walks read one
-    /// [`Resident`] table instead of re-evaluating every resident k times.
+    /// [`Resident`] table instead of re-evaluating every resident k times,
+    /// and each neighbor's coupled emission starts from the load-scaled
+    /// pressure its entry keeps.
     ///
-    /// The table is built at the first inner walk that misses the
-    /// aggregate cache and dropped when this walk returns. Every cache
-    /// lookup and publish happens exactly as in [`Cluster::neighbor_scan`],
-    /// and every walk counts the same visits, so results, RNG stream (no
-    /// deterministic resident draws) and storage counters are unchanged.
+    /// The table is built first and dropped when this walk returns. Every
+    /// cache lookup and publish happens exactly as in
+    /// [`Cluster::neighbor_scan`], and every walk counts the same visits,
+    /// so results, RNG stream (no deterministic resident draws) and
+    /// storage counters are unchanged.
     fn coupled_table_scan<R: Rng>(
         &self,
         id: VmId,
@@ -929,63 +934,77 @@ impl Cluster {
         let tpc = self.placement.servers[state.server].spec().threads_per_core;
         let residents = self.placement.vms.on_server(state.server);
         self.count_visits(residents.len());
-        let mut table: Option<Vec<Resident>> = None;
+        let table = self.resident_table(residents, tpc, t, rng);
+        let cores = core_mask(&state.threads, tpc);
         let mut sum = NeighborSum::new(&self.isolation);
-        for &other_id in residents {
-            if other_id == id {
+        for (i, resident) in table.iter().enumerate() {
+            if resident.id == id {
                 continue;
             }
-            let other = self.placement.vms.get(other_id).expect("resident is live");
-            let p = match other.pressure_override {
-                Some(p) => p,
-                None => {
+            let p = match resident.coupling {
+                None => resident.operands.raw,
+                Some((profile, scaled)) => {
                     let query = Query::Neighbors {
-                        id: other_id.raw(),
+                        id: resident.id.raw(),
                         couple: false,
                     };
                     let interference = self.memoized(state.server, query, (t.to_bits(), 0), || {
-                        let table = table
-                            .get_or_insert_with(|| self.resident_table(residents, t, &mut *rng));
-                        self.table_scan(table, other_id, other)
+                        self.table_scan(&table, i, state.server)
                     });
-                    coupled_emission(other, &interference, t, rng)
+                    profile.emit(&scaled, perf::progress_rate(profile, &interference), rng)
                 }
             };
-            sum.add_emission(p, share_a_core(state, other, tpc));
+            sum.add_emission(p, resident.cores & cores != 0);
         }
         sum.finish(self.placement.degradation[state.server])
     }
 
-    /// Every resident's raw emission at `t`, in residency-index order, as
-    /// the operands every inner walk folds.
-    fn resident_table<R: Rng>(&self, residents: &[VmId], t: f64, rng: &mut R) -> Vec<Resident<'_>> {
+    /// Every resident's core mask, load-scaled pressure and raw emission
+    /// at `t`, in residency-index order: the operands every inner walk
+    /// folds.
+    fn resident_table<R: Rng>(
+        &self,
+        residents: &[VmId],
+        threads_per_core: u32,
+        t: f64,
+        rng: &mut R,
+    ) -> Vec<Resident<'_>> {
         let fold = NeighborSum::new(&self.isolation);
         residents
             .iter()
             .map(|&id| {
                 let state = self.placement.vms.get(id).expect("resident is live");
+                let (coupling, raw) = match state.pressure_override {
+                    Some(p) => (None, p),
+                    None => {
+                        let scaled = state.profile.load_scaled_at(t);
+                        let raw = state.profile.emit(&scaled, 1.0, rng);
+                        (Some((&state.profile, scaled)), raw)
+                    }
+                };
                 Resident {
                     id,
-                    state,
-                    operands: fold.operands(raw_emission(state, t, rng)),
+                    cores: core_mask(&state.threads, threads_per_core),
+                    coupling,
+                    operands: fold.operands(raw),
                 }
             })
             .collect()
     }
 
-    /// The uncoupled walk for `id` over a [`Resident`] table: the sum
+    /// The uncoupled walk for the resident at `table[observer]`: the sum
     /// [`Cluster::neighbor_scan`] computes without progress coupling,
     /// bit for bit, in the same order.
-    fn table_scan(&self, table: &[Resident], id: VmId, state: &VmState) -> PressureVector {
-        let tpc = self.placement.servers[state.server].spec().threads_per_core;
+    fn table_scan(&self, table: &[Resident], observer: usize, server: usize) -> PressureVector {
         self.count_visits(table.len());
+        let cores = table[observer].cores;
         let mut sum = NeighborSum::new(&self.isolation);
-        for resident in table {
-            if resident.id != id {
-                sum.add(&resident.operands, share_a_core(state, resident.state, tpc));
+        for (i, resident) in table.iter().enumerate() {
+            if i != observer {
+                sum.add(&resident.operands, resident.cores & cores != 0);
             }
         }
-        sum.finish(self.placement.degradation[state.server])
+        sum.finish(self.placement.degradation[server])
     }
 
     /// Adds one walk's `candidates` to the neighbor-visit counter: one
@@ -1154,11 +1173,20 @@ impl Cluster {
 }
 
 /// One resident of a coupled probe's table (see
-/// [`Cluster::coupled_table_scan`]): its id, its state (whose threads give
-/// its core set) and its raw emission at the probe's time, ready to fold.
+/// [`Cluster::coupled_table_scan`]): its id, the physical cores it owns
+/// hyperthreads of, and its raw emission at the probe's time, ready to
+/// fold.
 struct Resident<'a> {
     id: VmId,
-    state: &'a VmState,
+    /// Bit `c` set for each physical core `c` the resident has a thread
+    /// on ([`core_mask`]): two residents share a core when their masks
+    /// intersect.
+    cores: u64,
+    /// Without a pressure override: the resident's profile and its
+    /// load-scaled pressure at the probe's time, which its coupled
+    /// emission starts from. `None` for an override, which is emitted
+    /// as is.
+    coupling: Option<(&'a WorkloadProfile, PressureVector)>,
     operands: FoldOperands,
 }
 
@@ -1181,6 +1209,15 @@ fn coupled_emission<R: Rng>(
 ) -> PressureVector {
     let progress = perf::progress_rate(&state.profile, interference);
     state.profile.pressure_at(t, progress, rng)
+}
+
+/// The physical cores `threads` sit on, as a bitmask: bit `x / tpc` for
+/// each thread `x`. Masks of two tenants intersect exactly when
+/// [`share_a_core`] holds. Only for hosts of at most 64 cores: a larger
+/// core index would shift past the mask.
+fn core_mask(threads: &[usize], threads_per_core: u32) -> u64 {
+    let tpc = threads_per_core as usize;
+    threads.iter().fold(0, |mask, &x| mask | 1 << (x / tpc))
 }
 
 /// True when `a` and `b` own hyperthreads of one physical core — the

@@ -20,12 +20,14 @@
 //! decides whether a stored answer is current (the query time's bits,
 //! plus the probe allocation's for a sweep), and two maps hold
 //! [`Answer`]s under those keys: `AggCache`, one per `Cluster` instance,
-//! keeps the latest answer per query; [`SweepMemo`], shared by the
-//! snapshots of one base cluster, keeps every answer per `(query,
-//! stamp)` for the queries a probe issues itself
-//! ([`Query::top_level`]). The cluster runs the lookup → scan → publish
-//! sequence in one helper. Both maps key on a few internal integers, so
-//! they hash with [`KeyHasher`] rather than SipHash.
+//! keeps the latest answer per query in one small page per server, so a
+//! probe's lookups and publishes, which all concern its own host, touch
+//! one contiguous page instead of a bucket each across a region-wide
+//! table; [`SweepMemo`], shared by the snapshots of one base cluster,
+//! keeps every answer per `(query, stamp)` for the queries a probe issues
+//! itself ([`Query::top_level`]). The cluster runs the lookup → scan →
+//! publish sequence in one helper. Both key on a few internal integers,
+//! so they hash with [`KeyHasher`] rather than SipHash.
 //!
 //! Both memoize *whole query results* rather than algebraic partial
 //! sums: per-step saturation (`saturating_add` clamps at 100 after each
@@ -395,46 +397,129 @@ impl Memoized for f64 {
 }
 
 /// Memo cache for deterministic pressure aggregates: the latest answer
-/// per [`Query`].
+/// per [`Query`], paged by server.
 ///
 /// Each entry holds its [`Stamp`] alongside the finished result, so a
 /// probe that re-samples at the same `t` (and, for a sweep, the same
 /// allocation) hits while any time advance naturally misses and
-/// overwrites — the map stays bounded by the number of observers, never
+/// overwrites — the cache stays bounded by the number of observers, never
 /// by the number of distinct times. Every cluster mutation (launch,
 /// terminate, migrate, profile swap, pressure override, degradation,
 /// isolation change) clears the cache outright.
+///
+/// Entries live in one small [`Page`] per server, searched front to
+/// back. A probe asks about one server only (itself, then each
+/// co-resident's uncoupled walk), so it finds its page with one hash
+/// lookup and the rest of its lookups and publishes read and write that
+/// one page: a remembered cursor skips the lookup while consecutive calls
+/// name the same server. A query's server cannot change between
+/// invalidations (only a mutation moves a VM, and every mutation clears
+/// the cache), so no query is ever filed on two pages. `invalidate`
+/// empties the pages and keeps up to [`SPARE_PAGES`] of them, capacity
+/// intact, for the next probes; the rest are freed. `hits` and `misses`
+/// count one per [`AggCache::get`], as they did when the cache was one
+/// map.
 #[derive(Debug, Default)]
 pub(crate) struct AggCache {
-    latest: KeyMap<Query, (Stamp, Answer)>,
+    /// Server -> index of its page in `pages`.
+    index: KeyMap<usize, u32>,
+    /// The pages in use, first `used` of them, then the spare ones.
+    pages: Vec<Page>,
+    used: usize,
+    /// The last server asked about and its page.
+    cursor: Option<(usize, usize)>,
     pub(crate) hits: u64,
     pub(crate) misses: u64,
 }
+
+/// One server's memo entries: `queries[i]`'s latest stamp and answer are
+/// `answers[i]`. The queries sit apart from the 96-byte answers, so a
+/// search reads 16 bytes per entry.
+#[derive(Debug, Default)]
+struct Page {
+    queries: Vec<Query>,
+    answers: Vec<(Stamp, Answer)>,
+}
+
+impl Page {
+    fn find(&self, query: Query) -> Option<usize> {
+        self.queries.iter().position(|&q| q == query)
+    }
+
+    fn clear(&mut self) {
+        self.queries.clear();
+        self.answers.clear();
+    }
+}
+
+/// Emptied pages [`AggCache::invalidate`] keeps for reuse: one per probe
+/// of a region step (256 in `bolt::region`) fits, and at a few KiB
+/// each the pool stays under a MiB.
+const SPARE_PAGES: usize = 256;
 
 impl AggCache {
     /// Drops every memo (a cluster mutation invalidated them all). The
     /// hit/miss counters survive: they are cumulative telemetry.
     pub(crate) fn invalidate(&mut self) {
-        self.latest.clear();
+        for page in &mut self.pages[..self.used] {
+            page.clear();
+        }
+        self.pages.truncate(SPARE_PAGES);
+        self.used = 0;
+        self.index.clear();
+        self.cursor = None;
     }
 
-    /// The memoized answer to `query` if it carries `stamp`; counts a hit
-    /// or a miss.
-    pub(crate) fn get(&mut self, query: Query, stamp: Stamp) -> Option<Answer> {
-        match self.latest.get(&query) {
-            Some(&(s, answer)) if s == stamp => {
-                self.hits += 1;
-                Some(answer)
-            }
+    /// The index of `server`'s page, if it has one.
+    fn page_of(&mut self, server: usize) -> Option<usize> {
+        match self.cursor {
+            Some((s, page)) if s == server => Some(page),
             _ => {
-                self.misses += 1;
-                None
+                let page = *self.index.get(&server)? as usize;
+                self.cursor = Some((server, page));
+                Some(page)
             }
         }
     }
 
-    pub(crate) fn put(&mut self, query: Query, stamp: Stamp, answer: Answer) {
-        self.latest.insert(query, (stamp, answer));
+    /// The memoized answer to `query` about `server` if it carries
+    /// `stamp`; counts a hit or a miss.
+    pub(crate) fn get(&mut self, server: usize, query: Query, stamp: Stamp) -> Option<Answer> {
+        let found = self.page_of(server).and_then(|page| {
+            let page = &self.pages[page];
+            let (s, answer) = page.answers[page.find(query)?];
+            (s == stamp).then_some(answer)
+        });
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        found
+    }
+
+    /// Files `answer` as the latest for `query` about `server`.
+    pub(crate) fn put(&mut self, server: usize, query: Query, stamp: Stamp, answer: Answer) {
+        let page = match self.page_of(server) {
+            Some(page) => page,
+            None => {
+                let page = self.used;
+                if page == self.pages.len() {
+                    self.pages.push(Page::default());
+                }
+                self.used += 1;
+                self.index.insert(server, page as u32);
+                self.cursor = Some((server, page));
+                page
+            }
+        };
+        let page = &mut self.pages[page];
+        match page.find(query) {
+            Some(i) => page.answers[i] = (stamp, answer),
+            None => {
+                page.queries.push(query);
+                page.answers.push((stamp, answer));
+            }
+        }
     }
 }
 
@@ -636,17 +721,17 @@ mod tests {
             id: 3,
             couple: true,
         };
-        assert_eq!(cache.get(coupled, (100, 0)), None);
-        cache.put(coupled, (100, 0), v);
-        assert_eq!(cache.get(coupled, (100, 0)), Some(v));
-        assert_eq!(cache.get(coupled, (200, 0)), None, "time advanced");
+        assert_eq!(cache.get(0, coupled, (100, 0)), None);
+        cache.put(0, coupled, (100, 0), v);
+        assert_eq!(cache.get(0, coupled, (100, 0)), Some(v));
+        assert_eq!(cache.get(0, coupled, (200, 0)), None, "time advanced");
         let uncoupled = Query::Neighbors {
             id: 3,
             couple: false,
         };
-        assert_eq!(cache.get(uncoupled, (100, 0)), None, "flavor differs");
+        assert_eq!(cache.get(0, uncoupled, (100, 0)), None, "flavor differs");
         cache.invalidate();
-        assert_eq!(cache.get(coupled, (100, 0)), None, "mutation clears");
+        assert_eq!(cache.get(0, coupled, (100, 0)), None, "mutation clears");
         assert_eq!(cache.hits, 1);
         assert_eq!(cache.misses, 4);
 
@@ -654,8 +739,121 @@ mod tests {
         // allocation misses. Scalars round-trip through lane 0.
         let sweep = Query::Sweep { id: 3 };
         let half = (100, 0.5f64.to_bits());
-        cache.put(sweep, half, 7.0.into_answer());
-        assert_eq!(cache.get(sweep, half).map(f64::from_answer), Some(7.0));
-        assert_eq!(cache.get(sweep, (100, 0.25f64.to_bits())), None);
+        cache.put(0, sweep, half, 7.0.into_answer());
+        assert_eq!(cache.get(0, sweep, half).map(f64::from_answer), Some(7.0));
+        assert_eq!(cache.get(0, sweep, (100, 0.25f64.to_bits())), None);
+    }
+
+    /// Invalidation keeps at most [`SPARE_PAGES`] emptied pages, and the
+    /// next publishes take them instead of allocating.
+    #[test]
+    fn invalidate_keeps_a_bounded_spare_pool() {
+        let mut cache = AggCache::default();
+        let v = PressureVector::zero();
+        for server in 0..SPARE_PAGES + 40 {
+            let query = Query::Utilization { server };
+            cache.put(server, query, (1, 0), v);
+            cache.put(server, Query::Sweep { id: 9 }, (1, 0), v);
+        }
+        cache.invalidate();
+        assert_eq!((cache.used, cache.pages.len()), (0, SPARE_PAGES));
+        assert!(cache
+            .pages
+            .iter()
+            .all(|p| p.queries.is_empty() && p.answers.is_empty() && p.queries.capacity() >= 2));
+        let first = cache.pages[0].answers.as_ptr();
+        cache.put(7, Query::Utilization { server: 7 }, (2, 0), v);
+        assert_eq!(
+            cache.pages[0].answers.as_ptr(),
+            first,
+            "a spare page was reused"
+        );
+        assert_eq!(
+            cache.get(7, Query::Utilization { server: 7 }, (2, 0)),
+            Some(v)
+        );
+        assert_eq!(cache.get(8, Query::Utilization { server: 8 }, (1, 0)), None);
+    }
+
+    /// The latest-answer-per-query model the paged cache must behave as:
+    /// one plain map from query to its latest stamp and answer.
+    #[derive(Default)]
+    struct LatestModel {
+        latest: HashMap<Query, (Stamp, Answer)>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl LatestModel {
+        fn get(&mut self, query: Query, stamp: Stamp) -> Option<Answer> {
+            let found = self
+                .latest
+                .get(&query)
+                .filter(|(s, _)| *s == stamp)
+                .map(|&(_, answer)| answer);
+            match found {
+                Some(_) => self.hits += 1,
+                None => self.misses += 1,
+            }
+            found
+        }
+    }
+
+    /// A query of every kind about VMs 0..6 (VM `i` lives on server
+    /// `i % 3`) or about servers 0..3, and the server it is about.
+    fn model_query(kind: u8, who: u64, core: u32) -> (usize, Query) {
+        let server = (who % 3) as usize;
+        let query = match kind % 5 {
+            0 => Query::Neighbors {
+                id: who,
+                couple: true,
+            },
+            1 => Query::Neighbors {
+                id: who,
+                couple: false,
+            },
+            2 => Query::PerCore { id: who, core },
+            3 => Query::Sweep { id: who },
+            _ => Query::Utilization { server },
+        };
+        (server, query)
+    }
+
+    proptest::proptest! {
+        /// Random get/put/invalidate sequences over three servers, every
+        /// query kind and a handful of stamps that collide often: the
+        /// paged cache answers every get as the latest-per-query model
+        /// does and ends with the same hit and miss counts.
+        #[test]
+        fn paged_cache_matches_a_latest_per_query_map(
+            ops in proptest::collection::vec(
+                ((0u8..10, 0u8..5, 0u64..6), (0u32..2, 0u64..3, 0u64..2, 0.0f64..100.0)),
+                1..300,
+            ),
+        ) {
+            let mut cache = AggCache::default();
+            let mut model = LatestModel::default();
+            for ((op, kind, who), (core, time, alloc, lane)) in ops {
+                let (server, query) = model_query(kind, who, core);
+                let stamp = (time, alloc);
+                match op {
+                    0..=4 => proptest::prop_assert_eq!(
+                        cache.get(server, query, stamp),
+                        model.get(query, stamp),
+                        "get {:?} at {:?}", query, stamp
+                    ),
+                    5..=8 => {
+                        let answer = PressureVector::from_pairs(&[(Resource::Llc, lane)]);
+                        cache.put(server, query, stamp, answer);
+                        model.latest.insert(query, (stamp, answer));
+                    }
+                    _ => {
+                        cache.invalidate();
+                        model.latest.clear();
+                    }
+                }
+            }
+            proptest::prop_assert_eq!((cache.hits, cache.misses), (model.hits, model.misses));
+        }
     }
 }

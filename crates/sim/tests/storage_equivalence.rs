@@ -360,8 +360,19 @@ fn deterministic_host(
     degradation: f64,
     seed: u64,
 ) -> Cluster {
+    deterministic_host_on(ServerSpec::xeon(), isolation, tenants, degradation, seed)
+}
+
+/// [`deterministic_host`] on servers of `spec`.
+fn deterministic_host_on(
+    spec: ServerSpec,
+    isolation: IsolationConfig,
+    tenants: &[HostTenant],
+    degradation: f64,
+    seed: u64,
+) -> Cluster {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut c = Cluster::new(SERVERS, ServerSpec::xeon(), isolation).expect("cluster");
+    let mut c = Cluster::new(SERVERS, spec, isolation).expect("cluster");
     for (i, &(family, vcpus, level)) in tenants.iter().enumerate() {
         let p = profile(family, &mut rng).with_noise(0.0).with_vcpus(vcpus);
         let id = c
@@ -487,6 +498,50 @@ fn resident_table_matches_reference_on_deterministic_hosts() {
     );
     assert_eq!(indexed.vms_on(0).len(), 8);
     assert_table_path_matches_reference(&indexed, &reference, 777.5, 6);
+}
+
+/// A 96-core host has more cores than the resident table's core masks
+/// hold, so its coupled probes must take a walk that tests core sharing
+/// another way. The spreading placement fills every core's first
+/// hyperthread before any second one: a 64-vCPU tenant takes cores 0–63,
+/// eight tenants and a 16-vCPU one the first threads of cores 64–95, a
+/// second 64-vCPU tenant the second threads of cores 0–63, and ten more
+/// tenants the second threads of cores 64–82, sharing those cores with
+/// the first eight and the 16-vCPU tenant. A mask that wrapped core 64
+/// onto core 0 would show the tenants there the big tenants' core
+/// pressure.
+#[test]
+fn wide_host_beyond_the_core_mask_matches_reference() {
+    let spec = ServerSpec {
+        cores: 96,
+        threads_per_core: 2,
+    };
+    let mut tenants: Vec<HostTenant> = vec![(0, 64, None)];
+    tenants.extend((1..=8).map(|i| (i, 2, (i == 5).then_some(45.0))));
+    tenants.push((1, 16, None));
+    tenants.push((2, 64, Some(20.0)));
+    tenants.extend((0..10).map(|i| (i, 1 + (i % 3) as u32, None)));
+    for degradation in [0.0, 0.3] {
+        let host = |seed| {
+            deterministic_host_on(
+                spec,
+                IsolationConfig::cloud_default(),
+                &tenants,
+                degradation,
+                seed,
+            )
+        };
+        let (indexed, reference) = (host(23), host(23));
+        assert_eq!(indexed.vms_on(0).len(), tenants.len());
+        let high_sharers = indexed.vms_on(0).iter().filter(|&&id| {
+            indexed.vm(id).expect("live").threads.iter().any(|&thread| {
+                let sibling = indexed.server(0).expect("server 0").occupant(thread ^ 1);
+                thread >= 128 && sibling.is_some_and(|o| o != id)
+            })
+        });
+        assert!(high_sharers.count() >= 10, "tenants share cores past 63");
+        assert_table_path_matches_reference(&indexed, &reference, 1618.5, 8);
+    }
 }
 
 proptest! {

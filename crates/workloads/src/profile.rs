@@ -47,6 +47,10 @@ pub struct WorkloadProfile {
     /// `sensitivity.top(3)`, ranked once here: the contention model reads
     /// it on every call, and no method changes `sensitivity` after `new`.
     critical: [Resource; 3],
+    /// `base_pressure.dominant()`, kept beside it: the resource a stalled
+    /// workload keeps hammering. Set in `new`, recomputed wherever
+    /// `base_pressure` changes.
+    dominant: Resource,
     load: LoadPattern,
     noise: f64,
     base_latency_ms: f64,
@@ -90,6 +94,7 @@ impl WorkloadProfile {
             base_pressure,
             sensitivity,
             critical: [ranked[0], ranked[1], ranked[2]],
+            dominant: base_pressure.dominant(),
             load,
             noise: noise.clamp(0.0, 0.5),
             base_latency_ms: base_latency_ms.max(0.01),
@@ -172,29 +177,54 @@ impl WorkloadProfile {
     /// stalled on its critical resource makes less progress and therefore
     /// exerts proportionally less pressure on its *other* resources. Pass
     /// `1.0` for an unimpeded workload.
+    ///
+    /// The two steps, [`WorkloadProfile::load_scaled_at`] then
+    /// [`WorkloadProfile::emit`], are public so a caller that emits one
+    /// workload's pressure at one `t` under several progress rates scales
+    /// it by the load pattern once.
     pub fn pressure_at<R: Rng>(&self, t: f64, progress: f64, rng: &mut R) -> PressureVector {
+        self.emit(&self.load_scaled_at(t), progress, rng)
+    }
+
+    /// The base pressure scaled by the load level at `t`. Capacity
+    /// resources (memory/disk footprint) do not scale with instantaneous
+    /// load: a memcached at low QPS still holds its dataset resident.
+    /// Not clamped: [`WorkloadProfile::emit`] clamps after coupling and
+    /// noise, as one evaluation always has.
+    pub fn load_scaled_at(&self, t: f64) -> PressureVector {
         let level = self.load.level(t);
-        let progress = progress.clamp(0.0, 1.0);
-        let mut vals = [0.0; RESOURCE_COUNT];
-        let critical = self.base_pressure.dominant();
-        for (i, &r) in Resource::ALL.iter().enumerate() {
-            let mut v = self.base_pressure[r] * level;
-            // Capacity resources (memory/disk footprint) do not scale with
-            // instantaneous load: a memcached at low QPS still holds its
-            // dataset resident.
-            if r.is_capacity() {
-                v = self.base_pressure[r];
+        let mut scaled = self.base_pressure;
+        for (v, r) in scaled.as_mut_array().iter_mut().zip(Resource::ALL) {
+            if !r.is_capacity() {
+                *v *= level;
             }
+        }
+        scaled
+    }
+
+    /// The pressure emitted from a [`WorkloadProfile::load_scaled_at`]
+    /// vector at `progress`: progress coupling, then noise (drawn from
+    /// `rng` only for a noisy profile and a nonzero lane), then the clamp
+    /// to `[0, 100]`.
+    pub fn emit<R: Rng>(
+        &self,
+        scaled: &PressureVector,
+        progress: f64,
+        rng: &mut R,
+    ) -> PressureVector {
+        let progress = progress.clamp(0.0, 1.0);
+        let mut vals = *scaled.as_array();
+        for (v, r) in vals.iter_mut().zip(Resource::ALL) {
             // A stalled workload keeps hammering the resource it is stalled
             // on but relaxes everywhere else.
-            if r != critical {
-                v *= progress;
+            if r != self.dominant {
+                *v *= progress;
             }
-            if self.noise > 0.0 && v > 0.0 {
+            if self.noise > 0.0 && *v > 0.0 {
                 let jitter = 1.0 + self.noise * (rng.gen::<f64>() * 2.0 - 1.0);
-                v *= jitter;
+                *v *= jitter;
             }
-            vals[i] = v.clamp(0.0, 100.0);
+            *v = v.clamp(0.0, 100.0);
         }
         PressureVector::from_raw(vals)
     }
@@ -223,6 +253,7 @@ impl WorkloadProfile {
         }
         WorkloadProfile {
             base_pressure: base,
+            dominant: base.dominant(),
             load: LoadPattern::Constant { level: 1.0 },
             reference_pressure: Some(*self.reference_pressure()),
             ..self.clone()
@@ -457,6 +488,123 @@ mod tests {
             profiles[n - 1].critical(),
             &[Resource::NetBw, Resource::L1d, Resource::Cpu]
         );
+    }
+
+    /// `pressure_at` as one function, as it was written before the split
+    /// into `load_scaled_at` and `emit`: the reference the two steps must
+    /// match bit for bit, draw for draw.
+    fn one_step_pressure_at<R: Rng>(
+        p: &WorkloadProfile,
+        t: f64,
+        progress: f64,
+        rng: &mut R,
+    ) -> PressureVector {
+        let level = p.load().level(t);
+        let progress = progress.clamp(0.0, 1.0);
+        let mut vals = [0.0; RESOURCE_COUNT];
+        let critical = p.base_pressure().dominant();
+        for (i, &r) in Resource::ALL.iter().enumerate() {
+            let mut v = p.base_pressure()[r] * level;
+            if r.is_capacity() {
+                v = p.base_pressure()[r];
+            }
+            if r != critical {
+                v *= progress;
+            }
+            if p.noise() > 0.0 && v > 0.0 {
+                let jitter = 1.0 + p.noise() * (rng.gen::<f64>() * 2.0 - 1.0);
+                v *= jitter;
+            }
+            vals[i] = v.clamp(0.0, 100.0);
+        }
+        PressureVector::from_raw(vals)
+    }
+
+    /// Every catalog profile: the training set (load-levelled instances
+    /// included), PARSEC and the user study.
+    fn catalog_profiles() -> Vec<WorkloadProfile> {
+        use crate::catalog::{parsec, userstudy};
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut profiles = crate::training::training_set(3);
+        profiles.extend(
+            parsec::Benchmark::ALL
+                .iter()
+                .map(|b| parsec::profile(b, &mut rng)),
+        );
+        profiles.extend(
+            userstudy::APPS
+                .iter()
+                .map(|a| userstudy::profile(a, &mut rng)),
+        );
+        profiles
+    }
+
+    /// The split emission (`load_scaled_at` then `emit`, and
+    /// `pressure_at`, which calls them) equals the one-step evaluation bit
+    /// for bit and leaves the RNG where it left it: every catalog profile,
+    /// noisy and quiet, on its own load pattern and on a diurnal one, at
+    /// progress 0, 0.37, 1 and 1.5 (clamped to 1).
+    #[test]
+    fn split_emission_matches_the_one_step_evaluation() {
+        let bits = |v: PressureVector| v.as_array().map(f64::to_bits);
+        let diurnal = LoadPattern::Diurnal {
+            low: 0.2,
+            high: 0.9,
+            phase: 0.3,
+        };
+        let mut noisy = 0;
+        for base in catalog_profiles() {
+            noisy += usize::from(base.noise() > 0.0);
+            let quiet = base.clone().with_noise(0.0);
+            let profiles = [
+                quiet.clone(),
+                quiet.with_load(diurnal.clone()),
+                base.clone().with_load(diurnal.clone()),
+                base,
+            ];
+            for (k, p) in profiles.iter().enumerate() {
+                for (i, progress) in [0.0, 0.37, 1.0, 1.5].into_iter().enumerate() {
+                    let t = 1_234.5 * (k * 4 + i) as f64;
+                    let seed = (k * 4 + i) as u64;
+                    let mut reference = StdRng::seed_from_u64(seed);
+                    let expected = one_step_pressure_at(p, t, progress, &mut reference);
+                    let mut split = StdRng::seed_from_u64(seed);
+                    let scaled = p.load_scaled_at(t);
+                    let got = p.emit(&scaled, progress, &mut split);
+                    let mut whole = StdRng::seed_from_u64(seed);
+                    let joined = p.pressure_at(t, progress, &mut whole);
+                    let context = format!("{} at progress {progress}", p.label());
+                    assert_eq!(bits(got), bits(expected), "{context}");
+                    assert_eq!(bits(joined), bits(expected), "{context}");
+                    let next = reference.gen::<u64>();
+                    assert_eq!(split.gen::<u64>(), next, "{context}: RNG stream");
+                    assert_eq!(whole.gen::<u64>(), next, "{context}: RNG stream");
+                }
+            }
+        }
+        assert!(noisy > 100, "most catalog profiles carry noise ({noisy})");
+    }
+
+    /// The stored dominant is the base pressure's after construction and
+    /// after every builder, including `at_load_level`, which can move it
+    /// (capacity lanes stay resident while the rest scale down).
+    #[test]
+    fn stored_dominant_tracks_the_base_pressure() {
+        let check = |p: &WorkloadProfile| {
+            assert_eq!(p.dominant, p.base_pressure().dominant(), "{}", p.label());
+        };
+        for p in catalog_profiles() {
+            check(&p);
+            check(&p.at_load_level(0.3));
+            check(&p.clone().with_load(LoadPattern::Constant { level: 0.4 }));
+            check(&p.clone().with_vcpus(3));
+            check(&p.clone().with_noise(0.0));
+        }
+        let full = test_profile(0.1);
+        let half = full.at_load_level(0.5);
+        check(&half);
+        assert_eq!(full.dominant, Resource::L1i);
+        assert_eq!(half.dominant, Resource::MemCap, "L1i 40 < MemCap 50");
     }
 
     #[test]

@@ -21,12 +21,13 @@ cargo test -q
 echo "==> cargo test --workspace (every unit, integration and property suite)"
 cargo test --workspace -q
 
-# The storage-equivalence proptests pin the probe walks (resident table,
-# fold operands, memos) to the reference scan bit for bit. The suite's own
-# 32-64 cases per property keep the debug run short; 2,048 in release go
-# deeper in a few seconds.
-echo "==> storage_equivalence at PROPTEST_CASES=2048 (release)"
-PROPTEST_CASES=2048 cargo test --release -q -p bolt-sim --test storage_equivalence
+# The simulator's proptests pin the probe walks (resident table, fold
+# operands, memos) to the reference scan bit for bit, and the paged
+# aggregate cache (a crate-private unit test) to a latest-per-query map.
+# Their own 32-64 cases per property keep the debug run short; 2,048 in
+# release go deeper.
+echo "==> bolt-sim at PROPTEST_CASES=2048 (release)"
+PROPTEST_CASES=2048 cargo test --release -q -p bolt-sim
 
 echo "==> cargo test --doc (doctests)"
 cargo test --workspace --doc -q
