@@ -6,11 +6,10 @@
 //! The per-server residency index makes a probe walk only its host's
 //! co-residents, so the three `probe/*` timings should agree within
 //! noise (the PR gate is ±20%) even though the largest region holds 100x
-//! the tenants of the smallest. Each iteration probes at a fresh
-//! simulated time so the aggregate cache never serves a hit — this
-//! measures the walk, not the memo. It probes one observer again and
-//! again, though, so that host's tenants and the memo's entries for them
-//! stay in cache.
+//! the tenants of the smallest. No sweep memo is attached, so every
+//! probe walks its host — this measures the walk. Each iteration probes
+//! at a fresh simulated time but one observer again and again, so that
+//! host's tenants stay in cache.
 //!
 //! The free-thread placement index makes `least_loaded_server` skip the
 //! region scan, so the three `least_loaded_server/*` timings should be
@@ -31,12 +30,11 @@
 //!
 //! `probe_region_step/10000_servers` is the cold probe as the
 //! `region-churn` workload issues it: per iteration, one tenant leaves
-//! and one lands (so, as after a step's churn, the aggregate cache starts
-//! empty), then 256 probes spaced evenly across the region at one fresh
-//! `t`, each on a host whose lines the previous probes did not touch. The
-//! time is per iteration, churn included: divide by 256 for one probe.
-//! This is where the aggregate cache's own lookups and publishes show,
-//! which the warm `probe/*` case hides.
+//! and one lands, then 256 probes spaced evenly across the region at one
+//! fresh `t`, each on a host whose lines the previous probes did not
+//! touch. The time is per iteration, churn included: divide by 256 for
+//! one probe. This is where reading a cold host shows, which the warm
+//! `probe/*` case hides.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -116,7 +114,7 @@ fn bench_region_step(c: &mut Criterion, servers: usize) {
             tick += 1;
             let t = 1.0 + tick as f64 * 1e-3;
             // A tenant off the probed hosts leaves, and a newcomer takes
-            // its thread: each mutation clears the aggregate cache.
+            // its thread, as in a step's churn.
             let host = (tick * spacing + spacing / 2) % servers;
             let leaving = cluster.vms_on(host)[0];
             cluster.terminate(leaving).expect("tenant is live");

@@ -9,9 +9,9 @@
 //! it grew linearly with total VMs. The wall-clock side of the same claim
 //! is timed by the `crit_region_scale` criterion bench.
 //!
-//! Every probe below is a first touch (distinct tenant × time pairs), so
-//! the numbers measure the honest uncached walk, not aggregate-cache
-//! hits.
+//! No probe below is memoized, so the numbers measure the honest walk:
+//! one coupled walk over the host's residents plus one inner walk per
+//! neighbor.
 
 use bolt::region::scaling_curve;
 use bolt::report::Table;

@@ -3,28 +3,23 @@
 //!
 //! The paper's controlled experiments run on tens of servers; a region of
 //! a public cloud is 10k+ hosts with 100k+ tenants. This module stresses
-//! the simulator at that scale and reports where the time goes. Two
-//! storage-layer properties make the scale tractable (see
-//! `DESIGN.md` § "Region-scale storage"):
-//!
-//! * the per-server residency index makes one interference probe cost
-//!   O(co-residents on that host), independent of region size, and
-//! * the deterministic aggregate cache memoizes repeated neighbor
-//!   queries at the same simulated time, so steady-state sampling does
-//!   not re-walk unchanged hosts.
+//! the simulator at that scale and reports where the time goes. The
+//! per-server residency index makes one interference probe cost
+//! O(co-residents on that host), independent of region size (see
+//! `DESIGN.md` § "Region-scale storage").
 //!
 //! Tenants here are launched with [`WorkloadProfile::with_noise`] zeroed:
 //! zero-noise profiles draw no per-query randomness, which is exactly the
-//! regime where the aggregate cache may engage without perturbing any RNG
-//! stream. Clusters with stochastic tenants simply fall back to the
-//! uncached scan on the affected servers.
+//! regime where a probe reads its host through the resident table without
+//! perturbing any RNG stream. Clusters with stochastic tenants simply fall
+//! back to the plain neighbor walk on the affected servers.
 //!
 //! [`WorkloadProfile::with_noise`]: bolt_workloads::WorkloadProfile::with_noise
 
 use std::time::Instant;
 
 use bolt_sim::vm::VmRole;
-use bolt_sim::{Cluster, IsolationConfig, ServerSpec, StorageStats, VmId};
+use bolt_sim::{Cluster, IsolationConfig, ServerSpec, StorageStats, VmId, MAX_PLAN_EVENTS};
 use bolt_workloads::{catalog, DatasetScale, WorkloadProfile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,6 +55,43 @@ impl Default for RegionConfig {
             churn_per_step: 32,
             seed: 0xB017,
         }
+    }
+}
+
+impl RegionConfig {
+    /// Rejects a region no run could finish: one with no servers, or with
+    /// more tenants (`servers × vms_per_server`) or more probes and churns
+    /// over all steps (`steps × (probes_per_step + churn_per_step)`) than
+    /// [`MAX_PLAN_EVENTS`]. A zero per-server or per-step count weighs as
+    /// one, so a huge `servers` or `steps` is bounded on its own: every
+    /// server is built and every step lists the live tenants.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BoltError::InvalidExperiment`] naming the bound.
+    pub fn validate(&self) -> Result<(), BoltError> {
+        let invalid = |reason: String| Err(BoltError::InvalidExperiment { reason });
+        let within = |count: usize, per: Option<usize>| {
+            per.and_then(|per| count.checked_mul(per.max(1)))
+                .is_some_and(|total| total as f64 <= MAX_PLAN_EVENTS)
+        };
+        if self.servers == 0 {
+            return invalid("a region needs at least one server".into());
+        }
+        if !within(self.servers, Some(self.vms_per_server)) {
+            return invalid(format!(
+                "{} servers x {} tenants each exceeds {MAX_PLAN_EVENTS:e} tenants",
+                self.servers, self.vms_per_server
+            ));
+        }
+        let per_step = self.probes_per_step.checked_add(self.churn_per_step);
+        if !within(self.steps, per_step) {
+            return invalid(format!(
+                "{} steps x ({} probes + {} churns) exceeds {MAX_PLAN_EVENTS:e} operations",
+                self.steps, self.probes_per_step, self.churn_per_step
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -116,10 +148,6 @@ impl RegionReport {
             "residency ops".into(),
             self.storage.residency_ops.to_string(),
         ]);
-        t.row(vec![
-            "agg cache hit/miss".into(),
-            format!("{}/{}", self.storage.agg_hits, self.storage.agg_misses),
-        ]);
         t
     }
 }
@@ -131,7 +159,7 @@ pub struct ScalePoint {
     pub servers: usize,
     /// Tenants placed.
     pub vms: usize,
-    /// First-touch (cache-miss) interference probes measured.
+    /// Interference probes measured.
     pub probes: u64,
     /// Mean neighbor candidates visited per probe.
     pub visits_per_probe: f64,
@@ -142,7 +170,7 @@ pub struct ScalePoint {
 /// Rotates through four catalog families, squeezes each onto one vCPU
 /// (region tenants are small — the 100k-on-10k density target needs ten
 /// per 16-thread host), and strips the stochastic noise term so the
-/// deterministic aggregate path stays engaged; the profiles otherwise
+/// deterministic probe path stays engaged; the profiles otherwise
 /// keep their catalog pressure shapes.
 pub(crate) fn tenant_profile<R: Rng>(i: usize, rng: &mut R) -> WorkloadProfile {
     let p = match i % 4 {
@@ -188,11 +216,17 @@ pub fn run_region(config: &RegionConfig) -> Result<RegionReport, BoltError> {
 ///
 /// Records the storage-layer [`Counter`]s on `telemetry` so a `--telemetry`
 /// trace shows arena occupancy, slot reuse, residency-index traffic, and
-/// aggregate-cache effectiveness alongside the usual phases.
+/// neighbor visits alongside the usual phases.
+///
+/// # Errors
+///
+/// Returns [`BoltError::InvalidExperiment`] for a config
+/// [`RegionConfig::validate`] rejects, before building anything.
 pub fn run_region_telemetry(
     config: &RegionConfig,
     telemetry: &mut Telemetry,
 ) -> Result<RegionReport, BoltError> {
+    config.validate()?;
     let mut rng = StdRng::seed_from_u64(config.seed);
     let build_start = Instant::now();
     let mut cluster = build_region(config, &mut rng)?;
@@ -203,8 +237,7 @@ pub fn run_region_telemetry(
     let step_start = Instant::now();
     for step in 0..config.steps {
         let t = step as f64 * 10.0;
-        // Probe a deterministic stride of live tenants. Repeat visits at
-        // the same `t` are aggregate-cache hits by design.
+        // Probe a deterministic stride of live tenants.
         let live: Vec<VmId> = cluster.vm_ids().collect();
         if !live.is_empty() {
             let stride = (live.len() / config.probes_per_step.max(1)).max(1);
@@ -232,8 +265,6 @@ pub fn run_region_telemetry(
     telemetry.count(Counter::ArenaVmsLive, storage.live_vms as u64);
     telemetry.count(Counter::ArenaSlotsReused, storage.slots_reused);
     telemetry.count(Counter::ResidencyIndexOps, storage.residency_ops);
-    telemetry.count(Counter::AggregateCacheHit, storage.agg_hits);
-    telemetry.count(Counter::AggregateCacheMiss, storage.agg_misses);
     telemetry.count(Counter::NeighborVisits, storage.neighbor_visits);
 
     Ok(RegionReport {
@@ -257,13 +288,17 @@ pub fn run_region_telemetry(
     })
 }
 
-/// Measures first-touch probe work at each region size.
+/// Measures probe work at each region size.
 ///
-/// Every probe pairs a distinct `(tenant, t)` so it misses the aggregate
-/// cache and pays the full neighbor walk — the honest per-query cost.
+/// Every probe pays the full neighbor walk — the honest per-query cost.
 /// With the residency index visits per probe stay flat as `servers`
 /// grows; under the old full-arena scan they grew linearly. The counts
 /// are deterministic; the `crit_region_scale` bench times the same probe.
+///
+/// # Errors
+///
+/// Returns [`BoltError::InvalidExperiment`] if a size's config fails
+/// [`RegionConfig::validate`], before building that size.
 pub fn scaling_curve(
     sizes: &[usize],
     vms_per_server: usize,
@@ -276,6 +311,7 @@ pub fn scaling_curve(
             vms_per_server,
             ..RegionConfig::default()
         };
+        config.validate()?;
         let mut rng = StdRng::seed_from_u64(seed);
         let cluster = build_region(&config, &mut rng)?;
         let vms = cluster.vm_ids().count();
@@ -285,7 +321,6 @@ pub fn scaling_curve(
         let rounds = 64usize;
         let mut probes = 0u64;
         for round in 0..rounds {
-            // A fresh t per round keeps every (tenant, t) pair unseen.
             let t = 1.0 + round as f64 * 0.125;
             for &id in &targets {
                 let _ = cluster.interference_on(id, t, &mut rng)?;
@@ -329,8 +364,8 @@ mod tests {
         // Churn recycled at least one arena slot and touched the index.
         assert!(report.storage.slots_reused > 0);
         assert!(report.storage.residency_ops > 0);
-        // Deterministic tenants mean the aggregate cache engaged.
-        assert!(report.storage.agg_hits + report.storage.agg_misses > 0);
+        // Every probe walked its host.
+        assert!(report.storage.neighbor_visits > 0);
     }
 
     #[test]
@@ -370,9 +405,8 @@ mod tests {
     }
 
     /// The storage counters of one fixed run, pinned: 200 servers stepped
-    /// 10 times, so probes revisit hosts within a step and the aggregate
-    /// cache both hits and misses. A change to the probe walks, the memo
-    /// or placement that moves any counter fails here.
+    /// 10 times, so probes revisit hosts within a step. A change to the
+    /// probe walks or placement that moves any counter fails here.
     #[test]
     fn region_storage_counters_are_pinned() {
         let config = RegionConfig {
@@ -391,11 +425,46 @@ mod tests {
                 free_slots: 0,
                 slots_reused: 320,
                 residency_ops: 2640,
-                agg_hits: 5193,
-                agg_misses: 20407,
-                neighbor_visits: 204070,
+                agg_hits: 0,
+                agg_misses: 0,
+                neighbor_visits: 256000,
             }
         );
+    }
+
+    /// No servers, or more tenants or step operations than
+    /// `MAX_PLAN_EVENTS`, fail validation before anything is built; the
+    /// benchmark's region shapes pass.
+    #[test]
+    fn region_configs_are_bounded() {
+        let with = |servers, vms_per_server, steps| RegionConfig {
+            servers,
+            vms_per_server,
+            steps,
+            ..RegionConfig::default()
+        };
+        for bad in [
+            with(0, 10, 1),
+            with(usize::MAX, 0, 1),
+            with(usize::MAX / 2, 10, 1),
+            with(1_000_001, 1, 1),
+            with(10, 10, usize::MAX),
+            RegionConfig {
+                probes_per_step: usize::MAX,
+                churn_per_step: 1,
+                ..RegionConfig::default()
+            },
+        ] {
+            assert!(
+                matches!(bad.validate(), Err(BoltError::InvalidExperiment { .. })),
+                "{bad:?} passed"
+            );
+            assert!(run_region(&bad).is_err(), "{bad:?} ran");
+        }
+        for good in [with(2_000, 10, 10), with(10_000, 10, 200), with(1, 0, 0)] {
+            assert_eq!(good.validate(), Ok(()), "{good:?}");
+        }
+        assert!(scaling_curve(&[4, usize::MAX], 10, 1).is_err());
     }
 
     #[test]

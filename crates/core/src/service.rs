@@ -141,7 +141,7 @@ pub struct ServiceConfig {
     /// ([`crate::region`]'s zero-noise, one-vCPU catalog rotation)
     /// instead of the §3.4 testbed victim set. This is what lets the
     /// service cluster reach thousands of servers: small deterministic
-    /// tenants keep the aggregate-cache and sweep-memo fast paths
+    /// tenants keep the resident-table and sweep-memo fast paths
     /// engaged, and their constant-load profiles make hunt outcomes
     /// invariant to when a request arrives.
     pub region_tenants: bool,

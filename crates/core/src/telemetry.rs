@@ -154,12 +154,6 @@ pub enum Counter {
     /// Residency-index mutations (per-server sorted-id inserts and
     /// removals) performed by launches, terminations, and migrations.
     ResidencyIndexOps,
-    /// Neighbor-query results served from the deterministic aggregate
-    /// cache without re-walking co-residents.
-    AggregateCacheHit,
-    /// Neighbor queries that walked co-residents and (if on a fully
-    /// deterministic server) populated the aggregate cache.
-    AggregateCacheMiss,
     /// Neighbor candidates visited by interference/utilization/sweep
     /// queries. With the residency index this scales with co-residents
     /// per query, independent of total cluster size.
@@ -214,7 +208,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters.
-    pub const ALL: [Counter; 31] = [
+    pub const ALL: [Counter; 29] = [
         Counter::SgdIterations,
         Counter::ShortlistPairHits,
         Counter::ExactPairSearches,
@@ -230,8 +224,6 @@ impl Counter {
         Counter::ArenaVmsLive,
         Counter::ArenaSlotsReused,
         Counter::ResidencyIndexOps,
-        Counter::AggregateCacheHit,
-        Counter::AggregateCacheMiss,
         Counter::NeighborVisits,
         Counter::ProbesSaved,
         Counter::RequestsAdmitted,
@@ -266,8 +258,6 @@ impl Counter {
             Counter::ArenaVmsLive => "arena-vms-live",
             Counter::ArenaSlotsReused => "arena-slots-reused",
             Counter::ResidencyIndexOps => "residency-index-ops",
-            Counter::AggregateCacheHit => "aggregate-cache-hit",
-            Counter::AggregateCacheMiss => "aggregate-cache-miss",
             Counter::NeighborVisits => "neighbor-visits",
             Counter::ProbesSaved => "probes-saved",
             Counter::RequestsAdmitted => "requests-admitted",

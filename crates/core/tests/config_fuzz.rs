@@ -19,7 +19,9 @@
 //!   abort on allocation rather than panic, and a huge loop count only
 //!   measures patience.
 //! - Caps and capacities (`pair_shortlist`, `queue_capacity`,
-//!   `adversary_vcpus`): 0, 1 and their type's maximum.
+//!   `adversary_vcpus`), and the sizes and loop counts a config bounds
+//!   itself (`RegionConfig`'s `servers` and `steps`): 0, 1 and their
+//!   type's maximum.
 //! - Seeds and salts: 0 and the type's maximum.
 //! - Flags: the opposite of the normal value.
 //!
@@ -239,9 +241,9 @@ fn service(p: &mut Picks, anytime: bool, mrc: bool, chaotic: bool) -> ServiceCon
 
 fn region(p: &mut Picks) -> RegionConfig {
     RegionConfig {
-        servers: p.size(20),
+        servers: p.cap(20),
         vms_per_server: p.size(2),
-        steps: p.size(2),
+        steps: p.cap(2),
         probes_per_step: p.size(8),
         churn_per_step: p.size(2),
         seed: p.seed(RegionConfig::default().seed),

@@ -4,7 +4,7 @@
 //! | optimisation layer                        | reference twin                  |
 //! |-------------------------------------------|---------------------------------|
 //! | unrolled kernels (`bolt_linalg::kernels`) | `kernels::reference`, in scope  |
-//! | residency index + aggregate cache         | full-arena scan, in scope       |
+//! | residency index + resident table          | full-arena scan, in scope       |
 //! | cross-hunt sweep sharing                  | memo never consulted, in scope  |
 //! | thread fan-out (`Threads(n)`)             | `Parallelism::Serial`           |
 //!

@@ -4,8 +4,7 @@
 //! While [`enabled`] is true, every [`kernels`](crate::kernels) primitive
 //! delegates to its scalar twin in `kernels::reference`, and the
 //! `bolt-sim` cluster's five neighbor-query paths scan the whole VM arena
-//! in ascending-id order with the aggregate cache and the shared sweep
-//! memo bypassed. A differential test runs a workload once normally and
+//! in ascending-id order with the shared sweep memo bypassed. A differential test runs a workload once normally and
 //! once inside `oracle::reference`, and demands byte-equal output.
 //!
 //! The switch exists only under the `oracle` cargo feature, which only

@@ -12,7 +12,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rand::Rng;
 
@@ -25,14 +25,13 @@ use bolt_workloads::{
 use crate::error::SimError;
 use crate::isolation::IsolationConfig;
 use crate::server::{Server, ServerSpec};
-use crate::storage::{AggCache, Memoized, Query, Stamp, SweepMemo, VmArena};
+use crate::storage::{Memoized, Query, Stamp, SweepMemo, VmArena};
 use crate::trace::TraceEvent;
 use crate::vm::{VmId, VmRole, VmState};
 
 /// A point-in-time view of the cluster's storage layer: arena occupancy,
-/// residency-index activity, aggregate-cache effectiveness, and how many
-/// neighbor candidates queries have visited. Drivers export these through
-/// telemetry counters.
+/// residency-index activity, and how many neighbor candidates queries
+/// have visited. Drivers export these through telemetry counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StorageStats {
     /// Live VMs in the arena.
@@ -45,9 +44,11 @@ pub struct StorageStats {
     pub slots_reused: u64,
     /// Residency-index mutations (inserts + removals).
     pub residency_ops: u64,
-    /// Aggregate-cache hits since the cluster was built.
+    /// Always 0: the cluster keeps no instance aggregate cache. Kept only
+    /// because the bolt-perf benchmark reads it; drop it when that
+    /// benchmark is next revised.
     pub agg_hits: u64,
-    /// Aggregate-cache misses since the cluster was built.
+    /// Always 0, like [`StorageStats::agg_hits`] and for the same reason.
     pub agg_misses: u64,
     /// Neighbor candidates visited by interference/utilization/sweep
     /// queries. With the residency index this grows with co-residents
@@ -83,11 +84,6 @@ pub struct Cluster {
     placement: Arc<Placement>,
     isolation: IsolationConfig,
     events: Vec<TraceEvent>,
-    /// Memoized deterministic aggregates (see [`crate::storage`]); a
-    /// `Mutex` because detection shares `&Cluster` across worker threads.
-    /// Queries release the lock while computing, so the couple-progress
-    /// recursion never re-enters it.
-    agg: Mutex<AggCache>,
     /// Neighbor candidates visited by queries (locality telemetry).
     neighbor_visits: AtomicU64,
     /// Cross-snapshot sweep memo ([`SweepMemo`]): probe queries answered
@@ -144,7 +140,6 @@ impl Cluster {
             }),
             isolation,
             events: Vec::new(),
-            agg: Mutex::new(AggCache::default()),
             neighbor_visits: AtomicU64::new(0),
             shared: None,
         })
@@ -168,23 +163,18 @@ impl Cluster {
         Arc::make_mut(&mut self.placement)
     }
 
-    /// Drops every memoized aggregate; called by every mutation that can
-    /// change what a query observes. The shared sweep memo is *detached*
-    /// rather than cleared: other snapshots of the unmutated base cluster
-    /// may still be reading it, while this instance's queries now answer
-    /// for a diverged placement and must neither read nor publish.
-    fn invalidate_aggregates(&mut self) {
-        self.agg
-            .get_mut()
-            .expect("cache lock poisoned")
-            .invalidate();
+    /// Detaches the shared sweep memo; called by every mutation that can
+    /// change what a query observes. The memo is detached rather than
+    /// cleared: other snapshots of the unmutated base cluster may still be
+    /// reading it, while this instance's queries now answer for a diverged
+    /// placement and must neither read nor publish.
+    fn detach_sweep_memo(&mut self) {
         self.shared = None;
     }
 
     /// Attaches a cross-snapshot [`SweepMemo`]: until this instance next
-    /// mutates, its deterministic top-level probe queries consult (and
-    /// publish to) `memo` after missing the instance-local aggregate
-    /// cache, and [`Cluster::snapshot`]s inherit the handle. Results are
+    /// mutates, its deterministic probe queries consult (and publish to)
+    /// `memo`, and [`Cluster::snapshot`]s inherit the handle. Results are
     /// byte-identical with or without a memo — only repeated co-resident
     /// walks are skipped; see [`SweepMemo`] for the argument.
     pub fn share_sweeps(&mut self, memo: Arc<SweepMemo>) {
@@ -206,15 +196,14 @@ impl Cluster {
 
     /// Storage-layer instrumentation counters.
     pub fn storage_stats(&self) -> StorageStats {
-        let agg = self.agg.lock().expect("cache lock poisoned");
         StorageStats {
             live_vms: self.placement.vms.len(),
             arena_slots: self.placement.vms.slots(),
             free_slots: self.placement.vms.free_slots(),
             slots_reused: self.placement.vms.slots_reused,
             residency_ops: self.placement.vms.residency_ops,
-            agg_hits: agg.hits,
-            agg_misses: agg.misses,
+            agg_hits: 0,
+            agg_misses: 0,
             neighbor_visits: self.neighbor_visits.load(Ordering::Relaxed),
         }
     }
@@ -233,7 +222,7 @@ impl Cluster {
     /// mechanism stacks over an already-populated cluster).
     pub fn set_isolation(&mut self, isolation: IsolationConfig) {
         self.isolation = isolation;
-        self.invalidate_aggregates();
+        self.detach_sweep_memo();
     }
 
     /// Throttles a server's effective capacity by `factor` in `[0, 1)`
@@ -260,7 +249,7 @@ impl Cluster {
         }
         self.placement_mut().degradation[server] = factor;
         self.events.push(TraceEvent::Degrade { server, factor, at });
-        self.invalidate_aggregates();
+        self.detach_sweep_memo();
         Ok(())
     }
 
@@ -366,7 +355,7 @@ impl Cluster {
             },
         );
         self.events.push(event);
-        self.invalidate_aggregates();
+        self.detach_sweep_memo();
         Ok(id)
     }
 
@@ -426,7 +415,7 @@ impl Cluster {
             },
         );
         self.events.push(event);
-        self.invalidate_aggregates();
+        self.detach_sweep_memo();
         Ok(id)
     }
 
@@ -445,7 +434,7 @@ impl Cluster {
             vm: id,
             server: state.server,
         });
-        self.invalidate_aggregates();
+        self.detach_sweep_memo();
         Ok(())
     }
 
@@ -484,7 +473,7 @@ impl Cluster {
             .expect("capacity just checked");
         placement.vms.relocate(id, to, threads);
         self.events.push(TraceEvent::Migrate { vm: id, from, to });
-        self.invalidate_aggregates();
+        self.detach_sweep_memo();
         Ok(())
     }
 
@@ -510,7 +499,7 @@ impl Cluster {
                 label: profile.label().to_string(),
             });
             self.placement_mut().vms.set_profile(id, profile, None);
-            self.invalidate_aggregates();
+            self.detach_sweep_memo();
             return Ok(());
         }
         let core_iso = self.isolation.mechanisms.core_isolation;
@@ -533,7 +522,7 @@ impl Cluster {
         let label = profile.label().to_string();
         placement.vms.set_profile(id, profile, Some(threads));
         self.events.push(TraceEvent::SwapProfile { vm: id, label });
-        self.invalidate_aggregates();
+        self.detach_sweep_memo();
         Ok(())
     }
 
@@ -551,7 +540,7 @@ impl Cluster {
         self.vm(id)?;
         let live = self.placement_mut().vms.set_override(id, pressure);
         debug_assert!(live, "liveness checked above");
-        self.invalidate_aggregates();
+        self.detach_sweep_memo();
         Ok(())
     }
 
@@ -567,23 +556,10 @@ impl Cluster {
         match state.pressure_override {
             Some(p) => p,
             None => {
-                let interference = self.raw_interference_on(id, state, t, rng);
+                let interference = self.neighbor_scan(id, state, t, rng, false);
                 coupled_emission(state, &interference, t, rng)
             }
         }
-    }
-
-    /// The attenuated cross-tenant pressure arriving at `state` from all
-    /// co-residents, per resource — *without* the progress coupling (used
-    /// internally to avoid recursion).
-    fn raw_interference_on<R: Rng>(
-        &self,
-        id: VmId,
-        state: &VmState,
-        t: f64,
-        rng: &mut R,
-    ) -> PressureVector {
-        self.interference_from_neighbors(id, state, t, rng, false)
     }
 
     /// The contention `observer` experiences on its core-private resources
@@ -718,7 +694,18 @@ impl Cluster {
         rng: &mut R,
     ) -> Result<PressureVector, SimError> {
         let state = self.vm(id)?;
-        Ok(self.interference_from_neighbors(id, state, t, rng, true))
+        // A coupled probe on a deterministic server reads a resident table,
+        // whose core masks need a host of at most 64 cores.
+        let table = self.cacheable(state.server)
+            && self.placement.servers[state.server].spec().cores <= u64::BITS;
+        let query = Query::Neighbors { id: id.raw() };
+        Ok(self.memoized(state.server, query, (t.to_bits(), 0), || {
+            if table {
+                self.coupled_table_scan(id, state, t, rng)
+            } else {
+                self.neighbor_scan(id, state, t, rng, true)
+            }
+        }))
     }
 
     /// One step of a cache-allocation sweep: the aggregate LLC-pressure
@@ -803,40 +790,9 @@ impl Cluster {
         total.min(100.0)
     }
 
-    fn interference_from_neighbors<R: Rng>(
-        &self,
-        id: VmId,
-        state: &VmState,
-        t: f64,
-        rng: &mut R,
-        couple_progress: bool,
-    ) -> PressureVector {
-        let query = Query::Neighbors {
-            id: id.raw(),
-            couple: couple_progress,
-        };
-        // A coupled probe on a deterministic server reads a resident table,
-        // whose core masks need a host of at most 64 cores.
-        let table = couple_progress
-            && self.cacheable(state.server)
-            && self.placement.servers[state.server].spec().cores <= u64::BITS;
-        self.memoized(state.server, query, (t.to_bits(), 0), || {
-            if table {
-                self.coupled_table_scan(id, state, t, rng)
-            } else {
-                self.neighbor_scan(id, state, t, rng, couple_progress)
-            }
-        })
-    }
-
-    /// The memo protocol of every query about `server`. On a
-    /// [`Cluster::cacheable`] server: the instance cache, then the shared
-    /// sweep memo (only for a [`Query::top_level`] query: the uncoupled
-    /// walks a coupled probe recurses into, and utilization, never reach
-    /// it), then `scan`, whose result is published to both. Elsewhere
-    /// `scan` alone.
-    /// `scan` runs with the lock released: the coupled walk comes back here
-    /// once per neighbor, and the lock is not reentrant.
+    /// The memo protocol of every probe query about `server`. On a
+    /// [`Cluster::cacheable`] server with a [`SweepMemo`] attached: consult
+    /// it, else `scan` and publish the result. Elsewhere `scan` alone.
     fn memoized<V: Memoized>(
         &self,
         server: usize,
@@ -844,23 +800,14 @@ impl Cluster {
         stamp: Stamp,
         scan: impl FnOnce() -> V,
     ) -> V {
-        if !self.cacheable(server) {
+        let Some(memo) = self.shared.as_deref().filter(|_| self.cacheable(server)) else {
             return scan();
-        }
-        let agg = || self.agg.lock().expect("cache lock poisoned");
-        if let Some(answer) = agg().get(server, query, stamp) {
-            return V::from_answer(answer);
-        }
-        let memo = self.shared.as_deref().filter(|_| query.top_level());
-        if let Some(answer) = memo.and_then(|memo| memo.get(query, stamp)) {
-            agg().put(server, query, stamp, answer);
+        };
+        if let Some(answer) = memo.get(query, stamp) {
             return V::from_answer(answer);
         }
         let v = scan();
-        agg().put(server, query, stamp, v.into_answer());
-        if let Some(memo) = memo {
-            memo.put(query, stamp, v.into_answer());
-        }
+        memo.put(query, stamp, v.into_answer());
         v
     }
 
@@ -875,12 +822,14 @@ impl Cluster {
         }
     }
 
-    /// The uncached neighbor walk behind [`Cluster::interference_on`]:
-    /// visits the observer's co-residents through the residency index, in
-    /// ascending-id order — the same order (and the same RNG draw order)
-    /// the old whole-cluster scan produced for this server. Stochastic
-    /// servers, the reference scope and uncoupled queries take this walk;
-    /// a coupled probe on a deterministic server takes
+    /// The neighbor walk: the attenuated cross-tenant pressure arriving at
+    /// `state` from all co-residents, per resource, with or without the
+    /// progress coupling (the uncoupled walk is what the coupling recurses
+    /// into). Visits the observer's co-residents through the residency
+    /// index, in ascending-id order — the same order (and the same RNG
+    /// draw order) the old whole-cluster scan produced for this server.
+    /// Stochastic servers, the reference scope and uncoupled queries take
+    /// this walk; a coupled probe on a deterministic server takes
     /// [`Cluster::coupled_table_scan`].
     fn neighbor_scan<R: Rng>(
         &self,
@@ -920,10 +869,9 @@ impl Cluster {
     /// pressure its entry keeps.
     ///
     /// The table is built first and dropped when this walk returns. Every
-    /// cache lookup and publish happens exactly as in
-    /// [`Cluster::neighbor_scan`], and every walk counts the same visits,
-    /// so results, RNG stream (no deterministic resident draws) and
-    /// storage counters are unchanged.
+    /// walk counts the same visits as in [`Cluster::neighbor_scan`], so
+    /// results, RNG stream (no deterministic resident draws) and storage
+    /// counters are unchanged.
     fn coupled_table_scan<R: Rng>(
         &self,
         id: VmId,
@@ -944,13 +892,7 @@ impl Cluster {
             let p = match resident.coupling {
                 None => resident.operands.raw,
                 Some((profile, scaled)) => {
-                    let query = Query::Neighbors {
-                        id: resident.id.raw(),
-                        couple: false,
-                    };
-                    let interference = self.memoized(state.server, query, (t.to_bits(), 0), || {
-                        self.table_scan(&table, i, state.server)
-                    });
+                    let interference = self.table_scan(&table, i, state.server);
                     profile.emit(&scaled, perf::progress_rate(profile, &interference), rng)
                 }
             };
@@ -1037,10 +979,7 @@ impl Cluster {
                 cluster_size: self.placement.servers.len(),
             });
         }
-        let query = Query::Utilization { server };
-        Ok(self.memoized(server, query, (t.to_bits(), 0), || {
-            self.utilization_scan(server, t, rng)
-        }))
+        Ok(self.utilization_scan(server, t, rng))
     }
 
     /// The uncached utilization walk over one server's residents.
@@ -1057,7 +996,7 @@ impl Cluster {
             // A stalled thread still burns its timeslice, so utilization
             // accounting deliberately skips the progress coupling.
             let own = raw_emission(state, t, rng)[Resource::Cpu];
-            let contention = self.raw_interference_on(vm_id, state, t, rng)[Resource::Cpu];
+            let contention = self.neighbor_scan(vm_id, state, t, rng, false)[Resource::Cpu];
             let mut effective = (own * (1.0 + 2.0 * contention / 100.0)).min(100.0);
             let d = self.placement.degradation[server];
             if d > 0.0 {
@@ -1087,7 +1026,7 @@ impl Cluster {
         rng: &mut R,
     ) -> Result<(f64, f64), SimError> {
         let state = self.vm(id)?;
-        let interference = self.interference_from_neighbors(id, state, t, rng, false);
+        let interference = self.neighbor_scan(id, state, t, rng, false);
         let penalty = self.isolation.performance_penalty();
         match state.profile.kind() {
             WorkloadKind::Interactive => {
@@ -1126,8 +1065,8 @@ impl Cluster {
     /// Per instance, as before: the isolation config (copied), the event
     /// log (the snapshot's starts empty — it is an append-only trace of
     /// the live cluster, and copying it would make snapshots O(history)),
-    /// and the aggregate cache and neighbor-visit counter (fresh: a new
-    /// observation domain). The
+    /// and the neighbor-visit counter (fresh: a new observation domain).
+    /// The
     /// [`SweepMemo`] handle is inherited: the snapshot observes the same
     /// base placement, so published sweeps stay valid for it until it
     /// mutates (which detaches it).
@@ -1136,7 +1075,6 @@ impl Cluster {
             placement: Arc::clone(&self.placement),
             isolation: self.isolation,
             events: Vec::new(),
-            agg: Mutex::new(AggCache::default()),
             neighbor_visits: AtomicU64::new(0),
             shared: self.shared.clone(),
         }

@@ -1,5 +1,5 @@
 //! Region-scale VM storage: a slot arena, a per-server residency index,
-//! and the memos for deterministic probe queries.
+//! and the shared memo for deterministic probe queries.
 //!
 //! The cluster used to keep every VM in one global `BTreeMap<VmId,
 //! VmState>`, so each neighbor query walked the whole region and filtered
@@ -15,25 +15,22 @@
 //! is bit-identical to the old scan.
 //!
 //! Deterministic probe queries are memoized through one protocol. A
-//! [`Query`] names what is asked of whom (neighbor interference, per-core
-//! interference, an LLC sweep, a server's utilization), a [`Stamp`]
-//! decides whether a stored answer is current (the query time's bits,
-//! plus the probe allocation's for a sweep), and two maps hold
-//! [`Answer`]s under those keys: `AggCache`, one per `Cluster` instance,
-//! keeps the latest answer per query in one small page per server, so a
-//! probe's lookups and publishes, which all concern its own host, touch
-//! one contiguous page instead of a bucket each across a region-wide
-//! table; [`SweepMemo`], shared by the snapshots of one base cluster,
-//! keeps every answer per `(query, stamp)` for the queries a probe issues
-//! itself ([`Query::top_level`]). The cluster runs the lookup → scan →
-//! publish sequence in one helper. Both key on a few internal integers,
-//! so they hash with [`KeyHasher`] rather than SipHash.
+//! [`Query`] names what a probe asks of whom (neighbor interference,
+//! per-core interference, an LLC sweep), a [`Stamp`] decides whether a
+//! stored answer is current (the query time's bits, plus the probe
+//! allocation's for a sweep), and one map, the [`SweepMemo`] shared by
+//! the snapshots of one base cluster, holds every [`Answer`] under its
+//! `(query, stamp)` key. The cluster runs the lookup → scan → publish
+//! sequence in one helper. The keys are a few internal integers, so they
+//! hash with [`KeyHasher`] rather than SipHash. A `Cluster` keeps no memo
+//! of its own: the walks a probe recurses into, and utilization, scan
+//! every time.
 //!
-//! Both memoize *whole query results* rather than algebraic partial
+//! The memo keeps *whole query results* rather than algebraic partial
 //! sums: per-step saturation (`saturating_add` clamps at 100 after each
 //! neighbor) and float non-associativity make a shared sum-minus-self
 //! aggregate impossible to keep bit-exact, while a memo of the finished
-//! vector is exact by construction. The cluster only consults them on
+//! vector is exact by construction. The cluster only consults it on
 //! servers whose residents are all deterministic (pressure override set,
 //! or a zero-noise profile); the stochastic `pressure_at` path draws RNG
 //! per neighbor and must keep its exact draw order, so it never sees a
@@ -267,19 +264,17 @@ impl VmArena {
     }
 }
 
-/// One memoizable probe query: what is asked, and of whom. Whether a
+/// One memoizable probe query: what a probe asks, and of whom. Whether a
 /// memo entry answers it is decided by its [`Stamp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Query {
-    /// Interference on VM `id` (raw id), with or without progress coupling.
-    Neighbors { id: u64, couple: bool },
+    /// Coupled interference on VM `id` (raw id).
+    Neighbors { id: u64 },
     /// Interference on VM `id` through one of its physical cores. A
     /// `u32`, like `ServerSpec::cores`, keeps the key at 16 bytes.
     PerCore { id: u64, core: u32 },
     /// The LLC cache-sweep response VM `id` observes.
     Sweep { id: u64 },
-    /// CPU utilization of one server.
-    Utilization { server: usize },
 }
 
 /// Hashes the fields alone: a derived hash also writes the discriminant,
@@ -288,38 +283,19 @@ pub(crate) enum Query {
 impl Hash for Query {
     fn hash<H: Hasher>(&self, state: &mut H) {
         match *self {
-            Query::Neighbors { id, couple } => {
-                state.write_u64(id);
-                state.write_u8(couple.into());
-            }
+            Query::Neighbors { id } | Query::Sweep { id } => state.write_u64(id),
             Query::PerCore { id, core } => {
                 state.write_u64(id);
                 state.write_u32(core);
             }
-            Query::Sweep { id } => state.write_u64(id),
-            Query::Utilization { server } => state.write_usize(server),
-        }
-    }
-}
-
-impl Query {
-    /// True for a query a probe issues itself: a coupled neighbor walk, a
-    /// per-core walk or an LLC sweep. The uncoupled walks a coupled walk
-    /// recurses into are not, and neither is utilization, which is a
-    /// monitor's question rather than a probe's.
-    pub(crate) fn top_level(self) -> bool {
-        match self {
-            Query::Neighbors { couple, .. } => couple,
-            Query::PerCore { .. } | Query::Sweep { .. } => true,
-            Query::Utilization { .. } => false,
         }
     }
 }
 
 /// A multiply-rotate hasher for the memo keys: one rotate, xor and
 /// multiply per written integer. Every key is a few integers the simulator
-/// makes itself (VM ids, core and server indices, the bits of a probe's
-/// time and allocation), never outside input, so SipHash's protection
+/// makes itself (VM ids, core indices, the bits of a probe's time and
+/// allocation), never outside input, so SipHash's protection
 /// against crafted collisions buys nothing here.
 #[derive(Default)]
 pub(crate) struct KeyHasher(u64);
@@ -345,10 +321,6 @@ impl Hasher for KeyHasher {
         self.mix(n);
     }
 
-    fn write_usize(&mut self, n: usize) {
-        self.mix(n as u64);
-    }
-
     fn finish(&self) -> u64 {
         self.0
     }
@@ -362,7 +334,7 @@ type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 /// sweep (0 for every other query).
 pub(crate) type Stamp = (u64, u64);
 
-/// A memoized query result as the memos store it: a pressure vector, or
+/// A memoized query result as the memo stores it: a pressure vector, or
 /// a scalar response in lane 0. With no tag, an entry stays as small as a
 /// bare vector.
 pub(crate) type Answer = PressureVector;
@@ -396,168 +368,40 @@ impl Memoized for f64 {
     }
 }
 
-/// Memo cache for deterministic pressure aggregates: the latest answer
-/// per [`Query`], paged by server.
-///
-/// Each entry holds its [`Stamp`] alongside the finished result, so a
-/// probe that re-samples at the same `t` (and, for a sweep, the same
-/// allocation) hits while any time advance naturally misses and
-/// overwrites — the cache stays bounded by the number of observers, never
-/// by the number of distinct times. Every cluster mutation (launch,
-/// terminate, migrate, profile swap, pressure override, degradation,
-/// isolation change) clears the cache outright.
-///
-/// Entries live in one small [`Page`] per server, searched front to
-/// back. A probe asks about one server only (itself, then each
-/// co-resident's uncoupled walk), so it finds its page with one hash
-/// lookup and the rest of its lookups and publishes read and write that
-/// one page: a remembered cursor skips the lookup while consecutive calls
-/// name the same server. A query's server cannot change between
-/// invalidations (only a mutation moves a VM, and every mutation clears
-/// the cache), so no query is ever filed on two pages. `invalidate`
-/// empties the pages and keeps up to [`SPARE_PAGES`] of them, capacity
-/// intact, for the next probes; the rest are freed. `hits` and `misses`
-/// count one per [`AggCache::get`], as they did when the cache was one
-/// map.
-#[derive(Debug, Default)]
-pub(crate) struct AggCache {
-    /// Server -> index of its page in `pages`.
-    index: KeyMap<usize, u32>,
-    /// The pages in use, first `used` of them, then the spare ones.
-    pages: Vec<Page>,
-    used: usize,
-    /// The last server asked about and its page.
-    cursor: Option<(usize, usize)>,
-    pub(crate) hits: u64,
-    pub(crate) misses: u64,
-}
-
-/// One server's memo entries: `queries[i]`'s latest stamp and answer are
-/// `answers[i]`. The queries sit apart from the 96-byte answers, so a
-/// search reads 16 bytes per entry.
-#[derive(Debug, Default)]
-struct Page {
-    queries: Vec<Query>,
-    answers: Vec<(Stamp, Answer)>,
-}
-
-impl Page {
-    fn find(&self, query: Query) -> Option<usize> {
-        self.queries.iter().position(|&q| q == query)
-    }
-
-    fn clear(&mut self) {
-        self.queries.clear();
-        self.answers.clear();
-    }
-}
-
-/// Emptied pages [`AggCache::invalidate`] keeps for reuse: one per probe
-/// of a region step (256 in `bolt::region`) fits, and at a few KiB
-/// each the pool stays under a MiB.
-const SPARE_PAGES: usize = 256;
-
-impl AggCache {
-    /// Drops every memo (a cluster mutation invalidated them all). The
-    /// hit/miss counters survive: they are cumulative telemetry.
-    pub(crate) fn invalidate(&mut self) {
-        for page in &mut self.pages[..self.used] {
-            page.clear();
-        }
-        self.pages.truncate(SPARE_PAGES);
-        self.used = 0;
-        self.index.clear();
-        self.cursor = None;
-    }
-
-    /// The index of `server`'s page, if it has one.
-    fn page_of(&mut self, server: usize) -> Option<usize> {
-        match self.cursor {
-            Some((s, page)) if s == server => Some(page),
-            _ => {
-                let page = *self.index.get(&server)? as usize;
-                self.cursor = Some((server, page));
-                Some(page)
-            }
-        }
-    }
-
-    /// The memoized answer to `query` about `server` if it carries
-    /// `stamp`; counts a hit or a miss.
-    pub(crate) fn get(&mut self, server: usize, query: Query, stamp: Stamp) -> Option<Answer> {
-        let found = self.page_of(server).and_then(|page| {
-            let page = &self.pages[page];
-            let (s, answer) = page.answers[page.find(query)?];
-            (s == stamp).then_some(answer)
-        });
-        match found {
-            Some(_) => self.hits += 1,
-            None => self.misses += 1,
-        }
-        found
-    }
-
-    /// Files `answer` as the latest for `query` about `server`.
-    pub(crate) fn put(&mut self, server: usize, query: Query, stamp: Stamp, answer: Answer) {
-        let page = match self.page_of(server) {
-            Some(page) => page,
-            None => {
-                let page = self.used;
-                if page == self.pages.len() {
-                    self.pages.push(Page::default());
-                }
-                self.used += 1;
-                self.index.insert(server, page as u32);
-                self.cursor = Some((server, page));
-                page
-            }
-        };
-        let page = &mut self.pages[page];
-        match page.find(query) {
-            Some(i) => page.answers[i] = (stamp, answer),
-            None => {
-                page.queries.push(query);
-                page.answers.push((stamp, answer));
-            }
-        }
-    }
-}
-
 /// A cross-snapshot probe-sweep memo: batched probe scheduling for
 /// concurrent hunts against one base cluster.
 ///
-/// `AggCache` is private to one `Cluster` instance and keeps only the
-/// *latest* result per observer, so two hunts running on separate
-/// snapshots of the same base cluster re-walk identical co-resident sets
-/// even when they issue byte-identical queries. A `SweepMemo` is the
-/// sharing layer above that: the service attaches one `Arc<SweepMemo>` to
-/// the base cluster, every snapshot inherits the handle, and the first
-/// hunt to finish a probe query publishes the result for every later hunt
-/// targeting the same server. Only `Query::top_level` queries reach the
-/// memo: the uncoupled walks a coupled probe recurses into are answered
-/// by the snapshot's `AggCache` or scanned (a shared top-level hit skips
-/// them anyway), and utilization is not a probe query.
+/// Two hunts running on separate snapshots of the same base cluster would
+/// re-walk identical co-resident sets whenever they issue byte-identical
+/// queries. The service attaches one `Arc<SweepMemo>` to the base
+/// cluster, every snapshot inherits the handle, and the first hunt to
+/// finish a probe query publishes the result for every later hunt
+/// targeting the same server. Only the queries a probe issues itself
+/// reach the memo: the uncoupled walks a coupled probe recurses into are
+/// scanned (a shared hit skips them anyway), and utilization is not a
+/// probe query.
 ///
-/// Determinism contract (same as the aggregate cache, see the module
-/// docs): the memo is consulted only behind the `cacheable(server)` gate,
-/// where query results are pure functions of the key and no RNG is drawn,
-/// so a hit returns exactly the bytes the scan would have produced.
-/// Additionally, a snapshot that *mutates* (chaos churn, migration,
-/// degradation) detaches from the memo outright — its world has diverged
-/// from the base placement, so it neither reads nor publishes entries.
+/// Determinism contract (see the module docs): the memo is consulted only
+/// behind the `cacheable(server)` gate, where query results are pure
+/// functions of the key and no RNG is drawn, so a hit returns exactly the
+/// bytes the scan would have produced. Additionally, a snapshot that
+/// *mutates* (chaos churn, migration, degradation) detaches from the memo
+/// outright — its world has diverged from the base placement, so it
+/// neither reads nor publishes entries.
 ///
-/// Unlike `AggCache`, entries are keyed by the full `(query, stamp)` pair
-/// and never overwritten with different bytes: the map is bounded by the
-/// number of *distinct* top-level probe queries a run issues, which is
-/// what makes the sharing accounting exact. Nothing is evicted.
+/// Entries are keyed by the full `(query, stamp)` pair and never
+/// overwritten with different bytes: the map is bounded by the number of
+/// *distinct* probe queries a run issues, which is what makes the sharing
+/// accounting exact. Nothing is evicted.
 #[derive(Debug, Default)]
 pub struct SweepMemo {
     answers: Mutex<KeyMap<(Query, Stamp), Answer>>,
-    /// Total consults (hit or miss), each from a [`Query::top_level`]
-    /// query. A racy duplicate compute counts the same as the serial-order
-    /// hit it would have been. Each hunt consults once per distinct key it
-    /// needs, so this is a pure function of the query trace — the basis of
-    /// the `sweeps-shared` telemetry counter's thread-count invariance.
+    /// Total consults (hit or miss). Every probe query on a deterministic
+    /// server of an attached snapshot consults once, a repeat at the same
+    /// stamp included, and a racy duplicate compute counts the same as the
+    /// serial-order hit it would have been. So this is a pure function of
+    /// the hunts' query traces — the basis of the `sweeps-shared`
+    /// telemetry counter's thread-count invariance.
     lookups: AtomicU64,
 }
 
@@ -571,10 +415,8 @@ impl SweepMemo {
         self.answers.lock().expect("sweep memo lock poisoned")
     }
 
-    /// The published answer to the top-level `query` at `stamp`; counts
-    /// the consult.
+    /// The published answer to `query` at `stamp`; counts the consult.
     pub(crate) fn get(&self, query: Query, stamp: Stamp) -> Option<Answer> {
-        debug_assert!(query.top_level(), "only probe queries reach the memo");
         self.lookups.fetch_add(1, Ordering::Relaxed);
         self.answers().get(&(query, stamp)).copied()
     }
@@ -583,30 +425,29 @@ impl SweepMemo {
         self.answers().insert((query, stamp), answer);
     }
 
-    /// Total memo consults so far (hits and misses alike), all from
-    /// top-level probe queries.
+    /// Total memo consults so far (hits and misses alike), one per probe
+    /// query in each attached hunt's trace.
     pub fn lookups(&self) -> u64 {
         self.lookups.load(Ordering::Relaxed)
     }
 
-    /// Distinct top-level probe queries published so far. Every consulted
-    /// key ends up in exactly one map entry (the first missing consult
-    /// computes and publishes it; a racy duplicate publish overwrites with
-    /// identical bytes), so this is schedule-independent.
+    /// Distinct probe queries published so far. Every consulted key ends
+    /// up in exactly one map entry (the first missing consult computes and
+    /// publishes it; a racy duplicate publish overwrites with identical
+    /// bytes), so this is schedule-independent.
     pub fn distinct(&self) -> u64 {
         self.answers().len() as u64
     }
 
-    /// Top-level probe queries answered from (or concurrently duplicated
-    /// against) the memo — the thread-count-invariant sharing count behind
-    /// the service's `sweeps-shared` telemetry counter.
+    /// Probe queries answered from (or concurrently duplicated against)
+    /// the memo — the thread-count-invariant sharing count behind the
+    /// service's `sweeps-shared` telemetry counter.
     ///
     /// Both terms are pure functions of the query trace: each hunt
-    /// consults the memo exactly once per distinct top-level key it needs
-    /// (its snapshot-local `AggCache` absorbs repeats, and is back-filled
-    /// identically on a memo hit or miss), and the set of keys ever
-    /// published is the union of the hunts' key sets regardless of which
-    /// lane computed each entry first.
+    /// consults the memo once per probe query in its trace (a repeat at
+    /// the same stamp consults again, hit or not), and the set of keys
+    /// ever published is the union of the hunts' key sets regardless of
+    /// which lane computed each entry first.
     pub fn shared_sweeps(&self) -> u64 {
         self.lookups().saturating_sub(self.distinct())
     }
@@ -711,149 +552,5 @@ mod tests {
         arena.remove(id).unwrap();
         assert_eq!(arena.stochastic_on(0), 0);
         assert!(!arena.set_override(id, None), "gone VMs report unknown");
-    }
-
-    #[test]
-    fn agg_cache_hits_only_on_matching_stamp() {
-        let mut cache = AggCache::default();
-        let v = PressureVector::from_pairs(&[(Resource::Llc, 5.0)]);
-        let coupled = Query::Neighbors {
-            id: 3,
-            couple: true,
-        };
-        assert_eq!(cache.get(0, coupled, (100, 0)), None);
-        cache.put(0, coupled, (100, 0), v);
-        assert_eq!(cache.get(0, coupled, (100, 0)), Some(v));
-        assert_eq!(cache.get(0, coupled, (200, 0)), None, "time advanced");
-        let uncoupled = Query::Neighbors {
-            id: 3,
-            couple: false,
-        };
-        assert_eq!(cache.get(0, uncoupled, (100, 0)), None, "flavor differs");
-        cache.invalidate();
-        assert_eq!(cache.get(0, coupled, (100, 0)), None, "mutation clears");
-        assert_eq!(cache.hits, 1);
-        assert_eq!(cache.misses, 4);
-
-        // A sweep's stamp carries its allocation: same time, other
-        // allocation misses. Scalars round-trip through lane 0.
-        let sweep = Query::Sweep { id: 3 };
-        let half = (100, 0.5f64.to_bits());
-        cache.put(0, sweep, half, 7.0.into_answer());
-        assert_eq!(cache.get(0, sweep, half).map(f64::from_answer), Some(7.0));
-        assert_eq!(cache.get(0, sweep, (100, 0.25f64.to_bits())), None);
-    }
-
-    /// Invalidation keeps at most [`SPARE_PAGES`] emptied pages, and the
-    /// next publishes take them instead of allocating.
-    #[test]
-    fn invalidate_keeps_a_bounded_spare_pool() {
-        let mut cache = AggCache::default();
-        let v = PressureVector::zero();
-        for server in 0..SPARE_PAGES + 40 {
-            let query = Query::Utilization { server };
-            cache.put(server, query, (1, 0), v);
-            cache.put(server, Query::Sweep { id: 9 }, (1, 0), v);
-        }
-        cache.invalidate();
-        assert_eq!((cache.used, cache.pages.len()), (0, SPARE_PAGES));
-        assert!(cache
-            .pages
-            .iter()
-            .all(|p| p.queries.is_empty() && p.answers.is_empty() && p.queries.capacity() >= 2));
-        let first = cache.pages[0].answers.as_ptr();
-        cache.put(7, Query::Utilization { server: 7 }, (2, 0), v);
-        assert_eq!(
-            cache.pages[0].answers.as_ptr(),
-            first,
-            "a spare page was reused"
-        );
-        assert_eq!(
-            cache.get(7, Query::Utilization { server: 7 }, (2, 0)),
-            Some(v)
-        );
-        assert_eq!(cache.get(8, Query::Utilization { server: 8 }, (1, 0)), None);
-    }
-
-    /// The latest-answer-per-query model the paged cache must behave as:
-    /// one plain map from query to its latest stamp and answer.
-    #[derive(Default)]
-    struct LatestModel {
-        latest: HashMap<Query, (Stamp, Answer)>,
-        hits: u64,
-        misses: u64,
-    }
-
-    impl LatestModel {
-        fn get(&mut self, query: Query, stamp: Stamp) -> Option<Answer> {
-            let found = self
-                .latest
-                .get(&query)
-                .filter(|(s, _)| *s == stamp)
-                .map(|&(_, answer)| answer);
-            match found {
-                Some(_) => self.hits += 1,
-                None => self.misses += 1,
-            }
-            found
-        }
-    }
-
-    /// A query of every kind about VMs 0..6 (VM `i` lives on server
-    /// `i % 3`) or about servers 0..3, and the server it is about.
-    fn model_query(kind: u8, who: u64, core: u32) -> (usize, Query) {
-        let server = (who % 3) as usize;
-        let query = match kind % 5 {
-            0 => Query::Neighbors {
-                id: who,
-                couple: true,
-            },
-            1 => Query::Neighbors {
-                id: who,
-                couple: false,
-            },
-            2 => Query::PerCore { id: who, core },
-            3 => Query::Sweep { id: who },
-            _ => Query::Utilization { server },
-        };
-        (server, query)
-    }
-
-    proptest::proptest! {
-        /// Random get/put/invalidate sequences over three servers, every
-        /// query kind and a handful of stamps that collide often: the
-        /// paged cache answers every get as the latest-per-query model
-        /// does and ends with the same hit and miss counts.
-        #[test]
-        fn paged_cache_matches_a_latest_per_query_map(
-            ops in proptest::collection::vec(
-                ((0u8..10, 0u8..5, 0u64..6), (0u32..2, 0u64..3, 0u64..2, 0.0f64..100.0)),
-                1..300,
-            ),
-        ) {
-            let mut cache = AggCache::default();
-            let mut model = LatestModel::default();
-            for ((op, kind, who), (core, time, alloc, lane)) in ops {
-                let (server, query) = model_query(kind, who, core);
-                let stamp = (time, alloc);
-                match op {
-                    0..=4 => proptest::prop_assert_eq!(
-                        cache.get(server, query, stamp),
-                        model.get(query, stamp),
-                        "get {:?} at {:?}", query, stamp
-                    ),
-                    5..=8 => {
-                        let answer = PressureVector::from_pairs(&[(Resource::Llc, lane)]);
-                        cache.put(server, query, stamp, answer);
-                        model.latest.insert(query, (stamp, answer));
-                    }
-                    _ => {
-                        cache.invalidate();
-                        model.latest.clear();
-                    }
-                }
-            }
-            proptest::prop_assert_eq!((cache.hits, cache.misses), (model.hits, model.misses));
-        }
     }
 }

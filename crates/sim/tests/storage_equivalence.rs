@@ -1,10 +1,11 @@
-//! Storage-layer equivalence: the arena + residency index + aggregate
-//! cache must be observationally identical to the old full-scan storage.
+//! Storage-layer equivalence: the arena + residency index + resident
+//! table + shared sweep memo must be observationally identical to the old
+//! full-scan storage.
 //!
 //! Inside the test-only `bolt_linalg::oracle::reference` scope (the
 //! `oracle` feature, which this crate's dev-dependencies turn on) every
 //! cluster query walks the whole arena in ascending-id order with the
-//! aggregate cache and the shared sweep memo bypassed — the exact
+//! shared sweep memo bypassed — the exact
 //! behaviour of the original `BTreeMap` storage. These tests drive an
 //! indexed cluster normally and a reference cluster inside that scope
 //! through the same random churn (launches, terminations, migrations,
@@ -40,8 +41,8 @@ use rand::{Rng, SeedableRng};
 const SERVERS: usize = 4;
 
 /// A catalog profile for op slot `i`: half the families keep their
-/// stochastic noise (exercising the uncached path), half are zeroed
-/// (exercising the aggregate cache).
+/// stochastic noise (exercising the stochastic walk), half are zeroed
+/// (exercising the deterministic walks: resident table and sweep memo).
 fn profile(i: usize, rng: &mut StdRng) -> WorkloadProfile {
     match i % 4 {
         0 => catalog::memcached::profile(&catalog::memcached::Variant::Mixed, rng),
@@ -198,7 +199,7 @@ fn assert_observables_match(a: &Cluster, b: &Cluster, t: f64, seed: u64) {
 }
 
 /// Observes `indexed` normally and `reference` inside the
-/// oracle scope (full-arena scan, no aggregate cache), and compares.
+/// oracle scope (full-arena scan, no memo), and compares.
 fn assert_matches_reference(indexed: &Cluster, reference: &Cluster, t: f64, seed: u64) {
     let reference = oracle::reference(|| observe(reference, t, seed));
     assert_same_observations(&observe(indexed, t, seed), &reference);
@@ -259,8 +260,8 @@ proptest! {
         prop_assert_eq!(indexed.events(), reference.events(), "traces diverged");
 
         assert_matches_reference(&indexed, &reference, t, seed ^ 0xC0FFEE);
-        // Query twice: the second pass hits the aggregate cache on the
-        // indexed cluster and must still match the reference rescans.
+        // Query twice: the second pass walks the indexed cluster again
+        // and must still match the reference rescans.
         assert_matches_reference(&indexed, &reference, t, seed ^ 0xC0FFEE);
     }
 
@@ -387,15 +388,13 @@ fn deterministic_host_on(
 }
 
 /// Probes every tenant of a [`deterministic_host`] cold and then warm,
-/// each on a fresh snapshot (empty aggregate cache, zeroed counters), and
-/// compares with the same probe on `reference` inside the oracle scope:
-/// the bits, the query-RNG stream, and `storage_stats()`. The reference
-/// bypasses the aggregate cache, so its hit and miss counters stay 0;
-/// every other counter, neighbor visits included, must equal the cold
-/// probe's. A cold probe misses once per walk (its own, and one inner
-/// walk per co-resident without an override); the warm probe is one hit
-/// and walks nothing. Then every observable, cold and warm, as in the
-/// churn properties.
+/// each on a fresh snapshot (zeroed counters), and compares with the same
+/// probe on `reference` inside the oracle scope: the bits, the query-RNG
+/// stream, and `storage_stats()`. The cold probe's counters, neighbor
+/// visits included, must equal the reference's outright. No memo is
+/// attached, so the warm probe walks again: the same bits, and exactly
+/// twice the cold probe's neighbor visits. Then every observable, cold
+/// and warm, as in the churn properties.
 fn assert_table_path_matches_reference(indexed: &Cluster, reference: &Cluster, t: f64, seed: u64) {
     let bits = |v: PressureVector| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for &id in indexed.vms_on(0) {
@@ -419,26 +418,11 @@ fn assert_table_path_matches_reference(indexed: &Cluster, reference: &Cluster, t
             ref_rng.gen::<u64>(),
             "query RNG stream after probing {id:?}"
         );
-        let uncached = StorageStats {
-            agg_hits: 0,
-            agg_misses: 0,
-            ..cold_stats
-        };
-        assert_eq!(uncached, ref_stats, "cold storage stats of {id:?}");
-        let inner = indexed
-            .vms_on(0)
-            .iter()
-            .filter(|&&o| o != id && indexed.vm(o).expect("live").pressure_override.is_none())
-            .count() as u64;
-        assert_eq!(
-            (cold_stats.agg_hits, cold_stats.agg_misses),
-            (0, 1 + inner),
-            "cold cache counters of {id:?}"
-        );
+        assert_eq!(cold_stats, ref_stats, "cold storage stats of {id:?}");
         assert_eq!(
             warm_stats,
             StorageStats {
-                agg_hits: 1,
+                neighbor_visits: 2 * cold_stats.neighbor_visits,
                 ..cold_stats
             },
             "warm storage stats of {id:?}"
@@ -753,17 +737,16 @@ fn sweep_memo_counts_shared_queries_and_detaches_on_mutation() {
     let t = 12.5;
     let a = c.snapshot();
     let b = c.snapshot();
-    // Cold query: the top-level probe consults once, misses and
-    // publishes its one entry. The uncoupled walks its couple-progress
-    // recursion makes (one per deterministic neighbor) stay in the
-    // snapshot's own cache and never reach the memo.
+    // Cold query: the probe consults once, misses and publishes its one
+    // entry. The uncoupled walks its couple-progress recursion makes (one
+    // per deterministic neighbor) are scanned and never reach the memo.
     let va = a.interference_on(observer, t, &mut rng).expect("probe");
     let cold_lookups = memo.lookups();
     let published = memo.distinct();
     assert_eq!(cold_lookups, 1, "a cold probe consults once");
     assert_eq!(published, 1, "a cold probe publishes exactly one entry");
     // Warm identical query from a sibling snapshot: exactly one consult
-    // (the top-level hit short-circuits the recursion), nothing new
+    // (the hit short-circuits the recursion), nothing new
     // published, and the bytes match the cold computation.
     let vb = b.interference_on(observer, t, &mut rng).expect("probe");
     assert_eq!(va, vb, "memo hit must return the computed bytes");
@@ -809,7 +792,7 @@ fn sweep_memo_counts_shared_queries_and_detaches_on_mutation() {
         "a diverged snapshot must not publish"
     );
 
-    // Each top-level kind counts toward `shared_sweeps`: so far the one
+    // Each probe kind counts toward `shared_sweeps`: so far the one
     // shared coupled probe; then a per-core walk and an LLC sweep, each
     // computed on one snapshot and repeated on its sibling.
     assert_eq!(memo.shared_sweeps(), 1);
@@ -832,6 +815,45 @@ fn sweep_memo_counts_shared_queries_and_detaches_on_mutation() {
         3,
         "the per-core walk and the sweep were shared"
     );
+}
+
+/// A snapshot keeps no memo of its own: probing the same observer twice
+/// at one `t` consults the shared memo twice, publishes once, and reads
+/// back the bits it computed.
+#[test]
+fn a_repeated_probe_consults_the_shared_memo_again() {
+    let mut rng = StdRng::seed_from_u64(23);
+    let mut c =
+        Cluster::new(1, ServerSpec::xeon(), IsolationConfig::cloud_default()).expect("cluster");
+    let ids: Vec<VmId> = (0..4)
+        .map(|k| {
+            let p = profile(k, &mut rng).with_noise(0.0).with_vcpus(1);
+            c.launch_on(0, p, VmRole::Friendly, 0.0).expect("fits")
+        })
+        .collect();
+    let memo = std::sync::Arc::new(SweepMemo::new());
+    c.share_sweeps(std::sync::Arc::clone(&memo));
+
+    let snap = c.snapshot();
+    let (lookups, distinct) = (memo.lookups(), memo.distinct());
+    let first = snap.interference_on(ids[0], 7.5, &mut rng).expect("probe");
+    let second = snap.interference_on(ids[0], 7.5, &mut rng).expect("probe");
+    assert_eq!(
+        first
+            .as_slice()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect::<Vec<_>>(),
+        second
+            .as_slice()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect::<Vec<_>>(),
+        "the repeat reads back the computed bits"
+    );
+    assert_eq!(memo.lookups(), lookups + 2, "each probe consults");
+    assert_eq!(memo.distinct(), distinct + 1, "one entry is published");
+    assert_eq!(memo.shared_sweeps(), 1, "the repeat counts as shared");
 }
 
 /// The linear scan `least_loaded_server` replaced, over the public

@@ -22,8 +22,7 @@ echo "==> cargo test --workspace (every unit, integration and property suite)"
 cargo test --workspace -q
 
 # The simulator's proptests pin the probe walks (resident table, fold
-# operands, memos) to the reference scan bit for bit, and the paged
-# aggregate cache (a crate-private unit test) to a latest-per-query map.
+# operands, the shared sweep memo) to the reference scan bit for bit.
 # Their own 32-64 cases per property keep the debug run short; 2,048 in
 # release go deeper.
 echo "==> bolt-sim at PROPTEST_CASES=2048 (release)"
@@ -40,9 +39,6 @@ cargo bench --no-run --workspace
 
 echo "==> cargo doc (first-party rustdoc must be warning-free: no broken intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${FIRST_PARTY[@]}"
-
-echo "==> pgo-bolt.sh dry-run smoke (prerequisite check must not error)"
-scripts/pgo-bolt.sh --dry-run > /dev/null
 
 echo "==> mrc_extension example smoke run"
 cargo run --release -q --example mrc_extension > /dev/null

@@ -972,6 +972,23 @@ mod tests {
         assert!(given.finish().unwrap().on());
     }
 
+    /// A region too large to step fails validation before a host is
+    /// built: an unbounded `--steps` once looped without end.
+    #[test]
+    fn region_rejects_an_unbounded_step_count_promptly() {
+        let start = std::time::Instant::now();
+        let err = run_command(
+            "region",
+            &flags(&["--servers", "4", "--steps", "18446744073709551615"]).unwrap(),
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("invalid experiment") && err.contains("steps"),
+            "{err}"
+        );
+        assert!(start.elapsed() < std::time::Duration::from_secs(5));
+    }
+
     #[test]
     fn parse_flags_accepts_pairs() {
         let flags = parse_flags(
