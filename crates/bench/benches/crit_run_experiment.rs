@@ -9,7 +9,7 @@
 //! `None` branch per call site — and `run_experiment_serial_telemetry_on`
 //! bounds the cost of full recording on the same configuration.
 
-use bolt::{FitCache, RunCtx};
+use bolt::RunCtx;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -26,10 +26,9 @@ fn config(parallelism: Parallelism) -> ExperimentConfig {
     }
 }
 
-/// One cold run (fresh fit cache) of the bench configuration.
+/// One run of the bench configuration, its fit included.
 fn run(cfg: &ExperimentConfig, telemetry: bool) -> usize {
-    let cache = FitCache::new();
-    let ctx = RunCtx::new(&cache, telemetry);
+    let ctx = RunCtx::new(telemetry);
     let (r, log) = run_experiment(black_box(cfg), &LeastLoaded, &ctx).expect("experiment runs");
     r.records.len() + log.len()
 }

@@ -11,7 +11,7 @@
 use bolt::detector::DetectorConfig;
 use bolt::experiment::{run_experiment, ExperimentConfig};
 use bolt::report::{pct, Table};
-use bolt::{BoltError, FitCache, RunCtx};
+use bolt::{BoltError, RunCtx};
 use bolt_probes::{ProfilerConfig, RampConfig};
 use bolt_recommender::RecommenderConfig;
 use bolt_sim::LeastLoaded;
@@ -88,7 +88,7 @@ pub fn run(scale: Scale) -> Result<Output, BoltError> {
     let mut accuracy = Vec::new();
     for (name, config) in &variants {
         let results =
-            run_experiment(config, &LeastLoaded, &RunCtx::new(&FitCache::new(), false))?.0;
+            run_experiment(config, &LeastLoaded, &RunCtx::new(false))?.0;
         table.row(vec![
             name.to_string(),
             pct(results.label_accuracy()),

@@ -7,7 +7,7 @@
 
 use bolt::experiment::run_experiment;
 use bolt::report::{pct, Table};
-use bolt::{BoltError, FitCache, RunCtx};
+use bolt::{BoltError, RunCtx};
 use bolt_sim::LeastLoaded;
 
 use crate::{experiment, Output, Scale};
@@ -15,7 +15,7 @@ use crate::{experiment, Output, Scale};
 pub fn run(scale: Scale) -> Result<Output, BoltError> {
     // Denser packing than Table 1's run so 3-5 co-resident hosts exist.
     let config = experiment(scale.pick((16, 44), (40, 108)));
-    let results = run_experiment(&config, &LeastLoaded, &RunCtx::new(&FitCache::new(), false))?.0;
+    let results = run_experiment(&config, &LeastLoaded, &RunCtx::new(false))?.0;
 
     // (a) accuracy vs number of co-residents. The x-axis counts victim
     // VMs on the server *including the hunted victim* ("VMs on server",

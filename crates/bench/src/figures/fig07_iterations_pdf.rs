@@ -7,14 +7,14 @@
 
 use bolt::experiment::run_experiment;
 use bolt::report::Table;
-use bolt::{BoltError, FitCache, RunCtx};
+use bolt::{BoltError, RunCtx};
 use bolt_sim::LeastLoaded;
 
 use crate::{experiment, Output, Scale};
 
 pub fn run(scale: Scale) -> Result<Output, BoltError> {
     let config = experiment(scale.pick((16, 44), (40, 108)));
-    let results = run_experiment(&config, &LeastLoaded, &RunCtx::new(&FitCache::new(), false))?.0;
+    let results = run_experiment(&config, &LeastLoaded, &RunCtx::new(false))?.0;
     let max_iters = config.detector.max_iterations;
 
     // (a) overall PDF.

@@ -7,7 +7,7 @@
 
 use bolt::experiment::run_experiment;
 use bolt::report::Table;
-use bolt::{BoltError, FitCache, RunCtx};
+use bolt::{BoltError, RunCtx};
 use bolt_sim::LeastLoaded;
 use bolt_workloads::Resource;
 
@@ -15,7 +15,7 @@ use crate::{experiment, Output, Scale};
 
 pub fn run(scale: Scale) -> Result<Output, BoltError> {
     let config = experiment(scale.pick((20, 54), (40, 108)));
-    let results = run_experiment(&config, &LeastLoaded, &RunCtx::new(&FitCache::new(), false))?.0;
+    let results = run_experiment(&config, &LeastLoaded, &RunCtx::new(false))?.0;
 
     let resources = [
         Resource::L1i,

@@ -12,7 +12,7 @@ use bolt::report::{pct, Table};
 use bolt::sensitivity::{
     adversary_size_sweep, benchmark_count_sweep, profiling_interval_sweep, SweepPoint,
 };
-use bolt::{BoltError, FitCache, RunCtx};
+use bolt::{BoltError, RunCtx};
 
 use crate::{experiment, Output, Scale};
 
@@ -31,10 +31,6 @@ fn sweep_table(parameter: &str, paper: &[&str], points: &[SweepPoint]) -> Table 
 
 pub fn run(scale: Scale) -> Result<Output, BoltError> {
     let mut out = Output::default();
-    // One cache across all three sweeps: every point that shares training
-    // inputs (all of fig10b/fig10c, and fig10a's phased scenes) reuses the
-    // first point's trained recommender.
-    let cache = FitCache::new();
     let base = experiment(scale.pick((10, 14), (24, 36)));
 
     // (a) profiling interval, against a victim switching jobs (~60 s).
@@ -45,7 +41,7 @@ pub fn run(scale: Scale) -> Result<Output, BoltError> {
         900.0,
         0xF16A,
         Parallelism::Auto,
-        &RunCtx::new(&cache, true),
+        &RunCtx::new(true),
     )?;
     out.telemetry.extend(interval_log.into_events());
     out.tables.push((
@@ -72,7 +68,7 @@ pub fn run(scale: Scale) -> Result<Output, BoltError> {
 
     // (b) adversarial VM size.
     let sizes = [1u32, 2, 4, 8];
-    let (points, size_log) = adversary_size_sweep(&base, &sizes, &RunCtx::new(&cache, true))?;
+    let (points, size_log) = adversary_size_sweep(&base, &sizes, &RunCtx::new(true))?;
     out.telemetry.extend(size_log.into_events());
     out.tables.push((
         "fig10b_adversary_size".into(),
@@ -94,7 +90,7 @@ pub fn run(scale: Scale) -> Result<Output, BoltError> {
 
     // (c) number of profiling benchmarks.
     let counts = [1usize, 2, 3, 5, 8];
-    let (points, count_log) = benchmark_count_sweep(&base, &counts, &RunCtx::new(&cache, true))?;
+    let (points, count_log) = benchmark_count_sweep(&base, &counts, &RunCtx::new(true))?;
     out.telemetry.extend(count_log.into_events());
     out.tables.push((
         "fig10c_benchmark_count".into(),

@@ -5,7 +5,7 @@
 
 use bolt::report::{pct, Table};
 use bolt::user_study::{run_user_study, UserStudyConfig};
-use bolt::{BoltError, FitCache, RunCtx};
+use bolt::{BoltError, RunCtx};
 
 use crate::{Output, Scale};
 
@@ -17,7 +17,7 @@ pub fn run(scale: Scale) -> Result<Output, BoltError> {
         jobs,
         ..UserStudyConfig::default()
     };
-    let results = run_user_study(&config, &RunCtx::new(&FitCache::new(), false))?.0;
+    let results = run_user_study(&config, &RunCtx::new(false))?.0;
     let n = results.records.len();
     let share = |k: usize| format!("{k}/{n} ({})", pct(k as f64 / n as f64));
 

@@ -9,14 +9,14 @@
 
 use bolt::isolation_study::run_isolation_study;
 use bolt::report::{pct, Table};
-use bolt::{BoltError, FitCache, RunCtx};
+use bolt::{BoltError, RunCtx};
 use bolt_sim::OsSetting;
 
 use crate::{experiment, Output, Scale};
 
 pub fn run(scale: Scale) -> Result<Output, BoltError> {
     let base = experiment(scale.pick((10, 24), (24, 58)));
-    let study = run_isolation_study(&base, &RunCtx::new(&FitCache::new(), false))?.0;
+    let study = run_isolation_study(&base, &RunCtx::new(false))?.0;
 
     let stacks = [
         "none",

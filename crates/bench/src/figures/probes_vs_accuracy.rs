@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use bolt::experiment::{run_experiment, ExperimentConfig};
 use bolt::report::{pct, Table};
 use bolt::telemetry::{Counter, TelemetryEvent, TelemetryLog};
-use bolt::{BoltError, FitCache, RunCtx};
+use bolt::{BoltError, RunCtx};
 use bolt_sim::LeastLoaded;
 
 use crate::{experiment, Output, Scale};
@@ -53,11 +53,8 @@ pub fn run(scale: Scale) -> Result<Output, BoltError> {
         "probes saved",
     ]);
 
-    // The anytime flag only changes detection, never training, so every
-    // variant reuses the baseline's trained recommender through one cache.
-    let cache = FitCache::new();
     let mut run = |name: &str, config: &ExperimentConfig| -> Result<(f64, u64), BoltError> {
-        let (results, log) = run_experiment(config, &LeastLoaded, &RunCtx::new(&cache, true))?;
+        let (results, log) = run_experiment(config, &LeastLoaded, &RunCtx::new(true))?;
         let counts = probes_per_hunt(&log);
         let median = counts.get(counts.len() / 2).copied().unwrap_or(0);
         let mean = counts.iter().sum::<u64>() as f64 / counts.len().max(1) as f64;

@@ -11,7 +11,7 @@
 
 use bolt::report::{pct, Table};
 use bolt::robustness::churn_sweep;
-use bolt::{BoltError, FitCache, RunCtx};
+use bolt::{BoltError, RunCtx};
 use bolt_sim::LeastLoaded;
 
 use crate::{experiment, Output, Scale};
@@ -23,13 +23,11 @@ pub fn run(scale: Scale) -> Result<Output, BoltError> {
     let base = experiment(scale.pick((6, 12), (24, 48)));
 
     let intensities = [0.0, 0.25, 0.5, 0.75, 1.0];
-    // Churn never perturbs the training inputs, so one cache turns the
-    // five-intensity sweep into a single recommender fit.
     let (points, telemetry) = churn_sweep(
         &base,
         &LeastLoaded,
         &intensities,
-        &RunCtx::new(&FitCache::new(), true),
+        &RunCtx::new(true),
     )?;
 
     let mut table = Table::new(vec![

@@ -11,7 +11,7 @@
 //! at every load point.
 
 use bolt::report::{pct, Table};
-use bolt::{run_service, BoltError, FitCache, RunCtx, ServiceConfig};
+use bolt::{run_service, BoltError, RunCtx, ServiceConfig};
 use bolt_sim::{ChaosConfig, StormConfig};
 
 use crate::{Output, Scale};
@@ -29,9 +29,6 @@ pub fn run(scale: Scale) -> Result<Output, BoltError> {
     // it and keeps going to 3× saturation.
     let rates = [1.0, 2.0, 3.0, 4.5, 6.0, 9.0];
 
-    // One fit cache across every point and both twins: the training inputs
-    // never change, so the recommender is fitted exactly once.
-    let cache = FitCache::new();
     let mut table = Table::new(vec![
         "rate/min",
         "offered",
@@ -63,8 +60,8 @@ pub fn run(scale: Scale) -> Result<Output, BoltError> {
             storm: StormConfig::none(),
             ..stormy
         };
-        let (report, point_log) = run_service(&stormy, &RunCtx::new(&cache, true))?;
-        let calm_report = run_service(&calm, &RunCtx::new(&cache, true))?.0;
+        let (report, point_log) = run_service(&stormy, &RunCtx::new(true))?;
+        let calm_report = run_service(&calm, &RunCtx::new(true))?.0;
         balanced &= report.balanced();
 
         // The calm twin's silent rate is the detector's intrinsic error

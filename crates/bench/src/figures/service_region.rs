@@ -11,7 +11,7 @@
 
 use bolt::report::Table;
 use bolt::{
-    run_service, BoltError, Counter, FitCache, Parallelism, RegionConfig, RunCtx, ServiceConfig,
+    run_service, BoltError, Counter, Parallelism, RegionConfig, RunCtx, ServiceConfig,
 };
 use bolt_sim::StormConfig;
 
@@ -20,9 +20,6 @@ use crate::{Output, Scale};
 pub fn run(scale: Scale) -> Result<Output, BoltError> {
     let (server_points, requests) = scale.pick(([250, 1000, 2000], 40), ([1000, 2000, 4000], 120));
 
-    // One fit cache across every point: the training inputs never change,
-    // so the recommender is fitted exactly once.
-    let cache = FitCache::new();
     let mut table = Table::new(vec![
         "servers",
         "offered",
@@ -47,7 +44,7 @@ pub fn run(scale: Scale) -> Result<Output, BoltError> {
             storm: StormConfig::with_intensity(0.4),
             ..ServiceConfig::for_region(&region)
         };
-        let (report, point_log) = run_service(&config, &RunCtx::new(&cache, true))?;
+        let (report, point_log) = run_service(&config, &RunCtx::new(true))?;
         out.checks.push((
             format!("{servers} servers: every admitted request ends in exactly one outcome"),
             report.balanced(),
@@ -62,14 +59,13 @@ pub fn run(scale: Scale) -> Result<Output, BoltError> {
         ));
 
         // Contract 2 — lane fan-out is byte-invisible, including the
-        // sweeps-shared counter. The serial twin re-runs against the now
-        // warm fit cache so both logs carry the same fit-cache events.
-        let (report_s, log_s) = run_service(&config, &RunCtx::new(&cache, true))?;
+        // sweeps-shared counter.
+        let (report_s, log_s) = run_service(&config, &RunCtx::new(true))?;
         let threaded = ServiceConfig {
             parallelism: Parallelism::Threads(3),
             ..config
         };
-        let (report_t, log_t) = run_service(&threaded, &RunCtx::new(&cache, true))?;
+        let (report_t, log_t) = run_service(&threaded, &RunCtx::new(true))?;
         out.checks.push((
             format!("{servers} servers: serial and Threads(3) lanes agree on every report and telemetry byte"),
             report == report_s && report == report_t && log_s.normalized() == log_t.normalized(),

@@ -7,7 +7,7 @@
 
 use bolt::experiment::run_experiment;
 use bolt::report::{pct, Table};
-use bolt::{BoltError, FitCache, RunCtx};
+use bolt::{BoltError, RunCtx};
 use bolt_sim::{LeastLoaded, Quasar};
 
 use crate::{experiment, Output, Scale};
@@ -15,11 +15,8 @@ use crate::{experiment, Output, Scale};
 pub fn run(scale: Scale) -> Result<Output, BoltError> {
     let config = experiment(scale.pick((20, 54), (40, 108)));
 
-    // Scheduler choice never touches the training inputs: one cache means
-    // the Quasar run reuses the least-loaded run's trained recommender.
-    let cache = FitCache::new();
-    let ll = run_experiment(&config, &LeastLoaded, &RunCtx::new(&cache, false))?.0;
-    let quasar = run_experiment(&config, &Quasar, &RunCtx::new(&cache, false))?.0;
+    let ll = run_experiment(&config, &LeastLoaded, &RunCtx::new(false))?.0;
+    let quasar = run_experiment(&config, &Quasar, &RunCtx::new(false))?.0;
 
     let mut table = Table::new(vec![
         "class",

@@ -12,7 +12,7 @@
 use bolt::experiment::{run_experiment, ExperimentConfig};
 use bolt::report::{pct, Table};
 use bolt::telemetry::Counter;
-use bolt::{BoltError, FitCache, RunCtx};
+use bolt::{BoltError, RunCtx};
 use bolt_sim::LeastLoaded;
 
 use crate::{experiment, Output, Scale};
@@ -30,11 +30,8 @@ pub fn run(scale: Scale) -> Result<Output, BoltError> {
         "multi-tenant accuracy",
         "mrc tie-breaks",
     ]);
-    // The MRC channel only changes detection, not training, so the "on"
-    // variant reuses the baseline's trained recommender through one cache.
-    let cache = FitCache::new();
     let mut run = |name: &str, config: &ExperimentConfig| -> Result<(f64, f64), BoltError> {
-        let (results, log) = run_experiment(config, &LeastLoaded, &RunCtx::new(&cache, true))?;
+        let (results, log) = run_experiment(config, &LeastLoaded, &RunCtx::new(true))?;
         let multi = results.multi_tenant_label_accuracy();
         table.row(vec![
             name.to_string(),

@@ -245,34 +245,24 @@ impl Detector {
                 }
                 seen.iter().filter(|&&s| s).count()
             };
-            if probes_used < max_probes
-                && (!fully_covered(&snapshot, &stale, core_usable) || distinct_fresh < fresh_floor)
-            {
-                let picks = next_probes(
-                    &snapshot,
+            let covered =
+                fully_covered(&snapshot, &stale, core_usable) && distinct_fresh >= fresh_floor;
+            if !covered
+                && self.deepen(
+                    world,
+                    adversary,
+                    t,
+                    &mut snapshot,
                     core_usable,
                     &components,
                     &info_weights,
-                    &self.recommender,
-                    ANYTIME_BATCH.min(max_probes - probes_used),
-                );
-                if !picks.is_empty() {
-                    for r in picks {
-                        let mid_faults = world.advance(t + snapshot.duration_s)?;
-                        telemetry.count(Counter::FaultsInjected, mid_faults);
-                        self.profiler.probe_resource(
-                            world.cluster(),
-                            adversary,
-                            t,
-                            r,
-                            &mut snapshot,
-                            rng,
-                        )?;
-                        probes_used += 1;
-                        telemetry.count(Counter::ProbeSamples, 1);
-                    }
-                    continue;
-                }
+                    &mut probes_used,
+                    max_probes,
+                    rng,
+                    telemetry,
+                )?
+            {
+                continue;
             }
 
             rounds += 1;
@@ -358,35 +348,20 @@ impl Detector {
 
             // Budget spent or nothing informative left to probe →
             // return the best hypothesis found so far.
-            if probes_used >= max_probes {
-                break;
-            }
-            let picks = next_probes(
-                &snapshot,
+            if !self.deepen(
+                world,
+                adversary,
+                t,
+                &mut snapshot,
                 core_usable,
                 &components,
                 &info_weights,
-                &self.recommender,
-                ANYTIME_BATCH.min(max_probes - probes_used),
-            );
-            if picks.is_empty() {
+                &mut probes_used,
+                max_probes,
+                rng,
+                telemetry,
+            )? {
                 break;
-            }
-            for r in picks {
-                // Mid-window churn lands between probes on live worlds —
-                // the validity re-probe below is what catches it.
-                let mid_faults = world.advance(t + snapshot.duration_s)?;
-                telemetry.count(Counter::FaultsInjected, mid_faults);
-                self.profiler.probe_resource(
-                    world.cluster(),
-                    adversary,
-                    t,
-                    r,
-                    &mut snapshot,
-                    rng,
-                )?;
-                probes_used += 1;
-                telemetry.count(Counter::ProbeSamples, 1);
             }
         }
 
@@ -608,6 +583,51 @@ fn averaged_observations(snapshot: &bolt_probes::Snapshot) -> Vec<(Resource, f64
         .into_iter()
         .map(|r| (r, sum[r.index()] / n[r.index()] as f64))
         .collect()
+}
+
+impl Detector {
+    /// One deepening step: probes the next batch in information-gain
+    /// order, advancing the world to the window's current end before each
+    /// probe (mid-window churn lands between probes on live worlds; the
+    /// validity re-probe catches it) and counting each probe against
+    /// `probes_used`. Returns false, having probed nothing, when
+    /// `max_probes` is spent or nothing informative is left to probe.
+    #[allow(clippy::too_many_arguments)]
+    fn deepen<R: Rng>(
+        &self,
+        world: &mut ProbeWorld<'_>,
+        adversary: VmId,
+        t: f64,
+        snapshot: &mut bolt_probes::Snapshot,
+        core_usable: bool,
+        components: &[(usize, f64, f64)],
+        info_weights: &[f64; RESOURCE_COUNT],
+        probes_used: &mut usize,
+        max_probes: usize,
+        rng: &mut R,
+        telemetry: &mut Telemetry,
+    ) -> Result<bool, BoltError> {
+        if *probes_used >= max_probes {
+            return Ok(false);
+        }
+        let picks = next_probes(
+            snapshot,
+            core_usable,
+            components,
+            info_weights,
+            &self.recommender,
+            ANYTIME_BATCH.min(max_probes - *probes_used),
+        );
+        for &r in &picks {
+            let mid_faults = world.advance(t + snapshot.duration_s)?;
+            telemetry.count(Counter::FaultsInjected, mid_faults);
+            self.profiler
+                .probe_resource(world.cluster(), adversary, t, r, snapshot, rng)?;
+            *probes_used += 1;
+            telemetry.count(Counter::ProbeSamples, 1);
+        }
+        Ok(!picks.is_empty())
+    }
 }
 
 /// Ranks the candidate probes by expected information gain and returns

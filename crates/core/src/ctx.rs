@@ -1,4 +1,5 @@
-//! The run context every driver borrows, and the fit memo it carries.
+//! The run context every driver borrows, and the fit memo that survives
+//! only behind the bolt-perf benchmark's frozen forwarders.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -7,12 +8,12 @@ use bolt_recommender::{HybridRecommender, RecommenderConfig};
 use bolt_sim::IsolationConfig;
 use bolt_workloads::RESOURCE_COUNT;
 
+use crate::experiment::fit_recommender;
 use crate::telemetry::Telemetry;
 use crate::BoltError;
 
-/// The two choices a caller makes for a driver run: which [`FitCache`]
-/// the recommender trains (or is recalled) through, and whether the run
-/// records telemetry.
+/// The one choice a caller makes for a driver run: whether it records
+/// telemetry.
 ///
 /// Every driver — [`run_experiment`](crate::run_experiment), the three
 /// [`sensitivity`](crate::sensitivity) sweeps,
@@ -21,25 +22,20 @@ use crate::BoltError;
 /// [`run_user_study`](crate::run_user_study) and
 /// [`run_service`](crate::run_service) — takes a `&RunCtx` and returns its
 /// result together with a [`TelemetryLog`](crate::TelemetryLog). The log
-/// is empty when `telemetry` is false. The result never depends on either
-/// field: a recalled model is byte-identical to a refit (a fresh
-/// [`FitCache`] trains once per key), and recording draws no randomness.
-#[derive(Debug, Clone, Copy)]
-pub struct RunCtx<'a> {
-    /// The cache fits go through. Share one across runs to train once.
-    pub fit_cache: &'a FitCache,
+/// is empty when `telemetry` is false. The result never depends on it:
+/// recording draws no randomness. Each driver fits its recommender once
+/// per run through [`fit_recommender`], before its units fan out, and
+/// lends them the model.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunCtx {
     /// Whether the run records and returns its telemetry stream.
     pub telemetry: bool,
 }
 
-impl<'a> RunCtx<'a> {
-    /// A context fitting through `fit_cache` that records telemetry when
-    /// `telemetry` is set.
-    pub fn new(fit_cache: &'a FitCache, telemetry: bool) -> Self {
-        RunCtx {
-            fit_cache,
-            telemetry,
-        }
+impl RunCtx {
+    /// A context that records telemetry when `telemetry` is set.
+    pub fn new(telemetry: bool) -> Self {
+        RunCtx { telemetry }
     }
 
     /// The recording handle for parallel unit `unit`: enabled for that
@@ -90,23 +86,11 @@ impl FitKey {
 /// determine the fit: the training seed, the isolation attenuations and
 /// the [`RecommenderConfig`].
 ///
-/// [`HybridRecommender::fit`] draws no random numbers, so a recalled model
-/// is byte-identical to a refit and the memo changes no output byte. Its
-/// one caller is [`shared_recommender`](crate::experiment::shared_recommender),
-/// which reports each lookup as a `fit-cache-hit` or `fit-cache-miss`.
-/// Construct one per sweep (or per CLI invocation) and hand it to every
-/// driver of the run.
-///
-/// # Determinism contract for parallel sweeps
-///
-/// Misses fit *outside* the lock, so distinct keys fit in parallel. The
-/// hit/miss flag, however, feeds per-unit telemetry counters, and those
-/// streams must be byte-identical across `Parallelism::{Serial,
-/// Threads(n)}`. Callers that fan units out in parallel therefore either
-/// **pre-warm** the shared keys on the calling thread (every unit
-/// observes a hit) or use **per-unit-unique** keys (every unit observes a
-/// miss); racing two units on a cold shared key would make the flags
-/// scheduling-dependent. All in-tree sweeps follow this rule.
+/// No driver uses it. It is kept, with [`shared_recommender`] and the
+/// `build_testbed_cache`, `run_experiment_cache` and
+/// `run_service_cache_telemetry` forwarders, because the bolt-perf
+/// benchmark names them; delete all of them when that benchmark is next
+/// revised.
 #[derive(Debug, Default)]
 pub struct FitCache {
     models: Mutex<HashMap<FitKey, Arc<HybridRecommender>>>,
@@ -117,54 +101,54 @@ impl FitCache {
     pub fn new() -> Self {
         FitCache::default()
     }
+}
 
-    /// The model fitted for `(training_seed, isolation, config)`, running
-    /// `fit` on a miss. The flag is `true` on a hit (nothing was built).
-    ///
-    /// Two threads racing the same cold key both fit — wasted work, never
-    /// wrong output; the first model stored is the one later hits recall.
-    pub(crate) fn get_or_fit(
-        &self,
-        training_seed: u64,
-        isolation: &IsolationConfig,
-        config: RecommenderConfig,
-        fit: impl FnOnce() -> Result<HybridRecommender, BoltError>,
-    ) -> Result<(Arc<HybridRecommender>, bool), BoltError> {
-        let key = FitKey::new(training_seed, isolation, config);
-        if let Some(model) = self.models.lock().expect("fit cache poisoned").get(&key) {
-            return Ok((Arc::clone(model), true));
-        }
-        let model = Arc::new(fit()?);
-        let mut models = self.models.lock().expect("fit cache poisoned");
-        models.entry(key).or_insert_with(|| Arc::clone(&model));
-        Ok((model, false))
+/// The model fitted for `(training_seed, isolation, recommender)`,
+/// recalled from `cache` or, on a miss, built by [`fit_recommender`]
+/// (which records the fit's span into `telemetry`). A hit records
+/// nothing. [`HybridRecommender::fit`] draws no random numbers, so a
+/// recalled model is byte-identical to a refit.
+///
+/// Two threads racing the same cold key both fit — wasted work, never
+/// wrong output; the first model stored is the one later hits recall.
+///
+/// # Errors
+///
+/// Propagates numerical errors from training-set construction or the fit.
+pub fn shared_recommender(
+    training_seed: u64,
+    isolation: &IsolationConfig,
+    recommender: RecommenderConfig,
+    cache: &FitCache,
+    telemetry: &mut Telemetry,
+) -> Result<Arc<HybridRecommender>, BoltError> {
+    let key = FitKey::new(training_seed, isolation, recommender);
+    if let Some(model) = cache.models.lock().expect("fit cache poisoned").get(&key) {
+        return Ok(Arc::clone(model));
     }
+    let model = fit_recommender(training_seed, isolation, recommender, telemetry)?;
+    let mut models = cache.models.lock().expect("fit cache poisoned");
+    Ok(Arc::clone(models.entry(key).or_insert(model)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{observed_training, shared_recommender};
-    use crate::telemetry::{Counter, TelemetryLog};
-    use bolt_recommender::TrainingData;
     use bolt_sim::Mechanisms;
-    use bolt_workloads::training::training_set;
 
     const SEED: u64 = 1;
 
-    /// Fits through `cache` and returns the model with the lookup's
-    /// `[hits, misses]` as recorded in telemetry.
-    fn fit(
+    /// Recalls through `cache` and returns the model with the number of
+    /// events the lookup recorded (a fit span on a miss, none on a hit).
+    fn recall(
         cache: &FitCache,
         seed: u64,
         isolation: IsolationConfig,
         config: RecommenderConfig,
-    ) -> (Arc<HybridRecommender>, [u64; 2]) {
+    ) -> (Arc<HybridRecommender>, usize) {
         let mut telemetry = Telemetry::for_unit(0);
         let model = shared_recommender(seed, &isolation, config, cache, &mut telemetry).unwrap();
-        let log = TelemetryLog::from_events(telemetry.into_events());
-        let counts = [Counter::FitCacheHit, Counter::FitCacheMiss].map(|c| log.counter_total(c));
-        (model, counts)
+        (model, telemetry.into_events().len())
     }
 
     fn defaults() -> (IsolationConfig, RecommenderConfig) {
@@ -178,13 +162,15 @@ mod tests {
     fn a_hit_returns_the_model_a_fresh_fit_builds() {
         let cache = FitCache::new();
         let (isolation, config) = defaults();
-        let (first, cold) = fit(&cache, SEED, isolation, config);
-        let (second, warm) = fit(&cache, SEED, isolation, config);
-        assert_eq!((cold, warm), ([0, 1], [1, 0]));
+        let (first, cold) = recall(&cache, SEED, isolation, config);
+        let (second, warm) = recall(&cache, SEED, isolation, config);
+        assert_eq!(
+            (cold, warm),
+            (1, 0),
+            "a miss fits once, a hit records nothing"
+        );
         assert!(Arc::ptr_eq(&first, &second));
-        let data = TrainingData::from_examples(observed_training(&training_set(SEED), &isolation))
-            .unwrap();
-        let fresh = HybridRecommender::fit(data, config).unwrap();
+        let fresh = fit_recommender(SEED, &isolation, config, &mut Telemetry::disabled()).unwrap();
         // `Debug` prints every f64 in round-trip form, so equal strings are
         // equal bits (and tell `-0.0` from `0.0`).
         assert_eq!(format!("{second:?}"), format!("{fresh:?}"));
@@ -194,7 +180,7 @@ mod tests {
     fn every_fit_input_is_part_of_the_key() {
         let cache = FitCache::new();
         let (isolation, config) = defaults();
-        fit(&cache, SEED, isolation, config);
+        let (base, _) = recall(&cache, SEED, isolation, config);
         let attenuated = IsolationConfig {
             mechanisms: Mechanisms::core_isolation_only(),
             ..isolation
@@ -212,8 +198,16 @@ mod tests {
             with(|c| c.pair_shortlist = 7),
         ];
         for (seed, isolation, config) in changed {
-            let (_, counts) = fit(&cache, seed, isolation, config);
-            assert_eq!(counts, [0, 1], "{seed} {isolation:?} {config:?}");
+            let (model, _) = recall(&cache, seed, isolation, config);
+            assert!(
+                !Arc::ptr_eq(&model, &base),
+                "{seed} {isolation:?} {config:?}"
+            );
+            let (again, _) = recall(&cache, seed, isolation, config);
+            assert!(
+                Arc::ptr_eq(&model, &again),
+                "{seed} {isolation:?} {config:?}"
+            );
         }
     }
 
@@ -221,13 +215,11 @@ mod tests {
     fn threads_share_one_model() {
         let cache = FitCache::new();
         let (isolation, config) = defaults();
-        // Pre-warm on this thread per the determinism contract.
-        let (warm, _) = fit(&cache, SEED, isolation, config);
+        let (warm, _) = recall(&cache, SEED, isolation, config);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
-                    let (model, counts) = fit(&cache, SEED, isolation, config);
-                    assert_eq!(counts, [1, 0]);
+                    let (model, _) = recall(&cache, SEED, isolation, config);
                     assert!(Arc::ptr_eq(&model, &warm));
                 });
             }

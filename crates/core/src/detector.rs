@@ -426,9 +426,9 @@ impl ProbeWorld<'_> {
 /// The detection engine bound to one fitted recommender.
 ///
 /// The recommender is held behind an [`Arc`]: cloning a detector (or
-/// building many from one [`FitCache`](crate::FitCache) entry)
-/// shares the trained model rather than duplicating its factor matrices,
-/// and all `Parallelism::Threads(n)` hunt workers read the same fit.
+/// building many from the one model a driver fits per run) shares the
+/// trained model rather than duplicating its factor matrices, and all
+/// `Parallelism::Threads(n)` hunt workers read the same fit.
 #[derive(Debug, Clone)]
 pub struct Detector {
     pub(crate) recommender: Arc<HybridRecommender>,
@@ -439,7 +439,8 @@ pub struct Detector {
 impl Detector {
     /// Creates a detector. Accepts either an owned
     /// [`HybridRecommender`] (wrapped on the way in) or a shared
-    /// `Arc<HybridRecommender>` straight from the fit cache.
+    /// `Arc<HybridRecommender>`, such as
+    /// [`fit_recommender`](crate::experiment::fit_recommender) returns.
     pub fn new(recommender: impl Into<Arc<HybridRecommender>>, config: DetectorConfig) -> Self {
         Detector {
             profiler: Profiler::new(config.profiler),

@@ -20,10 +20,11 @@ use bolt_workloads::{
     AppLabel, DatasetScale, PressureVector, Resource, ResourceCharacteristics, WorkloadProfile,
 };
 
+pub use crate::ctx::shared_recommender;
 use crate::ctx::{FitCache, RunCtx};
 use crate::detector::{DegradedReason, Detector, DetectorConfig, RetryPolicy};
 use crate::parallel::{split_seed, sweep, Parallelism};
-use crate::telemetry::{Counter, Phase, Telemetry, TelemetryLog};
+use crate::telemetry::{Phase, Telemetry, TelemetryLog};
 use crate::BoltError;
 
 /// Controlled-experiment configuration.
@@ -393,39 +394,29 @@ pub fn observed_training(
         .collect()
 }
 
-/// The one fit path of the driver stack: recalls the recommender for
-/// `(training_seed, isolation, recommender)` from `cache`, or builds the
-/// observed training set and fits it.
+/// The one fit path of the driver stack: builds the training set
+/// observed through `isolation` and fits `recommender` on it, recording
+/// one [`Phase::RecommenderFit`] span.
 ///
-/// Telemetry contract: a cache miss records a [`Counter::FitCacheMiss`]
-/// plus a [`Phase::RecommenderFit`] span; a hit records a
-/// [`Counter::FitCacheHit`] and **no** fit span (no training ran).
+/// Each driver calls it once per run, before its units fan out, and
+/// lends them the model. [`HybridRecommender::fit`] draws no random
+/// numbers, so two fits of the same inputs are byte-identical.
 ///
 /// # Errors
 ///
 /// Propagates numerical errors from training-set construction or the fit.
-pub fn shared_recommender(
+pub fn fit_recommender(
     training_seed: u64,
     isolation: &IsolationConfig,
     recommender: RecommenderConfig,
-    cache: &FitCache,
     telemetry: &mut Telemetry,
 ) -> Result<Arc<HybridRecommender>, BoltError> {
-    let (model, hit) = cache.get_or_fit(training_seed, isolation, recommender, || {
-        let data = TrainingData::from_examples(observed_training(
-            &training_set(training_seed),
-            isolation,
-        ))?;
-        let clock = telemetry.begin();
-        let model = HybridRecommender::fit(data, recommender)?;
-        telemetry.count(Counter::FitCacheMiss, 1);
-        telemetry.span(Phase::RecommenderFit, 0.0, 0.0, clock);
-        Ok(model)
-    })?;
-    if hit {
-        telemetry.count(Counter::FitCacheHit, 1);
-    }
-    Ok(model)
+    let data =
+        TrainingData::from_examples(observed_training(&training_set(training_seed), isolation))?;
+    let clock = telemetry.begin();
+    let model = HybridRecommender::fit(data, recommender)?;
+    telemetry.span(Phase::RecommenderFit, 0.0, 0.0, clock);
+    Ok(Arc::new(model))
 }
 
 /// A built controlled-experiment testbed, ready for detection or attacks.
@@ -441,14 +432,10 @@ pub struct Testbed {
 }
 
 /// Builds the §3.4 testbed: `servers` hosts, one quiet adversarial VM
-/// each, `victims` workloads placed by `scheduler`.
-///
-/// The recommender fits through `cache`: sweeps that build many testbeds
-/// over the same `(training_seed, isolation, recommender)` train exactly
-/// once. Cache hits are byte-identical to refits
-/// ([`HybridRecommender::fit`] is pure), so results never depend on the
-/// cache. The fit's telemetry (see [`shared_recommender`]) records into
-/// `telemetry`; the launches stay in the cluster's event log.
+/// each, `victims` workloads placed by `scheduler`, and a detector over
+/// `recommender` — the model [`fit_recommender`] built for the config's
+/// `(training_seed, isolation, recommender)`. The launches stay in the
+/// cluster's event log.
 ///
 /// # Errors
 ///
@@ -462,8 +449,7 @@ pub struct Testbed {
 pub fn build_testbed<S: Scheduler>(
     config: &ExperimentConfig,
     scheduler: &S,
-    cache: &FitCache,
-    telemetry: &mut Telemetry,
+    recommender: Arc<HybridRecommender>,
 ) -> Result<Testbed, BoltError> {
     // With nothing to hunt, every accuracy is 0/0: refuse rather than
     // report an empty table as "0.0% accuracy".
@@ -503,13 +489,6 @@ pub fn build_testbed<S: Scheduler>(
         victims.push(cluster.launch_on(server, p, VmRole::Friendly, 0.0)?);
     }
 
-    let recommender = shared_recommender(
-        config.training_seed,
-        &config.isolation,
-        config.recommender,
-        cache,
-        telemetry,
-    )?;
     let detector = Detector::new(
         recommender,
         DetectorConfig {
@@ -527,7 +506,8 @@ pub fn build_testbed<S: Scheduler>(
     })
 }
 
-/// [`build_testbed`] without telemetry.
+/// [`build_testbed`] over the model [`shared_recommender`] recalls from
+/// `cache`, without telemetry.
 ///
 /// Kept with this exact signature because the bolt-perf benchmark calls
 /// it; delete it when that benchmark is next revised.
@@ -536,7 +516,14 @@ pub fn build_testbed_cache<S: Scheduler>(
     scheduler: &S,
     cache: &FitCache,
 ) -> Result<Testbed, BoltError> {
-    build_testbed(config, scheduler, cache, &mut Telemetry::disabled())
+    let recommender = shared_recommender(
+        config.training_seed,
+        &config.isolation,
+        config.recommender,
+        cache,
+        &mut Telemetry::disabled(),
+    )?;
+    build_testbed(config, scheduler, recommender)
 }
 
 /// Runs the full controlled experiment: every victim is hunted by the
@@ -554,13 +541,15 @@ pub fn build_testbed_cache<S: Scheduler>(
 /// `config.parallelism` worker threads. Results are byte-identical for
 /// every thread count, including [`Parallelism::Serial`].
 ///
-/// Telemetry (when `ctx.telemetry` is set): the testbed construction
-/// records as unit 0 — the recommender fit as a [`Phase::RecommenderFit`]
-/// span + [`Counter::FitCacheMiss`], or a [`Counter::FitCacheHit`] when
-/// `ctx.fit_cache` recalled it, followed by the launch events; victim
-/// `i`'s hunt records as unit `i + 1`. Unit buffers merge in unit order,
-/// so the stream is identical for every [`Parallelism`] setting
-/// (wall-clock span durations aside — see [`TelemetryLog::normalized`]).
+/// The recommender fits once, before the testbed is built, and every hunt
+/// borrows it.
+///
+/// Telemetry (when `ctx.telemetry` is set): the set-up records as unit 0
+/// — the fit's [`Phase::RecommenderFit`] span, then the testbed's launch
+/// events; victim `i`'s hunt records as unit `i + 1`. Unit buffers merge
+/// in unit order, so the stream is identical for every [`Parallelism`]
+/// setting (wall-clock span durations aside — see
+/// [`TelemetryLog::normalized`]).
 ///
 /// # Errors
 ///
@@ -570,10 +559,16 @@ pub fn run_experiment<S: Scheduler>(
     scheduler: &S,
     ctx: &RunCtx,
 ) -> Result<(ExperimentResults, TelemetryLog), BoltError> {
-    // Unit 0 carries the shared setup: the recommender fit (or cache
-    // recall) and every launch the testbed performed.
+    // Unit 0 carries the shared setup: the recommender fit and every
+    // launch the testbed performed.
     let mut unit0 = ctx.unit(0);
-    let mut testbed = build_testbed(config, scheduler, ctx.fit_cache, &mut unit0)?;
+    let recommender = fit_recommender(
+        config.training_seed,
+        &config.isolation,
+        config.recommender,
+        &mut unit0,
+    )?;
+    let mut testbed = build_testbed(config, scheduler, recommender)?;
     if unit0.is_enabled() {
         unit0.cluster_events(testbed.cluster.take_events());
     }
@@ -625,16 +620,17 @@ pub fn run_experiment<S: Scheduler>(
     ))
 }
 
-/// [`run_experiment`] without telemetry.
+/// [`run_experiment`] without telemetry. `_cache` is not consulted: the
+/// run fits afresh, which is byte-identical to a recall.
 ///
 /// Kept with this exact signature because the bolt-perf benchmark calls
 /// it; delete it when that benchmark is next revised.
 pub fn run_experiment_cache<S: Scheduler>(
     config: &ExperimentConfig,
     scheduler: &S,
-    cache: &FitCache,
+    _cache: &FitCache,
 ) -> Result<ExperimentResults, BoltError> {
-    run_experiment(config, scheduler, &RunCtx::new(cache, false)).map(|(results, _)| results)
+    run_experiment(config, scheduler, &RunCtx::new(false)).map(|(results, _)| results)
 }
 
 /// Hunts one victim with an RNG stream derived from the victim index —
@@ -741,10 +737,20 @@ mod tests {
     }
 
     fn small_results() -> ExperimentResults {
-        let cache = FitCache::new();
-        run_experiment(&small_config(), &LeastLoaded, &RunCtx::new(&cache, false))
+        run_experiment(&small_config(), &LeastLoaded, &RunCtx::new(false))
             .unwrap()
             .0
+    }
+
+    fn default_fit() -> Arc<HybridRecommender> {
+        let c = ExperimentConfig::default();
+        fit_recommender(
+            c.training_seed,
+            &c.isolation,
+            c.recommender,
+            &mut Telemetry::disabled(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -763,8 +769,7 @@ mod tests {
     #[test]
     fn testbed_places_one_adversary_per_server() {
         let config = small_config();
-        let mut off = Telemetry::disabled();
-        let testbed = build_testbed(&config, &LeastLoaded, &FitCache::new(), &mut off).unwrap();
+        let testbed = build_testbed(&config, &LeastLoaded, default_fit()).unwrap();
         assert_eq!(testbed.adversaries.len(), 8);
         assert_eq!(testbed.victims.len(), 16);
         for (s, &adv) in testbed.adversaries.iter().enumerate() {
@@ -780,9 +785,8 @@ mod tests {
                 victims,
                 ..ExperimentConfig::default()
             };
-            let mut off = Telemetry::disabled();
             assert!(matches!(
-                build_testbed(&config, &LeastLoaded, &FitCache::new(), &mut off),
+                build_testbed(&config, &LeastLoaded, default_fit()),
                 Err(BoltError::InvalidExperiment { .. })
             ));
         }
@@ -810,8 +814,7 @@ mod tests {
             energy(f64::NAN),
             energy(0.0),
         ] {
-            let cache = FitCache::new();
-            let result = run_experiment(&config, &LeastLoaded, &RunCtx::new(&cache, false));
+            let result = run_experiment(&config, &LeastLoaded, &RunCtx::new(false));
             assert!(
                 matches!(
                     result,
@@ -865,42 +868,29 @@ mod tests {
     }
 
     #[test]
-    fn cached_fit_emits_hit_counter_and_no_fit_span() {
-        // The telemetry contract: a miss pays for training and records a
-        // RecommenderFit span; a hit records the FitCacheHit counter and
-        // nothing else — claiming a fit span for work that never ran would
-        // corrupt the phase profile.
+    fn every_run_records_one_fit_span() {
+        // Each run fits once at its top, before any launch: its stream
+        // holds exactly one RecommenderFit span, the first event of unit 0.
         let config = small_config();
-        let cache = FitCache::new();
-        let fit_events = |log: &crate::telemetry::TelemetryLog| {
-            let mut spans = 0u64;
-            let mut hits = 0u64;
-            let mut misses = 0u64;
-            for event in log.events() {
-                match *event {
-                    crate::telemetry::TelemetryEvent::Span {
-                        phase: Phase::RecommenderFit,
-                        ..
-                    } => spans += 1,
-                    crate::telemetry::TelemetryEvent::Count { counter, delta, .. } => match counter
-                    {
-                        Counter::FitCacheHit => hits += delta,
-                        Counter::FitCacheMiss => misses += delta,
-                        _ => {}
-                    },
-                    _ => {}
-                }
-            }
-            (spans, hits, misses)
-        };
-        let (_, cold) = run_experiment(&config, &LeastLoaded, &RunCtx::new(&cache, true)).unwrap();
-        assert_eq!(fit_events(&cold), (1, 0, 1), "cold run: one trained fit");
-        let (_, warm) = run_experiment(&config, &LeastLoaded, &RunCtx::new(&cache, true)).unwrap();
-        assert_eq!(
-            fit_events(&warm),
-            (0, 1, 0),
-            "warm run: a hit counter and no fit span"
-        );
+        for _ in 0..2 {
+            let (_, log) = run_experiment(&config, &LeastLoaded, &RunCtx::new(true)).unwrap();
+            let fits: Vec<usize> = log
+                .events()
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| {
+                    matches!(
+                        e,
+                        crate::telemetry::TelemetryEvent::Span {
+                            phase: Phase::RecommenderFit,
+                            ..
+                        }
+                    )
+                })
+                .map(|(i, _)| i)
+                .collect();
+            assert_eq!(fits, [0]);
+        }
     }
 
     #[test]

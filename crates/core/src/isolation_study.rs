@@ -18,7 +18,7 @@
 use bolt_sim::{IsolationConfig, LeastLoaded, Mechanisms, OsSetting};
 
 use crate::ctx::RunCtx;
-use crate::experiment::{run_experiment, shared_recommender, ExperimentConfig};
+use crate::experiment::{run_experiment, ExperimentConfig};
 use crate::parallel::{sweep, Parallelism};
 use crate::telemetry::{Counter, Phase, TelemetryLog};
 use crate::BoltError;
@@ -69,16 +69,11 @@ impl IsolationStudy {
 /// as whole cells; each inner experiment then runs its victims serially
 /// rather than nesting thread pools. Every cell derives its randomness
 /// from the configuration alone, so results match a serial run exactly.
+/// Each cell's experiment fits its own recommender.
 ///
-/// Cells whose isolation stacks leave the same observation channel (e.g.
-/// "+ thread pinning" only changes measurement noise, not attenuation)
-/// share one trained recommender through `ctx.fit_cache`; the distinct
-/// channels are pre-warmed on the calling thread so parallel cells hit
-/// deterministically.
-///
-/// Telemetry: the pre-warm fits record as unit 0, then each cell records
-/// into its own unit (cells in sweep order: 18 cumulative stacks, then
-/// the 3 core-isolation-only runs): one [`Phase::DetectionIteration`]
+/// Telemetry: each cell records into its own unit (cells in sweep order:
+/// 18 cumulative stacks, then the 3 core-isolation-only runs): one
+/// [`Phase::DetectionIteration`]
 /// span timing the whole cell plus a rollup of the inner experiment's
 /// counter totals. The merged stream is identical for every
 /// [`Parallelism`] setting of `base`.
@@ -113,21 +108,6 @@ pub fn run_isolation_study(
         .copied()
         .collect();
 
-    // Pre-warm the distinct observation channels on this thread: cells
-    // then hit the cache deterministically however they are scheduled
-    // (racing two parallel cells on a cold shared key would make
-    // the per-cell hit/miss telemetry thread-count dependent).
-    let mut prelude = ctx.unit(0);
-    for isolation in &tasks {
-        shared_recommender(
-            base.training_seed,
-            isolation,
-            base.recommender,
-            ctx.fit_cache,
-            &mut prelude,
-        )?;
-    }
-
     let outcomes = sweep(&tasks, base.parallelism, |idx, isolation| {
         let config = ExperimentConfig {
             isolation: *isolation,
@@ -147,7 +127,6 @@ pub fn run_isolation_study(
     });
     let mut accuracies = Vec::with_capacity(tasks.len());
     let mut log = TelemetryLog::new();
-    log.merge(prelude);
     for outcome in outcomes {
         let (accuracy, events) = outcome?;
         accuracies.push(accuracy);
@@ -183,12 +162,9 @@ pub fn run_isolation_study(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FitCache;
 
     fn run_study(base: &ExperimentConfig) -> IsolationStudy {
-        run_isolation_study(base, &RunCtx::new(&FitCache::new(), false))
-            .unwrap()
-            .0
+        run_isolation_study(base, &RunCtx::new(false)).unwrap().0
     }
 
     fn tiny() -> ExperimentConfig {
@@ -250,8 +226,7 @@ mod tests {
             },
             ..tiny()
         };
-        let (results, _) =
-            run_experiment(&config, &LeastLoaded, &RunCtx::new(&FitCache::new(), false)).unwrap();
+        let (results, _) = run_experiment(&config, &LeastLoaded, &RunCtx::new(false)).unwrap();
         for r in &results.records {
             if r.label_correct {
                 let disk_visible = r.truth_pressure[bolt_workloads::Resource::DiskBw] > 5.0

@@ -64,9 +64,8 @@ impl RobustnessPoint {
 /// [`ChaosConfig::with_intensity`] (intensity `0.0` maps to
 /// [`ChaosConfig::none`], i.e. the exact legacy experiment). The
 /// per-point fault plans derive from `base.seed`, so the sweep is fully
-/// deterministic and thread-count invariant. Churn perturbs the cluster,
-/// never the training inputs, so with a shared `ctx.fit_cache` every
-/// intensity past the first reuses the first point's trained recommender.
+/// deterministic and thread-count invariant. Each point's experiment
+/// fits its own recommender.
 ///
 /// The per-point fault/retry tallies are read off the experiments'
 /// counters, so every point records telemetry internally whatever
@@ -82,7 +81,7 @@ pub fn churn_sweep<S: Scheduler>(
     intensities: &[f64],
     ctx: &RunCtx,
 ) -> Result<(Vec<RobustnessPoint>, TelemetryLog), BoltError> {
-    let recording = RunCtx::new(ctx.fit_cache, true);
+    let recording = RunCtx::new(true);
     let mut points = Vec::with_capacity(intensities.len());
     let mut log = TelemetryLog::new();
     for &intensity in intensities {
@@ -105,7 +104,6 @@ pub fn churn_sweep<S: Scheduler>(
 mod tests {
     use super::*;
     use crate::parallel::Parallelism;
-    use crate::FitCache;
     use bolt_sim::LeastLoaded;
 
     fn small_base() -> ExperimentConfig {
@@ -119,11 +117,8 @@ mod tests {
     #[test]
     fn zero_intensity_point_matches_the_legacy_experiment() {
         let base = small_base();
-        // Separate caches: each run fits its own recommender.
-        let (fit_a, fit_b) = (FitCache::new(), FitCache::new());
-        let (points, _) =
-            churn_sweep(&base, &LeastLoaded, &[0.0], &RunCtx::new(&fit_a, false)).unwrap();
-        let (legacy, _) = run_experiment(&base, &LeastLoaded, &RunCtx::new(&fit_b, false)).unwrap();
+        let (points, _) = churn_sweep(&base, &LeastLoaded, &[0.0], &RunCtx::new(false)).unwrap();
+        let (legacy, _) = run_experiment(&base, &LeastLoaded, &RunCtx::new(false)).unwrap();
         let p = &points[0];
         assert_eq!(p.label_accuracy, legacy.label_accuracy());
         assert_eq!(
@@ -141,12 +136,11 @@ mod tests {
 
     #[test]
     fn churn_injects_faults_and_degrades_loudly_not_silently() {
-        let cache = FitCache::new();
         let (points, _) = churn_sweep(
             &small_base(),
             &LeastLoaded,
             &[0.0, 1.0],
-            &RunCtx::new(&cache, false),
+            &RunCtx::new(false),
         )
         .unwrap();
         let calm = &points[0];
@@ -191,21 +185,8 @@ mod tests {
             parallelism: Parallelism::Threads(3),
             ..small_base()
         };
-        // Fresh caches: both runs record a cold fit.
-        let (p1, log1) = churn_sweep(
-            &serial,
-            &LeastLoaded,
-            &[0.5],
-            &RunCtx::new(&FitCache::new(), true),
-        )
-        .unwrap();
-        let (p2, log2) = churn_sweep(
-            &threaded,
-            &LeastLoaded,
-            &[0.5],
-            &RunCtx::new(&FitCache::new(), true),
-        )
-        .unwrap();
+        let (p1, log1) = churn_sweep(&serial, &LeastLoaded, &[0.5], &RunCtx::new(true)).unwrap();
+        let (p2, log2) = churn_sweep(&threaded, &LeastLoaded, &[0.5], &RunCtx::new(true)).unwrap();
         assert_eq!(p1, p2);
         assert_eq!(log1.normalized(), log2.normalized());
     }

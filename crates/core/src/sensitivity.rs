@@ -17,9 +17,9 @@ use bolt_sim::vm::VmRole;
 use bolt_sim::{Cluster, LeastLoaded, ServerSpec, VmId};
 use bolt_workloads::{AppLabel, PressureVector, WorkloadProfile};
 
-use crate::ctx::{FitCache, RunCtx};
+use crate::ctx::RunCtx;
 use crate::detector::{Detector, DetectorConfig};
-use crate::experiment::{run_experiment, shared_recommender, victim_set, ExperimentConfig};
+use crate::experiment::{fit_recommender, run_experiment, victim_set, ExperimentConfig};
 use crate::parallel::{sweep, Parallelism};
 use crate::telemetry::{Telemetry, TelemetryLog};
 use crate::BoltError;
@@ -37,10 +37,9 @@ pub struct SweepPoint {
 ///
 /// Points run serially; each point's inner experiment already fans its
 /// victims out over `base.parallelism`, which scales better than
-/// parallelizing the handful of points. The adversary's size does not
-/// touch the training inputs, so with a shared `ctx.fit_cache` every
-/// point past the first reuses point 0's trained recommender. The log is
-/// the points' [`run_experiment`] streams concatenated in size order.
+/// parallelizing the handful of points. Each point's experiment fits its
+/// own recommender. The log is the points' [`run_experiment`] streams
+/// concatenated in size order.
 ///
 /// # Errors
 ///
@@ -63,9 +62,8 @@ pub fn adversary_size_sweep(
 /// benchmarks in the initial snapshot.
 ///
 /// Like [`adversary_size_sweep`], points run serially, the inner
-/// experiments carry the parallelism, and one fit serves the whole sweep
-/// (the benchmark count only changes the profiler). The log concatenates
-/// the points' streams in count order.
+/// experiments carry the parallelism and each point fits its own
+/// recommender. The log concatenates the points' streams in count order.
 ///
 /// # Errors
 ///
@@ -154,11 +152,10 @@ impl PhasedVictim {
 /// Each interval builds its own single-server scene with an RNG derived
 /// from `seed` and the interval value, so intervals are independent and
 /// fan out over `parallelism` with results identical to a serial run.
-/// Every interval shares one training configuration, so the sweep
-/// pre-warms `ctx.fit_cache` on the calling thread before fanning out —
-/// each worker then hits deterministically.
+/// Every interval shares one training configuration, so the sweep fits
+/// once, before fanning out, and every interval borrows its detector.
 ///
-/// Telemetry: the pre-warm fit records as unit 0; interval `i` records
+/// Telemetry: the fit records as unit 0; interval `i` records
 /// its re-detections' pipeline spans and probe counts plus the victim's
 /// job-swap trace events as unit `i`. The log concatenates them in that
 /// order, so it is identical for any `parallelism`.
@@ -176,23 +173,23 @@ pub fn profiling_interval_sweep(
 ) -> Result<(Vec<SweepPoint>, TelemetryLog), BoltError> {
     let base = ExperimentConfig::default();
     let mut prelude = ctx.unit(0);
-    shared_recommender(
+    let recommender = fit_recommender(
         base.training_seed,
         &base.isolation,
         base.recommender,
-        ctx.fit_cache,
         &mut prelude,
     )?;
+    let detector = Detector::new(recommender, base.detector);
     let per_point: Result<Vec<_>, BoltError> =
         sweep(intervals_s, parallelism, |unit, &interval| {
             let mut telemetry = ctx.unit(unit);
             let point = interval_point(
                 &base,
+                &detector,
                 interval,
                 job_duration_s,
                 horizon_s,
                 seed,
-                ctx.fit_cache,
                 &mut telemetry,
             )?;
             Ok((point, telemetry.into_events()))
@@ -214,16 +211,15 @@ pub fn profiling_interval_sweep(
 #[allow(clippy::too_many_arguments)]
 fn interval_point(
     base: &ExperimentConfig,
+    detector: &Detector,
     interval: f64,
     job_duration_s: f64,
     horizon_s: f64,
     seed: u64,
-    cache: &FitCache,
     telemetry: &mut Telemetry,
 ) -> Result<SweepPoint, BoltError> {
     let mut rng = StdRng::seed_from_u64(seed ^ (interval as u64).wrapping_mul(0x9E37));
-    let (mut cluster, detector, adversary, victim) =
-        phased_scene(base, job_duration_s, horizon_s, cache, telemetry, &mut rng)?;
+    let (mut cluster, adversary, victim) = phased_scene(base, job_duration_s, horizon_s, &mut rng)?;
     telemetry.cluster_events(cluster.take_events());
 
     let mut correct = 0usize;
@@ -263,10 +259,8 @@ fn phased_scene(
     base: &ExperimentConfig,
     job_duration_s: f64,
     horizon_s: f64,
-    cache: &FitCache,
-    telemetry: &mut Telemetry,
     rng: &mut StdRng,
-) -> Result<(Cluster, Detector, VmId, PhasedVictim), BoltError> {
+) -> Result<(Cluster, VmId, PhasedVictim), BoltError> {
     let mut cluster = Cluster::new(1, ServerSpec::xeon(), base.isolation)?;
     let adv_profile = bolt_workloads::catalog::memcached::profile(
         &bolt_workloads::catalog::memcached::Variant::Mixed,
@@ -291,18 +285,8 @@ fn phased_scene(
     }
     let vm = cluster.launch_on(0, profiles[0].clone(), VmRole::Friendly, 0.0)?;
 
-    let recommender = shared_recommender(
-        base.training_seed,
-        &base.isolation,
-        base.recommender,
-        cache,
-        telemetry,
-    )?;
-    let detector = Detector::new(recommender, base.detector);
-
     Ok((
         cluster,
-        detector,
         adversary,
         PhasedVictim {
             vm,
@@ -326,8 +310,7 @@ mod tests {
 
     #[test]
     fn adversary_size_matters_below_four_vcpus() {
-        let (points, _) =
-            adversary_size_sweep(&small(), &[1, 4], &RunCtx::new(&FitCache::new(), false)).unwrap();
+        let (points, _) = adversary_size_sweep(&small(), &[1, 4], &RunCtx::new(false)).unwrap();
         assert_eq!(points.len(), 2);
         assert!(
             points[0].accuracy < points[1].accuracy,
@@ -339,9 +322,7 @@ mod tests {
 
     #[test]
     fn single_benchmark_is_insufficient() {
-        let (points, _) =
-            benchmark_count_sweep(&small(), &[1, 3], &RunCtx::new(&FitCache::new(), false))
-                .unwrap();
+        let (points, _) = benchmark_count_sweep(&small(), &[1, 3], &RunCtx::new(false)).unwrap();
         assert!(
             points[0].accuracy < points[1].accuracy + 1e-9,
             "1 benchmark {p0} should not beat 3 benchmarks {p1}",
@@ -358,7 +339,7 @@ mod tests {
             600.0,
             0xF16A,
             Parallelism::Auto,
-            &RunCtx::new(&FitCache::new(), false),
+            &RunCtx::new(false),
         )
         .unwrap();
         assert!(
@@ -373,9 +354,7 @@ mod tests {
     fn phased_victim_schedule_lookup() {
         let mut rng = StdRng::seed_from_u64(1);
         let base = ExperimentConfig::default();
-        let mut off = Telemetry::disabled();
-        let (_, _, _, victim) =
-            phased_scene(&base, 60.0, 300.0, &FitCache::new(), &mut off, &mut rng).unwrap();
+        let (_, _, victim) = phased_scene(&base, 60.0, 300.0, &mut rng).unwrap();
         assert!(!victim.schedule.is_empty());
         let first = victim.schedule[0].1.clone();
         assert!(victim.active_label(0.0).matches(&first));

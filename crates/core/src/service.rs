@@ -41,16 +41,16 @@ use bolt_recommender::{HybridRecommender, RecommenderConfig};
 use bolt_sim::vm::VmRole;
 use bolt_sim::{
     ChaosConfig, Cluster, FaultPlan, IsolationConfig, ServerSpec, StormConfig, StormPlan,
-    SweepMemo, VmId,
+    SweepMemo, VmId, MAX_PLAN_EVENTS,
 };
 use bolt_workloads::catalog::memcached;
 use bolt_workloads::{AppLabel, LoadPattern, PressureVector};
 
 use crate::anytime::FIXED_WINDOW_NOMINAL_PROBES;
-use crate::ctx::{FitCache, RunCtx};
+use crate::ctx::{shared_recommender, FitCache, RunCtx};
 use crate::detector::{DegradedReason, Detector, DetectorConfig, RetryPolicy};
 use crate::events::EventQueue;
-use crate::experiment::{shared_recommender, victim_set};
+use crate::experiment::{fit_recommender, victim_set};
 use crate::parallel::{split_seed, sweep, Parallelism};
 use crate::region::{tenant_profile, RegionConfig};
 use crate::telemetry::{Counter, LatencySummary, Phase, ServiceMetric, Telemetry, TelemetryLog};
@@ -205,6 +205,58 @@ impl ServiceConfig {
             queue_capacity: 16,
             ..ServiceConfig::default()
         }
+    }
+
+    /// Checks the config before anything is compiled or built.
+    ///
+    /// # Errors
+    ///
+    /// [`BoltError::InvalidExperiment`] on a degenerate value, or when
+    /// the request count or `servers × vms_per_server` exceeds
+    /// [`MAX_PLAN_EVENTS`] (a zero per-server count weighs as one, as in
+    /// [`RegionConfig::validate`]);
+    /// [`SimError::InvalidConfig`](bolt_sim::SimError::InvalidConfig)
+    /// (wrapped in [`BoltError::Sim`]) on a chaos or storm config that
+    /// fails its `validate`.
+    pub fn validate(&self) -> Result<(), BoltError> {
+        // `is_finite` guards matter: a NaN rate or deadline slips through
+        // a plain `<= 0.0` comparison and would otherwise surface much
+        // later as a nonsense trace or a poisoned lane clock. Degenerate
+        // configs are errors at the door, never panics downstream.
+        let positive_finite = |x: f64| x.is_finite() && x > 0.0;
+        let in_unit_interval = |x: f64| (0.0..=1.0).contains(&x);
+        let invalid = |reason: String| Err(BoltError::InvalidExperiment { reason });
+        if self.servers == 0
+            || self.workers == 0
+            || self.queue_capacity == 0
+            || !positive_finite(self.nominal_service_s)
+            || !positive_finite(self.arrival_rate_per_min)
+            || !positive_finite(self.deadline_s)
+            || !in_unit_interval(self.duplicate_rate)
+        {
+            return invalid(
+                "service config needs servers, workers, queue capacity, finite positive \
+                 rate/deadline/nominal-service time, and a duplicate rate in [0, 1]"
+                    .to_string(),
+            );
+        }
+        if self.requests as f64 > MAX_PLAN_EVENTS {
+            return invalid(format!(
+                "{} requests exceeds {MAX_PLAN_EVENTS:e} requests",
+                self.requests
+            ));
+        }
+        let tenants = self.servers.checked_mul(self.vms_per_server.max(1));
+        if !tenants.is_some_and(|total| total as f64 <= MAX_PLAN_EVENTS) {
+            return invalid(format!(
+                "{} servers x {} tenants each exceeds {MAX_PLAN_EVENTS:e} tenants",
+                self.servers, self.vms_per_server
+            ));
+        }
+        self.detector.validate()?;
+        self.storm.validate(service_horizon_s(self))?;
+        self.chaos.validate(self.detector.fault_horizon_s())?;
+        Ok(())
     }
 }
 
@@ -428,7 +480,8 @@ fn compile_trace_with(config: &ServiceConfig, storm: &StormPlan) -> Vec<Request>
     out
 }
 
-/// [`run_service`] with telemetry.
+/// [`run_service`] with telemetry, over the model [`shared_recommender`]
+/// recalls from `cache`.
 ///
 /// Kept with this exact signature because the bolt-perf benchmark calls
 /// it; delete it when that benchmark is next revised.
@@ -436,7 +489,15 @@ pub fn run_service_cache_telemetry(
     config: &ServiceConfig,
     cache: &FitCache,
 ) -> Result<(ServiceReport, TelemetryLog), BoltError> {
-    run_service(config, &RunCtx::new(cache, true))
+    run_service_with(config, &RunCtx::new(true), |unit0| {
+        shared_recommender(
+            config.training_seed,
+            &config.isolation,
+            config.recommender,
+            cache,
+            unit0,
+        )
+    })
 }
 
 /// The built service cluster: one quiet adversary per server, victims
@@ -544,7 +605,9 @@ enum BreakerState {
     HalfOpen,
 }
 
-/// Runs the service loop, fitting through `ctx.fit_cache`.
+/// Runs the service loop. The recommender fits once, after the config
+/// passes [`ServiceConfig::validate`] and before anything is built, and
+/// every lane borrows it.
 ///
 /// Telemetry is always recorded internally (the report's latency summary
 /// reads the request spans); the stream is returned only when
@@ -555,37 +618,34 @@ enum BreakerState {
 ///
 /// # Errors
 ///
-/// Returns [`BoltError::InvalidExperiment`] on a degenerate configuration,
-/// [`SimError::InvalidConfig`](bolt_sim::SimError::InvalidConfig) (wrapped
-/// in [`BoltError::Sim`]) on a chaos or storm config that fails its
-/// `validate`, and propagates simulator/numerical errors.
+/// Returns the errors of [`ServiceConfig::validate`] and propagates
+/// simulator/numerical errors.
 pub fn run_service(
     config: &ServiceConfig,
     ctx: &RunCtx,
 ) -> Result<(ServiceReport, TelemetryLog), BoltError> {
-    // `is_finite` guards matter: a NaN rate or deadline slips through a
-    // plain `<= 0.0` comparison and would otherwise surface much later as
-    // a nonsense trace or a poisoned lane clock. Degenerate configs are
-    // errors at the door, never panics downstream.
-    let positive_finite = |x: f64| x.is_finite() && x > 0.0;
-    let in_unit_interval = |x: f64| (0.0..=1.0).contains(&x);
-    if config.servers == 0
-        || config.workers == 0
-        || config.queue_capacity == 0
-        || !positive_finite(config.nominal_service_s)
-        || !positive_finite(config.arrival_rate_per_min)
-        || !positive_finite(config.deadline_s)
-        || !in_unit_interval(config.duplicate_rate)
-    {
-        return Err(BoltError::InvalidExperiment {
-            reason: "service config needs servers, workers, queue capacity, finite positive \
-                     rate/deadline/nominal-service time, and a duplicate rate in [0, 1]"
-                .to_string(),
-        });
-    }
-    config.detector.validate()?;
-    config.storm.validate(service_horizon_s(config))?;
-    config.chaos.validate(config.detector.fault_horizon_s())?;
+    run_service_with(config, ctx, |unit0| {
+        fit_recommender(
+            config.training_seed,
+            &config.isolation,
+            config.recommender,
+            unit0,
+        )
+    })
+}
+
+/// The body of [`run_service`]: validates `config`, takes the model from
+/// `recommender` (which records into unit 0), then builds and runs.
+fn run_service_with(
+    config: &ServiceConfig,
+    ctx: &RunCtx,
+    recommender: impl FnOnce(&mut Telemetry) -> Result<Arc<HybridRecommender>, BoltError>,
+) -> Result<(ServiceReport, TelemetryLog), BoltError> {
+    config.validate()?;
+    // Unit 0: setup + admission. Telemetry is always recorded internally —
+    // the report's latency summary reads the ServiceRequest spans.
+    let mut unit0 = Telemetry::for_unit(0);
+    let model = recommender(&mut unit0)?;
 
     let storm = StormPlan::compile(
         &config.storm,
@@ -595,9 +655,6 @@ pub fn run_service(
     let trace = compile_trace_with(config, &storm);
     let storm_injected = trace.iter().filter(|r| r.from_storm).count();
 
-    // Unit 0: setup + admission. Telemetry is always recorded internally —
-    // the report's latency summary reads the ServiceRequest spans.
-    let mut unit0 = Telemetry::for_unit(0);
     let mut built = build_service_cluster(config)?;
     unit0.cluster_events(built.cluster.take_events());
     // Batched probe scheduling: one memo attached to the base cluster,
@@ -615,13 +672,6 @@ pub fn run_service(
         server_vms,
         truths,
     } = built;
-    let model = shared_recommender(
-        config.training_seed,
-        &config.isolation,
-        config.recommender,
-        ctx.fit_cache,
-        &mut unit0,
-    )?;
     unit0.count(Counter::StormArrivals, storm_injected as u64);
 
     // Sequential admission pass, event-driven: the queue estimator (one
@@ -1046,9 +1096,9 @@ mod tests {
     use bolt_sim::SimError;
     use bolt_workloads::training::training_set;
 
-    /// A recorded service run through a fresh fit cache.
+    /// A recorded service run.
     fn serve(config: &ServiceConfig) -> (ServiceReport, TelemetryLog) {
-        run_service(config, &RunCtx::new(&FitCache::new(), true)).unwrap()
+        run_service(config, &RunCtx::new(true)).unwrap()
     }
 
     fn quick_config() -> ServiceConfig {
@@ -1459,6 +1509,24 @@ mod tests {
                 workers: 0,
                 ..quick_config()
             },
+            // Sizes too large to compile or build are bounded before
+            // either happens.
+            ServiceConfig {
+                requests: usize::MAX,
+                ..quick_config()
+            },
+            ServiceConfig {
+                servers: usize::MAX,
+                ..quick_config()
+            },
+            ServiceConfig {
+                vms_per_server: usize::MAX,
+                ..quick_config()
+            },
+            ServiceConfig::for_region(&RegionConfig {
+                servers: 1_000_000,
+                ..RegionConfig::default()
+            }),
             ServiceConfig {
                 queue_capacity: 0,
                 ..quick_config()
@@ -1508,7 +1576,7 @@ mod tests {
         for config in bad {
             assert!(
                 matches!(
-                    run_service(&config, &RunCtx::new(&FitCache::new(), false)),
+                    run_service(&config, &RunCtx::new(false)),
                     Err(BoltError::InvalidExperiment { .. })
                 ),
                 "degenerate config must be rejected: {config:?}"
@@ -1558,7 +1626,7 @@ mod tests {
         for config in bad_injectors {
             assert!(
                 matches!(
-                    run_service(&config, &RunCtx::new(&FitCache::new(), false)),
+                    run_service(&config, &RunCtx::new(false)),
                     Err(BoltError::Sim(SimError::InvalidConfig { .. }))
                 ),
                 "degenerate injector must be rejected: {config:?}"

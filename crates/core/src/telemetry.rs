@@ -45,9 +45,8 @@ use crate::report::Table;
 /// A detection-pipeline phase covered by a span timer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Training the hybrid recommender (SVD + SGD completion). A
-    /// [`FitCacheHit`](Counter::FitCacheHit) replaces this span entirely:
-    /// cached fits emit the hit counter and *no* fit span.
+    /// Training the hybrid recommender (SVD + SGD completion): one span
+    /// per fit, and a driver fits once per run.
     RecommenderFit,
     /// One probe sweep over the shared resources (including the extra
     /// core-probe widening rounds of §3.3).
@@ -137,14 +136,6 @@ pub enum Counter {
     /// Decompositions where the sweep curve overruled the pressure-only
     /// candidate selection.
     MrcTieBreaks,
-    /// Recommender fits served from the [`FitCache`] — no training ran
-    /// and no [`Phase::RecommenderFit`] span is recorded.
-    ///
-    /// [`FitCache`]: crate::FitCache
-    FitCacheHit,
-    /// Recommender fits that missed the cache and trained from scratch
-    /// (always paired with a [`Phase::RecommenderFit`] span).
-    FitCacheMiss,
     /// VMs live in the cluster's storage arena (sampled, not incremental:
     /// drivers record the occupancy reached by a sweep).
     ArenaVmsLive,
@@ -208,7 +199,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 27] = [
         Counter::SgdIterations,
         Counter::ShortlistPairHits,
         Counter::ExactPairSearches,
@@ -219,8 +210,6 @@ impl Counter {
         Counter::DetectionRetries,
         Counter::MrcProbePoints,
         Counter::MrcTieBreaks,
-        Counter::FitCacheHit,
-        Counter::FitCacheMiss,
         Counter::ArenaVmsLive,
         Counter::ArenaSlotsReused,
         Counter::ResidencyIndexOps,
@@ -253,8 +242,6 @@ impl Counter {
             Counter::DetectionRetries => "detection-retries",
             Counter::MrcProbePoints => "mrc-probe-points",
             Counter::MrcTieBreaks => "mrc-tie-breaks",
-            Counter::FitCacheHit => "fit-cache-hit",
-            Counter::FitCacheMiss => "fit-cache-miss",
             Counter::ArenaVmsLive => "arena-vms-live",
             Counter::ArenaSlotsReused => "arena-slots-reused",
             Counter::ResidencyIndexOps => "residency-index-ops",

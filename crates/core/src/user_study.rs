@@ -235,14 +235,13 @@ fn flush_detections(
 ///
 /// Placement runs serially on the shared RNG; detections are deferred
 /// onto frozen [`Cluster::snapshot`]s and fan out in batches of 16 over
-/// `config.parallelism`. Repeated studies sharing `ctx.fit_cache` reuse
-/// the trained recommender instead of refitting it.
+/// `config.parallelism`. The recommender fits once and every detection
+/// borrows it.
 ///
-/// Telemetry: the fit (or cache recall) leads the stream as a unit-0
-/// block; each job's detection pass records into its own unit
-/// (`job + 1`); the cluster's placement events (launches, departures)
-/// form a trailing unit-0 block. The merged stream is identical for
-/// every [`Parallelism`] setting.
+/// Telemetry: the fit leads the stream as a unit-0 block; each job's
+/// detection pass records into its own unit (`job + 1`); the cluster's
+/// placement events (launches, departures) form a trailing unit-0 block.
+/// The merged stream is identical for every [`Parallelism`] setting.
 ///
 /// # Errors
 ///
@@ -251,12 +250,20 @@ pub fn run_user_study(
     config: &UserStudyConfig,
     ctx: &RunCtx,
 ) -> Result<(UserStudyResults, TelemetryLog), BoltError> {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut cluster = Cluster::new(
-        config.instances,
-        ServerSpec::c3_8xlarge(),
-        IsolationConfig::cloud_default(),
+    // The study trains on seed-7 profiles observed through the cloud's
+    // default channel (see `USER_STUDY_TRAINING_SEED`).
+    let isolation = IsolationConfig::cloud_default();
+    let mut fit_telemetry = ctx.unit(0);
+    let recommender = crate::experiment::fit_recommender(
+        USER_STUDY_TRAINING_SEED,
+        &isolation,
+        config.recommender,
+        &mut fit_telemetry,
     )?;
+    let detector = Detector::new(recommender, config.detector);
+
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut cluster = Cluster::new(config.instances, ServerSpec::c3_8xlarge(), isolation)?;
 
     // A quiet 4-vCPU Bolt VM per instance.
     let mut bolt_vms: Vec<VmId> = Vec::with_capacity(config.instances);
@@ -270,20 +277,6 @@ pub fn run_user_study(
         cluster.set_pressure_override(id, Some(PressureVector::zero()))?;
         bolt_vms.push(id);
     }
-
-    let isolation = cluster.isolation();
-    // The study trains on seed-7 profiles observed through the cloud's
-    // default channel (see `USER_STUDY_TRAINING_SEED`); the shared fit
-    // path memoizes both the catalog walk and the SVD+SGD training.
-    let mut fit_telemetry = ctx.unit(0);
-    let recommender = crate::experiment::shared_recommender(
-        USER_STUDY_TRAINING_SEED,
-        &isolation,
-        config.recommender,
-        ctx.fit_cache,
-        &mut fit_telemetry,
-    )?;
-    let detector = Detector::new(recommender, config.detector);
 
     let horizon_s = 4.0 * 3600.0;
     let mut records = Vec::with_capacity(config.jobs);
@@ -400,12 +393,9 @@ pub fn run_user_study(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FitCache;
 
     fn study() -> UserStudyResults {
-        run_user_study(&small(), &RunCtx::new(&FitCache::new(), false))
-            .unwrap()
-            .0
+        run_user_study(&small(), &RunCtx::new(false)).unwrap().0
     }
 
     fn small() -> UserStudyConfig {

@@ -6,7 +6,7 @@
 use bolt::detector::{Detector, DetectorConfig};
 use bolt::experiment::{run_experiment, ExperimentConfig, ExperimentResults};
 use bolt::telemetry::Counter;
-use bolt::{FitCache, RunCtx, Telemetry, TelemetryLog};
+use bolt::{RunCtx, Telemetry, TelemetryLog};
 use bolt_recommender::{HybridRecommender, RecommenderConfig, TrainingData};
 use bolt_sim::vm::VmRole;
 use bolt_sim::LeastLoaded;
@@ -49,10 +49,9 @@ fn fitted_detector(config: DetectorConfig) -> Detector {
     Detector::new(rec, config)
 }
 
-/// A recorded experiment run through a fresh fit cache.
+/// A recorded experiment run.
 fn traced(config: &ExperimentConfig) -> (ExperimentResults, TelemetryLog) {
-    let cache = FitCache::new();
-    run_experiment(config, &LeastLoaded, &RunCtx::new(&cache, true)).unwrap()
+    run_experiment(config, &LeastLoaded, &RunCtx::new(true)).unwrap()
 }
 
 #[test]

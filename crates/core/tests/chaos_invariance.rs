@@ -5,10 +5,11 @@
 
 use bolt::detector::{Detector, DetectorConfig, RetryPolicy};
 use bolt::experiment::{
-    build_testbed, observed_training, run_experiment, ExperimentConfig, ExperimentResults, Testbed,
+    build_testbed, fit_recommender, observed_training, run_experiment, ExperimentConfig,
+    ExperimentResults, Testbed,
 };
 use bolt::telemetry::{Counter, Telemetry, TelemetryLog};
-use bolt::{FitCache, Parallelism, RunCtx};
+use bolt::{Parallelism, RunCtx};
 use bolt_recommender::{HybridRecommender, RecommenderConfig, TrainingData};
 use bolt_sim::{ChaosConfig, FaultPlan, LeastLoaded};
 use bolt_workloads::training::training_set;
@@ -25,15 +26,20 @@ fn small_config(seed: u64) -> ExperimentConfig {
     }
 }
 
-/// A recorded experiment run through a fresh fit cache.
+/// A recorded experiment run.
 fn traced(config: &ExperimentConfig) -> (ExperimentResults, TelemetryLog) {
-    let cache = FitCache::new();
-    run_experiment(config, &LeastLoaded, &RunCtx::new(&cache, true)).expect("experiment runs")
+    run_experiment(config, &LeastLoaded, &RunCtx::new(true)).expect("experiment runs")
 }
 
 fn testbed(config: &ExperimentConfig) -> Testbed {
-    let cache = FitCache::new();
-    build_testbed(config, &LeastLoaded, &cache, &mut Telemetry::disabled()).unwrap()
+    let recommender = fit_recommender(
+        config.training_seed,
+        &config.isolation,
+        config.recommender,
+        &mut Telemetry::disabled(),
+    )
+    .unwrap();
+    build_testbed(config, &LeastLoaded, recommender).unwrap()
 }
 
 fn fitted_detector(config: &ExperimentConfig) -> Detector {

@@ -20,8 +20,9 @@
 //!   measures patience.
 //! - Caps and capacities (`pair_shortlist`, `queue_capacity`,
 //!   `adversary_vcpus`), and the sizes and loop counts a config bounds
-//!   itself (`RegionConfig`'s `servers` and `steps`): 0, 1 and their
-//!   type's maximum.
+//!   itself (`RegionConfig`'s `servers` and `steps`, `ServiceConfig`'s
+//!   `requests`, `servers` and `vms_per_server`): 0, 1 and their type's
+//!   maximum.
 //! - Seeds and salts: 0 and the type's maximum.
 //! - Flags: the opposite of the normal value.
 //!
@@ -29,15 +30,14 @@
 //! new field does not compile until the fuzz draws it.
 
 use std::io::{self, Write};
-use std::sync::{mpsc, OnceLock};
+use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
 use bolt::experiment::{run_experiment, ExperimentConfig};
 use bolt::service::{run_service, ServiceConfig};
 use bolt::{
-    run_region, run_user_study, DetectorConfig, FitCache, Parallelism, RegionConfig, RunCtx,
-    UserStudyConfig,
+    run_region, run_user_study, DetectorConfig, Parallelism, RegionConfig, RunCtx, UserStudyConfig,
 };
 use bolt::{BreakerConfig, RetryPolicy};
 use bolt_probes::{ProfilerConfig, RampConfig, ShutterConfig};
@@ -217,9 +217,9 @@ fn experiment(p: &mut Picks, anytime: bool, mrc: bool, chaotic: bool) -> Experim
 fn service(p: &mut Picks, anytime: bool, mrc: bool, chaotic: bool) -> ServiceConfig {
     let d = ServiceConfig::default();
     ServiceConfig {
-        servers: p.size(3),
-        vms_per_server: p.size(1),
-        requests: p.size(4),
+        servers: p.cap(3),
+        vms_per_server: p.cap(1),
+        requests: p.cap(4),
         arrival_rate_per_min: p.real(d.arrival_rate_per_min),
         deadline_s: p.real(d.deadline_s),
         queue_capacity: p.cap(d.queue_capacity),
@@ -248,13 +248,6 @@ fn region(p: &mut Picks) -> RegionConfig {
         churn_per_step: p.size(2),
         seed: p.seed(RegionConfig::default().seed),
     }
-}
-
-/// One fit cache for the whole run: a hit is byte-identical to a refit, and
-/// the default recommender config would otherwise retrain every case.
-fn cache() -> &'static FitCache {
-    static CACHE: OnceLock<FitCache> = OnceLock::new();
-    CACHE.get_or_init(FitCache::new)
 }
 
 /// Wall-clock bound on one driver run. A normal case takes well under a
@@ -291,17 +284,17 @@ proptest! {
         picks in proptest::collection::vec(0u8..PICKS, 64),
     ) {
         let mut p = Picks(picks.into_iter());
-        let ctx = || RunCtx::new(cache(), false);
+        let ctx = RunCtx::new(false);
         // Each arm formats its config before the worker takes it.
         let (config, run): (String, Box<dyn FnOnce() + Send>) = match driver {
             0 => {
                 let config = experiment(&mut p, anytime, mrc, chaotic);
-                let run = move || drop(run_experiment(&config, &LeastLoaded, &ctx()));
+                let run = move || drop(run_experiment(&config, &LeastLoaded, &ctx));
                 (format!("{config:?}"), Box::new(run))
             }
             1 => {
                 let config = service(&mut p, anytime, mrc, chaotic);
-                (format!("{config:?}"), Box::new(move || drop(run_service(&config, &ctx()))))
+                (format!("{config:?}"), Box::new(move || drop(run_service(&config, &ctx))))
             }
             _ => {
                 let config = region(&mut p);
@@ -325,7 +318,7 @@ fn user_study_rejects_a_non_positive_ramp_step() {
         };
         config.detector.profiler.ramp.step = step;
         let failed = panicked(&format!("{config:?}"), move || {
-            let outcome = run_user_study(&config, &RunCtx::new(cache(), false));
+            let outcome = run_user_study(&config, &RunCtx::new(false));
             assert!(outcome.is_err(), "step {step} ran: {outcome:?}");
         });
         assert!(!failed, "step {step}");

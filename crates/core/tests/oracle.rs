@@ -16,19 +16,17 @@
 //! One property draws a driver (`run_experiment`, `run_service`, or
 //! `run_service` on the region preset) and a configuration, runs both
 //! stacks, and demands byte-equal results and byte-equal normalized
-//! telemetry. Both stacks fit through a fresh cache, so the telemetry
-//! comparison also pins the fit cache's hit and miss counts across thread
-//! counts; a rerun against the warmed cache hits exactly once and
-//! reproduces the bytes.
+//! telemetry. Every driver run fits once, so each stack's stream must
+//! carry exactly one `recommender-fit` span.
 //! Fixed draws add the benchmark configuration, the anytime window and the
 //! MRC channel at fixed seeds, a stormy service and a 1,000-server region;
 //! a last test compares the fitted recommender itself.
 
-use bolt::experiment::{run_experiment, shared_recommender, ExperimentConfig};
+use bolt::experiment::{fit_recommender, run_experiment, ExperimentConfig};
 use bolt::service::{run_service, ServiceConfig};
 use bolt::{
-    Counter, DetectorConfig, FitCache, Parallelism, RegionConfig, RunCtx, Telemetry,
-    TelemetryEvent, TelemetryLog,
+    Counter, DetectorConfig, Parallelism, Phase, RegionConfig, RunCtx, Telemetry, TelemetryEvent,
+    TelemetryLog,
 };
 use bolt_linalg::oracle;
 use bolt_sim::{ChaosConfig, LeastLoaded, StormConfig};
@@ -51,16 +49,16 @@ enum Job {
 
 /// A run's result in `Debug` form (`f64`'s `Debug` round-trips, so equal
 /// strings mean equal bits), its normalized telemetry as JSONL without the
-/// [`OPTIMISATION_COUNTERS`], and its fit-cache `[hits, misses]`.
+/// [`OPTIMISATION_COUNTERS`], and its number of `recommender-fit` spans.
 struct Run {
     result: String,
     telemetry: String,
-    fits: [u64; 2],
+    fits: usize,
 }
 
 /// Runs `job`.
-fn run(job: &Job, parallelism: Parallelism, cache: &FitCache) -> Run {
-    let ctx = RunCtx::new(cache, true);
+fn run(job: &Job, parallelism: Parallelism) -> Run {
+    let ctx = RunCtx::new(true);
     let (result, log) = match *job {
         Job::Experiment(config) => {
             let config = ExperimentConfig {
@@ -80,7 +78,19 @@ fn run(job: &Job, parallelism: Parallelism, cache: &FitCache) -> Run {
             (format!("{report:#?}"), log)
         }
     };
-    let fits = [Counter::FitCacheHit, Counter::FitCacheMiss].map(|c| log.counter_total(c));
+    let fits = log
+        .events()
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                TelemetryEvent::Span {
+                    phase: Phase::RecommenderFit,
+                    ..
+                }
+            )
+        })
+        .count();
     let events = log.normalized().into_events().into_iter().filter(|e| {
         !matches!(e, TelemetryEvent::Count { counter, .. } if OPTIMISATION_COUNTERS.contains(counter))
     });
@@ -105,23 +115,16 @@ fn same(what: &str, fast: &str, slow: &str) -> Result<(), TestCaseError> {
     )))
 }
 
-/// The differential at `threads` worker threads, then the fit-cache checks
-/// on the optimised side.
+/// The differential at `threads` worker threads, plus one fit per run on
+/// both stacks.
 fn check(job: &Job, threads: usize) -> Result<(), TestCaseError> {
-    let threads = Parallelism::Threads(threads);
-    let cache = FitCache::new();
-    let fast = run(job, threads, &cache);
-    let slow = oracle::reference(|| run(job, Parallelism::Serial, &FitCache::new()));
+    let fast = run(job, Parallelism::Threads(threads));
+    let slow = oracle::reference(|| run(job, Parallelism::Serial));
     same("result", &fast.result, &slow.result)?;
     same("telemetry", &fast.telemetry, &slow.telemetry)?;
-    // Every driver fits once; a fresh cache misses at any thread count.
-    prop_assert_eq!(fast.fits, [0, 1]);
-    prop_assert_eq!(slow.fits, [0, 1]);
-
-    // A warm cache changes wall-clock only: one hit, the same bytes.
-    let warm = run(job, threads, &cache);
-    prop_assert_eq!(warm.fits, [1, 0]);
-    same("warm-cache result", &fast.result, &warm.result)
+    prop_assert_eq!(fast.fits, 1);
+    prop_assert_eq!(slow.fits, 1);
+    Ok(())
 }
 
 /// Fails a fixed (non-proptest) test with `result`'s message.
@@ -234,13 +237,11 @@ fn fixed_configurations_match_the_reference_stack() {
 fn fitted_model_matches_the_reference_fit() {
     let config = ExperimentConfig::default();
     let fit = || {
-        let cache = FitCache::new();
         let (seed, isolation) = (config.training_seed, &config.isolation);
-        let model = shared_recommender(
+        let model = fit_recommender(
             seed,
             isolation,
             config.recommender,
-            &cache,
             &mut Telemetry::disabled(),
         );
         format!("{:#?}", model.expect("recommender fits"))

@@ -5,7 +5,7 @@
 //! bytes is pinned, with every other optimisation, by `tests/oracle.rs`.
 
 use bolt::service::{run_service, RequestOutcome, ServiceConfig, ShedReason};
-use bolt::{FitCache, Parallelism, RunCtx};
+use bolt::{Parallelism, RunCtx};
 use bolt_sim::{ChaosConfig, StormConfig};
 use proptest::prelude::*;
 
@@ -41,7 +41,7 @@ proptest! {
             ..calm
         };
 
-        let run = |config| run_service(config, &RunCtx::new(&FitCache::new(), false)).unwrap().0;
+        let run = |config| run_service(config, &RunCtx::new(false)).unwrap().0;
         let calm_report = run(&calm);
         let stormy_report = run(&stormy);
 

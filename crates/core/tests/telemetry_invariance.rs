@@ -2,9 +2,9 @@
 //! recording on and off, and a run that did not ask for telemetry hands
 //! back an empty log.
 //!
-//! One row per [`RunCtx`] driver, each at a small configuration. Both runs
-//! fit through fresh caches, so the recorded run also traces its cold fit.
-//! Each row names JSONL fragments the recorded stream must carry.
+//! One row per [`RunCtx`] driver, each at a small configuration. Every
+//! driver fits once per run, so the recorded run also traces its fit. Each
+//! row names JSONL fragments the recorded stream must carry.
 
 use std::fmt::Debug;
 
@@ -14,7 +14,7 @@ use bolt::sensitivity::{adversary_size_sweep, benchmark_count_sweep, profiling_i
 use bolt::telemetry::{Counter, TelemetryLog};
 use bolt::{
     run_experiment, run_isolation_study, run_service, run_user_study, BoltError, ExperimentConfig,
-    FitCache, Parallelism, RunCtx, ServiceConfig, Telemetry, UserStudyConfig,
+    Parallelism, RunCtx, ServiceConfig, Telemetry, UserStudyConfig,
 };
 use bolt_sim::LeastLoaded;
 use bolt_workloads::Resource;
@@ -25,8 +25,8 @@ where
     T: PartialEq + Debug,
     F: Fn(&RunCtx) -> Result<(T, TelemetryLog), BoltError>,
 {
-    let (on, on_log) = driver(&RunCtx::new(&FitCache::new(), true)).unwrap();
-    let (off, off_log) = driver(&RunCtx::new(&FitCache::new(), false)).unwrap();
+    let (on, on_log) = driver(&RunCtx::new(true)).unwrap();
+    let (off, off_log) = driver(&RunCtx::new(false)).unwrap();
     assert_eq!(on, off, "{name}: recording changed the result");
     assert!(off_log.is_empty(), "{name}: telemetry off still logged");
     let jsonl = on_log.to_jsonl();
@@ -103,22 +103,21 @@ fn family_heatmap_is_telemetry_invariant() {
     assert!(log.to_jsonl().contains("\"content-match\""));
 }
 
-/// The pre-warm rule of [`FitCache`]: sweeps that share one fit across
-/// parallel units warm it on the calling thread first, so every unit's
-/// hit/miss counters (and so the whole normalized stream) are the same at
-/// any thread count. Each run gets a fresh cache.
+/// Sweeps that fan their units out trace the same normalized stream at
+/// any thread count. The interval sweep fits once, before fanning out, and
+/// lends the model to every interval; each isolation cell fits inside its
+/// own experiment and rolls up only that experiment's counters.
 #[test]
-fn pre_warmed_sweeps_trace_the_same_at_any_thread_count() {
+fn parallel_sweeps_trace_the_same_at_any_thread_count() {
     let trace = |parallelism: Parallelism| {
-        let (study_cache, sweep_cache) = (FitCache::new(), FitCache::new());
         let base = ExperimentConfig {
             servers: 4,
             victims: 4,
             parallelism,
             ..ExperimentConfig::default()
         };
-        let (_, study) = run_isolation_study(&base, &RunCtx::new(&study_cache, true)).unwrap();
-        let ctx = RunCtx::new(&sweep_cache, true);
+        let ctx = RunCtx::new(true);
+        let (_, study) = run_isolation_study(&base, &ctx).unwrap();
         let intervals = [30.0, 60.0, 120.0];
         let (_, sweep) =
             profiling_interval_sweep(&intervals, 60.0, 240.0, 0xF16A, parallelism, &ctx).unwrap();
@@ -126,8 +125,8 @@ fn pre_warmed_sweeps_trace_the_same_at_any_thread_count() {
     };
     let [serial_study, serial_sweep] = trace(Parallelism::Serial);
     let [threaded_study, threaded_sweep] = trace(Parallelism::Threads(3));
-    assert!(serial_study.contains("\"fit-cache-hit\""));
-    assert!(serial_sweep.contains("\"fit-cache-hit\""));
+    assert_eq!(serial_sweep.matches("\"recommender-fit\"").count(), 1);
+    assert!(serial_study.contains("\"detection-iteration\""));
     assert!(serial_study == threaded_study, "isolation study diverged");
     assert!(serial_sweep == threaded_sweep, "interval sweep diverged");
 }

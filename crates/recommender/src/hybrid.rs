@@ -706,7 +706,7 @@ impl HybridRecommender {
             values.extend(dims.iter().map(|&j| m[(i, j)]));
         }
         let mrc = self.mrc_context(mrc_observed);
-        Ok(pair_pursuit_warm(
+        Ok(pair_pursuit(
             &weights,
             &target,
             &indices,
@@ -797,7 +797,7 @@ impl HybridRecommender {
             }
         }
         let mrc = self.mrc_context(mrc_observed);
-        Ok(pair_pursuit_warm(
+        Ok(pair_pursuit(
             &weights,
             &target,
             &indices,
@@ -1042,41 +1042,14 @@ impl MrcContext {
 /// sweep wins instead. `None` leaves the selection byte-identical to the
 /// pressure-only pursuit.
 ///
+/// With a warm-started atom pool — `warm` carrying a non-empty shortlist
+/// from a previous round — the single-fit ranking runs over those atoms
+/// alone, and the pair-search candidate set of this round is written back
+/// for the next. `None` (and an empty list) is the cold pursuit.
+///
 /// Returns `(example index, scale, explained fraction)` per component.
-// Production paths thread the warm pool through `pair_pursuit_warm`;
-// this plain entry stays as the reference the unit tests pin against.
-#[cfg_attr(not(test), allow(dead_code))]
 #[allow(clippy::too_many_arguments)]
 fn pair_pursuit(
-    weights: &[f64],
-    target: &[f64],
-    indices: &[usize],
-    values: &[f64],
-    shortlist: usize,
-    max_components: usize,
-    mrc: Option<&MrcContext>,
-    stats: &mut RecommenderStats,
-) -> Vec<(usize, f64, f64)> {
-    pair_pursuit_warm(
-        weights,
-        target,
-        indices,
-        values,
-        shortlist,
-        max_components,
-        mrc,
-        None,
-        stats,
-    )
-}
-
-/// [`pair_pursuit`] with an optional warm-started atom pool: when `warm`
-/// carries a non-empty shortlist from a previous round, the single-fit
-/// ranking runs over those atoms alone, and the pair-search candidate
-/// set of this round is written back for the next. `None` (and an empty
-/// list) is byte-identical to the plain pursuit.
-#[allow(clippy::too_many_arguments)]
-fn pair_pursuit_warm(
     weights: &[f64],
     target: &[f64],
     indices: &[usize],
@@ -1507,7 +1480,7 @@ mod tests {
         let values = [40.0, 30.0, 40.0, 30.0];
         let mut stats = RecommenderStats::default();
         let plain = pair_pursuit(
-            &weights, &target, &indices, &values, 16, 1, None, &mut stats,
+            &weights, &target, &indices, &values, 16, 1, None, None, &mut stats,
         );
         assert_eq!(plain[0].0, 0, "pressure-only pursuit keeps the first atom");
         assert_eq!(stats.mrc_tie_breaks, 0);
@@ -1526,6 +1499,7 @@ mod tests {
             16,
             1,
             Some(&ctx),
+            None,
             &mut stats,
         );
         assert_eq!(broken[0].0, 1, "the sweep should flip the degenerate tie");
@@ -1559,6 +1533,7 @@ mod tests {
             16,
             2,
             Some(&ctx),
+            None,
             &mut stats,
         );
         let members: Vec<usize> = picks.iter().map(|&(i, _, _)| i).collect();

@@ -9,7 +9,7 @@
 use bolt::experiment::ExperimentConfig;
 use bolt::isolation_study::run_isolation_study;
 use bolt::report::{pct, Table};
-use bolt::{FitCache, RunCtx};
+use bolt::RunCtx;
 use bolt_sim::OsSetting;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..ExperimentConfig::default()
     };
     eprintln!("running 21 detection experiments (3 settings x 7 stacks)...");
-    let study = run_isolation_study(&base, &RunCtx::new(&FitCache::new(), false))?.0;
+    let study = run_isolation_study(&base, &RunCtx::new(false))?.0;
 
     let mut table = Table::new(vec!["isolation stack", "baremetal", "containers", "VMs"]);
     let stacks = [

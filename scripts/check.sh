@@ -9,6 +9,22 @@ cd "$(dirname "$0")/.."
 FIRST_PARTY=(-p bolt-repro -p bolt -p bolt-sim -p bolt-linalg -p bolt-workloads
              -p bolt-probes -p bolt-recommender -p bolt-bench)
 
+# `FitCache` and `shared_recommender` survive only for the bolt-perf
+# benchmark's frozen calls: the memo's own module, the lib.rs re-export,
+# the modules of the three forwarders that recall through it
+# (experiment.rs, service.rs) and bolt-perf itself. Anywhere else a new
+# caller would spread the compatibility surface the benchmark's next
+# revision deletes.
+echo "==> FitCache and shared_recommender stay behind bolt-perf's forwarders"
+STRAY=$(grep -rnE --include='*.rs' --exclude-dir=target --exclude-dir=vendor \
+  '\b(FitCache|fit_cache|shared_recommender)\b' . \
+  | grep -vE '^\./crates/core/src/(ctx|experiment|service)\.rs:' \
+  | grep -vE '^\./crates/core/src/lib\.rs:[0-9]+:pub use ctx::' \
+  | grep -vE '^\./crates/bench/src/bin/bolt-perf/' || true)
+if [ -n "$STRAY" ]; then
+  echo "FitCache named outside its compatibility surface:"; echo "$STRAY"; exit 1
+fi
+
 echo "==> cargo fmt --check (first-party packages)"
 cargo fmt --check "${FIRST_PARTY[@]}"
 

@@ -27,7 +27,7 @@ use bolt::isolation_study::run_isolation_study;
 use bolt::report::{pct, Table};
 use bolt::telemetry::{Telemetry, TelemetryLog};
 use bolt::user_study::{run_user_study, UserStudyConfig};
-use bolt::{FitCache, RunCtx};
+use bolt::RunCtx;
 use bolt_sim::{LeastLoaded, OsSetting, Quasar};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -280,13 +280,12 @@ fn experiment_config(flags: &Flags) -> Result<ExperimentConfig, String> {
 
 fn cmd_detect(flags: &Flags) -> Result<(), String> {
     let config = experiment_config(flags)?;
-    let cache = FitCache::new();
     let trace = flags.finish()?;
     eprintln!(
         "running the controlled experiment: {} victims on {} servers...",
         config.victims, config.servers
     );
-    let ctx = RunCtx::new(&cache, trace.on());
+    let ctx = RunCtx::new(trace.on());
     let (results, log) = run_experiment(&config, &LeastLoaded, &ctx).map_err(|e| e.to_string())?;
     let mut table = Table::new(vec![
         "victim", "detected", "iters", "co-res", "label", "chars",
@@ -315,12 +314,9 @@ fn cmd_detect(flags: &Flags) -> Result<(), String> {
 
 fn cmd_table1(flags: &Flags) -> Result<(), String> {
     let config = experiment_config(flags)?;
-    let cache = FitCache::new();
     let trace = flags.finish()?;
     eprintln!("running the controlled experiment twice (LL, Quasar)...");
-    // Both schedulers see the same cluster physics, so one cache means the
-    // recommender is trained once and the Quasar run reuses it.
-    let ctx = RunCtx::new(&cache, trace.on());
+    let ctx = RunCtx::new(trace.on());
     let (ll, mut log) = run_experiment(&config, &LeastLoaded, &ctx).map_err(|e| e.to_string())?;
     let (quasar, quasar_log) = run_experiment(&config, &Quasar, &ctx).map_err(|e| e.to_string())?;
     log.extend(quasar_log.into_events());
@@ -356,13 +352,12 @@ fn cmd_study(flags: &Flags) -> Result<(), String> {
     if let Some(seed) = flags.u64("seed")? {
         config.seed = seed;
     }
-    let cache = FitCache::new();
     let trace = flags.finish()?;
     eprintln!(
         "running the user study: {} jobs on {} instances...",
         config.jobs, config.instances
     );
-    let ctx = RunCtx::new(&cache, trace.on());
+    let ctx = RunCtx::new(trace.on());
     let (results, log) = run_user_study(&config, &ctx).map_err(|e| e.to_string())?;
     let n = results.records.len();
     println!(
@@ -385,10 +380,9 @@ fn cmd_isolation(flags: &Flags) -> Result<(), String> {
         victims: flags.usize("victims", 24)?,
         ..ExperimentConfig::default()
     };
-    let cache = FitCache::new();
     let trace = flags.finish()?;
     eprintln!("running 21 detection experiments (3 settings x 7 stacks)...");
-    let ctx = RunCtx::new(&cache, trace.on());
+    let ctx = RunCtx::new(trace.on());
     let (study, log) = run_isolation_study(&config, &ctx).map_err(|e| e.to_string())?;
     let mut table = Table::new(vec!["stack", "baremetal", "containers", "VMs"]);
     let stacks = [
@@ -542,7 +536,7 @@ fn cmd_rfa(flags: &Flags) -> Result<(), String> {
 
 fn cmd_coresidency(flags: &Flags) -> Result<(), String> {
     use bolt::detector::{Detector, DetectorConfig};
-    use bolt::experiment::shared_recommender;
+    use bolt::experiment::fit_recommender;
     use bolt_recommender::RecommenderConfig;
     use bolt_sim::vm::VmRole;
     use bolt_sim::{Cluster, IsolationConfig, ServerSpec};
@@ -550,7 +544,6 @@ fn cmd_coresidency(flags: &Flags) -> Result<(), String> {
 
     let servers = flags.usize("servers", 40)?;
     let seed = flags.u64("seed")?.unwrap_or(0xC0DE);
-    let cache = FitCache::new();
     let trace = flags.finish()?;
     let mut rng = StdRng::seed_from_u64(seed);
     let isolation = IsolationConfig::cloud_default();
@@ -589,11 +582,10 @@ fn cmd_coresidency(flags: &Flags) -> Result<(), String> {
         let _ = cluster.launch_on(s, p, VmRole::Friendly, 0.0);
     }
 
-    let rec = shared_recommender(
+    let rec = fit_recommender(
         7,
         &isolation,
         RecommenderConfig::default(),
-        &cache,
         &mut Telemetry::disabled(),
     )
     .map_err(|e| e.to_string())?;
@@ -643,7 +635,6 @@ fn cmd_robustness(flags: &Flags) -> Result<(), String> {
         victims: flags.usize("victims", 16)?,
         ..experiment_config(flags)?
     };
-    let cache = FitCache::new();
     let trace = flags.finish()?;
     let intensities = [0.0, 0.25, 0.5, 0.75, 1.0];
     eprintln!(
@@ -652,7 +643,7 @@ fn cmd_robustness(flags: &Flags) -> Result<(), String> {
         config.servers,
         intensities.len()
     );
-    let ctx = RunCtx::new(&cache, trace.on());
+    let ctx = RunCtx::new(trace.on());
     let (points, log) =
         churn_sweep(&config, &LeastLoaded, &intensities, &ctx).map_err(|e| e.to_string())?;
     let mut table = Table::new(vec![
@@ -779,7 +770,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             other => return Err(format!("--shed needs degrade or reject, got `{other}`")),
         };
     }
-    let cache = FitCache::new();
     let trace = flags.finish()?;
 
     eprintln!(
@@ -792,7 +782,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         config.chaos.intensity
     );
     // Always recorded: the table's event, idle and sharing rows read the log.
-    let ctx = RunCtx::new(&cache, true);
+    let ctx = RunCtx::new(true);
     let (report, log) = run_service(&config, &ctx).map_err(|e| e.to_string())?;
 
     let mut table = Table::new(vec!["metric", "value"]);
@@ -984,6 +974,24 @@ mod tests {
         .unwrap_err();
         assert!(
             err.contains("invalid experiment") && err.contains("steps"),
+            "{err}"
+        );
+        assert!(start.elapsed() < std::time::Duration::from_secs(5));
+    }
+
+    /// A request count too large to compile fails validation before the
+    /// trace is compiled: an unbounded `--requests` once panicked with a
+    /// capacity overflow.
+    #[test]
+    fn serve_rejects_an_unbounded_request_count_promptly() {
+        let start = std::time::Instant::now();
+        let err = run_command(
+            "serve",
+            &flags(&["--requests", "18446744073709551615"]).unwrap(),
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("invalid experiment") && err.contains("requests"),
             "{err}"
         );
         assert!(start.elapsed() < std::time::Duration::from_secs(5));
