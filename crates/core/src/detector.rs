@@ -28,7 +28,7 @@ use rand::Rng;
 
 use bolt_probes::{Profiler, ProfilerConfig, ShutterConfig, Snapshot};
 use bolt_recommender::{HybridRecommender, Recommendation, RecommenderStats, WarmShortlist};
-use bolt_sim::{Cluster, FaultPlan, ProbeFaultKind, TraceEvent, VmId};
+use bolt_sim::{Cluster, FaultPlan, ProbeFaultKind, TraceEvent, VmId, MAX_PLAN_EVENTS};
 use bolt_workloads::{AppLabel, ResourceCharacteristics};
 
 use crate::fingerprint::MrcFingerprint;
@@ -86,6 +86,29 @@ pub struct RetryPolicy {
     /// [`BoltError::DetectionAborted`] instead of returning a degraded
     /// best-effort detection.
     pub abort_on_exhaustion: bool,
+}
+
+impl RetryPolicy {
+    /// Rejects a retry count above [`MAX_PLAN_EVENTS`]: each retry is one
+    /// more probe window.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BoltError::InvalidExperiment`] naming the field.
+    pub(crate) fn validate(&self) -> Result<(), BoltError> {
+        bound_count("retry max_retries", self.max_retries)
+    }
+}
+
+/// Rejects a loop trip count above [`MAX_PLAN_EVENTS`], the ceiling every
+/// driver puts on the work one config can ask for.
+fn bound_count(field: &str, count: usize) -> Result<(), BoltError> {
+    if count as f64 <= MAX_PLAN_EVENTS {
+        return Ok(());
+    }
+    Err(BoltError::InvalidExperiment {
+        reason: format!("{field} of {count} exceeds {MAX_PLAN_EVENTS:e}"),
+    })
 }
 
 impl Default for RetryPolicy {
@@ -177,8 +200,13 @@ impl DetectorConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`BoltError::InvalidExperiment`] naming the first bad field.
+    /// Returns [`BoltError::InvalidExperiment`] naming the first bad field,
+    /// including an iteration, shutter-frame or anytime-probe count above
+    /// [`MAX_PLAN_EVENTS`].
     pub(crate) fn validate(&self) -> Result<(), BoltError> {
+        bound_count("detector max_iterations", self.max_iterations)?;
+        bound_count("detector shutter frames", self.shutter.frames)?;
+        bound_count("detector anytime_max_probes", self.anytime_max_probes)?;
         let interval = self.interval_s;
         let reason = if !self.confidence_threshold.is_finite() {
             // `confidence >= NaN` is always false: a NaN threshold would
@@ -1275,6 +1303,21 @@ mod tests {
                 interval_s: f64::INFINITY,
                 ..DetectorConfig::default()
             },
+            DetectorConfig {
+                max_iterations: usize::MAX,
+                ..DetectorConfig::default()
+            },
+            DetectorConfig {
+                shutter: ShutterConfig {
+                    frames: 1_000_001,
+                    ..DetectorConfig::default().shutter
+                },
+                ..DetectorConfig::default()
+            },
+            DetectorConfig {
+                anytime_max_probes: usize::MAX,
+                ..DetectorConfig::default()
+            },
         ];
         for config in bad {
             assert!(
@@ -1282,6 +1325,20 @@ mod tests {
                 "{config:?}"
             );
         }
+        let at_ceiling = DetectorConfig {
+            max_iterations: 1_000_000,
+            ..DetectorConfig::default()
+        };
+        assert!(at_ceiling.validate().is_ok());
+        assert!(RetryPolicy::default().validate().is_ok());
+        let retries = RetryPolicy {
+            max_retries: usize::MAX,
+            ..RetryPolicy::default()
+        };
+        assert!(matches!(
+            retries.validate(),
+            Err(BoltError::InvalidExperiment { .. })
+        ));
     }
 
     fn detector() -> Detector {

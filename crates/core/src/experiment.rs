@@ -441,7 +441,9 @@ pub struct Testbed {
 ///
 /// Returns [`BoltError::InvalidExperiment`] if there are no victims, the
 /// detector's confidence threshold is not finite, its interval is NaN,
-/// infinite or negative, or it has no MRC sweep points, or the victims
+/// infinite or negative, it has no MRC sweep points, its iteration,
+/// shutter-frame or anytime-probe count or the retry count exceeds
+/// [`MAX_PLAN_EVENTS`](bolt_sim::MAX_PLAN_EVENTS), or the victims
 /// cannot all be placed. Returns
 /// [`SimError::InvalidConfig`](bolt_sim::SimError::InvalidConfig) (wrapped
 /// in [`BoltError::Sim`]) if the chaos config fails
@@ -459,6 +461,7 @@ pub fn build_testbed<S: Scheduler>(
         });
     }
     config.detector.validate()?;
+    config.retry.validate()?;
     config.chaos.validate(config.detector.fault_horizon_s())?;
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut cluster = Cluster::new(config.servers, ServerSpec::xeon(), config.isolation)?;

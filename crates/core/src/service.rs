@@ -212,9 +212,10 @@ impl ServiceConfig {
     /// # Errors
     ///
     /// [`BoltError::InvalidExperiment`] on a degenerate value, or when
-    /// the request count or `servers × vms_per_server` exceeds
-    /// [`MAX_PLAN_EVENTS`] (a zero per-server count weighs as one, as in
-    /// [`RegionConfig::validate`]);
+    /// the request count, `servers × vms_per_server`, the detector's
+    /// iteration, shutter-frame or anytime-probe count or the retry count
+    /// exceeds [`MAX_PLAN_EVENTS`] (a zero per-server count weighs as one,
+    /// as in [`RegionConfig::validate`]);
     /// [`SimError::InvalidConfig`](bolt_sim::SimError::InvalidConfig)
     /// (wrapped in [`BoltError::Sim`]) on a chaos or storm config that
     /// fails its `validate`.
@@ -254,6 +255,7 @@ impl ServiceConfig {
             ));
         }
         self.detector.validate()?;
+        self.retry.validate()?;
         self.storm.validate(service_horizon_s(self))?;
         self.chaos.validate(self.detector.fault_horizon_s())?;
         Ok(())

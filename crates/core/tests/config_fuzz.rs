@@ -21,8 +21,9 @@
 //! - Caps and capacities (`pair_shortlist`, `queue_capacity`,
 //!   `adversary_vcpus`), and the sizes and loop counts a config bounds
 //!   itself (`RegionConfig`'s `servers` and `steps`, `ServiceConfig`'s
-//!   `requests`, `servers` and `vms_per_server`): 0, 1 and their type's
-//!   maximum.
+//!   `requests`, `servers` and `vms_per_server`, `DetectorConfig`'s
+//!   `max_iterations`, shutter `frames` and `anytime_max_probes`, and
+//!   `RetryPolicy::max_retries`): 0, 1 and their type's maximum.
 //! - Seeds and salts: 0 and the type's maximum.
 //! - Flags: the opposite of the normal value.
 //!
@@ -112,7 +113,7 @@ fn detector(p: &mut Picks, d: DetectorConfig, anytime: bool, mrc: bool) -> Detec
     let (ramp, shutter) = (d.profiler.ramp, d.shutter);
     DetectorConfig {
         interval_s: p.real(d.interval_s),
-        max_iterations: p.size(d.max_iterations),
+        max_iterations: p.cap(d.max_iterations),
         profiler: ProfilerConfig {
             initial_benchmarks: p.size(d.profiler.initial_benchmarks),
             ramp: RampConfig {
@@ -122,12 +123,12 @@ fn detector(p: &mut Picks, d: DetectorConfig, anytime: bool, mrc: bool) -> Detec
             },
         },
         shutter: ShutterConfig {
-            frames: p.size(shutter.frames),
+            frames: p.cap(shutter.frames),
             interval_s: p.real(shutter.interval_s),
             frame_s: p.real(shutter.frame_s),
         },
         confidence_threshold: p.real(d.confidence_threshold),
-        anytime_max_probes: p.size(d.anytime_max_probes),
+        anytime_max_probes: p.cap(d.anytime_max_probes),
         anytime,
         mrc_channel: mrc,
         ..d
@@ -178,7 +179,7 @@ fn storm(p: &mut Picks, active: bool) -> StormConfig {
 fn retry(p: &mut Picks) -> RetryPolicy {
     let d = RetryPolicy::default();
     RetryPolicy {
-        max_retries: p.size(d.max_retries),
+        max_retries: p.cap(d.max_retries),
         initial_backoff_s: p.real(d.initial_backoff_s),
         backoff_mult: p.real(d.backoff_mult),
         probe_budget_s: p.real(d.probe_budget_s),

@@ -63,8 +63,9 @@ pub struct VmState {
     pub launched_at: f64,
     /// Externally-imposed pressure override: when set, the VM emits exactly
     /// this vector instead of its profile's time-varying pressure. Attack
-    /// programs drive their contention this way.
-    pub pressure_override: Option<bolt_workloads::PressureVector>,
+    /// programs drive their contention this way. Boxed: only adversaries
+    /// and attack programs set it, so most tenants carry 8 bytes, not 88.
+    pub pressure_override: Option<Box<bolt_workloads::PressureVector>>,
 }
 
 impl VmState {
@@ -107,6 +108,19 @@ mod tests {
     fn vm_id_display() {
         assert_eq!(VmId(7).to_string(), "vm-7");
         assert_eq!(VmId(7).raw(), 7);
+    }
+
+    /// The arena holds one `VmState` per tenant slot, so its size is the
+    /// region's memory bill: each 8 bytes cost region-churn (100,000
+    /// tenants) about 0.8 MB. A new inline field fails here; box what few
+    /// tenants set, as `pressure_override` is.
+    #[test]
+    fn vm_state_layout_stays_compact() {
+        assert!(
+            std::mem::size_of::<VmState>() <= 360,
+            "VmState grew to {} bytes",
+            std::mem::size_of::<VmState>()
+        );
     }
 
     #[test]

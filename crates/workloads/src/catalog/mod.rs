@@ -32,11 +32,12 @@ use crate::resource::PressureVector;
 /// two launches of the same job never produce identical fingerprints.
 pub(crate) const INSTANCE_JITTER: f64 = 0.06;
 
-/// Shared construction helper for catalog modules.
+/// Shared construction helper for catalog modules. The label borrows
+/// `family` and `variant`, so a catalog profile's label allocates nothing.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_profile<R: Rng>(
-    family: &str,
-    variant: &str,
+    family: &'static str,
+    variant: &'static str,
     scale: DatasetScale,
     kind: WorkloadKind,
     base: PressureVector,
@@ -51,7 +52,7 @@ pub(crate) fn build_profile<R: Rng>(
     let jittered = jitter_pressure(&scaled, INSTANCE_JITTER, rng);
     let sensitivity = sensitivity_from_pressure(&jittered);
     WorkloadProfile::new(
-        AppLabel::new(family, variant, scale),
+        AppLabel::from_static(family, variant, scale),
         kind,
         jittered,
         sensitivity,

@@ -7,6 +7,7 @@
 //! application family it has never trained on, but it can still recover the
 //! resources the application is sensitive to.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::{PressureVector, Resource};
@@ -63,6 +64,10 @@ impl fmt::Display for DatasetScale {
 /// `read-heavy-kb`), matching the granularity at which the paper scores
 /// label correctness.
 ///
+/// Catalog labels borrow their names from the catalog's `&'static str`
+/// tables, so building or cloning one allocates nothing; only
+/// [`AppLabel::new`] owns its (lowercased) names.
+///
 /// # Example
 ///
 /// ```
@@ -75,8 +80,8 @@ impl fmt::Display for DatasetScale {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AppLabel {
-    family: String,
-    variant: String,
+    family: Cow<'static, str>,
+    variant: Cow<'static, str>,
     scale: DatasetScale,
 }
 
@@ -85,10 +90,35 @@ impl AppLabel {
     /// matching.
     pub fn new(family: &str, variant: &str, scale: DatasetScale) -> Self {
         AppLabel {
-            family: family.to_lowercase(),
-            variant: variant.to_lowercase(),
+            family: Cow::Owned(family.to_lowercase()),
+            variant: Cow::Owned(variant.to_lowercase()),
             scale,
         }
+    }
+
+    /// A label that borrows catalog names. They must already be
+    /// lowercase, so the label equals [`AppLabel::new`]'s for the same
+    /// names (`catalog_labels_borrow_their_names_and_equal_new` checks
+    /// every catalog entry).
+    pub(crate) fn from_static(
+        family: &'static str,
+        variant: &'static str,
+        scale: DatasetScale,
+    ) -> Self {
+        AppLabel {
+            family: Cow::Borrowed(family),
+            variant: Cow::Borrowed(variant),
+            scale,
+        }
+    }
+
+    /// True when both names are borrowed rather than owned.
+    #[cfg(test)]
+    pub(crate) fn borrows_its_names(&self) -> bool {
+        matches!(
+            (&self.family, &self.variant),
+            (Cow::Borrowed(_), Cow::Borrowed(_))
+        )
     }
 
     /// The framework or service name.

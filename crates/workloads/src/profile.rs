@@ -58,8 +58,9 @@ pub struct WorkloadProfile {
     vcpus: u32,
     /// For derived profiles (e.g. a load-scaled training instance), the
     /// original full-load fingerprint; `None` when `base_pressure` is
-    /// already the reference.
-    reference_pressure: Option<PressureVector>,
+    /// already the reference. Boxed: only derived training profiles set
+    /// it, and inline it would cost every tenant 80 bytes.
+    reference_pressure: Option<Box<PressureVector>>,
 }
 
 impl WorkloadProfile {
@@ -109,7 +110,7 @@ impl WorkloadProfile {
     /// [`WorkloadProfile::base_pressure`] itself.
     pub fn reference_pressure(&self) -> &PressureVector {
         self.reference_pressure
-            .as_ref()
+            .as_deref()
             .unwrap_or(&self.base_pressure)
     }
 
@@ -255,7 +256,7 @@ impl WorkloadProfile {
             base_pressure: base,
             dominant: base.dominant(),
             load: LoadPattern::Constant { level: 1.0 },
-            reference_pressure: Some(*self.reference_pressure()),
+            reference_pressure: Some(Box::new(*self.reference_pressure())),
             ..self.clone()
         }
     }
@@ -328,6 +329,19 @@ mod tests {
             60.0,
             4,
         )
+    }
+
+    /// Every tenant carries one profile, so its size is the region's
+    /// memory bill: each 8 bytes cost region-churn (100,000 tenants)
+    /// about 0.8 MB. A new inline field fails here; box what few
+    /// profiles set, as `reference_pressure` is.
+    #[test]
+    fn profile_layout_stays_compact() {
+        assert!(
+            std::mem::size_of::<WorkloadProfile>() <= 304,
+            "WorkloadProfile grew to {} bytes",
+            std::mem::size_of::<WorkloadProfile>()
+        );
     }
 
     #[test]
@@ -521,7 +535,8 @@ mod tests {
     }
 
     /// Every catalog profile: the training set (load-levelled instances
-    /// included), PARSEC and the user study.
+    /// included, and every variant of the families it draws from), PARSEC
+    /// and the user study.
     fn catalog_profiles() -> Vec<WorkloadProfile> {
         use crate::catalog::{parsec, userstudy};
         let mut rng = StdRng::seed_from_u64(9);
@@ -537,6 +552,31 @@ mod tests {
                 .map(|a| userstudy::profile(a, &mut rng)),
         );
         profiles
+    }
+
+    /// Every catalog label (each constructor's every variant, plus the
+    /// training set's load-levelled clones) borrows its names and is the
+    /// label `AppLabel::new` builds from them: equal, hashed alike and
+    /// printed alike.
+    #[test]
+    fn catalog_labels_borrow_their_names_and_equal_new() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |l: &AppLabel| {
+            let mut h = DefaultHasher::new();
+            l.hash(&mut h);
+            h.finish()
+        };
+        for p in catalog_profiles() {
+            let label = p.label();
+            let owned = AppLabel::new(label.family(), label.variant(), label.scale());
+            assert_eq!(*label, owned);
+            assert_eq!(hash(label), hash(&owned), "{label}");
+            assert_eq!(label.to_string(), owned.to_string());
+            assert!(label.borrows_its_names(), "{label} owns its names");
+            assert!(label.clone().borrows_its_names(), "a clone of {label} owns");
+            assert!(!owned.borrows_its_names());
+        }
     }
 
     /// The split emission (`load_scaled_at` then `emit`, and
