@@ -105,8 +105,10 @@ impl Default for CoResidencyConfig {
 ///
 /// Records into `telemetry` the detection pipeline events of every
 /// probe's profiling pass, an [`Phase::AttackExecution`] span over the
-/// whole hunt, and the probe fleet's launch/terminate events (drained
-/// only when telemetry is enabled).
+/// whole hunt, and the probe fleet's launch/terminate events: an enabled
+/// `telemetry` turns the cluster's lifecycle log on first (see
+/// [`Cluster::record_events`]) and drains it at the end, together with
+/// whatever the caller's own writes logged before.
 ///
 /// # Errors
 ///
@@ -124,6 +126,9 @@ pub fn hunt<R: Rng>(
     telemetry: &mut Telemetry,
 ) -> Result<CoResidencyOutcome, BoltError> {
     let hunt_clock = telemetry.begin();
+    if telemetry.is_enabled() {
+        cluster.record_events();
+    }
     if config.probes > cluster.server_count() {
         return Err(BoltError::InvalidExperiment {
             reason: format!(

@@ -195,8 +195,10 @@ impl Default for DosRunConfig {
 /// Records into `telemetry` an [`Phase::AttackExecution`] span over the
 /// whole run, one [`Counter::MigrationsTriggered`] tick whenever the
 /// defense moves the victim, a [`Counter::ProbeSamples`] total for the
-/// per-second utilization samples, and the cluster's migration events
-/// (drained only when telemetry is enabled).
+/// per-second utilization samples, and the cluster's migration events:
+/// an enabled `telemetry` turns the cluster's lifecycle log on first (see
+/// [`Cluster::record_events`]) and drains it at the end, together with
+/// whatever the caller's own writes logged before.
 ///
 /// # Errors
 ///
@@ -213,6 +215,9 @@ pub fn run_dos<R: Rng>(
     telemetry: &mut Telemetry,
 ) -> Result<DosTimeline, BoltError> {
     let attack_clock = telemetry.begin();
+    if telemetry.is_enabled() {
+        cluster.record_events();
+    }
     cluster.set_pressure_override(attacker, Some(attack))?;
     let mut samples = Vec::with_capacity(config.horizon_s as usize);
     let mut migration_at: Option<f64> = None;

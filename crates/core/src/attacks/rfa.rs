@@ -86,8 +86,10 @@ pub struct RfaOutcome {
 ///
 /// Records into `telemetry` an [`Phase::AttackExecution`] span over the
 /// run, a gauge of the helper's pressure on the victim's dominant
-/// resource, and the cluster's launch/terminate events (drained only when
-/// telemetry is enabled).
+/// resource, and the cluster's launch/terminate events: an enabled
+/// `telemetry` turns the cluster's lifecycle log on first (see
+/// [`Cluster::record_events`]) and drains it at the end, together with
+/// whatever the caller's own writes logged before.
 ///
 /// # Errors
 ///
@@ -101,6 +103,9 @@ pub fn run_rfa<R: Rng>(
     telemetry: &mut Telemetry,
 ) -> Result<RfaOutcome, BoltError> {
     let attack_clock = telemetry.begin();
+    if telemetry.is_enabled() {
+        cluster.record_events();
+    }
     let victim_kind = victim_profile.kind();
     let victim_family = victim_profile.label().family().to_string();
     let victim_dominant = victim_profile.base_pressure().dominant();

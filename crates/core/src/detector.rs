@@ -102,7 +102,7 @@ impl RetryPolicy {
 
 /// Rejects a loop trip count above [`MAX_PLAN_EVENTS`], the ceiling every
 /// driver puts on the work one config can ask for.
-fn bound_count(field: &str, count: usize) -> Result<(), BoltError> {
+pub(crate) fn bound_count(field: &str, count: usize) -> Result<(), BoltError> {
     if count as f64 <= MAX_PLAN_EVENTS {
         return Ok(());
     }
@@ -1100,7 +1100,10 @@ impl Detector {
     /// increments [`Counter::WindowsDiscarded`], every re-probe increments
     /// [`Counter::DetectionRetries`], and the chaos engine's cluster events
     /// (arrivals, departures, migrations, degradations) are drained into
-    /// the trace after each window.
+    /// the trace after each window. `cluster` is the hunt's private
+    /// snapshot: an enabled `telemetry` turns its lifecycle log on first
+    /// (see [`Cluster::record_events`]); a disabled one leaves it as it
+    /// was.
     ///
     /// # Errors
     ///
@@ -1170,6 +1173,9 @@ impl Detector {
         let mut i = 0;
         let mut churn_observed = false;
         let mut accepted = false;
+        if telemetry.is_enabled() {
+            cluster.record_events();
+        }
         while i < self.config.max_iterations.max(1) {
             let iteration_clock = telemetry.begin();
             let mut d = self.detect_churn_telemetry(

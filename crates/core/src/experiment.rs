@@ -434,8 +434,12 @@ pub struct Testbed {
 /// Builds the §3.4 testbed: `servers` hosts, one quiet adversarial VM
 /// each, `victims` workloads placed by `scheduler`, and a detector over
 /// `recommender` — the model [`fit_recommender`] built for the config's
-/// `(training_seed, isolation, recommender)`. The launches stay in the
-/// cluster's event log.
+/// `(training_seed, isolation, recommender)`.
+///
+/// The cluster records its lifecycle log exactly when `telemetry` is
+/// enabled (from before its first launch, so later snapshots record too),
+/// and the launches drain into `telemetry`; a disabled handle leaves the
+/// cluster without a log.
 ///
 /// # Errors
 ///
@@ -452,6 +456,7 @@ pub fn build_testbed<S: Scheduler>(
     config: &ExperimentConfig,
     scheduler: &S,
     recommender: Arc<HybridRecommender>,
+    telemetry: &mut Telemetry,
 ) -> Result<Testbed, BoltError> {
     // With nothing to hunt, every accuracy is 0/0: refuse rather than
     // report an empty table as "0.0% accuracy".
@@ -465,6 +470,9 @@ pub fn build_testbed<S: Scheduler>(
     config.chaos.validate(config.detector.fault_horizon_s())?;
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut cluster = Cluster::new(config.servers, ServerSpec::xeon(), config.isolation)?;
+    if telemetry.is_enabled() {
+        cluster.record_events();
+    }
 
     // One adversarial VM per server, quiet until it probes.
     let mut adversaries = Vec::with_capacity(config.servers);
@@ -491,6 +499,7 @@ pub fn build_testbed<S: Scheduler>(
                 })?;
         victims.push(cluster.launch_on(server, p, VmRole::Friendly, 0.0)?);
     }
+    telemetry.cluster_events(cluster.take_events());
 
     let detector = Detector::new(
         recommender,
@@ -526,7 +535,7 @@ pub fn build_testbed_cache<S: Scheduler>(
         cache,
         &mut Telemetry::disabled(),
     )?;
-    build_testbed(config, scheduler, recommender)
+    build_testbed(config, scheduler, recommender, &mut Telemetry::disabled())
 }
 
 /// Runs the full controlled experiment: every victim is hunted by the
@@ -571,10 +580,7 @@ pub fn run_experiment<S: Scheduler>(
         config.recommender,
         &mut unit0,
     )?;
-    let mut testbed = build_testbed(config, scheduler, recommender)?;
-    if unit0.is_enabled() {
-        unit0.cluster_events(testbed.cluster.take_events());
-    }
+    let testbed = build_testbed(config, scheduler, recommender, &mut unit0)?;
     let Testbed {
         cluster,
         adversaries,
@@ -772,7 +778,13 @@ mod tests {
     #[test]
     fn testbed_places_one_adversary_per_server() {
         let config = small_config();
-        let testbed = build_testbed(&config, &LeastLoaded, default_fit()).unwrap();
+        let testbed = build_testbed(
+            &config,
+            &LeastLoaded,
+            default_fit(),
+            &mut Telemetry::disabled(),
+        )
+        .unwrap();
         assert_eq!(testbed.adversaries.len(), 8);
         assert_eq!(testbed.victims.len(), 16);
         for (s, &adv) in testbed.adversaries.iter().enumerate() {
@@ -789,7 +801,12 @@ mod tests {
                 ..ExperimentConfig::default()
             };
             assert!(matches!(
-                build_testbed(&config, &LeastLoaded, default_fit()),
+                build_testbed(
+                    &config,
+                    &LeastLoaded,
+                    default_fit(),
+                    &mut Telemetry::disabled()
+                ),
                 Err(BoltError::InvalidExperiment { .. })
             ));
         }

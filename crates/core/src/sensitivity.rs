@@ -219,7 +219,13 @@ fn interval_point(
     telemetry: &mut Telemetry,
 ) -> Result<SweepPoint, BoltError> {
     let mut rng = StdRng::seed_from_u64(seed ^ (interval as u64).wrapping_mul(0x9E37));
-    let (mut cluster, adversary, victim) = phased_scene(base, job_duration_s, horizon_s, &mut rng)?;
+    let (mut cluster, adversary, victim) = phased_scene(
+        base,
+        job_duration_s,
+        horizon_s,
+        telemetry.is_enabled(),
+        &mut rng,
+    )?;
     telemetry.cluster_events(cluster.take_events());
 
     let mut correct = 0usize;
@@ -254,14 +260,19 @@ fn interval_point(
 }
 
 /// Builds the phased-victim scene: one server, a quiet adversary, one
-/// victim VM whose job changes over time.
+/// victim VM whose job changes over time. The cluster records its
+/// lifecycle log when `record_events` is set.
 fn phased_scene(
     base: &ExperimentConfig,
     job_duration_s: f64,
     horizon_s: f64,
+    record_events: bool,
     rng: &mut StdRng,
 ) -> Result<(Cluster, VmId, PhasedVictim), BoltError> {
     let mut cluster = Cluster::new(1, ServerSpec::xeon(), base.isolation)?;
+    if record_events {
+        cluster.record_events();
+    }
     let adv_profile = bolt_workloads::catalog::memcached::profile(
         &bolt_workloads::catalog::memcached::Variant::Mixed,
         rng,
@@ -354,7 +365,7 @@ mod tests {
     fn phased_victim_schedule_lookup() {
         let mut rng = StdRng::seed_from_u64(1);
         let base = ExperimentConfig::default();
-        let (_, _, victim) = phased_scene(&base, 60.0, 300.0, &mut rng).unwrap();
+        let (_, _, victim) = phased_scene(&base, 60.0, 300.0, false, &mut rng).unwrap();
         assert!(!victim.schedule.is_empty());
         let first = victim.schedule[0].1.clone();
         assert!(victim.active_label(0.0).matches(&first));

@@ -503,7 +503,8 @@ pub fn run_service_cache_telemetry(
 }
 
 /// The built service cluster: one quiet adversary per server, victims
-/// round-robin, and the ground-truth labels per server.
+/// round-robin, and the ground-truth labels per server. The cluster
+/// records its lifecycle log when `record_events` is set.
 struct ServiceCluster {
     cluster: Cluster,
     adversaries: Vec<VmId>,
@@ -511,9 +512,15 @@ struct ServiceCluster {
     truths: Vec<Vec<AppLabel>>,
 }
 
-fn build_service_cluster(config: &ServiceConfig) -> Result<ServiceCluster, BoltError> {
+fn build_service_cluster(
+    config: &ServiceConfig,
+    record_events: bool,
+) -> Result<ServiceCluster, BoltError> {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut cluster = Cluster::new(config.servers, ServerSpec::xeon(), config.isolation)?;
+    if record_events {
+        cluster.record_events();
+    }
     let core_iso = cluster.isolation().mechanisms.core_isolation;
 
     let tenants = config.servers * config.vms_per_server;
@@ -657,7 +664,9 @@ fn run_service_with(
     let trace = compile_trace_with(config, &storm);
     let storm_injected = trace.iter().filter(|r| r.from_storm).count();
 
-    let mut built = build_service_cluster(config)?;
+    // Only a returned stream shows the cluster's launches, so the cluster
+    // records them only then.
+    let mut built = build_service_cluster(config, ctx.telemetry)?;
     unit0.cluster_events(built.cluster.take_events());
     // Batched probe scheduling: one memo attached to the base cluster,
     // inherited by every per-request snapshot, so concurrent hunts
@@ -1190,7 +1199,7 @@ mod tests {
         let (report, _) = serve(&config);
         assert_eq!(report.admitted, report.offered);
 
-        let built = build_service_cluster(&config).unwrap();
+        let built = build_service_cluster(&config, false).unwrap();
         let data = TrainingData::from_examples(observed_training(
             &training_set(config.training_seed),
             &config.isolation,
@@ -1351,7 +1360,7 @@ mod tests {
         // takes the degraded anytime path: the hunt executes, the clock
         // advances, and any timeout reports its honest latency.
         let config = quick_config();
-        let built = build_service_cluster(&config).unwrap();
+        let built = build_service_cluster(&config, false).unwrap();
         let model = fitted_model(&config);
         let storm = StormPlan::compile(
             &config.storm,
@@ -1413,7 +1422,7 @@ mod tests {
             },
             ..quick_config()
         };
-        let built = build_service_cluster(&config).unwrap();
+        let built = build_service_cluster(&config, false).unwrap();
         let model = fitted_model(&config);
         let storm = StormPlan::compile(
             &config.storm,

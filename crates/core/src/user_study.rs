@@ -18,7 +18,7 @@ use bolt_workloads::catalog::userstudy::{self, UserStudyApp};
 use bolt_workloads::{AppLabel, PressureVector, ResourceCharacteristics};
 
 use crate::ctx::RunCtx;
-use crate::detector::{Detector, DetectorConfig};
+use crate::detector::{bound_count, Detector, DetectorConfig};
 use crate::parallel::{split_seed, sweep, Parallelism};
 use crate::telemetry::{Telemetry, TelemetryLog};
 use crate::BoltError;
@@ -66,6 +66,28 @@ impl Default for UserStudyConfig {
             recommender: RecommenderConfig::default(),
             parallelism: Parallelism::default(),
         }
+    }
+}
+
+impl UserStudyConfig {
+    /// Rejects a study no run could finish: one with no instances or no
+    /// users, an instance, user or job count above
+    /// [`MAX_PLAN_EVENTS`](bolt_sim::MAX_PLAN_EVENTS), or a detector
+    /// config the other drivers reject.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BoltError::InvalidExperiment`] naming the first bad field.
+    pub fn validate(&self) -> Result<(), BoltError> {
+        if self.instances == 0 || self.users == 0 {
+            return Err(BoltError::InvalidExperiment {
+                reason: "user study needs at least one instance and one user".to_string(),
+            });
+        }
+        bound_count("user study instances", self.instances)?;
+        bound_count("user study users", self.users)?;
+        bound_count("user study jobs", self.jobs)?;
+        self.detector.validate()
     }
 }
 
@@ -245,11 +267,14 @@ fn flush_detections(
 ///
 /// # Errors
 ///
-/// Propagates [`BoltError`] from the simulator or detector.
+/// Returns the errors of [`UserStudyConfig::validate`] before anything is
+/// fitted or built, and propagates [`BoltError`] from the simulator or
+/// detector.
 pub fn run_user_study(
     config: &UserStudyConfig,
     ctx: &RunCtx,
 ) -> Result<(UserStudyResults, TelemetryLog), BoltError> {
+    config.validate()?;
     // The study trains on seed-7 profiles observed through the cloud's
     // default channel (see `USER_STUDY_TRAINING_SEED`).
     let isolation = IsolationConfig::cloud_default();
@@ -264,6 +289,9 @@ pub fn run_user_study(
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut cluster = Cluster::new(config.instances, ServerSpec::c3_8xlarge(), isolation)?;
+    if ctx.telemetry {
+        cluster.record_events();
+    }
 
     // A quiet 4-vCPU Bolt VM per instance.
     let mut bolt_vms: Vec<VmId> = Vec::with_capacity(config.instances);
@@ -405,6 +433,51 @@ mod tests {
             jobs: 40,
             ..UserStudyConfig::default()
         }
+    }
+
+    /// Each config fails at the door with a typed error: nothing is
+    /// fitted, so the check takes no time even for unbounded counts.
+    #[test]
+    fn invalid_configs_are_errors_not_runs() {
+        let mut nan_threshold = small();
+        nan_threshold.detector.confidence_threshold = f64::NAN;
+        let mut endless = small();
+        endless.detector.max_iterations = usize::MAX;
+        let bad = [
+            nan_threshold,
+            endless,
+            UserStudyConfig {
+                users: 0,
+                ..small()
+            },
+            UserStudyConfig {
+                instances: 0,
+                ..small()
+            },
+            UserStudyConfig {
+                instances: usize::MAX,
+                ..small()
+            },
+            UserStudyConfig {
+                users: usize::MAX,
+                ..small()
+            },
+            UserStudyConfig {
+                jobs: usize::MAX,
+                ..small()
+            },
+        ];
+        for config in bad {
+            assert!(
+                matches!(
+                    run_user_study(&config, &RunCtx::new(false)),
+                    Err(BoltError::InvalidExperiment { .. })
+                ),
+                "{config:?}"
+            );
+        }
+        assert_eq!(small().validate(), Ok(()));
+        assert_eq!(UserStudyConfig::default().validate(), Ok(()));
     }
 
     #[test]

@@ -39,7 +39,13 @@ fn testbed(config: &ExperimentConfig) -> Testbed {
         &mut Telemetry::disabled(),
     )
     .unwrap();
-    build_testbed(config, &LeastLoaded, recommender).unwrap()
+    build_testbed(
+        config,
+        &LeastLoaded,
+        recommender,
+        &mut Telemetry::disabled(),
+    )
+    .unwrap()
 }
 
 fn fitted_detector(config: &ExperimentConfig) -> Detector {

@@ -2,15 +2,16 @@
 //! or hang.
 //!
 //! Each case draws small `ExperimentConfig`, `ServiceConfig`,
-//! `RegionConfig`, `DetectorConfig` and `RecommenderConfig` values and runs
-//! one driver on them on a worker thread. Every numeric field of those
-//! five configs, of the detector's profiler (with its ramp) and shutter,
-//! and every field of the policy structs (`ChaosConfig`, `StormConfig`,
-//! `RetryPolicy`, `BreakerConfig`) is drawn: usually its normal value,
-//! sometimes one of the degenerate values below. Half the cases start the
-//! chaos and storm injectors from an active mix, the other half from the
-//! disabled one. The driver must return `Ok` or a typed `Err` within
-//! [`CASE_BOUND`]; a panic fails the case, and a hang aborts the run.
+//! `RegionConfig`, `UserStudyConfig`, `DetectorConfig` and
+//! `RecommenderConfig` values and runs one driver on them on a worker
+//! thread. Every numeric field of those six configs, of the detector's
+//! profiler (with its ramp) and shutter, and every field of the policy
+//! structs (`ChaosConfig`, `StormConfig`, `RetryPolicy`, `BreakerConfig`)
+//! is drawn: usually its normal value, sometimes one of the degenerate
+//! values below. Half the cases start the chaos and storm injectors from
+//! an active mix, the other half from the disabled one. The driver must
+//! return `Ok` or a typed `Err` within [`CASE_BOUND`]; a panic fails the
+//! case, and a hang aborts the run.
 //!
 //! - `f64` fields: 0, −1, NaN, +∞, −∞, 1e300, and the tiny positives
 //!   1e-300 and `f64::MIN_POSITIVE` (a step or rate that passes a
@@ -21,7 +22,8 @@
 //! - Caps and capacities (`pair_shortlist`, `queue_capacity`,
 //!   `adversary_vcpus`), and the sizes and loop counts a config bounds
 //!   itself (`RegionConfig`'s `servers` and `steps`, `ServiceConfig`'s
-//!   `requests`, `servers` and `vms_per_server`, `DetectorConfig`'s
+//!   `requests`, `servers` and `vms_per_server`, `UserStudyConfig`'s
+//!   `instances`, `users` and `jobs`, `DetectorConfig`'s
 //!   `max_iterations`, shutter `frames` and `anytime_max_probes`, and
 //!   `RetryPolicy::max_retries`): 0, 1 and their type's maximum.
 //! - Seeds and salts: 0 and the type's maximum.
@@ -251,6 +253,20 @@ fn region(p: &mut Picks) -> RegionConfig {
     }
 }
 
+fn user_study(p: &mut Picks, anytime: bool, mrc: bool) -> UserStudyConfig {
+    let d = UserStudyConfig::default();
+    UserStudyConfig {
+        instances: p.cap(2),
+        users: p.cap(1),
+        jobs: p.cap(2),
+        manual_placement_rate: p.real(d.manual_placement_rate),
+        seed: p.seed(d.seed),
+        detector: detector(p, d.detector, anytime, mrc),
+        recommender: recommender(p),
+        parallelism: Parallelism::Serial,
+    }
+}
+
 /// Wall-clock bound on one driver run. A normal case takes well under a
 /// second in a debug build; a case still running after this is hung.
 const CASE_BOUND: Duration = Duration::from_secs(10);
@@ -280,7 +296,7 @@ proptest! {
 
     #[test]
     fn no_config_makes_a_driver_panic(
-        driver in 0u8..3,
+        driver in 0u8..4,
         (anytime, mrc, chaotic) in (any::<bool>(), any::<bool>(), any::<bool>()),
         picks in proptest::collection::vec(0u8..PICKS, 64),
     ) {
@@ -297,17 +313,23 @@ proptest! {
                 let config = service(&mut p, anytime, mrc, chaotic);
                 (format!("{config:?}"), Box::new(move || drop(run_service(&config, &ctx))))
             }
-            _ => {
+            2 => {
                 let config = region(&mut p);
                 (format!("{config:?}"), Box::new(move || drop(run_region(&config))))
+            }
+            _ => {
+                let config = user_study(&mut p, anytime, mrc);
+                let run = move || drop(run_user_study(&config, &ctx));
+                (format!("{config:?}"), Box::new(run))
             }
         };
         prop_assert!(!panicked(&config, run), "driver panicked on {}", config);
     }
 }
 
-/// `run_user_study` builds its detector without the driver-level config
-/// check, so a zero or negative ramp step reaches the probes themselves.
+/// `run_user_study` runs the driver-level detector check, which leaves the
+/// profiler's ramp alone: a zero, negative or tiny ramp step reaches the
+/// probes themselves, and they must reject it.
 #[test]
 fn user_study_rejects_a_non_positive_ramp_step() {
     for step in [0.0, -1.0, 1e-300] {

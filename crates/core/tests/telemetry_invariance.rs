@@ -4,7 +4,10 @@
 //!
 //! One row per [`RunCtx`] driver, each at a small configuration. Every
 //! driver fits once per run, so the recorded run also traces its fit. Each
-//! row names JSONL fragments the recorded stream must carry.
+//! row names JSONL fragments the recorded stream must carry, and pins how
+//! many simulator lifecycle events (`"type":"cluster"` lines) it carries:
+//! a cluster records its log only when its driver opts in, so a driver
+//! that forgot to would silently drop its launch block.
 
 use std::fmt::Debug;
 
@@ -19,8 +22,10 @@ use bolt::{
 use bolt_sim::LeastLoaded;
 use bolt_workloads::Resource;
 
-/// Runs `driver` with telemetry on and off and checks the contract.
-fn row<T, F>(name: &str, fragments: &[&str], driver: F)
+/// Runs `driver` with telemetry on and off and checks the contract:
+/// equal results, an empty log when off, and when on every fragment and
+/// exactly `cluster_lines` cluster events.
+fn row<T, F>(name: &str, cluster_lines: usize, fragments: &[&str], driver: F)
 where
     T: PartialEq + Debug,
     F: Fn(&RunCtx) -> Result<(T, TelemetryLog), BoltError>,
@@ -33,6 +38,11 @@ where
     for fragment in fragments {
         assert!(jsonl.contains(fragment), "{name}: no {fragment} in the log");
     }
+    let clusters = jsonl
+        .lines()
+        .filter(|line| line.starts_with(r#"{"type":"cluster""#))
+        .count();
+    assert_eq!(clusters, cluster_lines, "{name}: cluster events");
 }
 
 #[test]
@@ -43,33 +53,48 @@ fn every_driver_is_telemetry_invariant() {
         ..ExperimentConfig::default()
     };
     let probes = "\"probe-samples\"";
-    row("run_experiment", &["\"recommender-fit\"", probes], |ctx| {
+    // Every driver that builds a cluster traces its launches. The counts
+    // of cluster lines are literals: a driver that stops recording, or
+    // records more than its timeline, fails here.
+    let launch = "\"kind\":\"launch\"";
+    let fit = "\"recommender-fit\"";
+    row("run_experiment", 10, &[fit, probes, launch], |ctx| {
         run_experiment(&base, &LeastLoaded, ctx)
     });
-    row("adversary_size_sweep", &[probes], |ctx| {
+    row("adversary_size_sweep", 10, &[probes, launch], |ctx| {
         adversary_size_sweep(&base, &[2], ctx)
     });
-    row("benchmark_count_sweep", &[probes], |ctx| {
+    row("benchmark_count_sweep", 10, &[probes, launch], |ctx| {
         benchmark_count_sweep(&base, &[2], ctx)
     });
     // The victim's job swaps land in the log as cluster events.
     let swaps = "\"kind\":\"swap-profile\"";
-    row("profiling_interval_sweep", &[probes, swaps], |ctx| {
-        profiling_interval_sweep(&[60.0], 60.0, 240.0, 0xF16A, Parallelism::Auto, ctx)
-    });
-    row("churn_sweep", &["\"faults-injected\""], |ctx| {
+    row(
+        "profiling_interval_sweep",
+        6,
+        &[probes, swaps, launch],
+        |ctx| profiling_interval_sweep(&[60.0], 60.0, 240.0, 0xF16A, Parallelism::Auto, ctx),
+    );
+    // Chaos departures inside the hunts' private snapshots.
+    let terminate = "\"kind\":\"terminate\"";
+    let faults = "\"faults-injected\"";
+    row("churn_sweep", 19, &[faults, launch, terminate], |ctx| {
         churn_sweep(&base, &LeastLoaded, &[0.5], ctx)
     });
-    row("run_isolation_study", &["\"detection-iteration\""], |ctx| {
-        run_isolation_study(&base, ctx)
-    });
+    // The study keeps only its cells' counters, never their events.
+    row(
+        "run_isolation_study",
+        0,
+        &["\"detection-iteration\""],
+        |ctx| run_isolation_study(&base, ctx),
+    );
     let study = UserStudyConfig {
         instances: 6,
         users: 3,
         jobs: 12,
         ..UserStudyConfig::default()
     };
-    row("run_user_study", &[probes], |ctx| {
+    row("run_user_study", 22, &[probes, launch], |ctx| {
         run_user_study(&study, ctx)
     });
     let service = ServiceConfig {
@@ -78,7 +103,7 @@ fn every_driver_is_telemetry_invariant() {
         requests: 12,
         ..ServiceConfig::default()
     };
-    row("run_service", &["\"service-request\""], |ctx| {
+    row("run_service", 12, &["\"service-request\"", launch], |ctx| {
         run_service(&service, ctx)
     });
 }

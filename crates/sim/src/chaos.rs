@@ -781,6 +781,7 @@ mod tests {
 
     fn seeded(n: usize) -> Cluster {
         let mut c = cluster(n);
+        c.record_events();
         let mut rng = StdRng::seed_from_u64(7);
         for s in 0..n {
             let p = catalog::spark::profile(

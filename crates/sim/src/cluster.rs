@@ -83,7 +83,9 @@ pub struct Cluster {
     /// [`Cluster::placement_mut`].
     placement: Arc<Placement>,
     isolation: IsolationConfig,
-    events: Vec<TraceEvent>,
+    /// The lifecycle log: `None` until [`Cluster::record_events`] turns it
+    /// on, and then every lifecycle write appends to it.
+    events: Option<Vec<TraceEvent>>,
     /// Neighbor candidates visited by queries (locality telemetry).
     neighbor_visits: AtomicU64,
     /// Cross-snapshot sweep memo ([`SweepMemo`]): probe queries answered
@@ -139,21 +141,42 @@ impl Cluster {
                 degradation: vec![0.0; n],
             }),
             isolation,
-            events: Vec::new(),
+            events: None,
             neighbor_visits: AtomicU64::new(0),
             shared: None,
         })
     }
 
-    /// Makes room for `vms` more launches (their id table entries and
-    /// launch events) in one allocation each. A driver that builds a
-    /// large cluster in one go calls it first: growing by doubling
-    /// instead frees a trail of outgrown buffers, about as large in total
-    /// as the final one, and other allocations then fragment the holes
-    /// they leave. VM slots need no reserve: they grow by fixed pages.
+    /// Makes room for `vms` more launches (their id table entries and,
+    /// on a cluster that records its lifecycle log, their launch events)
+    /// in one allocation each. A driver that builds a large cluster in one
+    /// go calls it first: growing by doubling instead frees a trail of
+    /// outgrown buffers, about as large in total as the final one, and
+    /// other allocations then fragment the holes they leave. VM slots need
+    /// no reserve: they grow by fixed pages.
     pub fn reserve(&mut self, vms: usize) {
         self.placement_mut().vms.reserve(vms);
-        self.events.reserve(vms);
+        if let Some(log) = &mut self.events {
+            log.reserve(vms);
+        }
+    }
+
+    /// Turns the lifecycle log on: from now on every launch, termination,
+    /// migration, profile swap and degradation of this cluster appends a
+    /// [`TraceEvent`], and its later [`Cluster::snapshot`]s record too.
+    /// Writes made before the call stay unrecorded. A driver calls it right
+    /// after building the cluster, exactly when its telemetry will drain
+    /// the log; a cluster nobody reads builds no events at all.
+    pub fn record_events(&mut self) {
+        self.events.get_or_insert_with(Vec::new);
+    }
+
+    /// Appends the event `make` builds, on a cluster that records its
+    /// lifecycle log; on any other, `make` never runs.
+    fn record(&mut self, make: impl FnOnce() -> TraceEvent) {
+        if let Some(log) = &mut self.events {
+            log.push(make());
+        }
     }
 
     /// The only write path to the placement: unshares it first, so the
@@ -228,8 +251,8 @@ impl Cluster {
     /// Throttles a server's effective capacity by `factor` in `[0, 1)`
     /// (chaos injection: thermal capping, noisy maintenance daemons,
     /// oversubscription). A degraded server amplifies the contention every
-    /// tenant on it experiences; `factor = 0` restores full capacity. The
-    /// change is recorded as a [`TraceEvent::Degrade`].
+    /// tenant on it experiences; `factor = 0` restores full capacity. A
+    /// recording cluster logs the change as a [`TraceEvent::Degrade`].
     ///
     /// # Errors
     ///
@@ -248,7 +271,7 @@ impl Cluster {
             });
         }
         self.placement_mut().degradation[server] = factor;
-        self.events.push(TraceEvent::Degrade { server, factor, at });
+        self.record(|| TraceEvent::Degrade { server, factor, at });
         self.detach_sweep_memo();
         Ok(())
     }
@@ -328,6 +351,7 @@ impl Cluster {
             });
         }
         let core_iso = self.isolation.mechanisms.core_isolation;
+        let recording = self.events.is_some();
         let placement = self.placement_mut();
         let id = VmId(placement.next_id);
         let vcpus = profile.vcpus();
@@ -335,14 +359,14 @@ impl Cluster {
             .edit_server(server, |s| s.place(id, vcpus, core_iso))
             .map_err(at_server(server))?;
         placement.next_id += 1;
-        let event = TraceEvent::Launch {
+        let event = recording.then(|| TraceEvent::Launch {
             vm: id,
             role,
             server,
             threads: threads.clone(),
             label: profile.label().to_string(),
             at,
-        };
+        });
         placement.vms.insert(
             id,
             VmState {
@@ -354,7 +378,9 @@ impl Cluster {
                 pressure_override: None,
             },
         );
-        self.events.push(event);
+        if let Some(event) = event {
+            self.record(|| event);
+        }
         self.detach_sweep_memo();
         Ok(id)
     }
@@ -388,6 +414,7 @@ impl Cluster {
                 cluster_size: self.placement.servers.len(),
             });
         }
+        let recording = self.events.is_some();
         let placement = self.placement_mut();
         let id = VmId(placement.next_id);
         let vcpus = profile.vcpus();
@@ -395,14 +422,14 @@ impl Cluster {
             .edit_server(server, |s| s.place_pinned(id, vcpus, rng))
             .map_err(at_server(server))?;
         placement.next_id += 1;
-        let event = TraceEvent::Launch {
+        let event = recording.then(|| TraceEvent::Launch {
             vm: id,
             role,
             server,
             threads: threads.clone(),
             label: profile.label().to_string(),
             at,
-        };
+        });
         placement.vms.insert(
             id,
             VmState {
@@ -414,7 +441,9 @@ impl Cluster {
                 pressure_override: None,
             },
         );
-        self.events.push(event);
+        if let Some(event) = event {
+            self.record(|| event);
+        }
         self.detach_sweep_memo();
         Ok(id)
     }
@@ -430,7 +459,7 @@ impl Cluster {
         let placement = self.placement_mut();
         let state = placement.vms.remove(id).expect("vm is live");
         placement.edit_server(state.server, |s| s.remove(id));
-        self.events.push(TraceEvent::Terminate {
+        self.record(|| TraceEvent::Terminate {
             vm: id,
             server: state.server,
         });
@@ -472,7 +501,7 @@ impl Cluster {
             .edit_server(to, |s| s.place(id, vcpus, core_iso))
             .expect("capacity just checked");
         placement.vms.relocate(id, to, threads);
-        self.events.push(TraceEvent::Migrate { vm: id, from, to });
+        self.record(|| TraceEvent::Migrate { vm: id, from, to });
         self.detach_sweep_memo();
         Ok(())
     }
@@ -494,7 +523,7 @@ impl Cluster {
             (state.server, state.vcpus())
         };
         if profile.vcpus() == old_vcpus {
-            self.events.push(TraceEvent::SwapProfile {
+            self.record(|| TraceEvent::SwapProfile {
                 vm: id,
                 label: profile.label().to_string(),
             });
@@ -503,6 +532,7 @@ impl Cluster {
             return Ok(());
         }
         let core_iso = self.isolation.mechanisms.core_isolation;
+        let recording = self.events.is_some();
         let placement = self.placement_mut();
         let vcpus = profile.vcpus();
         let threads = placement
@@ -519,9 +549,11 @@ impl Cluster {
                 placed
             })
             .map_err(at_server(server))?;
-        let label = profile.label().to_string();
+        let label = recording.then(|| profile.label().to_string());
         placement.vms.set_profile(id, profile, Some(threads));
-        self.events.push(TraceEvent::SwapProfile { vm: id, label });
+        if let Some(label) = label {
+            self.record(|| TraceEvent::SwapProfile { vm: id, label });
+        }
         self.detach_sweep_memo();
         Ok(())
     }
@@ -1041,14 +1073,17 @@ impl Cluster {
         }
     }
 
-    /// The lifecycle events recorded so far, in order.
+    /// The lifecycle events recorded so far, in order. Empty unless
+    /// [`Cluster::record_events`] turned the log on (for this cluster or
+    /// the one it was snapshotted from).
     pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+        self.events.as_deref().unwrap_or_default()
     }
 
-    /// Drains and returns the recorded lifecycle events.
+    /// Drains and returns the recorded lifecycle events; the log stays on
+    /// if it was. Empty unless [`Cluster::record_events`] turned it on.
     pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
+        self.events.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// The cluster as observed at this instant, for read-only work (e.g.
@@ -1064,8 +1099,10 @@ impl Cluster {
     ///
     /// Per instance, as before: the isolation config (copied), the event
     /// log (the snapshot's starts empty — it is an append-only trace of
-    /// the live cluster, and copying it would make snapshots O(history)),
-    /// and the neighbor-visit counter (fresh: a new observation domain).
+    /// the live cluster, and copying it would make snapshots O(history) —
+    /// and records exactly when `self` records, so a traced driver's
+    /// private snapshots trace their own writes), and the neighbor-visit
+    /// counter (fresh: a new observation domain).
     /// The
     /// [`SweepMemo`] handle is inherited: the snapshot observes the same
     /// base placement, so published sweeps stay valid for it until it
@@ -1074,7 +1111,7 @@ impl Cluster {
         Cluster {
             placement: Arc::clone(&self.placement),
             isolation: self.isolation,
-            events: Vec::new(),
+            events: self.events.as_ref().map(|_| Vec::new()),
             neighbor_visits: AtomicU64::new(0),
             shared: self.shared.clone(),
         }
@@ -1638,11 +1675,98 @@ mod tests {
         ));
     }
 
+    /// Every kind of lifecycle write, on two servers: launch, pinned
+    /// launch, degrade, migrate, same-size and resizing swaps, terminate.
+    /// Returns the ids it launched.
+    fn lifecycle_writes(c: &mut Cluster, r: &mut StdRng) -> [VmId; 2] {
+        let a = c
+            .launch_on(0, hadoop(r).with_vcpus(4), VmRole::Friendly, 1.0)
+            .unwrap();
+        let b = c
+            .launch_pinned(1, memcached(r).with_vcpus(2), VmRole::Friendly, 2.0, r)
+            .unwrap();
+        c.set_degradation(1, 0.25, 3.0).unwrap();
+        c.migrate(a, 1).unwrap();
+        c.swap_profile(a, memcached(r).with_vcpus(4)).unwrap();
+        c.swap_profile(b, hadoop(r).with_vcpus(6)).unwrap();
+        c.terminate(b).unwrap();
+        [a, b]
+    }
+
+    /// The lifecycle log is opt-in: a cluster that never turned it on
+    /// builds no event for any write, and neither do its snapshots. A
+    /// recording cluster logs every write, and its snapshots inherit the
+    /// choice and log their own writes only.
+    #[test]
+    fn the_lifecycle_log_is_opt_in() {
+        use crate::trace::TraceEvent;
+        fn kinds(c: &Cluster) -> Vec<&'static str> {
+            c.events()
+                .iter()
+                .map(|e| match e {
+                    TraceEvent::Launch { .. } => "launch",
+                    TraceEvent::Terminate { .. } => "terminate",
+                    TraceEvent::Migrate { .. } => "migrate",
+                    TraceEvent::SwapProfile { .. } => "swap-profile",
+                    TraceEvent::Degrade { .. } => "degrade",
+                    TraceEvent::ProbeFault { .. } => "probe-fault",
+                })
+                .collect()
+        }
+        let mut r = rng();
+        let mut quiet = cluster(2);
+        assert!(quiet.events.is_none());
+        lifecycle_writes(&mut quiet, &mut r);
+        assert!(quiet.events().is_empty());
+        assert!(quiet.take_events().is_empty());
+        let mut snap = quiet.snapshot();
+        assert!(snap.events.is_none());
+        lifecycle_writes(&mut snap, &mut r);
+        assert!(snap.events().is_empty());
+
+        let mut loud = cluster(2);
+        loud.record_events();
+        let [a, b] = lifecycle_writes(&mut loud, &mut r);
+        let expected = [
+            "launch",
+            "launch",
+            "degrade",
+            "migrate",
+            "swap-profile",
+            "swap-profile",
+            "terminate",
+        ];
+        assert_eq!(kinds(&loud), expected);
+        assert!(matches!(loud.events()[0], TraceEvent::Launch { vm, server: 0, .. } if vm == a));
+        assert!(
+            matches!(loud.events()[1], TraceEvent::Launch { vm, at, .. } if vm == b && at == 2.0)
+        );
+        assert!(matches!(loud.events()[6], TraceEvent::Terminate { vm, server: 1 } if vm == b));
+
+        let mut snap = loud.snapshot();
+        assert!(
+            snap.events().is_empty(),
+            "a snapshot starts with an empty log"
+        );
+        lifecycle_writes(&mut snap, &mut r);
+        assert_eq!(kinds(&snap), expected);
+        assert_eq!(
+            loud.events().len(),
+            expected.len(),
+            "the base log is untouched"
+        );
+        // Draining keeps the log on.
+        assert_eq!(loud.take_events().len(), expected.len());
+        loud.terminate(a).unwrap();
+        assert_eq!(loud.events().len(), 1);
+    }
+
     #[test]
     fn lifecycle_events_are_recorded_in_order() {
         use crate::trace::TraceEvent;
         let mut r = rng();
         let mut c = cluster(2);
+        c.record_events();
         let id = c
             .launch_on(0, hadoop(&mut r), VmRole::Friendly, 5.0)
             .unwrap();
@@ -1738,6 +1862,7 @@ mod tests {
         let mut isolation = c.isolation();
         isolation.mechanisms.core_isolation = true;
         c.set_isolation(isolation);
+        c.record_events();
         let before = (c.vm(small).unwrap().threads.clone(), c.events().len());
         assert!(matches!(
             c.swap_profile(small, hadoop(&mut r).with_vcpus(4)),

@@ -1,11 +1,19 @@
 //! Cluster event tracing: an append-only log of VM lifecycle events.
 //!
 //! Experiments that place, migrate, and retire dozens of VMs are hard to
-//! debug from end-state alone; the cluster records every lifecycle action
-//! in order, and drivers can drain the log ([`crate::Cluster::take_events`])
+//! debug from end-state alone; a cluster can record every lifecycle action
+//! in order, and drivers drain the log ([`crate::Cluster::take_events`])
 //! to print or serialize a timeline. The chaos engine ([`crate::chaos`])
 //! emits its injected faults into the same stream, so a churned run's
 //! timeline reads as one ordered history.
+//!
+//! Recording is opt-in: a cluster keeps no log until
+//! [`crate::Cluster::record_events`] turns it on, and its snapshots
+//! inherit that choice. Each driver turns it on exactly when its telemetry
+//! is enabled, before its first launch, so a traced run's timeline is
+//! complete while an untraced one builds no events at all (a region of
+//! 100,000 tenants would otherwise keep one launch event, label string and
+//! thread list per tenant that nothing reads).
 
 use crate::vm::{VmId, VmRole};
 

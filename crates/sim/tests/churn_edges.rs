@@ -9,8 +9,13 @@ use bolt_workloads::{catalog, DatasetScale};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// A cluster that records its lifecycle log: these edges are about the
+/// trace as much as the state.
 fn cluster(n: usize) -> Cluster {
-    Cluster::new(n, ServerSpec::xeon(), IsolationConfig::cloud_default()).expect("cluster")
+    let mut c =
+        Cluster::new(n, ServerSpec::xeon(), IsolationConfig::cloud_default()).expect("cluster");
+    c.record_events();
+    c
 }
 
 fn big_profile(rng: &mut StdRng) -> bolt_workloads::WorkloadProfile {

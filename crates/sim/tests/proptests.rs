@@ -146,6 +146,7 @@ proptest! {
             IsolationConfig::cloud_default(),
         )
         .expect("cluster");
+        cluster.record_events();
         let mut live: Vec<bolt_sim::VmId> = Vec::new();
         for (op, pick) in ops {
             match op {
@@ -254,6 +255,7 @@ proptest! {
             IsolationConfig::cloud_default(),
         )
         .expect("cluster");
+        cluster.record_events();
         let p = catalog::memcached::profile(&catalog::memcached::Variant::Mixed, &mut rng);
         let vm = cluster.launch_on(0, p, VmRole::Friendly, 0.0).expect("fits");
         let before = cluster.take_events();

@@ -254,10 +254,17 @@ proptest! {
         let isolation = IsolationConfig::cloud_default();
         let mut indexed = Cluster::new(SERVERS, ServerSpec::xeon(), isolation).expect("cluster");
         let mut reference = Cluster::new(SERVERS, ServerSpec::xeon(), isolation).expect("cluster");
+        indexed.record_events();
+        reference.record_events();
 
         apply_ops(&mut indexed, &ops, seed);
         oracle::reference(|| apply_ops(&mut reference, &ops, seed));
         prop_assert_eq!(indexed.events(), reference.events(), "traces diverged");
+        // On an empty cluster only launches and degradations write (every
+        // other op needs a live VM), and the first of either always
+        // succeeds: a schedule with one must leave a trace to compare.
+        let writes = ops.iter().any(|&(op, _)| op <= 2 || op >= 7);
+        prop_assert_eq!(indexed.events().is_empty(), !writes, "trace recorded nothing");
 
         assert_matches_reference(&indexed, &reference, t, seed ^ 0xC0FFEE);
         // Query twice: the second pass walks the indexed cluster again
@@ -275,6 +282,8 @@ proptest! {
         let isolation = IsolationConfig::cloud_default();
         let mut indexed = Cluster::new(SERVERS, ServerSpec::xeon(), isolation).expect("cluster");
         let mut reference = Cluster::new(SERVERS, ServerSpec::xeon(), isolation).expect("cluster");
+        indexed.record_events();
+        reference.record_events();
 
         let ops: Vec<(u8, usize)> = (0..12).map(|i| (0u8, i)).collect();
         apply_ops(&mut indexed, &ops, seed);
@@ -291,6 +300,7 @@ proptest! {
             assert_matches_reference(&indexed, &reference, t, seed ^ 0xBEEF);
         }
         prop_assert_eq!(indexed.events(), reference.events(), "traces diverged");
+        prop_assert!(!indexed.events().is_empty(), "the launches must be traced");
     }
 
     /// A snapshot and its base stay independent in both directions: after
@@ -307,7 +317,13 @@ proptest! {
         t in 0.0f64..500.0,
     ) {
         let isolation = IsolationConfig::cloud_default();
-        let fresh = || Cluster::new(SERVERS, ServerSpec::xeon(), isolation).expect("cluster");
+        // Recording clusters: the snapshot inherits the log, so its trace
+        // must match its replay's too.
+        let fresh = || {
+            let mut c = Cluster::new(SERVERS, ServerSpec::xeon(), isolation).expect("cluster");
+            c.record_events();
+            c
+        };
         let first = history.len();
 
         let mut base = fresh();
@@ -630,6 +646,7 @@ fn snapshot_takes_empty_event_buffer() {
     let mut rng = StdRng::seed_from_u64(3);
     let mut c =
         Cluster::new(2, ServerSpec::xeon(), IsolationConfig::cloud_default()).expect("cluster");
+    c.record_events();
     let vm = c
         .launch_on(0, profile(0, &mut rng), VmRole::Friendly, 0.0)
         .expect("fits");

@@ -18,8 +18,15 @@ use bolt_workloads::{catalog, training::training_set, LoadPattern, PressureVecto
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn scene(rng: &mut StdRng) -> Result<(Cluster, VmId, VmId, f64), Box<dyn std::error::Error>> {
+/// The attack scene; its cluster records its lifecycle log when `traced`.
+fn scene(
+    traced: bool,
+    rng: &mut StdRng,
+) -> Result<(Cluster, VmId, VmId, f64), Box<dyn std::error::Error>> {
     let mut cluster = Cluster::new(4, ServerSpec::xeon(), IsolationConfig::cloud_default())?;
+    if traced {
+        cluster.record_events();
+    }
     let victim_profile =
         catalog::memcached::profile(&catalog::memcached::Variant::ReadHeavyKb, rng)
             .with_vcpus(12)
@@ -47,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let defense = DosRunConfig::default();
 
     // --- Bolt's attack: detect first, then stress what the victim needs.
-    let (mut cluster, attacker, victim, baseline) = scene(&mut rng)?;
+    let (mut cluster, attacker, victim, baseline) = scene(telemetry_path.is_some(), &mut rng)?;
     let mut bolt_telemetry = unit(1);
     let detection = detector.detect(
         &cluster,
@@ -76,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // --- The naive baseline: saturate compute, get migrated away.
-    let (mut cluster2, attacker2, victim2, _) = scene(&mut rng)?;
+    let (mut cluster2, attacker2, victim2, _) = scene(telemetry_path.is_some(), &mut rng)?;
     let mut naive_telemetry = unit(2);
     let naive = run_dos(
         &mut cluster2,

@@ -25,6 +25,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(0xF18);
     let isolation = IsolationConfig::cloud_default();
     let mut cluster = Cluster::new(1, ServerSpec::xeon(), isolation)?;
+    if telemetry_path.is_some() {
+        cluster.record_events();
+    }
 
     let adversary = cluster.launch_on(
         0,

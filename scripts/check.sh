@@ -74,6 +74,10 @@ grep -q "failures are announced" "$SMOKE_DIR/serve.txt" \
 # jq 1.6 accepts NaN, so non-finite numbers are pinned by the Rust tests.
 jq -e -s 'length > 0 and all(has("type") and has("unit"))' "$SMOKE_DIR/serve.jsonl" > /dev/null \
   || { echo "service smoke: telemetry trace is not valid JSONL"; exit 1; }
+# A cluster records its lifecycle log only when its driver opts in; a
+# traced service must still carry its cluster's launch block.
+jq -e -s 'any(.type == "cluster" and .event.kind == "launch")' "$SMOKE_DIR/serve.jsonl" \
+  > /dev/null || { echo "service smoke: telemetry lost the cluster launches"; exit 1; }
 # The 200-request loop itself is sub-second in release; a long-tail
 # regression in the lane scheduler blows past this budget immediately.
 if [ "$SERVE_ELAPSED" -gt 60 ]; then

@@ -420,6 +420,10 @@ fn cmd_dos(flags: &Flags) -> Result<(), String> {
     let scene = |rng: &mut StdRng| -> Result<_, String> {
         let mut cluster = Cluster::new(4, ServerSpec::xeon(), IsolationConfig::cloud_default())
             .map_err(|e| e.to_string())?;
+        // A traced run's timeline starts with the scene's own launches.
+        if trace.on() {
+            cluster.record_events();
+        }
         let victim_profile =
             catalog::memcached::profile(&catalog::memcached::Variant::ReadHeavyKb, rng)
                 .with_vcpus(12)
@@ -549,6 +553,10 @@ fn cmd_coresidency(flags: &Flags) -> Result<(), String> {
     let isolation = IsolationConfig::cloud_default();
     let mut cluster =
         Cluster::new(servers, ServerSpec::xeon(), isolation).map_err(|e| e.to_string())?;
+    // A traced run's timeline starts with the scene's own launches.
+    if trace.on() {
+        cluster.record_events();
+    }
     let victim_host = servers / 4 + 1;
     let victim = cluster
         .launch_on(

@@ -113,6 +113,7 @@ fn trace_reconstructs_an_experiment_timeline() {
     let mut rng = StdRng::seed_from_u64(0x7A);
     let mut cluster =
         Cluster::new(2, ServerSpec::xeon(), IsolationConfig::cloud_default()).expect("cluster");
+    cluster.record_events();
     let a = cluster
         .launch_on(
             0,
