@@ -12,7 +12,7 @@
 use bolt::experiment::{run_experiment, ExperimentConfig};
 use bolt::report::{pct, Table};
 use bolt::telemetry::Counter;
-use bolt::{BoltError, RunCtx};
+use bolt::{BoltError, DetectorConfig, RunCtx};
 use bolt_sim::LeastLoaded;
 
 use crate::{experiment, Output, Scale};
@@ -20,7 +20,10 @@ use crate::{experiment, Output, Scale};
 pub fn run(scale: Scale) -> Result<Output, BoltError> {
     let off = experiment(scale.pick((20, 54), (40, 108)));
     let on = ExperimentConfig {
-        mrc_channel: true,
+        detector: DetectorConfig {
+            mrc_channel: true,
+            ..off.detector
+        },
         ..off
     };
 

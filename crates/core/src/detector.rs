@@ -246,8 +246,12 @@ pub struct Detection {
     /// match correlation, damped when the window was contaminated. A
     /// confidently idle host reads 1.0.
     pub confidence: f64,
-    /// Set when the verdict is degraded — the attack drivers treat any
-    /// `Some` as "do not act on this label alone".
+    /// Set when the verdict is degraded: churn contaminated the window or
+    /// the probe budget ran out. The service reports it as a degraded
+    /// outcome, and the gated attack planners
+    /// ([`craft_attack_guarded`](crate::attacks::dos::craft_attack_guarded),
+    /// [`plan_helper_target`](crate::attacks::rfa::plan_helper_target))
+    /// refuse any `Some`.
     pub degraded: Option<DegradedReason>,
     /// The observed cache-allocation sweep, when the miss-rate-curve
     /// channel ran this window. `None` whenever the channel is off or
@@ -1482,14 +1486,13 @@ mod tests {
     use crate::telemetry::TelemetryEvent;
     use bolt_sim::ChaosConfig;
 
+    /// A zero horizon schedules no churn, so the plan injects probe
+    /// faults alone, at the full-intensity rate of 0.25 per window.
     fn fault_plan_matching(pattern: &[Option<ProbeFaultKind>]) -> FaultPlan {
-        let cfg = ChaosConfig {
-            intensity: 1.0,
-            probe_fault_rate: 0.5,
-            ..ChaosConfig::none()
-        };
+        let cfg = ChaosConfig::with_intensity(1.0);
         for seed in 0..500_000u64 {
-            let plan = FaultPlan::compile(&cfg, seed, 0, 0.0, 5000.0);
+            let plan = FaultPlan::compile(&cfg, seed, 0, 0.0, 0.0);
+            assert!(plan.events().is_empty(), "a zero horizon is churn-free");
             if pattern
                 .iter()
                 .enumerate()

@@ -57,10 +57,6 @@ pub struct ExperimentConfig {
     /// Retry/backoff policy for hunts under churn. Ignored when `chaos`
     /// is [`ChaosConfig::none`].
     pub retry: RetryPolicy,
-    /// Enables the miss-rate-curve detection channel on every hunt
-    /// (equivalent to setting [`DetectorConfig::mrc_channel`]); off by
-    /// default so pre-existing runs stay byte-identical.
-    pub mrc_channel: bool,
     /// Enables the anytime iterative-deepening window on every hunt
     /// (equivalent to setting [`DetectorConfig::anytime`]); off by
     /// default so pre-existing runs stay byte-identical.
@@ -81,7 +77,6 @@ impl Default for ExperimentConfig {
             parallelism: Parallelism::default(),
             chaos: ChaosConfig::none(),
             retry: RetryPolicy::default(),
-            mrc_channel: false,
             anytime: false,
         }
     }
@@ -504,7 +499,6 @@ pub fn build_testbed<S: Scheduler>(
     let detector = Detector::new(
         recommender,
         DetectorConfig {
-            mrc_channel: config.detector.mrc_channel || config.mrc_channel,
             anytime: config.detector.anytime || config.anytime,
             ..config.detector
         },

@@ -103,8 +103,8 @@ pub use parallel::Parallelism;
 pub use region::{run_region, run_region_telemetry, RegionConfig, RegionReport, ScalePoint};
 pub use robustness::{churn_sweep, RobustnessPoint};
 pub use service::{
-    compile_trace, run_service, run_service_cache_telemetry, BreakerConfig, Request,
-    RequestOutcome, RequestRecord, ServiceConfig, ServiceReport, ShedPolicy, ShedReason,
+    run_service, run_service_cache_telemetry, BreakerConfig, Request, RequestOutcome,
+    RequestRecord, ServiceConfig, ServiceReport, ShedPolicy, ShedReason,
 };
 pub use telemetry::{
     Counter, LatencySummary, Phase, ServiceMetric, Telemetry, TelemetryEvent, TelemetryLog,

@@ -412,19 +412,17 @@ fn service_horizon_s(config: &ServiceConfig) -> f64 {
     config.requests as f64 * 60.0 / config.arrival_rate_per_min.max(1e-9) + 120.0
 }
 
-/// Compiles the replayable request trace: base arrivals with exponential
-/// gaps, plus storm-burst injections, arrival-sorted with dense ids. Pure
-/// function of `config` — replaying it is how a service run is reproduced.
-pub fn compile_trace(config: &ServiceConfig) -> Vec<Request> {
+/// Compiles the storm plan and the replayable request trace: base
+/// arrivals with exponential gaps, plus the plan's burst injections,
+/// arrival-sorted with dense ids. Pure function of `config` — replaying
+/// it is how a service run is reproduced. `config` must have passed
+/// [`ServiceConfig::validate`]: zero servers or a NaN rate panics here.
+fn compile_trace(config: &ServiceConfig) -> (StormPlan, Vec<Request>) {
     let storm = StormPlan::compile(
         &config.storm,
         config.seed ^ STORM_SALT,
         service_horizon_s(config),
     );
-    compile_trace_with(config, &storm)
-}
-
-fn compile_trace_with(config: &ServiceConfig, storm: &StormPlan) -> Vec<Request> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ TRACE_SALT);
     let mean_gap = 60.0 / config.arrival_rate_per_min.max(1e-9);
     let mut out = Vec::with_capacity(config.requests);
@@ -479,7 +477,7 @@ fn compile_trace_with(config: &ServiceConfig, storm: &StormPlan) -> Vec<Request>
     for (i, r) in out.iter_mut().enumerate() {
         r.id = i;
     }
-    out
+    (storm, out)
 }
 
 /// [`run_service`] with telemetry, over the model [`shared_recommender`]
@@ -656,12 +654,7 @@ fn run_service_with(
     let mut unit0 = Telemetry::for_unit(0);
     let model = recommender(&mut unit0)?;
 
-    let storm = StormPlan::compile(
-        &config.storm,
-        config.seed ^ STORM_SALT,
-        service_horizon_s(config),
-    );
-    let trace = compile_trace_with(config, &storm);
+    let (storm, trace) = compile_trace(config);
     let storm_injected = trace.iter().filter(|r| r.from_storm).count();
 
     // Only a returned stream shows the cluster's launches, so the cluster
@@ -1151,8 +1144,8 @@ mod tests {
             storm: StormConfig::with_intensity(1.0),
             ..quick_config()
         };
-        let a = compile_trace(&config);
-        let b = compile_trace(&config);
+        let (_, a) = compile_trace(&config);
+        let (_, b) = compile_trace(&config);
         assert_eq!(a, b);
         assert!(a.iter().any(|r| r.from_storm), "storm injected nothing");
         for (i, r) in a.iter().enumerate() {
@@ -1206,7 +1199,7 @@ mod tests {
         ))
         .unwrap();
         let model = Arc::new(HybridRecommender::fit(data, config.recommender).unwrap());
-        for (req, record) in compile_trace(&config).iter().zip(&report.records) {
+        for (req, record) in compile_trace(&config).1.iter().zip(&report.records) {
             let mut live = built.cluster.snapshot();
             let mut plan = FaultPlan::compile(
                 &config.chaos,
@@ -1594,8 +1587,8 @@ mod tests {
             );
         }
         // The injectors validate themselves. `f64::clamp` passes NaN
-        // through `with_intensity`, and an infinite rate would compile an
-        // endless schedule.
+        // through `with_intensity`, and a near-endless horizon (arrivals
+        // every 10^300 minutes) would compile an endless storm schedule.
         let bad_injectors = [
             ServiceConfig {
                 storm: StormConfig::with_intensity(f64::NAN),
@@ -1606,31 +1599,16 @@ mod tests {
                 ..quick_config()
             },
             ServiceConfig {
-                storm: StormConfig {
-                    intensity: 1.5,
-                    ..StormConfig::with_intensity(1.0)
-                },
+                storm: StormConfig { intensity: 1.5 },
                 ..quick_config()
             },
             ServiceConfig {
-                chaos: ChaosConfig {
-                    intensity: -0.5,
-                    ..ChaosConfig::with_intensity(1.0)
-                },
+                chaos: ChaosConfig { intensity: -0.5 },
                 ..quick_config()
             },
             ServiceConfig {
-                storm: StormConfig {
-                    bursts_per_min: f64::INFINITY,
-                    ..StormConfig::with_intensity(0.8)
-                },
-                ..quick_config()
-            },
-            ServiceConfig {
-                chaos: ChaosConfig {
-                    arrivals_per_min: f64::INFINITY,
-                    ..ChaosConfig::with_intensity(0.8)
-                },
+                storm: StormConfig::with_intensity(0.8),
+                arrival_rate_per_min: 1e-300,
                 ..quick_config()
             },
         ];

@@ -161,7 +161,7 @@ fn mrc_channel_off_is_byte_invisible() {
         },
         ..base
     };
-    assert!(!base.mrc_channel && !base.detector.mrc_channel);
+    assert!(!base.detector.mrc_channel);
     let a = traced(&base);
     let b = traced(&decorated);
     assert_eq!(a.0.records, b.0.records);
@@ -178,10 +178,8 @@ fn mrc_channel_off_is_byte_invisible() {
 #[test]
 fn mrc_hunts_sweep() {
     // Thread-count invariance of MRC hunts is pinned by `oracle.rs`.
-    let config = ExperimentConfig {
-        mrc_channel: true,
-        ..small_config(0x3C5)
-    };
+    let mut config = small_config(0x3C5);
+    config.detector.mrc_channel = true;
     assert!(
         traced(&config).1.counter_total(Counter::MrcProbePoints) > 0,
         "channel-on hunts must actually sweep"

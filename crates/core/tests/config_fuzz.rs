@@ -8,8 +8,8 @@
 //! profiler (with its ramp) and shutter, and every field of the policy
 //! structs (`ChaosConfig`, `StormConfig`, `RetryPolicy`, `BreakerConfig`)
 //! is drawn: usually its normal value, sometimes one of the degenerate
-//! values below. Half the cases start the chaos and storm injectors from
-//! an active mix, the other half from the disabled one. The driver must
+//! values below. Half the cases start the chaos and storm dials from an
+//! active mix, the other half from the disabled one. The driver must
 //! return `Ok` or a typed `Err` within [`CASE_BOUND`]; a panic fails the
 //! case, and a hang aborts the run.
 //!
@@ -26,7 +26,7 @@
 //!   `instances`, `users` and `jobs`, `DetectorConfig`'s
 //!   `max_iterations`, shutter `frames` and `anytime_max_probes`, and
 //!   `RetryPolicy::max_retries`): 0, 1 and their type's maximum.
-//! - Seeds and salts: 0 and the type's maximum.
+//! - Seeds: 0 and the type's maximum.
 //! - Flags: the opposite of the normal value.
 //!
 //! The policy structs are built field by field, without `..default`, so a
@@ -63,9 +63,8 @@ const F64_SPECIALS: [f64; 8] = [
 /// One pick per field, consumed in order; a pick past the field's
 /// degenerate values keeps the normal value. With picks in `0..PICKS`,
 /// each `f64` field is degenerate with probability 8/64. A service case
-/// draws about 45 `f64` fields, so it perturbs a few of them; in a
-/// minority of cases every perturbed value passes validation and the
-/// driver runs.
+/// draws 21 `f64` fields, so it perturbs a few of them; in a minority of
+/// cases every perturbed value passes validation and the driver runs.
 struct Picks(std::vec::IntoIter<u8>);
 
 const PICKS: u8 = 64;
@@ -137,7 +136,7 @@ fn detector(p: &mut Picks, d: DetectorConfig, anytime: bool, mrc: bool) -> Detec
     }
 }
 
-/// The chaos mix a case starts from: an active one, or the disabled one.
+/// The chaos dial a case starts from: an active mix, or the disabled one.
 fn chaos(p: &mut Picks, active: bool) -> ChaosConfig {
     let d = if active {
         ChaosConfig::with_intensity(0.8)
@@ -146,18 +145,10 @@ fn chaos(p: &mut Picks, active: bool) -> ChaosConfig {
     };
     ChaosConfig {
         intensity: p.real(d.intensity),
-        arrivals_per_min: p.real(d.arrivals_per_min),
-        departures_per_min: p.real(d.departures_per_min),
-        swaps_per_min: p.real(d.swaps_per_min),
-        migration_check_s: p.real(d.migration_check_s),
-        migration_threshold: p.real(d.migration_threshold),
-        max_degradation: p.real(d.max_degradation),
-        probe_fault_rate: p.real(d.probe_fault_rate),
-        salt: p.seed(d.salt),
     }
 }
 
-/// The storm mix a case starts from: an active one, or the disabled one.
+/// The storm dial a case starts from: an active mix, or the disabled one.
 fn storm(p: &mut Picks, active: bool) -> StormConfig {
     let d = if active {
         StormConfig::with_intensity(0.8)
@@ -166,15 +157,6 @@ fn storm(p: &mut Picks, active: bool) -> StormConfig {
     };
     StormConfig {
         intensity: p.real(d.intensity),
-        bursts_per_min: p.real(d.bursts_per_min),
-        burst_size: p.size(d.burst_size),
-        stalls_per_min: p.real(d.stalls_per_min),
-        stall_s: p.real(d.stall_s),
-        stall_window_s: p.real(d.stall_window_s),
-        churn_bursts_per_min: p.real(d.churn_bursts_per_min),
-        churn_burst_factor: p.real(d.churn_burst_factor),
-        churn_burst_s: p.real(d.churn_burst_s),
-        salt: p.seed(d.salt),
     }
 }
 

@@ -155,7 +155,7 @@ proptest! {
                 seed,
                 chaos,
                 anytime,
-                mrc_channel: mrc,
+                detector: DetectorConfig { mrc_channel: mrc, ..DetectorConfig::default() },
                 ..ExperimentConfig::default()
             })
         } else {
@@ -202,10 +202,8 @@ fn fixed_configurations_match_the_reference_stack() {
         anytime: true,
         ..experiment(6, 12, 0x3C6)
     };
-    let mrc = ExperimentConfig {
-        mrc_channel: true,
-        ..experiment(6, 10, 0x3C5)
-    };
+    let mut mrc = experiment(6, 10, 0x3C5);
+    mrc.detector.mrc_channel = true;
     let stormy = ServiceConfig {
         servers: 4,
         vms_per_server: 2,

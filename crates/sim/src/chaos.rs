@@ -35,71 +35,56 @@ use crate::vm::{VmId, VmRole};
 
 /// Most events one compiled plan may schedule at full intensity, and most
 /// steps one probe ramp may take. A config past it is a typo rather than a
-/// workload (an infinite rate, a vanishing check period or ramp step, a
-/// near-endless horizon): running it would allocate or loop without
-/// bound, so the `validate` methods and the ramp reject it.
+/// workload (a near-endless horizon, a vanishing ramp step): running it
+/// would allocate or loop without bound, so the `validate` methods and the
+/// ramp reject it.
 pub const MAX_PLAN_EVENTS: f64 = 1.0e6;
 
-/// Knobs for the chaos engine. All rates are specified at `intensity = 1.0`
-/// and scale linearly with [`ChaosConfig::intensity`]; an intensity of zero
-/// disables everything ([`ChaosConfig::none`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Victim VM arrivals per simulated minute at full intensity.
+const ARRIVALS_PER_MIN: f64 = 0.6;
+/// Victim VM departures per simulated minute at full intensity.
+const DEPARTURES_PER_MIN: f64 = 0.5;
+/// In-place workload swaps per simulated minute at full intensity.
+const SWAPS_PER_MIN: f64 = 0.6;
+/// Period of defensive migrate-on-contention checks, in seconds
+/// (Zhang-style).
+const MIGRATION_CHECK_S: f64 = 60.0;
+/// CPU-utilization threshold (percent) above which a defensive migration
+/// is triggered on the most contended server.
+const MIGRATION_THRESHOLD: f64 = 70.0;
+/// Maximum per-server capacity degradation factor injected at full
+/// intensity, in `[0, 1)`.
+const MAX_DEGRADATION: f64 = 0.35;
+/// Probability that a probe window suffers a measurement fault at full
+/// intensity.
+const PROBE_FAULT_RATE: f64 = 0.25;
+/// Salt mixed into the seed so chaos draws never alias experiment draws.
+const CHAOS_SALT: u64 = 0xC4A05;
+
+/// The chaos engine's one knob: a representative churn mix, tenant
+/// arrivals and departures roughly every other minute, periodic
+/// defensive migration checks, mild throttling and occasional lost
+/// probes, whose rates all scale linearly with
+/// [`ChaosConfig::intensity`]. An intensity of zero disables everything
+/// ([`ChaosConfig::none`], also the default).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ChaosConfig {
     /// Master dial in `[0, 1]`. Zero disables the engine entirely.
     pub intensity: f64,
-    /// Victim VM arrivals per simulated minute at full intensity.
-    pub arrivals_per_min: f64,
-    /// Victim VM departures per simulated minute at full intensity.
-    pub departures_per_min: f64,
-    /// In-place workload swaps per simulated minute at full intensity.
-    pub swaps_per_min: f64,
-    /// Period of defensive migrate-on-contention checks, in seconds
-    /// (Zhang-style). Zero disables the checks.
-    pub migration_check_s: f64,
-    /// CPU-utilization threshold (percent) above which a defensive
-    /// migration is triggered on the most contended server.
-    pub migration_threshold: f64,
-    /// Maximum per-server capacity degradation factor injected at full
-    /// intensity, in `[0, 1)`.
-    pub max_degradation: f64,
-    /// Probability that a probe window suffers a measurement fault at full
-    /// intensity.
-    pub probe_fault_rate: f64,
-    /// Salt mixed into the seed so chaos draws never alias experiment draws.
-    pub salt: u64,
 }
 
 impl ChaosConfig {
     /// The disabled configuration: compiles to an empty plan, injects
     /// nothing, and is guaranteed zero-cost.
     pub fn none() -> Self {
-        ChaosConfig {
-            intensity: 0.0,
-            arrivals_per_min: 0.0,
-            departures_per_min: 0.0,
-            swaps_per_min: 0.0,
-            migration_check_s: 0.0,
-            migration_threshold: 0.0,
-            max_degradation: 0.0,
-            probe_fault_rate: 0.0,
-            salt: 0,
-        }
+        ChaosConfig { intensity: 0.0 }
     }
 
-    /// A representative churn mix scaled by `intensity`: tenant arrivals
-    /// and departures roughly every other minute, periodic defensive
-    /// migration checks, mild throttling, and occasional lost probes.
+    /// The churn mix at `intensity`, clamped to `[0, 1]` (NaN passes
+    /// through, and [`ChaosConfig::validate`] rejects it).
     pub fn with_intensity(intensity: f64) -> Self {
         ChaosConfig {
             intensity: intensity.clamp(0.0, 1.0),
-            arrivals_per_min: 0.6,
-            departures_per_min: 0.5,
-            swaps_per_min: 0.6,
-            migration_check_s: 60.0,
-            migration_threshold: 70.0,
-            max_degradation: 0.35,
-            probe_fault_rate: 0.25,
-            salt: 0xC4A05,
         }
     }
 
@@ -109,7 +94,7 @@ impl ChaosConfig {
     }
 
     /// Rejects a config no plan over `horizon_s` can be compiled from.
-    /// Call it before [`FaultPlan::compile`]: an unchecked infinite rate
+    /// Call it before [`FaultPlan::compile`]: a near-endless horizon
     /// compiles into an endless schedule.
     ///
     /// The event count is taken at full intensity, the most a run can
@@ -117,46 +102,16 @@ impl ChaosConfig {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidConfig`] if the intensity is outside `[0, 1]`,
-    /// a rate, the check period or the probe-fault rate is NaN, infinite
-    /// or negative, the degradation is outside `[0, 1)`, or an enabled
-    /// config schedules more than `MAX_PLAN_EVENTS` (10⁶) events.
+    /// [`SimError::InvalidConfig`] if the intensity is outside `[0, 1]`
+    /// (NaN included), or an enabled config schedules more than
+    /// `MAX_PLAN_EVENTS` (10⁶) events.
     pub fn validate(&self, horizon_s: f64) -> Result<(), SimError> {
         in_unit_interval("chaos", self.intensity)?;
-        for (what, value) in [
-            ("chaos arrival rate", self.arrivals_per_min),
-            ("chaos departure rate", self.departures_per_min),
-            ("chaos swap rate", self.swaps_per_min),
-            ("chaos migration-check period", self.migration_check_s),
-            ("chaos probe-fault rate", self.probe_fault_rate),
-        ] {
-            non_negative(what, value)?;
-        }
-        if !(0.0..1.0).contains(&self.max_degradation) {
-            return Err(SimError::InvalidConfig {
-                reason: format!(
-                    "chaos degradation must lie in [0, 1), got {}",
-                    self.max_degradation
-                ),
-            });
-        }
         if self.is_none() {
             return Ok(());
         }
-        let churn = (self.arrivals_per_min + self.departures_per_min + self.swaps_per_min)
-            * (horizon_s / 60.0);
-        let checks = if self.migration_check_s > 0.0 {
-            horizon_s / self.migration_check_s
-        } else {
-            0.0
-        };
-        bounded_plan("chaos", churn + checks)
-    }
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig::none()
+        let churn = (ARRIVALS_PER_MIN + DEPARTURES_PER_MIN + SWAPS_PER_MIN) * (horizon_s / 60.0);
+        bounded_plan("chaos", churn + horizon_s / MIGRATION_CHECK_S)
     }
 }
 
@@ -210,7 +165,6 @@ pub struct FaultPlan {
     fault_seed: u64,
     protected: Vec<VmId>,
     chaos_vms: Vec<VmId>,
-    migration_threshold: f64,
 }
 
 impl FaultPlan {
@@ -227,25 +181,24 @@ impl FaultPlan {
         start_s: f64,
         horizon_s: f64,
     ) -> Self {
-        let plan_seed = splitmix64(seed ^ config.salt, unit);
+        let plan_seed = splitmix64(seed ^ CHAOS_SALT, unit);
         let mut plan = FaultPlan {
             events: Vec::new(),
             cursor: 0,
             rng: StdRng::seed_from_u64(plan_seed),
-            probe_rate: (config.probe_fault_rate * config.intensity).clamp(0.0, 1.0),
-            fault_seed: splitmix64(seed ^ config.salt, unit ^ 0x50_B0_17),
+            probe_rate: (PROBE_FAULT_RATE * config.intensity).clamp(0.0, 1.0),
+            fault_seed: splitmix64(seed ^ CHAOS_SALT, unit ^ 0x50_B0_17),
             protected: Vec::new(),
             chaos_vms: Vec::new(),
-            migration_threshold: config.migration_threshold,
         };
         if config.is_none() || horizon_s <= 0.0 {
             return plan;
         }
         let minutes = horizon_s / 60.0;
         let rates = [
-            (ChaosEvent::Arrival, config.arrivals_per_min),
-            (ChaosEvent::Departure, config.departures_per_min),
-            (ChaosEvent::Swap, config.swaps_per_min),
+            (ChaosEvent::Arrival, ARRIVALS_PER_MIN),
+            (ChaosEvent::Departure, DEPARTURES_PER_MIN),
+            (ChaosEvent::Swap, SWAPS_PER_MIN),
         ];
         for (kind, per_min) in rates {
             let n = draw_count(&mut plan.rng, per_min * config.intensity * minutes);
@@ -254,33 +207,29 @@ impl FaultPlan {
                 plan.events.push(PlannedFault { at, kind });
             }
         }
-        if config.migration_check_s > 0.0 {
-            let mut at = start_s + config.migration_check_s;
-            while at <= start_s + horizon_s {
-                plan.events.push(PlannedFault {
-                    at,
-                    kind: ChaosEvent::MigrationCheck,
-                });
-                // Far in the future a short period rounds away and `at`
-                // stops advancing: one check there, not an endless loop.
-                let next = at + config.migration_check_s;
-                if next == at {
-                    break;
-                }
-                at = next;
+        let mut at = start_s + MIGRATION_CHECK_S;
+        while at <= start_s + horizon_s {
+            plan.events.push(PlannedFault {
+                at,
+                kind: ChaosEvent::MigrationCheck,
+            });
+            // Far in the future the period rounds away and `at` stops
+            // advancing: one check there, not an endless loop.
+            let next = at + MIGRATION_CHECK_S;
+            if next == at {
+                break;
             }
+            at = next;
         }
-        if config.max_degradation > 0.0 {
-            let n = draw_count(&mut plan.rng, config.intensity * 2.0);
-            for _ in 0..n {
-                let at = start_s + plan.rng.gen::<f64>() * horizon_s;
-                let server = plan.rng.gen_range(0..1024usize);
-                let factor = plan.rng.gen::<f64>() * config.max_degradation * config.intensity;
-                plan.events.push(PlannedFault {
-                    at,
-                    kind: ChaosEvent::Degrade { server, factor },
-                });
-            }
+        let n = draw_count(&mut plan.rng, config.intensity * 2.0);
+        for _ in 0..n {
+            let at = start_s + plan.rng.gen::<f64>() * horizon_s;
+            let server = plan.rng.gen_range(0..1024usize);
+            let factor = plan.rng.gen::<f64>() * MAX_DEGRADATION * config.intensity;
+            plan.events.push(PlannedFault {
+                at,
+                kind: ChaosEvent::Degrade { server, factor },
+            });
         }
         // Stable order: by time, ties broken by insertion order so the
         // schedule is reproducible bit for bit.
@@ -433,7 +382,7 @@ impl FaultPlan {
             Some(h) => h,
             None => return Ok(false),
         };
-        if util <= self.migration_threshold {
+        if util <= MIGRATION_THRESHOLD {
             return Ok(false);
         }
         let mover = cluster
@@ -499,68 +448,50 @@ impl FaultPlan {
     }
 }
 
-/// Knobs for the service-layer fault injector: request storms, slow-probe
-/// stalls, and burst churn. Like [`ChaosConfig`], this is pure data — rates
-/// are specified at `intensity = 1.0` and scale linearly with
-/// [`StormConfig::intensity`]; zero intensity disables everything.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Request-storm bursts per simulated minute at full intensity.
+const BURSTS_PER_MIN: f64 = 0.2;
+/// Extra requests injected per burst at full intensity.
+const BURST_SIZE: usize = 6;
+/// Slow-probe stall windows per simulated minute at full intensity.
+const STALLS_PER_MIN: f64 = 0.3;
+/// Extra seconds a probe pays when it starts inside a stall window.
+const STALL_S: f64 = 30.0;
+/// Length of each stall window, in seconds.
+const STALL_WINDOW_S: f64 = 60.0;
+/// Burst-churn windows per simulated minute at full intensity.
+const CHURN_BURSTS_PER_MIN: f64 = 0.2;
+/// Multiplier applied to the chaos intensity inside a churn burst.
+const CHURN_BURST_FACTOR: f64 = 3.0;
+/// Length of each churn-burst window, in seconds.
+const CHURN_BURST_S: f64 = 90.0;
+/// Salt mixed into the seed so storm draws never alias chaos or
+/// experiment draws.
+const STORM_SALT: u64 = 0x57_08AA;
+
+/// The service-layer fault injector's one knob: a representative storm
+/// mix, a request burst roughly every five minutes, occasional
+/// minute-long probe stalls and short windows where churn triples, whose
+/// rates all scale linearly with [`StormConfig::intensity`]. Like
+/// [`ChaosConfig`], this is pure data; zero intensity, the default,
+/// disables everything.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StormConfig {
     /// Master dial in `[0, 1]`. Zero disables the injector entirely.
     pub intensity: f64,
-    /// Request-storm bursts per simulated minute at full intensity.
-    pub bursts_per_min: f64,
-    /// Extra requests injected per burst at full intensity.
-    pub burst_size: usize,
-    /// Slow-probe stall windows per simulated minute at full intensity.
-    pub stalls_per_min: f64,
-    /// Extra seconds a probe pays when it starts inside a stall window.
-    pub stall_s: f64,
-    /// Length of each stall window, in seconds.
-    pub stall_window_s: f64,
-    /// Burst-churn windows per simulated minute at full intensity.
-    pub churn_bursts_per_min: f64,
-    /// Multiplier applied to the chaos intensity inside a churn burst.
-    pub churn_burst_factor: f64,
-    /// Length of each churn-burst window, in seconds.
-    pub churn_burst_s: f64,
-    /// Salt mixed into the seed so storm draws never alias chaos or
-    /// experiment draws.
-    pub salt: u64,
 }
 
 impl StormConfig {
     /// The disabled configuration: compiles to an empty plan, injects
     /// nothing, and is guaranteed zero-cost.
     pub fn none() -> Self {
-        StormConfig {
-            intensity: 0.0,
-            bursts_per_min: 0.0,
-            burst_size: 0,
-            stalls_per_min: 0.0,
-            stall_s: 0.0,
-            stall_window_s: 0.0,
-            churn_bursts_per_min: 0.0,
-            churn_burst_factor: 1.0,
-            churn_burst_s: 0.0,
-            salt: 0,
-        }
+        StormConfig { intensity: 0.0 }
     }
 
-    /// A representative storm mix scaled by `intensity`: a request burst
-    /// roughly every five minutes, occasional minute-long probe stalls, and
-    /// short windows where churn triples.
+    /// The storm mix at `intensity`, clamped to `[0, 1]` (NaN passes
+    /// through, and [`StormConfig::validate`] rejects it).
     pub fn with_intensity(intensity: f64) -> Self {
         StormConfig {
             intensity: intensity.clamp(0.0, 1.0),
-            bursts_per_min: 0.2,
-            burst_size: 6,
-            stalls_per_min: 0.3,
-            stall_s: 30.0,
-            stall_window_s: 60.0,
-            churn_bursts_per_min: 0.2,
-            churn_burst_factor: 3.0,
-            churn_burst_s: 90.0,
-            salt: 0x57_08AA,
         }
     }
 
@@ -570,42 +501,22 @@ impl StormConfig {
     }
 
     /// Rejects a config no plan over `horizon_s` can be compiled from.
-    /// Call it before [`StormPlan::compile`]: an unchecked infinite rate
+    /// Call it before [`StormPlan::compile`]: a near-endless horizon
     /// compiles into an endless schedule. A burst counts as the requests
     /// it injects, and every count is taken at full intensity.
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidConfig`] if the intensity is outside `[0, 1]`,
-    /// a rate, a window length, the stall or the churn factor is NaN,
-    /// infinite or negative, or an enabled config schedules more than
+    /// [`SimError::InvalidConfig`] if the intensity is outside `[0, 1]`
+    /// (NaN included), or an enabled config schedules more than
     /// `MAX_PLAN_EVENTS` (10⁶) events.
     pub fn validate(&self, horizon_s: f64) -> Result<(), SimError> {
         in_unit_interval("storm", self.intensity)?;
-        for (what, value) in [
-            ("storm burst rate", self.bursts_per_min),
-            ("storm stall rate", self.stalls_per_min),
-            ("storm stall", self.stall_s),
-            ("storm stall window", self.stall_window_s),
-            ("storm churn-burst rate", self.churn_bursts_per_min),
-            ("storm churn-burst factor", self.churn_burst_factor),
-            ("storm churn-burst window", self.churn_burst_s),
-        ] {
-            non_negative(what, value)?;
-        }
         if self.is_none() {
             return Ok(());
         }
-        let per_min = self.bursts_per_min * self.burst_size as f64
-            + self.stalls_per_min
-            + self.churn_bursts_per_min;
+        let per_min = BURSTS_PER_MIN * BURST_SIZE as f64 + STALLS_PER_MIN + CHURN_BURSTS_PER_MIN;
         bounded_plan("storm", per_min * (horizon_s / 60.0))
-    }
-}
-
-impl Default for StormConfig {
-    fn default() -> Self {
-        StormConfig::none()
     }
 }
 
@@ -636,38 +547,27 @@ impl StormPlan {
         if config.is_none() || horizon_s <= 0.0 {
             return plan;
         }
-        let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ config.salt, 0));
+        let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ STORM_SALT, 0));
         let minutes = horizon_s / 60.0;
 
-        let n = draw_count(&mut rng, config.bursts_per_min * config.intensity * minutes);
+        let n = draw_count(&mut rng, BURSTS_PER_MIN * config.intensity * minutes);
         for _ in 0..n {
             let at = rng.gen::<f64>() * horizon_s;
-            let size = ((config.burst_size as f64) * config.intensity).round() as usize;
+            let size = ((BURST_SIZE as f64) * config.intensity).round() as usize;
             if size > 0 {
                 plan.bursts.push((at, size));
             }
         }
-        let n = draw_count(&mut rng, config.stalls_per_min * config.intensity * minutes);
+        let n = draw_count(&mut rng, STALLS_PER_MIN * config.intensity * minutes);
         for _ in 0..n {
             let start = rng.gen::<f64>() * horizon_s;
-            if config.stall_s > 0.0 && config.stall_window_s > 0.0 {
-                plan.stalls
-                    .push((start, start + config.stall_window_s, config.stall_s));
-            }
+            plan.stalls.push((start, start + STALL_WINDOW_S, STALL_S));
         }
-        let n = draw_count(
-            &mut rng,
-            config.churn_bursts_per_min * config.intensity * minutes,
-        );
+        let n = draw_count(&mut rng, CHURN_BURSTS_PER_MIN * config.intensity * minutes);
         for _ in 0..n {
             let start = rng.gen::<f64>() * horizon_s;
-            if config.churn_burst_factor > 1.0 && config.churn_burst_s > 0.0 {
-                plan.churn_bursts.push((
-                    start,
-                    start + config.churn_burst_s,
-                    config.churn_burst_factor,
-                ));
-            }
+            plan.churn_bursts
+                .push((start, start + CHURN_BURST_S, CHURN_BURST_FACTOR));
         }
         let by_start = |a: &(f64, f64, f64), b: &(f64, f64, f64)| {
             a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal)
@@ -732,16 +632,6 @@ fn in_unit_interval(injector: &str, intensity: f64) -> Result<(), SimError> {
         reason: format!(
             "{injector} intensity is {intensity}; injector intensities in [0, 1] scale the rates"
         ),
-    })
-}
-
-/// Rejects a rate, period or factor that is NaN, infinite or negative.
-fn non_negative(what: &str, value: f64) -> Result<(), SimError> {
-    if value.is_finite() && value >= 0.0 {
-        return Ok(());
-    }
-    Err(SimError::InvalidConfig {
-        reason: format!("{what} must be finite and non-negative, got {value}"),
     })
 }
 
@@ -873,13 +763,18 @@ mod tests {
     fn protected_vms_survive_heavy_churn() {
         let mut c = seeded(3);
         let protected = c.vm_ids().next().unwrap();
-        let mut config = ChaosConfig::with_intensity(1.0);
-        config.departures_per_min = 10.0;
-        config.swaps_per_min = 10.0;
-        let mut plan = FaultPlan::compile(&config, 3, 0, 0.0, 600.0);
+        // 100 simulated minutes at full intensity: about 60 swaps and 50
+        // departures against three resident tenants.
+        let mut plan = FaultPlan::compile(&ChaosConfig::with_intensity(1.0), 3, 0, 0.0, 6000.0);
+        let swaps = plan
+            .events()
+            .iter()
+            .filter(|e| e.kind == ChaosEvent::Swap)
+            .count();
+        assert!(swaps >= 40, "{swaps} swaps");
         plan.protect(&[protected]);
         let label_before = c.vm(protected).unwrap().profile.label().clone();
-        plan.apply_due(&mut c, 600.0).unwrap();
+        plan.apply_due(&mut c, 6000.0).unwrap();
         let state = c.vm(protected).expect("protected vm must survive");
         assert_eq!(state.profile.label(), &label_before);
     }
@@ -887,10 +782,9 @@ mod tests {
     #[test]
     fn arrivals_and_degradations_land_in_the_trace() {
         let mut c = seeded(2);
-        let mut config = ChaosConfig::with_intensity(1.0);
-        config.arrivals_per_min = 4.0;
-        let mut plan = FaultPlan::compile(&config, 11, 0, 0.0, 600.0);
-        let applied = plan.apply_due(&mut c, 600.0).unwrap();
+        // An hour at full intensity: about 36 arrivals and two throttles.
+        let mut plan = FaultPlan::compile(&ChaosConfig::with_intensity(1.0), 11, 0, 0.0, 3600.0);
+        let applied = plan.apply_due(&mut c, 3600.0).unwrap();
         assert!(applied > 0);
         assert_eq!(plan.remaining(), 0);
         let events = c.take_events();
@@ -901,6 +795,9 @@ mod tests {
                 ..
             }
         )));
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Degrade { .. })));
     }
 
     #[test]
@@ -909,38 +806,8 @@ mod tests {
         let active = ChaosConfig::with_intensity(0.8);
         assert_eq!(active.validate(horizon), Ok(()));
         assert_eq!(ChaosConfig::none().validate(f64::INFINITY), Ok(()));
-        let bad = [
-            ChaosConfig {
-                arrivals_per_min: f64::INFINITY,
-                ..active
-            },
-            ChaosConfig {
-                swaps_per_min: 1e300,
-                ..active
-            },
-            ChaosConfig {
-                departures_per_min: -1.0,
-                ..active
-            },
-            // Positive, but 3.6e303 checks over the hour.
-            ChaosConfig {
-                migration_check_s: 1e-300,
-                ..active
-            },
-            ChaosConfig {
-                probe_fault_rate: f64::NAN,
-                ..active
-            },
-            ChaosConfig {
-                max_degradation: 1.0,
-                ..active
-            },
-            ChaosConfig {
-                intensity: f64::NAN,
-                ..active
-            },
-        ];
-        for config in bad {
+        for intensity in [f64::NAN, -0.5, 1.5, f64::INFINITY] {
+            let config = ChaosConfig { intensity };
             assert!(
                 matches!(
                     config.validate(horizon),
@@ -949,38 +816,21 @@ mod tests {
                 "{config:?}"
             );
         }
-        // A sane config over a near-endless horizon is just as unbounded.
+        // A sane config over a near-endless horizon is unbounded.
         assert!(active.validate(1e300).is_err());
+        assert!(active.validate(f64::INFINITY).is_err());
 
         let storm = StormConfig::with_intensity(0.8);
         assert_eq!(storm.validate(horizon), Ok(()));
-        for bad in [
-            StormConfig {
-                bursts_per_min: f64::INFINITY,
-                ..storm
-            },
-            StormConfig {
-                churn_bursts_per_min: 1e300,
-                ..storm
-            },
-            StormConfig {
-                burst_size: usize::MAX,
-                ..storm
-            },
-            StormConfig {
-                stall_s: f64::NAN,
-                ..storm
-            },
-            StormConfig {
-                intensity: 1.5,
-                ..storm
-            },
-        ] {
+        assert_eq!(StormConfig::none().validate(f64::INFINITY), Ok(()));
+        for intensity in [f64::NAN, -0.5, 1.5, f64::INFINITY] {
+            let bad = StormConfig { intensity };
             assert!(
                 matches!(bad.validate(horizon), Err(SimError::InvalidConfig { .. })),
                 "{bad:?}"
             );
         }
+        assert!(storm.validate(1e300).is_err());
     }
 
     #[test]
@@ -1055,5 +905,146 @@ mod tests {
         let heavy = StormPlan::compile(&StormConfig::with_intensity(1.0), 5, 36_000.0);
         let light = StormPlan::compile(&StormConfig::with_intensity(0.2), 5, 36_000.0);
         assert!(heavy.bursts().len() > light.bursts().len());
+    }
+
+    /// The fault mix at intensity 0.5, pinned event by event (kind, time
+    /// bits, and a throttle's server and factor bits) together with the
+    /// first 24 probe-fault verdicts, plus the per-kind and probe-fault
+    /// counts of a ten-hour plan. Every rate, the check period, the
+    /// degradation and the salt feed these, so a changed constant fails
+    /// here and not only in a figure CSV. (The migration threshold acts
+    /// when a check is applied, not in the plan.)
+    #[test]
+    fn half_intensity_fault_plan_is_pinned() {
+        use ChaosEvent::{Arrival, Departure, MigrationCheck, Swap};
+        let plan = FaultPlan::compile(&ChaosConfig::with_intensity(0.5), 42, 5, 100.0, 600.0);
+        let degrade = ChaosEvent::Degrade {
+            server: 283,
+            factor: f64::from_bits(0x3fc4_584c_d2bb_4ae0),
+        };
+        let expected = [
+            (MigrationCheck, 0x4064_0000_0000_0000),
+            (degrade, 0x406a_a32e_5014_2540),
+            (MigrationCheck, 0x406b_8000_0000_0000),
+            (Departure, 0x4070_1082_b0e0_570e),
+            (MigrationCheck, 0x4071_8000_0000_0000),
+            (Arrival, 0x4072_7859_8ed4_52f2),
+            (Arrival, 0x4074_0b11_b420_5122),
+            (MigrationCheck, 0x4075_4000_0000_0000),
+            (Swap, 0x4076_c3a9_03fb_afe2),
+            (Departure, 0x4078_eea9_e8be_1a1a),
+            (MigrationCheck, 0x4079_0000_0000_0000),
+            (MigrationCheck, 0x407c_c000_0000_0000),
+            (Swap, 0x407c_c70b_8e4b_3076),
+            (Departure, 0x407d_05a4_1a5c_376e),
+            (MigrationCheck, 0x4080_4000_0000_0000),
+            (Swap, 0x4081_3c9c_db23_287a),
+            (Arrival, 0x4081_63df_ea4a_b11c),
+            (MigrationCheck, 0x4082_2000_0000_0000),
+            (MigrationCheck, 0x4084_0000_0000_0000),
+            (MigrationCheck, 0x4085_e000_0000_0000),
+        ];
+        let got: Vec<(ChaosEvent, u64)> = plan
+            .events()
+            .iter()
+            .map(|e| (e.kind, e.at.to_bits()))
+            .collect();
+        assert_eq!(got, expected);
+        let faulted: Vec<(u64, ProbeFaultKind)> = (0..24)
+            .filter_map(|w| plan.probe_fault(w).map(|kind| (w, kind)))
+            .collect();
+        assert_eq!(
+            faulted,
+            [
+                (6, ProbeFaultKind::Blackout),
+                (9, ProbeFaultKind::Blackout),
+                (10, ProbeFaultKind::TruncatedSample),
+                (15, ProbeFaultKind::TruncatedSample),
+            ]
+        );
+
+        // Ten hours resolve each rate to about 1%: a short plan's counts
+        // can absorb a small rate change in one Bernoulli draw.
+        let long = FaultPlan::compile(&ChaosConfig::with_intensity(0.5), 42, 5, 100.0, 36_000.0);
+        let count =
+            |kind: fn(&ChaosEvent) -> bool| long.events().iter().filter(|e| kind(&e.kind)).count();
+        let counts = [
+            count(|k| *k == Arrival),
+            count(|k| *k == Departure),
+            count(|k| *k == Swap),
+            count(|k| *k == MigrationCheck),
+            count(|k| matches!(k, ChaosEvent::Degrade { .. })),
+        ];
+        assert_eq!(counts, [180, 150, 180, 600, 1]);
+        let faults = (0..10_000)
+            .filter(|&w| long.probe_fault(w).is_some())
+            .count();
+        assert_eq!(faults, 1186);
+    }
+
+    /// The storm mix at intensity 0.5 over an hour, pinned window by
+    /// window as raw bits, plus the counts of a hundred-hour plan, for the
+    /// same reason as the fault plan above.
+    #[test]
+    fn half_intensity_storm_plan_is_pinned() {
+        let plan = StormPlan::compile(&StormConfig::with_intensity(0.5), 42, 3600.0);
+        let bursts: Vec<(u64, usize)> = plan
+            .bursts
+            .iter()
+            .map(|&(at, n)| (at.to_bits(), n))
+            .collect();
+        assert_eq!(
+            bursts,
+            [
+                (0x406a_4264_4291_ae40, 3),
+                (0x4071_7e17_8a68_a99d, 3),
+                (0x4092_df06_9d90_2c11, 3),
+                (0x4098_b484_9122_d240, 3),
+                (0x40a2_0a73_925b_2fdb, 3),
+                (0x40aa_a173_18e5_7415, 3),
+            ]
+        );
+        let bits = |windows: &[(f64, f64, f64)]| -> Vec<[u64; 3]> {
+            windows
+                .iter()
+                .map(|&(a, b, c)| [a.to_bits(), b.to_bits(), c.to_bits()])
+                .collect()
+        };
+        let stall = 0x403e_0000_0000_0000; // 30 s
+        assert_eq!(
+            bits(&plan.stalls),
+            [
+                [0x4036_a674_d3bd_874c, 0x4054_a99d_34ef_61d3, stall],
+                [0x4080_44c4_1ac6_4732, 0x4082_24c4_1ac6_4732, stall],
+                [0x408c_ea3b_c451_40a6, 0x408e_ca3b_c451_40a6, stall],
+                [0x4090_42d2_5b9c_4381, 0x4091_32d2_5b9c_4381, stall],
+                [0x4095_c910_db67_37ea, 0x4096_b910_db67_37ea, stall],
+                [0x409c_b02c_b9a0_3d2e, 0x409d_a02c_b9a0_3d2e, stall],
+                [0x409d_0eca_4022_564f, 0x409d_feca_4022_564f, stall],
+                [0x40a1_461a_29d7_4eba, 0x40a1_be1a_29d7_4eba, stall],
+                [0x40a8_d596_d127_4c1a, 0x40a9_4d96_d127_4c1a, stall],
+            ]
+        );
+        let triple = 0x4008_0000_0000_0000; // 3.0
+        assert_eq!(
+            bits(&plan.churn_bursts),
+            [
+                [0x407f_cfc4_21f5_1edf, 0x4082_b7e2_10fa_8f70, triple],
+                [0x4091_6191_5821_7d0c, 0x4092_c991_5821_7d0c, triple],
+                [0x40a0_3027_6653_0fb7, 0x40a0_e427_6653_0fb7, triple],
+                [0x40a3_31a9_0c96_8cec, 0x40a3_e5a9_0c96_8cec, triple],
+                [0x40a4_2217_d101_9c15, 0x40a4_d617_d101_9c15, triple],
+                [0x40a6_e0aa_0a3e_2399, 0x40a7_94aa_0a3e_2399, triple],
+            ]
+        );
+
+        // A hundred hours resolve each rate to about 0.2%.
+        let long = StormPlan::compile(&StormConfig::with_intensity(0.5), 42, 360_000.0);
+        let counts = [
+            long.bursts.len(),
+            long.stalls.len(),
+            long.churn_bursts.len(),
+        ];
+        assert_eq!(counts, [600, 900, 600]);
     }
 }

@@ -241,8 +241,9 @@ impl Cluster {
         self.isolation
     }
 
-    /// Replaces the isolation configuration (used by the §6 study to sweep
-    /// mechanism stacks over an already-populated cluster).
+    /// Replaces the isolation configuration of an already-populated
+    /// cluster. Memo answers read the old attenuation, so the cluster
+    /// detaches from its sweep memo.
     pub fn set_isolation(&mut self, isolation: IsolationConfig) {
         self.isolation = isolation;
         self.detach_sweep_memo();
@@ -592,121 +593,6 @@ impl Cluster {
                 coupled_emission(state, &interference, t, rng)
             }
         }
-    }
-
-    /// The contention `observer` experiences on its core-private resources
-    /// *through one specific physical core* it owns: only the sibling
-    /// hyperthreads of that core contribute. A real adversary can pin its
-    /// probe thread per core, so each of its cores is a separate
-    /// measurement channel — when two victims sit on different siblings,
-    /// per-core probing separates their core signals exactly.
-    ///
-    /// `core` is an index into the observer's own core list (see
-    /// [`crate::vm::VmState::cores`]), not a global core id.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::UnknownVm`] if the observer does not exist.
-    /// * [`SimError::InvalidConfig`] if `core` exceeds the observer's core
-    ///   count.
-    pub fn interference_on_core<R: Rng>(
-        &self,
-        id: VmId,
-        core: usize,
-        t: f64,
-        rng: &mut R,
-    ) -> Result<PressureVector, SimError> {
-        let state = self.vm(id)?;
-        let tpc = self.placement.servers[state.server].spec().threads_per_core;
-        let my_cores = state.cores(tpc);
-        let Some(&physical_core) = my_cores.get(core) else {
-            return Err(SimError::InvalidConfig {
-                reason: format!(
-                    "core index {core} exceeds the observer's {} cores",
-                    my_cores.len()
-                ),
-            });
-        };
-
-        let query = Query::PerCore {
-            id: id.raw(),
-            core: physical_core as u32,
-        };
-        Ok(self.memoized(state.server, query, (t.to_bits(), 0), || {
-            self.per_core_scan(id, state, physical_core, t, rng)
-        }))
-    }
-
-    /// The uncached per-core walk: only the owners of `physical_core`'s
-    /// hyperthreads contribute, found through the server's slot map in
-    /// O(threads-per-core) — never by scanning the cluster.
-    fn per_core_scan<R: Rng>(
-        &self,
-        id: VmId,
-        state: &VmState,
-        physical_core: usize,
-        t: f64,
-        rng: &mut R,
-    ) -> PressureVector {
-        let tpc = self.placement.servers[state.server].spec().threads_per_core;
-        let atten = self.isolation.attenuation_array();
-        let mut total = PressureVector::zero();
-        if oracle::enabled() {
-            self.count_visits(self.placement.vms.len());
-            for other_id in self.placement.vms.iter_ids() {
-                if other_id == id {
-                    continue;
-                }
-                let other = self
-                    .placement
-                    .vms
-                    .get(other_id)
-                    .expect("iterated id is live");
-                if other.server != state.server || !other.cores(tpc).contains(&physical_core) {
-                    continue;
-                }
-                self.add_core_contribution(other, t, rng, &atten, &mut total);
-            }
-        } else {
-            // Sibling owners in ascending id order — the same visit order
-            // (and therefore RNG draw order) the full scan would produce.
-            let occupants = self.placement.servers[state.server].core_occupants(physical_core);
-            self.count_visits(occupants.len());
-            for other_id in occupants {
-                if other_id == id {
-                    continue;
-                }
-                let other = self.placement.vms.get(other_id).expect("occupant is live");
-                self.add_core_contribution(other, t, rng, &atten, &mut total);
-            }
-        }
-        let d = self.placement.degradation[state.server];
-        if d > 0.0 {
-            for r in Resource::CORE {
-                total[r] = (total[r] * (1.0 + d)).min(100.0);
-            }
-        }
-        total
-    }
-
-    /// One sibling's core-domain contribution, attenuated and saturated.
-    fn add_core_contribution<R: Rng>(
-        &self,
-        other: &VmState,
-        t: f64,
-        rng: &mut R,
-        atten: &[f64; RESOURCE_COUNT],
-        total: &mut PressureVector,
-    ) {
-        let p = raw_emission(other, t, rng);
-        // Only core lanes carry pressure here; the fused kernel still
-        // touches all ten (adding +0.0 elsewhere), matching the old
-        // zero-contribution saturating_add lane for lane.
-        let mut visible = [0.0; RESOURCE_COUNT];
-        for r in Resource::CORE {
-            visible[r.index()] = p[r];
-        }
-        kernels::sat_accum(total.as_mut_array(), &visible, atten, 100.0);
     }
 
     /// The contention a VM experiences from its co-residents at time `t`,
@@ -1390,10 +1276,11 @@ mod tests {
     fn launch_and_terminate_lifecycle() {
         let mut r = rng();
         let mut c = cluster(2);
-        let id = c
-            .launch_on(1, hadoop(&mut r), VmRole::Friendly, 0.0)
-            .unwrap();
+        let profile = hadoop(&mut r);
+        let vcpus = profile.vcpus();
+        let id = c.launch_on(1, profile, VmRole::Friendly, 0.0).unwrap();
         assert_eq!(c.vm(id).unwrap().server, 1);
+        assert_eq!(c.vm(id).unwrap().vcpus(), vcpus);
         assert_eq!(c.vms_on(1), vec![id]);
         c.terminate(id).unwrap();
         assert!(c.vm(id).is_err());
@@ -1623,58 +1510,6 @@ mod tests {
         assert!(slow > 1.5);
     }
 
-    #[test]
-    fn per_core_interference_separates_siblings() {
-        let mut r = rng();
-        let mut c = cluster(1);
-        // Adversary takes cores 0-3 (sibling 0). Two 6-vCPU victims fill
-        // the rest: each ends up on a different subset of the adversary's
-        // sibling threads.
-        let adv = c
-            .launch_on(0, memcached(&mut r), VmRole::Adversarial, 0.0)
-            .unwrap();
-        let v1 = c
-            .launch_on(0, memcached(&mut r).with_vcpus(6), VmRole::Friendly, 0.0)
-            .unwrap();
-        let v2 = c
-            .launch_on(0, memcached(&mut r).with_vcpus(6), VmRole::Friendly, 0.0)
-            .unwrap();
-        c.set_pressure_override(
-            v1,
-            Some(PressureVector::from_pairs(&[(Resource::L1i, 80.0)])),
-        )
-        .unwrap();
-        c.set_pressure_override(
-            v2,
-            Some(PressureVector::from_pairs(&[(Resource::L1d, 70.0)])),
-        )
-        .unwrap();
-        let adv_cores = c.vm(adv).unwrap().cores(2);
-        // Across the adversary's cores, some see v1's L1i signature and
-        // others see v2's L1d signature — never a blend on one core unless
-        // both actually share it.
-        let mut saw_l1i_only = false;
-        let mut saw_l1d_only = false;
-        for k in 0..adv_cores.len() {
-            let seen = c.interference_on_core(adv, k, 0.0, &mut r).unwrap();
-            if seen[Resource::L1i] > 50.0 && seen[Resource::L1d] < 5.0 {
-                saw_l1i_only = true;
-            }
-            if seen[Resource::L1d] > 40.0 && seen[Resource::L1i] < 5.0 {
-                saw_l1d_only = true;
-            }
-        }
-        assert!(
-            saw_l1i_only && saw_l1d_only,
-            "per-core probing should expose each sibling's signal separately"
-        );
-        // Out-of-range core index is rejected.
-        assert!(matches!(
-            c.interference_on_core(adv, 99, 0.0, &mut r),
-            Err(SimError::InvalidConfig { .. })
-        ));
-    }
-
     /// Every kind of lifecycle write, on two servers: launch, pinned
     /// launch, degrade, migrate, same-size and resizing swaps, terminate.
     /// Returns the ids it launched.
@@ -1807,7 +1642,6 @@ mod tests {
         // settings and rejected writes all leave the placement shared.
         for c in [&base, &snap] {
             c.interference_on(a, 1.0, &mut r).unwrap();
-            c.interference_on_core(a, 0, 1.0, &mut r).unwrap();
             c.cache_sweep_response(a, 0.5, 1.0, &mut r).unwrap();
             c.cpu_utilization(0, 1.0, &mut r).unwrap();
             c.performance_of(b, 1.0, &mut r).unwrap();

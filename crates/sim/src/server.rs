@@ -279,25 +279,6 @@ impl Server {
         self.slots.get(slot).copied().flatten()
     }
 
-    /// The VMs owning at least one hyperthread of physical core `core`,
-    /// sorted by ascending id. At most `threads_per_core` entries, so
-    /// per-core neighbor queries cost O(siblings) instead of a scan over
-    /// every VM in the cluster.
-    pub fn core_occupants(&self, core: usize) -> Vec<VmId> {
-        let tpc = self.spec.threads_per_core as usize;
-        let mut out: Vec<VmId> = self
-            .slots
-            .get(core * tpc..(core + 1) * tpc)
-            .unwrap_or(&[])
-            .iter()
-            .flatten()
-            .copied()
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// The physical cores where `vm` and `other` both own a hyperthread.
     pub fn shared_cores(&self, vm: VmId, other: VmId) -> Vec<usize> {
         let tpc = self.spec.threads_per_core as usize;
@@ -457,17 +438,6 @@ mod tests {
         assert_eq!(s.tenants(), vec![VmId(3), VmId(9)]);
         assert_eq!(s.occupant(0), Some(VmId(3)));
         assert_eq!(s.occupant(15), None);
-    }
-
-    #[test]
-    fn core_occupants_lists_sibling_owners_in_id_order() {
-        let mut s = server();
-        s.place(VmId(1), 4, false).unwrap(); // sibling 0 of cores 0..4
-        s.place(VmId(2), 6, false).unwrap(); // cores 4..8, then siblings of 0..2
-        assert_eq!(s.core_occupants(0), vec![VmId(1), VmId(2)]);
-        assert_eq!(s.core_occupants(2), vec![VmId(1)]);
-        assert_eq!(s.core_occupants(4), vec![VmId(2)]);
-        assert!(s.core_occupants(99).is_empty());
     }
 
     #[test]

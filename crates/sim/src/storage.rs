@@ -15,12 +15,11 @@
 //! is bit-identical to the old scan.
 //!
 //! Deterministic probe queries are memoized through one protocol. A
-//! [`Query`] names what a probe asks of whom (neighbor interference,
-//! per-core interference, an LLC sweep), a [`Stamp`] decides whether a
-//! stored answer is current (the query time's bits, plus the probe
-//! allocation's for a sweep), and one map, the [`SweepMemo`] shared by
-//! the snapshots of one base cluster, holds every [`Answer`] under its
-//! `(query, stamp)` key. The cluster runs the lookup → scan → publish
+//! [`Query`] names what a probe asks of whom (neighbor interference or an
+//! LLC sweep), a [`Stamp`] decides whether a stored answer is current
+//! (the query time's bits, plus the probe allocation's for a sweep), and
+//! one map, the [`SweepMemo`] shared by the snapshots of one base
+//! cluster, holds every [`Answer`] under its `(query, stamp)` key. The cluster runs the lookup → scan → publish
 //! sequence in one helper. The keys are a few internal integers, so they
 //! hash with [`KeyHasher`] rather than SipHash. A `Cluster` keeps no memo
 //! of its own: the walks a probe recurses into, and utilization, scan
@@ -310,31 +309,24 @@ impl VmArena {
 pub(crate) enum Query {
     /// Coupled interference on VM `id` (raw id).
     Neighbors { id: u64 },
-    /// Interference on VM `id` through one of its physical cores. A
-    /// `u32`, like `ServerSpec::cores`, keeps the key at 16 bytes.
-    PerCore { id: u64, core: u32 },
     /// The LLC cache-sweep response VM `id` observes.
     Sweep { id: u64 },
 }
 
-/// Hashes the fields alone: a derived hash also writes the discriminant,
-/// one more hasher write on every lookup of the probe hot path. Kinds
-/// whose fields hash alike share a bucket, and `Eq` tells them apart.
+/// Hashes the id alone: a derived hash also writes the discriminant, one
+/// more hasher write on every lookup of the probe hot path. Both kinds
+/// hash alike and share a bucket, and `Eq` tells them apart.
 impl Hash for Query {
     fn hash<H: Hasher>(&self, state: &mut H) {
         match *self {
             Query::Neighbors { id } | Query::Sweep { id } => state.write_u64(id),
-            Query::PerCore { id, core } => {
-                state.write_u64(id);
-                state.write_u32(core);
-            }
         }
     }
 }
 
 /// A multiply-rotate hasher for the memo keys: one rotate, xor and
 /// multiply per written integer. Every key is a few integers the simulator
-/// makes itself (VM ids, core indices, the bits of a probe's time and
+/// makes itself (VM ids, the bits of a probe's time and
 /// allocation), never outside input, so SipHash's protection
 /// against crafted collisions buys nothing here.
 #[derive(Default)]
@@ -351,10 +343,6 @@ impl Hasher for KeyHasher {
         for &b in bytes {
             self.mix(b.into());
         }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.mix(n.into());
     }
 
     fn write_u64(&mut self, n: u64) {

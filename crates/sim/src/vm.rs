@@ -73,36 +73,11 @@ impl VmState {
     pub fn vcpus(&self) -> u32 {
         self.threads.len() as u32
     }
-
-    /// The physical cores (on its server) this VM touches, given the
-    /// server's threads-per-core.
-    pub fn cores(&self, threads_per_core: u32) -> Vec<usize> {
-        let mut cores: Vec<usize> = self
-            .threads
-            .iter()
-            .map(|&t| t / threads_per_core as usize)
-            .collect();
-        cores.sort_unstable();
-        cores.dedup();
-        cores
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bolt_workloads::{catalog, DatasetScale};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn profile() -> WorkloadProfile {
-        let mut rng = StdRng::seed_from_u64(1);
-        catalog::hadoop::profile(
-            &catalog::hadoop::Algorithm::WordCount,
-            DatasetScale::Small,
-            &mut rng,
-        )
-    }
 
     #[test]
     fn vm_id_display() {
@@ -121,20 +96,5 @@ mod tests {
             "VmState grew to {} bytes",
             std::mem::size_of::<VmState>()
         );
-    }
-
-    #[test]
-    fn cores_deduplicates_siblings() {
-        let state = VmState {
-            profile: profile(),
-            role: VmRole::Friendly,
-            server: 0,
-            threads: vec![0, 1, 2, 5],
-            launched_at: 0.0,
-            pressure_override: None,
-        };
-        // threads 0,1 -> core 0; 2 -> core 1; 5 -> core 2 (2 threads/core).
-        assert_eq!(state.cores(2), vec![0, 1, 2]);
-        assert_eq!(state.vcpus(), 4);
     }
 }

@@ -11,9 +11,9 @@
 //! through the same random churn (launches, terminations, migrations,
 //! profile swaps, pressure overrides, degradation, and compiled chaos
 //! plans) and require every
-//! observable — interference, per-core interference, cache-sweep
-//! response, utilization, performance, the trace, and the state of the
-//! shared RNG stream — to match bit for bit.
+//! observable — interference, cache-sweep response, utilization,
+//! performance, the trace, and the state of the shared RNG stream — to
+//! match bit for bit.
 //!
 //! A separate regression pins the locality contract: a probe's
 //! neighbor-visit count depends only on its own host's population, never
@@ -148,9 +148,8 @@ fn apply_ops(cluster: &mut Cluster, ops: &[(u8, usize)], seed: u64) -> Vec<VmId>
 /// Every observable of `c` at time `t`, one labelled line each: the live
 /// set, every VM's interference, cache-sweep responses at two allocations
 /// (at one `t`, so a memo that ignored the allocation would answer the
-/// second from the first), performance and per-core interference, every
-/// server's utilization and residency, and
-/// the query RNG's next draw. Each `f64` is written as its raw bits, so
+/// second from the first), performance, every server's utilization and
+/// residency, and the query RNG's next draw. Each `f64` is written as its raw bits, so
 /// equal lines mean equal bits, NaN payloads included. All queries share
 /// one RNG seeded from `seed`: if a storage skipped or reordered a single
 /// draw, every later line diverges.
@@ -165,12 +164,10 @@ fn observe(c: &Cluster, t: f64, seed: u64) -> Vec<String> {
         let s =
             [0.5, 0.25].map(|alloc| c.cache_sweep_response(id, alloc, t, &mut rng).expect(live));
         let p = c.performance_of(id, t, &mut rng).expect(live);
-        let core = c.interference_on_core(id, 0, t, &mut rng).expect("core 0");
-        let (i, core) = (bits(i.as_slice()), bits(core.as_slice()));
+        let i = bits(i.as_slice());
         lines.push(format!("interference on {id:?} at t={t}: {i:?}"));
         lines.push(format!("sweep responses of {id:?}: {:?}", bits(&s)));
         lines.push(format!("performance of {id:?}: {:?}", bits(&[p.0, p.1])));
-        lines.push(format!("per-core interference on {id:?}: {core:?}"));
     }
     for server in 0..SERVERS {
         let u = c.cpu_utilization(server, t, &mut rng).expect("in range");
@@ -810,28 +807,18 @@ fn sweep_memo_counts_shared_queries_and_detaches_on_mutation() {
     );
 
     // Each probe kind counts toward `shared_sweeps`: so far the one
-    // shared coupled probe; then a per-core walk and an LLC sweep, each
-    // computed on one snapshot and repeated on its sibling.
+    // shared coupled probe; then an LLC sweep, computed on one snapshot
+    // and repeated on its sibling.
     assert_eq!(memo.shared_sweeps(), 1);
-    let core = a
-        .interference_on_core(observer, 0, t, &mut rng)
-        .expect("core 0");
     let sweep = a
         .cache_sweep_response(observer, 0.5, t, &mut rng)
         .expect("sweep");
-    assert_eq!(memo.shared_sweeps(), 1, "cold queries share nothing");
-    let core_b = b
-        .interference_on_core(observer, 0, t, &mut rng)
-        .expect("core 0");
+    assert_eq!(memo.shared_sweeps(), 1, "a cold query shares nothing");
     let sweep_b = b
         .cache_sweep_response(observer, 0.5, t, &mut rng)
         .expect("sweep");
-    assert_eq!((core_b, sweep_b), (core, sweep));
-    assert_eq!(
-        memo.shared_sweeps(),
-        3,
-        "the per-core walk and the sweep were shared"
-    );
+    assert_eq!(sweep_b, sweep);
+    assert_eq!(memo.shared_sweeps(), 2, "the sweep was shared");
 }
 
 /// A snapshot keeps no memo of its own: probing the same observer twice

@@ -84,6 +84,22 @@ if [ "$SERVE_ELAPSED" -gt 60 ]; then
   echo "service smoke: took ${SERVE_ELAPSED}s (budget 60s)"; exit 1
 fi
 
+echo "==> robustness smoke (the chaos path from the CLI, 8 victims on 4 servers)"
+ROB_START=$SECONDS
+cargo run --release -q -- robustness --servers 4 --victims 8 > "$SMOKE_DIR/robustness.txt"
+ROB_ELAPSED=$((SECONDS - ROB_START))
+grep -q "failures are announced" "$SMOKE_DIR/robustness.txt" \
+  || { echo "robustness smoke: honesty contract violated"; cat "$SMOKE_DIR/robustness.txt"; exit 1; }
+# Columns: | intensity | accuracy | degraded | silent | confidence | faults | ...
+# Full intensity must actually inject faults, or the sweep measured nothing.
+awk -F'|' '$2 ~ /^ *1\.00 *$/ && $7 + 0 > 0 { found = 1 } END { exit !found }' \
+  "$SMOKE_DIR/robustness.txt" \
+  || { echo "robustness smoke: full intensity injected no faults"; cat "$SMOKE_DIR/robustness.txt"; exit 1; }
+# The sweep takes well under a second in release.
+if [ "$ROB_ELAPSED" -gt 60 ]; then
+  echo "robustness smoke: took ${ROB_ELAPSED}s (budget 60s)"; exit 1
+fi
+
 echo "==> region-serve smoke (2k servers, storms on, threaded)"
 RSERVE_START=$SECONDS
 cargo run --release -q -- serve --region --servers 2000 --requests 60 --storm 0.5 \

@@ -265,10 +265,10 @@ fn experiment_config(flags: &Flags) -> Result<ExperimentConfig, String> {
     let mut config = ExperimentConfig {
         servers: flags.usize("servers", 20)?,
         victims: flags.usize("victims", 48)?,
-        mrc_channel: flags.bool("mrc")?,
         anytime: flags.bool("anytime")?,
         ..ExperimentConfig::default()
     };
+    config.detector.mrc_channel = flags.bool("mrc")?;
     if let Some(seed) = flags.u64("seed")? {
         config.seed = seed;
     }
