@@ -216,6 +216,14 @@ impl DetectorConfig {
             // Every hunt clock advances by the interval: a NaN or negative
             // one would put NaN or backwards sim times into the records.
             "a finite, non-negative detection interval"
+        } else if !(self.shutter.interval_s.is_finite() && self.shutter.interval_s >= 0.0) {
+            // Shutter frames are probed at `t + i * interval`: a NaN or
+            // infinite one reaches the frame ranking as NaN totals.
+            "a finite, non-negative shutter interval"
+        } else if !(self.shutter.frame_s.is_finite() && self.shutter.frame_s >= 0.0) {
+            // The frame length is part of every shutter capture's duration,
+            // which advances the hunt clock.
+            "a finite, non-negative shutter frame length"
         } else {
             return Ok(());
         };
@@ -1329,6 +1337,23 @@ mod tests {
                 ..DetectorConfig::default()
             },
         ];
+        let shutters = [
+            (f64::NAN, 0.03),
+            (f64::INFINITY, 0.03),
+            (-0.8, 0.03),
+            (0.8, f64::NAN),
+            (0.8, f64::INFINITY),
+            (0.8, -0.03),
+        ]
+        .map(|(interval_s, frame_s)| DetectorConfig {
+            shutter: ShutterConfig {
+                interval_s,
+                frame_s,
+                ..DetectorConfig::default().shutter
+            },
+            ..DetectorConfig::default()
+        });
+        let bad = bad.into_iter().chain(shutters);
         for config in bad {
             assert!(
                 matches!(config.validate(), Err(BoltError::InvalidExperiment { .. })),

@@ -80,7 +80,10 @@ impl ShutterCapture {
 ///
 /// # Errors
 ///
-/// * [`SimError::InvalidConfig`] if `config.frames` is zero.
+/// * [`SimError::InvalidConfig`] if `config.frames` is zero, or if `t`,
+///   `config.interval_s` or the last frame's start time is not finite
+///   (a frame probed at a non-finite time reads NaN pressure, which the
+///   frame ranking cannot order).
 /// * [`SimError::UnknownVm`] if `observer` is not placed.
 pub fn capture<R: Rng>(
     cluster: &Cluster,
@@ -92,6 +95,15 @@ pub fn capture<R: Rng>(
     if config.frames == 0 {
         return Err(SimError::InvalidConfig {
             reason: "shutter capture needs at least one frame".to_string(),
+        });
+    }
+    let last_t = t + (config.frames - 1) as f64 * config.interval_s;
+    if !(t.is_finite() && config.interval_s.is_finite() && last_t.is_finite()) {
+        return Err(SimError::InvalidConfig {
+            reason: format!(
+                "shutter capture needs finite frame times, got start {t}, interval {}, last frame {last_t}",
+                config.interval_s
+            ),
         });
     }
     let mut frames = Vec::with_capacity(config.frames);
@@ -234,6 +246,48 @@ mod tests {
             capture(&cluster, adv, 0.0, &config, &mut r),
             Err(SimError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn non_finite_frame_times_rejected() {
+        let mut r = rng();
+        let (cluster, adv) = cluster_with(vec![steady_batch(&mut r)]);
+        let default = ShutterConfig::default();
+        let cases = [
+            (f64::NAN, default),
+            (f64::INFINITY, default),
+            (
+                0.0,
+                ShutterConfig {
+                    interval_s: f64::NAN,
+                    ..default
+                },
+            ),
+            (
+                0.0,
+                ShutterConfig {
+                    interval_s: f64::NEG_INFINITY,
+                    ..default
+                },
+            ),
+            // Every input finite, but the last frame's start overflows.
+            (
+                f64::MAX,
+                ShutterConfig {
+                    interval_s: f64::MAX,
+                    ..default
+                },
+            ),
+        ];
+        for (t, config) in cases {
+            assert!(
+                matches!(
+                    capture(&cluster, adv, t, &config, &mut r),
+                    Err(SimError::InvalidConfig { .. })
+                ),
+                "t {t}, {config:?}"
+            );
+        }
     }
 
     #[test]

@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn describe_is_informative() {
         let e = TraceEvent::Migrate {
-            vm: VmId::from_raw_for_tests(3),
+            vm: VmId::from_raw(3),
             from: 0,
             to: 7,
         };
@@ -177,7 +177,7 @@ mod tests {
     #[test]
     fn probe_fault_concerns_its_observer() {
         let e = TraceEvent::ProbeFault {
-            vm: VmId::from_raw_for_tests(5),
+            vm: VmId::from_raw(5),
             kind: ProbeFaultKind::Blackout,
             at: 12.0,
         };

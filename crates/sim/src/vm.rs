@@ -20,13 +20,6 @@ impl VmId {
     pub fn from_raw(raw: u64) -> Self {
         VmId(raw)
     }
-
-    /// Builds an id from a raw value, for tests that drive [`crate::Server`]
-    /// directly. Real ids are assigned by [`crate::Cluster`].
-    #[doc(hidden)]
-    pub fn from_raw_for_tests(raw: u64) -> Self {
-        VmId(raw)
-    }
 }
 
 impl fmt::Display for VmId {

@@ -137,7 +137,7 @@ fn swap_during_open_probe_window_rolls_back_on_failure() {
 fn swap_of_unknown_vm_is_a_clean_error() {
     let mut rng = StdRng::seed_from_u64(5);
     let mut c = cluster(1);
-    let ghost = VmId::from_raw_for_tests(1234);
+    let ghost = VmId::from_raw(1234);
     let p = catalog::memcached::profile(&catalog::memcached::Variant::Mixed, &mut rng);
     assert_eq!(
         c.swap_profile(ghost, p),

@@ -30,7 +30,7 @@ proptest! {
                 let _ = vm_id_stream;
                 // Server::place takes any VmId; build through a cluster
                 // so ids are real.
-                bolt_sim::VmId::from_raw_for_tests(i as u64)
+                bolt_sim::VmId::from_raw(i as u64)
             };
             if server.can_host(vcpus, false) {
                 let threads = server.place(id, vcpus, false).expect("fits");
@@ -52,7 +52,7 @@ proptest! {
         let mut server = Server::new(ServerSpec::xeon()).expect("server");
         let mut ids = Vec::new();
         for (i, &vcpus) in sizes.iter().enumerate() {
-            let id = bolt_sim::VmId::from_raw_for_tests(i as u64);
+            let id = bolt_sim::VmId::from_raw(i as u64);
             if server.can_host(vcpus, true) {
                 server.place(id, vcpus, true).expect("fits");
                 ids.push(id);

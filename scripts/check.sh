@@ -44,6 +44,16 @@ cargo test --workspace -q
 echo "==> bolt-sim at PROPTEST_CASES=2048 (release)"
 PROPTEST_CASES=2048 cargo test --release -q -p bolt-sim
 
+# bolt-perf, the CLI and the figure CSVs come from the release profile,
+# which inlines across crates (fat LTO). The debug runs above do not
+# check that build, so its bytes are pinned here: the figures gate
+# against the committed CSVs, the optimised stack against the reference
+# oracle, and the kernels against their reference twins.
+echo "==> release build against its pins (figures gate, reference oracle, kernels)"
+cargo test --release -q -p bolt-bench --test figures
+cargo test --release -q -p bolt --test oracle
+cargo test --release -q -p bolt-linalg --tests
+
 echo "==> cargo test --doc (doctests)"
 cargo test --workspace --doc -q
 
